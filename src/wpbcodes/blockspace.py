@@ -89,13 +89,13 @@ class BlockSpace:
         self.size: int = field.q**self.n
 
         # batch-engine tables
-        self._wt = np.asarray(weight.table, dtype=np.int64)
+        self._wt = np.asarray(weight.table, dtype=np.min_scalar_type(weight.max_weight))
         self._offsets = np.asarray(labeling.offsets, dtype=np.intp)
         leq = poset.matrix()
-        # (supp @ down)[v, j] > 0  iff  exists i in supp(v) with j <=_P i
-        self._down = leq.T.astype(np.int64)
-        # (ideal @ up_strict)[v, j] > 0  iff  exists j' in ideal(v) with j <_P j'
-        self._up_strict = (leq & ~np.eye(poset.s, dtype=bool)).T.astype(np.int64)
+        # (supp @ down)[v, j]  iff  exists i in supp(v) with j <=_P i
+        self._down = np.ascontiguousarray(leq.T)
+        # (ideal @ up_strict)[v, j]  iff  exists j' in ideal(v) with j <_P j'
+        self._up_strict = np.ascontiguousarray((leq & ~np.eye(poset.s, dtype=bool)).T)
         self._radix = self.q ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
 
     # vector plumbing --------------------------------------------------------
@@ -165,14 +165,15 @@ class BlockSpace:
 
     def batch_weights(self, arr: np.ndarray) -> np.ndarray:
         """Weights of the rows of an (N, n) uint8 array."""
+        # weights and block maxima stay in the weight table's narrow dtype and
+        # the ideal algebra in bool; only the row sums widen to int64
         wt = self._wt[arr]
         blockmax = np.maximum.reduceat(wt, self._offsets, axis=1)
-        supp = (blockmax > 0).astype(np.int64)
-        ideal = (supp @ self._down) > 0
-        maximal = ideal & ~(((ideal.astype(np.int64)) @ self._up_strict) > 0)
+        ideal = (blockmax > 0) @ self._down
+        maximal = ideal & ~(ideal @ self._up_strict)
         mw = self.weight.max_weight
-        return (blockmax * maximal).sum(axis=1) + mw * (
-            ideal.sum(axis=1) - maximal.sum(axis=1)
+        return (blockmax * maximal).sum(axis=1, dtype=np.int64) + mw * (
+            ideal.sum(axis=1, dtype=np.int64) - maximal.sum(axis=1, dtype=np.int64)
         )
 
     def batch_sub(self, arr: np.ndarray, v: Sequence[int]) -> np.ndarray:
@@ -186,17 +187,13 @@ class BlockSpace:
     def unrank(self, r: int) -> Vector:
         return tuple(int(r // self._radix[i] % self.q) for i in range(self.n))
 
-    def iter_chunks(
-        self, max_space: int = DEFAULT_MAX_SPACE, chunk: int = _CHUNK
-    ) -> Iterator[tuple[int, np.ndarray]]:
+    def iter_chunks(self, max_space: int = DEFAULT_MAX_SPACE) -> Iterator[tuple[int, np.ndarray]]:
         """Yield (start_rank, (B, n) uint8 array) covering F_q^n in odometer order."""
         if self.size > max_space:
             raise SpaceTooLarge(
                 f"q^n = {self.size} exceeds the enumeration cap {max_space}"
             )
-        for start in range(0, self.size, chunk):
-            idx = np.arange(start, min(start + chunk, self.size), dtype=np.int64)
-            yield start, ((idx[:, None] // self._radix[None, :]) % self.q).astype(np.uint8)
+        return odometer_chunks(self.q, self.n)
 
     def all_vectors(self, max_space: int = DEFAULT_MAX_SPACE) -> np.ndarray:
         """The whole space as one (q^n, n) array; respects the cap."""
@@ -204,8 +201,7 @@ class BlockSpace:
             raise SpaceTooLarge(
                 f"q^n = {self.size} exceeds the enumeration cap {max_space}"
             )
-        idx = np.arange(self.size, dtype=np.int64)
-        return ((idx[:, None] // self._radix[None, :]) % self.q).astype(np.uint8)
+        return odometer_table(self.q, self.n)
 
     # balls ------------------------------------------------------------------
 
@@ -234,11 +230,11 @@ class BlockSpace:
     ) -> int:
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        c = self._coerce(center)
+        self._coerce(center)
+        # d(c, v) = w(v - c), and v -> v - c permutes F_q^n: count weights
         total = 0
         for _, arr in self.iter_chunks(max_space):
-            d = self.batch_weights(self.batch_sub(arr, c))
-            total += int((d <= radius).sum())
+            total += int(np.count_nonzero(self.batch_weights(arr) <= radius))
         return total
 
     def __repr__(self) -> str:
@@ -246,6 +242,41 @@ class BlockSpace:
             f"BlockSpace(q={self.q}, sizes={self.labeling.sizes}, "
             f"weight={self.weight.name}, covers={self.poset.cover_pairs()})"
         )
+
+
+def odometer_table(q: int, m: int) -> np.ndarray:
+    """F_q^m as one (q^m, m) uint8 array in odometer order (last coordinate
+    fastest); column j repeats each digit q^(m-1-j) times, q^j times over."""
+    out = np.empty((q**m, m), dtype=np.uint8)
+    digits = np.arange(q, dtype=np.uint8)
+    for j in range(m):
+        out.reshape(q**j, q, q ** (m - 1 - j), m)[:, :, :, j] = digits[None, :, None]
+    return out
+
+
+def odometer_chunks(q: int, m: int, rows: int = _CHUNK) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start_rank, (B, m) uint8 array) covering F_q^m in odometer
+    order, with 1 <= B <= rows.
+
+    The last t coordinates come from one table of F_q^t, the largest with
+    q^t <= rows; each chunk tiles it against a few consecutive values of the
+    leading m - t coordinates.
+    """
+    t = 0
+    while t < m and q ** (t + 1) <= rows:
+        t += 1
+    tail = odometer_table(q, t)
+    per = rows // len(tail)
+    lead = m - t
+    heads = q**lead
+    radix = q ** np.arange(lead - 1, -1, -1, dtype=np.int64)
+    for lo in range(0, heads, per):
+        hi = min(lo + per, heads)
+        head = (np.arange(lo, hi, dtype=np.int64)[:, None] // radix % q).astype(np.uint8)
+        out = np.empty(((hi - lo) * len(tail), m), dtype=np.uint8)
+        out[:, :lead] = np.repeat(head, len(tail), axis=0)
+        out[:, lead:] = np.tile(tail, (hi - lo, 1))
+        yield lo * len(tail), out
 
 
 def parse_vector(text: str) -> Vector:

@@ -197,15 +197,19 @@ def _instance_of(code: Code) -> Instance:
 
 
 def _covering_with_oracle(unit: _Unit, code: Code, label: str, max_space: int) -> int:
-    """Covering radius by full scan, cross-checked against the coset-leader max."""
+    """Covering radius of a code.  For a linear code, the coset-major pass's
+    covering radius and max coset-leader weight (two readings of one pass)
+    are both cross-checked against the explicit word-set scan."""
+    if not code.is_linear:
+        return code.covering_radius(max_space)
+    coset_max = code.coset_table(max_space).max_weight
     rho = code.covering_radius(max_space)
-    if code.is_linear:
-        coset_max = code.coset_table(max_space).max_weight
-        unit.hard(
-            "covering-oracle",
-            rho == coset_max,
-            {"code": label, "scan": rho, "coset_max": coset_max},
-        )
+    scan = Code.explicit(code.space, code.codewords(max_space)).covering_radius(max_space)
+    unit.hard(
+        "covering-oracle",
+        rho == coset_max == scan,
+        {"code": label, "scan": scan, "coset_max": coset_max, "covering": rho},
+    )
     return rho
 
 

@@ -6,13 +6,26 @@ All parameters are computed by exhaustive enumeration:
 
 - min_distance: minimum nonzero codeword weight for linear codes
   (translation invariance), minimum pairwise distance for explicit ones;
-- covering_radius: full scan of F_q^n, max over vectors of the distance
-  to the code;
+- covering_radius: max over vectors of the distance to the code;
 - packing_radius: (min over vectors of the second-smallest distance to
   the code) - 1, which equals the largest radius with pairwise disjoint
   balls around codewords;
+- is_r_perfect(r): covering radius <= r <= packing radius (for a one-word
+  code, covering radius <= r): every vector lies within r of a codeword
+  and of no second one;
 - coset_table: minimum-weight leader per coset of a linear code, with
   ties broken by enumeration order.
+
+Linear codes get all of these but the minimum distance from one coset-major
+pass.  The generator is in reduced row-echelon form, so every vector splits
+uniquely as x + c with x zero on the pivot columns and c a codeword, and the
+metric is translation-invariant, so the distances from any vector of the
+coset x + C to the code are the row W[x, .] of W[x, c] = w(x + c).  The pass
+enumerates x in odometer order over the free columns (row x is
+coset_index(x)) and evaluates W in tiles of at most _CHUNK vectors: q^n
+weights in all, instead of q^n * |C| for a per-codeword scan.  Explicit
+codes scan F_q^n once per codeword; that scan is also the independent oracle
+the covering-oracle check compares the linear pass against.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockspace import DEFAULT_MAX_SPACE, BlockSpace, Vector
+from .blockspace import _CHUNK, DEFAULT_MAX_SPACE, BlockSpace, Vector, odometer_chunks
 from .errors import NotAChain, NotLinear, SpaceTooLarge, TooFewWords
 from .weights import WeightFn
 
@@ -73,6 +86,7 @@ class Code:
             self.generators, self.pivots = _row_reduce(space, generators)
             self.dimension = len(self.generators)
             self.size: int = space.q**self.dimension
+            self._free = tuple(c for c in range(space.n) if c not in self.pivots)
             self.words = None
         else:
             self.kind = "explicit"
@@ -82,6 +96,7 @@ class Code:
             self.words = tuple(dedup)
             self.generators = None
             self.pivots = None
+            self._free = None
             self.dimension = None
             self.size = len(dedup)
         self._cw: np.ndarray | None = None
@@ -153,8 +168,11 @@ class Code:
             yield self.space.batch_weights(f.sub_table[arr, c[None, :]])
 
     def covering_radius(self, max_space: int = DEFAULT_MAX_SPACE) -> int:
-        """max over F_q^n of the distance to the code, by full scan."""
+        """max over F_q^n of the distance to the code."""
         if "covering_radius" in self._memo:
+            return self._memo["covering_radius"]
+        if self.is_linear:
+            self._coset_pass(max_space)
             return self._memo["covering_radius"]
         cw = self.codeword_array(max_space)
         rho = 0
@@ -172,8 +190,11 @@ class Code:
             return self._memo["packing_radius"]
         if self.size < 2:
             raise TooFewWords("packing radius needs at least two distinct words")
+        if self.is_linear:
+            self._coset_pass(max_space)
+            return self._memo["packing_radius"]
         cw = self.codeword_array(max_space)
-        second_best = _BIG
+        rho, second_best = 0, _BIG
         for _, arr in self.space.iter_chunks(max_space):
             d1 = np.full(len(arr), _BIG, dtype=np.int64)
             d2 = np.full(len(arr), _BIG, dtype=np.int64)
@@ -181,26 +202,89 @@ class Code:
                 closer = d < d1
                 d2 = np.where(closer, d1, np.minimum(d2, d))
                 d1 = np.where(closer, d, d1)
+            rho = max(rho, int(d1.max()))
             second_best = min(second_best, int(d2.min()))
-        rho = second_best - 1
-        self._memo["packing_radius"] = rho
-        return rho
+        self._memo["covering_radius"] = rho
+        self._memo["packing_radius"] = second_best - 1
+        return second_best - 1
 
     def is_r_perfect(self, r: int, max_space: int = DEFAULT_MAX_SPACE) -> bool:
-        """True iff radius-r balls around codewords tile the space."""
+        """True iff radius-r balls around codewords tile the space: every
+        vector lies within r of a codeword (covering radius <= r) and, for two
+        or more codewords, within r of no second one (r <= packing radius)."""
         if r < 0:
             raise ValueError("radius must be >= 0")
-        cw = self.codeword_array(max_space)
-        for _, arr in self.space.iter_chunks(max_space):
-            count = np.zeros(len(arr), dtype=np.int64)
-            for d in self._chunk_dists(arr, cw):
-                count += d <= r
-            if not (count == 1).all():
-                return False
-        return True
+        # the packing scan memoizes the covering radius as well
+        if self.size >= 2 and r > self.packing_radius(max_space):
+            return False
+        return self.covering_radius(max_space) <= r
 
     def is_perfect(self, max_space: int = DEFAULT_MAX_SPACE) -> bool:
         return self.is_r_perfect(self.packing_radius(max_space), max_space)
+
+    # the coset-major pass (linear codes) ---------------------------------------
+
+    def _coset_pass(self, max_space: int, leaders: bool = False):
+        """One pass over W[x, c] = w(x + c) for a linear code.
+
+        x runs over the coset representatives (zero on the pivot columns) in
+        odometer order over the free columns, so row x is coset x; c runs over
+        the codewords.  Each tile holds at most _CHUNK vectors: whole rows
+        when q^k <= _CHUNK, else one row split over codeword blocks.  Per row
+        only the smallest and second-smallest entry are kept, which
+        memoizes the covering radius (max row minimum) and, for two or more
+        codewords, the packing radius (min second-smallest entry - 1).
+
+        With leaders=True, returns per coset its minimum weight and the
+        odometer rank of its first minimum-weight vector.
+        """
+        space = self.space
+        if space.size > max_space:
+            raise SpaceTooLarge(f"q^n = {space.size} exceeds the enumeration cap {max_space}")
+        cw = self.codeword_array(max_space)
+        # x + c through the flat addition table: add[a, b] = add.flat[a * q + b]
+        add, radix = space.field.add_table.ravel(), space._radix
+        cols = min(len(cw), _CHUNK)
+        if leaders:
+            cosets = space.q ** len(self._free)
+            best_w = np.empty(cosets, dtype=np.int64)
+            best_rank = np.empty(cosets, dtype=np.int64)
+        covering, second = 0, _BIG
+        rows = max(_CHUNK // len(cw), 1)
+        for start, xs in odometer_chunks(space.q, len(self._free), rows):
+            # q * x fits uint16 for q <= 256, which keeps the index tiles small
+            xq = np.zeros((len(xs), space.n), dtype=np.uint16)
+            xq[:, self._free] = np.multiply(xs, space.q, dtype=np.uint16)
+            d1 = np.full(len(xq), _BIG, dtype=np.int64)
+            d2 = np.full(len(xq), _BIG, dtype=np.int64)
+            if leaders:
+                rank = np.full(len(xq), _BIG, dtype=np.int64)
+            for lo in range(0, len(cw), cols):
+                c = cw[lo : lo + cols]
+                v = add[xq[:, None, :] + c[None, :, :]].reshape(-1, space.n)
+                w = space.batch_weights(v).reshape(len(xq), len(c))
+                t1 = w.min(axis=1)
+                if leaders:
+                    hit = w == t1[:, None]
+                    t_rank = np.full(w.shape, _BIG, dtype=np.int64)
+                    t_rank[hit] = v[hit.ravel()].astype(np.int64) @ radix
+                    t_rank = t_rank.min(axis=1)
+                    tie = np.minimum(rank, t_rank)
+                    rank = np.where(t1 < d1, t_rank, np.where(t1 == d1, tie, rank))
+                # merge the tile's two smallest entries per row into (d1, d2)
+                if len(c) > 1:
+                    np.minimum(d2, np.partition(w, 1, axis=1)[:, 1], out=d2)
+                np.minimum(d2, np.maximum(d1, t1), out=d2)
+                np.minimum(d1, t1, out=d1)
+            covering = max(covering, int(d1.max()))
+            second = min(second, int(d2.min()))
+            if leaders:
+                best_w[start : start + len(xq)] = d1
+                best_rank[start : start + len(xq)] = rank
+        self._memo["covering_radius"] = covering
+        if self.size >= 2:
+            self._memo["packing_radius"] = second - 1
+        return (best_w, best_rank) if leaders else None
 
     # cosets -----------------------------------------------------------------
 
@@ -208,21 +292,14 @@ class Code:
         """Index of the coset of v: rank of the canonical form's free coordinates."""
         if not self.is_linear:
             raise NotLinear("cosets are defined for linear codes only")
-        vec = np.asarray(self.space._coerce(v), dtype=np.uint8)[None, :]
-        return int(self._coset_keys(vec)[0])
-
-    def _coset_keys(self, arr: np.ndarray) -> np.ndarray:
         f = self.space.field
-        canon = arr
+        canon = np.asarray(self.space._coerce(v), dtype=np.uint8)
         for g, p in zip(self.generators, self.pivots):
-            row = np.asarray(g, dtype=np.uint8)
-            coef = canon[:, p]
-            canon = f.sub_table[canon, f.mul_table[coef[:, None], row[None, :]]]
-        free = [c for c in range(self.space.n) if c not in self.pivots]
-        if not free:
-            return np.zeros(len(arr), dtype=np.int64)
-        radix = self.space.q ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
-        return canon[:, free].astype(np.int64) @ radix
+            canon = f.sub_table[canon, f.mul_table[canon[p], np.asarray(g, dtype=np.uint8)]]
+        index = 0
+        for c in self._free:
+            index = index * self.space.q + int(canon[c])
+        return index
 
     def coset_table(self, max_space: int = DEFAULT_MAX_SPACE) -> CosetTable:
         """Minimum-weight leader per coset; leader = first minimum in odometer order."""
@@ -230,22 +307,11 @@ class Code:
             return self._memo["coset_table"]
         if not self.is_linear:
             raise NotLinear("cosets are defined for linear codes only")
-        n_cosets = self.space.q ** (self.space.n - self.dimension)
-        best_w = np.full(n_cosets, _BIG, dtype=np.int64)
-        for _, arr in self.space.iter_chunks(max_space):
-            keys = self._coset_keys(arr)
-            np.minimum.at(best_w, keys, self.space.batch_weights(arr))
-        best_rank = np.full(n_cosets, _BIG, dtype=np.int64)
-        for start, arr in self.space.iter_chunks(max_space):
-            keys = self._coset_keys(arr)
-            w = self.space.batch_weights(arr)
-            hit = w == best_w[keys]
-            ranks = start + np.nonzero(hit)[0]
-            np.minimum.at(best_rank, keys[hit], ranks)
-        leaders = tuple(self.space.unrank(int(r)) for r in best_rank)
+        best_w, best_rank = self._coset_pass(max_space, leaders=True)
+        digits = best_rank[:, None] // self.space._radix % self.space.q
         table = CosetTable(
-            leaders=leaders,
-            weights=tuple(int(w) for w in best_w),
+            leaders=tuple(map(tuple, digits.tolist())),
+            weights=tuple(best_w.tolist()),
             max_weight=int(best_w.max()),
         )
         self._memo["coset_table"] = table

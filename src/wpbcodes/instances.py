@@ -30,7 +30,7 @@ from .codes import Code
 from .errors import ConsistencyError, ParseError
 from .field import make_field
 from .poset import Poset, from_cover_relations
-from .weights import WeightFn, custom_weight, hamming_weight, lee_weight
+from .weights import custom_weight, hamming_weight, lee_weight
 
 
 @dataclass(frozen=True)
@@ -253,18 +253,4 @@ def random_linear_code(
         labeling=labeling.sizes,
         code_kind="generator",
         code_rows=rows,
-    )
-
-
-def instance_with_weight(inst: Instance, weight: WeightFn) -> Instance:
-    """The same instance under another weight specification."""
-    return Instance(
-        q=inst.q,
-        weight_kind=weight.name if weight.name in ("hamming", "lee") else "table",
-        weight_values=tuple(weight.table) if weight.name == "table" else None,
-        poset_elements=inst.poset_elements,
-        cover=inst.cover,
-        labeling=inst.labeling,
-        code_kind=inst.code_kind,
-        code_rows=inst.code_rows,
     )

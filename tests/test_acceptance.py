@@ -260,9 +260,11 @@ def test_criterion_09_tensor_suites(tensor):
     )
 
 
-def test_criterion_10_covering_oracle(chain_radii, direct_sum, constructions_234, tensor):
-    """Covering radius via full scan equals the max coset-leader weight for
-    every linear code touched by every suite."""
+def test_criterion_10_covering_oracle(
+    chain_radii, direct_sum, constructions_234, tensor, monkeypatch
+):
+    """The coset-major covering radius and max coset-leader weight equal the
+    explicit word-set scan for every linear code touched by every suite."""
     rows = [
         r
         for r in itertools.chain(chain_radii, direct_sum, constructions_234, tensor)
@@ -270,7 +272,19 @@ def test_criterion_10_covering_oracle(chain_radii, direct_sum, constructions_234
     ]
     assert len(rows) > 1000
     assert all(r.status == "pass" for r in rows)
-    _announce(10, "covering-oracle", f"{len(rows)} scan-vs-coset comparisons, all equal")
+    # the oracle is independent of the pass: a pass wrong in both of its
+    # readings at once is still caught
+    original = Code._coset_pass
+
+    def skewed(self, max_space, leaders=False):
+        out = original(self, max_space, leaders)
+        self._memo["covering_radius"] += 1
+        return None if out is None else (out[0] + 1, out[1])
+
+    monkeypatch.setattr(Code, "_coset_pass", skewed)
+    skewed_rows = verify_suite(["chain-radii"], seed=SEED, trials=5)
+    assert any(r.check == "covering-oracle" and r.status == "fail" for r in skewed_rows)
+    _announce(10, "covering-oracle", f"{len(rows)} pass-vs-explicit-scan comparisons, all equal")
 
 
 def test_criterion_11_performance_and_determinism():

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpbcodes.blockspace import BlockSpace, Labeling, format_vector, parse_vector
+from wpbcodes.blockspace import (
+    _CHUNK,
+    BlockSpace,
+    Labeling,
+    format_vector,
+    odometer_chunks,
+    odometer_table,
+    parse_vector,
+)
 from wpbcodes.errors import LengthMismatch, SpaceTooLarge
 from wpbcodes.field import make_field
 from wpbcodes import poset as P
@@ -149,6 +157,31 @@ def test_odometer_enumeration_order():
     ]
     assert s.vector_rank((1, 2)) == 5
     assert s.unrank(5) == (1, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 16, 17, 243, 256])
+def test_table_enumeration_matches_divmod(q):
+    """Chunks built from the tail table equal divide/mod odometer order, stay
+    within the requested row count, and all_vectors agrees with them."""
+    for m in range(0, 4):
+        if q**m > 1 << 18:
+            continue
+        radix = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        ref = (np.arange(q**m, dtype=np.int64)[:, None] // radix % q).astype(np.uint8)
+        for rows in (1, 3, q, _CHUNK):
+            if q**m > 1024 * rows:  # keep the chunk count small
+                continue
+            chunks = list(odometer_chunks(q, m, rows))
+            assert all(1 <= len(c) <= rows and c.shape[1] == m for _, c in chunks)
+            assert [start for start, _ in chunks] == list(
+                np.cumsum([0] + [len(c) for _, c in chunks[:-1]])
+            )
+            assert np.array_equal(np.concatenate([c for _, c in chunks]), ref)
+        assert np.array_equal(odometer_table(q, m), ref)
+    s = space(q, P.antichain(2), (1, 1))
+    chunks = list(s.iter_chunks())
+    assert all(len(c) <= _CHUNK for _, c in chunks)
+    assert np.array_equal(np.concatenate([c for _, c in chunks]), s.all_vectors())
 
 
 def test_reduction_hamming_lee_nrt_posetblock():

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import wpbcodes
 
 from wpbcodes.cli import main
 from wpbcodes.instances import loads_instance
@@ -172,3 +178,17 @@ def test_verify_q_filter(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 10
     assert all(json.loads(line)["status"] == "pass" for line in out)
+
+
+def test_python_dash_m_runs_the_cli(lee_span):
+    """``python -m wpbcodes`` is the same command line, exit codes included."""
+    src = str(Path(wpbcodes.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = [sys.executable, "-m", "wpbcodes"]
+    ok = subprocess.run(run + ["covering-radius", lee_span], env=env,
+                        capture_output=True, text=True, timeout=60)
+    assert ok.returncode == 0 and ok.stdout.strip() == "2"
+    bad = subprocess.run(run + ["mindist", lee_span + ".missing"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert bad.returncode == 2 and bad.stderr.startswith("error:")

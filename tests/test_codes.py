@@ -1,14 +1,16 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from wpbcodes.blockspace import BlockSpace, Labeling
+from wpbcodes import codes as codes_module
 from wpbcodes.codes import Code
 from wpbcodes.errors import NotAChain, NotLinear, TooFewWords
 from wpbcodes.field import make_field
 from wpbcodes import poset as P
-from wpbcodes.weights import hamming_weight, lee_weight
+from wpbcodes.weights import custom_weight, hamming_weight, lee_weight
 
 
 def space(q, pos, sizes, weight="hamming"):
@@ -210,4 +212,86 @@ def test_covering_radius_equals_max_coset_weight():
         dim = rng.randrange(0, min(sp.n, 3) + 1)
         rows = [[rng.randrange(q) for _ in range(sp.n)] for _ in range(dim)]
         c = Code.linear(sp, rows)
-        assert c.covering_radius() == c.coset_table().max_weight
+        explicit = Code.explicit(sp, c.codewords()).covering_radius()
+        assert c.covering_radius() == c.coset_table().max_weight == explicit
+
+
+def _random_linear_code(rng):
+    """A seeded linear code over q in {2, 3, 4, 5} on a chain, antichain or
+    tree poset, under the Hamming, Lee or a custom weight, of random rank."""
+    q = rng.choice([2, 3, 4, 5])
+    s_count = rng.randrange(1, 4)
+    pos = rng.choice([
+        P.chain(s_count),
+        P.antichain(s_count),
+        P.from_cover_relations(s_count, [(i // 2, i) for i in range(2, s_count + 1)]),
+    ])
+    while True:
+        sizes = tuple(rng.randrange(1, 3) for _ in range(s_count))
+        if q ** sum(sizes) <= 256:
+            break
+    f = make_field(q)
+    kind = rng.choice(["hamming", "lee", "custom"])
+    if kind == "lee" and q != 4:
+        w = lee_weight(f)
+    elif kind == "hamming":
+        w = hamming_weight(f)
+    else:  # 1 on +-1, 2 elsewhere: symmetric, and 2 <= w(x) + w(y) for x, y != 0
+        w = custom_weight(f, [0] + [1 if x in (1, f.neg(1)) else 2 for x in range(1, q)])
+    sp = BlockSpace(pos, Labeling(sizes), f, w)
+    k = rng.randrange(0, sp.n + 1)
+    while True:
+        c = Code.linear(sp, [[rng.randrange(q) for _ in range(sp.n)] for _ in range(k)])
+        if c.dimension == k:
+            return c
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 5])
+def test_coset_pass_matches_explicit_scan_and_brute_force(chunk, monkeypatch):
+    """The coset-major pass against the explicit word-set scan, a dense
+    distance-count oracle for r-perfectness, and brute-force coset leaders
+    (first minimum-weight vector in odometer order per coset_index, under
+    the scalar weight).  A small _CHUNK forces codeword tiling (q^k > _CHUNK)."""
+    if chunk is not None:
+        monkeypatch.setattr(codes_module, "_CHUNK", chunk)
+    limit = chunk or codes_module._CHUNK
+    rng = random.Random(97)
+    dims = set()
+    for _ in range(40):
+        code = _random_linear_code(rng)
+        sp, cw = code.space, code.codeword_array()
+        dims.add((code.dimension == 0, code.dimension == sp.n, code.size > limit))
+        tiles: list[int] = []
+        kernel = sp.batch_weights
+        sp.batch_weights = lambda a: tiles.append(len(a)) or kernel(a)
+        covering = code.covering_radius()
+        packing = code.packing_radius() if code.size >= 2 else None
+        top = sp.weight.max_weight * sp.s
+        perfect = [code.is_r_perfect(r) for r in range(top + 1)]
+        table = Code.linear(sp, code.generators).coset_table()
+        del sp.batch_weights
+        assert tiles and max(tiles) <= limit
+
+        oracle = Code.explicit(sp, code.codewords())
+        assert covering == oracle.covering_radius() == table.max_weight
+        allv = sp.all_vectors()
+        dist = sp.batch_weights(
+            sp.field.sub_table[allv[:, None, :], cw[None, :, :]].reshape(-1, sp.n)
+        ).reshape(len(allv), len(cw))
+        if code.size >= 2:
+            assert packing == oracle.packing_radius() == np.sort(dist, axis=1)[:, 1].min() - 1
+            assert code.is_perfect() == all((dist <= packing).sum(axis=1) == 1)
+        assert perfect == [bool(((dist <= r).sum(axis=1) == 1).all()) for r in range(top + 1)]
+
+        best: dict[int, tuple[int, tuple]] = {}
+        for v in map(tuple, allv.tolist()):
+            idx, w = code.coset_index(v), sp.wpb_weight(v)
+            if idx not in best or w < best[idx][0]:
+                best[idx] = (w, v)
+        assert sorted(best) == list(range(len(table.leaders)))
+        assert table.weights == tuple(best[i][0] for i in sorted(best))
+        assert table.leaders == tuple(best[i][1] for i in sorted(best))
+    # k = 0, k = n and q^k > _CHUNK all occur
+    assert {d[0] for d in dims} == {d[1] for d in dims} == {True, False}
+    if chunk is not None:
+        assert any(d[2] for d in dims)
