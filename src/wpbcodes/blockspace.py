@@ -8,15 +8,26 @@ The weight of a vector u is
         of the max coordinate weight in that block,
     plus max_weight for every non-maximal block of the ideal.
 
-Vectors are tuples of ints in the public API.  Exhaustive scans go through
-a numpy batch engine: the full space is enumerated in odometer order (last
-coordinate fastest) in chunks, and batch_weights evaluates the formula on
-whole (N, n) arrays at once.
+Vectors are tuples of ints in the public API.  wpb_weight evaluates the
+formula through the order ideal, one vector at a time; it is the oracle the
+tests compare the batch engine against.  Exhaustive scans go through the
+batch engine: the full space is enumerated in odometer order (last
+coordinate fastest) in chunks, and batch_weights evaluates whole (N, n)
+arrays at once from the block maxima bm_i alone.  The non-maximal blocks of
+the ideal are exactly the blocks strictly below some nonzero block, its
+maximal blocks are nonzero, and every other block has bm_i = 0, so
+
+    w(u) = sum_i (max_weight if block i lies strictly below a nonzero
+                  block, else bm_i),
+
+which is one small float32 matmul per array, or a lookup in a table of all
+(max_weight + 1)^s block-max tuples when that table fits in one chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -91,11 +102,19 @@ class BlockSpace:
         # batch-engine tables
         self._wt = np.asarray(weight.table, dtype=np.min_scalar_type(weight.max_weight))
         self._offsets = np.asarray(labeling.offsets, dtype=np.intp)
+        # (nonzero @ strict)[v, j] > 0  iff  block j lies strictly below a
+        # nonzero block of v
         leq = poset.matrix()
-        # (supp @ down)[v, j]  iff  exists i in supp(v) with j <=_P i
-        self._down = np.ascontiguousarray(leq.T)
-        # (ideal @ up_strict)[v, j]  iff  exists j' in ideal(v) with j <_P j'
-        self._up_strict = np.ascontiguousarray((leq & ~np.eye(poset.s, dtype=bool)).T)
+        self._strict = (leq & ~np.eye(self.s, dtype=bool)).T.astype(np.float32)
+        # radix of a block-max tuple's index in _bm_table, or None when the
+        # (max_weight + 1)^s tuples exceed one chunk; exact in float32 since
+        # indices stay below _CHUNK <= 2^24
+        base = weight.max_weight + 1
+        self._bm_radix = (
+            (base ** np.arange(self.s - 1, -1, -1)).astype(np.float32)
+            if base**self.s <= _CHUNK
+            else None
+        )
         self._radix = self.q ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
 
     # vector plumbing --------------------------------------------------------
@@ -164,17 +183,24 @@ class BlockSpace:
     # batch engine -----------------------------------------------------------
 
     def batch_weights(self, arr: np.ndarray) -> np.ndarray:
-        """Weights of the rows of an (N, n) uint8 array."""
-        # weights and block maxima stay in the weight table's narrow dtype and
-        # the ideal algebra in bool; only the row sums widen to int64
-        wt = self._wt[arr]
-        blockmax = np.maximum.reduceat(wt, self._offsets, axis=1)
-        ideal = (blockmax > 0) @ self._down
-        maximal = ideal & ~(ideal @ self._up_strict)
-        mw = self.weight.max_weight
-        return (blockmax * maximal).sum(axis=1, dtype=np.int64) + mw * (
-            ideal.sum(axis=1, dtype=np.int64) - maximal.sum(axis=1, dtype=np.int64)
-        )
+        """Weights of the rows of an (N, n) uint8 array (the strictly-below
+        identity of the module docstring), looked up in the table of
+        block-max tuples when it has at most _CHUNK entries."""
+        blockmax = np.maximum.reduceat(self._wt[arr], self._offsets, axis=1)
+        if self._bm_radix is None:
+            return self._below_weights(blockmax)
+        return self._bm_table[(blockmax @ self._bm_radix).astype(np.intp)]
+
+    @cached_property
+    def _bm_table(self) -> np.ndarray:
+        """Weights of all (max_weight + 1)^s block-max tuples in odometer
+        order, built on the first table lookup."""
+        base = self.weight.max_weight + 1
+        return self._below_weights(np.indices((base,) * self.s).reshape(self.s, -1).T)
+
+    def _below_weights(self, blockmax: np.ndarray) -> np.ndarray:
+        below = (blockmax > 0).astype(np.float32) @ self._strict > 0
+        return np.where(below, self.weight.max_weight, blockmax).sum(axis=1, dtype=np.int64)
 
     def batch_sub(self, arr: np.ndarray, v: Sequence[int]) -> np.ndarray:
         row = np.asarray(self._coerce(v), dtype=np.uint8)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -1327,6 +1328,14 @@ def _run_unit(args: tuple[str, int, int, int, int | None]) -> list[CheckReport]:
     return REGISTRY[name].unit_fn(seed, unit, max_space, q)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    keeps one (a container or taskset limit), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def verify_suite(
     filters: Sequence[str] = ("all",),
     seed: int = 0,
@@ -1338,7 +1347,8 @@ def verify_suite(
     """Run the selected suites and return canonically ordered reports.
 
     ``q`` restricts instance generation to one field size; suites whose
-    envelope does not contain it contribute no reports.
+    envelope does not contain it contribute no reports.  ``jobs`` worker
+    processes, at most the CPUs this process may use, run the units.
     """
     if q is not None and q not in (2, 3, 5, 7):
         raise ValueError(f"--q must be one of 2, 3, 5, 7; got {q}")
@@ -1349,6 +1359,7 @@ def verify_suite(
             continue
         for unit in range(REGISTRY[name].unit_count(trials)):
             tasks.append((name, seed, unit, max_space, q))
+    jobs = min(jobs, _usable_cpus())
     if jobs > 1:
         with Pool(jobs) as pool:
             chunks = pool.map(_run_unit, tasks)

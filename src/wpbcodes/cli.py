@@ -59,6 +59,13 @@ def _parse_max_space(text: str) -> int:
     return int(text)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="wpbcodes",
@@ -126,7 +133,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="restrict instance generation to one field size",
     )
     p.add_argument("--max-space", type=_parse_max_space, default=DEFAULT_MAX_SPACE)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1, help="worker processes (at most the CPU count)"
+    )
     p.add_argument("--out", help="write JSONL reports here instead of stdout")
     p.add_argument("--list", action="store_true", help="list suites and exit")
     return ap

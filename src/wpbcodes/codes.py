@@ -24,8 +24,11 @@ coset x + C to the code are the row W[x, .] of W[x, c] = w(x + c).  The pass
 enumerates x in odometer order over the free columns (row x is
 coset_index(x)) and evaluates W in tiles of at most _CHUNK vectors: q^n
 weights in all, instead of q^n * |C| for a per-codeword scan.  Explicit
-codes scan F_q^n once per codeword; that scan is also the independent oracle
-the covering-oracle check compares the linear pass against.
+codes get the covering and packing radius from one pass over
+D[x, c] = d(x, c) with x over all of F_q^n, tiled the same way (one kernel
+call per tile of at most _CHUNK vectors) but with its own merge; that pass
+is also the independent oracle the covering-oracle check compares the
+linear pass against.
 """
 
 from __future__ import annotations
@@ -162,27 +165,11 @@ class Code:
         self._memo["min_distance"] = d
         return d
 
-    def _chunk_dists(self, arr: np.ndarray, cw: np.ndarray):
-        f = self.space.field
-        for c in cw:
-            yield self.space.batch_weights(f.sub_table[arr, c[None, :]])
-
     def covering_radius(self, max_space: int = DEFAULT_MAX_SPACE) -> int:
         """max over F_q^n of the distance to the code."""
-        if "covering_radius" in self._memo:
-            return self._memo["covering_radius"]
-        if self.is_linear:
-            self._coset_pass(max_space)
-            return self._memo["covering_radius"]
-        cw = self.codeword_array(max_space)
-        rho = 0
-        for _, arr in self.space.iter_chunks(max_space):
-            best = np.full(len(arr), _BIG, dtype=np.int64)
-            for d in self._chunk_dists(arr, cw):
-                np.minimum(best, d, out=best)
-            rho = max(rho, int(best.max()))
-        self._memo["covering_radius"] = rho
-        return rho
+        if "covering_radius" not in self._memo:
+            (self._coset_pass if self.is_linear else self._explicit_pass)(max_space)
+        return self._memo["covering_radius"]
 
     def packing_radius(self, max_space: int = DEFAULT_MAX_SPACE) -> int:
         """Largest radius with pairwise disjoint balls around codewords."""
@@ -190,23 +177,8 @@ class Code:
             return self._memo["packing_radius"]
         if self.size < 2:
             raise TooFewWords("packing radius needs at least two distinct words")
-        if self.is_linear:
-            self._coset_pass(max_space)
-            return self._memo["packing_radius"]
-        cw = self.codeword_array(max_space)
-        rho, second_best = 0, _BIG
-        for _, arr in self.space.iter_chunks(max_space):
-            d1 = np.full(len(arr), _BIG, dtype=np.int64)
-            d2 = np.full(len(arr), _BIG, dtype=np.int64)
-            for d in self._chunk_dists(arr, cw):
-                closer = d < d1
-                d2 = np.where(closer, d1, np.minimum(d2, d))
-                d1 = np.where(closer, d, d1)
-            rho = max(rho, int(d1.max()))
-            second_best = min(second_best, int(d2.min()))
-        self._memo["covering_radius"] = rho
-        self._memo["packing_radius"] = second_best - 1
-        return second_best - 1
+        (self._coset_pass if self.is_linear else self._explicit_pass)(max_space)
+        return self._memo["packing_radius"]
 
     def is_r_perfect(self, r: int, max_space: int = DEFAULT_MAX_SPACE) -> bool:
         """True iff radius-r balls around codewords tile the space: every
@@ -221,6 +193,40 @@ class Code:
 
     def is_perfect(self, max_space: int = DEFAULT_MAX_SPACE) -> bool:
         return self.is_r_perfect(self.packing_radius(max_space), max_space)
+
+    # the word-set pass (explicit codes) ----------------------------------------
+
+    def _explicit_pass(self, max_space: int) -> None:
+        """One pass over D[x, c] = d(x, c) = w(x - c) for an explicit code.
+
+        x runs over F_q^n in odometer order and c over the words.  Each tile
+        holds at most _CHUNK vectors (x-rows times a block of words) and
+        costs one kernel call; per row only the two smallest distances are
+        kept, which memoizes the covering radius (max row minimum) and, for
+        two or more words, the packing radius (min second-smallest - 1).
+        """
+        space = self.space
+        if space.size > max_space:
+            raise SpaceTooLarge(f"q^n = {space.size} exceeds the enumeration cap {max_space}")
+        cw = self.codeword_array(max_space)
+        # x - c through the flat subtraction table: sub[a, b] = sub.flat[a * q + b]
+        sub = space.field.sub_table.ravel()
+        cols = min(len(cw), _CHUNK)
+        covering, second = 0, _BIG
+        for _, xs in odometer_chunks(space.q, space.n, max(_CHUNK // len(cw), 1)):
+            xq = np.multiply(xs, space.q, dtype=np.uint16)
+            best = np.full((len(xs), 2), _BIG, dtype=np.int64)
+            for lo in range(0, len(cw), cols):
+                c = cw[lo : lo + cols]
+                w = space.batch_weights(sub[xq[:, None, :] + c[None, :, :]].reshape(-1, space.n))
+                tile = np.concatenate([best, w.reshape(len(xs), len(c))], axis=1)
+                tile.partition(1, axis=1)
+                best = tile[:, :2].copy()
+            covering = max(covering, int(best[:, 0].max()))
+            second = min(second, int(best[:, 1].min()))
+        self._memo["covering_radius"] = covering
+        if self.size >= 2:
+            self._memo["packing_radius"] = second - 1
 
     # the coset-major pass (linear codes) ---------------------------------------
 

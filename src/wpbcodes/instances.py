@@ -12,9 +12,11 @@ Schema (all keys required):
                   | {"kind": "list", "words": [[...], ...]}
     }
 
-Loading normalizes to canonical form (sorted cover pairs, int coercion),
-so save(load(f)) is idempotent and load(save(x)) == x.  The digest of the
-canonical JSON identifies an instance in reports.
+Every number must be a JSON integer: floats and booleans are rejected with a
+ConsistencyError naming their JSON path, not coerced.  Loading normalizes to
+canonical form (sorted cover pairs), so save(load(f)) is idempotent and
+load(save(x)) == x.  The digest of the canonical JSON identifies an instance
+in reports.
 """
 
 from __future__ import annotations
@@ -138,6 +140,22 @@ def _require(cond: bool, field: str, reason: str) -> None:
         raise ConsistencyError(field, reason)
 
 
+def _int(value, path: str, index: int | None = None) -> int:
+    """A JSON integer at ``path`` (``path[index]`` for a list element; the
+    path is only formatted on failure); floats, bools and every other type
+    are rejected."""
+    if type(value) is not int:
+        where = path if index is None else f"{path}[{index}]"
+        raise ConsistencyError(where, f"expected an integer, got {value!r}")
+    return value
+
+
+def _ints(value, path: str) -> tuple[int, ...]:
+    """A JSON list of integers."""
+    _require(isinstance(value, list), path, f"expected a list, got {value!r}")
+    return tuple(_int(x, path, i) for i, x in enumerate(value))
+
+
 def instance_from_json_dict(doc: dict) -> Instance:
     _require(isinstance(doc, dict), "document", "top level must be an object")
     for key in ("field", "weight", "poset", "labeling", "code"):
@@ -145,8 +163,8 @@ def instance_from_json_dict(doc: dict) -> Instance:
 
     fld = doc["field"]
     _require(isinstance(fld, dict) and "q" in fld, "field", "expected {'q': int}")
-    q = fld["q"]
-    _require(isinstance(q, int) and q >= 2, "field.q", f"invalid q: {q!r}")
+    q = _int(fld["q"], "field.q")
+    _require(q >= 2, "field.q", f"invalid q: {q!r}")
 
     w = doc["weight"]
     _require(isinstance(w, dict) and "kind" in w, "weight", "expected {'kind': ...}")
@@ -155,7 +173,7 @@ def instance_from_json_dict(doc: dict) -> Instance:
     values = None
     if kind == "table":
         _require("values" in w, "weight.values", "table weights need 'values'")
-        values = tuple(int(v) for v in w["values"])
+        values = _ints(w["values"], "weight.values")
         _require(len(values) == q, "weight.values", f"need q={q} values, got {len(values)}")
 
     pos = doc["poset"]
@@ -164,13 +182,17 @@ def instance_from_json_dict(doc: dict) -> Instance:
         "poset",
         "expected {'elements': int, 'cover': [[a,b],...]}",
     )
-    elements = pos["elements"]
-    _require(isinstance(elements, int) and elements >= 1, "poset.elements", "need >= 1")
-    cover = tuple(sorted((int(a), int(b)) for a, b in pos["cover"]))
+    elements = _int(pos["elements"], "poset.elements")
+    _require(elements >= 1, "poset.elements", "need >= 1")
+    _require(isinstance(pos["cover"], list), "poset.cover", "expected a list of pairs")
+    pairs = [_ints(p, f"poset.cover[{i}]") for i, p in enumerate(pos["cover"])]
+    for i, p in enumerate(pairs):
+        _require(len(p) == 2, f"poset.cover[{i}]", f"expected a pair, got {list(p)}")
+    cover = tuple(sorted(pairs))
 
     lab = doc["labeling"]
     _require(isinstance(lab, list) and lab, "labeling", "expected a nonempty list")
-    labeling = tuple(int(k) for k in lab)
+    labeling = _ints(lab, "labeling")
     _require(
         len(labeling) == elements,
         "labeling",
@@ -184,7 +206,8 @@ def instance_from_json_dict(doc: dict) -> Instance:
     _require(ckind in ("generator", "list"), "code.kind", f"unknown kind {ckind!r}")
     rows_key = "rows" if ckind == "generator" else "words"
     _require(rows_key in code, f"code.{rows_key}", "missing")
-    rows = tuple(tuple(int(x) for x in row) for row in code[rows_key])
+    _require(isinstance(code[rows_key], list), f"code.{rows_key}", "expected a list of rows")
+    rows = tuple(_ints(row, f"code.{rows_key}[{i}]") for i, row in enumerate(code[rows_key]))
     for row in rows:
         _require(len(row) == n, f"code.{rows_key}", f"row length {len(row)} != n = {n}")
         _require(all(0 <= x < q for x in row), f"code.{rows_key}", "entries outside 0..q-1")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wpbcodes import blockspace
 from wpbcodes.blockspace import (
     _CHUNK,
     BlockSpace,
@@ -15,12 +16,17 @@ from wpbcodes.blockspace import (
 from wpbcodes.errors import LengthMismatch, SpaceTooLarge
 from wpbcodes.field import make_field
 from wpbcodes import poset as P
-from wpbcodes.weights import hamming_weight, lee_weight
+from wpbcodes.weights import custom_weight, hamming_weight, lee_weight
 
 
 def space(q, pos, sizes, weight="hamming"):
     f = make_field(q)
-    w = lee_weight(f) if weight == "lee" else hamming_weight(f)
+    if weight == "lee":
+        w = lee_weight(f)
+    elif weight == "custom":  # 1 on +-1, 2 elsewhere
+        w = custom_weight(f, [0] + [1 if x in (1, f.neg(1)) else 2 for x in range(1, q)])
+    else:
+        w = hamming_weight(f)
     return BlockSpace(pos, Labeling(tuple(sizes)), f, w)
 
 
@@ -99,17 +105,43 @@ def test_space_too_large_guard():
         s.ball(s.zero(), 1, max_space=16)
 
 
-def test_batch_weights_match_scalar():
-    for pos, sizes, q, wname in [
+def test_batch_weights_match_scalar(monkeypatch):
+    """batch_weights against the scalar formula (through Poset.ideal) on every
+    3-element poset and on chain, antichain and tree shapes under the
+    Hamming, Lee and a custom weight, plus a GF(7) Lee space with 8 blocks
+    whose 4^8 block-max tuples exceed _CHUNK (seeded random rows there).
+    Spaces with (M_w + 1)^s <= _CHUNK look weights up in a table; a
+    monkeypatched _CHUNK then sends every space down one path."""
+    tree6 = P.from_cover_relations(6, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)])
+    shapes = [*P.all_posets(3), P.chain(5), P.antichain(5), tree6]
+    cases = [
         (P.chain(3), (1, 2, 1), 3, "lee"),
         (P.antichain(2), (2, 2), 4, "hamming"),
         (P.from_cover_relations(3, [(1, 3), (2, 3)]), (1, 1, 2), 2, "hamming"),
-    ]:
-        s = space(q, pos, sizes, wname)
-        arr = s.all_vectors()
-        batch = s.batch_weights(arr)
-        for rank in range(0, s.size, max(1, s.size // 50)):
-            assert batch[rank] == s.wpb_weight(s.unrank(rank))
+        (P.from_cover_relations(8, [(i // 2, i) for i in range(2, 9)]), (1, 2) * 4, 7, "lee"),
+    ]
+    cases += [
+        (pos, [1 + i % 2 for i in range(pos.s)], q, wname)
+        for pos in shapes
+        for q, wname in [(3, "hamming"), (5, "lee"), (4, "custom")]
+    ]
+    for chunk in (_CHUNK, 0, 4**8):
+        monkeypatch.setattr(blockspace, "_CHUNK", chunk)
+        rng = np.random.default_rng(5)
+        tabulated = set()
+        for pos, sizes, q, wname in cases:
+            s = space(q, pos, sizes, wname)
+            if s.size <= 256:
+                arr = s.all_vectors()
+            else:
+                arr = rng.integers(0, q, size=(256, s.n), dtype=np.uint8)
+            batch = s.batch_weights(arr)
+            assert batch.tolist() == [s.wpb_weight(tuple(row)) for row in arr.tolist()]
+            # the table is built exactly when it fits in one chunk
+            built = "_bm_table" in vars(s)
+            assert built == ((s.weight.max_weight + 1) ** s.s <= chunk)
+            tabulated.add(built)
+        assert tabulated == ({True, False} if chunk == _CHUNK else {chunk > 0})
 
 
 def test_weight_bounds_and_symmetry():

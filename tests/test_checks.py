@@ -1,6 +1,9 @@
 import json
 
-from wpbcodes.blockspace import BlockSpace, Labeling
+import pytest
+
+from wpbcodes import checks
+from wpbcodes.blockspace import DEFAULT_MAX_SPACE, BlockSpace, Labeling
 from wpbcodes.checks import (
     REGISTRY,
     discrepancies,
@@ -49,6 +52,48 @@ def test_check_id_filter_restricts_reports():
     reports = verify_suite(["covering-radius-chain"], seed=3, trials=5)
     assert reports
     assert {r.check for r in reports} == {"covering-radius-chain"}
+
+
+def test_emitted_check_ids_are_declared():
+    """Every check id a unit emits is in its suite's checks, so that
+    `--suite <check-id>` can select it."""
+    for name, suite in REGISTRY.items():
+        for seed in (0, 1):
+            for unit in range(3):
+                for rep in suite.unit_fn(seed, unit, DEFAULT_MAX_SPACE, None):
+                    assert rep.check in suite.checks, (name, rep.check)
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+@pytest.mark.parametrize("jobs,cpus,pool", [(64, 2, [2]), (2, 1, []), (3, 4, [3])])
+def test_pool_size_is_clamped_to_usable_cpus(jobs, cpus, pool, affinity, monkeypatch):
+    """The pool is clamped to the affinity mask where the OS keeps one (the
+    machine's CPU count is then larger and ignored), else to cpu_count."""
+    requested = []
+
+    class FakePool:
+        def __init__(self, size):
+            requested.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(checks, "Pool", FakePool)
+    if affinity:
+        monkeypatch.setattr(checks.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(checks.os, "cpu_count", lambda: 64)
+    else:
+        monkeypatch.delattr(checks.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(checks.os, "cpu_count", lambda: cpus)
+    reports = verify_suite(["ball-nesting"], seed=0, trials=2, jobs=jobs)
+    assert requested == pool
+    assert to_jsonl(reports) == to_jsonl(verify_suite(["ball-nesting"], seed=0, trials=2))
 
 
 def test_replay_determinism():

@@ -172,6 +172,14 @@ def test_verify_max_space_notation(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(jobs, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--jobs", jobs])
+    assert e.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_verify_q_filter(capsys):
     rc = main(["verify", "--suite", "metric-axioms", "--q", "3", "--trials", "10"])
     assert rc == 0

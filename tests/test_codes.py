@@ -295,3 +295,39 @@ def test_coset_pass_matches_explicit_scan_and_brute_force(chunk, monkeypatch):
     assert {d[0] for d in dims} == {d[1] for d in dims} == {True, False}
     if chunk is not None:
         assert any(d[2] for d in dims)
+
+
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
+    """The explicit word-set pass against scalar distances to every word.  A
+    small _CHUNK splits the words over several tiles and the vectors over
+    many; no tile may exceed it."""
+    monkeypatch.setattr(codes_module, "_CHUNK", chunk)
+    rng = random.Random(53)
+    sizes = set()
+    for _ in range(20):
+        sp = _random_linear_code(rng).space
+        if sp.size > 128:
+            continue
+        allv = [sp.unrank(r) for r in range(sp.size)]
+        code = Code.explicit(sp, rng.sample(allv, rng.randrange(1, min(sp.size, 7) + 1)))
+        sizes.add(code.size)
+        tiles: list[int] = []
+        kernel = sp.batch_weights
+        sp.batch_weights = lambda a: tiles.append(len(a)) or kernel(a)
+        covering = code.covering_radius()
+        packing = code.packing_radius() if code.size >= 2 else None
+        top = sp.weight.max_weight * sp.s
+        perfect = [code.is_r_perfect(r) for r in range(top + 1)]
+        del sp.batch_weights
+        assert tiles and max(tiles) <= chunk
+
+        dist = [sorted(sp.wpb_distance(v, c) for c in code.words) for v in allv]
+        assert covering == max(d[0] for d in dist)
+        if code.size >= 2:
+            assert packing == min(d[1] for d in dist) - 1
+        else:
+            with pytest.raises(TooFewWords):
+                code.packing_radius()
+        assert perfect == [all(sum(x <= r for x in d) == 1 for d in dist) for r in range(top + 1)]
+    assert 1 in sizes and max(sizes) > chunk

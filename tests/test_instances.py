@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wpbcodes.cli import main
 from wpbcodes.errors import ConsistencyError, ParseError
 from wpbcodes.instances import (
     derive_seed,
@@ -130,3 +131,46 @@ def test_generator_kind_round_trip():
     _, code = inst.build()
     assert code.is_linear and code.size == 2
     assert loads_instance(dumps_instance(inst)) == inst
+
+
+# A valid GF(5) document; each case below replaces one part with a value the
+# loader used to coerce (or fail on with a raw unpack message).
+LEE5 = {
+    "field": {"q": 5},
+    "weight": {"kind": "table", "values": [0, 1, 2, 2, 1]},
+    "poset": {"elements": 2, "cover": [[1, 2]]},
+    "labeling": [2, 1],
+    "code": {"kind": "list", "words": [[1, 3, 1], [0, 0, 0]]},
+}
+
+NON_INTEGERS = [
+    ("weight", {"kind": "table", "values": [0, 1.9, 2, 2, 1.2]}, "weight.values[1]"),
+    ("code", {"kind": "list", "words": [[1.7, 3, True], [0, 0, 0]]}, "code.words[0][0]"),
+    ("code", {"kind": "list", "words": [[1, 3, True], [0, 0, 0]]}, "code.words[0][2]"),
+    ("code", {"kind": "generator", "rows": [[1, 3, 4.0]]}, "code.rows[0][2]"),
+    ("code", {"kind": "list", "words": "11"}, "code.words"),
+    ("poset", {"elements": True, "cover": []}, "poset.elements"),
+    ("poset", {"elements": 2, "cover": [[1, 2, 3]]}, "poset.cover[0]"),
+    ("poset", {"elements": 2, "cover": [[1, 2.0]]}, "poset.cover[0][1]"),
+    ("poset", {"elements": 2, "cover": [3]}, "poset.cover[0]"),
+    ("labeling", [2.0, 1], "labeling[0]"),
+    ("field", {"q": 5.0}, "field.q"),
+    ("field", {"q": True}, "field.q"),
+]
+
+
+def test_lee5_document_is_valid():
+    space, code = instance_from_json_dict(LEE5).build()
+    assert space.weight.name == "table" and code.size == 2
+
+
+@pytest.mark.parametrize("key,value,path", NON_INTEGERS)
+def test_non_integers_are_rejected_with_their_path(key, value, path, tmp_path, capsys):
+    doc = dict(LEE5, **{key: value})
+    with pytest.raises(ConsistencyError) as e:
+        instance_from_json_dict(doc)
+    assert e.value.field == path
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["mindist", str(bad)]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
