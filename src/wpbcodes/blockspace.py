@@ -22,12 +22,23 @@ maximal blocks are nonzero, and every other block has bm_i = 0, so
 
 which is one small float32 matmul per array, or a lookup in a table of all
 (max_weight + 1)^s block-max tuples when that table fits in one chunk.
+
+The block maxima themselves come from a lookup too.  Each block is cut into
+pieces of at most t coordinates, t the largest with q^t <= _PIECE_CODES, so
+every piece of every space has a small table of the maxima of all its q^len
+values.  One float32 product with an (n, pieces) matrix of q-powers gives
+each piece's odometer code (exact: codes stay below 2^12), an offset per
+piece points it into one concatenated table, and one gather gives the piece
+maxima.  When every block is a single piece (k_i <= t) those are the block
+maxima; a block split into several pieces folds each later piece into its
+first with one elementwise maximum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -39,6 +50,8 @@ from .weights import WeightFn, hamming_weight
 
 DEFAULT_MAX_SPACE = 1 << 24
 _CHUNK = 1 << 14
+# bound on the odometer codes of one piece of a block in batch_weights
+_PIECE_CODES = 1 << 12
 
 Vector = tuple[int, ...]
 
@@ -64,13 +77,9 @@ class Labeling:
     def n(self) -> int:
         return sum(self.sizes)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for k in self.sizes:
-            out.append(acc)
-            acc += k
-        return tuple(out)
+        return tuple(accumulate(self.sizes[:-1], initial=0))
 
     def block_slice(self, i: int) -> slice:
         """Coordinate slice of block i (1-based)."""
@@ -98,10 +107,10 @@ class BlockSpace:
         self.s = labeling.s
         self.q = field.q
         self.size: int = field.q**self.n
+        self._slices = tuple(labeling.block_slice(i) for i in range(1, self.s + 1))
 
         # batch-engine tables
         self._wt = np.asarray(weight.table, dtype=np.min_scalar_type(weight.max_weight))
-        self._offsets = np.asarray(labeling.offsets, dtype=np.intp)
         # (nonzero @ strict)[v, j] > 0  iff  block j lies strictly below a
         # nonzero block of v
         leq = poset.matrix()
@@ -123,7 +132,7 @@ class BlockSpace:
         v = tuple(int(x) for x in u)
         if len(v) != self.n:
             raise LengthMismatch(f"vector has length {len(v)}, ambient n={self.n}")
-        if any(not 0 <= x < self.q for x in v):
+        if min(v) < 0 or max(v) >= self.q:
             raise ValueError(f"coordinates must lie in 0..{self.q - 1}")
         return v
 
@@ -148,10 +157,10 @@ class BlockSpace:
 
     def block_support(self, u: Sequence[int]) -> frozenset[int]:
         """Indices of nonzero blocks (1-based)."""
-        v = self._coerce(u)
-        return frozenset(
-            i for i in range(1, self.s + 1) if any(v[self.labeling.block_slice(i)])
-        )
+        return frozenset(self._support(self._coerce(u)))
+
+    def _support(self, v: Vector) -> list[int]:
+        return [i for i, sl in enumerate(self._slices, 1) if any(v[sl])]
 
     def block_max_weight(self, u: Sequence[int], i: int) -> int:
         """Max coordinate weight within block i."""
@@ -160,12 +169,13 @@ class BlockSpace:
     def wpb_weight(self, u: Sequence[int]) -> int:
         """The weighted poset block weight of u (direct formula evaluation)."""
         v = self._coerce(u)
-        supp = self.block_support(v)
+        supp = self._support(v)
         if not supp:
             return 0
         ideal = self.poset.ideal(supp)
         maximal = self.poset.maximal_elements(ideal)
-        top = sum(self.block_max_weight(v, i) for i in maximal)
+        table = self.weight.table
+        top = sum(max(table[x] for x in v[self._slices[i - 1]]) for i in maximal)
         return top + self.weight.max_weight * (len(ideal) - len(maximal))
 
     def wpb_distance(self, u: Sequence[int], v: Sequence[int]) -> int:
@@ -183,13 +193,52 @@ class BlockSpace:
     # batch engine -----------------------------------------------------------
 
     def batch_weights(self, arr: np.ndarray) -> np.ndarray:
-        """Weights of the rows of an (N, n) uint8 array (the strictly-below
-        identity of the module docstring), looked up in the table of
-        block-max tuples when it has at most _CHUNK entries."""
-        blockmax = np.maximum.reduceat(self._wt[arr], self._offsets, axis=1)
+        """Weights of the rows of an (N, n) uint8 array: block maxima by the
+        piece lookup, then the strictly-below identity (both in the module
+        docstring), looked up in the table of block-max tuples when it has
+        at most _CHUNK entries."""
+        radix, offsets, table, extra = self._pieces
+        codes = arr @ radix
+        codes += offsets
+        pieces = table.take(codes.astype(np.uint16))
+        blockmax = pieces[:, : self.s]
+        for p, i in extra:
+            np.maximum(blockmax[:, i], pieces[:, p], out=blockmax[:, i])
         if self._bm_radix is None:
             return self._below_weights(blockmax)
         return self._bm_table[(blockmax @ self._bm_radix).astype(np.intp)]
+
+    @cached_property
+    def _pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
+        """The piece lookup of batch_weights, built on its first call: the
+        (n, pieces) float32 radix giving each piece's odometer code, each
+        piece's float32 offset into the table, the concatenated table of
+        piece maxima (one part per piece length), and (column, block) for
+        every piece after a block's first.  Column i < s holds the first
+        piece of block i + 1, so those columns are the block maxima once the
+        later pieces are folded in."""
+        q, t = self.q, 1
+        while q ** (t + 1) <= _PIECE_CODES:
+            t += 1
+        first: list[tuple[int, int]] = []  # (first coordinate, length)
+        later: list[tuple[int, int]] = []
+        blocks: list[int] = []
+        for i, (start, k) in enumerate(zip(self.labeling.offsets, self.labeling.sizes)):
+            cuts = [(c, min(t, start + k - c)) for c in range(start, start + k, t)]
+            first.append(cuts[0])
+            later += cuts[1:]
+            blocks += [i] * (len(cuts) - 1)
+        pieces = first + later
+        radix = np.zeros((self.n, len(pieces)), dtype=np.float32)
+        for p, (c, length) in enumerate(pieces):
+            radix[c : c + length, p] = q ** np.arange(length - 1, -1, -1)
+        # the table part of each piece length; all parts hold fewer than
+        # 2 * _PIECE_CODES <= 2^16 entries, so uint16 codes index them
+        kinds = sorted({length for _, length in pieces})
+        part = dict(zip(kinds, np.cumsum([0] + [q**m for m in kinds])))
+        table = np.concatenate([self._wt[odometer_table(q, m)].max(axis=1) for m in kinds])
+        offsets = np.array([part[length] for _, length in pieces], dtype=np.float32)
+        return radix, offsets, table, tuple(enumerate(blocks, self.s))
 
     @cached_property
     def _bm_table(self) -> np.ndarray:

@@ -223,9 +223,6 @@ def _hamming_view(code: Code) -> Code:
 # ---------------------------------------------------------------------------
 
 
-_sum_rank_cache: dict = {}
-
-
 def metric_axiom_witness(
     space: BlockSpace,
     rng: random.Random | None = None,
@@ -252,11 +249,10 @@ def metric_axiom_witness(
         bad = np.nonzero(w[neg_rank] != w)[0]
         if len(bad):
             return {"axiom": "symmetry", "vector": list(space.unrank(int(bad[0])))}
-        key = (q, n)
-        if key not in _sum_rank_cache:
-            sums = space.field.add_table[arr[:, None, :], arr[None, :, :]]
-            _sum_rank_cache[key] = sums.astype(np.int64) @ space._radix
-        ranks = _sum_rank_cache[key]
+        # ranks[x, y] = rank of x + y, one coordinate at a time
+        ranks = np.zeros((len(arr), len(arr)), dtype=np.intp)
+        for j in range(n):
+            ranks += space.field.add_table[arr[:, None, j], arr[None, :, j]] * space._radix[j]
         viol = w[ranks] > w[:, None] + w[None, :]
         if viol.any():
             i, j = (int(v) for v in np.argwhere(viol)[0])

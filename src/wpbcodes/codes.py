@@ -5,7 +5,8 @@ rank deficiency accepted silently) or explicit (a deduplicated word set).
 All parameters are computed by exhaustive enumeration:
 
 - min_distance: minimum nonzero codeword weight for linear codes
-  (translation invariance), minimum pairwise distance for explicit ones;
+  (translation invariance), minimum pairwise distance for explicit ones
+  (word pairs in tiles of at most _CHUNK, one kernel call each);
 - covering_radius: max over vectors of the distance to the code;
 - packing_radius: (min over vectors of the second-smallest distance to
   the code) - 1, which equals the largest radius with pairwise disjoint
@@ -156,12 +157,7 @@ class Code:
         if self.is_linear:
             d = int(self.space.batch_weights(arr[1:]).min())
         else:
-            f = self.space.field
-            d = None
-            for i in range(len(arr) - 1):
-                diffs = f.sub_table[arr[i + 1 :], arr[i][None, :]]
-                m = int(self.space.batch_weights(diffs).min())
-                d = m if d is None else min(d, m)
+            d = self._pairwise_min(arr)
         self._memo["min_distance"] = d
         return d
 
@@ -193,6 +189,24 @@ class Code:
 
     def is_perfect(self, max_space: int = DEFAULT_MAX_SPACE) -> bool:
         return self.is_r_perfect(self.packing_radius(max_space), max_space)
+
+    def _pairwise_min(self, cw: np.ndarray) -> int:
+        """min over word pairs i < j of w(c_j - c_i), one kernel call per
+        tile of at most _CHUNK pairs in row-major order."""
+        m, q = len(cw), self.space.q
+        total = m * (m - 1) // 2
+        # row i holds the pairs (i, j > i), from pair rank starts[i] on
+        counts = np.arange(m - 1, 0, -1)
+        starts = np.cumsum(counts) - counts
+        # c_j - c_i through the flat subtraction table, uint16 as in the passes
+        sub, cwq = self.space.field.sub_table.ravel(), np.multiply(cw, q, dtype=np.uint16)
+        d = _BIG
+        for lo in range(0, total, _CHUNK):
+            r = np.arange(lo, min(lo + _CHUNK, total))
+            i = np.searchsorted(starts, r, side="right") - 1
+            j = r - starts[i] + i + 1
+            d = min(d, int(self.space.batch_weights(sub[cwq[j] + cw[i]]).min()))
+        return d
 
     # the word-set pass (explicit codes) ----------------------------------------
 

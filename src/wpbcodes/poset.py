@@ -1,7 +1,8 @@
 """Finite posets on {1..s} with ideal queries and the six combinators.
 
-The full order relation is stored, not just covers: ideal and maximal
-queries dominate the workload and s stays small (a few dozen at most).
+The full order relation is stored, not just covers, together with every
+element's down-set and strict up-set: ideal and maximal queries dominate
+the scalar workload and s stays small (a few dozen at most).
 Elements are 1-based in the public API; serialization uses cover pairs.
 
 Index flattening for the two product combinators is fixed as
@@ -22,7 +23,7 @@ from .errors import CycleDetected, NotAnIdeal, OutOfRange
 class Poset:
     """A partial order on {1..s} given by its full <= relation."""
 
-    __slots__ = ("s", "_leq", "_np")
+    __slots__ = ("s", "_leq", "_np", "_down", "_up")
 
     def __init__(self, leq: Iterable[Iterable[bool]]):
         rel = tuple(tuple(bool(x) for x in row) for row in leq)
@@ -45,6 +46,13 @@ class Poset:
         self.s = s
         self._leq = rel
         self._np = None
+        # _down[i - 1] = {j : j <= i},  _up[i - 1] = {j : i < j}
+        self._down = tuple(
+            frozenset(j + 1 for j in range(s) if rel[j][i]) for i in range(s)
+        )
+        self._up = tuple(
+            frozenset(j + 1 for j in range(s) if j != i and rel[i][j]) for i in range(s)
+        )
 
     # queries ---------------------------------------------------------------
 
@@ -81,9 +89,7 @@ class Poset:
         gen = set(members)
         for e in gen:
             self._check(e)
-        return frozenset(
-            j + 1 for j in range(self.s) if any(self._leq[j][e - 1] for e in gen)
-        )
+        return frozenset().union(*(self._down[e - 1] for e in gen))
 
     def principal(self, i: int) -> frozenset[int]:
         return self.ideal((i,))
@@ -97,9 +103,7 @@ class Poset:
         ideal = frozenset(members)
         if self.ideal(ideal) != ideal:
             raise NotAnIdeal(f"{sorted(ideal)} is not downward closed")
-        return frozenset(
-            i for i in ideal if not any(j != i and self._leq[i - 1][j - 1] for j in ideal)
-        )
+        return frozenset(i for i in ideal if self._up[i - 1].isdisjoint(ideal))
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Covers (a, b): a < b with nothing strictly between; sorted."""

@@ -9,6 +9,7 @@ always a genuine weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ class WeightFn:
     def __call__(self, a: int) -> int:
         return self.table[a]
 
-    @property
+    @cached_property
     def max_weight(self) -> int:
         return max(self.table)
 

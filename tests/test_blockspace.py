@@ -109,9 +109,12 @@ def test_batch_weights_match_scalar(monkeypatch):
     """batch_weights against the scalar formula (through Poset.ideal) on every
     3-element poset and on chain, antichain and tree shapes under the
     Hamming, Lee and a custom weight, plus a GF(7) Lee space with 8 blocks
-    whose 4^8 block-max tuples exceed _CHUNK (seeded random rows there).
-    Spaces with (M_w + 1)^s <= _CHUNK look weights up in a table; a
-    monkeypatched _CHUNK then sends every space down one path."""
+    whose 4^8 block-max tuples exceed _CHUNK, and spaces with blocks longer
+    than one lookup piece (q^t <= _PIECE_CODES): q=2 blocks of 13 and 25
+    coordinates, q=3 blocks of 8 and 9, a q=5 block of 11 (seeded random
+    rows of varying density there).  Spaces with (M_w + 1)^s <= _CHUNK look
+    weights up in a table; a monkeypatched _CHUNK then sends every space
+    down one path."""
     tree6 = P.from_cover_relations(6, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)])
     shapes = [*P.all_posets(3), P.chain(5), P.antichain(5), tree6]
     cases = [
@@ -119,6 +122,11 @@ def test_batch_weights_match_scalar(monkeypatch):
         (P.antichain(2), (2, 2), 4, "hamming"),
         (P.from_cover_relations(3, [(1, 3), (2, 3)]), (1, 1, 2), 2, "hamming"),
         (P.from_cover_relations(8, [(i // 2, i) for i in range(2, 9)]), (1, 2) * 4, 7, "lee"),
+        # blocks split into several lookup pieces
+        (P.chain(2), (13, 2), 2, "hamming"),
+        (P.from_cover_relations(3, [(1, 2)]), (25, 1, 12), 2, "hamming"),
+        (P.antichain(3), (8, 1, 9), 3, "lee"),
+        (P.chain(2), (11, 3), 5, "lee"),
     ]
     cases += [
         (pos, [1 + i % 2 for i in range(pos.s)], q, wname)
@@ -128,20 +136,24 @@ def test_batch_weights_match_scalar(monkeypatch):
     for chunk in (_CHUNK, 0, 4**8):
         monkeypatch.setattr(blockspace, "_CHUNK", chunk)
         rng = np.random.default_rng(5)
-        tabulated = set()
+        tabulated, split = set(), set()
         for pos, sizes, q, wname in cases:
             s = space(q, pos, sizes, wname)
             if s.size <= 256:
                 arr = s.all_vectors()
             else:
+                # sparse rows leave single pieces of long blocks nonzero
                 arr = rng.integers(0, q, size=(256, s.n), dtype=np.uint8)
+                arr[rng.random(arr.shape) > rng.random((256, 1)) ** 4] = 0
             batch = s.batch_weights(arr)
+            split.add(len(s._pieces[3]) > 0)
             assert batch.tolist() == [s.wpb_weight(tuple(row)) for row in arr.tolist()]
             # the table is built exactly when it fits in one chunk
             built = "_bm_table" in vars(s)
             assert built == ((s.weight.max_weight + 1) ** s.s <= chunk)
             tabulated.add(built)
         assert tabulated == ({True, False} if chunk == _CHUNK else {chunk > 0})
+        assert split == {True, False}
 
 
 def test_weight_bounds_and_symmetry():

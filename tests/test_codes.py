@@ -299,9 +299,10 @@ def test_coset_pass_matches_explicit_scan_and_brute_force(chunk, monkeypatch):
 
 @pytest.mark.parametrize("chunk", [1, 5])
 def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
-    """The explicit word-set pass against scalar distances to every word.  A
-    small _CHUNK splits the words over several tiles and the vectors over
-    many; no tile may exceed it."""
+    """The explicit word-set pass and the pairwise minimum distance against
+    scalar distances.  A small _CHUNK splits the words over several tiles,
+    the vectors over many and the word pairs across rows; no tile may
+    exceed it."""
     monkeypatch.setattr(codes_module, "_CHUNK", chunk)
     rng = random.Random(53)
     sizes = set()
@@ -317,6 +318,7 @@ def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
         sp.batch_weights = lambda a: tiles.append(len(a)) or kernel(a)
         covering = code.covering_radius()
         packing = code.packing_radius() if code.size >= 2 else None
+        mindist = code.min_distance() if code.size >= 2 else None
         top = sp.weight.max_weight * sp.s
         perfect = [code.is_r_perfect(r) for r in range(top + 1)]
         del sp.batch_weights
@@ -326,6 +328,8 @@ def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
         assert covering == max(d[0] for d in dist)
         if code.size >= 2:
             assert packing == min(d[1] for d in dist) - 1
+            pairs = itertools.combinations(code.words, 2)
+            assert mindist == min(sp.wpb_distance(u, v) for u, v in pairs)
         else:
             with pytest.raises(TooFewWords):
                 code.packing_radius()

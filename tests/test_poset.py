@@ -52,6 +52,29 @@ def test_maximal_elements():
         P.chain(3).maximal_elements({2, 3})
 
 
+def test_ideal_and_maximal_match_definitions_on_all_4_posets():
+    """The precomputed down-sets and strict up-sets against the definitions
+    read through leq/less, for every subset of every labelled 4-element
+    poset: the ideal is the set of elements below some member, and a subset
+    has maximal elements exactly when it is downward closed."""
+    import itertools
+
+    count = 0
+    for p in P.all_posets(4):
+        count += 1
+        for r in range(5):
+            for sub in map(frozenset, itertools.combinations(range(1, 5), r)):
+                ideal = {j for j in range(1, 5) if any(p.leq(j, e) for e in sub)}
+                assert p.ideal(sub) == ideal
+                if ideal != sub:
+                    with pytest.raises(NotAnIdeal):
+                        p.maximal_elements(sub)
+                    continue
+                top = {i for i in sub if not any(p.less(i, j) for j in sub)}
+                assert p.maximal_elements(sub) == top
+    assert count == 219
+
+
 def test_disjoint_union():
     p = P.disjoint_union(P.chain(2), P.chain(2))
     assert p.s == 4
