@@ -11,27 +11,30 @@ The weight of a vector u is
 Vectors are tuples of ints in the public API.  wpb_weight evaluates the
 formula through the order ideal, one vector at a time; it is the oracle the
 tests compare the batch engine against.  Exhaustive scans go through the
-batch engine: the full space is enumerated in odometer order (last
-coordinate fastest) in chunks, and batch_weights evaluates whole (N, n)
-arrays at once from the block maxima bm_i alone.  The non-maximal blocks of
-the ideal are exactly the blocks strictly below some nonzero block, its
-maximal blocks are nonzero, and every other block has bm_i = 0, so
+batch engine, whose kernel is pair_weights: the weights w(x - c) of every
+pair of a tile of rows x and words c (batch_weights is the case c = 0),
+from the block maxima bm_i of x - c alone.  The non-maximal blocks of the
+ideal are exactly the blocks strictly below some nonzero block, its maximal
+blocks are nonzero, and every other block has bm_i = 0, so
 
     w(u) = sum_i (max_weight if block i lies strictly below a nonzero
                   block, else bm_i),
 
-which is one small float32 matmul per array, or a lookup in a table of all
+which is one small float32 matmul per tile, or a lookup in a table of all
 (max_weight + 1)^s block-max tuples when that table fits in one chunk.
 
-The block maxima themselves come from a lookup too.  Each block is cut into
-pieces of at most t coordinates, t the largest with q^t <= _PIECE_CODES, so
-every piece of every space has a small table of the maxima of all its q^len
-values.  One float32 product with an (n, pieces) matrix of q-powers gives
-each piece's odometer code (exact: codes stay below 2^12), an offset per
-piece points it into one concatenated table, and one gather gives the piece
-maxima.  When every block is a single piece (k_i <= t) those are the block
-maxima; a block split into several pieces folds each later piece into its
-first with one elementwise maximum.
+The block maxima come from lookups in pair tables, so x - c is never
+formed.  Each block is cut into pieces of at most t coordinates, t the
+largest with q^(2t) <= _PIECE_CODES, and the pair table of a piece length m
+holds max_j w(a_j - b_j) at a * q^m + b for all a, b in F_q^m.  piece_codes
+turns an (N, n) array into the odometer codes of its pieces with one small
+float32 product: offset + a * q^m for the rows x (the offset points into
+the concatenation of the tables of all lengths), b for the words c.  One
+gather on the sums of the two gives every piece maximum of the tile.  When
+every block is a single piece (k_i <= t) those are the block maxima; a
+block split into several pieces folds each later piece into its first with
+one elementwise maximum.  The whole space is enumerated in odometer order
+(last coordinate fastest) in chunks.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,10 +53,20 @@ from .weights import WeightFn, hamming_weight
 
 DEFAULT_MAX_SPACE = 1 << 24
 _CHUNK = 1 << 14
-# bound on the odometer codes of one piece of a block in batch_weights
-_PIECE_CODES = 1 << 12
+# bound on the q^(2 len) entries of the pair table of one piece length
+_PIECE_CODES = 1 << 16
 
 Vector = tuple[int, ...]
+
+
+class _PiecePlan(NamedTuple):
+    """The pair kernel's piece plan (see BlockSpace._pieces)."""
+
+    left: np.ndarray  # (pieces, n) float32: piece code a times q^len
+    right: np.ndarray  # (pieces, n) float32: piece code b
+    offsets: np.ndarray  # (pieces, 1) float32: start of the piece's pair table
+    table: np.ndarray  # the pair tables of all piece lengths, concatenated
+    extra: tuple[tuple[int, int], ...]  # (piece, block) for later pieces
 
 
 @dataclass(frozen=True)
@@ -136,6 +149,23 @@ class BlockSpace:
             raise ValueError(f"coordinates must lie in 0..{self.q - 1}")
         return v
 
+    def _coerce_rows(self, rows: Iterable[Sequence[int]]) -> np.ndarray:
+        """Vectors validated as one (m, n) uint8 array: every row of length
+        n, every coordinate an integer (floats, bools and other types are
+        rejected, not truncated) in 0..q-1."""
+        rows = list(rows)
+        short = next((len(r) for r in rows if len(r) != self.n), None)
+        if short is not None:
+            raise LengthMismatch(f"vector has length {short}, ambient n={self.n}")
+        if not rows:
+            return np.zeros((0, self.n), dtype=np.uint8)
+        arr = np.array(rows).reshape(len(rows), self.n)
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"coordinates must be integers in 0..{self.q - 1}, got {arr.dtype}")
+        if arr.min() < 0 or arr.max() >= self.q:
+            raise ValueError(f"coordinates must lie in 0..{self.q - 1}")
+        return arr.astype(np.uint8)
+
     def zero(self) -> Vector:
         return (0,) * self.n
 
@@ -193,32 +223,52 @@ class BlockSpace:
     # batch engine -----------------------------------------------------------
 
     def batch_weights(self, arr: np.ndarray) -> np.ndarray:
-        """Weights of the rows of an (N, n) uint8 array: block maxima by the
-        piece lookup, then the strictly-below identity (both in the module
-        docstring), looked up in the table of block-max tuples when it has
-        at most _CHUNK entries."""
-        radix, offsets, table, extra = self._pieces
-        codes = arr @ radix
-        codes += offsets
-        pieces = table.take(codes.astype(np.uint16))
-        blockmax = pieces[:, : self.s]
-        for p, i in extra:
-            np.maximum(blockmax[:, i], pieces[:, p], out=blockmax[:, i])
+        """Weights of the rows of an (N, n) uint8 array: the pair kernel
+        against the zero word (the b = 0 column of the pair tables)."""
+        return self.pair_weights(self.piece_codes(arr))
+
+    def piece_codes(self, arr: np.ndarray, left: bool = True) -> np.ndarray:
+        """(pieces, N) intp piece codes of the rows of an (N, n) uint8
+        array, for pair_weights: offset + a * q^len as its left operand,
+        the odometer code b of each piece as its right one."""
+        plan = self._pieces
+        codes = (plan.left if left else plan.right) @ arr.T
+        if left:
+            codes += plan.offsets
+        return codes.astype(np.intp)
+
+    def pair_weights(self, left: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
+        """w(x - c) for the piece codes of x (left) and c (right), which
+        broadcast against each other after their leading piece axis (e.g.
+        (pieces, X, 1) and (pieces, 1, C) give the (X, C) matrix); without
+        right, w(x).  One gather of the piece maxima in the pair tables, one
+        elementwise maximum per later piece of a split block, then the
+        strictly-below identity (module docstring), looked up in the table
+        of block-max tuples when it has at most _CHUNK entries."""
+        plan = self._pieces
+        pieces = plan.table.take(left if right is None else left + right)
+        blockmax = pieces[: self.s]
+        for p, i in plan.extra:
+            np.maximum(blockmax[i], pieces[p], out=blockmax[i])
+        flat = blockmax.reshape(self.s, -1)
         if self._bm_radix is None:
-            return self._below_weights(blockmax)
-        return self._bm_table[(blockmax @ self._bm_radix).astype(np.intp)]
+            weights = self._below_weights(flat.T)
+        else:
+            weights = self._bm_table[(self._bm_radix @ flat).astype(np.intp)]
+        return weights.reshape(blockmax.shape[1:])
 
     @cached_property
-    def _pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
-        """The piece lookup of batch_weights, built on its first call: the
-        (n, pieces) float32 radix giving each piece's odometer code, each
-        piece's float32 offset into the table, the concatenated table of
-        piece maxima (one part per piece length), and (column, block) for
-        every piece after a block's first.  Column i < s holds the first
-        piece of block i + 1, so those columns are the block maxima once the
-        later pieces are folded in."""
+    def _pieces(self) -> _PiecePlan:
+        """The piece plan of the pair kernel, built on its first call.  Each
+        block is cut into pieces of at most t coordinates, t the largest with
+        q^(2t) <= _PIECE_CODES (t >= 1 for every q <= 256); row i < s of the
+        codes is the first piece of block i + 1, so those rows are the block
+        maxima once the later pieces are folded in.  The pair table of a
+        piece length m holds max_j w(a_j - b_j) at a * q^m + b for all
+        a, b in F_q^m; the tables of the lengths that occur are concatenated,
+        fewer than 2 * _PIECE_CODES entries, so the float32 codes are exact."""
         q, t = self.q, 1
-        while q ** (t + 1) <= _PIECE_CODES:
+        while q ** (2 * t + 2) <= _PIECE_CODES:
             t += 1
         first: list[tuple[int, int]] = []  # (first coordinate, length)
         later: list[tuple[int, int]] = []
@@ -229,16 +279,30 @@ class BlockSpace:
             later += cuts[1:]
             blocks += [i] * (len(cuts) - 1)
         pieces = first + later
-        radix = np.zeros((self.n, len(pieces)), dtype=np.float32)
+        right = np.zeros((len(pieces), self.n), dtype=np.float32)
         for p, (c, length) in enumerate(pieces):
-            radix[c : c + length, p] = q ** np.arange(length - 1, -1, -1)
-        # the table part of each piece length; all parts hold fewer than
-        # 2 * _PIECE_CODES <= 2^16 entries, so uint16 codes index them
-        kinds = sorted({length for _, length in pieces})
-        part = dict(zip(kinds, np.cumsum([0] + [q**m for m in kinds])))
-        table = np.concatenate([self._wt[odometer_table(q, m)].max(axis=1) for m in kinds])
-        offsets = np.array([part[length] for _, length in pieces], dtype=np.float32)
-        return radix, offsets, table, tuple(enumerate(blocks, self.s))
+            right[p, c : c + length] = q ** np.arange(length - 1, -1, -1)
+        lengths = np.array([length for _, length in pieces])
+        kinds = sorted(set(lengths.tolist()))
+        part = dict(zip(kinds, np.cumsum([0] + [q ** (2 * m) for m in kinds])))
+        # w(a - b) for single coordinates, maximised over the coordinates
+        # of a piece in one broadcast per coordinate
+        single = self._wt[self.field.sub_table]
+        tables = []
+        for m in kinds:
+            table = np.zeros((q,) * 2 * m, dtype=self._wt.dtype)
+            for j in range(m):
+                shape = [1] * 2 * m
+                shape[j] = shape[m + j] = q
+                np.maximum(table, single.reshape(shape), out=table)
+            tables.append(table.ravel())
+        return _PiecePlan(
+            left=right * (q**lengths)[:, None].astype(np.float32),
+            right=right,
+            offsets=np.array([[part[m]] for m in lengths.tolist()], dtype=np.float32),
+            table=np.concatenate(tables),
+            extra=tuple(enumerate(blocks, self.s)),
+        )
 
     @cached_property
     def _bm_table(self) -> np.ndarray:

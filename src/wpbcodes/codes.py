@@ -1,12 +1,13 @@
 """Codes inside a block space and their exact parameters.
 
 A code is either linear (generator rows, row-reduced at construction,
-rank deficiency accepted silently) or explicit (a deduplicated word set).
+rank deficiency accepted silently) or explicit (a deduplicated word set,
+validated as one array: integer coordinates in 0..q-1, no truncation).
 All parameters are computed by exhaustive enumeration:
 
 - min_distance: minimum nonzero codeword weight for linear codes
   (translation invariance), minimum pairwise distance for explicit ones
-  (word pairs in tiles of at most _CHUNK, one kernel call each);
+  (word pairs in tiles of at most _CHUNK, one pair-kernel call each);
 - covering_radius: max over vectors of the distance to the code;
 - packing_radius: (min over vectors of the second-smallest distance to
   the code) - 1, which equals the largest radius with pairwise disjoint
@@ -23,13 +24,19 @@ uniquely as x + c with x zero on the pivot columns and c a codeword, and the
 metric is translation-invariant, so the distances from any vector of the
 coset x + C to the code are the row W[x, .] of W[x, c] = w(x + c).  The pass
 enumerates x in odometer order over the free columns (row x is
-coset_index(x)) and evaluates W in tiles of at most _CHUNK vectors: q^n
+coset_index(x)) and evaluates W in tiles of at most _CHUNK pairs: q^n
 weights in all, instead of q^n * |C| for a per-codeword scan.  Explicit
 codes get the covering and packing radius from one pass over
-D[x, c] = d(x, c) with x over all of F_q^n, tiled the same way (one kernel
-call per tile of at most _CHUNK vectors) but with its own merge; that pass
-is also the independent oracle the covering-oracle check compares the
-linear pass against.
+D[x, c] = d(x, c) with x over all of F_q^n, tiled the same way but with its
+own merge; that pass is also the independent oracle the covering-oracle
+check compares the linear pass against.
+
+All three scans (pairs, D and W) get a tile from one call of the pair
+kernel BlockSpace.pair_weights on the piece codes of its rows and words,
+which are computed once per tile and once per pass; no difference vector is
+built.  W[x, c] = w(x - (-c)), so the coset pass negates the codewords once
+and forms x + c only for the entries that tie with a row minimum, to rank
+the coset leaders.
 """
 
 from __future__ import annotations
@@ -44,6 +51,17 @@ from .errors import NotAChain, NotLinear, SpaceTooLarge, TooFewWords
 from .weights import WeightFn
 
 _BIG = np.iinfo(np.int64).max
+
+
+def _tile(space: BlockSpace, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The (X, C) matrix w(x - c) for the piece codes of X x-rows (left,
+    (pieces, X)) and C words (right, (pieces, C)), one pair-kernel call.  The
+    longer of the two axes is laid out last in memory, where numpy's inner
+    loops run: with few words and many rows the matrix is the transpose of
+    a (C, X) array."""
+    if left.shape[1] > right.shape[1]:
+        return space.pair_weights(left[:, None, :], right[:, :, None]).T
+    return space.pair_weights(left[:, :, None], right[:, None, :])
 
 
 def _row_reduce(space: BlockSpace, rows: Sequence[Sequence[int]]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
@@ -94,7 +112,7 @@ class Code:
             self.words = None
         else:
             self.kind = "explicit"
-            dedup = sorted({space._coerce(w) for w in words})
+            dedup = sorted(set(map(tuple, space._coerce_rows(words).tolist())))
             if not dedup:
                 raise ValueError("an explicit code needs at least one word")
             self.words = tuple(dedup)
@@ -191,21 +209,20 @@ class Code:
         return self.is_r_perfect(self.packing_radius(max_space), max_space)
 
     def _pairwise_min(self, cw: np.ndarray) -> int:
-        """min over word pairs i < j of w(c_j - c_i), one kernel call per
-        tile of at most _CHUNK pairs in row-major order."""
-        m, q = len(cw), self.space.q
+        """min over word pairs i < j of w(c_j - c_i), one pair-kernel call
+        per tile of at most _CHUNK pairs in row-major order."""
+        space, m = self.space, len(cw)
         total = m * (m - 1) // 2
         # row i holds the pairs (i, j > i), from pair rank starts[i] on
         counts = np.arange(m - 1, 0, -1)
         starts = np.cumsum(counts) - counts
-        # c_j - c_i through the flat subtraction table, uint16 as in the passes
-        sub, cwq = self.space.field.sub_table.ravel(), np.multiply(cw, q, dtype=np.uint16)
+        left, right = space.piece_codes(cw), space.piece_codes(cw, left=False)
         d = _BIG
         for lo in range(0, total, _CHUNK):
             r = np.arange(lo, min(lo + _CHUNK, total))
             i = np.searchsorted(starts, r, side="right") - 1
             j = r - starts[i] + i + 1
-            d = min(d, int(self.space.batch_weights(sub[cwq[j] + cw[i]]).min()))
+            d = min(d, int(space.pair_weights(left[:, j], right[:, i]).min()))
         return d
 
     # the word-set pass (explicit codes) ----------------------------------------
@@ -214,8 +231,8 @@ class Code:
         """One pass over D[x, c] = d(x, c) = w(x - c) for an explicit code.
 
         x runs over F_q^n in odometer order and c over the words.  Each tile
-        holds at most _CHUNK vectors (x-rows times a block of words) and
-        costs one kernel call; per row only the two smallest distances are
+        holds at most _CHUNK pairs (x-rows times a block of words) and costs
+        one pair-kernel call; per row only the two smallest distances are
         kept, which memoizes the covering radius (max row minimum) and, for
         two or more words, the packing radius (min second-smallest - 1).
         """
@@ -223,17 +240,15 @@ class Code:
         if space.size > max_space:
             raise SpaceTooLarge(f"q^n = {space.size} exceeds the enumeration cap {max_space}")
         cw = self.codeword_array(max_space)
-        # x - c through the flat subtraction table: sub[a, b] = sub.flat[a * q + b]
-        sub = space.field.sub_table.ravel()
+        right = space.piece_codes(cw, left=False)
         cols = min(len(cw), _CHUNK)
         covering, second = 0, _BIG
         for _, xs in odometer_chunks(space.q, space.n, max(_CHUNK // len(cw), 1)):
-            xq = np.multiply(xs, space.q, dtype=np.uint16)
+            left = space.piece_codes(xs)
             best = np.full((len(xs), 2), _BIG, dtype=np.int64)
             for lo in range(0, len(cw), cols):
-                c = cw[lo : lo + cols]
-                w = space.batch_weights(sub[xq[:, None, :] + c[None, :, :]].reshape(-1, space.n))
-                tile = np.concatenate([best, w.reshape(len(xs), len(c))], axis=1)
+                w = _tile(space, left, right[:, lo : lo + cols])
+                tile = np.concatenate([best, w], axis=1)
                 tile.partition(1, axis=1)
                 best = tile[:, :2].copy()
             covering = max(covering, int(best[:, 0].max()))
@@ -245,62 +260,65 @@ class Code:
     # the coset-major pass (linear codes) ---------------------------------------
 
     def _coset_pass(self, max_space: int, leaders: bool = False):
-        """One pass over W[x, c] = w(x + c) for a linear code.
+        """One pass over W[x, c] = w(x + c) = w(x - (-c)) for a linear code.
 
         x runs over the coset representatives (zero on the pivot columns) in
         odometer order over the free columns, so row x is coset x; c runs over
-        the codewords.  Each tile holds at most _CHUNK vectors: whole rows
-        when q^k <= _CHUNK, else one row split over codeword blocks.  Per row
-        only the smallest and second-smallest entry are kept, which
-        memoizes the covering radius (max row minimum) and, for two or more
-        codewords, the packing radius (min second-smallest entry - 1).
+        the codewords, negated once for the pair kernel.  Each tile holds at
+        most _CHUNK pairs: whole rows when q^k <= _CHUNK, else one row split
+        over codeword blocks.  Per row only the smallest and second-smallest
+        entry are kept, which memoizes the covering radius (max row minimum)
+        and, for two or more codewords, the packing radius (min
+        second-smallest entry - 1).
 
         With leaders=True, returns per coset its minimum weight and the
-        odometer rank of its first minimum-weight vector.
+        odometer rank of its first minimum-weight vector; x + c is formed
+        only for the entries that tie with their row minimum.
         """
         space = self.space
         if space.size > max_space:
             raise SpaceTooLarge(f"q^n = {space.size} exceeds the enumeration cap {max_space}")
         cw = self.codeword_array(max_space)
-        # x + c through the flat addition table: add[a, b] = add.flat[a * q + b]
-        add, radix = space.field.add_table.ravel(), space._radix
+        right = space.piece_codes(space.field.neg_table[cw], left=False)
         cols = min(len(cw), _CHUNK)
         if leaders:
+            add, radix = space.field.add_table, space._radix
             cosets = space.q ** len(self._free)
             best_w = np.empty(cosets, dtype=np.int64)
             best_rank = np.empty(cosets, dtype=np.int64)
         covering, second = 0, _BIG
         rows = max(_CHUNK // len(cw), 1)
         for start, xs in odometer_chunks(space.q, len(self._free), rows):
-            # q * x fits uint16 for q <= 256, which keeps the index tiles small
-            xq = np.zeros((len(xs), space.n), dtype=np.uint16)
-            xq[:, self._free] = np.multiply(xs, space.q, dtype=np.uint16)
-            d1 = np.full(len(xq), _BIG, dtype=np.int64)
-            d2 = np.full(len(xq), _BIG, dtype=np.int64)
+            x = np.zeros((len(xs), space.n), dtype=np.uint8)
+            x[:, self._free] = xs
+            left = space.piece_codes(x)
+            d1 = np.full(len(x), _BIG, dtype=np.int64)
+            d2 = np.full(len(x), _BIG, dtype=np.int64)
             if leaders:
-                rank = np.full(len(xq), _BIG, dtype=np.int64)
+                rank = np.full(len(x), _BIG, dtype=np.int64)
             for lo in range(0, len(cw), cols):
-                c = cw[lo : lo + cols]
-                v = add[xq[:, None, :] + c[None, :, :]].reshape(-1, space.n)
-                w = space.batch_weights(v).reshape(len(xq), len(c))
+                w = _tile(space, left, right[:, lo : lo + cols])
+                # the tile's two smallest entries per row: t1, then t1 again
+                # if it occurs twice, else the least entry above it
                 t1 = w.min(axis=1)
+                hit = w == t1[:, None]
+                t2 = np.where(hit, _BIG, w).min(axis=1)
+                np.copyto(t2, t1, where=hit.sum(axis=1) > 1)
                 if leaders:
-                    hit = w == t1[:, None]
-                    t_rank = np.full(w.shape, _BIG, dtype=np.int64)
-                    t_rank[hit] = v[hit.ravel()].astype(np.int64) @ radix
+                    tied = np.nonzero(hit)
+                    t_rank = np.full_like(w, _BIG)
+                    t_rank[tied] = add[x[tied[0]], cw[lo + tied[1]]].astype(np.int64) @ radix
                     t_rank = t_rank.min(axis=1)
                     tie = np.minimum(rank, t_rank)
                     rank = np.where(t1 < d1, t_rank, np.where(t1 == d1, tie, rank))
-                # merge the tile's two smallest entries per row into (d1, d2)
-                if len(c) > 1:
-                    np.minimum(d2, np.partition(w, 1, axis=1)[:, 1], out=d2)
-                np.minimum(d2, np.maximum(d1, t1), out=d2)
+                # merge them into the row's (d1, d2)
+                np.minimum(d2, np.minimum(t2, np.maximum(d1, t1)), out=d2)
                 np.minimum(d1, t1, out=d1)
             covering = max(covering, int(d1.max()))
             second = min(second, int(d2.min()))
             if leaders:
-                best_w[start : start + len(xq)] = d1
-                best_rank[start : start + len(xq)] = rank
+                best_w[start : start + len(x)] = d1
+                best_rank[start : start + len(x)] = rank
         self._memo["covering_radius"] = covering
         if self.size >= 2:
             self._memo["packing_radius"] = second - 1

@@ -146,7 +146,7 @@ def test_batch_weights_match_scalar(monkeypatch):
                 arr = rng.integers(0, q, size=(256, s.n), dtype=np.uint8)
                 arr[rng.random(arr.shape) > rng.random((256, 1)) ** 4] = 0
             batch = s.batch_weights(arr)
-            split.add(len(s._pieces[3]) > 0)
+            split.add(len(s._pieces.extra) > 0)
             assert batch.tolist() == [s.wpb_weight(tuple(row)) for row in arr.tolist()]
             # the table is built exactly when it fits in one chunk
             built = "_bm_table" in vars(s)
@@ -154,6 +154,63 @@ def test_batch_weights_match_scalar(monkeypatch):
             tabulated.add(built)
         assert tabulated == ({True, False} if chunk == _CHUNK else {chunk > 0})
         assert split == {True, False}
+
+
+def _rows(s, rng, count):
+    """All of s when it has at most count vectors, else count seeded rows of
+    varying density (sparse rows leave single pieces of long blocks nonzero)."""
+    if s.size <= count:
+        return s.all_vectors()
+    arr = rng.integers(0, s.q, size=(count, s.n), dtype=np.uint8)
+    arr[rng.random(arr.shape) > rng.random((count, 1)) ** 4] = 0
+    return arr
+
+
+@pytest.mark.parametrize("chunk", [_CHUNK, 0])
+def test_pair_weights_match_scalar(chunk, monkeypatch):
+    """pair_weights against scalar wpb_weight(x - c) on every (x, c) pair of
+    small spaces and on seeded rows of larger ones: every 3-element poset
+    and chain, antichain and tree shapes, under the Hamming, Lee and a
+    custom weight over q in {2, 3, 4, 5, 7}; blocks split into several
+    pieces (long blocks, or _PIECE_CODES at 1); a GF(17) space, whose pieces
+    are single coordinates; both as an (X, C) matrix and pair by pair.
+    With _CHUNK at 0 every space takes the _below_weights path instead of
+    the block-max-tuple table."""
+    monkeypatch.setattr(blockspace, "_CHUNK", chunk)
+    tree = P.from_cover_relations(4, [(1, 2), (1, 3), (3, 4)])
+    shapes = [*P.all_posets(3), P.chain(4), P.antichain(4), tree]
+    kinds = [(2, "hamming"), (3, "lee"), (4, "custom"), (5, "lee"), (7, "custom")]
+    cases = [
+        (pos, [1 + (i + j) % 2 for j in range(pos.s)], *kinds[k % 5], blockspace._PIECE_CODES)
+        for i, pos in enumerate(shapes)
+        for k in (i, i + 2)
+    ]
+    cases += [
+        (P.chain(2), (13, 2), 2, "hamming", blockspace._PIECE_CODES),
+        (P.antichain(3), (8, 1, 9), 3, "lee", blockspace._PIECE_CODES),
+        (P.chain(2), (4, 3), 5, "lee", blockspace._PIECE_CODES),
+        (tree, (3, 1, 2, 1), 2, "hamming", 1),
+        (P.chain(3), (2, 1, 3), 7, "custom", 1),
+        (P.chain(2), (2, 1), 17, "lee", blockspace._PIECE_CODES),
+    ]
+    rng = np.random.default_rng(11)
+    split, tabulated = set(), set()
+    for pos, sizes, q, wname, piece_codes in cases:
+        monkeypatch.setattr(blockspace, "_PIECE_CODES", piece_codes)
+        s = space(q, pos, sizes, wname)
+        xs, cs = _rows(s, rng, 24), _rows(s, rng, 24)
+        left, right = s.piece_codes(xs), s.piece_codes(cs, left=False)
+        got = s.pair_weights(left[:, :, None], right[:, None, :])
+        want = [[s.wpb_distance(tuple(x), tuple(c)) for c in cs.tolist()] for x in xs.tolist()]
+        assert got.tolist() == want
+        m = min(len(xs), len(cs))
+        assert s.pair_weights(left[:, :m], right[:, :m]).tolist() == [want[i][i] for i in range(m)]
+        split.add(len(s._pieces.extra) > 0)
+        tabulated.add("_bm_table" in vars(s))
+        if q == 17:
+            assert len(s._pieces.right) == s.n
+    assert split == {True, False}
+    assert tabulated == {chunk > 0}
 
 
 def test_weight_bounds_and_symmetry():

@@ -16,7 +16,8 @@ from wpbcodes.checks import (
 from wpbcodes.codes import Code
 from wpbcodes.field import make_field
 from wpbcodes import poset as P
-from wpbcodes.weights import hamming_weight, lee_weight
+from wpbcodes.constructions import ConstructionResult
+from wpbcodes.weights import custom_weight, hamming_weight, lee_weight
 
 
 def test_registry_covers_expected_suites():
@@ -159,6 +160,42 @@ def test_puncture_collapse_counterexample():
     assert code.min_distance() == 1
     pun = punctured_code(code, 1).code
     assert pun.min_distance() == 2  # the published bound d* <= d fails here
+
+
+def test_puncture_vector_weight_witness_is_first_violating_sample(monkeypatch):
+    """puncture-vector-weight against the scalar loop: every step-th vector
+    in odometer order, the witness the first v with w(v*) > w(v) under the
+    scalar weight.  The bound holds, so the punctured space is reweighted
+    (2 on every nonzero element) to make some units fail."""
+    real, seen = checks.punctured_code, []
+
+    def reweighted(code, block):
+        res = real(code, block)
+        sp = res.space.with_weight(custom_weight(res.space.field, [0] + [2] * (res.space.q - 1)))
+        seen.append((code.space, sp, block))
+        return ConstructionResult(Code.explicit(sp, res.code.codewords()), sp, res.provenance)
+
+    monkeypatch.setattr(checks, "punctured_code", reweighted)
+    statuses, ranks = set(), set()
+    for unit in range(30):
+        seen.clear()
+        reports = checks._unit_puncture(3, unit, DEFAULT_MAX_SPACE)
+        if not reports:
+            continue
+        (space, pun, block), = seen
+        report = next(r for r in reports if r.check == "puncture-vector-weight")
+        sl, step = space.labeling.block_slice(block), max(1, space.size // 256)
+        want = None
+        for rank in range(0, space.size, step):
+            v = space.unrank(rank)
+            if pun.wpb_weight(v[: sl.start] + v[sl.stop :]) > space.wpb_weight(v):
+                want = {"vector": list(v), "block": block}
+                ranks.add(rank // step)
+                break
+        assert report.witness == want
+        assert report.status == ("pass" if want is None else "fail")
+        statuses.add(report.status)
+    assert statuses == {"pass", "fail"} and max(ranks) > 1
 
 
 def test_full_suite_run_small_budget_has_no_hard_failures():

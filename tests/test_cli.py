@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -159,6 +160,18 @@ def test_verify_runs_and_reports(capsys, tmp_path):
         assert doc["status"] == "pass"
     err = capsys.readouterr().err
     assert "ball-nesting-chain" in err
+
+
+# md5 of the JSONL that `wpbcodes verify --seed 0` writes: the behaviour
+# contract, which must not move unless a change explains why
+VERIFY_SEED_0_MD5 = "ac2d01cb2b8ddc3e00903b67d4754325"
+
+
+def test_verify_seed_0_keeps_the_behaviour_contract(capsys, tmp_path):
+    out = tmp_path / "reports.jsonl"
+    assert main(["verify", "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.md5(out.read_bytes()).hexdigest() == VERIFY_SEED_0_MD5
+    capsys.readouterr()
 
 
 def test_verify_unknown_suite(capsys):

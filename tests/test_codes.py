@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from wpbcodes import blockspace
 from wpbcodes.blockspace import BlockSpace, Labeling
 from wpbcodes import codes as codes_module
 from wpbcodes.codes import Code
-from wpbcodes.errors import NotAChain, NotLinear, TooFewWords
+from wpbcodes.errors import LengthMismatch, NotAChain, NotLinear, TooFewWords
 from wpbcodes.field import make_field
 from wpbcodes import poset as P
 from wpbcodes.weights import custom_weight, hamming_weight, lee_weight
@@ -40,6 +41,35 @@ def test_codewords_dependent_rows_reduce():
 def test_codewords_explicit():
     c = rep3()
     assert c.codewords() == [(0, 0, 0), (1, 1, 1)]
+
+
+def test_explicit_words_are_validated_as_one_array():
+    """Explicit words are checked as one array: the sorted, deduplicated
+    tuples of Python ints as before, LengthMismatch for a short word, a
+    ValueError for coordinates out of range and for non-integer ones, which
+    are rejected rather than truncated."""
+    s = space(3, P.chain(2), (1, 2))
+    words = [(2, 1, 0), (0, 2, 2), (2, 1, 0), (0, 0, 1)]
+    c = Code.explicit(s, words)
+    assert c.words == tuple(sorted(set(words)))
+    assert all(type(x) is int for w in c.words for x in w)
+    assert Code.explicit(s, np.array(words)).words == c.words
+    assert c.codeword_array().tolist() == [list(w) for w in c.words]
+    rng = random.Random(3)
+    for q, n in [(2, 5), (5, 3), (256, 2)]:
+        sp = space(q, P.antichain(n), (1,) * n)
+        ws = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randrange(1, 40))]
+        assert Code.explicit(sp, ws).words == tuple(sorted(set(ws)))
+    with pytest.raises(LengthMismatch):
+        Code.explicit(s, [(0, 1, 2), (0, 1)])
+    for bad in ([(0, 1, 3)], [(0, -1, 2)]):
+        with pytest.raises(ValueError, match="must lie in 0..2"):
+            Code.explicit(s, bad)
+    for bad in ([(0, 1.5, 2)], [(0, 1.0, 2)], [(True, False, True)], [("0", "1", "2")]):
+        with pytest.raises(ValueError, match="must be integers"):
+            Code.explicit(s, bad)
+    with pytest.raises(ValueError, match="at least one word"):
+        Code.explicit(s, [])
 
 
 def test_min_distance_examples():
@@ -246,55 +276,72 @@ def _random_linear_code(rng):
             return c
 
 
+def _count_tiles(sp, tiles: list[int]) -> None:
+    """Record the pairs of every pair-kernel call on sp (undo with del)."""
+    kernel = sp.pair_weights
+
+    def counted(left, right=None):
+        w = kernel(left, right)
+        tiles.append(w.size)
+        return w
+
+    sp.pair_weights = counted
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 5])
 def test_coset_pass_matches_explicit_scan_and_brute_force(chunk, monkeypatch):
     """The coset-major pass against the explicit word-set scan, a dense
     distance-count oracle for r-perfectness, and brute-force coset leaders
     (first minimum-weight vector in odometer order per coset_index, under
-    the scalar weight).  A small _CHUNK forces codeword tiling (q^k > _CHUNK)."""
+    the scalar weight).  A small _CHUNK forces codeword tiling (q^k > _CHUNK);
+    a second round with _PIECE_CODES at 1 cuts the blocks into
+    single-coordinate pieces, so every block of two coordinates is split."""
     if chunk is not None:
         monkeypatch.setattr(codes_module, "_CHUNK", chunk)
     limit = chunk or codes_module._CHUNK
-    rng = random.Random(97)
-    dims = set()
-    for _ in range(40):
-        code = _random_linear_code(rng)
-        sp, cw = code.space, code.codeword_array()
-        dims.add((code.dimension == 0, code.dimension == sp.n, code.size > limit))
-        tiles: list[int] = []
-        kernel = sp.batch_weights
-        sp.batch_weights = lambda a: tiles.append(len(a)) or kernel(a)
-        covering = code.covering_radius()
-        packing = code.packing_radius() if code.size >= 2 else None
-        top = sp.weight.max_weight * sp.s
-        perfect = [code.is_r_perfect(r) for r in range(top + 1)]
-        table = Code.linear(sp, code.generators).coset_table()
-        del sp.batch_weights
-        assert tiles and max(tiles) <= limit
+    for piece_codes in (blockspace._PIECE_CODES, 1):
+        monkeypatch.setattr(blockspace, "_PIECE_CODES", piece_codes)
+        rng = random.Random(97)
+        dims, split = set(), set()
+        for _ in range(40):
+            code = _random_linear_code(rng)
+            sp, cw = code.space, code.codeword_array()
+            dims.add((code.dimension == 0, code.dimension == sp.n, code.size > limit))
+            tiles: list[int] = []
+            _count_tiles(sp, tiles)
+            covering = code.covering_radius()
+            packing = code.packing_radius() if code.size >= 2 else None
+            top = sp.weight.max_weight * sp.s
+            perfect = [code.is_r_perfect(r) for r in range(top + 1)]
+            table = Code.linear(sp, code.generators).coset_table()
+            del sp.pair_weights
+            assert tiles and max(tiles) <= limit
+            split.add(len(sp._pieces.extra) > 0)
 
-        oracle = Code.explicit(sp, code.codewords())
-        assert covering == oracle.covering_radius() == table.max_weight
-        allv = sp.all_vectors()
-        dist = sp.batch_weights(
-            sp.field.sub_table[allv[:, None, :], cw[None, :, :]].reshape(-1, sp.n)
-        ).reshape(len(allv), len(cw))
-        if code.size >= 2:
-            assert packing == oracle.packing_radius() == np.sort(dist, axis=1)[:, 1].min() - 1
-            assert code.is_perfect() == all((dist <= packing).sum(axis=1) == 1)
-        assert perfect == [bool(((dist <= r).sum(axis=1) == 1).all()) for r in range(top + 1)]
+            oracle = Code.explicit(sp, code.codewords())
+            assert covering == oracle.covering_radius() == table.max_weight
+            allv = sp.all_vectors()
+            dist = sp.batch_weights(
+                sp.field.sub_table[allv[:, None, :], cw[None, :, :]].reshape(-1, sp.n)
+            ).reshape(len(allv), len(cw))
+            if code.size >= 2:
+                assert packing == oracle.packing_radius() == np.sort(dist, axis=1)[:, 1].min() - 1
+                assert code.is_perfect() == all((dist <= packing).sum(axis=1) == 1)
+            assert perfect == [bool(((dist <= r).sum(axis=1) == 1).all()) for r in range(top + 1)]
 
-        best: dict[int, tuple[int, tuple]] = {}
-        for v in map(tuple, allv.tolist()):
-            idx, w = code.coset_index(v), sp.wpb_weight(v)
-            if idx not in best or w < best[idx][0]:
-                best[idx] = (w, v)
-        assert sorted(best) == list(range(len(table.leaders)))
-        assert table.weights == tuple(best[i][0] for i in sorted(best))
-        assert table.leaders == tuple(best[i][1] for i in sorted(best))
-    # k = 0, k = n and q^k > _CHUNK all occur
-    assert {d[0] for d in dims} == {d[1] for d in dims} == {True, False}
-    if chunk is not None:
-        assert any(d[2] for d in dims)
+            best: dict[int, tuple[int, tuple]] = {}
+            for v in map(tuple, allv.tolist()):
+                idx, w = code.coset_index(v), sp.wpb_weight(v)
+                if idx not in best or w < best[idx][0]:
+                    best[idx] = (w, v)
+            assert sorted(best) == list(range(len(table.leaders)))
+            assert table.weights == tuple(best[i][0] for i in sorted(best))
+            assert table.leaders == tuple(best[i][1] for i in sorted(best))
+        # k = 0, k = n and q^k > _CHUNK all occur
+        assert {d[0] for d in dims} == {d[1] for d in dims} == {True, False}
+        if chunk is not None:
+            assert any(d[2] for d in dims)
+        assert split == ({False} if piece_codes > 1 else {True, False})
 
 
 @pytest.mark.parametrize("chunk", [1, 5])
@@ -302,36 +349,40 @@ def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
     """The explicit word-set pass and the pairwise minimum distance against
     scalar distances.  A small _CHUNK splits the words over several tiles,
     the vectors over many and the word pairs across rows; no tile may
-    exceed it."""
+    exceed it.  A second round with _PIECE_CODES at 1 cuts the blocks into
+    single-coordinate pieces, so every block of two coordinates is split."""
     monkeypatch.setattr(codes_module, "_CHUNK", chunk)
-    rng = random.Random(53)
-    sizes = set()
-    for _ in range(20):
-        sp = _random_linear_code(rng).space
-        if sp.size > 128:
-            continue
-        allv = [sp.unrank(r) for r in range(sp.size)]
-        code = Code.explicit(sp, rng.sample(allv, rng.randrange(1, min(sp.size, 7) + 1)))
-        sizes.add(code.size)
-        tiles: list[int] = []
-        kernel = sp.batch_weights
-        sp.batch_weights = lambda a: tiles.append(len(a)) or kernel(a)
-        covering = code.covering_radius()
-        packing = code.packing_radius() if code.size >= 2 else None
-        mindist = code.min_distance() if code.size >= 2 else None
-        top = sp.weight.max_weight * sp.s
-        perfect = [code.is_r_perfect(r) for r in range(top + 1)]
-        del sp.batch_weights
-        assert tiles and max(tiles) <= chunk
+    for piece_codes in (blockspace._PIECE_CODES, 1):
+        monkeypatch.setattr(blockspace, "_PIECE_CODES", piece_codes)
+        rng = random.Random(53)
+        sizes, split = set(), set()
+        for _ in range(20):
+            sp = _random_linear_code(rng).space
+            if sp.size > 128:
+                continue
+            allv = [sp.unrank(r) for r in range(sp.size)]
+            code = Code.explicit(sp, rng.sample(allv, rng.randrange(1, min(sp.size, 7) + 1)))
+            sizes.add(code.size)
+            tiles: list[int] = []
+            _count_tiles(sp, tiles)
+            covering = code.covering_radius()
+            packing = code.packing_radius() if code.size >= 2 else None
+            mindist = code.min_distance() if code.size >= 2 else None
+            top = sp.weight.max_weight * sp.s
+            perfect = [code.is_r_perfect(r) for r in range(top + 1)]
+            del sp.pair_weights
+            assert tiles and max(tiles) <= chunk
+            split.add(len(sp._pieces.extra) > 0)
 
-        dist = [sorted(sp.wpb_distance(v, c) for c in code.words) for v in allv]
-        assert covering == max(d[0] for d in dist)
-        if code.size >= 2:
-            assert packing == min(d[1] for d in dist) - 1
-            pairs = itertools.combinations(code.words, 2)
-            assert mindist == min(sp.wpb_distance(u, v) for u, v in pairs)
-        else:
-            with pytest.raises(TooFewWords):
-                code.packing_radius()
-        assert perfect == [all(sum(x <= r for x in d) == 1 for d in dist) for r in range(top + 1)]
-    assert 1 in sizes and max(sizes) > chunk
+            dist = [sorted(sp.wpb_distance(v, c) for c in code.words) for v in allv]
+            assert covering == max(d[0] for d in dist)
+            if code.size >= 2:
+                assert packing == min(d[1] for d in dist) - 1
+                pairs = itertools.combinations(code.words, 2)
+                assert mindist == min(sp.wpb_distance(u, v) for u, v in pairs)
+            else:
+                with pytest.raises(TooFewWords):
+                    code.packing_radius()
+            assert perfect == [all(sum(x <= r for x in d) == 1 for d in dist) for r in range(top + 1)]
+        assert 1 in sizes and max(sizes) > chunk
+        assert split == ({False} if piece_codes > 1 else {True, False})
