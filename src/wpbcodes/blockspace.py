@@ -35,12 +35,34 @@ every block is a single piece (k_i <= t) those are the block maxima; a
 block split into several pieces folds each later piece into its first with
 one elementwise maximum.  The whole space is enumerated in odometer order
 (last coordinate fastest) in chunks.
+
+Ball sizes enumerate nothing.  The metric is translation-invariant, so
+|B(c, r)| counts the vectors of weight <= r, and the weight depends only on
+the ideal I the support generates: with M the maximal elements of I, each
+vector generating I has weight max_weight * |I - M| + sum_{i in M} bm_i.
+So the vectors of weight r number the coefficient of x^r in
+
+    sum over ideals I of  prod_{i in I - M} q^(k_i) x^max_weight
+                        * prod_{i in M} sum_{m >= 1} N_{k_i}(m) x^m,
+
+with N_k(m) = L(m)^k - L(m - 1)^k the blocks of size k with maximum
+coordinate weight m, L(m) = #{a : w(a) <= m}.  weight_spectrum sums over
+the ideals with a DP that walks the elements top down, each as soon as
+every element above it is done (the most recently unlocked first, which
+keeps the states few).  A state is the set of unprocessed elements forced
+into the ideal by lying strictly below an element taken as maximal.  A
+forced element contributes q^(k_i) x^max_weight; a free one is either left
+out or taken as maximal, which forces its strict down-set.  Equal states
+merge by adding their polynomials, which are exact ints truncated at the
+radius.  The states never outnumber the ideals (at most 2^s <= q^n), and
+max_space caps them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -123,7 +145,6 @@ class BlockSpace:
         self._slices = tuple(labeling.block_slice(i) for i in range(1, self.s + 1))
 
         # batch-engine tables
-        self._wt = np.asarray(weight.table, dtype=np.min_scalar_type(weight.max_weight))
         # (nonzero @ strict)[v, j] > 0  iff  block j lies strictly below a
         # nonzero block of v
         leq = poset.matrix()
@@ -142,11 +163,21 @@ class BlockSpace:
     # vector plumbing --------------------------------------------------------
 
     def _coerce(self, u: Sequence[int]) -> Vector:
-        v = tuple(int(x) for x in u)
+        """u as a validated tuple: length n, every coordinate an integer in
+        0..q-1 (floats, bools, strings and other types are rejected, not
+        truncated)."""
+        if iter(u) is u:  # a one-shot iterator: read it once
+            u = tuple(u)
+        try:
+            v = tuple(map(operator.index, u))
+        except TypeError:
+            raise ValueError(f"coordinates must be integers in 0..{self.q - 1}") from None
         if len(v) != self.n:
             raise LengthMismatch(f"vector has length {len(v)}, ambient n={self.n}")
         if min(v) < 0 or max(v) >= self.q:
             raise ValueError(f"coordinates must lie in 0..{self.q - 1}")
+        if bool in map(type, u):
+            raise ValueError(f"coordinates must be integers in 0..{self.q - 1}, got a bool")
         return v
 
     def _coerce_rows(self, rows: Iterable[Sequence[int]]) -> np.ndarray:
@@ -259,50 +290,13 @@ class BlockSpace:
 
     @cached_property
     def _pieces(self) -> _PiecePlan:
-        """The piece plan of the pair kernel, built on its first call.  Each
-        block is cut into pieces of at most t coordinates, t the largest with
-        q^(2t) <= _PIECE_CODES (t >= 1 for every q <= 256); row i < s of the
-        codes is the first piece of block i + 1, so those rows are the block
-        maxima once the later pieces are folded in.  The pair table of a
-        piece length m holds max_j w(a_j - b_j) at a * q^m + b for all
-        a, b in F_q^m; the tables of the lengths that occur are concatenated,
-        fewer than 2 * _PIECE_CODES entries, so the float32 codes are exact."""
-        q, t = self.q, 1
-        while q ** (2 * t + 2) <= _PIECE_CODES:
+        """The piece plan of the pair kernel, looked up on its first call:
+        t is the largest piece length with q^(2t) <= _PIECE_CODES (t >= 1
+        for every q <= 256)."""
+        t = 1
+        while self.q ** (2 * t + 2) <= _PIECE_CODES:
             t += 1
-        first: list[tuple[int, int]] = []  # (first coordinate, length)
-        later: list[tuple[int, int]] = []
-        blocks: list[int] = []
-        for i, (start, k) in enumerate(zip(self.labeling.offsets, self.labeling.sizes)):
-            cuts = [(c, min(t, start + k - c)) for c in range(start, start + k, t)]
-            first.append(cuts[0])
-            later += cuts[1:]
-            blocks += [i] * (len(cuts) - 1)
-        pieces = first + later
-        right = np.zeros((len(pieces), self.n), dtype=np.float32)
-        for p, (c, length) in enumerate(pieces):
-            right[p, c : c + length] = q ** np.arange(length - 1, -1, -1)
-        lengths = np.array([length for _, length in pieces])
-        kinds = sorted(set(lengths.tolist()))
-        part = dict(zip(kinds, np.cumsum([0] + [q ** (2 * m) for m in kinds])))
-        # w(a - b) for single coordinates, maximised over the coordinates
-        # of a piece in one broadcast per coordinate
-        single = self._wt[self.field.sub_table]
-        tables = []
-        for m in kinds:
-            table = np.zeros((q,) * 2 * m, dtype=self._wt.dtype)
-            for j in range(m):
-                shape = [1] * 2 * m
-                shape[j] = shape[m + j] = q
-                np.maximum(table, single.reshape(shape), out=table)
-            tables.append(table.ravel())
-        return _PiecePlan(
-            left=right * (q**lengths)[:, None].astype(np.float32),
-            right=right,
-            offsets=np.array([[part[m]] for m in lengths.tolist()], dtype=np.float32),
-            table=np.concatenate(tables),
-            extra=tuple(enumerate(blocks, self.s)),
-        )
+        return _piece_plan(self.field, self.weight.table, self.labeling.sizes, t)
 
     @cached_property
     def _bm_table(self) -> np.ndarray:
@@ -367,20 +361,132 @@ class BlockSpace:
         radius: int,
         max_space: int = DEFAULT_MAX_SPACE,
     ) -> int:
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
+        """|B(center, radius)|: d(c, v) = w(v - c) and v -> v - c permutes
+        F_q^n, so this is the weight spectrum summed up to the radius; no
+        vector is enumerated.  max_space caps the DP's live states."""
         self._coerce(center)
-        # d(c, v) = w(v - c), and v -> v - c permutes F_q^n: count weights
-        total = 0
-        for _, arr in self.iter_chunks(max_space):
-            total += int(np.count_nonzero(self.batch_weights(arr) <= radius))
-        return total
+        return sum(self.weight_spectrum(radius, max_space))
+
+    def weight_spectrum(
+        self, radius: int | None = None, max_space: int = DEFAULT_MAX_SPACE
+    ) -> list[int]:
+        """counts[r] = #{u in F_q^n : w(u) = r} for r = 0..top, as exact
+        ints; top is s * max_weight (the largest weight), or radius when
+        that is smaller.
+
+        The ideal DP of the module docstring: elements are processed top
+        down, each as soon as every element above it is done, the most
+        recently unlocked first; a state is the set (bitmask) of unprocessed
+        elements forced into the ideal, and maps to a polynomial in the
+        weight.  Raises SpaceTooLarge when the live states exceed max_space.
+        """
+        mw = self.weight.max_weight
+        top = self.s * mw if radius is None else min(radius, self.s * mw)
+        if top < 0:
+            raise ValueError("radius must be >= 0")
+        # at_most[m] = L(m) = #{a in GF(q) : w(a) <= m}
+        at_most = [sum(v <= m for v in self.weight.table) for m in range(mw + 1)]
+        leq = self.poset.matrix()
+        below = [sum(1 << j for j in range(self.s) if leq[j, i] and j != i) for i in range(self.s)]
+        above = [int(leq[i].sum()) - 1 for i in range(self.s)]
+        ready = [i for i in range(self.s) if not above[i]]
+        states = {0: [1] + [0] * top}
+        while ready:
+            i = ready.pop()
+            k, bit = self.labeling.sizes[i], 1 << i
+            # N_k(m) = L(m)^k - L(m-1)^k blocks of maximum m, for m >= 1
+            maximal = [
+                (m, at_most[m] ** k - at_most[m - 1] ** k)
+                for m in range(1, min(mw, top) + 1)
+                if at_most[m] > at_most[m - 1]
+            ]
+            full = self.q**k
+            nxt: dict[int, list[int]] = {}
+            for state, poly in states.items():
+                if state & bit:  # non-maximal: any block, weight max_weight
+                    _merge(nxt, state ^ bit, ([0] * mw + [c * full for c in poly])[: top + 1])
+                    continue
+                _merge(nxt, state, poly)  # outside the ideal
+                taken = [0] * (top + 1)  # maximal: a nonzero block
+                for m, count in maximal:
+                    taken[m:] = [t + count * c for t, c in zip(taken[m:], poly)]
+                _merge(nxt, state | below[i], taken)
+            if len(nxt) > max_space:
+                raise SpaceTooLarge(
+                    f"the weight-spectrum DP holds {len(nxt)} states, over the cap {max_space}"
+                )
+            states = nxt
+            for j in range(self.s):
+                if below[i] >> j & 1:
+                    above[j] -= 1
+                    if not above[j]:
+                        ready.append(j)
+        return states[0]
 
     def __repr__(self) -> str:
         return (
             f"BlockSpace(q={self.q}, sizes={self.labeling.sizes}, "
             f"weight={self.weight.name}, covers={self.poset.cover_pairs()})"
         )
+
+
+@lru_cache(maxsize=256)
+def _piece_plan(
+    field: Field, weights: tuple[int, ...], sizes: tuple[int, ...], t: int
+) -> _PiecePlan:
+    """The pair kernel's piece plan for block sizes `sizes` under the weight
+    table `weights`, a pure function of its arguments, so that equal spaces share
+    one plan (its arrays are read-only).  Each block is cut into pieces of
+    at most t coordinates; row i < s of the codes is the first piece of
+    block i + 1, so those rows are the block maxima once the later pieces
+    are folded in.  The pair table of a piece length m holds
+    max_j w(a_j - b_j) at a * q^m + b for all a, b in F_q^m; the tables of
+    the lengths that occur are concatenated, fewer than 2 * _PIECE_CODES
+    entries, so the float32 codes are exact."""
+    q = field.q
+    wt = np.asarray(weights, dtype=np.min_scalar_type(max(weights)))
+    first: list[tuple[int, int]] = []  # (first coordinate, length)
+    later: list[tuple[int, int]] = []
+    blocks: list[int] = []
+    for i, (start, k) in enumerate(zip(accumulate(sizes[:-1], initial=0), sizes)):
+        cuts = [(c, min(t, start + k - c)) for c in range(start, start + k, t)]
+        first.append(cuts[0])
+        later += cuts[1:]
+        blocks += [i] * (len(cuts) - 1)
+    pieces = first + later
+    right = np.zeros((len(pieces), sum(sizes)), dtype=np.float32)
+    for p, (c, length) in enumerate(pieces):
+        right[p, c : c + length] = q ** np.arange(length - 1, -1, -1)
+    lengths = np.array([length for _, length in pieces])
+    kinds = sorted(set(lengths.tolist()))
+    part = dict(zip(kinds, np.cumsum([0] + [q ** (2 * m) for m in kinds])))
+    # w(a - b) for single coordinates, maximised over the coordinates
+    # of a piece in one broadcast per coordinate
+    single = wt[field.sub_table]
+    tables = []
+    for m in kinds:
+        table = np.zeros((q,) * 2 * m, dtype=wt.dtype)
+        for j in range(m):
+            shape = [1] * 2 * m
+            shape[j] = shape[m + j] = q
+            np.maximum(table, single.reshape(shape), out=table)
+        tables.append(table.ravel())
+    plan = _PiecePlan(
+        left=right * (q**lengths)[:, None].astype(np.float32),
+        right=right,
+        offsets=np.array([[part[m]] for m in lengths.tolist()], dtype=np.float32),
+        table=np.concatenate(tables),
+        extra=tuple(enumerate(blocks, len(sizes))),
+    )
+    for arr in plan[:4]:
+        arr.flags.writeable = False
+    return plan
+
+
+def _merge(states: dict[int, list[int]], key: int, poly: list[int]) -> None:
+    """Add poly into states[key]."""
+    old = states.get(key)
+    states[key] = poly if old is None else [a + b for a, b in zip(old, poly)]
 
 
 def odometer_table(q: int, m: int) -> np.ndarray:

@@ -81,7 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--max-space",
             type=_parse_max_space,
             default=DEFAULT_MAX_SPACE,
-            help="enumeration cap on q^n (accepts forms like 2^24)",
+            help="enumeration cap on q^n (accepts forms like 2^24); for "
+            "ball --count-only, the cap on the weight-spectrum DP's states",
         )
         return p
 
@@ -100,7 +101,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_instance_cmd("ball", "metric ball around a center")
     p.add_argument("--center", required=True, help="comma-separated coordinates")
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--count-only", action="store_true", help="print only the size")
+    p.add_argument(
+        "--count-only",
+        action="store_true",
+        help="print only the size, counted from the weight spectrum without "
+        "enumerating F_q^n (--max-space caps the DP's states, not q^n)",
+    )
 
     p = sub.add_parser("construct", help="build a new code from instance files")
     p.add_argument(

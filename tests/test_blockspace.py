@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,138 @@ def test_space_too_large_guard():
     s = space(2, P.chain(5), (1, 1, 1, 1, 1))
     with pytest.raises(SpaceTooLarge):
         s.ball(s.zero(), 1, max_space=16)
+
+
+TREE6 = P.from_cover_relations(6, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)])
+
+
+def _histogram(s):
+    """#{u : w(u) = r} for r = 0..s * max_weight, by enumeration."""
+    top = s.s * s.weight.max_weight
+    return np.bincount(s.batch_weights(s.all_vectors()), minlength=top + 1).tolist()
+
+
+def test_weight_spectrum_matches_enumeration(monkeypatch):
+    """weight_spectrum, whole and truncated at every radius, against the
+    batch_weights histogram of the whole space: every 3-element poset,
+    chains, antichains, TREE6, cartesian and lex products and disjoint
+    chains, over q in {2, 3, 4, 5, 7} under the Hamming, Lee and a custom
+    weight, blocks of 1-3 coordinates.  Blocks split into several lookup
+    pieces (a q=2 block of 13, or _PIECE_CODES at 1) change the oracle's
+    path, not the DP.  ball_size equals len(ball) at seeded centres."""
+    shapes = [
+        *P.all_posets(3),
+        P.chain(4),
+        P.antichain(4),
+        TREE6,
+        P.cartesian_product(P.chain(2), P.chain(2)),
+        P.cartesian_product(P.chain(2), P.antichain(2)),
+        P.lex_product(P.chain(2), P.antichain(2)),
+        P.lex_product(P.antichain(2), P.chain(2)),
+        P.disjoint_union(P.disjoint_union(P.chain(2), P.chain(2)), P.chain(2)),
+    ]
+    kinds = [(2, "hamming"), (3, "lee"), (4, "custom"), (5, "lee"), (7, "custom"),
+             (3, "custom"), (5, "hamming"), (7, "lee"), (4, "hamming"), (2, "custom")]
+    rng = random.Random(23)
+    cases = []
+    for i, pos in enumerate(shapes):
+        for q, wname in (kinds[i % 10], kinds[(i + 3) % 10]):
+            sizes = [rng.randint(1, 3) for _ in range(pos.s)]
+            while q ** sum(sizes) > 1 << 12 and max(sizes) > 1:
+                sizes[sizes.index(max(sizes))] -= 1
+            if q**pos.s <= 1 << 14:
+                cases.append((pos, sizes, q, wname, blockspace._PIECE_CODES))
+    cases += [
+        (P.chain(2), (13, 1), 2, "hamming", blockspace._PIECE_CODES),
+        (TREE6, (3, 1, 2, 1, 2, 1), 2, "hamming", 1),
+        (P.chain(3), (2, 1, 3), 3, "lee", 1),
+        (P.antichain(2), (3, 2), 5, "custom", 1),
+    ]
+    seen = set()
+    for pos, sizes, q, wname, piece_codes in cases:
+        monkeypatch.setattr(blockspace, "_PIECE_CODES", piece_codes)
+        s = space(q, pos, sizes, wname)
+        hist = _histogram(s)
+        seen.add((q, wname))
+        assert s.weight_spectrum() == hist
+        for r in range(len(hist) + 1):
+            assert s.weight_spectrum(r) == hist[: r + 1]
+        if s.size <= 1024:
+            center = tuple(rng.randrange(q) for _ in range(s.n))
+            for r in rng.sample(range(len(hist)), min(3, len(hist))):
+                assert s.ball_size(center, r) == len(s.ball(center, r)) == sum(hist[: r + 1])
+    assert {q for q, _ in seen} == {2, 3, 4, 5, 7}
+    assert {w for _, w in seen} == {"hamming", "lee", "custom"}
+
+
+def test_weight_spectrum_chain_formula():
+    """On a chain the weight M_w (j - 1) + m, 1 <= m <= M_w, belongs exactly
+    to the vectors whose top nonzero block is j with maximum coordinate
+    weight m: q^(k_1 + ... + k_(j-1)) N_(k_j)(m) of them, with
+    N_k(m) = L(m)^k - L(m - 1)^k and L(m) = #{a : w(a) <= m}.  The 40-block
+    GF(2) chain has n = 80, far above the enumeration cap."""
+    for q, wname, sizes in [
+        (2, "hamming", [1 + i % 3 for i in range(40)]),
+        (5, "lee", [2, 1, 3, 1, 2] * 3),
+        (7, "custom", [1, 2, 2, 1, 3]),
+    ]:
+        s = space(q, P.chain(len(sizes)), sizes, wname)
+        mw = s.weight.max_weight
+        at_most = [sum(v <= m for v in s.weight.table) for m in range(mw + 1)]
+        want = [1]
+        for j, k in enumerate(sizes):
+            want += [q ** sum(sizes[:j]) * (at_most[m] ** k - at_most[m - 1] ** k)
+                     for m in range(1, mw + 1)]
+        assert s.weight_spectrum() == want
+        assert sum(want) == q**s.n
+        assert s.ball_size(s.zero(), 30) == sum(want[:31])
+
+
+def test_weight_spectrum_cap_bounds_states():
+    """max_space caps the DP's live states, not q^n: a 3-chain needs two
+    states, a 20-element antichain one."""
+    s = space(2, P.chain(3), (1, 1, 1))
+    with pytest.raises(SpaceTooLarge):
+        s.weight_spectrum(max_space=1)
+    with pytest.raises(SpaceTooLarge):
+        s.ball_size(s.zero(), 2, max_space=1)
+    assert s.ball_size(s.zero(), 2, max_space=2) == 4
+    a = space(2, P.antichain(20), (1,) * 20)
+    assert a.ball_size(a.zero(), 3, max_space=1) == 1 + 20 + 190 + 1140
+    with pytest.raises(ValueError):
+        a.ball_size(a.zero(), -1)
+    with pytest.raises(ValueError):
+        a.weight_spectrum(-1)
+
+
+def test_ball_size_never_enumerates(monkeypatch):
+    """ball_size runs with the odometer enumeration disabled; ball, which
+    lists the vectors, still needs it."""
+    s = space(5, TREE6, (1, 1, 1, 1, 2, 1), "lee")
+    want = [sum(_histogram(s)[: r + 1]) for r in range(8)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("F_q^n was enumerated")
+
+    monkeypatch.setattr(blockspace, "odometer_chunks", refuse)
+    monkeypatch.setattr(blockspace, "odometer_table", refuse)
+    assert [s.ball_size((1,) * s.n, r) for r in range(8)] == want
+    with pytest.raises(AssertionError):
+        s.ball(s.zero(), 1)
+
+
+def test_coerce_rejects_non_integers():
+    """Single vectors are rejected, not truncated, when a coordinate is a
+    float, a bool or a string; numpy integers are accepted."""
+    s = space(3, P.chain(2), (1, 1))
+    for bad in [(0.9, 1.5), (1.0, 2), (True, 0), ("1", 0), np.array([0.5, 1.0])]:
+        with pytest.raises(ValueError, match="must be integers"):
+            s.wpb_weight(bad)
+    for bad in [(1, 3), (-1, 0)]:
+        with pytest.raises(ValueError, match="must lie in 0..2"):
+            s.wpb_weight(bad)
+    assert s.wpb_weight(np.array([1, 2], dtype=np.uint8)) == s.wpb_weight((1, 2)) == 2
+    assert s.wpb_weight(iter([2, 0])) == 1
 
 
 def test_batch_weights_match_scalar(monkeypatch):

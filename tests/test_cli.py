@@ -88,6 +88,31 @@ def test_ball(rep3, capsys):
 def test_ball_respects_cap(rep3, capsys):
     assert main(["ball", rep3, "--center", "0,0,0", "--radius", "1", "--max-space", "4"]) == 1
     assert "SpaceTooLarge" in capsys.readouterr().err
+    # --count-only enumerates nothing: the cap bounds the spectrum DP's
+    # states, two on this 3-chain
+    count = ["ball", rep3, "--center", "0,0,0", "--radius", "1", "--count-only"]
+    assert main(count + ["--max-space", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    assert main(count + ["--max-space", "1"]) == 1
+    assert "SpaceTooLarge" in capsys.readouterr().err
+
+
+def test_ball_count_beyond_enumeration_cap(tmp_path, capsys):
+    """A 40-block GF(2) chain of 2-coordinate blocks (n = 80): the vectors
+    within Hamming-chain distance r of any centre are those zero above
+    block r, 2^(2r) of them."""
+    doc = {
+        "field": {"q": 2},
+        "weight": {"kind": "hamming"},
+        "poset": {"elements": 40, "cover": [[i, i + 1] for i in range(1, 40)]},
+        "labeling": [2] * 40,
+        "code": {"kind": "generator", "rows": [[1] * 80]},
+    }
+    path = tmp_path / "chain40.json"
+    path.write_text(json.dumps(doc))
+    center = ",".join("1" * 80)
+    assert main(["ball", str(path), "--center", center, "--radius", "30", "--count-only"]) == 0
+    assert capsys.readouterr().out.strip() == str(2**60)
 
 
 def test_construct_extend(rep3, capsys, tmp_path):

@@ -72,6 +72,18 @@ def test_explicit_words_are_validated_as_one_array():
         Code.explicit(s, [])
 
 
+def test_generators_are_validated_not_truncated():
+    """Generator rows go through the same validation as single vectors:
+    floats, bools and strings are rejected rather than truncated."""
+    s = space(3, P.chain(2), (1, 1))
+    for bad in [[(1.7, 2.2)], [(1, 0), (0.0, 1)], [(True, 2)], [("1", "2")]]:
+        with pytest.raises(ValueError, match="must be integers"):
+            Code.linear(s, bad)
+    with pytest.raises(ValueError, match="must lie in 0..2"):
+        Code.linear(s, [(1, 3)])
+    assert Code.linear(s, [np.array([2, 1])]).generators == ((1, 2),)
+
+
 def test_min_distance_examples():
     assert rep3().min_distance() == 3  # chain: 1 + 2*M_w
     assert rep3(pos=P.antichain(3)).min_distance() == 3  # plain Hamming
@@ -274,6 +286,31 @@ def _random_linear_code(rng):
         c = Code.linear(sp, [[rng.randrange(q) for _ in range(sp.n)] for _ in range(k)])
         if c.dimension == k:
             return c
+
+
+def test_sphere_bounds_from_weight_spectrum():
+    """The coset and word-set passes against the ideal DP of ball_size:
+    balls of the packing radius around the codewords are disjoint, so
+    |C| |B(rho)| <= q^n, with equality iff the code is perfect; balls of
+    the covering radius cover F_q^n, so |C| |B(R)| >= q^n.  Seeded linear
+    codes and explicit word sets on the same spaces."""
+    rng = random.Random(41)
+    perfect, kinds = set(), set()
+    for i in range(60):
+        code = _random_linear_code(rng)
+        sp = code.space
+        if i % 2:
+            allv = [sp.unrank(r) for r in range(sp.size)]
+            code = Code.explicit(sp, rng.sample(allv, rng.randrange(1, min(sp.size, 12) + 1)))
+        kinds.add(code.kind)
+        center = sp.unrank(rng.randrange(sp.size))
+        assert code.size * sp.ball_size(center, code.covering_radius()) >= sp.size
+        if code.size >= 2:
+            packed = code.size * sp.ball_size(center, code.packing_radius())
+            assert packed <= sp.size
+            assert (packed == sp.size) == code.is_perfect()
+            perfect.add(code.is_perfect())
+    assert perfect == {True, False} and kinds == {"linear", "explicit"}
 
 
 def _count_tiles(sp, tiles: list[int]) -> None:
