@@ -7,7 +7,7 @@ and labeling combinators, and a seeded verification suite for the metric's
 structural identities and bounds.
 """
 
-from .blockspace import DEFAULT_MAX_SPACE, BlockSpace, Labeling
+from .blockspace import DEFAULT_MAX_SPACE, BlockSpace, Labeling, enumeration_cap
 from .codes import Code, CosetTable
 from .constructions import (
     ConstructionResult,
@@ -65,6 +65,7 @@ __all__ = [
     "direct_sum_code",
     "direct_sum_labeling",
     "disjoint_union",
+    "enumeration_cap",
     "extend",
     "extended_code",
     "from_cover_relations",

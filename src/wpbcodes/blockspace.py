@@ -55,12 +55,20 @@ forced element contributes q^(k_i) x^max_weight; a free one is either left
 out or taken as maximal, which forces its strict down-set.  Equal states
 merge by adding their polynomials, which are exact ints truncated at the
 radius.  The states never outnumber the ideals (at most 2^s <= q^n), and
-max_space caps them.
+the enumeration cap bounds them.
+
+Every computation that enumerates (vectors, codewords, vector x codeword or
+word pairs, words built, DP states) passes its count to charge before it
+starts, which raises SpaceTooLarge when the count exceeds the enumeration
+cap: DEFAULT_MAX_SPACE unless a caller sets another for a block of code
+with `with enumeration_cap(cap):`.
 """
 
 from __future__ import annotations
 
 import operator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -79,6 +87,27 @@ _CHUNK = 1 << 14
 _PIECE_CODES = 1 << 16
 
 Vector = tuple[int, ...]
+
+_cap: ContextVar[int] = ContextVar("enumeration_cap", default=DEFAULT_MAX_SPACE)
+
+
+@contextmanager
+def enumeration_cap(cap: int) -> Iterator[None]:
+    """Make `cap` the enumeration cap that charge enforces inside the with
+    block; the previous cap is restored on leaving it, also on an error."""
+    token = _cap.set(cap)
+    try:
+        yield
+    finally:
+        _cap.reset(token)
+
+
+def charge(count: int, what: str) -> None:
+    """Raise SpaceTooLarge, before any work starts, when a computation of
+    `count` units (`what` names them) exceeds the enumeration cap."""
+    cap = _cap.get()
+    if count > cap:
+        raise SpaceTooLarge(f"{what} = {count} exceeds the enumeration cap {cap}")
 
 
 class _PiecePlan(NamedTuple):
@@ -320,56 +349,39 @@ class BlockSpace:
     def unrank(self, r: int) -> Vector:
         return tuple(int(r // self._radix[i] % self.q) for i in range(self.n))
 
-    def iter_chunks(self, max_space: int = DEFAULT_MAX_SPACE) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (start_rank, (B, n) uint8 array) covering F_q^n in odometer order."""
-        if self.size > max_space:
-            raise SpaceTooLarge(
-                f"q^n = {self.size} exceeds the enumeration cap {max_space}"
-            )
+    def iter_chunks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (start_rank, (B, n) uint8 array) covering F_q^n in odometer
+        order; charges q^n."""
+        charge(self.size, "q^n")
         return odometer_chunks(self.q, self.n)
 
-    def all_vectors(self, max_space: int = DEFAULT_MAX_SPACE) -> np.ndarray:
-        """The whole space as one (q^n, n) array; respects the cap."""
-        if self.size > max_space:
-            raise SpaceTooLarge(
-                f"q^n = {self.size} exceeds the enumeration cap {max_space}"
-            )
+    def all_vectors(self) -> np.ndarray:
+        """The whole space as one (q^n, n) array; charges q^n."""
+        charge(self.size, "q^n")
         return odometer_table(self.q, self.n)
 
     # balls ------------------------------------------------------------------
 
-    def ball(
-        self,
-        center: Sequence[int],
-        radius: int,
-        max_space: int = DEFAULT_MAX_SPACE,
-    ) -> list[Vector]:
+    def ball(self, center: Sequence[int], radius: int) -> list[Vector]:
         """All v with d(center, v) <= radius, in odometer order."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
         c = self._coerce(center)
         out: list[Vector] = []
-        for _, arr in self.iter_chunks(max_space):
+        for _, arr in self.iter_chunks():
             d = self.batch_weights(self.batch_sub(arr, c))
             for row in arr[d <= radius]:
                 out.append(tuple(int(x) for x in row))
         return out
 
-    def ball_size(
-        self,
-        center: Sequence[int],
-        radius: int,
-        max_space: int = DEFAULT_MAX_SPACE,
-    ) -> int:
+    def ball_size(self, center: Sequence[int], radius: int) -> int:
         """|B(center, radius)|: d(c, v) = w(v - c) and v -> v - c permutes
         F_q^n, so this is the weight spectrum summed up to the radius; no
-        vector is enumerated.  max_space caps the DP's live states."""
+        vector is enumerated, and the cap bounds the DP's live states."""
         self._coerce(center)
-        return sum(self.weight_spectrum(radius, max_space))
+        return sum(self.weight_spectrum(radius))
 
-    def weight_spectrum(
-        self, radius: int | None = None, max_space: int = DEFAULT_MAX_SPACE
-    ) -> list[int]:
+    def weight_spectrum(self, radius: int | None = None) -> list[int]:
         """counts[r] = #{u in F_q^n : w(u) = r} for r = 0..top, as exact
         ints; top is s * max_weight (the largest weight), or radius when
         that is smaller.
@@ -378,7 +390,8 @@ class BlockSpace:
         down, each as soon as every element above it is done, the most
         recently unlocked first; a state is the set (bitmask) of unprocessed
         elements forced into the ideal, and maps to a polynomial in the
-        weight.  Raises SpaceTooLarge when the live states exceed max_space.
+        weight.  Charges the live states of each step, so it raises
+        SpaceTooLarge when they exceed the enumeration cap.
         """
         mw = self.weight.max_weight
         top = self.s * mw if radius is None else min(radius, self.s * mw)
@@ -411,10 +424,7 @@ class BlockSpace:
                 for m, count in maximal:
                     taken[m:] = [t + count * c for t, c in zip(taken[m:], poly)]
                 _merge(nxt, state | below[i], taken)
-            if len(nxt) > max_space:
-                raise SpaceTooLarge(
-                    f"the weight-spectrum DP holds {len(nxt)} states, over the cap {max_space}"
-                )
+            charge(len(nxt), "weight-spectrum DP states")
             states = nxt
             for j in range(self.s):
                 if below[i] >> j & 1:

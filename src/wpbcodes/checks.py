@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .blockspace import DEFAULT_MAX_SPACE, BlockSpace, Labeling
+from .blockspace import BlockSpace, Labeling
 from .codes import Code
 from .constructions import (
     direct_sum_code,
@@ -197,15 +197,15 @@ def _instance_of(code: Code) -> Instance:
     return Instance.from_parts(code.space, code)
 
 
-def _covering_with_oracle(unit: _Unit, code: Code, label: str, max_space: int) -> int:
+def _covering_with_oracle(unit: _Unit, code: Code, label: str) -> int:
     """Covering radius of a code.  For a linear code, the coset-major pass's
     covering radius and max coset-leader weight (two readings of one pass)
     are both cross-checked against the explicit word-set scan."""
     if not code.is_linear:
-        return code.covering_radius(max_space)
-    coset_max = code.coset_table(max_space).max_weight
-    rho = code.covering_radius(max_space)
-    scan = Code.explicit(code.space, code.codewords(max_space)).covering_radius(max_space)
+        return code.covering_radius()
+    coset_max = code.coset_table().max_weight
+    rho = code.covering_radius()
+    scan = Code.explicit(code.space, code.codewords()).covering_radius()
     unit.hard(
         "covering-oracle",
         rho == coset_max == scan,
@@ -280,7 +280,7 @@ def metric_axiom_witness(
 
 
 def _unit_metric_axioms(
-    seed: int, unit: int, max_space: int, q_filter: int | None = None
+    seed: int, unit: int, q_filter: int | None = None
 ) -> list[CheckReport]:
     child = derive_seed(seed, "metric-axioms", unit)
     rng = random.Random(child)
@@ -304,7 +304,7 @@ def _unit_metric_axioms(
 
 
 def _unit_reductions(
-    seed: int, unit: int, max_space: int, q_filter: int | None = None
+    seed: int, unit: int, q_filter: int | None = None
 ) -> list[CheckReport]:
     child = derive_seed(seed, "reductions", unit)
     rng = random.Random(child)
@@ -319,7 +319,7 @@ def _unit_reductions(
         space = BlockSpace(
             posets.antichain(n), Labeling((1,) * n), make_field(q), hamming_weight(make_field(q))
         )
-        arr = space.all_vectors(cap)
+        arr = space.all_vectors()
         expect = (arr != 0).sum(axis=1)
         name = "reduction-hamming"
     elif which == 1:  # trivial blocks + antichain + Lee -> Lee weight
@@ -330,7 +330,7 @@ def _unit_reductions(
         space = BlockSpace(
             posets.antichain(n), Labeling((1,) * n), make_field(q), lee_weight(make_field(q))
         )
-        arr = space.all_vectors(cap)
+        arr = space.all_vectors()
         a = arr.astype(np.int64)
         expect = np.minimum(a, q - a).sum(axis=1)
         name = "reduction-lee"
@@ -342,7 +342,7 @@ def _unit_reductions(
         space = BlockSpace(
             posets.chain(lab.s), lab, make_field(q), hamming_weight(make_field(q))
         )
-        arr = space.all_vectors(cap)
+        arr = space.all_vectors()
         expect = np.zeros(len(arr), dtype=np.int64)
         for i in range(1, space.s + 1):
             sl = space.labeling.block_slice(i)
@@ -354,7 +354,7 @@ def _unit_reductions(
             return []
         pos, lab = _random_shape(rng, q, s_max=3, k_max=2, cap=cap)
         space = BlockSpace(pos, lab, make_field(q), hamming_weight(make_field(q)))
-        arr = space.all_vectors(cap)
+        arr = space.all_vectors()
         expect = np.array(
             [
                 len(pos.ideal(space.block_support(space.unrank(r))))
@@ -390,7 +390,7 @@ _BALL_ENVELOPE: list[tuple[int, ...]] = [
 
 
 def _unit_ball_nesting(
-    seed: int, unit: int, max_space: int, q_filter: int | None = None
+    seed: int, unit: int, q_filter: int | None = None
 ) -> list[CheckReport]:
     if q_filter is not None and q_filter != 5:
         return []
@@ -428,7 +428,7 @@ def _unit_ball_nesting(
 
 
 def _unit_chain_radii(
-    seed: int, unit: int, max_space: int, q_filter: int | None = None
+    seed: int, unit: int, q_filter: int | None = None
 ) -> list[CheckReport]:
     child = derive_seed(seed, "chain-radii", unit)
     rng = random.Random(child)
@@ -443,9 +443,9 @@ def _unit_chain_radii(
 
     mw = space.weight.max_weight
     m_small = space.weight.min_nonzero_weight
-    d_h = _hamming_view(code).min_distance(max_space)
-    d_w = code.min_distance(max_space)
-    rho_pack = code.packing_radius(max_space)
+    d_h = _hamming_view(code).min_distance()
+    d_w = code.min_distance()
+    rho_pack = code.packing_radius()
     floor = (d_h - 1) * mw
     witness = {
         "packing": rho_pack,
@@ -465,8 +465,8 @@ def _unit_chain_radii(
         witness,
     )
 
-    rho = _covering_with_oracle(u, code, "code", max_space)
-    r = code.trailing_full_index(max_space)
+    rho = _covering_with_oracle(u, code, "code")
+    r = code.trailing_full_index()
     u.hard(
         "covering-radius-chain",
         (r - 1) * mw < rho <= r * mw,
@@ -501,7 +501,7 @@ def _sample_pair(
 
 
 def _unit_direct_sum(
-    seed: int, unit: int, max_space: int, q_filter: int | None = None
+    seed: int, unit: int, q_filter: int | None = None
 ) -> list[CheckReport]:
     child = derive_seed(seed, "direct-sum", unit)
     rng = random.Random(child)
@@ -513,26 +513,26 @@ def _unit_direct_sum(
     u = _Unit(child, _pair_digest(i1.digest(), i2.digest()))
 
     mw = c1.space.weight.max_weight
-    d1 = c1.min_distance(max_space)
-    d2 = c2.min_distance(max_space)
-    rho1 = _covering_with_oracle(u, c1, "C1", max_space)
-    rho2 = _covering_with_oracle(u, c2, "C2", max_space)
+    d1 = c1.min_distance()
+    d2 = c2.min_distance()
+    rho1 = _covering_with_oracle(u, c1, "C1")
+    rho2 = _covering_with_oracle(u, c2, "C2")
 
     disj = direct_sum_code(c1, c2, "disjoint").code
     lin = direct_sum_code(c1, c2, "linear").code
 
-    dd = disj.min_distance(max_space)
+    dd = disj.min_distance()
     u.hard("dsum-mindist-disjoint", dd == min(d1, d2), {"d": dd, "d1": d1, "d2": d2})
-    dl = lin.min_distance(max_space)
+    dl = lin.min_distance()
     u.hard("dsum-mindist-linear", dl == d1, {"d": dl, "d1": d1})
 
-    rho_disj = _covering_with_oracle(u, disj, "disjoint-sum", max_space)
+    rho_disj = _covering_with_oracle(u, disj, "disjoint-sum")
     u.hard(
         "dsum-covering-disjoint",
         rho_disj == rho1 + rho2,
         {"rho": rho_disj, "rho1": rho1, "rho2": rho2},
     )
-    rho_lin = _covering_with_oracle(u, lin, "linear-sum", max_space)
+    rho_lin = _covering_with_oracle(u, lin, "linear-sum")
     if rho2 > 0:
         u.hard(
             "dsum-covering-linear",
@@ -544,10 +544,10 @@ def _unit_direct_sum(
         # second half, so the published equality degenerates; skip.
         u.na("dsum-covering-linear", "rho(C2) = 0")
 
-    t1 = c1.coset_table(max_space)
-    t2 = c2.coset_table(max_space)
+    t1 = c1.coset_table()
+    t2 = c2.coset_table()
     for label, total in (("disjoint", disj), ("linear", lin)):
-        table = total.coset_table(max_space)
+        table = total.coset_table()
         ok, witness = True, {}
         for l1, w1 in zip(t1.leaders, t1.weights):
             for l2, w2 in zip(t2.leaders, t2.weights):
@@ -576,7 +576,7 @@ def _unit_direct_sum(
 
 
 def _unit_plotkin(
-    seed: int, unit: int, max_space: int, q_filter: int | None = None
+    seed: int, unit: int, q_filter: int | None = None
 ) -> list[CheckReport]:
     child = derive_seed(seed, "plotkin", unit)
     rng = random.Random(child)
@@ -605,17 +605,17 @@ def _unit_plotkin(
     u = _Unit(child, _pair_digest(i1.digest(), i2.digest()))
 
     mw = weight.max_weight
-    d1 = c1.min_distance(max_space)
-    d2 = c2.min_distance(max_space)
-    rho1 = _covering_with_oracle(u, c1, "C1", max_space)
-    rho2 = _covering_with_oracle(u, c2, "C2", max_space)
+    d1 = c1.min_distance()
+    d2 = c2.min_distance()
+    rho1 = _covering_with_oracle(u, c1, "C1")
+    rho2 = _covering_with_oracle(u, c2, "C2")
 
     disj = plotkin_code(c1, c2, "disjoint").code
     lin = plotkin_code(c1, c2, "linear").code
 
-    dd = disj.min_distance(max_space)
+    dd = disj.min_distance()
     u.hard("plotkin-mindist-disjoint", dd >= min(d1, d2), {"d": dd, "d1": d1, "d2": d2})
-    dl = lin.min_distance(max_space)
+    dl = lin.min_distance()
     u.hard("plotkin-mindist-linear", dl >= d1, {"d": dl, "d1": d1})
 
     if sum_map_injective(c1, c2):
@@ -626,8 +626,8 @@ def _unit_plotkin(
             space2,
             [space2.add(a, b) for a in c1.codewords() for b in c2.codewords()],
         )
-        d_c1_q = c1_in_q.min_distance(max_space)
-        d_sums = sums.min_distance(max_space)
+        d_c1_q = c1_in_q.min_distance()
+        d_sums = sums.min_distance()
         bound = min(d2, d1 + d_c1_q, d1 + d_sums)
         u.hard(
             "plotkin-refined-disjoint",
@@ -644,13 +644,13 @@ def _unit_plotkin(
         u.na("plotkin-refined-disjoint", "sum map not injective on C1 x C2")
         u.na("plotkin-refined-linear", "sum map not injective on C1 x C2")
 
-    rho_disj = _covering_with_oracle(u, disj, "disjoint", max_space)
+    rho_disj = _covering_with_oracle(u, disj, "disjoint")
     u.hard(
         "plotkin-covering-disjoint",
         rho_disj <= rho1 + rho2,
         {"rho": rho_disj, "rho1": rho1, "rho2": rho2},
     )
-    rho_lin = _covering_with_oracle(u, lin, "linear", max_space)
+    rho_lin = _covering_with_oracle(u, lin, "linear")
     u.hard(
         "plotkin-covering-linear",
         rho_lin <= c1.space.s * mw + rho2,
@@ -676,7 +676,7 @@ def _random_partition(rng: random.Random, n: int, parts: int) -> tuple[int, ...]
 
 
 def _unit_extend(
-    seed: int, unit: int, max_space: int, q_filter: int | None = None
+    seed: int, unit: int, q_filter: int | None = None
 ) -> list[CheckReport]:
     child = derive_seed(seed, "extend", unit)
     rng = random.Random(child)
@@ -695,12 +695,12 @@ def _unit_extend(
 
     ext = extended_code(code).code
     mw = space.weight.max_weight
-    d = code.min_distance(max_space)
-    de = ext.min_distance(max_space)
+    d = code.min_distance()
+    de = ext.min_distance()
     u.hard("extend-mindist", d <= de <= d + mw, {"d": d, "d_ext": de, "M_w": mw})
 
-    rho = _covering_with_oracle(u, code, "code", max_space)
-    rho_e = _covering_with_oracle(u, ext, "extended", max_space)
+    rho = _covering_with_oracle(u, code, "code")
+    rho_e = _covering_with_oracle(u, ext, "extended")
     u.hard(
         "extend-covering", rho <= rho_e <= rho + mw, {"rho": rho, "rho_ext": rho_e, "M_w": mw}
     )
@@ -713,7 +713,7 @@ def _unit_extend(
 
 
 def _unit_puncture(
-    seed: int, unit: int, max_space: int, q_filter: int | None = None
+    seed: int, unit: int, q_filter: int | None = None
 ) -> list[CheckReport]:
     child = derive_seed(seed, "puncture", unit)
     rng = random.Random(child)
@@ -745,23 +745,23 @@ def _unit_puncture(
     # d(C*) <= d(C) needs some minimum-distance pair to survive puncturing.
     # When a nonzero codeword lives entirely in the punctured block the pair
     # may collapse and the published bound can fail, so that regime is soft.
-    cw = code.codeword_array(max_space)
+    cw = code.codeword_array()
     collapse = bool(
         ((cw[:, outside] == 0).all(axis=1) & (cw != 0).any(axis=1)).any()
     )
-    d = code.min_distance(max_space)
+    d = code.min_distance()
     if pun.size < 2:
         u.na("puncture-mindist", "punctured code has a single word")
     else:
-        dp = pun.min_distance(max_space)
+        dp = pun.min_distance()
         witness = {"d": d, "d_punctured": dp, "block": block, "collapse": collapse}
         if collapse:
             u.soft("puncture-mindist", dp <= d, witness)
         else:
             u.hard("puncture-mindist", dp <= d, witness)
 
-    rho = _covering_with_oracle(u, code, "code", max_space)
-    rho_p = _covering_with_oracle(u, pun, "punctured", max_space)
+    rho = _covering_with_oracle(u, code, "code")
+    rho_p = _covering_with_oracle(u, pun, "punctured")
     u.hard("puncture-covering", rho_p <= rho, {"rho": rho, "rho_punctured": rho_p})
     return u.reports
 
@@ -814,7 +814,7 @@ _SHAPE_MIX = [("chain", "antichain"), ("antichain", "antichain"), ("chain", "cha
 
 
 def _unit_tensor_mindist(
-    seed: int, unit: int, max_space: int, q_filter: int | None = None
+    seed: int, unit: int, q_filter: int | None = None
 ) -> list[CheckReport]:
     child = derive_seed(seed, "tensor-mindist", unit)
     rng = random.Random(child)
@@ -844,15 +844,15 @@ def _unit_tensor_mindist(
     s, t = space1.s, space2.s
     p_chain, q_chain = space1.poset.is_chain(), space2.poset.is_chain()
     p_anti, q_anti = space1.poset.is_antichain(), space2.poset.is_antichain()
-    d1h = _hamming_view(c1).min_distance(max_space)
-    d2h = _hamming_view(c2).min_distance(max_space)
-    d1w = c1.min_distance(max_space)
-    d2w = c2.min_distance(max_space)
+    d1h = _hamming_view(c1).min_distance()
+    d2h = _hamming_view(c2).min_distance()
+    d1w = c1.min_distance()
+    d2w = c2.min_distance()
 
     car = tensor_code(c1, c2, "cartesian").code
     lex = tensor_code(c1, c2, "lex").code
-    d_car = car.min_distance(max_space)
-    d_lex = lex.min_distance(max_space)
+    d_car = car.min_distance()
+    d_lex = lex.min_distance()
     base = {"d_car": d_car, "d_lex": d_lex, "d1h": d1h, "d2h": d2h, "d1w": d1w, "d2w": d2w}
 
     # exact weight formula for rank-one words under chain x chain
@@ -979,7 +979,7 @@ def _unit_tensor_mindist(
 
 
 def _unit_tensor_covering(
-    seed: int, unit: int, max_space: int, q_filter: int | None = None
+    seed: int, unit: int, q_filter: int | None = None
 ) -> list[CheckReport]:
     child = derive_seed(seed, "tensor-covering", unit)
     rng = random.Random(child)
@@ -1013,17 +1013,17 @@ def _unit_tensor_covering(
     p_anti, q_anti = space1.poset.is_antichain(), space2.poset.is_antichain()
 
     ham = hamming_weight(space1.field)
-    rho1 = _covering_with_oracle(u, c1, "C1", max_space)
-    rho2 = _covering_with_oracle(u, c2, "C2", max_space)
-    big_d1 = c1.max_poset_weight(ham, max_space)
-    big_d2 = c2.max_poset_weight(ham, max_space)
-    r1 = _hamming_view(c1).covering_radius(max_space)
-    r2 = _hamming_view(c2).covering_radius(max_space)
+    rho1 = _covering_with_oracle(u, c1, "C1")
+    rho2 = _covering_with_oracle(u, c2, "C2")
+    big_d1 = c1.max_poset_weight(ham)
+    big_d2 = c2.max_poset_weight(ham)
+    r1 = _hamming_view(c1).covering_radius()
+    r2 = _hamming_view(c2).covering_radius()
 
     car = tensor_code(c1, c2, "cartesian").code
     lex = tensor_code(c1, c2, "lex").code
-    rho_car = car.covering_radius(max_space)
-    rho_lex = lex.covering_radius(max_space)
+    rho_car = car.covering_radius()
+    rho_lex = lex.covering_radius()
     base = {
         "rho_car": rho_car,
         "rho_lex": rho_lex,
@@ -1136,7 +1136,7 @@ class Suite:
     tags: frozenset[str]
     checks: tuple[str, ...]
     default_trials: int
-    unit_fn: Callable[[int, int, int, int | None], list[CheckReport]]
+    unit_fn: Callable[[int, int, int | None], list[CheckReport]]
 
     def unit_count(self, trials: int | None) -> int:
         n = trials if trials is not None else self.default_trials
@@ -1316,9 +1316,9 @@ def resolve_filters(filters: Sequence[str]) -> dict[str, set[str] | None]:
     return wanted
 
 
-def _run_unit(args: tuple[str, int, int, int, int | None]) -> list[CheckReport]:
-    name, seed, unit, max_space, q = args
-    return REGISTRY[name].unit_fn(seed, unit, max_space, q)
+def _run_unit(args: tuple[str, int, int, int | None]) -> list[CheckReport]:
+    name, seed, unit, q = args
+    return REGISTRY[name].unit_fn(seed, unit, q)
 
 
 def _usable_cpus() -> int:
@@ -1333,7 +1333,6 @@ def verify_suite(
     filters: Sequence[str] = ("all",),
     seed: int = 0,
     trials: int | None = None,
-    max_space: int = DEFAULT_MAX_SPACE,
     jobs: int = 1,
     q: int | None = None,
 ) -> list[CheckReport]:
@@ -1346,12 +1345,12 @@ def verify_suite(
     if q is not None and q not in (2, 3, 5, 7):
         raise ValueError(f"--q must be one of 2, 3, 5, 7; got {q}")
     wanted = resolve_filters(filters)
-    tasks: list[tuple[str, int, int, int, int | None]] = []
+    tasks: list[tuple[str, int, int, int | None]] = []
     for name in REGISTRY:
         if name not in wanted:
             continue
         for unit in range(REGISTRY[name].unit_count(trials)):
-            tasks.append((name, seed, unit, max_space, q))
+            tasks.append((name, seed, unit, q))
     jobs = min(jobs, _usable_cpus())
     if jobs > 1:
         with Pool(jobs) as pool:
@@ -1359,7 +1358,7 @@ def verify_suite(
     else:
         chunks = [_run_unit(t) for t in tasks]
     reports: list[CheckReport] = []
-    for (name, _, _, _, _), chunk in zip(tasks, chunks):
+    for (name, _, _, _), chunk in zip(tasks, chunks):
         allowed = wanted[name]
         for rep in chunk:
             if allowed is None or rep.check in allowed:

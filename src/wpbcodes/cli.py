@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .blockspace import DEFAULT_MAX_SPACE, format_vector, parse_vector
+from .blockspace import DEFAULT_MAX_SPACE, enumeration_cap, format_vector, parse_vector
 from .checks import (
     REGISTRY,
     hard_failures,
@@ -53,10 +53,19 @@ _DOMAIN_ERRORS = (
 
 
 def _parse_max_space(text: str) -> int:
-    if "^" in text:
-        base, exp = text.split("^", 1)
-        return int(base) ** int(exp)
-    return int(text)
+    """An enumeration cap in 1..2^63, written as an integer or as base^exp
+    (e.g. 2^24) with base >= 1 and exp >= 0; the exponent is bounded before
+    the power is computed."""
+    wanted = f"a cap in 1..2^63, as an integer or base^exp, got {text!r}"
+    base_text, caret, exp_text = text.partition("^")
+    try:
+        base, exp = int(base_text), int(exp_text) if caret else 1
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {wanted}") from None
+    # base^exp >= 2^(exp * (bits - 1)), so past 63 the power exceeds 2^63
+    if base < 1 or exp < 0 or exp * (base.bit_length() - 1) > 63 or base**exp > 1 << 63:
+        raise argparse.ArgumentTypeError(f"expected {wanted}")
+    return base**exp
 
 
 def _positive_int(text: str) -> int:
@@ -81,8 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "--max-space",
             type=_parse_max_space,
             default=DEFAULT_MAX_SPACE,
-            help="enumeration cap on q^n (accepts forms like 2^24); for "
-            "ball --count-only, the cap on the weight-spectrum DP's states",
+            help="enumeration cap (accepts forms like 2^24): the most vectors, "
+            "codewords, pairs, words or weight-spectrum DP states one "
+            "computation may enumerate",
         )
         return p
 
@@ -105,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--count-only",
         action="store_true",
         help="print only the size, counted from the weight spectrum without "
-        "enumerating F_q^n (--max-space caps the DP's states, not q^n)",
+        "enumerating F_q^n (--max-space then caps the DP's states)",
     )
 
     p = sub.add_parser("construct", help="build a new code from instance files")
@@ -138,7 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="restrict instance generation to one field size",
     )
-    p.add_argument("--max-space", type=_parse_max_space, default=DEFAULT_MAX_SPACE)
     p.add_argument(
         "--jobs", type=_positive_int, default=1, help="worker processes (at most the CPU count)"
     )
@@ -149,19 +158,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_instance(args) -> int:
     space, code = load_instance(args.instance).build()
-    cap = args.max_space
     if args.command == "weight":
         print(space.wpb_weight(parse_vector(args.vector)))
     elif args.command == "distance":
         print(space.wpb_distance(parse_vector(args.u), parse_vector(args.v)))
     elif args.command == "mindist":
-        print(code.min_distance(cap))
+        print(code.min_distance())
     elif args.command == "covering-radius":
-        print(code.covering_radius(cap))
+        print(code.covering_radius())
     elif args.command == "packing-radius":
-        print(code.packing_radius(cap))
+        print(code.packing_radius())
     elif args.command == "cosets":
-        table = code.coset_table(cap)
+        table = code.coset_table()
         print(f"cosets: {len(table.leaders)}")
         print(f"max leader weight (covering radius): {table.max_weight}")
         hist: dict[int, int] = {}
@@ -177,9 +185,9 @@ def _cmd_instance(args) -> int:
     elif args.command == "ball":
         center = parse_vector(args.center)
         if args.count_only:
-            print(space.ball_size(center, args.radius, cap))
+            print(space.ball_size(center, args.radius))
         else:
-            for v in space.ball(center, args.radius, cap):
+            for v in space.ball(center, args.radius):
                 print(format_vector(v))
     return 0
 
@@ -241,7 +249,6 @@ def _cmd_verify(args) -> int:
         filters,
         seed=args.seed,
         trials=args.trials,
-        max_space=args.max_space,
         jobs=args.jobs,
         q=args.q,
     )
@@ -263,7 +270,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_construct(args)
         if args.command == "verify":
             return _cmd_verify(args)
-        return _cmd_instance(args)
+        with enumeration_cap(args.max_space):
+            return _cmd_instance(args)
     except (ParseError, ConsistencyError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

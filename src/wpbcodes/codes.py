@@ -46,8 +46,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockspace import _CHUNK, DEFAULT_MAX_SPACE, BlockSpace, Vector, odometer_chunks
-from .errors import NotAChain, NotLinear, SpaceTooLarge, TooFewWords
+from .blockspace import _CHUNK, BlockSpace, Vector, charge, odometer_chunks
+from .errors import NotAChain, NotLinear, TooFewWords
 from .weights import WeightFn
 
 _BIG = np.iinfo(np.int64).max
@@ -138,19 +138,19 @@ class Code:
 
     # enumeration ------------------------------------------------------------
 
-    def codeword_array(self, max_space: int = DEFAULT_MAX_SPACE) -> np.ndarray:
+    def codeword_array(self) -> np.ndarray:
         """(|C|, n) uint8 array in deterministic order.
 
         Linear codes enumerate messages in odometer order (first generator
-        coefficient most significant); explicit codes are sorted.
+        coefficient most significant), which charges q^k; explicit codes are
+        sorted.
         """
         if self._cw is not None:
             return self._cw
         if self.kind == "explicit":
             self._cw = np.asarray(self.words, dtype=np.uint8).reshape(self.size, self.space.n)
             return self._cw
-        if self.size > max_space:
-            raise SpaceTooLarge(f"q^k = {self.size} exceeds the enumeration cap {max_space}")
+        charge(self.size, "q^k")
         f = self.space.field
         arr = np.zeros((1, self.space.n), dtype=np.uint8)
         for g in self.generators:
@@ -160,18 +160,18 @@ class Code:
         self._cw = arr
         return arr
 
-    def codewords(self, max_space: int = DEFAULT_MAX_SPACE) -> list[Vector]:
-        return [tuple(int(x) for x in row) for row in self.codeword_array(max_space)]
+    def codewords(self) -> list[Vector]:
+        return [tuple(int(x) for x in row) for row in self.codeword_array()]
 
     # distances --------------------------------------------------------------
 
-    def min_distance(self, max_space: int = DEFAULT_MAX_SPACE) -> int:
+    def min_distance(self) -> int:
         """Minimum distance over distinct codeword pairs."""
         if "min_distance" in self._memo:
             return self._memo["min_distance"]
         if self.size < 2:
             raise TooFewWords("min distance needs at least two distinct words")
-        arr = self.codeword_array(max_space)
+        arr = self.codeword_array()
         if self.is_linear:
             d = int(self.space.batch_weights(arr[1:]).min())
         else:
@@ -179,40 +179,42 @@ class Code:
         self._memo["min_distance"] = d
         return d
 
-    def covering_radius(self, max_space: int = DEFAULT_MAX_SPACE) -> int:
+    def covering_radius(self) -> int:
         """max over F_q^n of the distance to the code."""
         if "covering_radius" not in self._memo:
-            (self._coset_pass if self.is_linear else self._explicit_pass)(max_space)
+            (self._coset_pass if self.is_linear else self._explicit_pass)()
         return self._memo["covering_radius"]
 
-    def packing_radius(self, max_space: int = DEFAULT_MAX_SPACE) -> int:
+    def packing_radius(self) -> int:
         """Largest radius with pairwise disjoint balls around codewords."""
         if "packing_radius" in self._memo:
             return self._memo["packing_radius"]
         if self.size < 2:
             raise TooFewWords("packing radius needs at least two distinct words")
-        (self._coset_pass if self.is_linear else self._explicit_pass)(max_space)
+        (self._coset_pass if self.is_linear else self._explicit_pass)()
         return self._memo["packing_radius"]
 
-    def is_r_perfect(self, r: int, max_space: int = DEFAULT_MAX_SPACE) -> bool:
+    def is_r_perfect(self, r: int) -> bool:
         """True iff radius-r balls around codewords tile the space: every
         vector lies within r of a codeword (covering radius <= r) and, for two
         or more codewords, within r of no second one (r <= packing radius)."""
         if r < 0:
             raise ValueError("radius must be >= 0")
         # the packing scan memoizes the covering radius as well
-        if self.size >= 2 and r > self.packing_radius(max_space):
+        if self.size >= 2 and r > self.packing_radius():
             return False
-        return self.covering_radius(max_space) <= r
+        return self.covering_radius() <= r
 
-    def is_perfect(self, max_space: int = DEFAULT_MAX_SPACE) -> bool:
-        return self.is_r_perfect(self.packing_radius(max_space), max_space)
+    def is_perfect(self) -> bool:
+        return self.is_r_perfect(self.packing_radius())
 
     def _pairwise_min(self, cw: np.ndarray) -> int:
         """min over word pairs i < j of w(c_j - c_i), one pair-kernel call
-        per tile of at most _CHUNK pairs in row-major order."""
+        per tile of at most _CHUNK pairs in row-major order; charges the
+        pairs."""
         space, m = self.space, len(cw)
         total = m * (m - 1) // 2
+        charge(total, "|C|(|C|-1)/2 word pairs")
         # row i holds the pairs (i, j > i), from pair rank starts[i] on
         counts = np.arange(m - 1, 0, -1)
         starts = np.cumsum(counts) - counts
@@ -227,7 +229,7 @@ class Code:
 
     # the word-set pass (explicit codes) ----------------------------------------
 
-    def _explicit_pass(self, max_space: int) -> None:
+    def _explicit_pass(self) -> None:
         """One pass over D[x, c] = d(x, c) = w(x - c) for an explicit code.
 
         x runs over F_q^n in odometer order and c over the words.  Each tile
@@ -235,11 +237,11 @@ class Code:
         one pair-kernel call; per row only the two smallest distances are
         kept, which memoizes the covering radius (max row minimum) and, for
         two or more words, the packing radius (min second-smallest - 1).
+        Charges the q^n * |C| pairs.
         """
         space = self.space
-        if space.size > max_space:
-            raise SpaceTooLarge(f"q^n = {space.size} exceeds the enumeration cap {max_space}")
-        cw = self.codeword_array(max_space)
+        charge(space.size * self.size, "q^n * |C| pairs")
+        cw = self.codeword_array()
         right = space.piece_codes(cw, left=False)
         cols = min(len(cw), _CHUNK)
         covering, second = 0, _BIG
@@ -259,7 +261,7 @@ class Code:
 
     # the coset-major pass (linear codes) ---------------------------------------
 
-    def _coset_pass(self, max_space: int, leaders: bool = False):
+    def _coset_pass(self, leaders: bool = False):
         """One pass over W[x, c] = w(x + c) = w(x - (-c)) for a linear code.
 
         x runs over the coset representatives (zero on the pivot columns) in
@@ -273,12 +275,12 @@ class Code:
 
         With leaders=True, returns per coset its minimum weight and the
         odometer rank of its first minimum-weight vector; x + c is formed
-        only for the entries that tie with their row minimum.
+        only for the entries that tie with their row minimum.  Charges the
+        q^n entries of W.
         """
         space = self.space
-        if space.size > max_space:
-            raise SpaceTooLarge(f"q^n = {space.size} exceeds the enumeration cap {max_space}")
-        cw = self.codeword_array(max_space)
+        charge(space.size, "q^n")
+        cw = self.codeword_array()
         right = space.piece_codes(space.field.neg_table[cw], left=False)
         cols = min(len(cw), _CHUNK)
         if leaders:
@@ -339,13 +341,13 @@ class Code:
             index = index * self.space.q + int(canon[c])
         return index
 
-    def coset_table(self, max_space: int = DEFAULT_MAX_SPACE) -> CosetTable:
+    def coset_table(self) -> CosetTable:
         """Minimum-weight leader per coset; leader = first minimum in odometer order."""
         if "coset_table" in self._memo:
             return self._memo["coset_table"]
         if not self.is_linear:
             raise NotLinear("cosets are defined for linear codes only")
-        best_w, best_rank = self._coset_pass(max_space, leaders=True)
+        best_w, best_rank = self._coset_pass(leaders=True)
         digits = best_rank[:, None] // self.space._radix % self.space.q
         table = CosetTable(
             leaders=tuple(map(tuple, digits.tolist())),
@@ -357,13 +359,13 @@ class Code:
 
     # projections ------------------------------------------------------------
 
-    def project(self, i: int, max_space: int = DEFAULT_MAX_SPACE) -> set[Vector]:
+    def project(self, i: int) -> set[Vector]:
         """Values of block i over all codewords."""
         sl = self.space.labeling.block_slice(i)
-        arr = self.codeword_array(max_space)
+        arr = self.codeword_array()
         return {tuple(int(x) for x in row) for row in arr[:, sl]}
 
-    def trailing_full_index(self, max_space: int = DEFAULT_MAX_SPACE) -> int:
+    def trailing_full_index(self) -> int:
         """s if C_s is not all of F_q^{k_s}; otherwise the least l such that the
         joint projection onto blocks l+1..s is the full product space."""
         if not self.space.poset.is_chain():
@@ -371,9 +373,9 @@ class Code:
         s = self.space.s
         sizes = self.space.labeling.sizes
         offsets = self.space.labeling.offsets
-        if len(self.project(s, max_space)) != self.space.q ** sizes[s - 1]:
+        if len(self.project(s)) != self.space.q ** sizes[s - 1]:
             return s
-        arr = self.codeword_array(max_space)
+        arr = self.codeword_array()
         for l in range(s):
             off = offsets[l]
             tail = {bytes(row) for row in arr[:, off:]}
@@ -390,10 +392,10 @@ class Code:
             return Code.linear(sibling, self.generators)
         return Code.explicit(sibling, self.words)
 
-    def max_poset_weight(self, weight: WeightFn, max_space: int = DEFAULT_MAX_SPACE) -> int:
+    def max_poset_weight(self, weight: WeightFn) -> int:
         """Max codeword weight under the given coordinate weight."""
         sibling = self.space.with_weight(weight)
-        arr = self.codeword_array(max_space)
+        arr = self.codeword_array()
         return int(sibling.batch_weights(arr).max())
 
     def __repr__(self) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blockspace import BlockSpace, Labeling, Vector
+from .blockspace import BlockSpace, Labeling, Vector, charge
 from .codes import Code
 from .errors import FieldMismatch, LengthMismatch, OutOfRange, WeightMismatch
 from .field import Field
@@ -72,6 +72,7 @@ def direct_sum_code(c1: Code, c2: Code, order: str = "disjoint") -> Construction
         rows = [g + zero2 for g in c1.generators] + [zero1 + h for h in c2.generators]
         code = Code.linear(space, rows)
     else:
+        charge(c1.size * c2.size, "|C1| * |C2| words")
         code = Code.explicit(
             space, [u + v for u in c1.codewords() for v in c2.codewords()]
         )
@@ -105,6 +106,7 @@ def plotkin_code(c1: Code, c2: Code, order: str = "disjoint") -> ConstructionRes
         rows = [g + g for g in c1.generators] + [zero + h for h in c2.generators]
         code = Code.linear(space, rows)
     else:
+        charge(c1.size * c2.size, "|C1| * |C2| words")
         code = Code.explicit(
             space,
             [u + s1.add(u, v) for u in c1.codewords() for v in c2.codewords()],
@@ -124,6 +126,7 @@ def sum_map_injective(c1: Code, c2: Code) -> bool:
     distinct pairs share a sum.  For linear inputs it is equivalent to
     C1 and C2 intersecting only in 0.
     """
+    charge(c1.size * c2.size, "|C1| * |C2| words")
     words1, words2 = c1.codewords(), c2.codewords()
     space = c1.space
     sums = {space.add(u, v) for u in words1 for v in words2}
@@ -232,6 +235,7 @@ def tensor_code(c1: Code, c2: Code, order: str = "cartesian") -> ConstructionRes
     space = BlockSpace(
         p, tensor_labeling(s1.labeling, s2.labeling), s1.field, s1.weight
     )
+    charge(c1.size * c2.size, "|C1| * |C2| words")
     words = [
         tensor_vector(s1.field, s1.labeling, s2.labeling, u, v)
         for u in c1.codewords()

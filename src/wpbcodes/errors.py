@@ -45,7 +45,9 @@ class LengthMismatch(ValueError):
 
 
 class SpaceTooLarge(RuntimeError):
-    """q^n (or q^k) exceeds the configured enumeration cap."""
+    """A computation would enumerate more than the enumeration cap allows:
+    vectors, codewords, vector x codeword or word pairs, words built, or
+    weight-spectrum DP states (see blockspace.charge)."""
 
 
 class TooFewWords(ValueError):

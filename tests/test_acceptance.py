@@ -276,8 +276,8 @@ def test_criterion_10_covering_oracle(
     # readings at once is still caught
     original = Code._coset_pass
 
-    def skewed(self, max_space, leaders=False):
-        out = original(self, max_space, leaders)
+    def skewed(self, leaders=False):
+        out = original(self, leaders)
         self._memo["covering_radius"] += 1
         return None if out is None else (out[0] + 1, out[1])
 

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from wpbcodes import blockspace
 from wpbcodes.blockspace import (
     _CHUNK,
+    DEFAULT_MAX_SPACE,
     BlockSpace,
     Labeling,
+    enumeration_cap,
     format_vector,
     odometer_chunks,
     odometer_table,
@@ -103,8 +105,26 @@ def test_ball_size_center_independent(chain21_lee5):
 
 def test_space_too_large_guard():
     s = space(2, P.chain(5), (1, 1, 1, 1, 1))
-    with pytest.raises(SpaceTooLarge):
-        s.ball(s.zero(), 1, max_space=16)
+    with enumeration_cap(16), pytest.raises(SpaceTooLarge):
+        s.ball(s.zero(), 1)
+
+
+def test_enumeration_cap_is_scoped():
+    """enumeration_cap sets the cap for its with block only: blocks nest,
+    and the previous cap comes back on leaving one, also when its body
+    raises."""
+    cap = blockspace._cap.get
+    assert cap() == DEFAULT_MAX_SPACE
+    with enumeration_cap(8):
+        with enumeration_cap(3):
+            blockspace.charge(3, "pairs")
+            with pytest.raises(SpaceTooLarge, match="pairs = 4 exceeds the enumeration cap 3"):
+                blockspace.charge(4, "pairs")
+        assert cap() == 8
+    with pytest.raises(KeyError), enumeration_cap(8):
+        raise KeyError
+    assert cap() == DEFAULT_MAX_SPACE
+    blockspace.charge(DEFAULT_MAX_SPACE, "vectors")
 
 
 TREE6 = P.from_cover_relations(6, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)])
@@ -193,16 +213,18 @@ def test_weight_spectrum_chain_formula():
 
 
 def test_weight_spectrum_cap_bounds_states():
-    """max_space caps the DP's live states, not q^n: a 3-chain needs two
+    """The cap bounds the DP's live states, not q^n: a 3-chain needs two
     states, a 20-element antichain one."""
     s = space(2, P.chain(3), (1, 1, 1))
-    with pytest.raises(SpaceTooLarge):
-        s.weight_spectrum(max_space=1)
-    with pytest.raises(SpaceTooLarge):
-        s.ball_size(s.zero(), 2, max_space=1)
-    assert s.ball_size(s.zero(), 2, max_space=2) == 4
     a = space(2, P.antichain(20), (1,) * 20)
-    assert a.ball_size(a.zero(), 3, max_space=1) == 1 + 20 + 190 + 1140
+    with enumeration_cap(1):
+        with pytest.raises(SpaceTooLarge):
+            s.weight_spectrum()
+        with pytest.raises(SpaceTooLarge):
+            s.ball_size(s.zero(), 2)
+        assert a.ball_size(a.zero(), 3) == 1 + 20 + 190 + 1140
+    with enumeration_cap(2):
+        assert s.ball_size(s.zero(), 2) == 4
     with pytest.raises(ValueError):
         a.ball_size(a.zero(), -1)
     with pytest.raises(ValueError):

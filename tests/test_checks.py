@@ -3,7 +3,7 @@ import json
 import pytest
 
 from wpbcodes import checks
-from wpbcodes.blockspace import DEFAULT_MAX_SPACE, BlockSpace, Labeling
+from wpbcodes.blockspace import BlockSpace, Labeling
 from wpbcodes.checks import (
     REGISTRY,
     discrepancies,
@@ -61,7 +61,7 @@ def test_emitted_check_ids_are_declared():
     for name, suite in REGISTRY.items():
         for seed in (0, 1):
             for unit in range(3):
-                for rep in suite.unit_fn(seed, unit, DEFAULT_MAX_SPACE, None):
+                for rep in suite.unit_fn(seed, unit, None):
                     assert rep.check in suite.checks, (name, rep.check)
 
 
@@ -179,7 +179,7 @@ def test_puncture_vector_weight_witness_is_first_violating_sample(monkeypatch):
     statuses, ranks = set(), set()
     for unit in range(30):
         seen.clear()
-        reports = checks._unit_puncture(3, unit, DEFAULT_MAX_SPACE)
+        reports = checks._unit_puncture(3, unit)
         if not reports:
             continue
         (space, pun, block), = seen

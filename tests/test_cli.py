@@ -203,11 +203,23 @@ def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "bogus"]) == 2
 
 
-def test_verify_max_space_notation(capsys):
-    rc = main(["verify", "--suite", "ball-nesting", "--trials", "2",
-               "--max-space", "2^24"])
-    assert rc == 0
-    capsys.readouterr()
+def test_max_space_notation(lee_span, capsys):
+    """--max-space takes base^exp; the code's q^k = 5 codewords exceed
+    2^1 and fit 2^24."""
+    assert main(["mindist", lee_span, "--max-space", "2^1"]) == 1
+    assert "SpaceTooLarge" in capsys.readouterr().err
+    assert main(["mindist", lee_span, "--max-space", "2^24"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+
+
+@pytest.mark.parametrize("cap", ["2^-1", "0", "-5", "0^0", "2^64", "10^99999999", "2^", "x"])
+def test_max_space_rejects_caps_outside_1_to_2_63(cap, lee_span, capsys):
+    """Caps below 1, negative exponents and powers past 2^63 are usage
+    errors; 10^99999999 is refused from its exponent, not computed."""
+    with pytest.raises(SystemExit) as e:
+        main(["mindist", lee_span, f"--max-space={cap}"])
+    assert e.value.code == 2
+    assert "--max-space" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

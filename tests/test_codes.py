@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from wpbcodes import blockspace
-from wpbcodes.blockspace import BlockSpace, Labeling
+from wpbcodes.blockspace import BlockSpace, Labeling, enumeration_cap
 from wpbcodes import codes as codes_module
 from wpbcodes.codes import Code
-from wpbcodes.errors import LengthMismatch, NotAChain, NotLinear, TooFewWords
+from wpbcodes.errors import LengthMismatch, NotAChain, NotLinear, SpaceTooLarge, TooFewWords
 from wpbcodes.field import make_field
 from wpbcodes import poset as P
 from wpbcodes.weights import custom_weight, hamming_weight, lee_weight
@@ -423,3 +423,63 @@ def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
             assert perfect == [all(sum(x <= r for x in d) == 1 for d in dist) for r in range(top + 1)]
         assert 1 in sizes and max(sizes) > chunk
         assert split == ({False} if piece_codes > 1 else {True, False})
+
+
+_CAPPED_SPACE = space(3, P.chain(2), (1, 2), "lee")  # q^n = 27
+_CAPPED_GENERATORS = [(1, 2, 0), (0, 1, 1)]  # q^k = 9
+_CAPPED_WORDS = [(0, 0, 0), (1, 2, 0), (2, 2, 1)]  # q^n * |C| = 81
+# entry point -> (the count it charges, a call on fresh objects)
+_CAPPED = {
+    "all_vectors": (27, lambda s: s.all_vectors()),
+    "iter_chunks": (27, lambda s: list(s.iter_chunks())),
+    "ball": (27, lambda s: s.ball(s.zero(), 1)),
+    "weight_spectrum": (2, lambda s: s.weight_spectrum()),  # DP states on a 2-chain
+    "linear min_distance": (9, lambda s: Code.linear(s, _CAPPED_GENERATORS).min_distance()),
+    "linear covering_radius": (27, lambda s: Code.linear(s, _CAPPED_GENERATORS).covering_radius()),
+    "linear coset_table": (27, lambda s: Code.linear(s, _CAPPED_GENERATORS).coset_table()),
+    "explicit covering_radius": (81, lambda s: Code.explicit(s, _CAPPED_WORDS).covering_radius()),
+}
+
+
+@pytest.mark.parametrize("entry", _CAPPED)
+def test_each_entry_point_charges_its_count(entry):
+    """A cap one below the entry point's count raises SpaceTooLarge naming
+    the count; a cap equal to it runs."""
+    count, call = _CAPPED[entry]
+    with enumeration_cap(count - 1), pytest.raises(SpaceTooLarge, match=f" = {count} exceeds"):
+        call(_CAPPED_SPACE)
+    with enumeration_cap(count):
+        call(_CAPPED_SPACE)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the charge")
+
+
+def test_pairwise_min_charges_its_pairs_first(monkeypatch):
+    """An explicit code's minimum distance charges its |C|(|C|-1)/2 word
+    pairs before the first pair-kernel call."""
+    s = space(2, P.antichain(4), (1,) * 4)
+    words = [s.unrank(r) for r in range(6)]  # 15 pairs
+    monkeypatch.setattr(BlockSpace, "pair_weights", _refuse)
+    with enumeration_cap(14), pytest.raises(SpaceTooLarge, match="pairs = 15 exceeds"):
+        Code.explicit(s, words).min_distance()
+    monkeypatch.undo()
+    with enumeration_cap(15):
+        assert Code.explicit(s, words).min_distance() == 1
+
+
+def test_explicit_pass_charges_its_pairs_first(monkeypatch):
+    """The word-set pass charges q^n * |C| vector x word pairs, not q^n,
+    before the first pair-kernel call: here q^n = 16 fits the cap and the
+    48 pairs do not."""
+    s = space(2, P.chain(4), (1,) * 4)
+    words = [(0, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1)]
+    monkeypatch.setattr(BlockSpace, "pair_weights", _refuse)
+    with enumeration_cap(47):
+        for query in ("covering_radius", "packing_radius", "is_perfect"):
+            with pytest.raises(SpaceTooLarge, match="pairs = 48 exceeds"):
+                getattr(Code.explicit(s, words), query)()
+    monkeypatch.undo()
+    with enumeration_cap(48):
+        assert Code.explicit(s, words).covering_radius() == 3

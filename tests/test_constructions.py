@@ -1,6 +1,6 @@
 import pytest
 
-from wpbcodes.blockspace import BlockSpace, Labeling
+from wpbcodes.blockspace import BlockSpace, Labeling, enumeration_cap
 from wpbcodes.codes import Code
 from wpbcodes.constructions import (
     direct_sum_code,
@@ -13,7 +13,7 @@ from wpbcodes.constructions import (
     tensor_labeling,
     tensor_vector,
 )
-from wpbcodes.errors import FieldMismatch, LengthMismatch, OutOfRange
+from wpbcodes.errors import FieldMismatch, LengthMismatch, OutOfRange, SpaceTooLarge
 from wpbcodes.field import make_field
 from wpbcodes import poset as P
 from wpbcodes.weights import hamming_weight, lee_weight
@@ -234,3 +234,32 @@ def test_construction_provenance():
     assert r.provenance["construction"] == "tensor"
     assert r.provenance["order"] == "lex"
     assert r.code.space is r.space
+
+
+_WORD_PRODUCTS = {
+    "tensor": lambda c1, c2: tensor_code(c1, c2, "cartesian"),
+    "direct-sum": lambda c1, c2: direct_sum_code(c1, c2, "disjoint"),
+    "plotkin": lambda c1, c2: plotkin_code(c1, c2, "linear"),
+    "sum-map": sum_map_injective,
+}
+
+
+@pytest.mark.parametrize("build", _WORD_PRODUCTS)
+def test_word_products_are_charged_first(build, monkeypatch):
+    """Each construction that builds a word from every pair of codewords
+    charges the |C1| * |C2| words before it lists a codeword or calls the
+    pair kernel."""
+    s = space(2, P.chain(2), (1, 1))
+    c1 = Code.explicit(s, [(0, 0), (1, 1), (0, 1)])
+    c2 = Code.explicit(s, [(0, 0), (1, 0)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the charge")
+
+    monkeypatch.setattr(Code, "codeword_array", refuse)
+    monkeypatch.setattr(BlockSpace, "pair_weights", refuse)
+    with enumeration_cap(5), pytest.raises(SpaceTooLarge, match="words = 6 exceeds"):
+        _WORD_PRODUCTS[build](c1, c2)
+    monkeypatch.undo()
+    with enumeration_cap(6):
+        _WORD_PRODUCTS[build](c1, c2)
