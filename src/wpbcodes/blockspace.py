@@ -58,10 +58,11 @@ radius.  The states never outnumber the ideals (at most 2^s <= q^n), and
 the enumeration cap bounds them.
 
 Every computation that enumerates (vectors, codewords, vector x codeword or
-word pairs, words built, DP states) passes its count to charge before it
-starts, which raises SpaceTooLarge when the count exceeds the enumeration
-cap: DEFAULT_MAX_SPACE unless a caller sets another for a block of code
-with `with enumeration_cap(cap):`.
+word pairs, words built, DP states) or builds the kernel's piece plan
+(pieces x n entries in each of its two code matrices) passes its count to
+charge before it starts, which raises SpaceTooLarge when the count exceeds
+the enumeration cap: DEFAULT_MAX_SPACE unless a caller sets another for a
+block of code with `with enumeration_cap(cap):`.
 """
 
 from __future__ import annotations
@@ -321,10 +322,12 @@ class BlockSpace:
     def _pieces(self) -> _PiecePlan:
         """The piece plan of the pair kernel, looked up on its first call:
         t is the largest piece length with q^(2t) <= _PIECE_CODES (t >= 1
-        for every q <= 256)."""
+        for every q <= 256).  Charges its pieces x n code-matrix entries."""
         t = 1
         while self.q ** (2 * t + 2) <= _PIECE_CODES:
             t += 1
+        pieces = sum(-(-k // t) for k in self.labeling.sizes)
+        charge(pieces * self.n, "piece-plan entries")
         return _piece_plan(self.field, self.weight.table, self.labeling.sizes, t)
 
     @cached_property

@@ -45,7 +45,7 @@ from .constructions import (
 )
 from .errors import AxiomViolation
 from .field import make_field
-from .instances import Instance, derive_seed
+from .instances import Instance, derive_seed, random_rows
 from . import poset as posets
 from .weights import WeightFn, custom_weight, hamming_weight, lee_weight
 
@@ -165,18 +165,15 @@ def _random_weight(rng: random.Random, q: int, allow_table: bool = True) -> Weig
 
 
 def _random_shape(
-    rng: random.Random, q: int, s_max: int = 3, k_max: int = 2, cap: int | None = None
+    rng: random.Random, q: int, cap: int | None = None
 ) -> tuple[posets.Poset, Labeling]:
+    """1-3 blocks of size 1-2 with q^n <= cap (default _SIZE_CAP[q])."""
     cap = cap if cap is not None else _SIZE_CAP[q]
     while True:
-        s = rng.randint(1, s_max)
-        sizes = tuple(rng.randint(1, k_max) for _ in range(s))
+        s = rng.randint(1, 3)
+        sizes = tuple(rng.randint(1, 2) for _ in range(s))
         if q ** sum(sizes) <= cap:
             return _random_poset(rng, s), Labeling(sizes)
-
-
-def _random_rows(rng: random.Random, q: int, n: int, dim: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(dim))
 
 
 def _random_code(
@@ -188,7 +185,7 @@ def _random_code(
     """A random linear code; when dim_min >= 1, rows are redrawn until rank >= 1."""
     dim = rng.randint(dim_min, max(dim_min, min(space.n, dim_max)))
     while True:
-        code = Code.linear(space, _random_rows(rng, space.q, space.n, dim))
+        code = Code.linear(space, random_rows(rng, space.q, space.n, dim))
         if dim == 0 or code.size >= 2:
             return code
 
@@ -223,59 +220,45 @@ def _hamming_view(code: Code) -> Code:
 # ---------------------------------------------------------------------------
 
 
-def metric_axiom_witness(
-    space: BlockSpace,
-    rng: random.Random | None = None,
-    exhaustive_cap: int = _EXHAUSTIVE_PAIR_CAP,
-    samples: int = _RANDOM_PAIR_SAMPLES,
-) -> dict | None:
-    """None if the metric axioms hold, else a witness.
+def metric_axiom_witness(space: BlockSpace, rng: random.Random | None = None) -> dict | None:
+    """None if the metric axioms hold for the batch kernel's weights, else a
+    witness.
 
-    For q^n <= exhaustive_cap the check is exact over all pairs: identity and
-    symmetry vector-wise, and the triangle inequality in its weight form
-    w(x + y) <= w(x) + w(y), which covers every triple (u, v, z) exactly via
-    x = u - z, y = z - v.  Larger spaces fall back to seeded random pairs.
+    Identity and symmetry are checked on every vector.  The triangle
+    inequality is checked in its weight form w(x + y) <= w(x) + w(y), which
+    covers every triple (u, v, z) via x = u - z, y = z - v: on all pairs
+    when q^n <= _EXHAUSTIVE_PAIR_CAP, else on _RANDOM_PAIR_SAMPLES rank
+    pairs drawn from rng, so a failure replays from the unit's seed.
     """
-    q, n = space.q, space.n
-    if space.size <= exhaustive_cap:
-        arr = space.all_vectors()
-        w = space.batch_weights(arr)
-        if w[0] != 0:
-            return {"axiom": "identity", "vector": list(space.unrank(0))}
-        nz = np.nonzero(w[1:] == 0)[0]
-        if len(nz):
-            return {"axiom": "identity", "vector": list(space.unrank(int(nz[0]) + 1))}
-        neg_rank = space.field.neg_table[arr].astype(np.int64) @ space._radix
-        bad = np.nonzero(w[neg_rank] != w)[0]
-        if len(bad):
-            return {"axiom": "symmetry", "vector": list(space.unrank(int(bad[0])))}
-        # ranks[x, y] = rank of x + y, one coordinate at a time
-        ranks = np.zeros((len(arr), len(arr)), dtype=np.intp)
-        for j in range(n):
-            ranks += space.field.add_table[arr[:, None, j], arr[None, :, j]] * space._radix[j]
-        viol = w[ranks] > w[:, None] + w[None, :]
-        if viol.any():
-            i, j = (int(v) for v in np.argwhere(viol)[0])
-            return {
-                "axiom": "triangle",
-                "u": list(space.unrank(i)),
-                "v": list(space.unrank(j)),
-            }
-        return None
-
-    rng = rng or random.Random(0)
-    if space.wpb_weight(space.zero()) != 0:
-        return {"axiom": "identity", "vector": list(space.zero())}
-    for _ in range(samples):
-        u = tuple(rng.randrange(q) for _ in range(n))
-        v = tuple(rng.randrange(q) for _ in range(n))
-        wu, wv = space.wpb_weight(u), space.wpb_weight(v)
-        if any(u) and wu == 0:
-            return {"axiom": "identity", "vector": list(u)}
-        if space.wpb_weight(space.neg(u)) != wu:
-            return {"axiom": "symmetry", "vector": list(u)}
-        if space.wpb_weight(space.add(u, v)) > wu + wv:
-            return {"axiom": "triangle", "u": list(u), "v": list(v)}
+    arr = space.all_vectors()
+    w = space.batch_weights(arr)
+    if w[0] != 0:
+        return {"axiom": "identity", "vector": list(space.unrank(0))}
+    nz = np.nonzero(w[1:] == 0)[0]
+    if len(nz):
+        return {"axiom": "identity", "vector": list(space.unrank(int(nz[0]) + 1))}
+    neg_rank = space.field.neg_table[arr].astype(np.int64) @ space._radix
+    bad = np.nonzero(w[neg_rank] != w)[0]
+    if len(bad):
+        return {"axiom": "symmetry", "vector": list(space.unrank(int(bad[0])))}
+    if space.size <= _EXHAUSTIVE_PAIR_CAP:
+        # (N, 1) and (1, N) index arrays broadcast to every pair
+        xs, ys = np.ogrid[: space.size, : space.size]
+    else:
+        rng = rng or random.Random(0)
+        picks = [rng.randrange(space.size) for _ in range(2 * _RANDOM_PAIR_SAMPLES)]
+        xs, ys = np.array(picks, dtype=np.intp).reshape(2, -1)
+    pairs = np.broadcast_arrays(xs, ys)  # read-only views, no copies
+    # the rank of x + y for each pair, one coordinate at a time, then its
+    # weight, both in place in one intp array
+    sums = np.zeros(pairs[0].shape, dtype=np.intp)
+    for j in range(space.n):
+        sums += (space.field.add_table * space._radix[j])[arr[xs, j], arr[ys, j]]
+    np.take(w, sums, out=sums)
+    viol = np.flatnonzero(sums > w[xs] + w[ys])
+    if len(viol):
+        u, v = (space.unrank(int(p.flat[viol[0]])) for p in pairs)
+        return {"axiom": "triangle", "u": list(u), "v": list(v)}
     return None
 
 
@@ -287,8 +270,8 @@ def _unit_metric_axioms(
     q = _pick_q(rng, [2, 3, 5], q_filter)
     if q is None:
         return []
-    cap = 1024 if q == 2 else _SIZE_CAP[q] * (25 if q == 5 else 1)  # q=5 may go randomized
-    pos, lab = _random_shape(rng, q, s_max=3, k_max=2, cap=cap)
+    # q = 5 reaches 5^6 vectors, past the exhaustive pair cap
+    pos, lab = _random_shape(rng, q, cap=_SIZE_CAP[q] * (25 if q == 5 else 1))
     weight = _random_weight(rng, q)
     space = BlockSpace(pos, lab, make_field(q), weight)
     inst = Instance.from_parts(space, Code.linear(space, []))
@@ -338,7 +321,7 @@ def _unit_reductions(
         q = _pick_q(rng, [2, 3, 5], q_filter)
         if q is None:
             return []
-        _, lab = _random_shape(rng, q, s_max=3, k_max=2, cap=cap)
+        _, lab = _random_shape(rng, q, cap=cap)
         space = BlockSpace(
             posets.chain(lab.s), lab, make_field(q), hamming_weight(make_field(q))
         )
@@ -352,7 +335,7 @@ def _unit_reductions(
         q = _pick_q(rng, [2, 3], q_filter)
         if q is None:
             return []
-        pos, lab = _random_shape(rng, q, s_max=3, k_max=2, cap=cap)
+        pos, lab = _random_shape(rng, q, cap=cap)
         space = BlockSpace(pos, lab, make_field(q), hamming_weight(make_field(q)))
         arr = space.all_vectors()
         expect = np.array(
@@ -392,9 +375,9 @@ _BALL_ENVELOPE: list[tuple[int, ...]] = [
 def _unit_ball_nesting(
     seed: int, unit: int, q_filter: int | None = None
 ) -> list[CheckReport]:
-    if q_filter is not None and q_filter != 5:
+    if (q_filter is not None and q_filter != 5) or unit >= len(_BALL_ENVELOPE):
         return []
-    sizes = _BALL_ENVELOPE[unit % len(_BALL_ENVELOPE)]
+    sizes = _BALL_ENVELOPE[unit]
     child = derive_seed(seed, "ball-nesting", unit)
     q = 5
     f = make_field(q)
@@ -435,7 +418,7 @@ def _unit_chain_radii(
     q = _pick_q(rng, [2, 3, 5], q_filter)
     if q is None:
         return []
-    _, lab = _random_shape(rng, q, s_max=3, k_max=2)
+    _, lab = _random_shape(rng, q)
     space = BlockSpace(posets.chain(lab.s), lab, make_field(q), _random_weight(rng, q))
     code = _random_code(rng, space, dim_min=1, dim_max={2: 4, 3: 3, 5: 3}[q])
     inst = _instance_of(code)
@@ -480,23 +463,18 @@ def _unit_chain_radii(
 # ---------------------------------------------------------------------------
 
 
-def _sample_pair(
-    rng: random.Random,
-    q: int,
-    total_cap: int,
-    s_max: int = 3,
-    k_max: int = 2,
-    dim_max: int = 2,
-) -> tuple[Code, Code]:
+def _sample_pair(rng: random.Random, q: int) -> tuple[Code, Code]:
+    """Two codes of dimension 1-2 under one weight, on spaces whose
+    vector counts multiply to at most _SIZE_CAP[q]."""
     weight = _random_weight(rng, q, allow_table=False)
     while True:
-        p1, lab1 = _random_shape(rng, q, s_max, k_max, cap=total_cap)
-        p2, lab2 = _random_shape(rng, q, s_max, k_max, cap=total_cap)
-        if q ** (lab1.n + lab2.n) <= total_cap:
+        p1, lab1 = _random_shape(rng, q)
+        p2, lab2 = _random_shape(rng, q)
+        if q ** (lab1.n + lab2.n) <= _SIZE_CAP[q]:
             break
     f = make_field(q)
-    c1 = _random_code(rng, BlockSpace(p1, lab1, f, weight), 1, dim_max)
-    c2 = _random_code(rng, BlockSpace(p2, lab2, f, weight), 1, dim_max)
+    c1 = _random_code(rng, BlockSpace(p1, lab1, f, weight), 1, 2)
+    c2 = _random_code(rng, BlockSpace(p2, lab2, f, weight), 1, 2)
     return c1, c2
 
 
@@ -508,7 +486,7 @@ def _unit_direct_sum(
     q = _pick_q(rng, [2, 3, 5], q_filter)
     if q is None:
         return []
-    c1, c2 = _sample_pair(rng, q, total_cap=_SIZE_CAP[q])
+    c1, c2 = _sample_pair(rng, q)
     i1, i2 = _instance_of(c1), _instance_of(c2)
     u = _Unit(child, _pair_digest(i1.digest(), i2.digest()))
 
@@ -1139,10 +1117,7 @@ class Suite:
     unit_fn: Callable[[int, int, int | None], list[CheckReport]]
 
     def unit_count(self, trials: int | None) -> int:
-        n = trials if trials is not None else self.default_trials
-        if self.name == "ball-nesting":
-            return min(n, len(_BALL_ENVELOPE))
-        return n
+        return trials if trials is not None else self.default_trials
 
 
 REGISTRY: dict[str, Suite] = {

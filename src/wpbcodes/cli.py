@@ -206,19 +206,11 @@ def _cmd_construct(args) -> int:
     codes = [code for _, code in built]
 
     if kind in ("direct-sum", "plotkin"):
-        order = args.order or "disjoint"
-        if order not in ("disjoint", "linear"):
-            print(f"error: {kind} takes --order disjoint|linear", file=sys.stderr)
-            return 2
         result = (direct_sum_code if kind == "direct-sum" else plotkin_code)(
-            codes[0], codes[1], order
+            codes[0], codes[1], args.order or "disjoint"
         )
     elif kind == "tensor":
-        order = args.order or "cartesian"
-        if order not in ("cartesian", "lex"):
-            print("error: tensor takes --order cartesian|lex", file=sys.stderr)
-            return 2
-        result = tensor_code(codes[0], codes[1], order)
+        result = tensor_code(codes[0], codes[1], args.order or "cartesian")
     elif kind == "extend":
         result = extended_code(codes[0])
     else:  # puncture

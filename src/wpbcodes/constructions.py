@@ -59,10 +59,11 @@ def _sum_order_poset(p1, p2, order: str):
 
 def direct_sum_code(c1: Code, c2: Code, order: str = "disjoint") -> ConstructionResult:
     """All concatenations (u', u'') over the combined poset P (+) Q or P (u) Q."""
-    _check_compatible(c1, c2)
     s1, s2 = c1.space, c2.space
+    poset = _sum_order_poset(s1.poset, s2.poset, order)
+    _check_compatible(c1, c2)
     space = BlockSpace(
-        _sum_order_poset(s1.poset, s2.poset, order),
+        poset,
         direct_sum_labeling(s1.labeling, s2.labeling),
         s1.field,
         s1.weight,
@@ -89,14 +90,15 @@ def direct_sum_code(c1: Code, c2: Code, order: str = "disjoint") -> Construction
 
 def plotkin_code(c1: Code, c2: Code, order: str = "disjoint") -> ConstructionResult:
     """Words (u', u' + u'') for u' in C1, u'' in C2; requires equal ambient length."""
-    _check_compatible(c1, c2)
     s1, s2 = c1.space, c2.space
+    poset = _sum_order_poset(s1.poset, s2.poset, order)
+    _check_compatible(c1, c2)
     if s1.n != s2.n:
         raise LengthMismatch(
             f"(u'|u'+u'') needs equal ambient lengths, got {s1.n} and {s2.n}"
         )
     space = BlockSpace(
-        _sum_order_poset(s1.poset, s2.poset, order),
+        poset,
         direct_sum_labeling(s1.labeling, s2.labeling),
         s1.field,
         s1.weight,
@@ -224,7 +226,6 @@ def tensor_vector(
 
 def tensor_code(c1: Code, c2: Code, order: str = "cartesian") -> ConstructionResult:
     """The explicit word set {u (x) v}; generally not linear, never spanned."""
-    _check_compatible(c1, c2)
     s1, s2 = c1.space, c2.space
     if order == "cartesian":
         p = posets.cartesian_product(s1.poset, s2.poset)
@@ -232,6 +233,7 @@ def tensor_code(c1: Code, c2: Code, order: str = "cartesian") -> ConstructionRes
         p = posets.lex_product(s1.poset, s2.poset)
     else:
         raise ValueError(f"order must be 'cartesian' or 'lex', got {order!r}")
+    _check_compatible(c1, c2)
     space = BlockSpace(
         p, tensor_labeling(s1.labeling, s2.labeling), s1.field, s1.weight
     )

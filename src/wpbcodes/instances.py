@@ -257,16 +257,18 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big") >> 1
 
 
+def random_rows(rng: random.Random, q: int, n: int, dim: int) -> tuple[tuple[int, ...], ...]:
+    """dim rows of n coordinates in 0..q-1, drawn row by row from rng."""
+    return tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(dim))
+
+
 def random_linear_code(
     seed: int, q: int, poset: Poset, labeling: Labeling, dim: int
 ) -> Instance:
     """A seeded random generator-matrix instance; identical seed, identical file."""
     if dim < 0 or dim > labeling.n:
         raise ValueError(f"dim must be in 0..{labeling.n}")
-    rng = random.Random(seed)
-    rows = tuple(
-        tuple(rng.randrange(q) for _ in range(labeling.n)) for _ in range(dim)
-    )
+    rows = random_rows(random.Random(seed), q, labeling.n, dim)
     return Instance(
         q=q,
         weight_kind="hamming",

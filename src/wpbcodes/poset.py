@@ -94,10 +94,6 @@ class Poset:
     def principal(self, i: int) -> frozenset[int]:
         return self.ideal((i,))
 
-    def strict_principal(self, i: int) -> frozenset[int]:
-        """principal(i) minus i itself: everything strictly below i."""
-        return self.principal(i) - {i}
-
     def maximal_elements(self, members: Iterable[int]) -> frozenset[int]:
         """Maximal elements of an ideal; raises NotAnIdeal if not downward closed."""
         ideal = frozenset(members)

@@ -41,12 +41,6 @@ class WeightFn:
     def min_nonzero_weight(self) -> int:
         return min(self.table[1:])
 
-    def spec(self) -> dict:
-        """JSON-serializable form used in instance files."""
-        if self.name in ("hamming", "lee"):
-            return {"kind": self.name}
-        return {"kind": "table", "values": list(self.table)}
-
     def __repr__(self) -> str:
         return f"WeightFn({self.name}, q={self.field.q})"
 

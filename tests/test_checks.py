@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -133,6 +134,38 @@ def test_metric_axiom_witness_flags_broken_weight():
     space = BlockSpace(P.chain(1), Labeling((1,)), f, w)
     witness = metric_axiom_witness(space)
     assert witness is not None and witness["axiom"] == "triangle"
+
+
+@pytest.mark.parametrize("sizes", [(1,) * 5, (5,)])
+def test_metric_axiom_witness_samples_large_spaces(sizes):
+    """Past 2,048 vectors the triangle inequality is checked on seeded rank
+    pairs and symmetry still on every vector: on 5^5 vectors (five 1-blocks,
+    or one block the kernel cuts into two pieces) a planted non-subadditive
+    table gives a triangle witness for each seed, an asymmetric one a
+    symmetry witness; the scalar weight confirms both."""
+    f = make_field(5)
+    pos = P.antichain(len(sizes))
+
+    def planted(table):
+        w = hamming_weight(f)
+        object.__setattr__(w, "table", table)
+        return BlockSpace(pos, Labeling(sizes), f, w)
+
+    space = planted((0, 1, 3, 3, 1))
+    assert space.size == 3125
+    for seed in range(5):
+        witness = metric_axiom_witness(space, random.Random(seed))
+        assert witness is not None and witness["axiom"] == "triangle"
+        u, v = witness["u"], witness["v"]
+        assert space.wpb_weight(space.add(u, v)) > space.wpb_weight(u) + space.wpb_weight(v)
+        assert witness == metric_axiom_witness(space, random.Random(seed))
+
+    space = planted((0, 1, 2, 1, 1))
+    for seed in range(5):
+        witness = metric_axiom_witness(space, random.Random(seed))
+        assert witness is not None and witness["axiom"] == "symmetry"
+        vec = witness["vector"]
+        assert space.wpb_weight(space.neg(vec)) != space.wpb_weight(vec)
 
 
 def test_packing_equality_soft_discrepancy_known_case():

@@ -150,6 +150,23 @@ def test_construct_tensor(rep3, capsys):
     assert doc["labeling"] == [1] * 9
 
 
+@pytest.mark.parametrize(
+    "kind, order, message",
+    [
+        ("direct-sum", "lex", "order must be 'disjoint' or 'linear', got 'lex'"),
+        ("plotkin", "lex", "order must be 'disjoint' or 'linear', got 'lex'"),
+        ("tensor", "linear", "order must be 'cartesian' or 'lex', got 'linear'"),
+    ],
+    ids=["direct-sum", "plotkin", "tensor"],
+)
+def test_construct_wrong_order(rep3, lee_span, capsys, kind, order, message):
+    """An order the construction does not take exits 2 with the
+    construction's message, also for inputs over different fields."""
+    for second in (rep3, lee_span):
+        assert main(["construct", kind, rep3, second, "--order", order]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 def test_construct_wrong_arity(rep3, capsys):
     assert main(["construct", "direct-sum", rep3]) == 2
     assert main(["construct", "extend", rep3, rep3]) == 2

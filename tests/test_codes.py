@@ -10,6 +10,7 @@ from wpbcodes import codes as codes_module
 from wpbcodes.codes import Code
 from wpbcodes.errors import LengthMismatch, NotAChain, NotLinear, SpaceTooLarge, TooFewWords
 from wpbcodes.field import make_field
+from wpbcodes.instances import random_rows
 from wpbcodes import poset as P
 from wpbcodes.weights import custom_weight, hamming_weight, lee_weight
 
@@ -215,8 +216,7 @@ def test_linear_min_weight_equals_min_pairwise():
         if sp.size > 4096:
             continue
         dim = rng.randrange(1, min(sp.n, 3) + 1)
-        rows = [[rng.randrange(q) for _ in range(sp.n)] for _ in range(dim)]
-        c = Code.linear(sp, rows)
+        c = Code.linear(sp, random_rows(rng, q, sp.n, dim))
         if c.size < 2:
             continue
         words = c.codewords()
@@ -252,8 +252,7 @@ def test_covering_radius_equals_max_coset_weight():
         if sp.size > 1024:
             continue
         dim = rng.randrange(0, min(sp.n, 3) + 1)
-        rows = [[rng.randrange(q) for _ in range(sp.n)] for _ in range(dim)]
-        c = Code.linear(sp, rows)
+        c = Code.linear(sp, random_rows(rng, q, sp.n, dim))
         explicit = Code.explicit(sp, c.codewords()).covering_radius()
         assert c.covering_radius() == c.coset_table().max_weight == explicit
 
@@ -283,7 +282,7 @@ def _random_linear_code(rng):
     sp = BlockSpace(pos, Labeling(sizes), f, w)
     k = rng.randrange(0, sp.n + 1)
     while True:
-        c = Code.linear(sp, [[rng.randrange(q) for _ in range(sp.n)] for _ in range(k)])
+        c = Code.linear(sp, random_rows(rng, q, sp.n, k))
         if c.dimension == k:
             return c
 
@@ -438,6 +437,12 @@ _CAPPED = {
     "linear covering_radius": (27, lambda s: Code.linear(s, _CAPPED_GENERATORS).covering_radius()),
     "linear coset_table": (27, lambda s: Code.linear(s, _CAPPED_GENERATORS).coset_table()),
     "explicit covering_radius": (81, lambda s: Code.explicit(s, _CAPPED_WORDS).covering_radius()),
+    # pieces x n on a fresh GF(2) space: blocks of 9 and 11 cut into pieces
+    # of at most 8 coordinates make 2 + 2 pieces, times n = 20
+    "piece plan": (
+        80,
+        lambda s: space(2, P.antichain(2), (9, 11)).batch_weights(np.zeros((1, 20), np.uint8)),
+    ),
 }
 
 
@@ -458,8 +463,9 @@ def _refuse(*args, **kwargs):
 
 def test_pairwise_min_charges_its_pairs_first(monkeypatch):
     """An explicit code's minimum distance charges its |C|(|C|-1)/2 word
-    pairs before the first pair-kernel call."""
-    s = space(2, P.antichain(4), (1,) * 4)
+    pairs before the first pair-kernel call.  The space is small enough
+    that its piece plan (3 x 3 entries) fits the cap as well."""
+    s = space(2, P.antichain(3), (1,) * 3)
     words = [s.unrank(r) for r in range(6)]  # 15 pairs
     monkeypatch.setattr(BlockSpace, "pair_weights", _refuse)
     with enumeration_cap(14), pytest.raises(SpaceTooLarge, match="pairs = 15 exceeds"):

@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wpbcodes.cli import main
 from wpbcodes.errors import ConsistencyError, ParseError
@@ -13,6 +17,7 @@ from wpbcodes.instances import (
     random_linear_code,
     save_instance,
 )
+from wpbcodes.field import make_field
 from wpbcodes.poset import chain
 from wpbcodes.blockspace import Labeling
 
@@ -174,3 +179,101 @@ def test_non_integers_are_rejected_with_their_path(key, value, path, tmp_path, c
     bad.write_text(json.dumps(doc))
     assert main(["mindist", str(bad)]) == 2
     assert f"error: {path}: " in capsys.readouterr().err
+
+
+@st.composite
+def valid_documents(draw):
+    """Instance documents that load: every weight kind, posets given by any
+    set of pairs a < b, both code kinds."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7]))
+    kind = draw(st.sampled_from(["hamming", "table"] + (["lee"] if q != 4 else [])))
+    weight = {"kind": kind}
+    if kind == "table":
+        # w(-a) = w(a) and every nonzero value in {1, 2}: a valid weight
+        neg, values = make_field(q).neg, [0] * q
+        for a in range(1, q):
+            values[a] = values[neg(a)] if neg(a) < a else draw(st.integers(1, 2))
+        weight["values"] = values
+    s = draw(st.integers(1, 3))
+    pairs = [[a, b] for a in range(1, s + 1) for b in range(a + 1, s + 1)]
+    cover = draw(st.lists(st.sampled_from(pairs), unique_by=tuple)) if pairs else []
+    labeling = draw(st.lists(st.integers(1, 2), min_size=s, max_size=s))
+    row = st.lists(st.integers(0, q - 1), min_size=sum(labeling), max_size=sum(labeling))
+    if draw(st.booleans()):
+        code = {"kind": "generator", "rows": draw(st.lists(row, max_size=3))}
+    else:
+        code = {"kind": "list", "words": draw(st.lists(row, min_size=1, max_size=4))}
+    return {
+        "field": {"q": q},
+        "weight": weight,
+        "poset": {"elements": s, "cover": cover},
+        "labeling": labeling,
+        "code": code,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=valid_documents())
+def test_instances_round_trip(doc):
+    """load(save(x)) == x, and saving is idempotent, for generated valid
+    instances."""
+    inst = instance_from_json_dict(doc)
+    text = dumps_instance(inst)
+    assert loads_instance(text) == inst
+    assert dumps_instance(loads_instance(text)) == text
+
+
+# Random JSON for mutations.  Integers stay at most 2^10: the loader bounds
+# neither block sizes nor the poset size, and a document asking for a
+# space of ~2^30 coordinates would allocate gigabytes while it loads.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 1 << 10) | st.floats() | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+def _paths(node, path=()):
+    """Every path (a tuple of keys and indices) into a JSON document."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=valid_documents(), data=st.data())
+def test_mutated_documents_exit_2_or_load(doc, data, tmp_path_factory):
+    """Drop one key or swap one value for random JSON in a valid document.
+    A document that loads_instance rejects makes the CLI exit 2 with an
+    error line; no document lets an exception escape main."""
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if path and data.draw(st.booleans()):
+        del parent[path[-1]]
+    elif path:
+        parent[path[-1]] = data.draw(_JSON)
+    else:
+        doc = data.draw(_JSON)
+    text = json.dumps(doc)
+    try:
+        loads_instance(text)
+        rejected = False
+    except (ConsistencyError, ParseError):
+        rejected = True
+    file = tmp_path_factory.mktemp("mutated") / "doc.json"
+    file.write_text(text)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["mindist", str(file), "--max-space", "2^12"])
+    if rejected:
+        assert code == 2 and err.getvalue().startswith("error: ")
+    else:
+        assert code in (0, 1)

@@ -39,8 +39,6 @@ def test_ideal_examples():
     vee = P.from_cover_relations(4, [(1, 3), (2, 3)])
     assert vee.ideal({3, 4}) == {1, 2, 3, 4}
     assert vee.principal(3) == {1, 2, 3}
-    assert vee.strict_principal(3) == {1, 2}
-    assert P.chain(3).strict_principal(1) == frozenset()
 
 
 def test_maximal_elements():
