@@ -72,7 +72,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -213,13 +213,17 @@ class BlockSpace:
     def _coerce_rows(self, rows: Iterable[Sequence[int]]) -> np.ndarray:
         """Vectors validated as one (m, n) uint8 array: every row of length
         n, every coordinate an integer (floats, bools and other types are
-        rejected, not truncated) in 0..q-1."""
+        rejected, not truncated) in 0..q-1.  numpy upcasts bools mixed with
+        ints, so rows that are not one array are scanned for bools."""
+        scan = not isinstance(rows, np.ndarray)
         rows = list(rows)
         short = next((len(r) for r in rows if len(r) != self.n), None)
         if short is not None:
             raise LengthMismatch(f"vector has length {short}, ambient n={self.n}")
         if not rows:
             return np.zeros((0, self.n), dtype=np.uint8)
+        if scan and not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(rows))):
+            raise ValueError(f"coordinates must be integers in 0..{self.q - 1}, got a bool")
         arr = np.array(rows).reshape(len(rows), self.n)
         if arr.dtype.kind not in "iu":
             raise ValueError(f"coordinates must be integers in 0..{self.q - 1}, got {arr.dtype}")
@@ -341,14 +345,6 @@ class BlockSpace:
         below = (blockmax > 0).astype(np.float32) @ self._strict > 0
         return np.where(below, self.weight.max_weight, blockmax).sum(axis=1, dtype=np.int64)
 
-    def batch_sub(self, arr: np.ndarray, v: Sequence[int]) -> np.ndarray:
-        row = np.asarray(self._coerce(v), dtype=np.uint8)
-        return self.field.sub_table[arr, row[None, :]]
-
-    def vector_rank(self, u: Sequence[int]) -> int:
-        """Position of u in odometer enumeration order."""
-        return int(np.dot(np.asarray(self._coerce(u), dtype=np.int64), self._radix))
-
     def unrank(self, r: int) -> Vector:
         return tuple(int(r // self._radix[i] % self.q) for i in range(self.n))
 
@@ -369,10 +365,10 @@ class BlockSpace:
         """All v with d(center, v) <= radius, in odometer order."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        c = self._coerce(center)
+        c = np.asarray(self._coerce(center), dtype=np.uint8)
         out: list[Vector] = []
         for _, arr in self.iter_chunks():
-            d = self.batch_weights(self.batch_sub(arr, c))
+            d = self.batch_weights(self.field.sub_table[arr, c[None, :]])
             for row in arr[d <= radius]:
                 out.append(tuple(int(x) for x in row))
         return out

@@ -12,10 +12,14 @@ emitting one CheckReport per (check, instance).  Statuses:
                       gaps or intricate side conditions) is violated; logged
                       as a finding with a witness, not a build failure
 
-Determinism: unit i of suite S under master seed m uses the derived seed
-h(m, S, i), so any report replays from (seed, digest) alone.  Reports sort
-canonically by (check, digest, seed); their serialized form excludes
-timing, so parallel and serial runs emit byte-identical output.
+Each suite is declared once, by ``@suite(name, tags, trials, pools,
+checks)`` on its unit body; the declaration registers it in REGISTRY.  Unit
+i of suite S under master seed m uses the derived seed h(m, S, i) and draws
+its field size q first, from pools[i % len(pools)], so any report replays
+from (seed, digest) alone.  A body that emits a check id its suite did not
+declare raises.  Reports sort canonically by (check, digest, seed); their
+serialized form excludes timing, so parallel and serial runs emit
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -80,15 +84,23 @@ class CheckReport:
 
 
 class _Unit:
-    """Report collector for one (instance, seed) evaluation."""
+    """Report collector for one (instance, seed) evaluation of a suite that
+    declares the check ids in ``checks``."""
 
-    def __init__(self, seed: int, digest: str):
+    def __init__(self, seed: int, checks: tuple[str, ...]):
         self.seed = seed
-        self.digest = digest
+        self.checks = checks
+        self.digest = ""
         self.reports: list[CheckReport] = []
+
+    def start(self, digest: str) -> None:
+        """Name the instance under test; report timing starts here."""
+        self.digest = digest
         self._t0 = time.perf_counter()
 
     def _emit(self, check: str, status: str, witness: dict | None) -> None:
+        if check not in self.checks:
+            raise RuntimeError(f"check {check!r} is not declared by its suite")
         now = time.perf_counter()
         self.reports.append(
             CheckReport(check, self.digest, self.seed, status, witness, now - self._t0)
@@ -103,6 +115,51 @@ class _Unit:
 
     def na(self, check: str, reason: str) -> None:
         self._emit(check, "not-applicable", {"reason": reason})
+
+
+@dataclass(frozen=True)
+class Suite:
+    name: str
+    tags: frozenset[str]
+    checks: tuple[str, ...]
+    default_trials: int
+    unit_fn: Callable[[int, int, int | None], list[CheckReport]]
+
+
+# suite name -> Suite, in declaration order (the order of --list and of the tasks)
+REGISTRY: dict[str, Suite] = {}
+
+
+def suite(
+    name: str,
+    tags: Iterable[str],
+    trials: int,
+    pools: Sequence[Sequence[int]],
+    checks: tuple[str, ...],
+) -> Callable:
+    """Declare a suite whose unit body is ``body(u, rng, q, unit)``.
+
+    Unit i of the suite runs on the derived seed h(seed, name, i): it seeds
+    rng, draws q from pools[i % len(pools)] (or takes the q filter when that
+    pool holds it, else emits nothing), and hands the body a _Unit that
+    accepts only ``checks``.  The body names its instance with u.start.
+    """
+
+    def register(body: Callable[[_Unit, random.Random, int, int], None]) -> Callable:
+        def unit_fn(seed: int, unit: int, q_filter: int | None = None) -> list[CheckReport]:
+            child = derive_seed(seed, name, unit)
+            rng = random.Random(child)
+            q = _pick_q(rng, pools[unit % len(pools)], q_filter)
+            if q is None:
+                return []
+            u = _Unit(child, checks)
+            body(u, rng, q, unit)
+            return u.reports
+
+        REGISTRY[name] = Suite(name, frozenset(tags), checks, trials, unit_fn)
+        return body
+
+    return register
 
 
 def _pair_digest(*parts: str) -> str:
@@ -129,7 +186,7 @@ def _random_poset(rng: random.Random, s: int) -> posets.Poset:
     return posets.from_cover_relations(s, covers)
 
 
-def _pick_q(rng: random.Random, pool: list[int], q_filter: int | None) -> int | None:
+def _pick_q(rng: random.Random, pool: Sequence[int], q_filter: int | None) -> int | None:
     """Field size for this unit: the filter when it lies in the suite's pool,
     a seeded choice otherwise; None skips the unit entirely."""
     if q_filter is not None:
@@ -202,7 +259,7 @@ def _covering_with_oracle(unit: _Unit, code: Code, label: str) -> int:
         return code.covering_radius()
     coset_max = code.coset_table().max_weight
     rho = code.covering_radius()
-    scan = Code.explicit(code.space, code.codewords()).covering_radius()
+    scan = Code.explicit(code.space, code.codeword_array()).covering_radius()
     unit.hard(
         "covering-oracle",
         rho == coset_max == scan,
@@ -262,23 +319,16 @@ def metric_axiom_witness(space: BlockSpace, rng: random.Random | None = None) ->
     return None
 
 
-def _unit_metric_axioms(
-    seed: int, unit: int, q_filter: int | None = None
-) -> list[CheckReport]:
-    child = derive_seed(seed, "metric-axioms", unit)
-    rng = random.Random(child)
-    q = _pick_q(rng, [2, 3, 5], q_filter)
-    if q is None:
-        return []
+@suite("metric-axioms", {"metric", "axioms"}, 50, [[2, 3, 5]], ("metric-axioms",))
+def _unit_metric_axioms(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
     # q = 5 reaches 5^6 vectors, past the exhaustive pair cap
     pos, lab = _random_shape(rng, q, cap=_SIZE_CAP[q] * (25 if q == 5 else 1))
     weight = _random_weight(rng, q)
     space = BlockSpace(pos, lab, make_field(q), weight)
     inst = Instance.from_parts(space, Code.linear(space, []))
-    u = _Unit(child, inst.digest())
+    u.start(inst.digest())
     witness = metric_axiom_witness(space, rng)
     u.hard("metric-axioms", witness is None, witness or {})
-    return u.reports
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +336,18 @@ def _unit_metric_axioms(
 # ---------------------------------------------------------------------------
 
 
-def _unit_reductions(
-    seed: int, unit: int, q_filter: int | None = None
-) -> list[CheckReport]:
-    child = derive_seed(seed, "reductions", unit)
-    rng = random.Random(child)
+@suite(
+    "reductions",
+    {"metric"},
+    48,
+    [[2, 3, 5], [3, 5, 7], [2, 3, 5], [2, 3]],
+    ("reduction-hamming", "reduction-lee", "reduction-nrt", "reduction-poset-block"),
+)
+def _unit_reductions(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
     which = unit % 4
     cap = 1024
 
     if which == 0:  # trivial blocks + antichain + Hamming -> Hamming weight
-        q = _pick_q(rng, [2, 3, 5], q_filter)
-        if q is None:
-            return []
         n = rng.randint(1, {2: 10, 3: 6, 5: 4}[q])
         space = BlockSpace(
             posets.antichain(n), Labeling((1,) * n), make_field(q), hamming_weight(make_field(q))
@@ -306,9 +356,6 @@ def _unit_reductions(
         expect = (arr != 0).sum(axis=1)
         name = "reduction-hamming"
     elif which == 1:  # trivial blocks + antichain + Lee -> Lee weight
-        q = _pick_q(rng, [3, 5, 7], q_filter)
-        if q is None:
-            return []
         n = rng.randint(1, {3: 6, 5: 4, 7: 3}[q])
         space = BlockSpace(
             posets.antichain(n), Labeling((1,) * n), make_field(q), lee_weight(make_field(q))
@@ -318,9 +365,6 @@ def _unit_reductions(
         expect = np.minimum(a, q - a).sum(axis=1)
         name = "reduction-lee"
     elif which == 2:  # chain + Hamming -> NRT block weight (top nonzero block index)
-        q = _pick_q(rng, [2, 3, 5], q_filter)
-        if q is None:
-            return []
         _, lab = _random_shape(rng, q, cap=cap)
         space = BlockSpace(
             posets.chain(lab.s), lab, make_field(q), hamming_weight(make_field(q))
@@ -332,9 +376,6 @@ def _unit_reductions(
             expect = np.where((arr[:, sl] != 0).any(axis=1), i, expect)
         name = "reduction-nrt"
     else:  # any poset + Hamming -> poset block weight |ideal(supp)|
-        q = _pick_q(rng, [2, 3], q_filter)
-        if q is None:
-            return []
         pos, lab = _random_shape(rng, q, cap=cap)
         space = BlockSpace(pos, lab, make_field(q), hamming_weight(make_field(q)))
         arr = space.all_vectors()
@@ -348,7 +389,7 @@ def _unit_reductions(
         name = "reduction-poset-block"
 
     inst = Instance.from_parts(space, Code.linear(space, []))
-    u = _Unit(child, inst.digest())
+    u.start(inst.digest())
     got = space.batch_weights(arr)
     bad = np.nonzero(got != expect)[0]
     witness = {}
@@ -360,7 +401,6 @@ def _unit_reductions(
             "oracle": int(expect[r]),
         }
     u.hard(name, len(bad) == 0, witness)
-    return u.reports
 
 
 # ---------------------------------------------------------------------------
@@ -372,18 +412,15 @@ _BALL_ENVELOPE: list[tuple[int, ...]] = [
 ]
 
 
-def _unit_ball_nesting(
-    seed: int, unit: int, q_filter: int | None = None
-) -> list[CheckReport]:
-    if (q_filter is not None and q_filter != 5) or unit >= len(_BALL_ENVELOPE):
-        return []
+@suite("ball-nesting", {"balls", "chain"}, len(_BALL_ENVELOPE), [[5]], ("ball-nesting-chain",))
+def _unit_ball_nesting(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
+    if unit >= len(_BALL_ENVELOPE):
+        return
     sizes = _BALL_ENVELOPE[unit]
-    child = derive_seed(seed, "ball-nesting", unit)
-    q = 5
     f = make_field(q)
     space = BlockSpace(posets.chain(len(sizes)), Labeling(sizes), f, lee_weight(f))
     inst = Instance.from_parts(space, Code.linear(space, []))
-    u = _Unit(child, inst.digest())
+    u.start(inst.digest())
     arr = space.all_vectors()
     wl = space.batch_weights(arr)
     wh = space.hamming_sibling().batch_weights(arr)
@@ -402,7 +439,6 @@ def _unit_ball_nesting(
         if not ok:
             break
     u.hard("ball-nesting-chain", ok, witness)
-    return u.reports
 
 
 # ---------------------------------------------------------------------------
@@ -410,19 +446,23 @@ def _unit_ball_nesting(
 # ---------------------------------------------------------------------------
 
 
-def _unit_chain_radii(
-    seed: int, unit: int, q_filter: int | None = None
-) -> list[CheckReport]:
-    child = derive_seed(seed, "chain-radii", unit)
-    rng = random.Random(child)
-    q = _pick_q(rng, [2, 3, 5], q_filter)
-    if q is None:
-        return []
+@suite(
+    "chain-radii",
+    {"radii", "chain"},
+    200,
+    [[2, 3, 5]],
+    (
+        "packing-radius-chain-lower",
+        "packing-radius-chain-equality",
+        "covering-radius-chain",
+        "covering-oracle",
+    ),
+)
+def _unit_chain_radii(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
     _, lab = _random_shape(rng, q)
     space = BlockSpace(posets.chain(lab.s), lab, make_field(q), _random_weight(rng, q))
     code = _random_code(rng, space, dim_min=1, dim_max={2: 4, 3: 3, 5: 3}[q])
-    inst = _instance_of(code)
-    u = _Unit(child, inst.digest())
+    u.start(_instance_of(code).digest())
 
     mw = space.weight.max_weight
     m_small = space.weight.min_nonzero_weight
@@ -455,7 +495,6 @@ def _unit_chain_radii(
         (r - 1) * mw < rho <= r * mw,
         {"covering": rho, "r": r, "M_w": mw},
     )
-    return u.reports
 
 
 # ---------------------------------------------------------------------------
@@ -478,17 +517,25 @@ def _sample_pair(rng: random.Random, q: int) -> tuple[Code, Code]:
     return c1, c2
 
 
-def _unit_direct_sum(
-    seed: int, unit: int, q_filter: int | None = None
-) -> list[CheckReport]:
-    child = derive_seed(seed, "direct-sum", unit)
-    rng = random.Random(child)
-    q = _pick_q(rng, [2, 3, 5], q_filter)
-    if q is None:
-        return []
+@suite(
+    "direct-sum",
+    {"constructions"},
+    100,
+    [[2, 3, 5]],
+    (
+        "dsum-mindist-disjoint",
+        "dsum-mindist-linear",
+        "dsum-covering-disjoint",
+        "dsum-covering-linear",
+        "dsum-coset-leader-disjoint",
+        "dsum-coset-leader-linear",
+        "covering-oracle",
+    ),
+)
+def _unit_direct_sum(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
     c1, c2 = _sample_pair(rng, q)
     i1, i2 = _instance_of(c1), _instance_of(c2)
-    u = _Unit(child, _pair_digest(i1.digest(), i2.digest()))
+    u.start(_pair_digest(i1.digest(), i2.digest()))
 
     mw = c1.space.weight.max_weight
     d1 = c1.min_distance()
@@ -545,7 +592,6 @@ def _unit_direct_sum(
             if not ok:
                 break
         u.hard(f"dsum-coset-leader-{label}", ok, witness)
-    return u.reports
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +599,22 @@ def _unit_direct_sum(
 # ---------------------------------------------------------------------------
 
 
-def _unit_plotkin(
-    seed: int, unit: int, q_filter: int | None = None
-) -> list[CheckReport]:
-    child = derive_seed(seed, "plotkin", unit)
-    rng = random.Random(child)
-    q = _pick_q(rng, [2, 3, 5], q_filter)
-    if q is None:
-        return []
+@suite(
+    "plotkin",
+    {"constructions"},
+    100,
+    [[2, 3, 5]],
+    (
+        "plotkin-mindist-disjoint",
+        "plotkin-mindist-linear",
+        "plotkin-refined-disjoint",
+        "plotkin-refined-linear",
+        "plotkin-covering-disjoint",
+        "plotkin-covering-linear",
+        "covering-oracle",
+    ),
+)
+def _unit_plotkin(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
     cap = _SIZE_CAP[q]
     weight = _random_weight(rng, q, allow_table=False)
     f = make_field(q)
@@ -580,7 +634,7 @@ def _unit_plotkin(
     c1 = _random_code(rng, BlockSpace(p1, lab1, f, weight), 1, 2)
     c2 = _random_code(rng, BlockSpace(p2, lab2, f, weight), 1, 2)
     i1, i2 = _instance_of(c1), _instance_of(c2)
-    u = _Unit(child, _pair_digest(i1.digest(), i2.digest()))
+    u.start(_pair_digest(i1.digest(), i2.digest()))
 
     mw = weight.max_weight
     d1 = c1.min_distance()
@@ -634,7 +688,6 @@ def _unit_plotkin(
         rho_lin <= c1.space.s * mw + rho2,
         {"rho": rho_lin, "s": c1.space.s, "M_w": mw, "rho2": rho2},
     )
-    return u.reports
 
 
 def _random_partition(rng: random.Random, n: int, parts: int) -> tuple[int, ...] | None:
@@ -653,14 +706,14 @@ def _random_partition(rng: random.Random, n: int, parts: int) -> tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-def _unit_extend(
-    seed: int, unit: int, q_filter: int | None = None
-) -> list[CheckReport]:
-    child = derive_seed(seed, "extend", unit)
-    rng = random.Random(child)
-    q = _pick_q(rng, [2, 3, 5], q_filter)
-    if q is None:
-        return []
+@suite(
+    "extend",
+    {"constructions"},
+    100,
+    [[2, 3, 5]],
+    ("extend-mindist", "extend-covering", "covering-oracle"),
+)
+def _unit_extend(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
     cap = _SIZE_CAP[q]
     while True:
         pos, lab = _random_shape(rng, q, cap=cap)
@@ -668,8 +721,7 @@ def _unit_extend(
             break
     space = BlockSpace(pos, lab, make_field(q), _random_weight(rng, q))
     code = _random_code(rng, space, 1, 2)
-    inst = _instance_of(code)
-    u = _Unit(child, inst.digest())
+    u.start(_instance_of(code).digest())
 
     ext = extended_code(code).code
     mw = space.weight.max_weight
@@ -682,7 +734,6 @@ def _unit_extend(
     u.hard(
         "extend-covering", rho <= rho_e <= rho + mw, {"rho": rho, "rho_ext": rho_e, "M_w": mw}
     )
-    return u.reports
 
 
 # ---------------------------------------------------------------------------
@@ -690,14 +741,14 @@ def _unit_extend(
 # ---------------------------------------------------------------------------
 
 
-def _unit_puncture(
-    seed: int, unit: int, q_filter: int | None = None
-) -> list[CheckReport]:
-    child = derive_seed(seed, "puncture", unit)
-    rng = random.Random(child)
-    q = _pick_q(rng, [2, 3, 5], q_filter)
-    if q is None:
-        return []
+@suite(
+    "puncture",
+    {"constructions"},
+    100,
+    [[2, 3, 5]],
+    ("puncture-vector-weight", "puncture-mindist", "puncture-covering", "covering-oracle"),
+)
+def _unit_puncture(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
     while True:
         pos, lab = _random_shape(rng, q)
         if lab.s >= 2:
@@ -705,8 +756,7 @@ def _unit_puncture(
     space = BlockSpace(pos, lab, make_field(q), _random_weight(rng, q))
     code = _random_code(rng, space, 1, {2: 4, 3: 3, 5: 2}[q])
     block = rng.randint(1, space.s)
-    inst = _instance_of(code)
-    u = _Unit(child, _pair_digest(inst.digest(), f"block={block}"))
+    u.start(_pair_digest(_instance_of(code).digest(), f"block={block}"))
 
     pun = punctured_code(code, block).code
     outside = np.ones(space.n, dtype=bool)
@@ -741,7 +791,6 @@ def _unit_puncture(
     rho = _covering_with_oracle(u, code, "code")
     rho_p = _covering_with_oracle(u, pun, "punctured")
     u.hard("puncture-covering", rho_p <= rho, {"rho": rho, "rho_punctured": rho_p})
-    return u.reports
 
 
 # ---------------------------------------------------------------------------
@@ -791,30 +840,40 @@ _SHAPE_MIX = [("chain", "antichain"), ("antichain", "antichain"), ("chain", "cha
               ("antichain", "chain")]
 
 
-def _unit_tensor_mindist(
-    seed: int, unit: int, q_filter: int | None = None
-) -> list[CheckReport]:
-    child = derive_seed(seed, "tensor-mindist", unit)
-    rng = random.Random(child)
+@suite(
+    "tensor-mindist",
+    {"constructions", "tensor"},
+    100,
+    [[2, 3, 5], [2, 3, 5], [3, 5, 7]],
+    (
+        "tensor-weight-chain-chain",
+        "tensor-mindist-car-chain-anti",
+        "tensor-mindist-car-anti-chain",
+        "tensor-mindist-car-anti-anti",
+        "tensor-mindist-car-chain-chain",
+        "tensor-mindist-lex-chain-anti",
+        "tensor-mindist-lex-chain-chain",
+        "tensor-mindist-lex-anti-anti",
+        "tensor-mindist-lex-anti-chain",
+        "tensor-trivial-car",
+        "tensor-trivial-lex-chain-anti",
+        "tensor-trivial-lex-chain-chain",
+        "tensor-lee-corollary",
+    ),
+)
+def _unit_tensor_mindist(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
     mode = unit % 3  # 0: general shapes, 1: trivial labelings, 2: Lee corollary
-    if mode == 2:
-        q = _pick_q(rng, [3, 5, 7], q_filter)
-        trivial = True
-    else:
-        q = _pick_q(rng, [2, 3, 5], q_filter)
-        trivial = mode == 1
-    if q is None:
-        return []
+    trivial = mode != 0
     shapes = _SHAPE_MIX[unit % 4]
     pair = _sample_tensor_pair(rng, q, shapes, trivial, word_cap=128, ambient_cap=None)
     if pair is None:
-        return []
+        return
     c1, c2 = pair
     if mode == 2:
         c1 = c1.with_weight(lee_weight(make_field(q)))
         c2 = c2.with_weight(lee_weight(make_field(q)))
     i1, i2 = _instance_of(c1), _instance_of(c2)
-    u = _Unit(child, _pair_digest(i1.digest(), i2.digest()))
+    u.start(_pair_digest(i1.digest(), i2.digest()))
 
     space1, space2 = c1.space, c2.space
     weight = space1.weight
@@ -953,17 +1012,33 @@ def _unit_tensor_mindist(
                 d_car == lhs == rhs,
                 dict(base, case="chain-chain", form1=lhs, form2=rhs),
             )
-    return u.reports
 
 
-def _unit_tensor_covering(
-    seed: int, unit: int, q_filter: int | None = None
-) -> list[CheckReport]:
-    child = derive_seed(seed, "tensor-covering", unit)
-    rng = random.Random(child)
-    q = _pick_q(rng, [2, 3], q_filter)
-    if q is None:
-        return []
+@suite(
+    "tensor-covering",
+    {"constructions", "tensor"},
+    100,
+    [[2, 3]],
+    (
+        "tensor-covering-lower-car",
+        "tensor-covering-lower-lex",
+        "tensor-covering-car-1a",
+        "tensor-covering-car-1b",
+        "tensor-covering-car-1c",
+        "tensor-covering-car-2a",
+        "tensor-covering-car-2b",
+        "tensor-covering-car-2c",
+        "tensor-covering-car-2d",
+        "tensor-covering-car-2e",
+        "tensor-covering-lex-1a",
+        "tensor-covering-lex-1b",
+        "tensor-covering-lex-1c",
+        "tensor-covering-lex-2a",
+        "tensor-covering-lex-2b",
+        "covering-oracle",
+    ),
+)
+def _unit_tensor_covering(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
     shapes = _SHAPE_MIX[unit % 4]
     trivial = rng.random() < 0.5
     pair = _sample_tensor_pair(
@@ -976,10 +1051,10 @@ def _unit_tensor_covering(
         dim_min=0,
     )
     if pair is None:
-        return []
+        return
     c1, c2 = pair
     i1, i2 = _instance_of(c1), _instance_of(c2)
-    u = _Unit(child, _pair_digest(i1.digest(), i2.digest()))
+    u.start(_pair_digest(i1.digest(), i2.digest()))
 
     space1, space2 = c1.space, c2.space
     weight = space1.weight
@@ -1100,163 +1175,11 @@ def _unit_tensor_covering(
             )
         else:
             u.na("tensor-covering-lex-2b", "needs D2 = t and beta_t = 1")
-    return u.reports
 
 
 # ---------------------------------------------------------------------------
-# registry and runner
+# runner
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Suite:
-    name: str
-    tags: frozenset[str]
-    checks: tuple[str, ...]
-    default_trials: int
-    unit_fn: Callable[[int, int, int | None], list[CheckReport]]
-
-    def unit_count(self, trials: int | None) -> int:
-        return trials if trials is not None else self.default_trials
-
-
-REGISTRY: dict[str, Suite] = {
-    s.name: s
-    for s in [
-        Suite(
-            "metric-axioms",
-            frozenset({"metric", "axioms"}),
-            ("metric-axioms",),
-            50,
-            _unit_metric_axioms,
-        ),
-        Suite(
-            "reductions",
-            frozenset({"metric"}),
-            (
-                "reduction-hamming",
-                "reduction-lee",
-                "reduction-nrt",
-                "reduction-poset-block",
-            ),
-            48,
-            _unit_reductions,
-        ),
-        Suite(
-            "ball-nesting",
-            frozenset({"balls", "chain"}),
-            ("ball-nesting-chain",),
-            len(_BALL_ENVELOPE),
-            _unit_ball_nesting,
-        ),
-        Suite(
-            "chain-radii",
-            frozenset({"radii", "chain"}),
-            (
-                "packing-radius-chain-lower",
-                "packing-radius-chain-equality",
-                "covering-radius-chain",
-                "covering-oracle",
-            ),
-            200,
-            _unit_chain_radii,
-        ),
-        Suite(
-            "direct-sum",
-            frozenset({"constructions"}),
-            (
-                "dsum-mindist-disjoint",
-                "dsum-mindist-linear",
-                "dsum-covering-disjoint",
-                "dsum-covering-linear",
-                "dsum-coset-leader-disjoint",
-                "dsum-coset-leader-linear",
-                "covering-oracle",
-            ),
-            100,
-            _unit_direct_sum,
-        ),
-        Suite(
-            "plotkin",
-            frozenset({"constructions"}),
-            (
-                "plotkin-mindist-disjoint",
-                "plotkin-mindist-linear",
-                "plotkin-refined-disjoint",
-                "plotkin-refined-linear",
-                "plotkin-covering-disjoint",
-                "plotkin-covering-linear",
-                "covering-oracle",
-            ),
-            100,
-            _unit_plotkin,
-        ),
-        Suite(
-            "extend",
-            frozenset({"constructions"}),
-            ("extend-mindist", "extend-covering", "covering-oracle"),
-            100,
-            _unit_extend,
-        ),
-        Suite(
-            "puncture",
-            frozenset({"constructions"}),
-            (
-                "puncture-vector-weight",
-                "puncture-mindist",
-                "puncture-covering",
-                "covering-oracle",
-            ),
-            100,
-            _unit_puncture,
-        ),
-        Suite(
-            "tensor-mindist",
-            frozenset({"constructions", "tensor"}),
-            (
-                "tensor-weight-chain-chain",
-                "tensor-mindist-car-chain-anti",
-                "tensor-mindist-car-anti-chain",
-                "tensor-mindist-car-anti-anti",
-                "tensor-mindist-car-chain-chain",
-                "tensor-mindist-lex-chain-anti",
-                "tensor-mindist-lex-chain-chain",
-                "tensor-mindist-lex-anti-anti",
-                "tensor-mindist-lex-anti-chain",
-                "tensor-trivial-car",
-                "tensor-trivial-lex-chain-anti",
-                "tensor-trivial-lex-chain-chain",
-                "tensor-lee-corollary",
-            ),
-            100,
-            _unit_tensor_mindist,
-        ),
-        Suite(
-            "tensor-covering",
-            frozenset({"constructions", "tensor"}),
-            (
-                "tensor-covering-lower-car",
-                "tensor-covering-lower-lex",
-                "tensor-covering-car-1a",
-                "tensor-covering-car-1b",
-                "tensor-covering-car-1c",
-                "tensor-covering-car-2a",
-                "tensor-covering-car-2b",
-                "tensor-covering-car-2c",
-                "tensor-covering-car-2d",
-                "tensor-covering-car-2e",
-                "tensor-covering-lex-1a",
-                "tensor-covering-lex-1b",
-                "tensor-covering-lex-1c",
-                "tensor-covering-lex-2a",
-                "tensor-covering-lex-2b",
-                "covering-oracle",
-            ),
-            100,
-            _unit_tensor_covering,
-        ),
-    ]
-}
 
 
 def resolve_filters(filters: Sequence[str]) -> dict[str, set[str] | None]:
@@ -1324,7 +1247,7 @@ def verify_suite(
     for name in REGISTRY:
         if name not in wanted:
             continue
-        for unit in range(REGISTRY[name].unit_count(trials)):
+        for unit in range(trials if trials is not None else REGISTRY[name].default_trials):
             tasks.append((name, seed, unit, q))
     jobs = min(jobs, _usable_cpus())
     if jobs > 1:

@@ -91,9 +91,6 @@ class Poset:
             self._check(e)
         return frozenset().union(*(self._down[e - 1] for e in gen))
 
-    def principal(self, i: int) -> frozenset[int]:
-        return self.ideal((i,))
-
     def maximal_elements(self, members: Iterable[int]) -> frozenset[int]:
         """Maximal elements of an ideal; raises NotAnIdeal if not downward closed."""
         ideal = frozenset(members)
@@ -273,17 +270,8 @@ def all_posets(s: int) -> Iterator[Poset]:
         for bit, (i, j) in enumerate(pairs):
             if mask >> bit & 1:
                 leq[i][j] = True
-        if _is_partial_order(leq, s):
-            yield Poset(leq)
-
-
-def _is_partial_order(leq: list[list[bool]], s: int) -> bool:
-    for i in range(s):
-        for j in range(s):
-            if i != j and leq[i][j] and leq[j][i]:
-                return False
-            if leq[i][j]:
-                for k in range(s):
-                    if leq[j][k] and not leq[i][k]:
-                        return False
-    return True
+        try:
+            p = Poset(leq)
+        except ValueError:  # not antisymmetric or not transitive
+            continue
+        yield p

@@ -412,7 +412,6 @@ def test_odometer_enumeration_order():
         (0, 2),
         (1, 0),
     ]
-    assert s.vector_rank((1, 2)) == 5
     assert s.unrank(5) == (1, 2)
 
 

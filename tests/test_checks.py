@@ -66,6 +66,19 @@ def test_emitted_check_ids_are_declared():
                     assert rep.check in suite.checks, (name, rep.check)
 
 
+def test_emitting_an_undeclared_check_id_raises():
+    """A unit body may emit only the check ids its suite declares."""
+    unit = checks._Unit(0, ("declared",))
+    unit.start("digest")
+    unit.hard("declared", True, {})
+    for emit in (unit.hard, unit.soft):
+        with pytest.raises(RuntimeError, match="'undeclared' is not declared"):
+            emit("undeclared", True, {})
+    with pytest.raises(RuntimeError, match="not declared"):
+        unit.na("undeclared", "reason")
+    assert [r.check for r in unit.reports] == ["declared"]
+
+
 @pytest.mark.parametrize("affinity", [True, False])
 @pytest.mark.parametrize("jobs,cpus,pool", [(64, 2, [2]), (2, 1, []), (3, 4, [3])])
 def test_pool_size_is_clamped_to_usable_cpus(jobs, cpus, pool, affinity, monkeypatch):
@@ -212,7 +225,7 @@ def test_puncture_vector_weight_witness_is_first_violating_sample(monkeypatch):
     statuses, ranks = set(), set()
     for unit in range(30):
         seen.clear()
-        reports = checks._unit_puncture(3, unit)
+        reports = REGISTRY["puncture"].unit_fn(3, unit, None)
         if not reports:
             continue
         (space, pun, block), = seen

@@ -182,10 +182,16 @@ def test_missing_file_exit_code(capsys):
     assert main(["mindist", "/no/such/file.json"]) == 2
 
 
+# md5 of `wpbcodes verify --list`: every suite name, tag, trial count and
+# check id of the catalog
+VERIFY_LIST_MD5 = "bbf36ef1fde1b4b1c59f2a136de33b95"
+
+
 def test_verify_list(capsys):
     assert main(["verify", "--list"]) == 0
     out = capsys.readouterr().out
     assert "metric-axioms" in out and "tensor-covering" in out
+    assert hashlib.md5(out.encode()).hexdigest() == VERIFY_LIST_MD5
 
 
 def test_verify_runs_and_reports(capsys, tmp_path):
@@ -209,9 +215,11 @@ def test_verify_runs_and_reports(capsys, tmp_path):
 VERIFY_SEED_0_MD5 = "ac2d01cb2b8ddc3e00903b67d4754325"
 
 
-def test_verify_seed_0_keeps_the_behaviour_contract(capsys, tmp_path):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_seed_0_keeps_the_behaviour_contract(jobs, capsys, tmp_path):
+    """Serial and parallel runs write the same bytes."""
     out = tmp_path / "reports.jsonl"
-    assert main(["verify", "--seed", "0", "--out", str(out)]) == 0
+    assert main(["verify", "--seed", "0", "--jobs", jobs, "--out", str(out)]) == 0
     assert hashlib.md5(out.read_bytes()).hexdigest() == VERIFY_SEED_0_MD5
     capsys.readouterr()
 

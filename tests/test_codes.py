@@ -66,7 +66,9 @@ def test_explicit_words_are_validated_as_one_array():
     for bad in ([(0, 1, 3)], [(0, -1, 2)]):
         with pytest.raises(ValueError, match="must lie in 0..2"):
             Code.explicit(s, bad)
-    for bad in ([(0, 1.5, 2)], [(0, 1.0, 2)], [(True, False, True)], [("0", "1", "2")]):
+    for bad in (
+        [(0, 1.5, 2)], [(0, 1.0, 2)], [(True, False, True)], [(0, True, 2)], [("0", "1", "2")]
+    ):
         with pytest.raises(ValueError, match="must be integers"):
             Code.explicit(s, bad)
     with pytest.raises(ValueError, match="at least one word"):

@@ -38,7 +38,7 @@ def test_ideal_examples():
     assert P.antichain(3).ideal({2}) == {2}
     vee = P.from_cover_relations(4, [(1, 3), (2, 3)])
     assert vee.ideal({3, 4}) == {1, 2, 3, 4}
-    assert vee.principal(3) == {1, 2, 3}
+    assert vee.ideal({3}) == {1, 2, 3}
 
 
 def test_maximal_elements():
