@@ -36,6 +36,18 @@ block split into several pieces folds each later piece into its first with
 one elementwise maximum.  The whole space is enumerated in odometer order
 (last coordinate fastest) in chunks.
 
+The table index sum_i (max_weight + 1)^(s-i) bm_i is separable: bm_i
+depends on block i alone, so cutting the coordinates at p into a head
+0..p-1 and a tail p..n-1 (cut) makes the index of x - c a head part plus a
+tail part when x is a head row plus a tail row.  Each part is the same
+gather and fold on the piece plan of the blocks' parts on its side
+(_Side.index), with the part maxima weighted by their digits.  The block
+that p falls inside contributes r_i max(head part max, tail part max),
+which no sum of the two gives, so its tail part gets a new top digit
+(max_weight + 1)^s and the cut's table, (max_weight + 1) times the size,
+takes the maximum.  A pass then costs one add and one gather per (x, c)
+entry (_Cut.weights) once the parts are built.
+
 Ball sizes enumerate nothing.  The metric is translation-invariant, so
 |B(c, r)| counts the vectors of weight <= r, and the weight depends only on
 the ideal I the support generates: with M the maximal elements of I, each
@@ -58,8 +70,8 @@ radius.  The states never outnumber the ideals (at most 2^s <= q^n), and
 the enumeration cap bounds them.
 
 Every computation that enumerates (vectors, codewords, vector x codeword or
-word pairs, words built, DP states) or builds the kernel's piece plan
-(pieces x n entries in each of its two code matrices) passes its count to
+word pairs, words built, DP states) or builds a piece plan (pieces x
+coordinates entries in each of its two code matrices) passes its count to
 charge before it starts, which raises SpaceTooLarge when the count exceeds
 the enumeration cap: DEFAULT_MAX_SPACE unless a caller sets another for a
 block of code with `with enumeration_cap(cap):`.
@@ -119,6 +131,64 @@ class _PiecePlan(NamedTuple):
     offsets: np.ndarray  # (pieces, 1) float32: start of the piece's pair table
     table: np.ndarray  # the pair tables of all piece lengths, concatenated
     extra: tuple[tuple[int, int], ...]  # (piece, block) for later pieces
+
+
+def _block_maxima(plan: _PiecePlan, codes: np.ndarray) -> np.ndarray:
+    """The max coordinate weight of each block of the plan, for the summed
+    piece codes of x and c (pieces first): one gather of the piece maxima
+    in the pair tables, then one elementwise maximum per later piece of a
+    split block."""
+    pieces = plan.table.take(codes)
+    blockmax = pieces[: len(pieces) - len(plan.extra)]
+    for p, i in plan.extra:
+        np.maximum(blockmax[i], pieces[p], out=blockmax[i])
+    return blockmax
+
+
+class _Side(NamedTuple):
+    """The coordinates lo..hi-1 of a cut (BlockSpace.cut): the piece plan of
+    the parts of the blocks in them, and the digit of each part's maximum
+    in the index of the cut's table."""
+
+    lo: int
+    hi: int
+    plan: _PiecePlan
+    digits: np.ndarray  # (parts,) float32
+
+    def row_codes(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(pieces, X) intp left piece codes of the rows x of an (X, |cols|)
+        uint8 array, given on the coordinates cols (in lo..hi-1) and zero
+        on the rest of the side."""
+        plan = self.plan
+        return (plan.left[:, cols - self.lo] @ rows.T + plan.offsets).astype(np.intp)
+
+    def word_codes(self, words: np.ndarray) -> np.ndarray:
+        """(pieces, C) intp right piece codes of the side's coordinates of
+        the words of a (C, n) uint8 array."""
+        return (self.plan.right @ words[:, self.lo : self.hi].T).astype(np.intp)
+
+    def index(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """(X, C) intp: the side's part of the cut-table index of x - c for
+        the row codes of X rows and the word codes of C words, the block
+        maxima weighted by their digits in one float32 product, exact since
+        the index stays below _CHUNK."""
+        blockmax = _block_maxima(self.plan, left[:, :, None] + right[:, None, :])
+        flat = blockmax.reshape(len(self.digits), -1)
+        return (self.digits @ flat).astype(np.intp).reshape(blockmax.shape[1:])
+
+
+class _Cut(NamedTuple):
+    """A cut of the coordinates into a head and a tail (BlockSpace.cut)."""
+
+    head: _Side
+    tail: _Side
+    table: np.ndarray  # weight by head index + tail index
+
+    def weights(self, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        """The (X, C, T) tile w(x - c) for the (X, C) head index of X head
+        rows and the (C, T) tail index of T tail rows, x the head row plus
+        the tail row: one add and one gather per entry."""
+        return self.table.take(head[:, :, None] + tail)
 
 
 @dataclass(frozen=True)
@@ -306,15 +376,10 @@ class BlockSpace:
         """w(x - c) for the piece codes of x (left) and c (right), which
         broadcast against each other after their leading piece axis (e.g.
         (pieces, X, 1) and (pieces, 1, C) give the (X, C) matrix); without
-        right, w(x).  One gather of the piece maxima in the pair tables, one
-        elementwise maximum per later piece of a split block, then the
+        right, w(x).  The block maxima (_block_maxima), then the
         strictly-below identity (module docstring), looked up in the table
         of block-max tuples when it has at most _CHUNK entries."""
-        plan = self._pieces
-        pieces = plan.table.take(left if right is None else left + right)
-        blockmax = pieces[: self.s]
-        for p, i in plan.extra:
-            np.maximum(blockmax[i], pieces[p], out=blockmax[i])
+        blockmax = _block_maxima(self._pieces, left if right is None else left + right)
         flat = blockmax.reshape(self.s, -1)
         if self._bm_radix is None:
             weights = self._below_weights(flat.T)
@@ -322,17 +387,54 @@ class BlockSpace:
             weights = self._bm_table[(self._bm_radix @ flat).astype(np.intp)]
         return weights.reshape(blockmax.shape[1:])
 
+    def cut(self, p: int) -> _Cut | None:
+        """The cut of the coordinates into a head 0..p-1 and a tail p..n-1
+        (0 < p < n), for passes whose rows x split the same way: the index
+        of the block-max tuple of x - c in the table is the sum of a head
+        part and a tail part, each a _Side.index.  A block inside one side
+        has its usual digit there.  The block that p falls inside has the
+        maximum of its head part at its own digit and that of its tail part
+        at a new top digit (max_weight + 1)^s; the cut's table then holds
+        the weight of the tuple with that block's maximum the larger of the
+        two.  None when the space has no block-max table or the cut's table
+        would exceed _CHUNK entries."""
+        if self._bm_radix is None:
+            return None
+        base, digits, table = self.weight.max_weight + 1, self._bm_radix, self._bm_table
+        spans = [(start, start + k) for start, k in zip(self.labeling.offsets, self.labeling.sizes)]
+        head = tuple(min(end, p) - start for start, end in spans if start < p)
+        tail = tuple(end - max(start, p) for start, end in spans if end > p)
+        tail_digits = digits[len(head) :]
+        if len(head) + len(tail) > self.s:  # block b straddles p
+            b = len(head) - 1
+            if base ** (self.s + 1) > _CHUNK:
+                return None
+            grid = table.reshape((base,) * self.s)
+            table = np.concatenate(
+                [grid.take(np.maximum(np.arange(base), m), axis=b).ravel() for m in range(base)]
+            )
+            tail_digits = np.append(np.float32(base**self.s), digits[b + 1 :])
+        return _Cut(
+            _Side(0, p, self._plan(head), digits[: len(head)]),
+            _Side(p, self.n, self._plan(tail), tail_digits),
+            table,
+        )
+
     @cached_property
     def _pieces(self) -> _PiecePlan:
-        """The piece plan of the pair kernel, looked up on its first call:
-        t is the largest piece length with q^(2t) <= _PIECE_CODES (t >= 1
-        for every q <= 256).  Charges its pieces x n code-matrix entries."""
+        """The piece plan of the pair kernel, looked up on its first call."""
+        return self._plan(self.labeling.sizes)
+
+    def _plan(self, sizes: tuple[int, ...]) -> _PiecePlan:
+        """The piece plan of consecutive blocks of the given sizes: t is the
+        largest piece length with q^(2t) <= _PIECE_CODES (t >= 1 for every
+        q <= 256).  Charges its pieces x sum(sizes) code-matrix entries."""
         t = 1
         while self.q ** (2 * t + 2) <= _PIECE_CODES:
             t += 1
-        pieces = sum(-(-k // t) for k in self.labeling.sizes)
-        charge(pieces * self.n, "piece-plan entries")
-        return _piece_plan(self.field, self.weight.table, self.labeling.sizes, t)
+        pieces = sum(-(-k // t) for k in sizes)
+        charge(pieces * sum(sizes), "piece-plan entries")
+        return _piece_plan(self.field, self.weight.table, sizes, t)
 
     @cached_property
     def _bm_table(self) -> np.ndarray:

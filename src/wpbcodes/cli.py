@@ -1,13 +1,17 @@
 """Command-line interface.
 
 Exit codes: 0 success / all checks pass, 1 hard failure or computation
-error, 2 usage or instance-file error.  `verify` writes line-delimited
-JSON records to stdout (or --out) and a human summary table to stderr.
+error, 2 usage or instance-file error, 141 (128 + SIGPIPE, as a shell
+reports a writer its reader left) when stdout is a pipe closed before all
+output was written, e.g. by `| head`; that case prints nothing on stderr.
+`verify` writes line-delimited JSON records to stdout (or --out) and a
+human summary table to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .blockspace import DEFAULT_MAX_SPACE, enumeration_cap, format_vector, parse_vector
@@ -75,6 +79,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_max_space(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--max-space",
+        type=_parse_max_space,
+        default=DEFAULT_MAX_SPACE,
+        help="enumeration cap (accepts forms like 2^24): the most vectors, "
+        "codewords, pairs, words or weight-spectrum DP states one "
+        "computation may enumerate",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="wpbcodes",
@@ -86,14 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_instance_cmd(name: str, help_text: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("instance", help="instance file (JSON)")
-        p.add_argument(
-            "--max-space",
-            type=_parse_max_space,
-            default=DEFAULT_MAX_SPACE,
-            help="enumeration cap (accepts forms like 2^24): the most vectors, "
-            "codewords, pairs, words or weight-spectrum DP states one "
-            "computation may enumerate",
-        )
+        _add_max_space(p)
         return p
 
     p = add_instance_cmd("weight", "weighted poset block weight of a vector")
@@ -119,6 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("construct", help="build a new code from instance files")
+    _add_max_space(p)
     p.add_argument(
         "construction",
         choices=["direct-sum", "plotkin", "extend", "puncture", "tensor"],
@@ -258,12 +267,18 @@ def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.command == "construct":
-            return _cmd_construct(args)
         if args.command == "verify":
-            return _cmd_verify(args)
-        with enumeration_cap(args.max_space):
-            return _cmd_instance(args)
+            status = _cmd_verify(args)
+        else:
+            with enumeration_cap(args.max_space):
+                status = (_cmd_construct if args.command == "construct" else _cmd_instance)(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The reader left; not an error of the computation.  Point stdout
+        # at /dev/null so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, ConsistencyError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

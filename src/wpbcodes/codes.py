@@ -24,19 +24,30 @@ uniquely as x + c with x zero on the pivot columns and c a codeword, and the
 metric is translation-invariant, so the distances from any vector of the
 coset x + C to the code are the row W[x, .] of W[x, c] = w(x + c).  The pass
 enumerates x in odometer order over the free columns (row x is
-coset_index(x)) and evaluates W in tiles of at most _CHUNK pairs: q^n
-weights in all, instead of q^n * |C| for a per-codeword scan.  Explicit
-codes get the covering and packing radius from one pass over
-D[x, c] = d(x, c) with x over all of F_q^n, tiled the same way but with its
-own merge; that pass is also the independent oracle the covering-oracle
-check compares the linear pass against.
+coset_index(x)): q^n weights in all, instead of q^n * |C| for a
+per-codeword scan.  Explicit codes get the covering and packing radius from
+one pass over D[x, c] = d(x, c) with x over all of F_q^n.  W[x, c] =
+w(x - (-c)), so both are one reduction (_pass) over w(x - c) with x over
+F_q^(enumerated columns), the coset pass on the negated codewords; the
+word-set pass enumerates all of F_q^n against the words instead of the
+cosets, which the covering-oracle check compares the coset pass against.
 
-All three scans (pairs, D and W) get a tile from one call of the pair
-kernel BlockSpace.pair_weights on the piece codes of its rows and words,
-which are computed once per tile and once per pass; no difference vector is
-built.  W[x, c] = w(x - (-c)), so the coset pass negates the codewords once
-and forms x + c only for the entries that tie with a row minimum, to rank
-the coset leaders.
+A pass holds at most _CHUNK pairs per tile.  It cuts the enumerated columns
+into a head and a tail of t columns, t the largest with q^t * |C| within
+one tile, at the first tail column (BlockSpace.cut): x is a head row plus a
+tail row, and the index of the block-max tuple of x - c in the cut's table
+is a head part plus a tail part.  The (C, T) tail index of all q^t tail rows
+is built once per pass and the head index once per chunk of head rows, both
+with the pair tables, so each entry of a (head rows, C, T) tile costs one
+add and one gather.  The odometer rank of x - c is additive the same way,
+so the coset table ranks the entries that tie with a row minimum with one
+add.  Without a cut (one tile holds the pass, q * |C| exceeds a tile, or
+the space has no table for the cut) tiles are whole rows times a block of
+words, one pair-kernel call each (BlockSpace.pair_weights on piece codes
+computed once per tile and once per pass), and a leader rank forms x - c
+for the tied entries only.  The word pairs of the minimum distance take the
+same pair-kernel tiles.  No scan builds a difference vector for its
+weights.
 """
 
 from __future__ import annotations
@@ -46,11 +57,43 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockspace import _CHUNK, BlockSpace, Vector, charge, odometer_chunks
+from .blockspace import (
+    _CHUNK,
+    BlockSpace,
+    Vector,
+    _Cut,
+    _Side,
+    charge,
+    odometer_chunks,
+    odometer_table,
+)
 from .errors import NotAChain, NotLinear, TooFewWords
 from .weights import WeightFn
 
 _BIG = np.iinfo(np.int64).max
+
+
+def _two_smallest(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Along axis 1 of a tile: its smallest entry t1, then t1 again if it
+    occurs twice, else the least entry above it, and the mask of the
+    entries equal to t1."""
+    t1 = w.min(axis=1)
+    hit = w == t1[:, None]
+    t2 = np.maximum(w, hit * _BIG).min(axis=1)  # branch-free masking: w >= 0
+    np.copyto(t2, t1, where=hit.sum(axis=1) > 1)
+    return t1, t2, hit
+
+
+def _rank_part(
+    space: BlockSpace, side: _Side, rows: np.ndarray, cols: np.ndarray, words: np.ndarray
+) -> np.ndarray:
+    """(X, C) int64: the part of the odometer rank of x - c that the side's
+    coordinates give, for the rows x of an (X, |cols|) array given on the
+    columns cols (zero on the rest of the side) and the words c."""
+    x = np.zeros((len(rows), side.hi - side.lo), dtype=np.uint8)
+    x[:, cols - side.lo] = rows
+    diff = space.field.sub_table[x[:, None, :], words[None, :, side.lo : side.hi]]
+    return diff.astype(np.int64) @ space._radix[side.lo : side.hi]
 
 
 def _tile(space: BlockSpace, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -227,104 +270,131 @@ class Code:
             d = min(d, int(space.pair_weights(left[:, j], right[:, i]).min()))
         return d
 
-    # the word-set pass (explicit codes) ----------------------------------------
+    # the full-space passes ----------------------------------------------------
 
     def _explicit_pass(self) -> None:
-        """One pass over D[x, c] = d(x, c) = w(x - c) for an explicit code.
-
-        x runs over F_q^n in odometer order and c over the words.  Each tile
-        holds at most _CHUNK pairs (x-rows times a block of words) and costs
-        one pair-kernel call; per row only the two smallest distances are
-        kept, which memoizes the covering radius (max row minimum) and, for
-        two or more words, the packing radius (min second-smallest - 1).
-        Charges the q^n * |C| pairs.
-        """
+        """One pass over D[x, c] = d(x, c) = w(x - c) for an explicit code,
+        x over F_q^n in odometer order and c over the words (_pass).
+        Charges the q^n * |C| pairs."""
         space = self.space
         charge(space.size * self.size, "q^n * |C| pairs")
-        cw = self.codeword_array()
-        right = space.piece_codes(cw, left=False)
-        cols = min(len(cw), _CHUNK)
-        covering, second = 0, _BIG
-        for _, xs in odometer_chunks(space.q, space.n, max(_CHUNK // len(cw), 1)):
-            left = space.piece_codes(xs)
-            best = np.full((len(xs), 2), _BIG, dtype=np.int64)
-            for lo in range(0, len(cw), cols):
-                w = _tile(space, left, right[:, lo : lo + cols])
-                tile = np.concatenate([best, w], axis=1)
-                tile.partition(1, axis=1)
-                best = tile[:, :2].copy()
-            covering = max(covering, int(best[:, 0].max()))
-            second = min(second, int(best[:, 1].min()))
-        self._memo["covering_radius"] = covering
-        if self.size >= 2:
-            self._memo["packing_radius"] = second - 1
-
-    # the coset-major pass (linear codes) ---------------------------------------
+        self._pass(np.arange(space.n), self.codeword_array())
 
     def _coset_pass(self, leaders: bool = False):
         """One pass over W[x, c] = w(x + c) = w(x - (-c)) for a linear code.
 
         x runs over the coset representatives (zero on the pivot columns) in
         odometer order over the free columns, so row x is coset x; c runs over
-        the codewords, negated once for the pair kernel.  Each tile holds at
-        most _CHUNK pairs: whole rows when q^k <= _CHUNK, else one row split
-        over codeword blocks.  Per row only the smallest and second-smallest
-        entry are kept, which memoizes the covering radius (max row minimum)
-        and, for two or more codewords, the packing radius (min
-        second-smallest entry - 1).
-
-        With leaders=True, returns per coset its minimum weight and the
-        odometer rank of its first minimum-weight vector; x + c is formed
-        only for the entries that tie with their row minimum.  Charges the
-        q^n entries of W.
+        the codewords, negated once for the kernel (_pass).  With
+        leaders=True, returns per coset its minimum weight and the odometer
+        rank of its first minimum-weight vector.  Charges the q^n entries of
+        W.
         """
         space = self.space
         charge(space.size, "q^n")
-        cw = self.codeword_array()
-        right = space.piece_codes(space.field.neg_table[cw], left=False)
-        cols = min(len(cw), _CHUNK)
+        words = space.field.neg_table[self.codeword_array()]
+        return self._pass(np.asarray(self._free, dtype=np.intp), words, leaders)
+
+    def _pass(self, cols: np.ndarray, words: np.ndarray, leaders: bool = False):
+        """One pass over w(x - c) for the rows x of F_q^cols in odometer order
+        (zero off the columns cols) and the words c.  Per row only the
+        smallest and second-smallest entry are kept, which memoizes the
+        covering radius (max row minimum) and, for two or more words, the
+        packing radius (min second-smallest entry - 1); with leaders=True,
+        returns per row its minimum and the odometer rank of the first
+        vector x - c reaching it."""
         if leaders:
-            add, radix = space.field.add_table, space._radix
-            cosets = space.q ** len(self._free)
-            best_w = np.empty(cosets, dtype=np.int64)
-            best_rank = np.empty(cosets, dtype=np.int64)
+            best_w = np.empty(self.space.q ** len(cols), dtype=np.int64)
+            best_rank = np.empty_like(best_w)
         covering, second = 0, _BIG
-        rows = max(_CHUNK // len(cw), 1)
-        for start, xs in odometer_chunks(space.q, len(self._free), rows):
-            x = np.zeros((len(xs), space.n), dtype=np.uint8)
-            x[:, self._free] = xs
-            left = space.piece_codes(x)
-            d1 = np.full(len(x), _BIG, dtype=np.int64)
-            d2 = np.full(len(x), _BIG, dtype=np.int64)
-            if leaders:
-                rank = np.full(len(x), _BIG, dtype=np.int64)
-            for lo in range(0, len(cw), cols):
-                w = _tile(space, left, right[:, lo : lo + cols])
-                # the tile's two smallest entries per row: t1, then t1 again
-                # if it occurs twice, else the least entry above it
-                t1 = w.min(axis=1)
-                hit = w == t1[:, None]
-                t2 = np.where(hit, _BIG, w).min(axis=1)
-                np.copyto(t2, t1, where=hit.sum(axis=1) > 1)
-                if leaders:
-                    tied = np.nonzero(hit)
-                    t_rank = np.full_like(w, _BIG)
-                    t_rank[tied] = add[x[tied[0]], cw[lo + tied[1]]].astype(np.int64) @ radix
-                    t_rank = t_rank.min(axis=1)
-                    tie = np.minimum(rank, t_rank)
-                    rank = np.where(t1 < d1, t_rank, np.where(t1 == d1, tie, rank))
-                # merge them into the row's (d1, d2)
-                np.minimum(d2, np.minimum(t2, np.maximum(d1, t1)), out=d2)
-                np.minimum(d1, t1, out=d1)
+        for start, d1, d2, rank in self._rows(cols, words, leaders):
             covering = max(covering, int(d1.max()))
             second = min(second, int(d2.min()))
             if leaders:
-                best_w[start : start + len(x)] = d1
-                best_rank[start : start + len(x)] = rank
+                best_w[start : start + len(d1)] = d1
+                best_rank[start : start + len(d1)] = rank
         self._memo["covering_radius"] = covering
         if self.size >= 2:
             self._memo["packing_radius"] = second - 1
         return (best_w, best_rank) if leaders else None
+
+    def _rows(self, cols: np.ndarray, words: np.ndarray, leaders: bool):
+        """Yield (rank of the first row, d1, d2, rank) per chunk of the rows
+        of _pass, each tile at most _CHUNK pairs.  The last t columns, t the
+        largest below len(cols) with q^t * |C| <= _CHUNK, are the tail of a
+        cut (BlockSpace.cut) at the first of them; without such a cut (one
+        tile holds the pass, q * |C| > _CHUNK, or the space has no table for
+        the cut) the pass runs on whole rows."""
+        space = self.space
+        t = 0
+        while t < len(cols) and space.q ** (t + 1) * len(words) <= _CHUNK:
+            t += 1
+        cut = space.cut(int(cols[-t])) if 0 < t < len(cols) else None
+        if cut is None:
+            return self._whole_rows(cols, words, leaders)
+        return self._cut_rows(cut, cols[:-t], cols[-t:], words, leaders)
+
+    def _whole_rows(self, cols: np.ndarray, words: np.ndarray, leaders: bool):
+        """_rows on whole rows x: tiles of x-rows times a block of words, one
+        pair-kernel call each, merged per row over the blocks (whole rows
+        when |C| <= _CHUNK, else one row split over word blocks); with
+        leaders, x - c is formed only for the entries that tie with their
+        row minimum."""
+        space = self.space
+        sub, radix = space.field.sub_table, space._radix
+        right = space.piece_codes(words, left=False)
+        block = min(len(words), _CHUNK)
+        for start, xs in odometer_chunks(space.q, len(cols), max(_CHUNK // len(words), 1)):
+            x = xs
+            if len(cols) < space.n:
+                x = np.zeros((len(xs), space.n), dtype=np.uint8)
+                x[:, cols] = xs
+            left = space.piece_codes(x)
+            d1 = np.full(len(x), _BIG, dtype=np.int64)
+            d2 = np.full(len(x), _BIG, dtype=np.int64)
+            rank = np.full(len(x), _BIG, dtype=np.int64) if leaders else None
+            for lo in range(0, len(words), block):
+                w = _tile(space, left, right[:, lo : lo + block])
+                t1, t2, hit = _two_smallest(w)
+                if leaders:
+                    tied = np.nonzero(hit)
+                    t_rank = np.full_like(w, _BIG)
+                    t_rank[tied] = sub[x[tied[0]], words[lo + tied[1]]].astype(np.int64) @ radix
+                    t_rank = t_rank.min(axis=1)
+                    tie = np.minimum(rank, t_rank)
+                    rank = np.where(t1 < d1, t_rank, np.where(t1 == d1, tie, rank))
+                # merge the tile's (t1, t2) into the row's (d1, d2)
+                np.minimum(d2, np.minimum(t2, np.maximum(d1, t1)), out=d2)
+                np.minimum(d1, t1, out=d1)
+            yield start, d1, d2, rank
+
+    def _cut_rows(
+        self, cut: _Cut, head_cols: np.ndarray, tail_cols: np.ndarray, words: np.ndarray,
+        leaders: bool,
+    ):
+        """_rows through a cut: x is a head row (on head_cols) plus a tail row
+        (on tail_cols).  The (C, T) tail index of all T = q^t tail rows is
+        built once and the head index once per chunk of head rows, so each
+        (X, C, T) tile costs one add and one gather per entry.  The odometer
+        rank of x - c is additive in the same way: its head and tail parts
+        are built with the indices, and a row's first minimum costs one add
+        per entry."""
+        space = self.space
+        tail_rows = odometer_table(space.q, len(tail_cols))
+        # (C, T) and contiguous: a tile's last axis runs over the tail rows
+        tail_codes = cut.tail.row_codes(tail_rows, tail_cols)
+        tail = cut.tail.index(tail_codes, cut.tail.word_codes(words)).T.copy()
+        head_words = cut.head.word_codes(words)
+        if leaders:
+            tail_rank = _rank_part(space, cut.tail, tail_rows, tail_cols, words).T.copy()
+        for start, xs in odometer_chunks(space.q, len(head_cols), max(_CHUNK // tail.size, 1)):
+            head = cut.head.index(cut.head.row_codes(xs, head_cols), head_words)
+            t1, t2, hit = _two_smallest(cut.weights(head, tail))
+            rank = None
+            if leaders:
+                ranks = _rank_part(space, cut.head, xs, head_cols, words)[:, :, None] + tail_rank
+                rank = np.maximum(ranks, ~hit * _BIG).min(axis=1).ravel()
+            yield start * len(tail_rows), t1.ravel(), t2.ravel(), rank
 
     # cosets -----------------------------------------------------------------
 

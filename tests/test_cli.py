@@ -237,6 +237,20 @@ def test_max_space_notation(lee_span, capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
+def test_construct_max_space(tmp_path, capsys):
+    """construct takes --max-space like the instance commands: the tensor
+    of two 4-word codes builds 16 words (10 distinct), over a cap of 15,
+    within 16."""
+    doc = {**REP3, "code": {"kind": "generator", "rows": [[1, 1, 0], [0, 1, 1]]}}
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps(doc))
+    tensor = ["construct", "tensor", str(path), str(path)]
+    assert main(tensor + ["--max-space", "15"]) == 1
+    assert "|C1| * |C2| words = 16 exceeds the enumeration cap 15" in capsys.readouterr().err
+    assert main(tensor + ["--max-space", "16"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["code"]["words"]) == 10
+
+
 @pytest.mark.parametrize("cap", ["2^-1", "0", "-5", "0^0", "2^64", "10^99999999", "2^", "x"])
 def test_max_space_rejects_caps_outside_1_to_2_63(cap, lee_span, capsys):
     """Caps below 1, negative exponents and powers past 2^63 are usage
@@ -275,3 +289,35 @@ def test_python_dash_m_runs_the_cli(lee_span):
     bad = subprocess.run(run + ["mindist", lee_span + ".missing"], env=env,
                          capture_output=True, text=True, timeout=60)
     assert bad.returncode == 2 and bad.stderr.startswith("error:")
+
+
+def test_closed_stdout_pipe_exits_141_quietly(tmp_path):
+    """A reader that closes the pipe after one line (as `| head -1` does)
+    ends the command with exit 141 and nothing on stderr: no `error:` line,
+    no traceback at exit.  The ball lists 2^16 vectors, far more than a
+    pipe buffers, so the writer is still writing when the pipe closes."""
+    doc = {
+        "field": {"q": 2},
+        "weight": {"kind": "hamming"},
+        "poset": {"elements": 1, "cover": []},
+        "labeling": [16],
+        "code": {"kind": "generator", "rows": []},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(wpbcodes.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    cmd = [sys.executable, "-m", "wpbcodes", "ball", str(path),
+           "--center", ",".join("0" * 16), "--radius", "1"]
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    assert first == b",".join([b"0"] * 16) + b"\n"
+    assert err == b""
+    assert code == 141

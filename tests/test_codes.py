@@ -1,5 +1,6 @@
 import itertools
 import random
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -314,16 +315,29 @@ def test_sphere_bounds_from_weight_spectrum():
     assert perfect == {True, False} and kinds == {"linear", "explicit"}
 
 
-def _count_tiles(sp, tiles: list[int]) -> None:
-    """Record the pairs of every pair-kernel call on sp (undo with del)."""
-    kernel = sp.pair_weights
+@contextmanager
+def _counting_tiles(sp, tiles: list[int]):
+    """Record the pairs of every pair-kernel call on sp and of every tile
+    made through a cut (head rows x words x tail rows) inside the block."""
+    kernel, cut_weights = sp.pair_weights, blockspace._Cut.weights
 
     def counted(left, right=None):
         w = kernel(left, right)
         tiles.append(w.size)
         return w
 
+    def counted_cut(cut, head, tail):
+        w = cut_weights(cut, head, tail)
+        tiles.append(w.size)
+        return w
+
     sp.pair_weights = counted
+    blockspace._Cut.weights = counted_cut
+    try:
+        yield
+    finally:
+        del sp.pair_weights
+        blockspace._Cut.weights = cut_weights
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 5])
@@ -346,13 +360,12 @@ def test_coset_pass_matches_explicit_scan_and_brute_force(chunk, monkeypatch):
             sp, cw = code.space, code.codeword_array()
             dims.add((code.dimension == 0, code.dimension == sp.n, code.size > limit))
             tiles: list[int] = []
-            _count_tiles(sp, tiles)
-            covering = code.covering_radius()
-            packing = code.packing_radius() if code.size >= 2 else None
-            top = sp.weight.max_weight * sp.s
-            perfect = [code.is_r_perfect(r) for r in range(top + 1)]
-            table = Code.linear(sp, code.generators).coset_table()
-            del sp.pair_weights
+            with _counting_tiles(sp, tiles):
+                covering = code.covering_radius()
+                packing = code.packing_radius() if code.size >= 2 else None
+                top = sp.weight.max_weight * sp.s
+                perfect = [code.is_r_perfect(r) for r in range(top + 1)]
+                table = Code.linear(sp, code.generators).coset_table()
             assert tiles and max(tiles) <= limit
             split.add(len(sp._pieces.extra) > 0)
 
@@ -402,13 +415,12 @@ def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
             code = Code.explicit(sp, rng.sample(allv, rng.randrange(1, min(sp.size, 7) + 1)))
             sizes.add(code.size)
             tiles: list[int] = []
-            _count_tiles(sp, tiles)
-            covering = code.covering_radius()
-            packing = code.packing_radius() if code.size >= 2 else None
-            mindist = code.min_distance() if code.size >= 2 else None
-            top = sp.weight.max_weight * sp.s
-            perfect = [code.is_r_perfect(r) for r in range(top + 1)]
-            del sp.pair_weights
+            with _counting_tiles(sp, tiles):
+                covering = code.covering_radius()
+                packing = code.packing_radius() if code.size >= 2 else None
+                mindist = code.min_distance() if code.size >= 2 else None
+                top = sp.weight.max_weight * sp.s
+                perfect = [code.is_r_perfect(r) for r in range(top + 1)]
             assert tiles and max(tiles) <= chunk
             split.add(len(sp._pieces.extra) > 0)
 
@@ -424,6 +436,85 @@ def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
             assert perfect == [all(sum(x <= r for x in d) == 1 for d in dist) for r in range(top + 1)]
         assert 1 in sizes and max(sizes) > chunk
         assert split == ({False} if piece_codes > 1 else {True, False})
+
+
+@pytest.mark.parametrize("chunk", [16, 64])
+def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
+    """The passes through a cut of the enumerated columns (head rows plus
+    tail rows) against a dense batch_weights reduction, and coset leaders
+    against the scalar brute force.  A small _CHUNK makes most passes cut;
+    the cut falls inside a block, on a block boundary, or nowhere when one
+    tile holds the pass.  A second round with _PIECE_CODES at 1 splits every
+    block of two or more coordinates into pieces.  Every tile, the new one
+    (head rows x words x tail rows) included, and every head or tail index
+    holds at most _CHUNK entries."""
+    monkeypatch.setattr(codes_module, "_CHUNK", chunk)
+    cut, index = BlockSpace.cut, blockspace._Side.index
+    seen: list = []  # the cut point of each pass that asked for one
+    indices: list[int] = []  # entries of every head and tail index
+
+    def recording_cut(sp, p):
+        seen.append(p)
+        return cut(sp, p)
+
+    def recording_index(side, left, right):
+        out = index(side, left, right)
+        indices.append(out.size)
+        return out
+
+    monkeypatch.setattr(BlockSpace, "cut", recording_cut)
+    monkeypatch.setattr(blockspace._Side, "index", recording_index)
+    for piece_codes in (blockspace._PIECE_CODES, 1):
+        monkeypatch.setattr(blockspace, "_PIECE_CODES", piece_codes)
+        rng = random.Random(67)
+        kinds, cuts, split = set(), set(), set()
+        for i in range(30):
+            code = _random_linear_code(rng)
+            sp = code.space
+            allv = sp.all_vectors()
+            if i % 2:
+                rows = rng.sample(range(sp.size), rng.randrange(1, min(sp.size, 8) + 1))
+                code = Code.explicit(sp, allv[rows])
+            kinds.add(code.kind)
+            tiles: list[int] = []
+            seen.clear()
+            with _counting_tiles(sp, tiles):
+                covering = code.covering_radius()
+                packing = code.packing_radius() if code.size >= 2 else None
+                top = sp.weight.max_weight * sp.s
+                perfect = [code.is_r_perfect(r) for r in range(top + 1)]
+                table = Code.linear(sp, code.generators).coset_table() if code.is_linear else None
+            assert tiles and max(tiles) <= chunk
+            split.add(len(sp._pieces.extra) > 0)
+            one_tile = sp.size * (1 if code.is_linear else code.size) <= chunk
+            word_blocks = sp.q * code.size > chunk  # a row's words fill a tile
+            assert bool(seen) != (one_tile or word_blocks)
+            if seen:
+                cuts.add("boundary" if seen[0] in sp.labeling.offsets else "inside")
+            elif one_tile:
+                cuts.add("none")
+
+            cw = code.codeword_array()
+            dist = sp.batch_weights(
+                sp.field.sub_table[allv[:, None, :], cw[None, :, :]].reshape(-1, sp.n)
+            ).reshape(len(allv), len(cw))
+            assert covering == dist.min(axis=1).max()
+            if code.size >= 2:
+                assert packing == np.sort(dist, axis=1)[:, 1].min() - 1
+            assert perfect == [bool(((dist <= r).sum(axis=1) == 1).all()) for r in range(top + 1)]
+            if table is None:
+                continue
+            best: dict[int, tuple[int, tuple]] = {}
+            for v in map(tuple, allv.tolist()):
+                idx, w = code.coset_index(v), sp.wpb_weight(v)
+                if idx not in best or w < best[idx][0]:
+                    best[idx] = (w, v)
+            assert table.weights == tuple(best[i][0] for i in range(len(best)))
+            assert table.leaders == tuple(best[i][1] for i in range(len(best)))
+        assert kinds == {"linear", "explicit"}
+        assert cuts == {"none", "boundary", "inside"}
+        assert split == ({False} if piece_codes > 1 else {True, False})
+    assert indices and max(indices) <= chunk
 
 
 _CAPPED_SPACE = space(3, P.chain(2), (1, 2), "lee")  # q^n = 27
