@@ -283,23 +283,26 @@ class BlockSpace:
     def _coerce_rows(self, rows: Iterable[Sequence[int]]) -> np.ndarray:
         """Vectors validated as one (m, n) uint8 array: every row of length
         n, every coordinate an integer (floats, bools and other types are
-        rejected, not truncated) in 0..q-1.  numpy upcasts bools mixed with
-        ints, so rows that are not one array are scanned for bools."""
-        scan = not isinstance(rows, np.ndarray)
-        rows = list(rows)
-        short = next((len(r) for r in rows if len(r) != self.n), None)
-        if short is not None:
-            raise LengthMismatch(f"vector has length {short}, ambient n={self.n}")
-        if not rows:
-            return np.zeros((0, self.n), dtype=np.uint8)
-        if scan and not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(rows))):
-            raise ValueError(f"coordinates must be integers in 0..{self.q - 1}, got a bool")
-        arr = np.array(rows).reshape(len(rows), self.n)
-        if arr.dtype.kind not in "iu":
-            raise ValueError(f"coordinates must be integers in 0..{self.q - 1}, got {arr.dtype}")
-        if arr.min() < 0 or arr.max() >= self.q:
+        rejected, not truncated) in 0..q-1.  An array is taken as it is;
+        numpy upcasts bools mixed with ints, so rows that are not one array
+        are scanned for bools."""
+        if not isinstance(rows, np.ndarray):
+            rows = list(rows)
+            short = next((len(r) for r in rows if len(r) != self.n), None)
+            if short is not None:
+                raise LengthMismatch(f"vector has length {short}, ambient n={self.n}")
+            if not rows:
+                return np.zeros((0, self.n), dtype=np.uint8)
+            if not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(rows))):
+                raise ValueError(f"coordinates must be integers in 0..{self.q - 1}, got a bool")
+            rows = np.array(rows).reshape(len(rows), self.n)
+        if rows.ndim != 2 or rows.shape[1] != self.n:
+            raise LengthMismatch(f"vector has length {rows.shape[-1]}, ambient n={self.n}")
+        if rows.dtype.kind not in "iu":
+            raise ValueError(f"coordinates must be integers in 0..{self.q - 1}, got {rows.dtype}")
+        if len(rows) and (rows.min() < 0 or rows.max() >= self.q):
             raise ValueError(f"coordinates must lie in 0..{self.q - 1}")
-        return arr.astype(np.uint8)
+        return rows.astype(np.uint8)
 
     def zero(self) -> Vector:
         return (0,) * self.n
@@ -448,7 +451,12 @@ class BlockSpace:
         return np.where(below, self.weight.max_weight, blockmax).sum(axis=1, dtype=np.int64)
 
     def unrank(self, r: int) -> Vector:
-        return tuple(int(r // self._radix[i] % self.q) for i in range(self.n))
+        """The vector of odometer rank r in 0..q^n-1 (last coordinate
+        fastest), in Python ints, so exact at any n."""
+        r = operator.index(r)
+        if not 0 <= r < self.size:
+            raise OutOfRange(f"rank {r} outside 0..{self.size - 1}")
+        return tuple(r // self.q ** (self.n - 1 - i) % self.q for i in range(self.n))
 
     def iter_chunks(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield (start_rank, (B, n) uint8 array) covering F_q^n in odometer

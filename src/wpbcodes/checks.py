@@ -653,11 +653,9 @@ def _unit_plotkin(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
     if sum_map_injective(c1, c2):
         # cross-space quantities: C1 and C1+C2 measured in (Q, pi2, w)
         space2 = c2.space
-        c1_in_q = Code.explicit(space2, c1.codewords())
-        sums = Code.explicit(
-            space2,
-            [space2.add(a, b) for a in c1.codewords() for b in c2.codewords()],
-        )
+        c1_in_q = Code.explicit(space2, c1.codeword_array())
+        # the second halves u' + u'' of the (u'|u'+u'') words
+        sums = Code.explicit(space2, disj.codeword_array()[:, c1.space.n :])
         d_c1_q = c1_in_q.min_distance()
         d_sums = sums.min_distance()
         bound = min(d2, d1 + d_c1_q, d1 + d_sums)

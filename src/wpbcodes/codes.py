@@ -1,8 +1,9 @@
 """Codes inside a block space and their exact parameters.
 
 A code is either linear (generator rows, row-reduced at construction,
-rank deficiency accepted silently) or explicit (a deduplicated word set,
-validated as one array: integer coordinates in 0..q-1, no truncation).
+rank deficiency accepted silently) or explicit (a deduplicated word set).
+Either kind's rows are validated as one array: integer coordinates in
+0..q-1, no truncation.
 All parameters are computed by exhaustive enumeration:
 
 - min_distance: minimum nonzero codeword weight for linear codes
@@ -107,9 +108,11 @@ def _tile(space: BlockSpace, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return space.pair_weights(left[:, :, None], right[:, None, :])
 
 
-def _row_reduce(space: BlockSpace, rows: Sequence[Sequence[int]]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+def _row_reduce(space: BlockSpace, rows: np.ndarray) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """The reduced row-echelon form of a validated (m, n) uint8 array and
+    its pivot columns."""
     f = space.field
-    mat = [list(space._coerce(r)) for r in rows]
+    mat = rows.tolist()
     pivots: list[int] = []
     r = 0
     for c in range(space.n):
@@ -130,6 +133,11 @@ def _row_reduce(space: BlockSpace, rows: Sequence[Sequence[int]]) -> tuple[tuple
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
+def _distinct(rows: np.ndarray) -> int:
+    """The number of distinct rows of an (m, width) uint8 array."""
+    return len(np.unique(np.ascontiguousarray(rows).view(f"V{rows.shape[1]}")))
+
+
 @dataclass(frozen=True)
 class CosetTable:
     """One minimum-weight leader per coset, indexed by Code.coset_index."""
@@ -146,16 +154,17 @@ class Code:
         self.space = space
         if (generators is None) == (words is None):
             raise ValueError("exactly one of generators/words must be given")
+        rows = space._coerce_rows(words if generators is None else generators)
         if generators is not None:
             self.kind = "linear"
-            self.generators, self.pivots = _row_reduce(space, generators)
+            self.generators, self.pivots = _row_reduce(space, rows)
             self.dimension = len(self.generators)
             self.size: int = space.q**self.dimension
             self._free = tuple(c for c in range(space.n) if c not in self.pivots)
             self.words = None
         else:
             self.kind = "explicit"
-            dedup = sorted(set(map(tuple, space._coerce_rows(words).tolist())))
+            dedup = sorted(set(map(tuple, rows.tolist())))
             if not dedup:
                 raise ValueError("an explicit code needs at least one word")
             self.words = tuple(dedup)
@@ -440,27 +449,33 @@ class Code:
         joint projection onto blocks l+1..s is the full product space."""
         if not self.space.poset.is_chain():
             raise NotAChain("trailing_full_index requires a chain poset")
-        s = self.space.s
-        sizes = self.space.labeling.sizes
-        offsets = self.space.labeling.offsets
-        if len(self.project(s)) != self.space.q ** sizes[s - 1]:
-            return s
+        q, n = self.space.q, self.space.n
         arr = self.codeword_array()
-        for l in range(s):
-            off = offsets[l]
-            tail = {bytes(row) for row in arr[:, off:]}
-            if len(tail) == self.space.q ** (self.space.n - off):
-                return l
-        return s  # unreachable: l = s-1 always succeeds once C_s is full
+        # a full suffix stays full when it is shortened, so the first suffix
+        # from block s down that is not full ends the search
+        for l, off in reversed(tuple(enumerate(self.space.labeling.offsets))):
+            if self.size < q ** (n - off) or _distinct(arr[:, off:]) < q ** (n - off):
+                return l + 1
+        return 0
 
-    # alternative weights ----------------------------------------------------
+    # rows and alternative weights -------------------------------------------
+
+    def _defining_rows(self) -> np.ndarray:
+        """(rows, n) uint8: the generators of a linear code, the words of an
+        explicit one."""
+        if self.is_linear:
+            return np.array(self.generators, dtype=np.uint8).reshape(self.dimension, self.space.n)
+        return self.codeword_array()
+
+    def _same_kind(self, space: BlockSpace, rows: np.ndarray) -> "Code":
+        """The code of this code's kind in space with the given rows: its
+        generators when linear (a linear map of _defining_rows), else its
+        words."""
+        return Code(space, generators=rows) if self.is_linear else Code(space, words=rows)
 
     def with_weight(self, weight: WeightFn) -> "Code":
         """The same word set viewed in the sibling space under another weight."""
-        sibling = self.space.with_weight(weight)
-        if self.is_linear:
-            return Code.linear(sibling, self.generators)
-        return Code.explicit(sibling, self.words)
+        return self._same_kind(self.space.with_weight(weight), self._defining_rows())
 
     def max_poset_weight(self, weight: WeightFn) -> int:
         """Max codeword weight under the given coordinate weight."""

@@ -17,7 +17,7 @@ from wpbcodes.blockspace import (
     odometer_table,
     parse_vector,
 )
-from wpbcodes.errors import LengthMismatch, SpaceTooLarge
+from wpbcodes.errors import LengthMismatch, OutOfRange, SpaceTooLarge
 from wpbcodes.field import make_field
 from wpbcodes import poset as P
 from wpbcodes.weights import custom_weight, hamming_weight, lee_weight
@@ -413,6 +413,21 @@ def test_odometer_enumeration_order():
         (1, 0),
     ]
     assert s.unrank(5) == (1, 2)
+
+
+def test_unrank_is_exact_at_any_length_and_rejects_bad_ranks():
+    """unrank computes its digits in Python ints: int64 powers of q wrap
+    once q^(n-1) >= 2^63 and put spurious digits into small ranks.  Ranks
+    outside 0..q^n-1 are rejected, not wrapped."""
+    wide = space(2, P.antichain(1), (70,))
+    assert wide.unrank(5) == (0,) * 67 + (1, 0, 1)
+    assert wide.unrank(2**70 - 1) == (1,) * 70
+    assert wide.unrank(2**69) == (1,) + (0,) * 69
+    s = space(2, P.chain(4), (1, 1, 1, 1))
+    assert [s.unrank(r) for r in range(16)] == [tuple(v) for v in s.all_vectors().tolist()]
+    for bad in (16, -1):
+        with pytest.raises(OutOfRange):
+            s.unrank(bad)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 16, 17, 243, 256])

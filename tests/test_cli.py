@@ -310,14 +310,15 @@ def test_closed_stdout_pipe_exits_141_quietly(tmp_path):
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     cmd = [sys.executable, "-m", "wpbcodes", "ball", str(path),
            "--center", ",".join("0" * 16), "--radius", "1"]
-    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    try:
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait(timeout=60)
-    finally:
-        proc.kill()
+    # leaving the with block closes the stderr pipe and reaps the process
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
     assert first == b",".join([b"0"] * 16) + b"\n"
     assert err == b""
     assert code == 141

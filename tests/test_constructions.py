@@ -1,3 +1,6 @@
+import functools
+import random
+
 import pytest
 
 from wpbcodes.blockspace import BlockSpace, Labeling, enumeration_cap
@@ -263,3 +266,89 @@ def test_word_products_are_charged_first(build, monkeypatch):
     monkeypatch.undo()
     with enumeration_cap(6):
         _WORD_PRODUCTS[build](c1, c2)
+
+
+def _four_loop_tensor(f, pi1, pi2, u, v):
+    """The block layout written out: block (i, j) holds u_{i,r} * v_{j,c}
+    row-major, blocks in the order (1, 1), (1, 2), ..."""
+    out = []
+    for i in range(1, pi1.s + 1):
+        for j in range(1, pi2.s + 1):
+            for a in u[pi1.block_slice(i)]:
+                for b in v[pi2.block_slice(j)]:
+                    out.append(f.mul(a, b))
+    return tuple(out)
+
+
+def _random_linear(rng, q, n):
+    """A linear code on a random chain or antichain over a random labeling
+    of n coordinates, from 0..kmax random (possibly dependent) rows, with
+    q^kmax <= 25."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, min(2, n - sum(sizes))))
+    pos = rng.choice([P.chain, P.antichain])(len(sizes))
+    kmax = max(k for k in range(n + 1) if q**k <= 25)
+    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(0, kmax))]
+    return Code.linear(space(q, pos, sizes), rows)
+
+
+def test_constructions_match_scalar_reference():
+    """On seeded random linear pairs over GF(2), GF(3), GF(4) and GF(5),
+    k = 0 included, every construction's word set equals a reference built
+    from codewords() with the scalar field operations, and the explicit
+    copies of the inputs give the same words.  Linear inputs give linear
+    results, except under the tensor product."""
+    rng = random.Random(11)
+    seen = set()
+    for trial in range(48):
+        q = (2, 3, 4, 5)[trial % 4]
+        f = make_field(q)
+        n = rng.randint(1, 4)
+        c1 = _random_linear(rng, q, n)
+        c2 = _random_linear(rng, q, rng.choice([n, rng.randint(1, 3)]))
+        seen.add((q, c1.dimension == 0 or c2.dimension == 0))
+        w1, w2 = c1.codewords(), c2.codewords()
+        pi1, pi2 = c1.space.labeling, c2.space.labeling
+        reference = {
+            "direct-sum": {u + v for u in w1 for v in w2},
+            "tensor": {_four_loop_tensor(f, pi1, pi2, u, v) for u in w1 for v in w2},
+        }
+        builds = {
+            "direct-sum": lambda a, b: direct_sum_code(a, b, rng.choice(["disjoint", "linear"])),
+            "tensor": lambda a, b: tensor_code(a, b, rng.choice(["cartesian", "lex"])),
+        }
+        if c1.space.n == c2.space.n:
+            sums = [tuple(map(f.add, u, v)) for u in w1 for v in w2]
+            reference["plotkin"] = {u + tuple(map(f.add, u, v)) for u in w1 for v in w2}
+            builds["plotkin"] = lambda a, b: plotkin_code(a, b, rng.choice(["disjoint", "linear"]))
+            assert sum_map_injective(c1, c2) == (len(set(sums)) == len(sums))
+        e1, e2 = Code.explicit(c1.space, w1), Code.explicit(c2.space, w2)
+        for name, build in builds.items():
+            for a, b in [(c1, c2), (e1, e2), (c1, e2)]:
+                code = build(a, b).code
+                assert set(code.codewords()) == reference[name], (name, trial)
+                assert code.is_linear == (a.is_linear and b.is_linear and name != "tensor")
+        u, v = rng.choice(w1), rng.choice(w2)
+        assert tensor_vector(f, pi1, pi2, u, v) == _four_loop_tensor(f, pi1, pi2, u, v)
+
+        singles = [
+            (lambda c: extended_code(c).code, {u + (f.neg(functools.reduce(f.add, u, 0)),) for u in w1}),
+            (lambda c: c.with_weight(hamming_weight(f)), set(w1)),
+        ]
+        for i in range(1, c1.space.s + 1) if c1.space.s > 1 else ():
+            sl = pi1.block_slice(i)
+            punctured = {u[: sl.start] + u[sl.stop :] for u in w1}
+            singles.append((lambda c, i=i: punctured_code(c, i).code, punctured))
+        for build, expect in singles:
+            for a in (c1, e1):
+                code = build(a)
+                assert set(code.codewords()) == expect, trial
+                assert code.kind == a.kind
+    assert seen == {(q, zero) for q in (2, 3, 4, 5) for zero in (False, True)}
+
+
+def test_tensor_vector_rejects_mismatched_lengths():
+    f = make_field(3)
+    with pytest.raises(LengthMismatch):
+        tensor_vector(f, Labeling((1, 1)), Labeling((2,)), (1, 2, 0), (1, 1))
