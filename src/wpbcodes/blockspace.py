@@ -370,7 +370,15 @@ class BlockSpace:
         array, for pair_weights: offset + a * q^len as its left operand,
         the odometer code b of each piece as its right one."""
         plan = self._pieces
-        codes = (plan.left if left else plan.right) @ arr.T
+        mat = plan.left if left else plan.right
+        if len(arr) == 1:
+            # a one-row product goes to BLAS gemv, whose kernel now and then
+            # leaves a spurious invalid-value flag that numpy reports as a
+            # warning; the broadcast product of these small integers is
+            # exact as well
+            codes = (mat * arr).sum(axis=1, keepdims=True)
+        else:
+            codes = mat @ arr.T
         if left:
             codes += plan.offsets
         return codes.astype(np.intp)

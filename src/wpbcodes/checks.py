@@ -571,25 +571,24 @@ def _unit_direct_sum(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
 
     t1 = c1.coset_table()
     t2 = c2.coset_table()
+    # every joint leader (l1 | l2), in the order of the pairs of leaders
+    lead1, lead2 = np.array(t1.leaders, dtype=np.uint8), np.array(t2.leaders, dtype=np.uint8)
+    joint = np.hstack([lead1.repeat(len(lead2), axis=0), np.tile(lead2, (len(lead1), 1))])
     for label, total in (("disjoint", disj), ("linear", lin)):
-        table = total.coset_table()
+        weights = total.coset_table().weights
+        expects = [weights[i] for i in total.coset_indices(joint).tolist()]
         ok, witness = True, {}
-        for l1, w1 in zip(t1.leaders, t1.weights):
-            for l2, w2 in zip(t2.leaders, t2.weights):
-                joint = l1 + l2
-                expect = table.weights[total.coset_index(joint)]
-                got = total.space.wpb_weight(joint)
-                if got != expect:
-                    ok = False
-                    witness = {
-                        "order": label,
-                        "leader1": list(l1),
-                        "leader2": list(l2),
-                        "weight": got,
-                        "coset_weight": expect,
-                    }
-                    break
-            if not ok:
+        for (l1, l2), expect in zip(itertools.product(t1.leaders, t2.leaders), expects):
+            got = total.space.wpb_weight(l1 + l2)
+            if got != expect:
+                ok = False
+                witness = {
+                    "order": label,
+                    "leader1": list(l1),
+                    "leader2": list(l2),
+                    "weight": got,
+                    "coset_weight": expect,
+                }
                 break
         u.hard(f"dsum-coset-leader-{label}", ok, witness)
 

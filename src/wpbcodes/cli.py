@@ -112,8 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-v", required=True, help="comma-separated coordinates")
 
     add_instance_cmd("mindist", "minimum distance of the code")
-    add_instance_cmd("covering-radius", "covering radius (full-space scan)")
-    add_instance_cmd("packing-radius", "packing radius (full-space scan)")
+    add_instance_cmd("covering-radius", "covering radius of the code")
+    add_instance_cmd("packing-radius", "packing radius of the code")
     add_instance_cmd("cosets", "coset leader table of a linear code")
 
     p = add_instance_cmd("ball", "metric ball around a center")

@@ -3,8 +3,7 @@
 A code is either linear (generator rows, row-reduced at construction,
 rank deficiency accepted silently) or explicit (a deduplicated word set).
 Either kind's rows are validated as one array: integer coordinates in
-0..q-1, no truncation.
-All parameters are computed by exhaustive enumeration:
+0..q-1, no truncation.  The parameters are exact:
 
 - min_distance: minimum nonzero codeword weight for linear codes
   (translation invariance), minimum pairwise distance for explicit ones
@@ -19,19 +18,46 @@ All parameters are computed by exhaustive enumeration:
 - coset_table: minimum-weight leader per coset of a linear code, with
   ties broken by enumeration order.
 
-Linear codes get all of these but the minimum distance from one coset-major
-pass.  The generator is in reduced row-echelon form, so every vector splits
-uniquely as x + c with x zero on the pivot columns and c a codeword, and the
-metric is translation-invariant, so the distances from any vector of the
-coset x + C to the code are the row W[x, .] of W[x, c] = w(x + c).  The pass
-enumerates x in odometer order over the free columns (row x is
-coset_index(x)): q^n weights in all, instead of q^n * |C| for a
-per-codeword scan.  Explicit codes get the covering and packing radius from
-one pass over D[x, c] = d(x, c) with x over all of F_q^n.  W[x, c] =
-w(x - (-c)), so both are one reduction (_pass) over w(x - c) with x over
-F_q^(enumerated columns), the coset pass on the negated codewords; the
-word-set pass enumerates all of F_q^n against the words instead of the
-cosets, which the covering-oracle check compares the coset pass against.
+Explicit codes enumerate: the word pairs, and one pass over F_q^n against
+the words.  Linear codes read the covering radius, packing radius and
+minimum distance from one summand of the poset's finest ordinal sum
+P = P_1 + ... + P_h (Poset.summands, bottom first), every element of a
+lower summand below every element of a higher one.  A nonzero vector u
+whose top nonzero summand is j weighs M_w * N_{<j} + w_{P_j}(pi_j u), with
+N_{<j} the blocks below summand j, so the weights of different j do not
+overlap.  With V_{<=j} the vectors zero above summand j:
+
+- covering radius = M_w * N_{<j*} + R(D), j* the least j with pi_{>j}(C)
+  the whole space above j and D = pi_{j*}(C meet V_{<=j*}); 0 when C is
+  the whole space (j* = 0);
+- packing radius = M_w * N_{<j0} + rho(D0) and minimum distance =
+  M_w * N_{<j0} + d(D0), j0 the least j with C meet V_{<=j} nonzero and
+  D0 = pi_{j0}(C meet V_{<=j0}).
+
+All of it comes from one echelon form of the generators with the columns
+taken top summand first (Code._levels), so no codeword of C is
+enumerated: D's parameters come from a sub-pass over D's cosets inside its
+summand (q^(n_j) entries, n_j the summand's columns) and d(D0) from D0's
+words.  On a single summand (an antichain, or any poset that is no ordinal
+sum) D = D0 = C and the sub-pass is the full coset pass.
+
+The coset pass: the generator is in reduced row-echelon form, so every
+vector splits uniquely as x + c with x zero on the pivot columns and c a
+codeword, and the metric is translation-invariant, so the distances from
+any vector of the coset x + C to the code are the row W[x, .] of
+W[x, c] = w(x + c).  The pass enumerates x in odometer order over the free
+columns (row x is coset_index(x)): q^n weights in all, instead of
+q^n * |C| for a per-codeword scan; the coset table always takes the full
+pass.  A sub-pass is the same pass on D's free columns inside summand j
+and the codewords whose parts in summand j make up D: each nonzero x + d
+is zero above summand j and nonzero in it, so it already weighs
+M_w * N_{<j} + w_{P_j}(pi_j(x + d)).  Explicit codes get the covering and
+packing radius from one pass over D[x, c] = d(x, c) with x over all of
+F_q^n.  W[x, c] = w(x - (-c)), so all are one reduction (_pass) over
+w(x - c) with x over F_q^(enumerated columns), the coset pass on the
+negated codewords; the word-set pass enumerates all of F_q^n against the
+words instead of the cosets, which the covering-oracle check compares the
+coset pass against.
 
 A pass holds at most _CHUNK pairs per tile.  It cuts the enumerated columns
 into a head and a tail of t columns, t the largest with q^t * |C| within
@@ -54,7 +80,8 @@ weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,6 +96,7 @@ from .blockspace import (
     odometer_table,
 )
 from .errors import NotAChain, NotLinear, TooFewWords
+from .field import Field
 from .weights import WeightFn
 
 _BIG = np.iinfo(np.int64).max
@@ -108,34 +136,83 @@ def _tile(space: BlockSpace, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return space.pair_weights(left[:, :, None], right[:, None, :])
 
 
-def _row_reduce(space: BlockSpace, rows: np.ndarray) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """The reduced row-echelon form of a validated (m, n) uint8 array and
-    its pivot columns."""
-    f = space.field
+def _row_reduce(
+    field: Field, rows: np.ndarray, order: Sequence[int]
+) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """The reduced row-echelon form of a validated (m, n) uint8 array with
+    its columns taken in the given order, and its pivot columns in that
+    order.  The matrices are a few rows, so this is list code on the
+    field's tables as lists."""
+    mul, sub, inv = _list_tables(field)
     mat = rows.tolist()
     pivots: list[int] = []
     r = 0
-    for c in range(space.n):
+    for c in order:
         if r == len(mat):
             break
         pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = f.inv(mat[r][c])
-        mat[r] = [f.mul(inv, x) for x in mat[r]]
+        scale = mul[inv[mat[r][c]]]
+        mat[r] = [scale[x] for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
-                coef = mat[i][c]
-                mat[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(mat[i], mat[r])]
+                times = mul[mat[i][c]]
+                mat[i] = [sub[x][times[y]] for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
+@lru_cache(maxsize=None)
+def _list_tables(field: Field) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """The multiplication, subtraction and inverse tables of a field as
+    Python lists (one per field), for scalar list code."""
+    return field.mul_table.tolist(), field.sub_table.tolist(), field.inv_table.tolist()
+
+
+def _span(field: Field, rows: np.ndarray) -> np.ndarray:
+    """The span of the rows of an (m, n) uint8 array as a (q^m, n) array in
+    odometer message order (first row's coefficient most significant)."""
+    n = rows.shape[1]
+    # every multiple of every row, (m, q, n): one gather
+    mults = field.mul_table[np.arange(field.q)[None, :, None], rows[:, None, :]]
+    arr = mults[0] if len(rows) else np.zeros((1, n), dtype=np.uint8)
+    for row_mults in mults[1:]:
+        arr = field.add_table[arr[:, None, :], row_mults[None, :, :]].reshape(-1, n)
+    return arr
+
+
 def _distinct(rows: np.ndarray) -> int:
     """The number of distinct rows of an (m, width) uint8 array."""
     return len(np.unique(np.ascontiguousarray(rows).view(f"V{rows.shape[1]}")))
+
+
+class _Level:
+    """The code D inside one summand j of the poset's ordinal sum that a
+    linear code's parameter is read from (Code._levels): rows, the (dim D,
+    n) uint8 echelon rows with their pivot in summand j (codewords zero
+    above it whose parts in it span D), or None when D is C; cols, the
+    summand's columns off those pivots, ascending; and D's words once
+    enumerated (Code._level_words).  The rows' coordinates below summand j
+    need no clearing: those blocks lie below a nonzero block of summand j in
+    every nonzero x + d, where each weighs M_w whatever its values."""
+
+    __slots__ = ("rows", "cols", "words")
+
+    def __init__(self, rows: np.ndarray | None, cols: np.ndarray):
+        self.rows, self.cols = rows, cols
+        self.words: np.ndarray | None = None
+
+
+class _Levels(NamedTuple):
+    """The level reading of a linear code (Code._levels); summands are
+    numbered 1..h from the bottom."""
+
+    top: int  # j*: 0 when C is the whole space, else the highest summand C does not fill
+    cover: _Level | None  # D at j*, None when C is the whole space
+    pack: _Level | None  # D0 at j0, the lowest summand holding a pivot; None when C = 0
 
 
 @dataclass(frozen=True)
@@ -157,7 +234,7 @@ class Code:
         rows = space._coerce_rows(words if generators is None else generators)
         if generators is not None:
             self.kind = "linear"
-            self.generators, self.pivots = _row_reduce(space, rows)
+            self.generators, self.pivots = _row_reduce(space.field, rows, range(space.n))
             self.dimension = len(self.generators)
             self.size: int = space.q**self.dimension
             self._free = tuple(c for c in range(space.n) if c not in self.pivots)
@@ -203,14 +280,8 @@ class Code:
             self._cw = np.asarray(self.words, dtype=np.uint8).reshape(self.size, self.space.n)
             return self._cw
         charge(self.size, "q^k")
-        f = self.space.field
-        arr = np.zeros((1, self.space.n), dtype=np.uint8)
-        for g in self.generators:
-            row = np.asarray(g, dtype=np.uint8)
-            mults = f.mul_table[np.arange(self.space.q, dtype=np.intp)[:, None], row[None, :]]
-            arr = f.add_table[arr[:, None, :], mults[None, :, :]].reshape(-1, self.space.n)
-        self._cw = arr
-        return arr
+        self._cw = _span(self.space.field, self._defining_rows())
+        return self._cw
 
     def codewords(self) -> list[Vector]:
         return [tuple(int(x) for x in row) for row in self.codeword_array()]
@@ -223,18 +294,21 @@ class Code:
             return self._memo["min_distance"]
         if self.size < 2:
             raise TooFewWords("min distance needs at least two distinct words")
-        arr = self.codeword_array()
         if self.is_linear:
-            d = int(self.space.batch_weights(arr[1:]).min())
+            words = self._level_words(self._levels().pack)
+            d = int(self.space.batch_weights(words[1:]).min())
         else:
-            d = self._pairwise_min(arr)
+            d = self._pairwise_min(self.codeword_array())
         self._memo["min_distance"] = d
         return d
 
     def covering_radius(self) -> int:
         """max over F_q^n of the distance to the code."""
         if "covering_radius" not in self._memo:
-            (self._coset_pass if self.is_linear else self._explicit_pass)()
+            if self.is_linear:
+                self._level_pass(self._levels().cover)
+            else:
+                self._explicit_pass()
         return self._memo["covering_radius"]
 
     def packing_radius(self) -> int:
@@ -243,7 +317,10 @@ class Code:
             return self._memo["packing_radius"]
         if self.size < 2:
             raise TooFewWords("packing radius needs at least two distinct words")
-        (self._coset_pass if self.is_linear else self._explicit_pass)()
+        if self.is_linear:
+            self._level_pass(self._levels().pack)
+        else:
+            self._explicit_pass()
         return self._memo["packing_radius"]
 
     def is_r_perfect(self, r: int) -> bool:
@@ -252,7 +329,6 @@ class Code:
         or more codewords, within r of no second one (r <= packing radius)."""
         if r < 0:
             raise ValueError("radius must be >= 0")
-        # the packing scan memoizes the covering radius as well
         if self.size >= 2 and r > self.packing_radius():
             return False
         return self.covering_radius() <= r
@@ -279,39 +355,142 @@ class Code:
             d = min(d, int(space.pair_weights(left[:, j], right[:, i]).min()))
         return d
 
+    # the level reading --------------------------------------------------------
+
+    def _levels(self) -> _Levels:
+        """The summands a linear code's covering radius (j*, code D) and
+        packing radius and minimum distance (j0, code D0) are read from,
+        memoized; see the module docstring.
+
+        The generators are row-reduced once more with the columns taken top
+        summand first, so the rows with their pivot in summand j are zero
+        above it and span C's words whose top nonzero summand is j, modulo
+        the lower ones; their part in summand j spans D_j = pi_j(C meet
+        V_{<=j}).  pi_{>j}(C) is the whole space above j iff every summand
+        above j holds as many pivots as columns.  On a single summand D and
+        D0 are C itself and nothing is reduced again."""
+        levels = self._memo.get("levels")
+        if levels is not None:
+            return levels
+        space, k, n = self.space, self.dimension, self.space.n
+        parts = space.poset.summands()
+        if len(parts) == 1:
+            whole = _Level(None, np.asarray(self._free, dtype=np.intp))
+            levels = _Levels(int(k < n), whole if k < n else None, whole if k else None)
+        else:
+            # these codes are small, so plain lists beat numpy calls here
+            where = [0] * n  # the summand of each column
+            for j, part in enumerate(parts):
+                for e in part:
+                    block = space._slices[e - 1]
+                    where[block] = [j] * (block.stop - block.start)
+            top_first = sorted(range(n), key=lambda c: -where[c])
+            rows, pivots = _row_reduce(space.field, self._defining_rows(), top_first)
+            at = [where[p] for p in pivots]  # non-increasing: rows come top summand first
+            held, width = [0] * len(parts), [0] * len(parts)
+            for j in at:
+                held[j] += 1
+            for j in where:
+                width[j] += 1
+            top = next((j + 1 for j in reversed(range(len(parts))) if held[j] < width[j]), 0)
+
+            def level(j: int) -> _Level:
+                mine = [row for row, a in zip(rows, at) if a == j]
+                free = [c for c in range(n) if where[c] == j and c not in pivots]
+                return _Level(
+                    np.array(mine, dtype=np.uint8).reshape(len(mine), n),
+                    np.array(free, dtype=np.intp),
+                )
+
+            cover = level(top - 1) if top else None
+            pack = None
+            if k:  # the last row's pivot lies in the lowest summand holding one
+                pack = cover if at[-1] == top - 1 else level(at[-1])
+            levels = _Levels(top, cover, pack)
+        self._memo["levels"] = levels
+        return levels
+
+    def _level_words(self, level: _Level) -> np.ndarray:
+        """The span of a level's rows in odometer message order (for D0 the
+        nonzero codewords of C meet V_{<=j0} and 0), enumerated once; charges
+        q^(dim D)."""
+        if level.words is None:
+            if level.rows is None:
+                level.words = self.codeword_array()
+            else:
+                charge(self.space.q ** len(level.rows), "q^dim(D) words")
+                level.words = _span(self.space.field, level.rows)
+        return level.words
+
+    def _level_pass(self, level: _Level | None) -> None:
+        """The sub-pass of a level (_pass on D's cosets inside its summand
+        against D's negated words), which memoizes the readings that hold for
+        the code: the covering radius when the level is D, the packing radius
+        when it is D0, both when D = D0.  A nonzero x + d is zero above
+        summand j and nonzero in it, so it already weighs
+        M_w * N_{<j} + w_{P_j}(pi_j(x + d)) in the full space.  No level for
+        the covering radius: C is the whole space, 0.
+        Charges the q^(n_j) entries, n_j the summand's columns."""
+        if level is None:
+            self._memo["covering_radius"] = 0
+            return
+        space, levels = self.space, self._levels()
+        words = self._level_words(level)
+        charge(space.q ** len(level.cols) * len(words), "q^(n_j) summand-pass entries")
+        covering, packing, _ = self._pass(level.cols, space.field.neg_table[words])
+        if level is levels.cover:
+            self._memo["covering_radius"] = covering
+        if level is levels.pack:
+            self._memo["packing_radius"] = packing
+
     # the full-space passes ----------------------------------------------------
 
     def _explicit_pass(self) -> None:
         """One pass over D[x, c] = d(x, c) = w(x - c) for an explicit code,
-        x over F_q^n in odometer order and c over the words (_pass).
-        Charges the q^n * |C| pairs."""
+        x over F_q^n in odometer order and c over the words (_pass), which
+        memoizes the covering radius and, for two or more words, the packing
+        radius.  Charges the q^n * |C| pairs."""
         space = self.space
         charge(space.size * self.size, "q^n * |C| pairs")
-        self._pass(np.arange(space.n), self.codeword_array())
+        covering, packing, _ = self._pass(np.arange(space.n), self.codeword_array())
+        self._keep_readings(covering, packing)
 
     def _coset_pass(self, leaders: bool = False):
         """One pass over W[x, c] = w(x + c) = w(x - (-c)) for a linear code.
 
         x runs over the coset representatives (zero on the pivot columns) in
         odometer order over the free columns, so row x is coset x; c runs over
-        the codewords, negated once for the kernel (_pass).  With
-        leaders=True, returns per coset its minimum weight and the odometer
-        rank of its first minimum-weight vector.  Charges the q^n entries of
-        W.
+        the codewords, negated once for the kernel (_pass).  Memoizes the
+        covering radius and, for two or more words, the packing radius
+        where no reading is memoized yet; with leaders=True, returns per
+        coset its minimum weight and the odometer rank of its first
+        minimum-weight vector.  Charges the q^n entries of W.
         """
         space = self.space
         charge(space.size, "q^n")
         words = space.field.neg_table[self.codeword_array()]
-        return self._pass(np.asarray(self._free, dtype=np.intp), words, leaders)
+        covering, packing, best = self._pass(np.asarray(self._free, dtype=np.intp), words, leaders)
+        self._keep_readings(covering, packing)
+        return best
+
+    def _keep_readings(self, covering: int, packing: int) -> None:
+        """Memoize a full pass's covering radius and, for two or more words,
+        its packing radius, each where no reading is memoized yet: a level
+        reading stays, so that the covering-oracle check compares the two
+        paths where both ran."""
+        self._memo.setdefault("covering_radius", covering)
+        if self.size >= 2:
+            self._memo.setdefault("packing_radius", packing)
 
     def _pass(self, cols: np.ndarray, words: np.ndarray, leaders: bool = False):
         """One pass over w(x - c) for the rows x of F_q^cols in odometer order
         (zero off the columns cols) and the words c.  Per row only the
-        smallest and second-smallest entry are kept, which memoizes the
-        covering radius (max row minimum) and, for two or more words, the
-        packing radius (min second-smallest entry - 1); with leaders=True,
-        returns per row its minimum and the odometer rank of the first
-        vector x - c reaching it."""
+        smallest and second-smallest entry are kept.  Returns the max row
+        minimum and the min second-smallest entry - 1 (a covering and, for
+        two or more words, a packing radius; the caller stores the ones that
+        hold for its code) and, with leaders=True, per row its minimum and
+        the odometer rank of the first vector x - c reaching it, else
+        None."""
         if leaders:
             best_w = np.empty(self.space.q ** len(cols), dtype=np.int64)
             best_rank = np.empty_like(best_w)
@@ -322,10 +501,7 @@ class Code:
             if leaders:
                 best_w[start : start + len(d1)] = d1
                 best_rank[start : start + len(d1)] = rank
-        self._memo["covering_radius"] = covering
-        if self.size >= 2:
-            self._memo["packing_radius"] = second - 1
-        return (best_w, best_rank) if leaders else None
+        return covering, second - 1, ((best_w, best_rank) if leaders else None)
 
     def _rows(self, cols: np.ndarray, words: np.ndarray, leaders: bool):
         """Yield (rank of the first row, d1, d2, rank) per chunk of the rows
@@ -409,16 +585,24 @@ class Code:
 
     def coset_index(self, v: Sequence[int]) -> int:
         """Index of the coset of v: rank of the canonical form's free coordinates."""
+        return int(self.coset_indices(np.asarray(self.space._coerce(v), dtype=np.uint8)[None])[0])
+
+    def coset_indices(self, rows) -> np.ndarray:
+        """(N,) coset indices of the rows of an (N, n) array (coset_index of
+        each), from one canonical-form pass: each generator clears its pivot
+        column in every row, and the free coordinates are ranked in odometer
+        order.  int64 entries when the q^(n-k) cosets fit, else Python
+        ints."""
         if not self.is_linear:
             raise NotLinear("cosets are defined for linear codes only")
-        f = self.space.field
-        canon = np.asarray(self.space._coerce(v), dtype=np.uint8)
-        for g, p in zip(self.generators, self.pivots):
-            canon = f.sub_table[canon, f.mul_table[canon[p], np.asarray(g, dtype=np.uint8)]]
-        index = 0
-        for c in self._free:
-            index = index * self.space.q + int(canon[c])
-        return index
+        f, q = self.space.field, self.space.q
+        canon = self.space._coerce_rows(rows)
+        for g, p in zip(self._defining_rows(), self.pivots):
+            canon = f.sub_table[canon, f.mul_table[canon[:, p : p + 1], g[None, :]]]
+        free = len(self._free)
+        dtype = np.int64 if q**free <= _BIG else object
+        radix = np.array([q**e for e in range(free - 1, -1, -1)], dtype=dtype)
+        return canon[:, list(self._free)].astype(dtype) @ radix
 
     def coset_table(self) -> CosetTable:
         """Minimum-weight leader per coset; leader = first minimum in odometer order."""
@@ -445,17 +629,24 @@ class Code:
         return {tuple(int(x) for x in row) for row in arr[:, sl]}
 
     def trailing_full_index(self) -> int:
-        """s if C_s is not all of F_q^{k_s}; otherwise the least l such that the
-        joint projection onto blocks l+1..s is the full product space."""
+        """With the blocks numbered 1..s along the chain, bottom first: s if
+        C_s is not all of F_q^{k_s}; otherwise the least l such that the
+        joint projection onto blocks l+1..s is the full product space.  A
+        linear code reads it from its level reading (it is j*), counting no
+        codeword."""
         if not self.space.poset.is_chain():
             raise NotAChain("trailing_full_index requires a chain poset")
-        q, n = self.space.q, self.space.n
-        arr = self.codeword_array()
+        if self.is_linear:
+            return self._levels().top
+        space, arr = self.space, self.codeword_array()
+        above: list[int] = []  # the columns of blocks l..s
         # a full suffix stays full when it is shortened, so the first suffix
         # from block s down that is not full ends the search
-        for l, off in reversed(tuple(enumerate(self.space.labeling.offsets))):
-            if self.size < q ** (n - off) or _distinct(arr[:, off:]) < q ** (n - off):
-                return l + 1
+        for l, (e,) in reversed(tuple(enumerate(space.poset.summands(), 1))):
+            above[:0] = range(space.n)[space._slices[e - 1]]
+            full = space.q ** len(above)
+            if self.size < full or _distinct(arr[:, above]) < full:
+                return l
         return 0
 
     # rows and alternative weights -------------------------------------------

@@ -12,6 +12,7 @@ labelings downstream.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -84,6 +85,14 @@ class Poset:
             self._leq[i][j] or self._leq[j][i] for i, j in combinations(range(self.s), 2)
         )
 
+    def summands(self) -> tuple[tuple[int, ...], ...]:
+        """The finest ordinal-sum decomposition P = P_1 + ... + P_h (every
+        element of a lower summand below every element of a higher one):
+        the connected components of the incomparability graph, bottom
+        summand first, each an ascending tuple of elements.  Computed once
+        per order relation (_summands)."""
+        return _summands(self._leq)
+
     def ideal(self, members: Iterable[int]) -> frozenset[int]:
         """The smallest downward-closed set containing ``members``."""
         gen = set(members)
@@ -123,6 +132,25 @@ class Poset:
 
     def __repr__(self) -> str:
         return f"Poset(s={self.s}, covers={self.cover_pairs()})"
+
+
+@lru_cache(maxsize=1024)
+def _summands(leq: tuple[tuple[bool, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Poset.summands of the order relation leq.  An element of a lower
+    summand has a strictly smaller down-set than one of a higher summand,
+    so the summands are consecutive runs of the elements sorted by down-set
+    size, split after every prefix that lies below all the remaining
+    elements."""
+    s = len(leq)
+    down = [frozenset(a for a in range(s) if leq[a][b]) for b in range(s)]
+    order = sorted(range(s), key=lambda b: (len(down[b]), b))
+    parts, start = [], 0
+    for m in range(1, s + 1):
+        low = frozenset(order[:m])
+        if all(low <= down[b] for b in order[m:]):
+            parts.append(tuple(sorted(b + 1 for b in order[start:m])))
+            start = m
+    return tuple(parts)
 
 
 # constructors ---------------------------------------------------------------

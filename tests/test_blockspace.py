@@ -521,3 +521,16 @@ def test_weight_properties_random(data):
     assert s.wpb_weight(s.neg(u)) == wu
     assert s.wpb_weight(s.add(u, v)) <= wu + wv
     assert s.wpb_distance(u, v) == s.wpb_distance(v, u)
+
+
+def test_piece_codes_of_one_row_match_the_matrix_product():
+    """A one-row array takes the broadcast product instead of BLAS gemv; its
+    piece codes, left and right, equal those of the same row inside a
+    two-row array, also with blocks split into several pieces."""
+    rng = np.random.default_rng(5)
+    for q, sizes in ((2, (2, 1, 3)), (5, (1, 2)), (2, (9, 11))):
+        sp = space(q, P.chain(len(sizes)), sizes)
+        arr = rng.integers(0, q, size=(2, sp.n), dtype=np.uint8)
+        for left in (True, False):
+            one, two = sp.piece_codes(arr[:1], left), sp.piece_codes(arr, left)
+            assert one.dtype == two.dtype and (one == two[:, :1]).all()

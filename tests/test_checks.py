@@ -262,3 +262,41 @@ def test_dsum_covering_linear_gate_on_full_space():
             found_na = True
         assert r.status != "fail"
     assert found_na
+
+
+def test_dsum_coset_leader_witness_is_the_first_failing_pair(monkeypatch):
+    """With a scalar weight that is off by one exactly when one of the
+    first and the last coordinate is nonzero, dsum-coset-leader-* fails,
+    and its witness is the first failing joint leader (l1 | l2) with C1's
+    leaders as the outer loop, the order of the batched coset indices."""
+    sampled = []
+    sample = checks._sample_pair
+
+    def recording(rng, q):
+        sampled.append(sample(rng, q))
+        return sampled[-1]
+
+    true = BlockSpace.wpb_weight
+    monkeypatch.setattr(checks, "_sample_pair", recording)
+    monkeypatch.setattr(
+        BlockSpace, "wpb_weight", lambda sp, u: true(sp, u) + ((u[0] != 0) != (u[-1] != 0))
+    )
+    reports = {r.digest: r for r in verify_suite(["direct-sum"], seed=0, trials=30)
+               if r.check == "dsum-coset-leader-disjoint"}
+    assert len(sampled) == 30
+    outer_first = 0
+    for c1, c2 in sampled:
+        digests = (checks._instance_of(c).digest() for c in (c1, c2))
+        r = reports[checks._pair_digest(*digests)]
+        pairs = [
+            (l1, l2)
+            for l1 in c1.coset_table().leaders
+            for l2 in c2.coset_table().leaders
+            if (l1[0] != 0) != (l2[-1] != 0)
+        ]
+        assert r.status == ("fail" if pairs else "pass")
+        if pairs:
+            assert (tuple(r.witness["leader1"]), tuple(r.witness["leader2"])) == pairs[0]
+            # a loop over C2's leaders outside would name another pair here
+            outer_first += pairs[0] != min(pairs, key=lambda p: (p[1], p[0]))
+    assert outer_first

@@ -5,9 +5,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import random
+
+import numpy as np
 import pytest
 
 import wpbcodes
+from wpbcodes.blockspace import BlockSpace, Labeling
+from wpbcodes.codes import Code
+from wpbcodes.field import make_field
+from wpbcodes.instances import random_rows
+from wpbcodes.poset import chain
+from wpbcodes.weights import hamming_weight
 
 from wpbcodes.cli import main
 from wpbcodes.instances import loads_instance
@@ -63,6 +72,64 @@ def test_covering_and_packing(rep3, capsys):
     assert capsys.readouterr().out.strip() == "2"
     assert main(["packing-radius", rep3]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def _direct_sum_chain(rng, k1: int, middle_full: bool, k2: int):
+    """A GF(2) Hamming instance on a 30-block chain of 2-coordinate blocks
+    (n = 60): the linear-order direct sum C1 + Cm + C2 over chains of 5, 20
+    and 5 blocks, C1 and C2 random of dimensions k1 and k2, Cm the zero
+    code or the whole space.  Returns the document and the two outer parts
+    as word-set codes on their own 5-block chain."""
+    f = make_field(2)
+    part = BlockSpace(chain(5), Labeling((2,) * 5), f, hamming_weight(f))
+    outer = []
+    for k in (k1, k2):
+        while True:
+            code = Code.linear(part, random_rows(rng, 2, 10, k))
+            if code.dimension == k:
+                break
+        outer.append(code)
+    middle = np.eye(40, dtype=int) if middle_full else np.zeros((0, 40), dtype=int)
+    g1, g2 = (c._defining_rows().astype(int) for c in outer)
+    rows = np.zeros((len(g1) + len(middle) + len(g2), 60), dtype=int)
+    rows[: len(g1), :10] = g1
+    rows[len(g1) : len(g1) + len(middle), 10:50] = middle
+    rows[len(g1) + len(middle) :, 50:] = g2
+    doc = {
+        "field": {"q": 2},
+        "weight": {"kind": "hamming"},
+        "poset": {"elements": 30, "cover": [[i, i + 1] for i in range(1, 30)]},
+        "labeling": [2] * 30,
+        "code": {"kind": "generator", "rows": rows.tolist()},
+    }
+    return doc, [Code.explicit(part, c.codeword_array()) for c in outer]
+
+
+@pytest.mark.parametrize("k1, middle_full, k2", [(2, False, 3), (3, True, 7)])
+def test_level_reading_answers_a_60_coordinate_chain(k1, middle_full, k2, tmp_path, capsys):
+    """mindist, covering-radius and packing-radius on a 30-block GF(2)
+    chain with n = 60 (2^60 vectors) exit 0 under the default cap, at k = 5
+    and k = 50.  The answers are checked against the paper's linear-order
+    direct-sum formulas on the two 10-coordinate outer parts, each scanned
+    as a word set: d(C1 + C2) = d(C1) and, for R(C2) > 0, the covering
+    radius R(C1 + C2) = s1 * M_w + R(C2), with M_w = 1 and s1 = 25, the
+    blocks below C2.  The packing radius is rho(C1): words of C outside C1
+    weigh more than any vector of the bottom five blocks, so the two
+    nearest words of a vector at the smallest second distance differ in C1
+    alone."""
+    doc, (c1, c2) = _direct_sum_chain(random.Random(k1), k1, middle_full, k2)
+    assert len(doc["code"]["rows"]) == (50 if middle_full else 5)
+    path = tmp_path / "chain60.json"
+    path.write_text(json.dumps(doc))
+    assert c2.covering_radius() > 0
+    expect = {
+        "mindist": c1.min_distance(),
+        "covering-radius": 25 + c2.covering_radius(),
+        "packing-radius": c1.packing_radius(),
+    }
+    for command, value in expect.items():
+        assert main([command, str(path)]) == 0
+        assert capsys.readouterr().out.strip() == str(value)
 
 
 def test_cosets(lee_span, capsys):

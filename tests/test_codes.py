@@ -517,7 +517,166 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
     assert indices and max(indices) <= chunk
 
 
+TREE6 = P.from_cover_relations(6, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)])
+_SMALL_POSETS = [p for s in (1, 2, 3) for p in P.all_posets(s)]
+
+
+def _level_space(rng):
+    """A seeded space for the level reading: an ordinal sum (linear_sum) of
+    1-3 posets on at most 3 elements, a chain, TREE6 or an antichain, over
+    q in {2, 3, 4, 5, 7} under the Hamming, Lee or a custom weight, with
+    blocks of 1-3 coordinates and at most 2^7 vectors."""
+    while True:
+        shape = rng.choice(["sum", "sum", "chain", "antichain", "tree"])
+        if shape == "sum":
+            pos = rng.choice(_SMALL_POSETS)
+            for _ in range(rng.randrange(3)):
+                pos = P.linear_sum(pos, rng.choice(_SMALL_POSETS))
+        elif shape == "tree":
+            pos = TREE6
+        else:
+            pos = getattr(P, shape)(rng.randrange(1, 5))
+        if 2**pos.s <= 128:
+            break
+    q = rng.choice([q for q in (2, 3, 4, 5, 7) if q**pos.s <= 128])
+    while True:
+        sizes = tuple(rng.randrange(1, 4) for _ in range(pos.s))
+        if q ** sum(sizes) <= 128:
+            break
+    f = make_field(q)
+    kind = rng.choice(["hamming", "lee", "custom"])
+    if kind == "lee" and q != 4:
+        w = lee_weight(f)
+    elif kind == "hamming":
+        w = hamming_weight(f)
+    else:  # 1 on +-1, 2 elsewhere
+        w = custom_weight(f, [0] + [1 if x in (1, f.neg(1)) else 2 for x in range(1, q)])
+    return BlockSpace(pos, Labeling(sizes), f, w)
+
+
+@pytest.mark.parametrize("chunk", [None, 4])
+def test_level_reading_matches_word_set_scan_and_coset_table(chunk, monkeypatch):
+    """The level reading of a linear code (covering radius from j*'s
+    sub-pass, packing radius from j0's, minimum distance from D0's words,
+    and every is_r_perfect(r)) against the explicit word-set scan of the
+    same words and the coset table's full pass, covering radius first and
+    packing radius first.  A small _CHUNK makes sub-passes on two or more
+    summands cut their columns."""
+    if chunk is not None:
+        monkeypatch.setattr(codes_module, "_CHUNK", chunk)
+    cut = BlockSpace.cut
+    cuts: list[int] = []
+
+    def recording_cut(sp, p):
+        cuts.append(p)
+        return cut(sp, p)
+
+    monkeypatch.setattr(BlockSpace, "cut", recording_cut)
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(150):
+        sp = _level_space(rng)
+        rows = random_rows(rng, sp.q, sp.n, rng.randrange(sp.n + 1))
+        oracle = Code.explicit(sp, Code.linear(sp, rows).codewords())
+        top = sp.weight.max_weight * sp.s
+        expect = [oracle.covering_radius()]
+        if oracle.size >= 2:
+            expect += [oracle.packing_radius(), oracle.min_distance()]
+        expect.append([oracle.is_r_perfect(r) for r in range(top + 1)])
+
+        cuts.clear()
+        cover_first = Code.linear(sp, rows)
+        got = [cover_first.covering_radius()]
+        if cover_first.size >= 2:
+            got += [cover_first.packing_radius(), cover_first.min_distance()]
+        got.append([cover_first.is_r_perfect(r) for r in range(top + 1)])
+        assert got == expect
+        multi = len(sp.poset.summands()) > 1
+        if multi and cuts:
+            seen.add("cut")
+
+        pack_first = Code.linear(sp, rows)
+        got = []
+        if pack_first.size >= 2:
+            got += [pack_first.packing_radius(), pack_first.min_distance()]
+        got.insert(0, pack_first.covering_radius())
+        got.append([pack_first.is_r_perfect(r) for r in range(top + 1)])
+        assert got == expect
+        assert Code.linear(sp, rows).coset_table().max_weight == expect[0]
+
+        levels = cover_first._levels()
+        seen.add((multi, levels.cover is None, levels.pack is None))
+        if multi and levels.cover is not None and levels.pack is not None:
+            seen.add("shared" if levels.cover is levels.pack else "apart")
+        if any(len(part) > 1 for part in sp.poset.summands()[1:]):
+            seen.add("wide upper summand")
+    # one and several summands, C = F_q^n and C = 0 on several, j* = j0
+    # and j* != j0, and a summand above the bottom that is not one element
+    assert {(False, False, False), (True, False, False)} <= seen
+    assert {(True, True, False), (True, False, True), "shared", "apart"} <= seen
+    assert "wide upper summand" in seen
+    assert ("cut" in seen) == (chunk is not None)
+
+
+def test_trailing_full_index_reads_ranks_like_the_suffix_loop():
+    """A linear code's trailing_full_index comes from its level echelon form
+    (j*), an explicit one's from the suffix loop over the codewords, the
+    oracle here; on chains whose order is not the labeling order as well."""
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(80):
+        s_count = rng.randrange(1, 5)
+        order = rng.sample(range(1, s_count + 1), s_count)
+        pos = P.from_cover_relations(s_count, list(zip(order, order[1:])))
+        q = rng.choice([2, 3, 5])
+        while True:
+            sizes = tuple(rng.randrange(1, 3) for _ in range(s_count))
+            if q ** sum(sizes) <= 729:
+                break
+        sp = space(q, pos, sizes)
+        code = Code.linear(sp, random_rows(rng, q, sp.n, rng.randrange(sp.n + 1)))
+        r = code.trailing_full_index()
+        assert r == Code.explicit(sp, code.codewords()).trailing_full_index()
+        seen.add("full" if r == 0 else "top" if r == s_count else "between")
+    assert seen == {"full", "top", "between"}
+
+
+def _coset_index_reference(code, v):
+    """The coset index of v by the scalar canonical form: each generator
+    clears its pivot, then the free coordinates are ranked in Python ints."""
+    f, canon = code.space.field, list(v)
+    for g, p in zip(code.generators, code.pivots):
+        c = canon[p]
+        canon = [f.sub(x, f.mul(c, y)) for x, y in zip(canon, g)]
+    index = 0
+    for c in code._free:
+        index = index * code.space.q + canon[c]
+    return index
+
+
+def test_coset_indices_match_the_scalar_canonical_form():
+    """coset_indices of every vector against the scalar reference, and
+    coset_index as its one-row case; beyond int64 (3^55 cosets) the indices
+    are exact Python ints."""
+    rng = random.Random(43)
+    for _ in range(20):
+        code = _random_linear_code(rng)
+        allv = code.space.all_vectors()
+        got = code.coset_indices(allv).tolist()
+        assert got == [_coset_index_reference(code, v) for v in allv.tolist()]
+        assert got == [code.coset_index(v) for v in allv.tolist()]
+    sp = space(3, P.chain(30), (2,) * 30)
+    code = Code.linear(sp, random_rows(rng, 3, sp.n, 5))
+    vs = [tuple(rng.randrange(3) for _ in range(sp.n)) for _ in range(5)]
+    assert code.coset_indices(vs).tolist() == [_coset_index_reference(code, v) for v in vs]
+    assert max(code.coset_indices(vs).tolist()) > np.iinfo(np.int64).max
+    with pytest.raises(NotLinear):
+        rep3().coset_indices([(0, 0, 0)])
+
+
 _CAPPED_SPACE = space(3, P.chain(2), (1, 2), "lee")  # q^n = 27
+# the same blocks on one summand, where the level reading is the full pass
+_CAPPED_FLAT = space(3, P.antichain(2), (1, 2), "lee")
 _CAPPED_GENERATORS = [(1, 2, 0), (0, 1, 1)]  # q^k = 9
 _CAPPED_WORDS = [(0, 0, 0), (1, 2, 0), (2, 2, 1)]  # q^n * |C| = 81
 # entry point -> (the count it charges, a call on fresh objects)
@@ -526,8 +685,17 @@ _CAPPED = {
     "iter_chunks": (27, lambda s: list(s.iter_chunks())),
     "ball": (27, lambda s: s.ball(s.zero(), 1)),
     "weight_spectrum": (2, lambda s: s.weight_spectrum()),  # DP states on a 2-chain
-    "linear min_distance": (9, lambda s: Code.linear(s, _CAPPED_GENERATORS).min_distance()),
-    "linear covering_radius": (27, lambda s: Code.linear(s, _CAPPED_GENERATORS).covering_radius()),
+    "linear min_distance": (
+        9, lambda s: Code.linear(_CAPPED_FLAT, _CAPPED_GENERATORS).min_distance()
+    ),
+    "linear covering_radius": (
+        27, lambda s: Code.linear(_CAPPED_FLAT, _CAPPED_GENERATORS).covering_radius()
+    ),
+    # on the 2-chain C fills block 2 (j0 = 2, D0 = F_3^2: 9 words, 9 pass
+    # entries) and misses block 1 (j* = 1, D = 0: q^1 pass entries)
+    "level min_distance": (9, lambda s: Code.linear(s, _CAPPED_GENERATORS).min_distance()),
+    "level covering_radius": (3, lambda s: Code.linear(s, _CAPPED_GENERATORS).covering_radius()),
+    "level packing_radius": (9, lambda s: Code.linear(s, _CAPPED_GENERATORS).packing_radius()),
     "linear coset_table": (27, lambda s: Code.linear(s, _CAPPED_GENERATORS).coset_table()),
     "explicit covering_radius": (81, lambda s: Code.explicit(s, _CAPPED_WORDS).covering_radius()),
     # pieces x n on a fresh GF(2) space: blocks of 9 and 11 cut into pieces

@@ -209,3 +209,49 @@ def test_random_cover_posets_satisfy_axioms(s, data):
             for k in p.elements():
                 if p.leq(i, j) and p.leq(j, k):
                     assert p.leq(i, k)
+
+
+def _incomparability_components(p: P.Poset) -> list[frozenset[int]]:
+    """The connected components of the incomparability graph, by search."""
+    left, out = set(p.elements()), []
+    while left:
+        stack, comp = [min(left)], set()
+        while stack:
+            a = stack.pop()
+            if a in comp:
+                continue
+            comp.add(a)
+            stack += [b for b in left if not p.leq(a, b) and not p.leq(b, a)]
+        left -= comp
+        out.append(frozenset(comp))
+    return out
+
+
+def test_summands_are_the_ordered_incomparability_components():
+    """On every poset of 4 elements the summands are the components of the
+    incomparability graph, each an ascending tuple, every element of a lower
+    summand below every element of a higher one."""
+    shapes = {1: 0, 2: 0}
+    for p in P.all_posets(4):
+        parts = p.summands()
+        assert all(part == tuple(sorted(part)) for part in parts)
+        assert sorted(map(frozenset, parts), key=min) == sorted(
+            _incomparability_components(p), key=min
+        )
+        for i, low in enumerate(parts):
+            for high in parts[i + 1 :]:
+                assert all(p.less(a, b) for a in low for b in high)
+        assert p.summands() is parts  # computed once per relation
+        shapes[min(len(parts), 2)] += 1
+    assert P.chain(4).summands() == ((1,), (2,), (3,), (4,))
+    assert P.antichain(4).summands() == ((1, 2, 3, 4),)
+    assert shapes[1] and shapes[2]
+
+
+def test_linear_sum_stacks_the_summands():
+    """linear_sum(P, Q) has P's summands followed by Q's, shifted by |P|."""
+    small = [p for s in (1, 2, 3) for p in P.all_posets(s)]
+    for p in small:
+        for q in small:
+            shifted = tuple(tuple(e + p.s for e in part) for part in q.summands())
+            assert P.linear_sum(p, q).summands() == p.summands() + shifted
