@@ -18,14 +18,19 @@ Either kind's rows are validated as one array: integer coordinates in
 - coset_table: minimum-weight leader per coset of a linear code, with
   ties broken by enumeration order.
 
-Explicit codes enumerate: the word pairs, and one pass over F_q^n against
-the words.  Linear codes read the covering radius, packing radius and
-minimum distance from one summand of the poset's finest ordinal sum
-P = P_1 + ... + P_h (Poset.summands, bottom first), every element of a
-lower summand below every element of a higher one.  A nonzero vector u
-whose top nonzero summand is j weighs M_w * N_{<j} + w_{P_j}(pi_j u), with
-N_{<j} the blocks below summand j, so the weights of different j do not
-overlap.  With V_{<=j} the vectors zero above summand j:
+Every code reads its covering and packing radius from one pass (_pass)
+over w(x - c), x over F_q^cols (zero off the columns cols) and c over some
+words, keeping per row its two smallest entries: the max row minimum is a
+covering radius, the min second-smallest entry - 1 a packing radius.
+Linearity only changes what the pass enumerates (Code._levels).  An
+explicit code has one level, all of F_q^n against its words.  A linear
+code reads its covering radius, packing radius and minimum distance from
+one summand of the poset's finest ordinal sum P = P_1 + ... + P_h
+(Poset.summands, bottom first), every element of a lower summand below
+every element of a higher one.  A nonzero vector u whose top nonzero
+summand is j weighs M_w * N_{<j} + w_{P_j}(pi_j u), with N_{<j} the blocks
+below summand j, so the weights of different j do not overlap.  With
+V_{<=j} the vectors zero above summand j:
 
 - covering radius = M_w * N_{<j*} + R(D), j* the least j with pi_{>j}(C)
   the whole space above j and D = pi_{j*}(C meet V_{<=j*}); 0 when C is
@@ -35,29 +40,25 @@ overlap.  With V_{<=j} the vectors zero above summand j:
   D0 = pi_{j0}(C meet V_{<=j0}).
 
 All of it comes from one echelon form of the generators with the columns
-taken top summand first (Code._levels), so no codeword of C is
-enumerated: D's parameters come from a sub-pass over D's cosets inside its
-summand (q^(n_j) entries, n_j the summand's columns) and d(D0) from D0's
-words.  On a single summand (an antichain, or any poset that is no ordinal
-sum) D = D0 = C and the sub-pass is the full coset pass.
+taken top summand first, so no codeword of C is enumerated: D's
+parameters come from a sub-pass over D's cosets inside its summand and
+d(D0) from D0's words.  On a single summand (an antichain, or any poset
+that is no ordinal sum) D = D0 = C and the sub-pass is the full coset pass.
 
 The coset pass: the generator is in reduced row-echelon form, so every
 vector splits uniquely as x + c with x zero on the pivot columns and c a
-codeword, and the metric is translation-invariant, so the distances from
-any vector of the coset x + C to the code are the row W[x, .] of
-W[x, c] = w(x + c).  The pass enumerates x in odometer order over the free
-columns (row x is coset_index(x)): q^n weights in all, instead of
-q^n * |C| for a per-codeword scan; the coset table always takes the full
-pass.  A sub-pass is the same pass on D's free columns inside summand j
-and the codewords whose parts in summand j make up D: each nonzero x + d
-is zero above summand j and nonzero in it, so it already weighs
-M_w * N_{<j} + w_{P_j}(pi_j(x + d)).  Explicit codes get the covering and
-packing radius from one pass over D[x, c] = d(x, c) with x over all of
-F_q^n.  W[x, c] = w(x - (-c)), so all are one reduction (_pass) over
-w(x - c) with x over F_q^(enumerated columns), the coset pass on the
-negated codewords; the word-set pass enumerates all of F_q^n against the
-words instead of the cosets, which the covering-oracle check compares the
-coset pass against.
+codeword, and by translation invariance the distances from the coset
+x + C to the code are the row x of W[x, c] = w(x + c) = w(x - (-c)): the
+pass on the free columns against the negated codewords, q^n entries
+instead of q^n * |C|, row x being coset_index(x).  A sub-pass runs on D's
+free columns inside summand j against D's negated words; each nonzero
+x + d is zero above summand j and nonzero in it, so it already weighs
+M_w * N_{<j} + w_{P_j}(pi_j(x + d)).  Negating an explicit code's words
+changes no reading, since x -> -x permutes F_q^n and w(-u) = w(u).  Every
+pass charges its q^|cols| * |words| vector x word pairs.  The coset table
+takes the full coset pass with each row's first minimum in odometer order
+and memoizes its max leader weight as the covering radius where none is
+memoized yet.
 
 A pass holds at most _CHUNK pairs per tile.  It cuts the enumerated columns
 into a head and a tail of t columns, t the largest with q^t * |C| within
@@ -68,13 +69,13 @@ is built once per pass and the head index once per chunk of head rows, both
 with the pair tables, so each entry of a (head rows, C, T) tile costs one
 add and one gather.  The odometer rank of x - c is additive the same way,
 so the coset table ranks the entries that tie with a row minimum with one
-add.  Without a cut (one tile holds the pass, q * |C| exceeds a tile, or
-the space has no table for the cut) tiles are whole rows times a block of
-words, one pair-kernel call each (BlockSpace.pair_weights on piece codes
-computed once per tile and once per pass), and a leader rank forms x - c
-for the tied entries only.  The word pairs of the minimum distance take the
-same pair-kernel tiles.  No scan builds a difference vector for its
-weights.
+add; the leaders' digits come from the ranks in one unravel_index.  Without
+a cut (one tile holds the pass, q * |C| exceeds a tile, or the space has no
+table for the cut) tiles are whole rows times a block of words, one
+pair-kernel call each (BlockSpace.pair_weights on piece codes computed once
+per tile and once per pass), and a leader rank forms x - c for the tied
+entries only.  The word pairs of the minimum distance take the same
+pair-kernel tiles.  No scan builds a difference vector for its weights.
 """
 
 from __future__ import annotations
@@ -185,17 +186,19 @@ def _span(field: Field, rows: np.ndarray) -> np.ndarray:
 
 
 def _distinct(rows: np.ndarray) -> int:
-    """The number of distinct rows of an (m, width) uint8 array."""
-    return len(np.unique(np.ascontiguousarray(rows).view(f"V{rows.shape[1]}")))
+    """The number of distinct rows of an (m >= 1, width) uint8 array, by one
+    sort of its rows as bytes (np.unique would import numpy.ma)."""
+    keys = np.sort(np.ascontiguousarray(rows).view(f"V{rows.shape[1]}").ravel())
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 class _Level:
     """The code D inside one summand j of the poset's ordinal sum that a
-    linear code's parameter is read from (Code._levels): rows, the (dim D,
-    n) uint8 echelon rows with their pivot in summand j (codewords zero
-    above it whose parts in it span D), or None when D is C; cols, the
-    summand's columns off those pivots, ascending; and D's words once
-    enumerated (Code._level_words).  The rows' coordinates below summand j
+    code's parameter is read from (Code._levels): rows, the (dim D, n)
+    uint8 echelon rows with their pivot in summand j (codewords zero above
+    it whose parts in it span D), or None when D is C; cols, the summand's
+    columns off those pivots (all n for an explicit code), ascending; and
+    D's words once enumerated (Code._level_words).  The rows' coordinates below summand j
     need no clearing: those blocks lie below a nonzero block of summand j in
     every nonzero x + d, where each weighs M_w whatever its values."""
 
@@ -207,12 +210,13 @@ class _Level:
 
 
 class _Levels(NamedTuple):
-    """The level reading of a linear code (Code._levels); summands are
-    numbered 1..h from the bottom."""
+    """The level reading of a code (Code._levels); summands are numbered
+    1..h from the bottom, and an explicit code's one level counts as a
+    single summand."""
 
     top: int  # j*: 0 when C is the whole space, else the highest summand C does not fill
     cover: _Level | None  # D at j*, None when C is the whole space
-    pack: _Level | None  # D0 at j0, the lowest summand holding a pivot; None when C = 0
+    pack: _Level | None  # D0 at j0, the lowest summand holding a pivot; None for one word
 
 
 @dataclass(frozen=True)
@@ -237,7 +241,7 @@ class Code:
             self.generators, self.pivots = _row_reduce(space.field, rows, range(space.n))
             self.dimension = len(self.generators)
             self.size: int = space.q**self.dimension
-            self._free = tuple(c for c in range(space.n) if c not in self.pivots)
+            self._free = np.array([c for c in range(space.n) if c not in self.pivots], np.intp)
             self.words = None
         else:
             self.kind = "explicit"
@@ -247,7 +251,7 @@ class Code:
             self.words = tuple(dedup)
             self.generators = None
             self.pivots = None
-            self._free = None
+            self._free = np.arange(space.n, dtype=np.intp)  # a pass enumerates every column
             self.dimension = None
             self.size = len(dedup)
         self._cw: np.ndarray | None = None
@@ -305,10 +309,7 @@ class Code:
     def covering_radius(self) -> int:
         """max over F_q^n of the distance to the code."""
         if "covering_radius" not in self._memo:
-            if self.is_linear:
-                self._level_pass(self._levels().cover)
-            else:
-                self._explicit_pass()
+            self._level_pass(self._levels().cover)
         return self._memo["covering_radius"]
 
     def packing_radius(self) -> int:
@@ -317,10 +318,7 @@ class Code:
             return self._memo["packing_radius"]
         if self.size < 2:
             raise TooFewWords("packing radius needs at least two distinct words")
-        if self.is_linear:
-            self._level_pass(self._levels().pack)
-        else:
-            self._explicit_pass()
+        self._level_pass(self._levels().pack)
         return self._memo["packing_radius"]
 
     def is_r_perfect(self, r: int) -> bool:
@@ -358,25 +356,28 @@ class Code:
     # the level reading --------------------------------------------------------
 
     def _levels(self) -> _Levels:
-        """The summands a linear code's covering radius (j*, code D) and
-        packing radius and minimum distance (j0, code D0) are read from,
-        memoized; see the module docstring.
+        """The summands a code's covering radius (j*, code D) and packing
+        radius and minimum distance (j0, code D0) are read from, memoized;
+        see the module docstring.
 
-        The generators are row-reduced once more with the columns taken top
-        summand first, so the rows with their pivot in summand j are zero
-        above it and span C's words whose top nonzero summand is j, modulo
-        the lower ones; their part in summand j spans D_j = pi_j(C meet
-        V_{<=j}).  pi_{>j}(C) is the whole space above j iff every summand
-        above j holds as many pivots as columns.  On a single summand D and
-        D0 are C itself and nothing is reduced again."""
+        The generators of a linear code are row-reduced once more with the
+        columns taken top summand first, so the rows with their pivot in
+        summand j are zero above it and span C's words whose top nonzero
+        summand is j, modulo the lower ones; their part in summand j spans
+        D_j = pi_j(C meet V_{<=j}).  pi_{>j}(C) is the whole space above j
+        iff every summand above j holds as many pivots as columns.  On a
+        single summand, and for an explicit code, D and D0 are C itself on
+        its free columns (all n for an explicit code) and nothing is reduced
+        again."""
         levels = self._memo.get("levels")
         if levels is not None:
             return levels
-        space, k, n = self.space, self.dimension, self.space.n
+        space, n = self.space, self.space.n
         parts = space.poset.summands()
-        if len(parts) == 1:
-            whole = _Level(None, np.asarray(self._free, dtype=np.intp))
-            levels = _Levels(int(k < n), whole if k < n else None, whole if k else None)
+        if not self.is_linear or len(parts) == 1:
+            whole = _Level(None, self._free)
+            cover = whole if len(self._free) else None  # None: C is the whole space
+            levels = _Levels(int(cover is not None), cover, whole if self.size > 1 else None)
         else:
             # these codes are small, so plain lists beat numpy calls here
             where = [0] * n  # the summand of each column
@@ -404,7 +405,7 @@ class Code:
 
             cover = level(top - 1) if top else None
             pack = None
-            if k:  # the last row's pivot lies in the lowest summand holding one
+            if rows:  # the last row's pivot lies in the lowest summand holding one
                 pack = cover if at[-1] == top - 1 else level(at[-1])
             levels = _Levels(top, cover, pack)
         self._memo["levels"] = levels
@@ -423,64 +424,23 @@ class Code:
         return level.words
 
     def _level_pass(self, level: _Level | None) -> None:
-        """The sub-pass of a level (_pass on D's cosets inside its summand
-        against D's negated words), which memoizes the readings that hold for
-        the code: the covering radius when the level is D, the packing radius
-        when it is D0, both when D = D0.  A nonzero x + d is zero above
-        summand j and nonzero in it, so it already weighs
-        M_w * N_{<j} + w_{P_j}(pi_j(x + d)) in the full space.  No level for
-        the covering radius: C is the whole space, 0.
-        Charges the q^(n_j) entries, n_j the summand's columns."""
+        """The sub-pass of a level (_pass on its columns against its negated
+        words; see the module docstring), which memoizes the readings that
+        hold for the code: the covering radius when the level is D, the
+        packing radius when it is D0, both when D = D0.  No level for the
+        covering radius: C is the whole space, 0."""
         if level is None:
             self._memo["covering_radius"] = 0
             return
-        space, levels = self.space, self._levels()
+        levels = self._levels()
         words = self._level_words(level)
-        charge(space.q ** len(level.cols) * len(words), "q^(n_j) summand-pass entries")
-        covering, packing, _ = self._pass(level.cols, space.field.neg_table[words])
+        covering, packing, _ = self._pass(level.cols, self.space.field.neg_table[words])
         if level is levels.cover:
             self._memo["covering_radius"] = covering
         if level is levels.pack:
             self._memo["packing_radius"] = packing
 
-    # the full-space passes ----------------------------------------------------
-
-    def _explicit_pass(self) -> None:
-        """One pass over D[x, c] = d(x, c) = w(x - c) for an explicit code,
-        x over F_q^n in odometer order and c over the words (_pass), which
-        memoizes the covering radius and, for two or more words, the packing
-        radius.  Charges the q^n * |C| pairs."""
-        space = self.space
-        charge(space.size * self.size, "q^n * |C| pairs")
-        covering, packing, _ = self._pass(np.arange(space.n), self.codeword_array())
-        self._keep_readings(covering, packing)
-
-    def _coset_pass(self, leaders: bool = False):
-        """One pass over W[x, c] = w(x + c) = w(x - (-c)) for a linear code.
-
-        x runs over the coset representatives (zero on the pivot columns) in
-        odometer order over the free columns, so row x is coset x; c runs over
-        the codewords, negated once for the kernel (_pass).  Memoizes the
-        covering radius and, for two or more words, the packing radius
-        where no reading is memoized yet; with leaders=True, returns per
-        coset its minimum weight and the odometer rank of its first
-        minimum-weight vector.  Charges the q^n entries of W.
-        """
-        space = self.space
-        charge(space.size, "q^n")
-        words = space.field.neg_table[self.codeword_array()]
-        covering, packing, best = self._pass(np.asarray(self._free, dtype=np.intp), words, leaders)
-        self._keep_readings(covering, packing)
-        return best
-
-    def _keep_readings(self, covering: int, packing: int) -> None:
-        """Memoize a full pass's covering radius and, for two or more words,
-        its packing radius, each where no reading is memoized yet: a level
-        reading stays, so that the covering-oracle check compares the two
-        paths where both ran."""
-        self._memo.setdefault("covering_radius", covering)
-        if self.size >= 2:
-            self._memo.setdefault("packing_radius", packing)
+    # the pass -----------------------------------------------------------------
 
     def _pass(self, cols: np.ndarray, words: np.ndarray, leaders: bool = False):
         """One pass over w(x - c) for the rows x of F_q^cols in odometer order
@@ -490,9 +450,11 @@ class Code:
         two or more words, a packing radius; the caller stores the ones that
         hold for its code) and, with leaders=True, per row its minimum and
         the odometer rank of the first vector x - c reaching it, else
-        None."""
+        None.  Charges the q^|cols| * |words| vector x word pairs."""
+        rows = self.space.q ** len(cols)
+        charge(rows * len(words), "vector x word pairs")
         if leaders:
-            best_w = np.empty(self.space.q ** len(cols), dtype=np.int64)
+            best_w = np.empty(rows, dtype=np.int64)
             best_rank = np.empty_like(best_w)
         covering, second = 0, _BIG
         for start, d1, d2, rank in self._rows(cols, words, leaders):
@@ -602,7 +564,7 @@ class Code:
         free = len(self._free)
         dtype = np.int64 if q**free <= _BIG else object
         radix = np.array([q**e for e in range(free - 1, -1, -1)], dtype=dtype)
-        return canon[:, list(self._free)].astype(dtype) @ radix
+        return canon[:, self._free].astype(dtype) @ radix
 
     def coset_table(self) -> CosetTable:
         """Minimum-weight leader per coset; leader = first minimum in odometer order."""
@@ -610,14 +572,17 @@ class Code:
             return self._memo["coset_table"]
         if not self.is_linear:
             raise NotLinear("cosets are defined for linear codes only")
-        best_w, best_rank = self._coset_pass(leaders=True)
-        digits = best_rank[:, None] // self.space._radix % self.space.q
+        space = self.space
+        words = space.field.neg_table[self.codeword_array()]
+        best_w, best_rank = self._pass(self._free, words, True)[2]
+        digits = np.unravel_index(best_rank, (space.q,) * space.n)
         table = CosetTable(
-            leaders=tuple(map(tuple, digits.tolist())),
+            leaders=tuple(zip(*(d.tolist() for d in digits))),
             weights=tuple(best_w.tolist()),
             max_weight=int(best_w.max()),
         )
         self._memo["coset_table"] = table
+        self._memo.setdefault("covering_radius", table.max_weight)
         return table
 
     # projections ------------------------------------------------------------

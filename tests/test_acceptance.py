@@ -272,16 +272,19 @@ def test_criterion_10_covering_oracle(
     ]
     assert len(rows) > 1000
     assert all(r.status == "pass" for r in rows)
-    # the oracle is independent of the pass: a pass wrong in both of its
-    # readings at once is still caught
-    original = Code._coset_pass
+    # the oracle is independent of a wrong reading of linear codes: a pass
+    # that skews both the covering radius and the leader weights of linear
+    # codes at once is still caught by the word-set scan, whose explicit
+    # code takes the same pass unskewed
+    original = Code._pass
 
-    def skewed(self, leaders=False):
-        out = original(self, leaders)
-        self._memo["covering_radius"] += 1
-        return None if out is None else (out[0] + 1, out[1])
+    def skewed(self, cols, words, leaders=False):
+        covering, packing, best = original(self, cols, words, leaders)
+        if not self.is_linear:
+            return covering, packing, best
+        return covering + 1, packing, None if best is None else (best[0] + 1, best[1])
 
-    monkeypatch.setattr(Code, "_coset_pass", skewed)
+    monkeypatch.setattr(Code, "_pass", skewed)
     skewed_rows = verify_suite(["chain-radii"], seed=SEED, trials=5)
     assert any(r.check == "covering-oracle" and r.status == "fail" for r in skewed_rows)
     _announce(10, "covering-oracle", f"{len(rows)} pass-vs-explicit-scan comparisons, all equal")

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,10 +402,12 @@ def test_coset_pass_matches_explicit_scan_and_brute_force(chunk, monkeypatch):
 @pytest.mark.parametrize("chunk", [1, 5])
 def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
     """The explicit word-set pass and the pairwise minimum distance against
-    scalar distances.  A small _CHUNK splits the words over several tiles,
-    the vectors over many and the word pairs across rows; no tile may
-    exceed it.  A second round with _PIECE_CODES at 1 cuts the blocks into
-    single-coordinate pieces, so every block of two coordinates is split."""
+    scalar distances, covering radius first and packing radius first (one
+    pass gives both either way).  A small _CHUNK splits the words over
+    several tiles, the vectors over many and the word pairs across rows; no
+    tile may exceed it.  A second round with _PIECE_CODES at 1 cuts the
+    blocks into single-coordinate pieces, so every block of two coordinates
+    is split."""
     monkeypatch.setattr(codes_module, "_CHUNK", chunk)
     for piece_codes in (blockspace._PIECE_CODES, 1):
         monkeypatch.setattr(blockspace, "_PIECE_CODES", piece_codes)
@@ -421,6 +427,10 @@ def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
                 mindist = code.min_distance() if code.size >= 2 else None
                 top = sp.weight.max_weight * sp.s
                 perfect = [code.is_r_perfect(r) for r in range(top + 1)]
+                pack_first = Code.explicit(sp, code.words)
+                if code.size >= 2:
+                    assert pack_first.packing_radius() == packing
+                assert pack_first.covering_radius() == covering
             assert tiles and max(tiles) <= chunk
             split.add(len(sp._pieces.extra) > 0)
 
@@ -559,9 +569,9 @@ def test_level_reading_matches_word_set_scan_and_coset_table(chunk, monkeypatch)
     """The level reading of a linear code (covering radius from j*'s
     sub-pass, packing radius from j0's, minimum distance from D0's words,
     and every is_r_perfect(r)) against the explicit word-set scan of the
-    same words and the coset table's full pass, covering radius first and
-    packing radius first.  A small _CHUNK makes sub-passes on two or more
-    summands cut their columns."""
+    same words and the coset table's full pass, covering radius first,
+    packing radius first and coset table first.  A small _CHUNK makes
+    sub-passes on two or more summands cut their columns."""
     if chunk is not None:
         monkeypatch.setattr(codes_module, "_CHUNK", chunk)
     cut = BlockSpace.cut
@@ -602,7 +612,14 @@ def test_level_reading_matches_word_set_scan_and_coset_table(chunk, monkeypatch)
         got.insert(0, pack_first.covering_radius())
         got.append([pack_first.is_r_perfect(r) for r in range(top + 1)])
         assert got == expect
-        assert Code.linear(sp, rows).coset_table().max_weight == expect[0]
+
+        # the coset table memoizes its max leader weight as the covering
+        # radius and no packing radius, which the level reading then gives
+        table_first = Code.linear(sp, rows)
+        assert table_first.coset_table().max_weight == expect[0]
+        assert table_first.covering_radius() == expect[0]
+        if table_first.size >= 2:
+            assert table_first.packing_radius() == expect[1]
 
         levels = cover_first._levels()
         seen.add((multi, levels.cover is None, levels.pack is None))
@@ -639,6 +656,31 @@ def test_trailing_full_index_reads_ranks_like_the_suffix_loop():
         assert r == Code.explicit(sp, code.codewords()).trailing_full_index()
         seen.add("full" if r == 0 else "top" if r == s_count else "between")
     assert seen == {"full", "top", "between"}
+
+
+def test_explicit_trailing_full_index_leaves_numpy_ma_unimported():
+    """Counting an explicit code's distinct projections sorts its rows and
+    imports nothing more: np.unique would import numpy.ma, tens of ms, on
+    its first call in a process."""
+    script = (
+        "import sys\n"
+        "from wpbcodes.blockspace import BlockSpace, Labeling\n"
+        "from wpbcodes.codes import Code\n"
+        "from wpbcodes.field import make_field\n"
+        "from wpbcodes.poset import chain\n"
+        "from wpbcodes.weights import hamming_weight\n"
+        "f = make_field(2)\n"
+        "sp = BlockSpace(chain(2), Labeling((1, 1)), f, hamming_weight(f))\n"
+        "assert Code.explicit(sp, [(0, 0), (0, 1), (1, 1)]).trailing_full_index() == 1\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(codes_module.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 def _coset_index_reference(code, v):
