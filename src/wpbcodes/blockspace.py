@@ -46,7 +46,10 @@ that p falls inside contributes r_i max(head part max, tail part max),
 which no sum of the two gives, so its tail part gets a new top digit
 (max_weight + 1)^s and the cut's table, (max_weight + 1) times the size,
 takes the maximum.  A pass then costs one add and one gather per (x, c)
-entry (_Cut.weights) once the parts are built.
+entry (_Cut.weights) once the parts are built.  Both are narrow (_Cut):
+the table has at most _CHUNK < 2^16 entries, so the parts are uint16, and
+it holds weights of at most s * max_weight <= 254, so it is uint8.  The
+kernel's own table and results stay int64, since callers add weights.
 
 Ball sizes enumerate nothing.  The metric is translation-invariant, so
 |B(c, r)| counts the vectors of weight <= r, and the weight depends only on
@@ -168,26 +171,38 @@ class _Side(NamedTuple):
         return (self.plan.right @ words[:, self.lo : self.hi].T).astype(np.intp)
 
     def index(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """(X, C) intp: the side's part of the cut-table index of x - c for
+        """(X, C) uint16: the side's part of the cut-table index of x - c for
         the row codes of X rows and the word codes of C words, the block
         maxima weighted by their digits in one float32 product, exact since
-        the index stays below _CHUNK."""
+        the index stays below _CHUNK.  The cut's table has at most
+        _CHUNK < 2^16 entries, so a head part plus a tail part is a valid
+        uint16 index as well."""
         blockmax = _block_maxima(self.plan, left[:, :, None] + right[:, None, :])
         flat = blockmax.reshape(len(self.digits), -1)
-        return (self.digits @ flat).astype(np.intp).reshape(blockmax.shape[1:])
+        return (self.digits @ flat).astype(np.uint16).reshape(blockmax.shape[1:])
 
 
 class _Cut(NamedTuple):
-    """A cut of the coordinates into a head and a tail (BlockSpace.cut)."""
+    """A cut of the coordinates into a head and a tail (BlockSpace.cut).
+
+    The table is narrow.  Its weights are at most s * max_weight, and a
+    cut exists only when its table has at most _CHUNK = 2^14 entries:
+    (max_weight + 1)^s with s >= 2 when the cut falls on a block boundary,
+    (max_weight + 1)^(s + 1) when it falls inside a block.  So
+    s * max_weight <= 254, reached at s = 2, max_weight = 127, and the
+    table is uint8, whose maximum 255 stays above every weight, so a pass
+    can mask entries with it.  The indices are uint16 (_Side.index), so a
+    tile of a pass costs a uint16 add and a gather from a uint8 table per
+    entry."""
 
     head: _Side
     tail: _Side
-    table: np.ndarray  # weight by head index + tail index
+    table: np.ndarray  # weight by head index + tail index, uint8 (above)
 
     def weights(self, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
-        """The (X, C, T) tile w(x - c) for the (X, C) head index of X head
-        rows and the (C, T) tail index of T tail rows, x the head row plus
-        the tail row: one add and one gather per entry."""
+        """The (X, C, T) tile w(x - c), in the table's dtype, for the (X, C)
+        head index of X head rows and the (C, T) tail index of T tail rows,
+        x the head row plus the tail row: one add and one gather per entry."""
         return self.table.take(head[:, :, None] + tail)
 
 
@@ -407,7 +422,9 @@ class BlockSpace:
         maximum of its head part at its own digit and that of its tail part
         at a new top digit (max_weight + 1)^s; the cut's table then holds
         the weight of the tuple with that block's maximum the larger of the
-        two.  None when the space has no block-max table or the cut's table
+        two, in the smallest unsigned dtype whose maximum exceeds
+        s * max_weight (uint8 for every table of at most _CHUNK entries; see
+        _Cut).  None when the space has no block-max table or the cut's table
         would exceed _CHUNK entries."""
         if self._bm_radix is None:
             return None
@@ -428,7 +445,7 @@ class BlockSpace:
         return _Cut(
             _Side(0, p, self._plan(head), digits[: len(head)]),
             _Side(p, self.n, self._plan(tail), tail_digits),
-            table,
+            table.astype(np.min_scalar_type(self.s * self.weight.max_weight + 1)),
         )
 
     @cached_property

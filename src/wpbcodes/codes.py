@@ -60,22 +60,26 @@ takes the full coset pass with each row's first minimum in odometer order
 and memoizes its max leader weight as the covering radius where none is
 memoized yet.
 
-A pass holds at most _CHUNK pairs per tile.  It cuts the enumerated columns
-into a head and a tail of t columns, t the largest with q^t * |C| within
-one tile, at the first tail column (BlockSpace.cut): x is a head row plus a
-tail row, and the index of the block-max tuple of x - c in the cut's table
-is a head part plus a tail part.  The (C, T) tail index of all q^t tail rows
-is built once per pass and the head index once per chunk of head rows, both
-with the pair tables, so each entry of a (head rows, C, T) tile costs one
-add and one gather.  The odometer rank of x - c is additive the same way,
-so the coset table ranks the entries that tie with a row minimum with one
-add; the leaders' digits come from the ranks in one unravel_index.  Without
+A pass cuts the enumerated columns into a head and a tail of t columns, t
+the largest with q^t * |C| <= _CHUNK, at the first tail column
+(BlockSpace.cut): x is a head row plus a tail row, and the index of the
+block-max tuple of x - c in the cut's table is a head part plus a tail
+part.  The (C, T) tail index of all q^t tail rows is built once per pass
+and the head index once per chunk of head rows, both with the pair tables,
+so each entry of a (head rows, C, T) tile costs one add and one gather.
+The cut's tiles are narrow (uint16 indices into a uint8 table, _Cut), so a
+covering or packing chunk takes 4 * _CHUNK entries, at least one head row;
+a chunk that builds leaders keeps _CHUNK, since its ranks are int64 per
+entry.  The odometer rank of x - c is additive the same way, so the coset
+table ranks the entries that tie with a row minimum with one add; the
+leaders' digits come from the ranks in one unravel_index.  Without
 a cut (one tile holds the pass, q * |C| exceeds a tile, or the space has no
-table for the cut) tiles are whole rows times a block of words, one
-pair-kernel call each (BlockSpace.pair_weights on piece codes computed once
-per tile and once per pass), and a leader rank forms x - c for the tied
-entries only.  The word pairs of the minimum distance take the same
-pair-kernel tiles.  No scan builds a difference vector for its weights.
+table for the cut) tiles are whole rows times a block of words, at most
+_CHUNK int64 weights, one pair-kernel call each (BlockSpace.pair_weights on
+piece codes computed once per tile and once per pass), and a leader rank
+forms x - c for the tied entries only.  The word pairs of the minimum
+distance take the same pair-kernel tiles.  No scan builds a difference
+vector for its weights.
 """
 
 from __future__ import annotations
@@ -106,10 +110,16 @@ _BIG = np.iinfo(np.int64).max
 def _two_smallest(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Along axis 1 of a tile: its smallest entry t1, then t1 again if it
     occurs twice, else the least entry above it, and the mask of the
-    entries equal to t1."""
+    entries equal to t1, all in the tile's dtype.  The entries equal to t1
+    are masked with the dtype's maximum, which lies above every weight (a
+    cut's uint8 table holds at most 254, BlockSpace.cut).  It is left as t2
+    in the rows of a tile with one word, and reaches a pass's reading only
+    when the pass has one word (a later one-word block of a whole-row pass
+    merges into real entries), whose packing reading no code stores."""
     t1 = w.min(axis=1)
     hit = w == t1[:, None]
-    t2 = np.maximum(w, hit * _BIG).min(axis=1)  # branch-free masking: w >= 0
+    big = w.dtype.type(np.iinfo(w.dtype).max)
+    t2 = np.maximum(w, hit * big).min(axis=1)  # branch-free masking: w >= 0
     np.copyto(t2, t1, where=hit.sum(axis=1) > 1)
     return t1, t2, hit
 
@@ -467,11 +477,11 @@ class Code:
 
     def _rows(self, cols: np.ndarray, words: np.ndarray, leaders: bool):
         """Yield (rank of the first row, d1, d2, rank) per chunk of the rows
-        of _pass, each tile at most _CHUNK pairs.  The last t columns, t the
-        largest below len(cols) with q^t * |C| <= _CHUNK, are the tail of a
-        cut (BlockSpace.cut) at the first of them; without such a cut (one
-        tile holds the pass, q * |C| > _CHUNK, or the space has no table for
-        the cut) the pass runs on whole rows."""
+        of _pass.  The last t columns, t the largest below len(cols) with
+        q^t * |C| <= _CHUNK, are the tail of a cut (BlockSpace.cut) at the
+        first of them; without such a cut (one tile holds the pass,
+        q * |C| > _CHUNK, or the space has no table for the cut) the pass
+        runs on whole rows."""
         space = self.space
         t = 0
         while t < len(cols) and space.q ** (t + 1) * len(words) <= _CHUNK:
@@ -482,11 +492,12 @@ class Code:
         return self._cut_rows(cut, cols[:-t], cols[-t:], words, leaders)
 
     def _whole_rows(self, cols: np.ndarray, words: np.ndarray, leaders: bool):
-        """_rows on whole rows x: tiles of x-rows times a block of words, one
-        pair-kernel call each, merged per row over the blocks (whole rows
-        when |C| <= _CHUNK, else one row split over word blocks); with
-        leaders, x - c is formed only for the entries that tie with their
-        row minimum."""
+        """_rows on whole rows x: tiles of at most _CHUNK pairs, x-rows times
+        a block of words, one pair-kernel call each (whole rows when
+        |C| <= _CHUNK, else one row split over word blocks).  The first
+        block's readings are the row's, and each later block merges into
+        them; with leaders, x - c is formed only for the entries that tie
+        with their row minimum."""
         space = self.space
         sub, radix = space.field.sub_table, space._radix
         right = space.piece_codes(words, left=False)
@@ -497,17 +508,19 @@ class Code:
                 x = np.zeros((len(xs), space.n), dtype=np.uint8)
                 x[:, cols] = xs
             left = space.piece_codes(x)
-            d1 = np.full(len(x), _BIG, dtype=np.int64)
-            d2 = np.full(len(x), _BIG, dtype=np.int64)
-            rank = np.full(len(x), _BIG, dtype=np.int64) if leaders else None
             for lo in range(0, len(words), block):
                 w = _tile(space, left, right[:, lo : lo + block])
                 t1, t2, hit = _two_smallest(w)
+                t_rank = None
                 if leaders:
                     tied = np.nonzero(hit)
                     t_rank = np.full_like(w, _BIG)
                     t_rank[tied] = sub[x[tied[0]], words[lo + tied[1]]].astype(np.int64) @ radix
                     t_rank = t_rank.min(axis=1)
+                if lo == 0:  # the first block's readings are the row's so far
+                    d1, d2, rank = t1, t2, t_rank
+                    continue
+                if leaders:
                     tie = np.minimum(rank, t_rank)
                     rank = np.where(t1 < d1, t_rank, np.where(t1 == d1, tie, rank))
                 # merge the tile's (t1, t2) into the row's (d1, d2)
@@ -521,11 +534,13 @@ class Code:
     ):
         """_rows through a cut: x is a head row (on head_cols) plus a tail row
         (on tail_cols).  The (C, T) tail index of all T = q^t tail rows is
-        built once and the head index once per chunk of head rows, so each
-        (X, C, T) tile costs one add and one gather per entry.  The odometer
-        rank of x - c is additive in the same way: its head and tail parts
-        are built with the indices, and a row's first minimum costs one add
-        per entry."""
+        built once and the head index once per chunk of X head rows, so each
+        (X, C, T) tile costs one add and one gather per entry.  A chunk
+        holds at most 4 * _CHUNK entries of the cut's uint8 table, or
+        _CHUNK with leaders, and at least one head row (C * T <= _CHUNK).
+        The odometer rank of x - c is additive in the same way: its head
+        and tail parts are built with the indices, and a row's first minimum
+        costs one add per entry."""
         space = self.space
         tail_rows = odometer_table(space.q, len(tail_cols))
         # (C, T) and contiguous: a tile's last axis runs over the tail rows
@@ -534,7 +549,10 @@ class Code:
         head_words = cut.head.word_codes(words)
         if leaders:
             tail_rank = _rank_part(space, cut.tail, tail_rows, tail_cols, words).T.copy()
-        for start, xs in odometer_chunks(space.q, len(head_cols), max(_CHUNK // tail.size, 1)):
+        # covering and packing chunks hold narrow entries (a uint16 index, a
+        # uint8 weight); leader ranks take 8 bytes an entry
+        per = (_CHUNK if leaders else 4 * _CHUNK) // tail.size
+        for start, xs in odometer_chunks(space.q, len(head_cols), per):
             head = cut.head.index(cut.head.row_codes(xs, head_cols), head_words)
             t1, t2, hit = _two_smallest(cut.weights(head, tail))
             rank = None

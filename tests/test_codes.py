@@ -5,6 +5,7 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -319,29 +320,46 @@ def test_sphere_bounds_from_weight_spectrum():
     assert perfect == {True, False} and kinds == {"linear", "explicit"}
 
 
+class _Tiles(NamedTuple):
+    kernel: list[int]  # entries of every pair-kernel call
+    cut: list[tuple[int, np.dtype]]  # entries and dtype of every tile through a cut
+
+
 @contextmanager
-def _counting_tiles(sp, tiles: list[int]):
-    """Record the pairs of every pair-kernel call on sp and of every tile
-    made through a cut (head rows x words x tail rows) inside the block."""
+def _counting_tiles(sp):
+    """Record the pairs of every pair-kernel call on sp, and the pairs and
+    dtype of every tile made through a cut (head rows x words x tail rows),
+    inside the block."""
     kernel, cut_weights = sp.pair_weights, blockspace._Cut.weights
+    tiles = _Tiles([], [])
 
     def counted(left, right=None):
         w = kernel(left, right)
-        tiles.append(w.size)
+        tiles.kernel.append(w.size)
         return w
 
     def counted_cut(cut, head, tail):
         w = cut_weights(cut, head, tail)
-        tiles.append(w.size)
+        tiles.cut.append((w.size, w.dtype))
         return w
 
     sp.pair_weights = counted
     blockspace._Cut.weights = counted_cut
     try:
-        yield
+        yield tiles
     finally:
         del sp.pair_weights
         blockspace._Cut.weights = cut_weights
+
+
+def _assert_tile_bounds(tiles: _Tiles, chunk: int, leaders: bool = False) -> None:
+    """The passes' tile bounds: a pair-kernel tile holds at most chunk
+    pairs; a tile through a cut is uint8 and holds at most 4 * chunk pairs,
+    or chunk when its chunk builds leader ranks (int64 per entry)."""
+    assert tiles.kernel or tiles.cut
+    assert max(tiles.kernel, default=0) <= chunk
+    assert all(dtype == np.uint8 for _, dtype in tiles.cut)
+    assert max((size for size, _ in tiles.cut), default=0) <= (chunk if leaders else 4 * chunk)
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 5])
@@ -363,14 +381,15 @@ def test_coset_pass_matches_explicit_scan_and_brute_force(chunk, monkeypatch):
             code = _random_linear_code(rng)
             sp, cw = code.space, code.codeword_array()
             dims.add((code.dimension == 0, code.dimension == sp.n, code.size > limit))
-            tiles: list[int] = []
-            with _counting_tiles(sp, tiles):
+            with _counting_tiles(sp) as tiles:
                 covering = code.covering_radius()
                 packing = code.packing_radius() if code.size >= 2 else None
                 top = sp.weight.max_weight * sp.s
                 perfect = [code.is_r_perfect(r) for r in range(top + 1)]
+            with _counting_tiles(sp) as leader_tiles:
                 table = Code.linear(sp, code.generators).coset_table()
-            assert tiles and max(tiles) <= limit
+            _assert_tile_bounds(tiles, limit)
+            _assert_tile_bounds(leader_tiles, limit, leaders=True)
             split.add(len(sp._pieces.extra) > 0)
 
             oracle = Code.explicit(sp, code.codewords())
@@ -405,9 +424,9 @@ def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
     scalar distances, covering radius first and packing radius first (one
     pass gives both either way).  A small _CHUNK splits the words over
     several tiles, the vectors over many and the word pairs across rows; no
-    tile may exceed it.  A second round with _PIECE_CODES at 1 cuts the
-    blocks into single-coordinate pieces, so every block of two coordinates
-    is split."""
+    tile may exceed its bound (_assert_tile_bounds).  A second round with
+    _PIECE_CODES at 1 cuts the blocks into single-coordinate pieces, so
+    every block of two coordinates is split."""
     monkeypatch.setattr(codes_module, "_CHUNK", chunk)
     for piece_codes in (blockspace._PIECE_CODES, 1):
         monkeypatch.setattr(blockspace, "_PIECE_CODES", piece_codes)
@@ -420,8 +439,7 @@ def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
             allv = [sp.unrank(r) for r in range(sp.size)]
             code = Code.explicit(sp, rng.sample(allv, rng.randrange(1, min(sp.size, 7) + 1)))
             sizes.add(code.size)
-            tiles: list[int] = []
-            with _counting_tiles(sp, tiles):
+            with _counting_tiles(sp) as tiles:
                 covering = code.covering_radius()
                 packing = code.packing_radius() if code.size >= 2 else None
                 mindist = code.min_distance() if code.size >= 2 else None
@@ -431,7 +449,7 @@ def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
                 if code.size >= 2:
                     assert pack_first.packing_radius() == packing
                 assert pack_first.covering_radius() == covering
-            assert tiles and max(tiles) <= chunk
+            _assert_tile_bounds(tiles, chunk)
             split.add(len(sp._pieces.extra) > 0)
 
             dist = [sorted(sp.wpb_distance(v, c) for c in code.words) for v in allv]
@@ -455,13 +473,14 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
     against the scalar brute force.  A small _CHUNK makes most passes cut;
     the cut falls inside a block, on a block boundary, or nowhere when one
     tile holds the pass.  A second round with _PIECE_CODES at 1 splits every
-    block of two or more coordinates into pieces.  Every tile, the new one
-    (head rows x words x tail rows) included, and every head or tail index
-    holds at most _CHUNK entries."""
+    block of two or more coordinates into pieces.  Every tile keeps its
+    bound (_assert_tile_bounds), and every head or tail index is uint16 and
+    holds at most 4 * _CHUNK entries, as a covering or packing chunk through
+    a cut does."""
     monkeypatch.setattr(codes_module, "_CHUNK", chunk)
     cut, index = BlockSpace.cut, blockspace._Side.index
     seen: list = []  # the cut point of each pass that asked for one
-    indices: list[int] = []  # entries of every head and tail index
+    indices: list = []  # entries and dtype of every head and tail index
 
     def recording_cut(sp, p):
         seen.append(p)
@@ -469,7 +488,7 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
 
     def recording_index(side, left, right):
         out = index(side, left, right)
-        indices.append(out.size)
+        indices.append((out.size, out.dtype))
         return out
 
     monkeypatch.setattr(BlockSpace, "cut", recording_cut)
@@ -486,15 +505,17 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
                 rows = rng.sample(range(sp.size), rng.randrange(1, min(sp.size, 8) + 1))
                 code = Code.explicit(sp, allv[rows])
             kinds.add(code.kind)
-            tiles: list[int] = []
             seen.clear()
-            with _counting_tiles(sp, tiles):
+            with _counting_tiles(sp) as tiles:
                 covering = code.covering_radius()
                 packing = code.packing_radius() if code.size >= 2 else None
                 top = sp.weight.max_weight * sp.s
                 perfect = [code.is_r_perfect(r) for r in range(top + 1)]
+            with _counting_tiles(sp) as leader_tiles:
                 table = Code.linear(sp, code.generators).coset_table() if code.is_linear else None
-            assert tiles and max(tiles) <= chunk
+            _assert_tile_bounds(tiles, chunk)
+            if table is not None:
+                _assert_tile_bounds(leader_tiles, chunk, leaders=True)
             split.add(len(sp._pieces.extra) > 0)
             one_tile = sp.size * (1 if code.is_linear else code.size) <= chunk
             word_blocks = sp.q * code.size > chunk  # a row's words fill a tile
@@ -524,7 +545,52 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
         assert kinds == {"linear", "explicit"}
         assert cuts == {"none", "boundary", "inside"}
         assert split == ({False} if piece_codes > 1 else {True, False})
-    assert indices and max(indices) <= chunk
+    assert indices and max(size for size, _ in indices) <= 4 * chunk
+    assert {dtype for _, dtype in indices} == {np.dtype(np.uint16)}
+
+
+@pytest.mark.parametrize("pos, sizes", [(P.antichain(2), (1, 1)), (P.chain(2), (1, 1)),
+                                         (P.antichain(1), (2,))])
+def test_narrow_cut_table_at_the_largest_weight_it_admits(pos, sizes, monkeypatch):
+    """GF(2) under the weight (0, 127): the cut's table has 128^2 = _CHUNK
+    entries.  With two blocks the cut falls on their boundary and a vector
+    nonzero in both (antichain) or in the top one (chain) weighs
+    s * max_weight = 254, the largest weight any cut admits; with one block
+    it falls inside it.  The table is uint8 with its maximum above every
+    weight, and every word set, one-word codes included, gives the covering
+    and packing radius (or TooFewWords) of the dense reduction through it:
+    a pass's _CHUNK of 2|C| makes its tail the last coordinate."""
+    f = make_field(2)
+    sp = BlockSpace(pos, Labeling(sizes), f, custom_weight(f, [0, 127]))
+    top = sp.s * sp.weight.max_weight
+    table = sp.cut(1).table
+    assert table.dtype == np.uint8 and np.iinfo(table.dtype).max > top
+    assert table.size == blockspace._CHUNK and table.max() == top
+    cut, seen = BlockSpace.cut, []
+
+    def recording_cut(space, p):
+        seen.append(cut(space, p))
+        return seen[-1]
+
+    monkeypatch.setattr(BlockSpace, "cut", recording_cut)
+    allv = sp.all_vectors()
+    for m in range(1, len(allv) + 1):
+        monkeypatch.setattr(codes_module, "_CHUNK", sp.q * m)
+        for rows in itertools.combinations(range(len(allv)), m):
+            code, cw = Code.explicit(sp, allv[list(rows)]), allv[list(rows)]
+            seen.clear()
+            covering = code.covering_radius()
+            assert len(seen) == 1 and seen[0].table.dtype == np.uint8
+            dist = sp.batch_weights(
+                sp.field.sub_table[allv[:, None, :], cw[None, :, :]].reshape(-1, sp.n)
+            ).reshape(len(allv), len(cw))
+            assert covering == dist.min(axis=1).max()
+            if m == 1:
+                assert covering == top
+                with pytest.raises(TooFewWords):
+                    code.packing_radius()
+            else:
+                assert code.packing_radius() == np.sort(dist, axis=1)[:, 1].min() - 1
 
 
 TREE6 = P.from_cover_relations(6, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)])
