@@ -273,7 +273,6 @@ class BlockSpace:
             if base**self.s <= _CHUNK
             else None
         )
-        self._radix = self.q ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
 
     # vector plumbing --------------------------------------------------------
 

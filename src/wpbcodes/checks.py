@@ -222,15 +222,22 @@ def _random_weight(rng: random.Random, q: int, allow_table: bool = True) -> Weig
 
 
 def _random_shape(
-    rng: random.Random, q: int, cap: int | None = None
+    rng: random.Random,
+    q: int,
+    cap: int | None = None,
+    accept: Callable[[Labeling], bool] = lambda lab: True,
 ) -> tuple[posets.Poset, Labeling]:
-    """1-3 blocks of size 1-2 with q^n <= cap (default _SIZE_CAP[q])."""
+    """1-3 blocks of size 1-2 with q^n <= cap (default _SIZE_CAP[q]) and
+    accept(labeling) true.  accept is tested once the poset is drawn, so a
+    rejected shape consumes its poset's draws too."""
     cap = cap if cap is not None else _SIZE_CAP[q]
     while True:
         s = rng.randint(1, 3)
         sizes = tuple(rng.randint(1, 2) for _ in range(s))
         if q ** sum(sizes) <= cap:
-            return _random_poset(rng, s), Labeling(sizes)
+            pos, lab = _random_poset(rng, s), Labeling(sizes)
+            if accept(lab):
+                return pos, lab
 
 
 def _random_code(
@@ -294,7 +301,8 @@ def metric_axiom_witness(space: BlockSpace, rng: random.Random | None = None) ->
     nz = np.nonzero(w[1:] == 0)[0]
     if len(nz):
         return {"axiom": "identity", "vector": list(space.unrank(int(nz[0]) + 1))}
-    neg_rank = space.field.neg_table[arr].astype(np.int64) @ space._radix
+    radix = space.q ** np.arange(space.n - 1, -1, -1, dtype=np.int64)
+    neg_rank = space.field.neg_table[arr].astype(np.int64) @ radix
     bad = np.nonzero(w[neg_rank] != w)[0]
     if len(bad):
         return {"axiom": "symmetry", "vector": list(space.unrank(int(bad[0])))}
@@ -310,7 +318,7 @@ def metric_axiom_witness(space: BlockSpace, rng: random.Random | None = None) ->
     # weight, both in place in one intp array
     sums = np.zeros(pairs[0].shape, dtype=np.intp)
     for j in range(space.n):
-        sums += (space.field.add_table * space._radix[j])[arr[xs, j], arr[ys, j]]
+        sums += (space.field.add_table * radix[j])[arr[xs, j], arr[ys, j]]
     np.take(w, sums, out=sums)
     viol = np.flatnonzero(sums > w[xs] + w[ys])
     if len(viol):
@@ -617,10 +625,7 @@ def _unit_plotkin(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
     cap = _SIZE_CAP[q]
     weight = _random_weight(rng, q, allow_table=False)
     f = make_field(q)
-    while True:
-        p1, lab1 = _random_shape(rng, q, cap=cap)
-        if q ** (2 * lab1.n) <= cap:
-            break
+    p1, lab1 = _random_shape(rng, q, cap=cap, accept=lambda lab: q ** (2 * lab.n) <= cap)
     n = lab1.n
     # a second labeling with the same total length
     while True:
@@ -712,10 +717,7 @@ def _random_partition(rng: random.Random, n: int, parts: int) -> tuple[int, ...]
 )
 def _unit_extend(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
     cap = _SIZE_CAP[q]
-    while True:
-        pos, lab = _random_shape(rng, q, cap=cap)
-        if q ** (lab.n + 1) <= cap:
-            break
+    pos, lab = _random_shape(rng, q, cap=cap, accept=lambda lab: q ** (lab.n + 1) <= cap)
     space = BlockSpace(pos, lab, make_field(q), _random_weight(rng, q))
     code = _random_code(rng, space, 1, 2)
     u.start(_instance_of(code).digest())
@@ -746,10 +748,7 @@ def _unit_extend(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
     ("puncture-vector-weight", "puncture-mindist", "puncture-covering", "covering-oracle"),
 )
 def _unit_puncture(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
-    while True:
-        pos, lab = _random_shape(rng, q)
-        if lab.s >= 2:
-            break
+    pos, lab = _random_shape(rng, q, accept=lambda lab: lab.s >= 2)
     space = BlockSpace(pos, lab, make_field(q), _random_weight(rng, q))
     code = _random_code(rng, space, 1, {2: 4, 3: 3, 5: 2}[q])
     block = rng.randint(1, space.s)
@@ -762,7 +761,8 @@ def _unit_puncture(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
     # every step-th vector in odometer order against its punctured image;
     # the witness is the first that violates w(v*) <= w(v)
     ranks = np.arange(0, space.size, max(1, space.size // 256))
-    vecs = (ranks[:, None] // space._radix % space.q).astype(np.uint8)
+    radix = space.q ** np.arange(space.n - 1, -1, -1, dtype=np.int64)
+    vecs = (ranks[:, None] // radix % space.q).astype(np.uint8)
     bad = np.flatnonzero(pun.space.batch_weights(vecs[:, outside]) > space.batch_weights(vecs))
     witness = {"vector": vecs[bad[0]].tolist(), "block": block} if len(bad) else {}
     u.hard("puncture-vector-weight", not len(bad), witness)

@@ -16,7 +16,7 @@ Either kind's rows are validated as one array: integer coordinates in
   code, covering radius <= r): every vector lies within r of a codeword
   and of no second one;
 - coset_table: minimum-weight leader per coset of a linear code, with
-  ties broken by enumeration order.
+  ties broken by odometer order.
 
 Every code reads its covering and packing radius from one pass (_pass)
 over w(x - c), x over F_q^cols (zero off the columns cols) and c over some
@@ -56,9 +56,17 @@ x + d is zero above summand j and nonzero in it, so it already weighs
 M_w * N_{<j} + w_{P_j}(pi_j(x + d)).  Negating an explicit code's words
 changes no reading, since x -> -x permutes F_q^n and w(-u) = w(u).  Every
 pass charges its q^|cols| * |words| vector x word pairs.  The coset table
-takes the full coset pass with each row's first minimum in odometer order
-and memoizes its max leader weight as the covering radius where none is
-memoized yet.
+takes the full coset pass, keeping per row the first word that reaches the
+row minimum, and memoizes its max leader weight as the covering radius
+where none is memoized yet.
+
+The coset table's leader x + c is the first minimum in odometer order
+because the generators are in reduced row-echelon form in natural column
+order and the words come in _span's message order.  With x zero on the
+pivot columns p_1 < ... < p_k and c of message (m_1, ..., m_k), x + c holds
+m_i at p_i, and before p_i it depends on m_1..m_{i-1} alone.  So inside
+every coset, odometer order is message order, first coefficient most
+significant, and the first word reaching a row's minimum gives its leader.
 
 A pass cuts the enumerated columns into a head and a tail of t columns, t
 the largest with q^t * |C| <= _CHUNK, at the first tail column
@@ -68,16 +76,11 @@ part.  The (C, T) tail index of all q^t tail rows is built once per pass
 and the head index once per chunk of head rows, both with the pair tables,
 so each entry of a (head rows, C, T) tile costs one add and one gather.
 The cut's tiles are narrow (uint16 indices into a uint8 table, _Cut), so a
-covering or packing chunk takes 4 * _CHUNK entries, at least one head row;
-a chunk that builds leaders keeps _CHUNK, since its ranks are int64 per
-entry.  The odometer rank of x - c is additive the same way, so the coset
-table ranks the entries that tie with a row minimum with one add; the
-leaders' digits come from the ranks in one unravel_index.  Without
-a cut (one tile holds the pass, q * |C| exceeds a tile, or the space has no
-table for the cut) tiles are whole rows times a block of words, at most
-_CHUNK int64 weights, one pair-kernel call each (BlockSpace.pair_weights on
-piece codes computed once per tile and once per pass), and a leader rank
-forms x - c for the tied entries only.  The word pairs of the minimum
+chunk takes 4 * _CHUNK entries, at least one head row.  Without a cut (one
+tile holds the pass, q * |C| exceeds a tile, or the space has no table for
+the cut) tiles are whole rows times a block of words, at most _CHUNK int64
+weights, one pair-kernel call each (BlockSpace.pair_weights on piece codes
+computed once per tile and once per pass).  The word pairs of the minimum
 distance take the same pair-kernel tiles.  No scan builds a difference
 vector for its weights.
 """
@@ -95,7 +98,6 @@ from .blockspace import (
     BlockSpace,
     Vector,
     _Cut,
-    _Side,
     charge,
     odometer_chunks,
     odometer_table,
@@ -122,18 +124,6 @@ def _two_smallest(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t2 = np.maximum(w, hit * big).min(axis=1)  # branch-free masking: w >= 0
     np.copyto(t2, t1, where=hit.sum(axis=1) > 1)
     return t1, t2, hit
-
-
-def _rank_part(
-    space: BlockSpace, side: _Side, rows: np.ndarray, cols: np.ndarray, words: np.ndarray
-) -> np.ndarray:
-    """(X, C) int64: the part of the odometer rank of x - c that the side's
-    coordinates give, for the rows x of an (X, |cols|) array given on the
-    columns cols (zero on the rest of the side) and the words c."""
-    x = np.zeros((len(rows), side.hi - side.lo), dtype=np.uint8)
-    x[:, cols - side.lo] = rows
-    diff = space.field.sub_table[x[:, None, :], words[None, :, side.lo : side.hi]]
-    return diff.astype(np.int64) @ space._radix[side.lo : side.hi]
 
 
 def _tile(space: BlockSpace, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -459,29 +449,30 @@ class Code:
         minimum and the min second-smallest entry - 1 (a covering and, for
         two or more words, a packing radius; the caller stores the ones that
         hold for its code) and, with leaders=True, per row its minimum and
-        the odometer rank of the first vector x - c reaching it, else
-        None.  Charges the q^|cols| * |words| vector x word pairs."""
+        the index of the first word reaching it, else None.  Charges the
+        q^|cols| * |words| vector x word pairs."""
         rows = self.space.q ** len(cols)
         charge(rows * len(words), "vector x word pairs")
         if leaders:
             best_w = np.empty(rows, dtype=np.int64)
-            best_rank = np.empty_like(best_w)
+            best_word = np.empty(rows, dtype=np.intp)
         covering, second = 0, _BIG
-        for start, d1, d2, rank in self._rows(cols, words, leaders):
+        for start, d1, d2, word in self._rows(cols, words, leaders):
             covering = max(covering, int(d1.max()))
             second = min(second, int(d2.min()))
             if leaders:
                 best_w[start : start + len(d1)] = d1
-                best_rank[start : start + len(d1)] = rank
-        return covering, second - 1, ((best_w, best_rank) if leaders else None)
+                best_word[start : start + len(d1)] = word
+        return covering, second - 1, ((best_w, best_word) if leaders else None)
 
     def _rows(self, cols: np.ndarray, words: np.ndarray, leaders: bool):
-        """Yield (rank of the first row, d1, d2, rank) per chunk of the rows
-        of _pass.  The last t columns, t the largest below len(cols) with
-        q^t * |C| <= _CHUNK, are the tail of a cut (BlockSpace.cut) at the
-        first of them; without such a cut (one tile holds the pass,
-        q * |C| > _CHUNK, or the space has no table for the cut) the pass
-        runs on whole rows."""
+        """Yield (rank of the first row, d1, d2, word) per chunk of the rows
+        of _pass, word being the index of each row's first minimum with
+        leaders, else None.  The last t columns, t the largest below
+        len(cols) with q^t * |C| <= _CHUNK, are the tail of a cut
+        (BlockSpace.cut) at the first of them; without such a cut (one tile
+        holds the pass, q * |C| > _CHUNK, or the space has no table for the
+        cut) the pass runs on whole rows."""
         space = self.space
         t = 0
         while t < len(cols) and space.q ** (t + 1) * len(words) <= _CHUNK:
@@ -496,10 +487,10 @@ class Code:
         a block of words, one pair-kernel call each (whole rows when
         |C| <= _CHUNK, else one row split over word blocks).  The first
         block's readings are the row's, and each later block merges into
-        them; with leaders, x - c is formed only for the entries that tie
-        with their row minimum."""
+        them; with leaders, a tile's first minimum is the first word of its
+        tie mask, and a later block takes a row's word only with a strictly
+        smaller minimum."""
         space = self.space
-        sub, radix = space.field.sub_table, space._radix
         right = space.piece_codes(words, left=False)
         block = min(len(words), _CHUNK)
         for start, xs in odometer_chunks(space.q, len(cols), max(_CHUNK // len(words), 1)):
@@ -509,24 +500,17 @@ class Code:
                 x[:, cols] = xs
             left = space.piece_codes(x)
             for lo in range(0, len(words), block):
-                w = _tile(space, left, right[:, lo : lo + block])
-                t1, t2, hit = _two_smallest(w)
-                t_rank = None
-                if leaders:
-                    tied = np.nonzero(hit)
-                    t_rank = np.full_like(w, _BIG)
-                    t_rank[tied] = sub[x[tied[0]], words[lo + tied[1]]].astype(np.int64) @ radix
-                    t_rank = t_rank.min(axis=1)
+                t1, t2, hit = _two_smallest(_tile(space, left, right[:, lo : lo + block]))
+                t_word = lo + hit.argmax(axis=1) if leaders else None
                 if lo == 0:  # the first block's readings are the row's so far
-                    d1, d2, rank = t1, t2, t_rank
+                    d1, d2, word = t1, t2, t_word
                     continue
                 if leaders:
-                    tie = np.minimum(rank, t_rank)
-                    rank = np.where(t1 < d1, t_rank, np.where(t1 == d1, tie, rank))
+                    word = np.where(t1 < d1, t_word, word)
                 # merge the tile's (t1, t2) into the row's (d1, d2)
                 np.minimum(d2, np.minimum(t2, np.maximum(d1, t1)), out=d2)
                 np.minimum(d1, t1, out=d1)
-            yield start, d1, d2, rank
+            yield start, d1, d2, word
 
     def _cut_rows(
         self, cut: _Cut, head_cols: np.ndarray, tail_cols: np.ndarray, words: np.ndarray,
@@ -536,30 +520,21 @@ class Code:
         (on tail_cols).  The (C, T) tail index of all T = q^t tail rows is
         built once and the head index once per chunk of X head rows, so each
         (X, C, T) tile costs one add and one gather per entry.  A chunk
-        holds at most 4 * _CHUNK entries of the cut's uint8 table, or
-        _CHUNK with leaders, and at least one head row (C * T <= _CHUNK).
-        The odometer rank of x - c is additive in the same way: its head
-        and tail parts are built with the indices, and a row's first minimum
-        costs one add per entry."""
+        holds at most 4 * _CHUNK entries of the cut's uint8 table (a uint16
+        index and a uint8 weight each) and at least one head row
+        (C * T <= _CHUNK).  With leaders, a row's first minimum is the first
+        word of the tile's tie mask."""
         space = self.space
         tail_rows = odometer_table(space.q, len(tail_cols))
         # (C, T) and contiguous: a tile's last axis runs over the tail rows
         tail_codes = cut.tail.row_codes(tail_rows, tail_cols)
         tail = cut.tail.index(tail_codes, cut.tail.word_codes(words)).T.copy()
         head_words = cut.head.word_codes(words)
-        if leaders:
-            tail_rank = _rank_part(space, cut.tail, tail_rows, tail_cols, words).T.copy()
-        # covering and packing chunks hold narrow entries (a uint16 index, a
-        # uint8 weight); leader ranks take 8 bytes an entry
-        per = (_CHUNK if leaders else 4 * _CHUNK) // tail.size
-        for start, xs in odometer_chunks(space.q, len(head_cols), per):
+        for start, xs in odometer_chunks(space.q, len(head_cols), 4 * _CHUNK // tail.size):
             head = cut.head.index(cut.head.row_codes(xs, head_cols), head_words)
             t1, t2, hit = _two_smallest(cut.weights(head, tail))
-            rank = None
-            if leaders:
-                ranks = _rank_part(space, cut.head, xs, head_cols, words)[:, :, None] + tail_rank
-                rank = np.maximum(ranks, ~hit * _BIG).min(axis=1).ravel()
-            yield start * len(tail_rows), t1.ravel(), t2.ravel(), rank
+            word = hit.argmax(axis=1).ravel() if leaders else None
+            yield start * len(tail_rows), t1.ravel(), t2.ravel(), word
 
     # cosets -----------------------------------------------------------------
 
@@ -585,17 +560,23 @@ class Code:
         return canon[:, self._free].astype(dtype) @ radix
 
     def coset_table(self) -> CosetTable:
-        """Minimum-weight leader per coset; leader = first minimum in odometer order."""
+        """Minimum-weight leader per coset; leader = first minimum in odometer
+        order, x + c for the row x of the coset pass (zero on the pivots)
+        and the first codeword c reaching the row minimum (module
+        docstring)."""
         if "coset_table" in self._memo:
             return self._memo["coset_table"]
         if not self.is_linear:
             raise NotLinear("cosets are defined for linear codes only")
         space = self.space
         words = space.field.neg_table[self.codeword_array()]
-        best_w, best_rank = self._pass(self._free, words, True)[2]
-        digits = np.unravel_index(best_rank, (space.q,) * space.n)
+        best_w, best_word = self._pass(self._free, words, True)[2]
+        x = np.zeros((len(best_w), space.n), dtype=np.uint8)
+        x[:, self._free] = odometer_table(space.q, len(self._free))
+        # zip one list per coordinate into the leader tuples: a list per row,
+        # made and freed, fragments the small-object heap and lifts peak RSS
         table = CosetTable(
-            leaders=tuple(zip(*(d.tolist() for d in digits))),
+            leaders=tuple(zip(*space.field.sub_table[x, words[best_word]].T.tolist())),
             weights=tuple(best_w.tolist()),
             max_weight=int(best_w.max()),
         )

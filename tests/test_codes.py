@@ -352,14 +352,28 @@ def _counting_tiles(sp):
         blockspace._Cut.weights = cut_weights
 
 
-def _assert_tile_bounds(tiles: _Tiles, chunk: int, leaders: bool = False) -> None:
+def _assert_tile_bounds(tiles: _Tiles, chunk: int) -> None:
     """The passes' tile bounds: a pair-kernel tile holds at most chunk
-    pairs; a tile through a cut is uint8 and holds at most 4 * chunk pairs,
-    or chunk when its chunk builds leader ranks (int64 per entry)."""
+    pairs; a tile through a cut, coset-table tiles included, is uint8 and
+    holds at most 4 * chunk pairs."""
     assert tiles.kernel or tiles.cut
     assert max(tiles.kernel, default=0) <= chunk
     assert all(dtype == np.uint8 for _, dtype in tiles.cut)
-    assert max((size for size, _ in tiles.cut), default=0) <= (chunk if leaders else 4 * chunk)
+    assert max((size for size, _ in tiles.cut), default=0) <= 4 * chunk
+
+
+def _brute_force_table(code):
+    """(weights, leaders) per coset_index of a linear code: the first
+    minimum-weight vector of each coset in odometer order, under the scalar
+    weight."""
+    sp = code.space
+    best: dict[int, tuple[int, tuple]] = {}
+    for v in map(tuple, sp.all_vectors().tolist()):
+        idx, w = code.coset_index(v), sp.wpb_weight(v)
+        if idx not in best or w < best[idx][0]:
+            best[idx] = (w, v)
+    assert sorted(best) == list(range(len(best)))
+    return tuple(best[i][0] for i in range(len(best))), tuple(best[i][1] for i in range(len(best)))
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 5])
@@ -389,7 +403,7 @@ def test_coset_pass_matches_explicit_scan_and_brute_force(chunk, monkeypatch):
             with _counting_tiles(sp) as leader_tiles:
                 table = Code.linear(sp, code.generators).coset_table()
             _assert_tile_bounds(tiles, limit)
-            _assert_tile_bounds(leader_tiles, limit, leaders=True)
+            _assert_tile_bounds(leader_tiles, limit)
             split.add(len(sp._pieces.extra) > 0)
 
             oracle = Code.explicit(sp, code.codewords())
@@ -403,14 +417,7 @@ def test_coset_pass_matches_explicit_scan_and_brute_force(chunk, monkeypatch):
                 assert code.is_perfect() == all((dist <= packing).sum(axis=1) == 1)
             assert perfect == [bool(((dist <= r).sum(axis=1) == 1).all()) for r in range(top + 1)]
 
-            best: dict[int, tuple[int, tuple]] = {}
-            for v in map(tuple, allv.tolist()):
-                idx, w = code.coset_index(v), sp.wpb_weight(v)
-                if idx not in best or w < best[idx][0]:
-                    best[idx] = (w, v)
-            assert sorted(best) == list(range(len(table.leaders)))
-            assert table.weights == tuple(best[i][0] for i in sorted(best))
-            assert table.leaders == tuple(best[i][1] for i in sorted(best))
+            assert (table.weights, table.leaders) == _brute_force_table(code)
         # k = 0, k = n and q^k > _CHUNK all occur
         assert {d[0] for d in dims} == {d[1] for d in dims} == {True, False}
         if chunk is not None:
@@ -515,7 +522,7 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
                 table = Code.linear(sp, code.generators).coset_table() if code.is_linear else None
             _assert_tile_bounds(tiles, chunk)
             if table is not None:
-                _assert_tile_bounds(leader_tiles, chunk, leaders=True)
+                _assert_tile_bounds(leader_tiles, chunk)
             split.add(len(sp._pieces.extra) > 0)
             one_tile = sp.size * (1 if code.is_linear else code.size) <= chunk
             word_blocks = sp.q * code.size > chunk  # a row's words fill a tile
@@ -535,18 +542,42 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
             assert perfect == [bool(((dist <= r).sum(axis=1) == 1).all()) for r in range(top + 1)]
             if table is None:
                 continue
-            best: dict[int, tuple[int, tuple]] = {}
-            for v in map(tuple, allv.tolist()):
-                idx, w = code.coset_index(v), sp.wpb_weight(v)
-                if idx not in best or w < best[idx][0]:
-                    best[idx] = (w, v)
-            assert table.weights == tuple(best[i][0] for i in range(len(best)))
-            assert table.leaders == tuple(best[i][1] for i in range(len(best)))
+            assert (table.weights, table.leaders) == _brute_force_table(code)
         assert kinds == {"linear", "explicit"}
         assert cuts == {"none", "boundary", "inside"}
         assert split == ({False} if piece_codes > 1 else {True, False})
     assert indices and max(size for size, _ in indices) <= 4 * chunk
     assert {dtype for _, dtype in indices} == {np.dtype(np.uint16)}
+
+
+@pytest.mark.parametrize("chunk", [16, 64])
+def test_cut_coset_tables_take_the_first_tied_word(chunk, monkeypatch):
+    """Coset tables whose pass cuts its columns with two or more words per
+    tile, where many rows reach their minimum at several words: every
+    leader is the first of them in odometer order, against the scalar brute
+    force.  GF(2) and GF(3) chains and antichains of single coordinates
+    under the Hamming weight, codes of dimension 1 and 2."""
+    monkeypatch.setattr(codes_module, "_CHUNK", chunk)
+    two_smallest = codes_module._two_smallest
+    tied: list[int] = []  # rows minimal at two or more words, per tile through a cut
+
+    def recording(w):
+        t1, t2, hit = two_smallest(w)
+        if hit.ndim == 3:
+            tied.append(int((hit.sum(axis=1) > 1).sum()))
+        return t1, t2, hit
+
+    monkeypatch.setattr(codes_module, "_two_smallest", recording)
+    rng = random.Random(83)
+    for q, n in [(2, 6), (2, 8), (3, 4), (3, 5)]:
+        f = make_field(q)
+        for pos in (P.chain(n), P.antichain(n)):
+            sp = BlockSpace(pos, Labeling((1,) * n), f, hamming_weight(f))
+            for k in (1, 2):
+                code = Code.linear(sp, random_rows(rng, q, n, k))
+                table = code.coset_table()
+                assert (table.weights, table.leaders) == _brute_force_table(code)
+    assert sum(tied) > 0
 
 
 @pytest.mark.parametrize("pos, sizes", [(P.antichain(2), (1, 1)), (P.chain(2), (1, 1)),
@@ -747,6 +778,32 @@ def test_explicit_trailing_full_index_leaves_numpy_ma_unimported():
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+def test_codewords_rise_in_odometer_order_inside_every_coset():
+    """The coset table's tie-break (codes module docstring): for every x
+    zero on a linear code's pivot columns, the odometer ranks of x + c over
+    the rows c of codeword_array() strictly increase, so the first word
+    reaching a row minimum of the coset pass gives the coset's first
+    minimum-weight vector.  Seeded spaces over q in {2, 3, 4, 5, 7} with
+    blocks of 1-3 coordinates and generators of every rank k = 0..n."""
+    rng = random.Random(29)
+    qs, sizes, full = set(), set(), set()
+    for _ in range(40):
+        sp = _level_space(rng)
+        radix = sp.q ** np.arange(sp.n - 1, -1, -1, dtype=np.int64)
+        for k in range(sp.n + 1):
+            code = Code.linear(sp, random_rows(rng, sp.q, sp.n, k))
+            free = [c for c in range(sp.n) if c not in code.pivots]
+            x = np.zeros((sp.q ** len(free), sp.n), dtype=np.uint8)
+            x[:, free] = blockspace.odometer_table(sp.q, len(free))
+            cw = code.codeword_array()
+            ranks = sp.field.add_table[x[:, None, :], cw[None, :, :]].astype(np.int64) @ radix
+            assert (np.diff(ranks, axis=1) > 0).all()
+            full.add(code.dimension == k)
+        qs.add(sp.q)
+        sizes.update(sp.labeling.sizes)
+    assert qs == {2, 3, 4, 5, 7} and sizes == {1, 2, 3} and full == {True, False}
 
 
 def _coset_index_reference(code, v):
