@@ -258,6 +258,7 @@ class BlockSpace:
         self.q = field.q
         self.size: int = field.q**self.n
         self._slices = tuple(labeling.block_slice(i) for i in range(1, self.s + 1))
+        self._cuts: dict[int, _Cut | None] = {}
 
         # batch-engine tables
         # (nonzero @ strict)[v, j] > 0  iff  block j lies strictly below a
@@ -412,6 +413,11 @@ class BlockSpace:
             weights = self._bm_table[(self._bm_radix @ flat).astype(np.intp)]
         return weights.reshape(blockmax.shape[1:])
 
+    def columns(self, elements: tuple[int, ...]) -> np.ndarray:
+        """The coordinates of the blocks of the given ascending elements,
+        ascending, as a read-only intp array (_block_columns)."""
+        return _block_columns(self.labeling.sizes, elements)
+
     def cut(self, p: int) -> _Cut | None:
         """The cut of the coordinates into a head 0..p-1 and a tail p..n-1
         (0 < p < n), for passes whose rows x split the same way: the index
@@ -424,7 +430,14 @@ class BlockSpace:
         two, in the smallest unsigned dtype whose maximum exceeds
         s * max_weight (uint8 for every table of at most _CHUNK entries; see
         _Cut).  None when the space has no block-max table or the cut's table
-        would exceed _CHUNK entries."""
+        would exceed _CHUNK entries.  Memoized per space, so a cut charges
+        its piece plans when it is first built."""
+        if p not in self._cuts:
+            self._cuts[p] = self._make_cut(p)
+        return self._cuts[p]
+
+    def _make_cut(self, p: int) -> _Cut | None:
+        """BlockSpace.cut(p), built."""
         if self._bm_radix is None:
             return None
         base, digits, table = self.weight.max_weight + 1, self._bm_radix, self._bm_table
@@ -626,6 +639,17 @@ def _piece_plan(
     return plan
 
 
+@lru_cache(maxsize=4096)
+def _block_columns(sizes: tuple[int, ...], elements: tuple[int, ...]) -> np.ndarray:
+    """BlockSpace.columns for block sizes `sizes`, shared by equal labelings
+    (the array is read-only)."""
+    starts = tuple(accumulate(sizes[:-1], initial=0))
+    cols = [c for e in elements for c in range(starts[e - 1], starts[e - 1] + sizes[e - 1])]
+    cols = np.array(cols, dtype=np.intp)
+    cols.flags.writeable = False
+    return cols
+
+
 def _merge(states: dict[int, list[int]], key: int, poly: list[int]) -> None:
     """Add poly into states[key]."""
     old = states.get(key)
@@ -654,6 +678,9 @@ def odometer_chunks(q: int, m: int, rows: int = _CHUNK) -> Iterator[tuple[int, n
     while t < m and q ** (t + 1) <= rows:
         t += 1
     tail = odometer_table(q, t)
+    if t == m:  # one chunk holds F_q^m
+        yield 0, tail
+        return
     per = rows // len(tail)
     lead = m - t
     heads = q**lead

@@ -259,13 +259,14 @@ def _instance_of(code: Code) -> Instance:
 
 
 def _covering_with_oracle(unit: _Unit, code: Code, label: str) -> int:
-    """Covering radius of a code.  For a linear code, the coset-major pass's
-    covering radius and max coset-leader weight (two readings of one pass)
-    are both cross-checked against the explicit word-set scan."""
+    """Covering radius of a code.  For a linear code, the tree reading (read
+    on a fresh code, before the coset table memoizes its max leader weight
+    as the covering radius) is cross-checked against the coset table's full
+    pass and the word-set reading of the same words."""
     if not code.is_linear:
         return code.covering_radius()
+    rho = Code.linear(code.space, code._defining_rows()).covering_radius()
     coset_max = code.coset_table().max_weight
-    rho = code.covering_radius()
     scan = Code.explicit(code.space, code.codeword_array()).covering_radius()
     unit.hard(
         "covering-oracle",

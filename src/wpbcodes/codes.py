@@ -18,47 +18,65 @@ Either kind's rows are validated as one array: integer coordinates in
 - coset_table: minimum-weight leader per coset of a linear code, with
   ties broken by odometer order.
 
-Every code reads its covering and packing radius from one pass (_pass)
-over w(x - c), x over F_q^cols (zero off the columns cols) and c over some
-words, keeping per row its two smallest entries: the max row minimum is a
-covering radius, the min second-smallest entry - 1 a packing radius.
-Linearity only changes what the pass enumerates (Code._levels).  An
-explicit code has one level, all of F_q^n against its words.  A linear
-code reads its covering radius, packing radius and minimum distance from
-one summand of the poset's finest ordinal sum P = P_1 + ... + P_h
-(Poset.summands, bottom first), every element of a lower summand below
-every element of a higher one.  A nonzero vector u whose top nonzero
-summand is j weighs M_w * N_{<j} + w_{P_j}(pi_j u), with N_{<j} the blocks
-below summand j, so the weights of different j do not overlap.  With
-V_{<=j} the vectors zero above summand j:
+Every code reads its covering radius, packing radius and minimum distance
+along its poset's decomposition tree (Poset.tree): series nodes split into
+their finest ordinal sum P_lo + P_hi (every element of P_lo below every
+element of P_hi), parallel nodes into the connected components of their
+comparability graph, P_1 u P_2, and leaves split no further.  The code is a
+part on the root (_Part: rows or words zero off the node's columns), and a
+split gives parts on the children:
 
-- covering radius = M_w * N_{<j*} + R(D), j* the least j with pi_{>j}(C)
-  the whole space above j and D = pi_{j*}(C meet V_{<=j*}); 0 when C is
-  the whole space (j* = 0);
-- packing radius = M_w * N_{<j0} + rho(D0) and minimum distance =
-  M_w * N_{<j0} + d(D0), j0 the least j with C meet V_{<=j} nonzero and
-  D0 = pi_{j0}(C meet V_{<=j0}).
+- parallel node, when C = C_1 x C_2 along the split (the product test: an
+  explicit code peels off each component i with |C| = |pi_i C| *
+  |pi_rest C|; a linear code's factors are the classes of components that
+  the rows of its reduced echelon form join, since that form of a product
+  is the forms of its factors): weights add across the parts, so
+  R = R_1 + R_2, and d = min d_i and rho = min rho_i over the parts with
+  two or more words.  Components that do not factor are read together;
+- series node, linear code: with the columns taken top summand first (one
+  echelon form, _top_first), j* is the highest summand that C does not
+  fill and D = pi_j*(C meet V_{<=j*}), j0 the lowest summand holding a
+  pivot and D0 = pi_j0(C meet V_{<=j0}): R = M_w * N_{<j*} + R(D) (0 when C
+  fills the node), rho = M_w * N_{<j0} + rho(D0), d = M_w * N_{<j0} + d(D0),
+  N_{<j} the blocks below summand j;
+- series node, explicit code: T = pi_hi(C) and the fibers
+  C_t = {c_lo : (c_lo, t) in C}.  A vector with a nonzero top part weighs
+  more than M_w * N_lo and one with a zero top part at most that, so
+  R = max_t R(C_t) when T is all of F_q^(n_hi), else M_w * N_lo + R(T);
+  rho = min rho(C_t) and d = min d(C_t) over the fibers with two or more
+  words, or M_w * N_lo + rho(T) and M_w * N_lo + d(T) when there is none.
+  A linear code's fibers are the cosets of its fiber at t = 0, C meet
+  V_lo, so this is the linear case one summand at a time.
 
-All of it comes from one echelon form of the generators with the columns
-taken top summand first, so no codeword of C is enumerated: D's
-parameters come from a sub-pass over D's cosets inside its summand and
-d(D0) from D0's words.  On a single summand (an antichain, or any poset
-that is no ordinal sum) D = D0 = C and the sub-pass is the full coset pass.
+The leaves run today's reductions on the full space: _pass over F_q^cols
+(zero off the leaf's columns cols) against the leaf's words for both radii,
+and the nonzero words of a linear leaf, or the word pairs of an explicit
+one, for d.  Those passes carry the offsets M_w * N_{<j} themselves: an
+element outside a node below one inside lies below all of it (their lowest
+common node is a series one), so a nonzero u zero off a node weighs
+M_w * o + w_node(u), o = Node.below, and a leaf's readings are its own
+plus M_w * o (a covering radius of 0 stays 0).  So a series split takes its
+parts' readings as they are (max or min), and a parallel one, whose parts
+share its offset, sums the parts' excesses over it (_combine).
+
+A part splits only when its split costs less (_plan): a leaf costs its pass
+pairs (or listed words, or four per word pair), plus _CHUNK / 8 for a
+pass's fixed work, its entries beyond _CHUNK an eighth each, and a split
+_CHUNK / 8.  So a space that fits one tile, as in verify, reads as one
+leaf, and a disjoint sum of two codes on 30-block chains (2^60 vectors)
+reads from its parts' levels.  A reading charges the pass pairs (or words,
+or word pairs) of all its leaves together before the first runs.
 
 The coset pass: the generator is in reduced row-echelon form, so every
 vector splits uniquely as x + c with x zero on the pivot columns and c a
 codeword, and by translation invariance the distances from the coset
 x + C to the code are the row x of W[x, c] = w(x + c) = w(x - (-c)): the
 pass on the free columns against the negated codewords, q^n entries
-instead of q^n * |C|, row x being coset_index(x).  A sub-pass runs on D's
-free columns inside summand j against D's negated words; each nonzero
-x + d is zero above summand j and nonzero in it, so it already weighs
-M_w * N_{<j} + w_{P_j}(pi_j(x + d)).  Negating an explicit code's words
-changes no reading, since x -> -x permutes F_q^n and w(-u) = w(u).  Every
-pass charges its q^|cols| * |words| vector x word pairs.  The coset table
-takes the full coset pass, keeping per row the first word that reaches the
-row minimum, and memoizes its max leader weight as the covering radius
-where none is memoized yet.
+instead of q^n * |C|, row x being coset_index(x).  A linear leaf takes the
+same pass on its columns off its pivots against its negated words.  The
+coset table takes the full coset pass, keeping per row the first word that
+reaches the row minimum, and memoizes its max leader weight as the
+covering radius where none is memoized yet.
 
 The coset table's leader x + c is the first minimum in odometer order
 because the generators are in reduced row-echelon form in natural column
@@ -89,7 +107,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -104,6 +122,7 @@ from .blockspace import (
 )
 from .errors import NotAChain, NotLinear, TooFewWords
 from .field import Field
+from .poset import Node
 from .weights import WeightFn
 
 _BIG = np.iinfo(np.int64).max
@@ -185,38 +204,44 @@ def _span(field: Field, rows: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _distinct(rows: np.ndarray) -> int:
-    """The number of distinct rows of an (m >= 1, width) uint8 array, by one
-    sort of its rows as bytes (np.unique would import numpy.ma)."""
-    keys = np.sort(np.ascontiguousarray(rows).view(f"V{rows.shape[1]}").ravel())
-    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (m >= 1, width) uint8 array in the order of
+    their bytes, by one sort of the rows as bytes (np.unique would import
+    numpy.ma)."""
+    width = rows.shape[1]
+    keys = np.sort(np.ascontiguousarray(rows).view(f"V{width}").ravel())
+    keep = np.concatenate(([True], keys[1:] != keys[:-1]))
+    return keys[keep].view(np.uint8).reshape(-1, width)
 
 
-class _Level:
-    """The code D inside one summand j of the poset's ordinal sum that a
-    code's parameter is read from (Code._levels): rows, the (dim D, n)
-    uint8 echelon rows with their pivot in summand j (codewords zero above
-    it whose parts in it span D), or None when D is C; cols, the summand's
-    columns off those pivots (all n for an explicit code), ascending; and
-    D's words once enumerated (Code._level_words).  The rows' coordinates below summand j
-    need no clearing: those blocks lie below a nonzero block of summand j in
-    every nonzero x + d, where each weighs M_w whatever its values."""
-
-    __slots__ = ("rows", "cols", "words")
-
-    def __init__(self, rows: np.ndarray | None, cols: np.ndarray):
-        self.rows, self.cols = rows, cols
-        self.words: np.ndarray | None = None
+def _project(words: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (m, n) uint8 array with the columns off cols
+    zeroed."""
+    out = np.zeros_like(words)
+    out[:, cols] = words[:, cols]
+    return _unique_rows(out)
 
 
-class _Levels(NamedTuple):
-    """The level reading of a code (Code._levels); summands are numbered
-    1..h from the bottom, and an explicit code's one level counts as a
-    single summand."""
+class _Part:
+    """A code on one node of the poset's decomposition tree (Poset.tree):
+    n-wide uint8 rows zero off the node's columns cols.  A linear part has
+    rows, its generators in reduced echelon form, with the pivot column of
+    each row (pivots), and words, their span once enumerated; an explicit
+    part has its distinct words.  split holds the parts it splits into
+    (Code._split), plan the reading chosen for it (Code._plan), memo its
+    readings as a leaf."""
 
-    top: int  # j*: 0 when C is the whole space, else the highest summand C does not fill
-    cover: _Level | None  # D at j*, None when C is the whole space
-    pack: _Level | None  # D0 at j0, the lowest summand holding a pivot; None for one word
+    __slots__ = ("node", "cols", "size", "rows", "pivots", "words", "split", "plan", "memo")
+
+    def __init__(self, node: Node, cols: np.ndarray, size: int, *,
+                 rows=None, pivots=None, words=None):
+        self.node, self.cols, self.size = node, cols, size
+        self.rows, self.pivots, self.words = rows, pivots, words
+        self.split: tuple | list | None = None
+        # per reading: (the parts it combines, or None to read the part as a
+        # leaf; its cost)
+        self.plan: dict[str, tuple[list[_Part] | None, int]] = {}
+        self.memo: dict[str, int] = {}
 
 
 @dataclass(frozen=True)
@@ -251,7 +276,7 @@ class Code:
             self.words = tuple(dedup)
             self.generators = None
             self.pivots = None
-            self._free = np.arange(space.n, dtype=np.intp)  # a pass enumerates every column
+            self._free = None
             self.dimension = None
             self.size = len(dedup)
         self._cw: np.ndarray | None = None
@@ -294,31 +319,24 @@ class Code:
 
     def min_distance(self) -> int:
         """Minimum distance over distinct codeword pairs."""
-        if "min_distance" in self._memo:
-            return self._memo["min_distance"]
-        if self.size < 2:
-            raise TooFewWords("min distance needs at least two distinct words")
-        if self.is_linear:
-            words = self._level_words(self._levels().pack)
-            d = int(self.space.batch_weights(words[1:]).min())
-        else:
-            d = self._pairwise_min(self.codeword_array())
-        self._memo["min_distance"] = d
-        return d
+        if "min_distance" not in self._memo:
+            if self.size < 2:
+                raise TooFewWords("min distance needs at least two distinct words")
+            self._memo["min_distance"] = self._read("dist")
+        return self._memo["min_distance"]
 
     def covering_radius(self) -> int:
         """max over F_q^n of the distance to the code."""
         if "covering_radius" not in self._memo:
-            self._level_pass(self._levels().cover)
+            self._memo["covering_radius"] = self._read("cover")
         return self._memo["covering_radius"]
 
     def packing_radius(self) -> int:
         """Largest radius with pairwise disjoint balls around codewords."""
-        if "packing_radius" in self._memo:
-            return self._memo["packing_radius"]
-        if self.size < 2:
-            raise TooFewWords("packing radius needs at least two distinct words")
-        self._level_pass(self._levels().pack)
+        if "packing_radius" not in self._memo:
+            if self.size < 2:
+                raise TooFewWords("packing radius needs at least two distinct words")
+            self._memo["packing_radius"] = self._read("pack")
         return self._memo["packing_radius"]
 
     def is_r_perfect(self, r: int) -> bool:
@@ -336,11 +354,10 @@ class Code:
 
     def _pairwise_min(self, cw: np.ndarray) -> int:
         """min over word pairs i < j of w(c_j - c_i), one pair-kernel call
-        per tile of at most _CHUNK pairs in row-major order; charges the
-        pairs."""
+        per tile of at most _CHUNK pairs in row-major order; the caller
+        charges the pairs."""
         space, m = self.space, len(cw)
         total = m * (m - 1) // 2
-        charge(total, "|C|(|C|-1)/2 word pairs")
         # row i holds the pairs (i, j > i), from pair rank starts[i] on
         counts = np.arange(m - 1, 0, -1)
         starts = np.cumsum(counts) - counts
@@ -353,92 +370,295 @@ class Code:
             d = min(d, int(space.pair_weights(left[:, j], right[:, i]).min()))
         return d
 
-    # the level reading --------------------------------------------------------
+    # the tree reading ---------------------------------------------------------
 
-    def _levels(self) -> _Levels:
-        """The summands a code's covering radius (j*, code D) and packing
-        radius and minimum distance (j0, code D0) are read from, memoized;
-        see the module docstring.
-
-        The generators of a linear code are row-reduced once more with the
-        columns taken top summand first, so the rows with their pivot in
-        summand j are zero above it and span C's words whose top nonzero
-        summand is j, modulo the lower ones; their part in summand j spans
-        D_j = pi_j(C meet V_{<=j}).  pi_{>j}(C) is the whole space above j
-        iff every summand above j holds as many pivots as columns.  On a
-        single summand, and for an explicit code, D and D0 are C itself on
-        its free columns (all n for an explicit code) and nothing is reduced
-        again."""
-        levels = self._memo.get("levels")
-        if levels is not None:
-            return levels
-        space, n = self.space, self.space.n
-        parts = space.poset.summands()
-        if not self.is_linear or len(parts) == 1:
-            whole = _Level(None, self._free)
-            cover = whole if len(self._free) else None  # None: C is the whole space
-            levels = _Levels(int(cover is not None), cover, whole if self.size > 1 else None)
+    def _read(self, what: str) -> int:
+        """The covering radius ("cover"), packing radius ("pack") or minimum
+        distance ("dist") of the code from its parts on the decomposition
+        tree (module docstring).  The reading is planned first (_plan), and
+        the pass pairs (or, for "dist", the listed words or word pairs) of
+        the leaves it reads that are not read yet are charged together
+        before any runs."""
+        root = self._root()
+        self._plan(root, what)
+        if root.plan[what][0] is None:  # the whole code is one leaf
+            leaves = [] if what in root.memo else [root]
         else:
-            # these codes are small, so plain lists beat numpy calls here
-            where = [0] * n  # the summand of each column
-            for j, part in enumerate(parts):
-                for e in part:
-                    block = space._slices[e - 1]
-                    where[block] = [j] * (block.stop - block.start)
-            top_first = sorted(range(n), key=lambda c: -where[c])
-            rows, pivots = _row_reduce(space.field, self._defining_rows(), top_first)
-            at = [where[p] for p in pivots]  # non-increasing: rows come top summand first
-            held, width = [0] * len(parts), [0] * len(parts)
-            for j in at:
-                held[j] += 1
-            for j in where:
-                width[j] += 1
-            top = next((j + 1 for j in reversed(range(len(parts))) if held[j] < width[j]), 0)
+            leaves = [p for p in self._leaves(root, what) if what not in p.memo]
+        if what != "dist":
+            units = "vector x word pairs"
+        else:
+            units = "listed words" if self.is_linear else "word pairs"
+        charge(sum(self._leaf_cost(p, what) for p in leaves), units)
+        for part in leaves:
+            self._read_leaf(part, what)
+        return self._combine(root, what)
 
-            def level(j: int) -> _Level:
-                mine = [row for row, a in zip(rows, at) if a == j]
-                free = [c for c in range(n) if where[c] == j and c not in pivots]
-                return _Level(
-                    np.array(mine, dtype=np.uint8).reshape(len(mine), n),
-                    np.array(free, dtype=np.intp),
-                )
-
-            cover = level(top - 1) if top else None
-            pack = None
-            if rows:  # the last row's pivot lies in the lowest summand holding one
-                pack = cover if at[-1] == top - 1 else level(at[-1])
-            levels = _Levels(top, cover, pack)
-        self._memo["levels"] = levels
-        return levels
-
-    def _level_words(self, level: _Level) -> np.ndarray:
-        """The span of a level's rows in odometer message order (for D0 the
-        nonzero codewords of C meet V_{<=j0} and 0), enumerated once; charges
-        q^(dim D)."""
-        if level.words is None:
-            if level.rows is None:
-                level.words = self.codeword_array()
+    def _root(self) -> _Part:
+        """The code as a part on the root of its poset's tree, memoized."""
+        root = self._memo.get("root")
+        if root is None:
+            node = self.space.poset.tree()
+            cols = self.space.columns(node.elements)
+            if self.is_linear:
+                pivots = np.array(self.pivots, dtype=np.intp)
+                root = _Part(node, cols, self.size, rows=self._defining_rows(), pivots=pivots)
             else:
-                charge(self.space.q ** len(level.rows), "q^dim(D) words")
-                level.words = _span(self.space.field, level.rows)
-        return level.words
+                root = _Part(node, cols, self.size, words=self.codeword_array())
+            self._memo["root"] = root
+        return root
 
-    def _level_pass(self, level: _Level | None) -> None:
-        """The sub-pass of a level (_pass on its columns against its negated
-        words; see the module docstring), which memoizes the readings that
-        hold for the code: the covering radius when the level is D, the
-        packing radius when it is D0, both when D = D0.  No level for the
-        covering radius: C is the whole space, 0."""
-        if level is None:
-            self._memo["covering_radius"] = 0
+    def _plan(self, part: _Part, what: str) -> int:
+        """The cost of the cheapest reading of a part, which is recorded in
+        part.plan: the part as a leaf, or the parts its split combines
+        (_options), each read the cheapest way, when they cost less.  Costs
+        count entries of a pass that fits one tile (_leaf_cost, a word pair
+        of the pair scan counting as four): a leaf also costs _CHUNK / 8 for
+        its fixed work, and its entries beyond _CHUNK an eighth each, as cut
+        chunks run about eight times as many entries in the same time; a
+        split costs _CHUNK / 8 for finding its parts.  So a part of at most
+        _CHUNK / 8 entries is never split."""
+        if what in part.plan:
+            return part.plan[what][1]
+        entries, fixed = self._leaf_cost(part, what), _CHUNK // 8
+        if what == "dist" and not self.is_linear:
+            entries *= 4
+        deps = None
+        cost = fixed + min(entries, _CHUNK) + max(entries - _CHUNK, 0) // 8 if entries else 0
+        if entries > fixed:
+            if part.split is None:
+                part.split = self._split(part)
+            if part.split:
+                options, total = self._options(part, what), fixed
+                for dep in options:
+                    total += self._plan(dep, what)
+                    if total >= cost:
+                        break
+                if total < cost:
+                    deps, cost = options, total
+        part.plan[what] = (deps, cost)
+        return cost
+
+    def _leaves(self, part: _Part, what: str) -> Iterator[_Part]:
+        """The leaf parts whose readings a part's planned reading combines."""
+        deps = part.plan[what][0]
+        if deps is None:
+            yield part
             return
-        levels = self._levels()
-        words = self._level_words(level)
-        covering, packing, _ = self._pass(level.cols, self.space.field.neg_table[words])
-        if level is levels.cover:
-            self._memo["covering_radius"] = covering
-        if level is levels.pack:
-            self._memo["packing_radius"] = packing
+        for dep in deps:
+            yield from self._leaves(dep, what)
+
+    def _combine(self, part: _Part, what: str) -> int:
+        """A part's reading from its leaves' (module docstring): the maximum
+        over the parts read for a covering radius, the sum of their excesses
+        over the node's offset across a parallel split, and the minimum for
+        a packing radius or a minimum distance."""
+        deps = part.plan[what][0]
+        if deps is None:
+            return part.memo[what]
+        values = [self._combine(dep, what) for dep in deps]
+        if what != "cover":
+            return min(values)
+        if part.node.kind == "series":
+            return max(values, default=0)
+        offset = self.space.weight.max_weight * part.node.below
+        grown = [v - offset for v in values if v]
+        return offset + sum(grown) if grown else 0
+
+    def _options(self, part: _Part, what: str) -> list[_Part]:
+        """The parts a split part's reading combines: at a parallel split
+        every part for a covering radius, else those with two or more
+        words; at a linear series split D for a covering radius (none when
+        C fills the node), else D0; at an explicit series split the fibers
+        when the top's projection fills the top summand, else the top, for
+        a covering radius, and the fibers with two or more words, else the
+        top, otherwise."""
+        if part.node.kind == "parallel":
+            return part.split if what == "cover" else [p for p in part.split if p.size > 1]
+        if self.is_linear:
+            cover, pack = part.split
+            return [pack] if what != "cover" else [cover] if cover else []
+        top, fibers = part.split
+        if what == "cover":
+            return fibers if top.size == self.space.q ** len(top.cols) else [top]
+        return [f for f in fibers if f.size > 1] or [top]
+
+    def _split(self, part: _Part):
+        """The parts a part splits into: () on a leaf and where a parallel
+        node's code is no product; a list of parts on the factors of a
+        parallel node's code; (top, fibers) on a series node."""
+        node = part.node
+        if node.kind == "leaf":
+            return ()
+        if node.kind == "series":
+            return self._series(part)
+        space = self.space
+        children = node.children
+        if self.is_linear:
+            # the rows of a reduced echelon form of a product code lie in its
+            # factors (the form is unique), so the finest factors are the
+            # classes of components that some row's support joins
+            where = self._child_of_columns(node)
+            label = list(range(len(children)))
+            for row in part.rows:  # zero off the node's columns
+                joined = {label[i] for i in where[np.flatnonzero(row)].tolist()}
+                label = [min(joined) if x in joined else x for x in label]
+            classes = sorted(set(label))
+            groups = [[i for i, x in enumerate(label) if x == c] for c in classes]
+            owner = np.array(label, dtype=np.intp)[where[part.pivots]]
+            data = [owner == c for c in classes]
+        else:
+            # peel off every component whose projection is a factor:
+            # C = pi_i(C) x pi_rest(C) iff |C| = |pi_i C| * |pi_rest C|
+            comps = [space.columns(child.elements) for child in children]
+            rest, words, groups, data = list(range(len(children))), part.words, [], []
+            for i in range(len(children)):
+                if len(rest) == 1:
+                    break
+                others = [c for c in rest if c != i]
+                mine = _project(words, comps[i])
+                theirs = _project(words, np.concatenate([comps[c] for c in others]))
+                if len(mine) * len(theirs) == len(words):
+                    groups.append([i])
+                    data.append(mine)
+                    rest, words = others, theirs
+            groups.append(rest)
+            data.append(words)
+        if len(groups) == 1:
+            return ()
+        parts = []
+        for group, arr in zip(groups, data):
+            if len(group) == 1:
+                sub = children[group[0]]
+            else:  # components that do not factor are read together
+                elements = tuple(sorted(e for i in group for e in children[i].elements))
+                sub = Node("leaf", elements, (), node.below)
+            cols = space.columns(sub.elements)
+            if self.is_linear:
+                rows, pivots = part.rows[arr], part.pivots[arr]
+                parts.append(_Part(sub, cols, space.q ** len(rows), rows=rows, pivots=pivots))
+            else:
+                parts.append(_Part(sub, cols, len(arr), words=arr))
+        return parts
+
+    def _series(self, part: _Part) -> tuple:
+        """The split of a part on a series node.  A linear part's is (D, D0)
+        in one step: D = pi_j*(C meet V_{<=j*}) on summand j*, the highest
+        summand that C does not fill (None when C fills the node), and
+        D0 = pi_j0(C meet V_{<=j0}) on summand j0, the lowest summand holding
+        a pivot (None for the zero code), both from the echelon form with the
+        columns taken top summand first (_top_first): the rows with their
+        pivot in summand j are zero above it, and their parts in it span
+        D_j.  An explicit part's is (top, fibers) along P_lo + P_hi, P_hi the
+        top summand: top is T = pi_hi(C) on P_hi, the fibers the codes
+        C_t = {c_lo : (c_lo, t) in C} on P_lo, the node without its top
+        summand."""
+        space, node = self.space, part.node
+        if self.is_linear:
+            rows, pivots, at = self._top_first(part)
+            held = np.bincount(at, minlength=len(node.children)).tolist()
+            sizes = space.labeling.sizes
+            top = next((j for j in reversed(range(len(held)))
+                        if held[j] < sum(sizes[e - 1] for e in node.children[j].elements)), None)
+
+            def level(j: int) -> _Part:
+                mine, cols = at == j, space.columns(node.children[j].elements)
+                d_rows = np.zeros((int(mine.sum()), space.n), dtype=np.uint8)
+                d_rows[:, cols] = rows[mine][:, cols]
+                return _Part(node.children[j], cols, space.q ** len(d_rows),
+                             rows=d_rows, pivots=pivots[mine])
+
+            cover = None if top is None else level(top)
+            if not len(at):  # the rows come top summand first
+                return cover, None
+            return cover, cover if at[-1] == top else level(at[-1])
+        hi, low = node.children[-1], node.children[:-1]
+        hi_cols = space.columns(hi.elements)
+        if len(low) == 1:
+            lo = low[0]
+        else:
+            lo = Node("series", tuple(sorted(e for c in low for e in c.elements)), low, node.below)
+        lo_cols = space.columns(lo.elements)
+        words = part.words
+        keys = np.ascontiguousarray(words[:, hi_cols]).view(f"V{len(hi_cols)}").ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        t_words = np.zeros((len(starts), space.n), dtype=np.uint8)
+        t_words[:, hi_cols] = words[order[starts]][:, hi_cols]
+        lows = words[order]
+        lows[:, hi_cols] = 0
+        fibers = [
+            _Part(lo, lo_cols, len(fiber), words=fiber) for fiber in np.split(lows, starts[1:])
+        ]
+        return _Part(hi, hi_cols, len(t_words), words=t_words), fibers
+
+    def _top_first(self, part: _Part) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A linear part's rows on a series node reduced with the columns
+        taken top summand first, their pivots, and the summand of each
+        pivot, which does not rise from row to row."""
+        space = self.space
+        where = self._child_of_columns(part.node)
+        order = part.cols[np.argsort(-where[part.cols], kind="stable")]
+        reduced, pivots = _row_reduce(space.field, part.rows, order.tolist())
+        rows = np.array(reduced, dtype=np.uint8).reshape(len(reduced), space.n)
+        pivots = np.array(pivots, dtype=np.intp)
+        return rows, pivots, where[pivots]
+
+    def _child_of_columns(self, node: Node) -> np.ndarray:
+        """The index of the child of a node that holds each column (0 off
+        the node)."""
+        of = [0] * self.space.s
+        for j, child in enumerate(node.children):
+            for e in child.elements:
+                of[e - 1] = j
+        return np.repeat(of, self.space.labeling.sizes)
+
+    def _leaf_cols(self, part: _Part) -> np.ndarray:
+        """The columns a leaf's pass enumerates: a linear part's off its
+        pivots, an explicit part's all of them."""
+        if not self.is_linear or not len(part.rows):
+            return part.cols
+        free = np.zeros(self.space.n, dtype=bool)
+        free[part.cols] = True
+        free[part.pivots] = False
+        return np.flatnonzero(free)
+
+    def _leaf_cost(self, part: _Part, what: str) -> int:
+        """The pairs of a part's pass as a leaf, q^|cols| for a linear part
+        (q^(|cols| - dim) coset rows times q^dim words) and q^|cols| * |C|
+        for an explicit one, or for "dist" the words it lists (linear) or its
+        word pairs (explicit); 0 when a linear part fills the leaf (its
+        covering radius is 0)."""
+        if what == "dist":
+            return part.size if self.is_linear else part.size * (part.size - 1) // 2
+        if what == "cover" and self.is_linear and len(part.rows) == len(part.cols):
+            return 0
+        return self.space.q ** len(part.cols) * (1 if self.is_linear else part.size)
+
+    def _read_leaf(self, part: _Part, what: str) -> None:
+        """A leaf's reading into its memo: the minimum distance from a linear
+        part's nonzero words or an explicit part's word pairs, else both
+        radii from one pass (the coset pass of a linear part on its columns
+        off the pivots against its negated words, an explicit part's on all
+        its columns against its words)."""
+        space = self.space
+        if not self._leaf_cost(part, what):  # a linear part that fills the leaf
+            part.memo[what] = 0
+            return
+        if self.is_linear and part.words is None:
+            part.words = _span(space.field, part.rows)
+        if what == "dist":
+            if self.is_linear:
+                part.memo[what] = int(space.batch_weights(part.words[1:]).min())
+            else:
+                part.memo[what] = self._pairwise_min(part.words)
+            return
+        words = space.field.neg_table[part.words] if self.is_linear else part.words
+        covering, packing, _ = self._pass(self._leaf_cols(part), words)
+        part.memo["cover"] = covering
+        if part.size > 1:
+            part.memo["pack"] = packing
 
     # the pass -----------------------------------------------------------------
 
@@ -449,10 +669,9 @@ class Code:
         minimum and the min second-smallest entry - 1 (a covering and, for
         two or more words, a packing radius; the caller stores the ones that
         hold for its code) and, with leaders=True, per row its minimum and
-        the index of the first word reaching it, else None.  Charges the
-        q^|cols| * |words| vector x word pairs."""
+        the index of the first word reaching it, else None.  The caller
+        charges the q^|cols| * |words| vector x word pairs."""
         rows = self.space.q ** len(cols)
-        charge(rows * len(words), "vector x word pairs")
         if leaders:
             best_w = np.empty(rows, dtype=np.int64)
             best_word = np.empty(rows, dtype=np.intp)
@@ -570,6 +789,7 @@ class Code:
             raise NotLinear("cosets are defined for linear codes only")
         space = self.space
         words = space.field.neg_table[self.codeword_array()]
+        charge(space.q ** len(self._free) * len(words), "vector x word pairs")
         best_w, best_word = self._pass(self._free, words, True)[2]
         x = np.zeros((len(best_w), space.n), dtype=np.uint8)
         x[:, self._free] = odometer_table(space.q, len(self._free))
@@ -584,32 +804,33 @@ class Code:
         self._memo.setdefault("covering_radius", table.max_weight)
         return table
 
-    # projections ------------------------------------------------------------
-
-    def project(self, i: int) -> set[Vector]:
-        """Values of block i over all codewords."""
-        sl = self.space.labeling.block_slice(i)
-        arr = self.codeword_array()
-        return {tuple(int(x) for x in row) for row in arr[:, sl]}
+    # chains -----------------------------------------------------------------
 
     def trailing_full_index(self) -> int:
         """With the blocks numbered 1..s along the chain, bottom first: s if
         C_s is not all of F_q^{k_s}; otherwise the least l such that the
         joint projection onto blocks l+1..s is the full product space.  A
-        linear code reads it from its level reading (it is j*), counting no
-        codeword."""
+        linear code reads it from its echelon form with the columns taken top
+        block first (it is j*, _series), counting no codeword."""
         if not self.space.poset.is_chain():
             raise NotAChain("trailing_full_index requires a chain poset")
+        space = self.space
         if self.is_linear:
-            return self._levels().top
-        space, arr = self.space, self.codeword_array()
+            if space.s == 1:
+                return int(self.size < space.size)
+            # j*: the highest block holding fewer pivots than columns in the
+            # echelon form with the columns taken top block first
+            held = np.bincount(self._top_first(self._root())[2], minlength=space.s)
+            widths = [len(space.columns(block.elements)) for block in space.poset.tree().children]
+            return next((j + 1 for j in reversed(range(space.s)) if held[j] < widths[j]), 0)
+        arr = self.codeword_array()
         above: list[int] = []  # the columns of blocks l..s
         # a full suffix stays full when it is shortened, so the first suffix
         # from block s down that is not full ends the search
         for l, (e,) in reversed(tuple(enumerate(space.poset.summands(), 1))):
             above[:0] = range(space.n)[space._slices[e - 1]]
             full = space.q ** len(above)
-            if self.size < full or _distinct(arr[:, above]) < full:
+            if self.size < full or len(_unique_rows(arr[:, above])) < full:
                 return l
         return 0
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .blockspace import BlockSpace, Labeling, Vector, charge
-from .codes import Code, _distinct
+from .codes import Code, _unique_rows
 from .errors import FieldMismatch, LengthMismatch, OutOfRange, WeightMismatch
 from .field import Field
 from . import poset as posets
@@ -126,7 +126,7 @@ def sum_map_injective(c1: Code, c2: Code) -> bool:
         raise LengthMismatch(f"sums need equal lengths, got {c1.space.n} and {c2.space.n}")
     pairs, n = _word_pairs(c1, c2), c1.space.n
     sums = c1.space.field.add_table[pairs[:, :n], pairs[:, n:]]
-    return _distinct(sums) == len(sums)
+    return len(_unique_rows(sums)) == len(sums)
 
 
 # Construction 3: extended code ------------------------------------------------

@@ -13,7 +13,7 @@ labelings downstream.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -93,6 +93,15 @@ class Poset:
         per order relation (_summands)."""
         return _summands(self._leq)
 
+    def tree(self) -> Node:
+        """The series-parallel decomposition tree of P (Node): series nodes
+        split into their finest ordinal sum (summands), parallel nodes into
+        the connected components of their comparability graph, and a leaf
+        is a set of elements that neither splits (one element, or a
+        connected poset that is no ordinal sum).  Computed once per order
+        relation (_tree)."""
+        return _tree(self._leq)
+
     def ideal(self, members: Iterable[int]) -> frozenset[int]:
         """The smallest downward-closed set containing ``members``."""
         gen = set(members)
@@ -151,6 +160,60 @@ def _summands(leq: tuple[tuple[bool, ...], ...]) -> tuple[tuple[int, ...], ...]:
             parts.append(tuple(sorted(b + 1 for b in order[start:m])))
             start = m
     return tuple(parts)
+
+
+class Node:
+    """A node of a poset's decomposition tree (Poset.tree): its kind
+    ("series", "parallel" or "leaf"), its elements (ascending, 1-based), its
+    children (a series node's summands, bottom first, or a parallel node's
+    components) and below, the number of elements outside the node below
+    any of its elements, which lie below all of them."""
+
+    __slots__ = ("kind", "elements", "children", "below")
+
+    def __init__(self, kind: str, elements: tuple[int, ...], children: tuple[Node, ...],
+                 below: int):
+        self.kind, self.elements, self.children, self.below = kind, elements, children, below
+
+
+@lru_cache(maxsize=1024)
+def _tree(leq: tuple[tuple[bool, ...], ...]) -> Node:
+    """Poset.tree of the order relation leq."""
+    return _node(leq, tuple(range(1, len(leq) + 1)), 0)
+
+
+def _node(leq: tuple[tuple[bool, ...], ...], elements: tuple[int, ...], below: int) -> Node:
+    """The decomposition tree of the order leq induces on elements, which
+    lie above `below` other elements.  An element outside the node below one
+    inside lies below all of them: their lowest common node is a series one,
+    since a parallel one's parts are incomparable."""
+    sub = tuple(tuple(leq[a - 1][b - 1] for b in elements) for a in elements)
+    parts = [tuple(elements[i - 1] for i in part) for part in _summands(sub)]
+    if len(parts) > 1:
+        under = list(accumulate((len(part) for part in parts[:-1]), initial=below))
+        children = tuple(_node(leq, part, u) for part, u in zip(parts, under))
+        return Node("series", elements, children, below)
+    # the connected components of the comparability graph, by a search
+    # from each element not yet reached
+    seen: set[int] = set()
+    components = []
+    for start in range(len(elements)):
+        if start in seen:
+            continue
+        stack, members = [start], []
+        seen.add(start)
+        while stack:
+            a = stack.pop()
+            members.append(elements[a])
+            for b in range(len(elements)):
+                if b not in seen and (sub[a][b] or sub[b][a]):
+                    seen.add(b)
+                    stack.append(b)
+        components.append(tuple(sorted(members)))
+    if len(components) > 1:
+        children = tuple(_node(leq, part, below) for part in components)
+        return Node("parallel", elements, children, below)
+    return Node("leaf", elements, (), below)
 
 
 # constructors ---------------------------------------------------------------

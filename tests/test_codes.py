@@ -181,9 +181,8 @@ def test_coset_index_consistency():
         assert s.wpb_weight(t.leaders[idx]) <= s.wpb_weight(v)
 
 
-def test_project_and_trailing_full_index():
+def test_trailing_full_index():
     c = rep3()
-    assert c.project(2) == {(0,), (1,)}
     assert c.trailing_full_index() == 2  # C_3 full, joint (C_2, C_3) is not
     s = c.space
     full = Code.linear(s, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -485,13 +484,21 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
     holds at most 4 * _CHUNK entries, as a covering or packing chunk through
     a cut does."""
     monkeypatch.setattr(codes_module, "_CHUNK", chunk)
-    cut, index = BlockSpace.cut, blockspace._Side.index
+    cut, index, run = BlockSpace.cut, blockspace._Side.index, Code._pass
     seen: list = []  # the cut point of each pass that asked for one
     indices: list = []  # entries and dtype of every head and tail index
+    passes: list = []  # per pass: one tile holds it, a row's words fill a tile, its cuts
 
     def recording_cut(sp, p):
         seen.append(p)
         return cut(sp, p)
+
+    def recording_pass(code, cols, words, leaders=False):
+        start = len(seen)
+        out = run(code, cols, words, leaders)
+        q = code.space.q
+        passes.append((q ** len(cols) * len(words) <= chunk, q * len(words) > chunk, seen[start:]))
+        return out
 
     def recording_index(side, left, right):
         out = index(side, left, right)
@@ -500,6 +507,7 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
 
     monkeypatch.setattr(BlockSpace, "cut", recording_cut)
     monkeypatch.setattr(blockspace._Side, "index", recording_index)
+    monkeypatch.setattr(Code, "_pass", recording_pass)
     for piece_codes in (blockspace._PIECE_CODES, 1):
         monkeypatch.setattr(blockspace, "_PIECE_CODES", piece_codes)
         rng = random.Random(67)
@@ -512,7 +520,7 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
                 rows = rng.sample(range(sp.size), rng.randrange(1, min(sp.size, 8) + 1))
                 code = Code.explicit(sp, allv[rows])
             kinds.add(code.kind)
-            seen.clear()
+            passes.clear()
             with _counting_tiles(sp) as tiles:
                 covering = code.covering_radius()
                 packing = code.packing_radius() if code.size >= 2 else None
@@ -524,13 +532,14 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
             if table is not None:
                 _assert_tile_bounds(leader_tiles, chunk)
             split.add(len(sp._pieces.extra) > 0)
-            one_tile = sp.size * (1 if code.is_linear else code.size) <= chunk
-            word_blocks = sp.q * code.size > chunk  # a row's words fill a tile
-            assert bool(seen) != (one_tile or word_blocks)
-            if seen:
-                cuts.add("boundary" if seen[0] in sp.labeling.offsets else "inside")
-            elif one_tile:
-                cuts.add("none")
+            # the reading's leaf passes, then the coset table's full pass
+            assert passes
+            for one_tile, word_blocks, at in passes:
+                assert len(at) == (0 if one_tile or word_blocks else 1)
+                if at:
+                    cuts.add("boundary" if at[0] in sp.labeling.offsets else "inside")
+                elif one_tile:
+                    cuts.add("none")
 
             cw = code.codeword_array()
             dist = sp.batch_weights(
@@ -610,18 +619,20 @@ def test_narrow_cut_table_at_the_largest_weight_it_admits(pos, sizes, monkeypatc
         for rows in itertools.combinations(range(len(allv)), m):
             code, cw = Code.explicit(sp, allv[list(rows)]), allv[list(rows)]
             seen.clear()
-            covering = code.covering_radius()
+            # the pass over all columns, which the tree reading may split
+            covering, packing, _ = code._pass(np.arange(sp.n), cw)
             assert len(seen) == 1 and seen[0].table.dtype == np.uint8
             dist = sp.batch_weights(
                 sp.field.sub_table[allv[:, None, :], cw[None, :, :]].reshape(-1, sp.n)
             ).reshape(len(allv), len(cw))
-            assert covering == dist.min(axis=1).max()
+            assert covering == code.covering_radius() == dist.min(axis=1).max()
             if m == 1:
                 assert covering == top
                 with pytest.raises(TooFewWords):
                     code.packing_radius()
             else:
-                assert code.packing_radius() == np.sort(dist, axis=1)[:, 1].min() - 1
+                second = np.sort(dist, axis=1)[:, 1].min() - 1
+                assert packing == code.packing_radius() == second
 
 
 TREE6 = P.from_cover_relations(6, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)])
@@ -659,6 +670,24 @@ def _level_space(rng):
     else:  # 1 on +-1, 2 elsewhere
         w = custom_weight(f, [0] + [1 if x in (1, f.neg(1)) else 2 for x in range(1, q)])
     return BlockSpace(pos, Labeling(sizes), f, w)
+
+
+def _level_summands(code):
+    """(j*, j0) of a code from its codewords, summands numbered 1..h from
+    the bottom: j* the highest summand j whose projection together with the
+    summands above it is not the whole space (0 for C = F_q^n), j0 the lowest
+    summand that is the top nonzero summand of a nonzero codeword (None for
+    a one-word code)."""
+    sp, cw = code.space, code.codeword_array()
+    cols = [sp.columns(part) for part in sp.poset.summands()]
+    top = 0
+    for j in range(len(cols), 0, -1):
+        above = np.concatenate(cols[j - 1 :])
+        if len({tuple(row) for row in cw[:, above].tolist()}) < sp.q ** len(above):
+            top = j
+            break
+    tops = [max(j for j, c in enumerate(cols, 1) if row[c].any()) for row in cw if row.any()]
+    return top, min(tops, default=None)
 
 
 @pytest.mark.parametrize("chunk", [None, 4])
@@ -718,10 +747,10 @@ def test_level_reading_matches_word_set_scan_and_coset_table(chunk, monkeypatch)
         if table_first.size >= 2:
             assert table_first.packing_radius() == expect[1]
 
-        levels = cover_first._levels()
-        seen.add((multi, levels.cover is None, levels.pack is None))
-        if multi and levels.cover is not None and levels.pack is not None:
-            seen.add("shared" if levels.cover is levels.pack else "apart")
+        top, low = _level_summands(cover_first)
+        seen.add((multi, top == 0, low is None))
+        if multi and top and low is not None:
+            seen.add("shared" if top == low else "apart")
         if any(len(part) > 1 for part in sp.poset.summands()[1:]):
             seen.add("wide upper summand")
     # one and several summands, C = F_q^n and C = 0 on several, j* = j0
@@ -730,6 +759,206 @@ def test_level_reading_matches_word_set_scan_and_coset_table(chunk, monkeypatch)
     assert {(True, True, False), (True, False, True), "shared", "apart"} <= seen
     assert "wide upper summand" in seen
     assert ("cut" in seen) == (chunk is not None)
+
+
+def _sp_poset(rng, budget):
+    """A seeded poset of at most `budget` elements built by disjoint unions
+    and ordinal sums from chains and antichains of 1-2 elements and, now
+    and then, the N poset (a leaf that is no ordinal sum and connected), so
+    that sums of unions and unions of sums nest."""
+    if budget >= 4 and rng.random() < 0.1:
+        return _N_POSET
+    if budget < 2 or rng.random() < 0.3:
+        return rng.choice([P.chain, P.antichain])(rng.randrange(1, min(budget, 2) + 1))
+    left = rng.randrange(1, budget)
+    return rng.choice([P.disjoint_union, P.linear_sum])(
+        _sp_poset(rng, left), _sp_poset(rng, budget - left)
+    )
+
+
+def _lower(node):
+    """A series node without its top summand, as the reading splits it."""
+    low = node.children[:-1]
+    if len(low) == 1:
+        return low[0]
+    return P.Node("series", tuple(sorted(e for c in low for e in c.elements)), low, node.below)
+
+
+def _tree_words(rng, sp, node, limit):
+    """At most `limit` distinct words zero off a node's columns, shaped by
+    its tree: on a parallel node the product of word sets of its parts,
+    less one word now and then (|C| = |pi_1 C| * |pi_2 C| - 1, so the
+    product test fails by one); on a series node a top projection T, the
+    whole top summand now and then, with a fiber of one or several words
+    below each top value; anywhere else, or now and then, random words."""
+    cols = sp.columns(node.elements)
+    space_rows = blockspace.odometer_table(sp.q, len(cols))
+
+    def anywhere(m):
+        out = np.zeros((m, sp.n), dtype=np.uint8)
+        out[:, cols] = space_rows[rng.sample(range(len(space_rows)), m)]
+        return out
+
+    if node.kind == "leaf" or rng.random() < 0.2:
+        return anywhere(rng.randrange(1, min(limit, len(space_rows)) + 1))
+    if node.kind == "parallel":
+        words = np.zeros((1, sp.n), dtype=np.uint8)
+        for child in node.children:
+            part = _tree_words(rng, sp, child, 3)
+            words = (words[:, None, :] + part[None, :, :]).reshape(-1, sp.n)  # disjoint supports
+        if len(words) > 2 and rng.random() < 0.4:
+            words = np.delete(words, rng.randrange(len(words)), axis=0)
+        return words if len(words) <= limit else anywhere(limit)
+    hi_cols = sp.columns(node.children[-1].elements)
+    tops = blockspace.odometer_table(sp.q, len(hi_cols))
+    if len(tops) <= limit // 2 and rng.random() < 0.4:
+        chosen = range(len(tops))  # T fills the top summand
+    else:
+        chosen = rng.sample(range(len(tops)), rng.randrange(1, min(len(tops), 3) + 1))
+    fibers = []
+    for t in chosen:
+        fiber = _tree_words(rng, sp, _lower(node), 3)
+        fiber[:, hi_cols] = tops[t]
+        fibers.append(fiber)
+    words = np.concatenate(fibers)
+    return words if len(words) <= limit else anywhere(limit)
+
+
+def _tree_rows(rng, sp, node):
+    """Generator rows zero off a node's columns: on a parallel node, now
+    and then, the rows of each part (a direct sum along the split), else
+    random rows of random rank over all of the node's columns."""
+    cols = sp.columns(node.elements)
+    if node.kind == "parallel" and rng.random() < 0.6:
+        return np.concatenate([_tree_rows(rng, sp, child) for child in node.children])
+    rows = np.zeros((rng.randrange(len(cols) + 1), sp.n), dtype=np.uint8)
+    rows[:, cols] = np.array(random_rows(rng, sp.q, len(cols), len(rows)),
+                             dtype=np.uint8).reshape(len(rows), len(cols))
+    return rows
+
+
+def _scalar_readings(sp, words):
+    """Covering radius, and for two or more words packing radius, minimum
+    distance and perfectness, from the scalar wpb_weight of every vector:
+    d(v, c) is the weight of v - c, looked up by its odometer rank."""
+    allv = sp.all_vectors()
+    weight = np.array([sp.wpb_weight(v) for v in allv.tolist()])
+    radix = sp.q ** np.arange(sp.n - 1, -1, -1)
+    rank = lambda a, b: sp.field.sub_table[a[:, None, :], b[None, :, :]].astype(np.int64) @ radix
+    dist = weight[rank(allv, words)]
+    out = [int(dist.min(axis=1).max())]
+    if len(words) >= 2:
+        packing = int(np.sort(dist, axis=1)[:, 1].min()) - 1
+        pairs = weight[rank(words, words)][~np.eye(len(words), dtype=bool)]
+        out += [packing, int(pairs.min()), bool(((dist <= packing).sum(axis=1) == 1).all())]
+    return out
+
+
+def _splits_taken(code):
+    """The kinds of split a code's readings took on its tree."""
+    taken, stack = set(), [code._memo["root"]]
+    while stack:
+        part = stack.pop()
+        if part.split == () and part.node.kind == "parallel":
+            taken.add((code.kind, "no product"))
+        for what, (deps, _) in part.plan.items():
+            if deps is None:
+                continue
+            stack.extend(deps)
+            if part.node.kind == "parallel":
+                taken.add((code.kind, "parallel"))
+                values = [code._combine(dep, what) for dep in deps]
+                if what == "cover" and part.node.below and sum(map(bool, values)) > 1:
+                    taken.add("offset sum")
+                continue
+            # read from the top summand, or from below it: a linear code's
+            # D (j* below the top) or D0 (j0 below it), an explicit code's
+            # fibers
+            if all(dep.node is part.node.children[-1] for dep in deps):
+                taken.add((code.kind, "top"))
+                continue
+            taken.add((code.kind, "top filled" if what == "cover" else "fibers"))
+            if code.kind == "explicit" and any(f.size > 1 for f in deps):
+                taken.add((code.kind, "fiber of several words"))
+    return taken
+
+
+def test_tree_reading_matches_scalar_brute_force(monkeypatch):
+    """Covering radius, packing radius, minimum distance and is_perfect of
+    linear and explicit codes on series-parallel posets (disjoint unions,
+    ordinal sums and sums of unions, blocks of 1-2 coordinates, GF(2),
+    GF(3), GF(4), GF(5) under the Hamming and Lee weights) against the
+    scalar brute force.  A small _CHUNK makes every reading take the splits
+    that lower its cost, so parallel splits (products, and word sets that
+    fail the product test by one word), series splits through fibers of
+    one and of several words, a top projection that fills the top summand,
+    and parallel splits above lower summands (where the parts' offsets must
+    not add up) all occur."""
+    monkeypatch.setattr(codes_module, "_CHUNK", 8)
+    rng = random.Random(97)
+    seen, qs = set(), set()
+    for case in range(240):
+        q = (2, 3, 4, 5)[case % 4]
+        pos = _sp_poset(rng, {2: 5, 3: 5, 4: 4, 5: 3}[q])  # q^s <= 256
+        f = make_field(q)
+        w = lee_weight(f) if q != 4 and rng.random() < 0.5 else hamming_weight(f)
+        while True:
+            sizes = tuple(rng.randrange(1, 3) for _ in range(pos.s))
+            if q ** sum(sizes) <= 256:
+                break
+        sp = BlockSpace(pos, Labeling(sizes), f, w)
+        if case % 2:
+            code = Code.linear(sp, _tree_rows(rng, sp, pos.tree()))
+        else:
+            code = Code.explicit(sp, _tree_words(rng, sp, pos.tree(), 24))
+        got = [code.covering_radius()]
+        if code.size >= 2:
+            got += [code.packing_radius(), code.min_distance(), code.is_perfect()]
+        assert got == _scalar_readings(sp, code.codeword_array()), (case, sp, code.size)
+        seen |= _splits_taken(code)
+        qs.add(q)
+    assert qs == {2, 3, 4, 5}
+    for kind in ("linear", "explicit"):
+        assert {(kind, "parallel"), (kind, "top"), (kind, "top filled"), (kind, "fibers")} <= seen
+    assert {("explicit", "no product"), ("explicit", "fiber of several words")} <= seen
+    assert "offset sum" in seen
+
+
+def _chain_code(rng, kind, k):
+    """A GF(2) Hamming code of dimension k on a 30-block chain of single
+    coordinates, linear or as its word set."""
+    f = make_field(2)
+    sp = BlockSpace(P.chain(30), Labeling((1,) * 30), f, hamming_weight(f))
+    while True:
+        code = Code.linear(sp, random_rows(rng, 2, 30, k))
+        if code.dimension == k:
+            return code if kind == "linear" else Code.explicit(sp, code.codeword_array())
+
+
+@pytest.mark.parametrize("kind, k1, k2", [("linear", 5, 25), ("explicit", 5, 5)])
+def test_disjoint_sum_of_two_30_block_chains(kind, k1, k2):
+    """The disjoint direct sum of two codes on 30-block GF(2) chains (n = 60,
+    2^60 vectors) answers all three queries under the default cap: d is the
+    smaller part's, R the sum of the parts' and rho the smaller part's, each
+    part read on its own chain."""
+    rng = random.Random(k1 + k2)
+    c1, c2 = _chain_code(rng, kind, k1), _chain_code(rng, kind, k2)
+    f = make_field(2)
+    sp = BlockSpace(P.disjoint_union(c1.space.poset, c2.space.poset), Labeling((1,) * 60), f,
+                    hamming_weight(f))
+    if kind == "linear":
+        rows = np.zeros((k1 + k2, 60), dtype=np.uint8)
+        rows[:k1, :30] = c1._defining_rows()
+        rows[k1:, 30:] = c2._defining_rows()
+        code = Code.linear(sp, rows)
+    else:
+        w1, w2 = c1.codeword_array(), c2.codeword_array()
+        code = Code.explicit(sp, np.concatenate(
+            [np.repeat(w1, len(w2), axis=0), np.tile(w2, (len(w1), 1))], axis=1))
+    assert code.size == c1.size * c2.size
+    assert code.min_distance() == min(c1.min_distance(), c2.min_distance())
+    assert code.covering_radius() == c1.covering_radius() + c2.covering_radius()
+    assert code.packing_radius() == min(c1.packing_radius(), c2.packing_radius())
 
 
 def test_trailing_full_index_reads_ranks_like_the_suffix_loop():
@@ -839,11 +1068,14 @@ def test_coset_indices_match_the_scalar_canonical_form():
         rep3().coset_indices([(0, 0, 0)])
 
 
+_N_POSET = P.from_cover_relations(4, [(1, 3), (2, 3), (2, 4)])  # connected, no ordinal sum
 _CAPPED_SPACE = space(3, P.chain(2), (1, 2), "lee")  # q^n = 27
 # the same blocks on one summand, where the level reading is the full pass
 _CAPPED_FLAT = space(3, P.antichain(2), (1, 2), "lee")
 _CAPPED_GENERATORS = [(1, 2, 0), (0, 1, 1)]  # q^k = 9
 _CAPPED_WORDS = [(0, 0, 0), (1, 2, 0), (2, 2, 1)]  # q^n * |C| = 81
+_CAPPED_PRODUCT = [(a, b, 2 * b) for a in (0, 1) for b in (0, 1)]
+_CAPPED_GRAPH = [((b + c) % 3, b, c) for b in range(3) for c in range(3)]
 # entry point -> (the count it charges, a call on fresh objects)
 _CAPPED = {
     "all_vectors": (27, lambda s: s.all_vectors()),
@@ -862,7 +1094,25 @@ _CAPPED = {
     "level covering_radius": (3, lambda s: Code.linear(s, _CAPPED_GENERATORS).covering_radius()),
     "level packing_radius": (9, lambda s: Code.linear(s, _CAPPED_GENERATORS).packing_radius()),
     "linear coset_table": (27, lambda s: Code.linear(s, _CAPPED_GENERATORS).coset_table()),
-    "explicit covering_radius": (81, lambda s: Code.explicit(s, _CAPPED_WORDS).covering_radius()),
+    # the words do not factor on the antichain, whose tree is then one leaf
+    "explicit covering_radius": (
+        81, lambda s: Code.explicit(_CAPPED_FLAT, _CAPPED_WORDS).covering_radius()
+    ),
+    # split readings charge the sum of their leaves before the first runs:
+    # {0, 1} x {00, 12} on the antichain, 3 * 2 + 9 * 2 pass entries
+    "parallel explicit covering_radius": (
+        24, lambda s: Code.explicit(_CAPPED_FLAT, _CAPPED_PRODUCT).covering_radius()
+    ),
+    # on the 2-chain every top value has one word, so T = F_3^2 and each of
+    # the 9 one-word fibers takes 3 pass entries
+    "series explicit covering_radius": (
+        27, lambda s: Code.explicit(s, _CAPPED_GRAPH).covering_radius()
+    ),
+    # the generators lie in the two blocks, both parts two or more words:
+    # F_3 (1 x 3 entries) and span(12) (3 x 3)
+    "parallel linear packing_radius": (
+        12, lambda s: Code.linear(_CAPPED_FLAT, [(1, 0, 0), (0, 1, 2)]).packing_radius()
+    ),
     # pieces x n on a fresh GF(2) space: blocks of 9 and 11 cut into pieces
     # of at most 8 coordinates make 2 + 2 pieces, times n = 20
     "piece plan": (
@@ -873,9 +1123,12 @@ _CAPPED = {
 
 
 @pytest.mark.parametrize("entry", _CAPPED)
-def test_each_entry_point_charges_its_count(entry):
+def test_each_entry_point_charges_its_count(entry, monkeypatch):
     """A cap one below the entry point's count raises SpaceTooLarge naming
-    the count; a cap equal to it runs."""
+    the count; a cap equal to it runs.  A _CHUNK of 1 makes a reading take
+    every split that lowers its kernel calls, which on these tiny spaces
+    all fit one tile."""
+    monkeypatch.setattr(codes_module, "_CHUNK", 1)
     count, call = _CAPPED[entry]
     with enumeration_cap(count - 1), pytest.raises(SpaceTooLarge, match=f" = {count} exceeds"):
         call(_CAPPED_SPACE)
@@ -890,9 +1143,11 @@ def _refuse(*args, **kwargs):
 def test_pairwise_min_charges_its_pairs_first(monkeypatch):
     """An explicit code's minimum distance charges its |C|(|C|-1)/2 word
     pairs before the first pair-kernel call.  The space is small enough
-    that its piece plan (3 x 3 entries) fits the cap as well."""
+    that its piece plan (3 x 3 entries) fits the cap as well.  No
+    coordinate's projection is a factor of the words, so the antichain
+    reads them as one leaf."""
     s = space(2, P.antichain(3), (1,) * 3)
-    words = [s.unrank(r) for r in range(6)]  # 15 pairs
+    words = [s.unrank(r) for r in range(1, 7)]  # 15 pairs
     monkeypatch.setattr(BlockSpace, "pair_weights", _refuse)
     with enumeration_cap(14), pytest.raises(SpaceTooLarge, match="pairs = 15 exceeds"):
         Code.explicit(s, words).min_distance()
@@ -904,8 +1159,9 @@ def test_pairwise_min_charges_its_pairs_first(monkeypatch):
 def test_explicit_pass_charges_its_pairs_first(monkeypatch):
     """The word-set pass charges q^n * |C| vector x word pairs, not q^n,
     before the first pair-kernel call: here q^n = 16 fits the cap and the
-    48 pairs do not."""
-    s = space(2, P.chain(4), (1,) * 4)
+    48 pairs do not.  The N poset is one leaf of its decomposition tree, so
+    the pass runs on all of F_q^n."""
+    s = space(2, _N_POSET, (1,) * 4)
     words = [(0, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1)]
     monkeypatch.setattr(BlockSpace, "pair_weights", _refuse)
     with enumeration_cap(47):

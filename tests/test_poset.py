@@ -255,3 +255,53 @@ def test_linear_sum_stacks_the_summands():
         for q in small:
             shifted = tuple(tuple(e + p.s for e in part) for part in q.summands())
             assert P.linear_sum(p, q).summands() == p.summands() + shifted
+
+
+def test_tree_splits_series_parallel_and_leaves():
+    """On every poset of at most 4 elements: a series node's children are
+    the summands of the order it induces, a parallel node's the connected
+    components of its comparability graph, and a leaf is connected and no
+    ordinal sum; every node's `below` counts the elements outside it that
+    lie below one of its elements, and those lie below all of them.  The
+    tree is computed once per order relation."""
+    kinds = set()
+    for s in (1, 2, 3, 4):
+        for p in P.all_posets(s):
+            stack = [p.tree()]
+            assert p.tree() is stack[0] and stack[0].elements == tuple(p.elements())
+            while stack:
+                node = stack.pop()
+                kinds.add(node.kind)
+                members = set(node.elements)
+                under = {a for a in p.elements() if a not in members
+                         and any(p.less(a, b) for b in members)}
+                assert node.below == len(under)
+                assert all(p.less(a, b) for a in under for b in members)
+                sub = P.Poset([[p.leq(a, b) for b in node.elements] for a in node.elements])
+                parts = [tuple(node.elements[i - 1] for i in part) for part in sub.summands()]
+                comps = _comparability_components(p, node.elements)
+                if node.kind == "series":
+                    assert [c.elements for c in node.children] == parts and len(parts) > 1
+                elif node.kind == "parallel":
+                    assert sorted(c.elements for c in node.children) == comps and len(comps) > 1
+                else:
+                    assert len(parts) == 1 and len(comps) == 1 and not node.children
+                stack.extend(node.children)
+    assert kinds == {"series", "parallel", "leaf"}
+    assert P.from_cover_relations(4, [(1, 3), (2, 3), (2, 4)]).tree().kind == "leaf"
+
+
+
+def _comparability_components(p: P.Poset, elements) -> list[tuple[int, ...]]:
+    """The connected components of the comparability graph on elements."""
+    left, out = set(elements), []
+    while left:
+        stack, comp = [min(left)], set()
+        while stack:
+            a = stack.pop()
+            if a not in comp:
+                comp.add(a)
+                stack += [b for b in left if p.leq(a, b) or p.leq(b, a)]
+        left -= comp
+        out.append(tuple(sorted(comp)))
+    return sorted(out)
