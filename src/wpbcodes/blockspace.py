@@ -51,6 +51,30 @@ the table has at most _CHUNK < 2^16 entries, so the parts are uint16, and
 it holds weights of at most s * max_weight <= 254, so it is uint8.  The
 kernel's own table and results stay int64, since callers add weights.
 
+Every table above depends only on the space's shape: q, the weight table,
+the order relation and the block sizes.  So a space holds a kernel
+(_Kernel), one per shape in the process (_kernel, an lru cache keyed by the
+shape and by the _CHUNK and _PIECE_CODES it was sized under, so patching
+either constant gives fresh decisions): its strictly-below matrix and
+block-max radix, and, built on first use, its piece plan, its block-max
+table, its cuts (one per cut point) and the left piece codes of the rows
+of F_q^cols for passes that fit one tile (row_codes).  Equal spaces,
+with_weight siblings under equal tables and every Instance.build() of one
+shape share it, and every array it keeps is read-only.  A call that uses a
+piece plan charges its entries on every call, whether the kernel built the
+plan or kept it, so SpaceTooLarge never depends on what the process ran
+before.
+
+The kept memory is bounded.  At most 256 kernels are cached.  A kernel of
+n coordinates whose piece plan has P pieces holds at most: its plan, two
+P x n float32 code matrices and pair tables of fewer than 2 * _PIECE_CODES
+entries of at most 8 bytes (8Pn bytes + 1 MiB); its block-max table, at
+most _CHUNK int64 (128 KiB); n - 1 cuts, each a table of at most _CHUNK
+uint8 (16 KiB) and two piece plans with at most P + 1 pieces over n
+coordinates between them and uint8 pair tables (8(P + 1)n bytes + 256 KiB);
+and row codes of at most P * _CHUNK intp in all (P * 128 KiB), those of
+further column sets being built on every call.
+
 Ball sizes enumerate nothing.  The metric is translation-invariant, so
 |B(c, r)| counts the vectors of weight <= r, and the weight depends only on
 the ideal I the support generates: with M the maximal elements of I, each
@@ -73,9 +97,10 @@ radius.  The states never outnumber the ideals (at most 2^s <= q^n), and
 the enumeration cap bounds them.
 
 Every computation that enumerates (vectors, codewords, vector x codeword or
-word pairs, words built, DP states) or builds a piece plan (pieces x
-coordinates entries in each of its two code matrices) passes its count to
-charge before it starts, which raises SpaceTooLarge when the count exceeds
+word pairs, words built, DP states), uses a piece plan (pieces x
+coordinates entries in each of its two code matrices) or loads an instance
+document (its poset elements and coordinates) passes its count to charge
+before it starts, which raises SpaceTooLarge when the count exceeds
 the enumeration cap: DEFAULT_MAX_SPACE unless a caller sets another for a
 block of code with `with enumeration_cap(cap):`.
 """
@@ -93,7 +118,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import LengthMismatch, OutOfRange, SpaceTooLarge
-from .field import Field
+from .field import Field, make_field
 from .poset import Poset
 from .weights import WeightFn, hamming_weight
 
@@ -127,7 +152,7 @@ def charge(count: int, what: str) -> None:
 
 
 class _PiecePlan(NamedTuple):
-    """The pair kernel's piece plan (see BlockSpace._pieces)."""
+    """The pair kernel's piece plan (_piece_plan)."""
 
     left: np.ndarray  # (pieces, n) float32: piece code a times q^len
     right: np.ndarray  # (pieces, n) float32: piece code b
@@ -257,23 +282,8 @@ class BlockSpace:
         self.s = labeling.s
         self.q = field.q
         self.size: int = field.q**self.n
-        self._slices = tuple(labeling.block_slice(i) for i in range(1, self.s + 1))
-        self._cuts: dict[int, _Cut | None] = {}
-
-        # batch-engine tables
-        # (nonzero @ strict)[v, j] > 0  iff  block j lies strictly below a
-        # nonzero block of v
-        leq = poset.matrix()
-        self._strict = (leq & ~np.eye(self.s, dtype=bool)).T.astype(np.float32)
-        # radix of a block-max tuple's index in _bm_table, or None when the
-        # (max_weight + 1)^s tuples exceed one chunk; exact in float32 since
-        # indices stay below _CHUNK <= 2^24
-        base = weight.max_weight + 1
-        self._bm_radix = (
-            (base ** np.arange(self.s - 1, -1, -1)).astype(np.float32)
-            if base**self.s <= _CHUNK
-            else None
-        )
+        self._kernel = _kernel(weight.table, poset, labeling.sizes, _CHUNK, _PIECE_CODES)
+        self._slices = self._kernel.slices
 
     # vector plumbing --------------------------------------------------------
 
@@ -384,19 +394,13 @@ class BlockSpace:
         """(pieces, N) intp piece codes of the rows of an (N, n) uint8
         array, for pair_weights: offset + a * q^len as its left operand,
         the odometer code b of each piece as its right one."""
-        plan = self._pieces
-        mat = plan.left if left else plan.right
-        if len(arr) == 1:
-            # a one-row product goes to BLAS gemv, whose kernel now and then
-            # leaves a spurious invalid-value flag that numpy reports as a
-            # warning; the broadcast product of these small integers is
-            # exact as well
-            codes = (mat * arr).sum(axis=1, keepdims=True)
-        else:
-            codes = mat @ arr.T
-        if left:
-            codes += plan.offsets
-        return codes.astype(np.intp)
+        return self._kernel.piece_codes(arr, left)
+
+    def row_codes(self, cols: np.ndarray) -> np.ndarray:
+        """The left piece codes of the rows of F_q^cols in odometer order
+        (zero off the columns cols), as a read-only (pieces, q^|cols|) intp
+        array, kept by the space's kernel within its budget (_Kernel)."""
+        return self._kernel.row_codes(cols)
 
     def pair_weights(self, left: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
         """w(x - c) for the piece codes of x (left) and c (right), which
@@ -405,13 +409,7 @@ class BlockSpace:
         right, w(x).  The block maxima (_block_maxima), then the
         strictly-below identity (module docstring), looked up in the table
         of block-max tuples when it has at most _CHUNK entries."""
-        blockmax = _block_maxima(self._pieces, left if right is None else left + right)
-        flat = blockmax.reshape(self.s, -1)
-        if self._bm_radix is None:
-            weights = self._below_weights(flat.T)
-        else:
-            weights = self._bm_table[(self._bm_radix @ flat).astype(np.intp)]
-        return weights.reshape(blockmax.shape[1:])
+        return self._kernel.pair_weights(left if right is None else left + right)
 
     def columns(self, elements: tuple[int, ...]) -> np.ndarray:
         """The coordinates of the blocks of the given ascending elements,
@@ -430,62 +428,9 @@ class BlockSpace:
         two, in the smallest unsigned dtype whose maximum exceeds
         s * max_weight (uint8 for every table of at most _CHUNK entries; see
         _Cut).  None when the space has no block-max table or the cut's table
-        would exceed _CHUNK entries.  Memoized per space, so a cut charges
-        its piece plans when it is first built."""
-        if p not in self._cuts:
-            self._cuts[p] = self._make_cut(p)
-        return self._cuts[p]
-
-    def _make_cut(self, p: int) -> _Cut | None:
-        """BlockSpace.cut(p), built."""
-        if self._bm_radix is None:
-            return None
-        base, digits, table = self.weight.max_weight + 1, self._bm_radix, self._bm_table
-        spans = [(start, start + k) for start, k in zip(self.labeling.offsets, self.labeling.sizes)]
-        head = tuple(min(end, p) - start for start, end in spans if start < p)
-        tail = tuple(end - max(start, p) for start, end in spans if end > p)
-        tail_digits = digits[len(head) :]
-        if len(head) + len(tail) > self.s:  # block b straddles p
-            b = len(head) - 1
-            if base ** (self.s + 1) > _CHUNK:
-                return None
-            grid = table.reshape((base,) * self.s)
-            table = np.concatenate(
-                [grid.take(np.maximum(np.arange(base), m), axis=b).ravel() for m in range(base)]
-            )
-            tail_digits = np.append(np.float32(base**self.s), digits[b + 1 :])
-        return _Cut(
-            _Side(0, p, self._plan(head), digits[: len(head)]),
-            _Side(p, self.n, self._plan(tail), tail_digits),
-            table.astype(np.min_scalar_type(self.s * self.weight.max_weight + 1)),
-        )
-
-    @cached_property
-    def _pieces(self) -> _PiecePlan:
-        """The piece plan of the pair kernel, looked up on its first call."""
-        return self._plan(self.labeling.sizes)
-
-    def _plan(self, sizes: tuple[int, ...]) -> _PiecePlan:
-        """The piece plan of consecutive blocks of the given sizes: t is the
-        largest piece length with q^(2t) <= _PIECE_CODES (t >= 1 for every
-        q <= 256).  Charges its pieces x sum(sizes) code-matrix entries."""
-        t = 1
-        while self.q ** (2 * t + 2) <= _PIECE_CODES:
-            t += 1
-        pieces = sum(-(-k // t) for k in sizes)
-        charge(pieces * sum(sizes), "piece-plan entries")
-        return _piece_plan(self.field, self.weight.table, sizes, t)
-
-    @cached_property
-    def _bm_table(self) -> np.ndarray:
-        """Weights of all (max_weight + 1)^s block-max tuples in odometer
-        order, built on the first table lookup."""
-        base = self.weight.max_weight + 1
-        return self._below_weights(np.indices((base,) * self.s).reshape(self.s, -1).T)
-
-    def _below_weights(self, blockmax: np.ndarray) -> np.ndarray:
-        below = (blockmax > 0).astype(np.float32) @ self._strict > 0
-        return np.where(below, self.weight.max_weight, blockmax).sum(axis=1, dtype=np.int64)
+        would exceed _CHUNK entries.  Kept by the space's kernel, and
+        charges its two piece plans on every call (_Kernel.cut)."""
+        return self._kernel.cut(p)
 
     def unrank(self, r: int) -> Vector:
         """The vector of odometer rank r in 0..q^n-1 (last coordinate
@@ -586,16 +531,195 @@ class BlockSpace:
         )
 
 
+class _Kernel:
+    """The batch engine's tables that a space's shape fixes, sized under
+    the given _CHUNK and _PIECE_CODES (module docstring): one per shape
+    (_kernel), held by every space of that shape."""
+
+    def __init__(
+        self,
+        weights: tuple[int, ...],
+        poset: Poset,
+        sizes: tuple[int, ...],
+        chunk: int,
+        piece_codes: int,
+    ):
+        self.weights, self.sizes, self.chunk = weights, sizes, chunk
+        self.field = make_field(len(weights))  # a weight table has q entries
+        self.q, self.s, self.n = self.field.q, len(sizes), sum(sizes)
+        self.max_weight = max(weights)
+        starts = accumulate(sizes[:-1], initial=0)
+        self.slices = tuple(slice(a, a + k) for a, k in zip(starts, sizes))
+        # t: the largest piece length with q^(2t) <= piece_codes (t >= 1 for
+        # every q <= 256)
+        self.t = 1
+        while self.q ** (2 * self.t + 2) <= piece_codes:
+            self.t += 1
+        self.entries = _plan_entries(sizes, self.t)
+        # (nonzero @ strict)[v, j] > 0  iff  block j lies strictly below a
+        # nonzero block of v
+        self.strict = (poset.matrix() & ~np.eye(self.s, dtype=bool)).T.astype(np.float32)
+        self.strict.flags.writeable = False
+        # radix of a block-max tuple's index in bm_table, or None when the
+        # (max_weight + 1)^s tuples exceed one chunk; exact in float32 since
+        # indices stay below chunk <= 2^24
+        base = self.max_weight + 1
+        self.radix = None
+        if base**self.s <= chunk:
+            self.radix = (base ** np.arange(self.s - 1, -1, -1)).astype(np.float32)
+            self.radix.flags.writeable = False
+        # cut point -> ((sizes, plan entries) of the head and the tail), or
+        # () without a cut
+        self._sides: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
+        self._cuts: dict[int, _Cut] = {}
+        self._rows: dict[bytes, np.ndarray] = {}
+        self._kept = 0  # row-code entries in _rows
+
+    def plan(self) -> _PiecePlan:
+        """The piece plan of the pair kernel; charges its pieces x n
+        code-matrix entries on every call."""
+        charge(self.entries, "piece-plan entries")
+        return self._plan
+
+    @cached_property
+    def _plan(self) -> _PiecePlan:
+        return _piece_plan(self.field, self.weights, self.sizes, self.t)
+
+    def piece_codes(self, arr: np.ndarray, left: bool) -> np.ndarray:
+        """BlockSpace.piece_codes."""
+        plan = self.plan()
+        mat = plan.left if left else plan.right
+        if len(arr) == 1:
+            # a one-row product goes to BLAS gemv, whose kernel now and then
+            # leaves a spurious invalid-value flag that numpy reports as a
+            # warning; the broadcast product of these small integers is
+            # exact as well
+            codes = (mat * arr).sum(axis=1, keepdims=True)
+        else:
+            codes = mat @ arr.T
+        if left:
+            codes += plan.offsets
+        return codes.astype(np.intp)
+
+    def row_codes(self, cols: np.ndarray) -> np.ndarray:
+        """BlockSpace.row_codes.  The codes of each cols are kept while the
+        kept ones total at most pieces x chunk entries; later ones are built
+        on every call."""
+        pieces = len(self.plan().left)
+        key = cols.tobytes()
+        codes = self._rows.get(key)
+        if codes is None:
+            x = _widen(odometer_table(self.q, len(cols)), cols, self.n)
+            codes = self.piece_codes(x, True)
+            codes.flags.writeable = False
+            if self._kept + codes.size <= pieces * self.chunk:
+                self._kept += codes.size
+                self._rows[key] = codes
+        return codes
+
+    def pair_weights(self, codes: np.ndarray) -> np.ndarray:
+        """BlockSpace.pair_weights for the summed piece codes of x and c."""
+        blockmax = _block_maxima(self.plan(), codes)
+        flat = blockmax.reshape(self.s, -1)
+        if self.radix is None:
+            weights = self._below_weights(flat.T)
+        else:
+            weights = self.bm_table[(self.radix @ flat).astype(np.intp)]
+        return weights.reshape(blockmax.shape[1:])
+
+    @cached_property
+    def bm_table(self) -> np.ndarray:
+        """Weights of all (max_weight + 1)^s block-max tuples in odometer
+        order, built on the first table lookup."""
+        base = self.max_weight + 1
+        table = self._below_weights(np.indices((base,) * self.s).reshape(self.s, -1).T)
+        table.flags.writeable = False
+        return table
+
+    def _below_weights(self, blockmax: np.ndarray) -> np.ndarray:
+        below = (blockmax > 0).astype(np.float32) @ self.strict > 0
+        return np.where(below, self.max_weight, blockmax).sum(axis=1, dtype=np.int64)
+
+    def cut(self, p: int) -> _Cut | None:
+        """BlockSpace.cut.  Charges the entries of the head's and then the
+        tail's piece plan on every call, before a cut is built."""
+        sides = self._sides.get(p)
+        if sides is None:
+            sides = self._sides[p] = self._cut_sides(p)
+        for _, entries in sides:
+            charge(entries, "piece-plan entries")
+        if not sides:
+            return None
+        cut = self._cuts.get(p)
+        if cut is None:
+            (head, _), (tail, _) = sides
+            cut = self._cuts[p] = self._make_cut(p, head, tail)
+        return cut
+
+    def _cut_sides(self, p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The block sizes of the head's and the tail's parts of the blocks
+        at a cut at p, each with the entries of its piece plan, or () when
+        there is no cut (no block-max table, or one whose straddling digit
+        would exceed chunk entries)."""
+        if self.radix is None:
+            return ()
+        spans = [(s.start, s.stop) for s in self.slices]
+        head = tuple(min(end, p) - start for start, end in spans if start < p)
+        tail = tuple(end - max(start, p) for start, end in spans if end > p)
+        if len(head) + len(tail) > self.s and (self.max_weight + 1) ** (self.s + 1) > self.chunk:
+            return ()
+        return (head, _plan_entries(head, self.t)), (tail, _plan_entries(tail, self.t))
+
+    def _make_cut(self, p: int, head: tuple[int, ...], tail: tuple[int, ...]) -> _Cut:
+        """The cut at p, built (BlockSpace.cut), with read-only arrays."""
+        base, digits, table = self.max_weight + 1, self.radix, self.bm_table
+        tail_digits = digits[len(head) :]
+        if len(head) + len(tail) > self.s:  # block b straddles p
+            b = len(head) - 1
+            grid = table.reshape((base,) * self.s)
+            table = np.concatenate(
+                [grid.take(np.maximum(np.arange(base), m), axis=b).ravel() for m in range(base)]
+            )
+            tail_digits = np.append(np.float32(base**self.s), digits[b + 1 :])
+            tail_digits.flags.writeable = False
+        table = table.astype(np.min_scalar_type(self.s * self.max_weight + 1))
+        table.flags.writeable = False
+        return _Cut(
+            _Side(0, p, _piece_plan(self.field, self.weights, head, self.t), digits[: len(head)]),
+            _Side(p, self.n, _piece_plan(self.field, self.weights, tail, self.t), tail_digits),
+            table,
+        )
+
+
 @lru_cache(maxsize=256)
+def _kernel(
+    weights: tuple[int, ...],
+    poset: Poset,
+    sizes: tuple[int, ...],
+    chunk: int,
+    piece_codes: int,
+) -> _Kernel:
+    """The kernel of the spaces of one shape (the weight table, whose
+    length is q, the order relation and the block sizes), sized under the
+    given _CHUNK and _PIECE_CODES: equal spaces, and with_weight siblings
+    under equal weight tables, share one (module docstring)."""
+    return _Kernel(weights, poset, sizes, chunk, piece_codes)
+
+
+def _plan_entries(sizes: tuple[int, ...], t: int) -> int:
+    """The pieces x sum(sizes) entries of each code matrix of the piece plan
+    of consecutive blocks of the given sizes, in pieces of at most t."""
+    return sum(-(-k // t) for k in sizes) * sum(sizes)
+
+
 def _piece_plan(
     field: Field, weights: tuple[int, ...], sizes: tuple[int, ...], t: int
 ) -> _PiecePlan:
     """The pair kernel's piece plan for block sizes `sizes` under the weight
-    table `weights`, a pure function of its arguments, so that equal spaces share
-    one plan (its arrays are read-only).  Each block is cut into pieces of
-    at most t coordinates; row i < s of the codes is the first piece of
-    block i + 1, so those rows are the block maxima once the later pieces
-    are folded in.  The pair table of a piece length m holds
+    table `weights`, built once per kernel (its arrays are read-only).
+    Each block is cut into pieces of at most t coordinates; row i < s of
+    the codes is the first piece of block i + 1, so those rows are the block
+    maxima once the later pieces are folded in.  The pair table of a piece length m holds
     max_j w(a_j - b_j) at a * q^m + b for all a, b in F_q^m; the tables of
     the lengths that occur are concatenated, fewer than 2 * _PIECE_CODES
     entries, so the float32 codes are exact."""
@@ -648,6 +772,16 @@ def _block_columns(sizes: tuple[int, ...], elements: tuple[int, ...]) -> np.ndar
     cols = np.array(cols, dtype=np.intp)
     cols.flags.writeable = False
     return cols
+
+
+def _widen(xs: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The (X, n) rows with the columns of an (X, |cols|) array on cols and
+    zero elsewhere."""
+    if len(cols) == n:
+        return xs
+    x = np.zeros((len(xs), n), dtype=np.uint8)
+    x[:, cols] = xs
+    return x
 
 
 def _merge(states: dict[int, list[int]], key: int, poly: list[int]) -> None:

@@ -97,10 +97,13 @@ The cut's tiles are narrow (uint16 indices into a uint8 table, _Cut), so a
 chunk takes 4 * _CHUNK entries, at least one head row.  Without a cut (one
 tile holds the pass, q * |C| exceeds a tile, or the space has no table for
 the cut) tiles are whole rows times a block of words, at most _CHUNK int64
-weights, one pair-kernel call each (BlockSpace.pair_weights on piece codes
-computed once per tile and once per pass).  The word pairs of the minimum
-distance take the same pair-kernel tiles.  No scan builds a difference
-vector for its weights.
+weights, one pair-kernel call each (BlockSpace.pair_weights on the words'
+piece codes, computed once per pass, and the rows', once per tile).  A pass
+that one tile holds, as nearly every pass of verify does, takes its rows'
+codes from the space's kernel (BlockSpace.row_codes), which builds them
+once per shape and column set.  The word pairs of the minimum distance
+take the same pair-kernel tiles.  No scan builds a difference vector for
+its weights.
 """
 
 from __future__ import annotations
@@ -116,6 +119,7 @@ from .blockspace import (
     BlockSpace,
     Vector,
     _Cut,
+    _widen,
     charge,
     odometer_chunks,
     odometer_table,
@@ -708,16 +712,19 @@ class Code:
         block's readings are the row's, and each later block merges into
         them; with leaders, a tile's first minimum is the first word of its
         tie mask, and a later block takes a row's word only with a strictly
-        smaller minimum."""
+        smaller minimum.  A pass that fits one tile reads its rows' piece
+        codes from the space's kernel (BlockSpace.row_codes)."""
         space = self.space
         right = space.piece_codes(words, left=False)
         block = min(len(words), _CHUNK)
-        for start, xs in odometer_chunks(space.q, len(cols), max(_CHUNK // len(words), 1)):
-            x = xs
-            if len(cols) < space.n:
-                x = np.zeros((len(xs), space.n), dtype=np.uint8)
-                x[:, cols] = xs
-            left = space.piece_codes(x)
+        if space.q ** len(cols) * len(words) <= _CHUNK:
+            chunks = [(0, space.row_codes(cols))]
+        else:
+            chunks = (
+                (start, space.piece_codes(_widen(xs, cols, space.n)))
+                for start, xs in odometer_chunks(space.q, len(cols), max(_CHUNK // len(words), 1))
+            )
+        for start, left in chunks:
             for lo in range(0, len(words), block):
                 t1, t2, hit = _two_smallest(_tile(space, left, right[:, lo : lo + block]))
                 t_word = lo + hit.argmax(axis=1) if leaders else None

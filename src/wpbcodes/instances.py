@@ -13,7 +13,10 @@ Schema (all keys required):
     }
 
 Every number must be a JSON integer: floats and booleans are rejected with a
-ConsistencyError naming their JSON path, not coerced.  Loading normalizes to
+ConsistencyError naming their JSON path, not coerced.  The poset's elements s
+and the coordinates n = sum(labeling) are charged against the enumeration
+cap (blockspace.charge) before anything of their size is built, so an
+oversized document raises SpaceTooLarge.  Loading normalizes to
 canonical form (sorted cover pairs), so save(load(f)) is idempotent and
 load(save(x)) == x.  The digest of the canonical JSON identifies an instance
 in reports.
@@ -27,7 +30,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .blockspace import BlockSpace, Labeling
+from .blockspace import BlockSpace, Labeling, charge
 from .codes import Code
 from .errors import ConsistencyError, ParseError
 from .field import make_field
@@ -198,7 +201,11 @@ def instance_from_json_dict(doc: dict) -> Instance:
         "labeling",
         f"{len(labeling)} blocks but the poset has {elements} elements",
     )
+    # bound the space before anything of its size is built: a short
+    # document can ask for millions of coordinates
+    charge(elements, "poset elements s")
     n = sum(labeling)
+    charge(n, "coordinates n")
 
     code = doc["code"]
     _require(isinstance(code, dict) and "kind" in code, "code", "expected {'kind': ...}")

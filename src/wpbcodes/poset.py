@@ -28,32 +28,11 @@ class Poset:
 
     def __init__(self, leq: Iterable[Iterable[bool]]):
         rel = tuple(tuple(bool(x) for x in row) for row in leq)
-        s = len(rel)
-        if any(len(row) != s for row in rel):
-            raise ValueError("leq must be a square matrix")
-        for i in range(s):
-            if not rel[i][i]:
-                raise ValueError(f"relation is not reflexive at {i + 1}")
-        for i in range(s):
-            for j in range(s):
-                if i != j and rel[i][j] and rel[j][i]:
-                    raise ValueError(f"relation is not antisymmetric at ({i + 1},{j + 1})")
-                if rel[i][j]:
-                    for k in range(s):
-                        if rel[j][k] and not rel[i][k]:
-                            raise ValueError(
-                                f"relation is not transitive at ({i + 1},{j + 1},{k + 1})"
-                            )
-        self.s = s
+        self.s = len(rel)
         self._leq = rel
         self._np = None
         # _down[i - 1] = {j : j <= i},  _up[i - 1] = {j : i < j}
-        self._down = tuple(
-            frozenset(j + 1 for j in range(s) if rel[j][i]) for i in range(s)
-        )
-        self._up = tuple(
-            frozenset(j + 1 for j in range(s) if j != i and rel[i][j]) for i in range(s)
-        )
+        self._down, self._up = _closure_sets(rel)
 
     # queries ---------------------------------------------------------------
 
@@ -160,6 +139,36 @@ def _summands(leq: tuple[tuple[bool, ...], ...]) -> tuple[tuple[int, ...], ...]:
             parts.append(tuple(sorted(b + 1 for b in order[start:m])))
             start = m
     return tuple(parts)
+
+
+@lru_cache(maxsize=1024)
+def _closure_sets(
+    rel: tuple[tuple[bool, ...], ...]
+) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
+    """The down-sets {j : j <= i} and strict up-sets {j : i < j} of the
+    elements of the relation rel, once it is checked to be a partial order
+    (reflexive, antisymmetric, transitive; ValueError naming the first
+    violation otherwise).  Computed once per relation, so equal posets
+    share their sets."""
+    s = len(rel)
+    if any(len(row) != s for row in rel):
+        raise ValueError("leq must be a square matrix")
+    for i in range(s):
+        if not rel[i][i]:
+            raise ValueError(f"relation is not reflexive at {i + 1}")
+    for i in range(s):
+        for j in range(s):
+            if i != j and rel[i][j] and rel[j][i]:
+                raise ValueError(f"relation is not antisymmetric at ({i + 1},{j + 1})")
+            if rel[i][j]:
+                for k in range(s):
+                    if rel[j][k] and not rel[i][k]:
+                        raise ValueError(
+                            f"relation is not transitive at ({i + 1},{j + 1},{k + 1})"
+                        )
+    down = tuple(frozenset(j + 1 for j in range(s) if rel[j][i]) for i in range(s))
+    up = tuple(frozenset(j + 1 for j in range(s) if j != i and rel[i][j]) for i in range(s))
+    return down, up
 
 
 class Node:

@@ -19,6 +19,7 @@ from wpbcodes.blockspace import (
 )
 from wpbcodes.errors import LengthMismatch, OutOfRange, SpaceTooLarge
 from wpbcodes.field import make_field
+from wpbcodes.instances import random_linear_code
 from wpbcodes import poset as P
 from wpbcodes.weights import custom_weight, hamming_weight, lee_weight
 
@@ -302,10 +303,10 @@ def test_batch_weights_match_scalar(monkeypatch):
                 arr = rng.integers(0, q, size=(256, s.n), dtype=np.uint8)
                 arr[rng.random(arr.shape) > rng.random((256, 1)) ** 4] = 0
             batch = s.batch_weights(arr)
-            split.add(len(s._pieces.extra) > 0)
+            split.add(len(s._kernel.plan().extra) > 0)
             assert batch.tolist() == [s.wpb_weight(tuple(row)) for row in arr.tolist()]
             # the table is built exactly when it fits in one chunk
-            built = "_bm_table" in vars(s)
+            built = "bm_table" in vars(s._kernel)
             assert built == ((s.weight.max_weight + 1) ** s.s <= chunk)
             tabulated.add(built)
         assert tabulated == ({True, False} if chunk == _CHUNK else {chunk > 0})
@@ -361,10 +362,10 @@ def test_pair_weights_match_scalar(chunk, monkeypatch):
         assert got.tolist() == want
         m = min(len(xs), len(cs))
         assert s.pair_weights(left[:, :m], right[:, :m]).tolist() == [want[i][i] for i in range(m)]
-        split.add(len(s._pieces.extra) > 0)
-        tabulated.add("_bm_table" in vars(s))
+        split.add(len(s._kernel.plan().extra) > 0)
+        tabulated.add("bm_table" in vars(s._kernel))
         if q == 17:
-            assert len(s._pieces.right) == s.n
+            assert len(s._kernel.plan().right) == s.n
     assert split == {True, False}
     assert tabulated == {chunk > 0}
 
@@ -534,3 +535,128 @@ def test_piece_codes_of_one_row_match_the_matrix_product():
         for left in (True, False):
             one, two = sp.piece_codes(arr[:1], left), sp.piece_codes(arr, left)
             assert one.dtype == two.dtype and (one == two[:, :1]).all()
+
+
+# the shape-keyed kernels ------------------------------------------------------
+
+
+def test_equal_shapes_share_one_kernel():
+    """Equal spaces, a with_weight sibling under an equal weight table (Lee
+    on GF(3) has Hamming's table) and every Instance.build() of the shape
+    hold one kernel."""
+    a = space(3, P.chain(3), (1, 2, 1), "lee")
+    assert space(3, P.chain(3), (1, 2, 1), "lee")._kernel is a._kernel
+    assert a.hamming_sibling()._kernel is a._kernel
+    inst = random_linear_code(7, 3, P.chain(3), Labeling((1, 2, 1)), 2)
+    assert inst.build()[0]._kernel is inst.build()[0]._kernel is a._kernel
+
+
+_BASE = (5, P.chain(3), (1, 2, 1), "lee")
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (5, P.chain(3), (1, 2, 1), "hamming"),  # the weight table
+        (5, P.antichain(3), (1, 2, 1), "lee"),  # the order relation
+        (5, P.chain(3), (2, 1, 1), "lee"),  # the block sizes
+        (7, P.chain(3), (1, 2, 1), "lee"),  # q
+    ],
+    ids=["weight table", "order relation", "block sizes", "q"],
+)
+def test_shapes_that_differ_hold_their_own_kernels(shape):
+    """A space that differs from the base in one part of its shape holds a
+    kernel of its own, and its weights match the scalar formula after the
+    base's kernel has built its tables."""
+    base = space(*_BASE)
+    base.batch_weights(base.all_vectors())
+    base.cut(2)
+    other = space(*shape)
+    assert other._kernel is not base._kernel
+    allv = other.all_vectors()
+    assert other.batch_weights(allv).tolist() == [other.wpb_weight(v) for v in allv.tolist()]
+
+
+def test_kernel_arrays_are_read_only():
+    """Every array a kernel keeps (plan, block-max table and radix,
+    strictly-below matrix, cut tables, digits and plans, row codes) raises
+    on a write."""
+    s = space(2, P.chain(2), (9, 3))
+    s.batch_weights(s.all_vectors()[:5])
+    k, cut = s._kernel, s.cut(4)  # inside block 1: a straddling digit
+    arrays = [*k.plan()[:4], k.bm_table, k.radix, k.strict, cut.table,
+              *cut.head.plan[:4], *cut.tail.plan[:4], cut.head.digits, cut.tail.digits,
+              s.row_codes(np.array([0, 5, 10]))]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
+
+
+def test_patched_constants_give_fresh_kernels(monkeypatch):
+    """A space built after _CHUNK or _PIECE_CODES is patched gets a kernel
+    sized under the patched value, never one kept from before: no
+    block-max table at _CHUNK 0, no cut inside a block once its table
+    would exceed _CHUNK, single-coordinate pieces at _PIECE_CODES 1; the
+    weights stay those of the scalar formula."""
+    s = space(*_BASE)
+    allv = s.all_vectors()
+    want = [s.wpb_weight(v) for v in allv.tolist()]
+    assert s._kernel.radix is not None and s.cut(1) and s.cut(2)
+    assert s.batch_weights(allv).tolist() == want
+    # Lee on GF(5) weighs at most 2, so the 3 blocks have 3^3 = 27
+    # block-max tuples, and a cut inside block 2 needs 3^4 = 81
+    for chunk, table, inside in ((0, False, False), (27, True, False), (81, True, True)):
+        monkeypatch.setattr(blockspace, "_CHUNK", chunk)
+        t = space(*_BASE)
+        assert t._kernel is not s._kernel
+        assert (t._kernel.radix is not None) == table
+        assert (t.cut(1) is not None, t.cut(2) is not None) == (table, inside)
+        assert t.batch_weights(allv).tolist() == want
+    monkeypatch.undo()
+    monkeypatch.setattr(blockspace, "_PIECE_CODES", 1)
+    u = space(*_BASE)
+    assert u._kernel is not s._kernel and len(u._kernel.plan().left) == u.n
+    assert u.batch_weights(allv).tolist() == want
+
+
+def test_charges_do_not_depend_on_the_kernel_cache():
+    """The same call raises SpaceTooLarge under a cap one below its charge
+    with a cold kernel cache and again once the kernel has built its
+    tables, and runs at the charge.  Blocks of 9 and 11 over GF(2) make
+    pieces of at most 8: 2 + 2 pieces x 20 coordinates; a cut at 10 makes
+    a head (9, 1) of 3 pieces x 10 and a tail (10,) of 2 pieces x 10,
+    charged in that order."""
+    calls = [
+        (80, lambda s: s.batch_weights(np.zeros((1, 20), np.uint8))),
+        (80, lambda s: s.pair_weights(np.zeros((4, 1), np.intp))),
+        (80, lambda s: s.row_codes(np.array([0, 19]))),
+        (30, lambda s: s.cut(10)),
+    ]
+    blockspace._kernel.cache_clear()
+    for warm in (False, True):
+        s = space(2, P.antichain(2), (9, 11))
+        assert ("bm_table" in vars(s._kernel)) == warm
+        for count, call in calls:
+            with enumeration_cap(count - 1), pytest.raises(
+                SpaceTooLarge, match=f"piece-plan entries = {count} exceeds"
+            ):
+                call(s)
+            with enumeration_cap(count):
+                call(s)
+
+
+def test_row_codes_are_kept_within_the_budget(monkeypatch):
+    """A kernel keeps the row codes of column sets while they total at most
+    pieces x _CHUNK entries, here 4 x 16: those of all 4 columns (16 rows)
+    fill it, and those of later sets are built on every call.  Kept or not,
+    they are the left piece codes of the rows of F_q^cols, zero off cols."""
+    monkeypatch.setattr(blockspace, "_CHUNK", 16)
+    s = space(2, P.antichain(4), (1,) * 4)
+    for cols, kept in (([0, 1, 2, 3], True), ([1, 3], False), ([2], False)):
+        cols = np.array(cols)
+        codes = s.row_codes(cols)
+        assert (codes is s.row_codes(cols)) == kept
+        rows = np.zeros((2 ** len(cols), 4), dtype=np.uint8)
+        rows[:, cols] = odometer_table(2, len(cols))
+        assert codes.tolist() == s.piece_codes(rows).tolist()
+    assert s._kernel._kept == 4 * 16

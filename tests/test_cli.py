@@ -155,13 +155,14 @@ def test_ball(rep3, capsys):
 def test_ball_respects_cap(rep3, capsys):
     assert main(["ball", rep3, "--center", "0,0,0", "--radius", "1", "--max-space", "4"]) == 1
     assert "SpaceTooLarge" in capsys.readouterr().err
-    # --count-only enumerates nothing: the cap bounds the spectrum DP's
-    # states, two on this 3-chain
+    # --count-only enumerates nothing: the cap bounds the loaded space's 3
+    # coordinates and 3 poset elements and the spectrum DP's states, two on
+    # this 3-chain, not its 8 vectors
     count = ["ball", rep3, "--center", "0,0,0", "--radius", "1", "--count-only"]
-    assert main(count + ["--max-space", "2"]) == 0
+    assert main(count + ["--max-space", "3"]) == 0
     assert capsys.readouterr().out.strip() == "2"
-    assert main(count + ["--max-space", "1"]) == 1
-    assert "SpaceTooLarge" in capsys.readouterr().err
+    assert main(count + ["--max-space", "2"]) == 1
+    assert "SpaceTooLarge: poset elements s = 3 exceeds" in capsys.readouterr().err
 
 
 def test_ball_count_beyond_enumeration_cap(tmp_path, capsys):

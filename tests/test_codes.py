@@ -403,7 +403,7 @@ def test_coset_pass_matches_explicit_scan_and_brute_force(chunk, monkeypatch):
                 table = Code.linear(sp, code.generators).coset_table()
             _assert_tile_bounds(tiles, limit)
             _assert_tile_bounds(leader_tiles, limit)
-            split.add(len(sp._pieces.extra) > 0)
+            split.add(len(sp._kernel.plan().extra) > 0)
 
             oracle = Code.explicit(sp, code.codewords())
             assert covering == oracle.covering_radius() == table.max_weight
@@ -456,7 +456,7 @@ def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
                     assert pack_first.packing_radius() == packing
                 assert pack_first.covering_radius() == covering
             _assert_tile_bounds(tiles, chunk)
-            split.add(len(sp._pieces.extra) > 0)
+            split.add(len(sp._kernel.plan().extra) > 0)
 
             dist = [sorted(sp.wpb_distance(v, c) for c in code.words) for v in allv]
             assert covering == max(d[0] for d in dist)
@@ -531,7 +531,7 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
             _assert_tile_bounds(tiles, chunk)
             if table is not None:
                 _assert_tile_bounds(leader_tiles, chunk)
-            split.add(len(sp._pieces.extra) > 0)
+            split.add(len(sp._kernel.plan().extra) > 0)
             # the reading's leaf passes, then the coset table's full pass
             assert passes
             for one_tile, word_blocks, at in passes:
@@ -1089,9 +1089,12 @@ _CAPPED = {
         27, lambda s: Code.linear(_CAPPED_FLAT, _CAPPED_GENERATORS).covering_radius()
     ),
     # on the 2-chain C fills block 2 (j0 = 2, D0 = F_3^2: 9 words, 9 pass
-    # entries) and misses block 1 (j* = 1, D = 0: q^1 pass entries)
+    # entries) and misses block 1 (j* = 1, D = 0: q^1 pass entries); that
+    # pass then charges the space's piece plan, 2 pieces x 3 columns
     "level min_distance": (9, lambda s: Code.linear(s, _CAPPED_GENERATORS).min_distance()),
-    "level covering_radius": (3, lambda s: Code.linear(s, _CAPPED_GENERATORS).covering_radius()),
+    "level covering_radius": (
+        3, lambda s: Code.linear(s, _CAPPED_GENERATORS).covering_radius(), 6
+    ),
     "level packing_radius": (9, lambda s: Code.linear(s, _CAPPED_GENERATORS).packing_radius()),
     "linear coset_table": (27, lambda s: Code.linear(s, _CAPPED_GENERATORS).coset_table()),
     # the words do not factor on the antichain, whose tree is then one leaf
@@ -1125,14 +1128,18 @@ _CAPPED = {
 @pytest.mark.parametrize("entry", _CAPPED)
 def test_each_entry_point_charges_its_count(entry, monkeypatch):
     """A cap one below the entry point's count raises SpaceTooLarge naming
-    the count; a cap equal to it runs.  A _CHUNK of 1 makes a reading take
-    every split that lowers its kernel calls, which on these tiny spaces
-    all fit one tile."""
+    the count; a cap equal to it runs, or, where a later charge is larger,
+    a cap one below that one raises naming it and a cap equal to it runs.
+    Charges do not depend on what ran before (the kernels are shared), so
+    each entry holds alone and in any order.  A _CHUNK of 1 makes a
+    reading take every split that lowers its kernel calls, which on these
+    tiny spaces all fit one tile."""
     monkeypatch.setattr(codes_module, "_CHUNK", 1)
-    count, call = _CAPPED[entry]
-    with enumeration_cap(count - 1), pytest.raises(SpaceTooLarge, match=f" = {count} exceeds"):
-        call(_CAPPED_SPACE)
-    with enumeration_cap(count):
+    count, call, *later = _CAPPED[entry]
+    for cap in (count, *later):
+        with enumeration_cap(cap - 1), pytest.raises(SpaceTooLarge, match=f" = {cap} exceeds"):
+            call(_CAPPED_SPACE)
+    with enumeration_cap(cap):
         call(_CAPPED_SPACE)
 
 

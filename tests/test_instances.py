@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wpbcodes.cli import main
-from wpbcodes.errors import ConsistencyError, ParseError
+from wpbcodes.errors import ConsistencyError, ParseError, SpaceTooLarge
 from wpbcodes.instances import (
     derive_seed,
     dumps_instance,
@@ -19,7 +20,7 @@ from wpbcodes.instances import (
 )
 from wpbcodes.field import make_field
 from wpbcodes.poset import chain
-from wpbcodes.blockspace import Labeling
+from wpbcodes.blockspace import Labeling, enumeration_cap
 
 MINIMAL = {
     "field": {"q": 2},
@@ -223,11 +224,42 @@ def test_instances_round_trip(doc):
     assert dumps_instance(loads_instance(text)) == text
 
 
-# Random JSON for mutations.  Integers stay at most 2^10: the loader bounds
-# neither block sizes nor the poset size, and a document asking for a
-# space of ~2^30 coordinates would allocate gigabytes while it loads.
+def test_oversized_document_is_refused_before_it_is_built(tmp_path, capsys):
+    """A 156-byte GF(2) document asking for 10^7 coordinates in one block:
+    under a cap of 2^20 the loader charges n and raises SpaceTooLarge
+    having allocated next to nothing (building the space and the code's
+    free columns took about 500 MB), and the CLI maps it to exit code 1.
+    The poset's elements are charged as well."""
+    doc = {**MINIMAL, "labeling": [10_000_000], "code": {"kind": "generator", "rows": []}}
+    text = json.dumps(doc)
+    assert len(text) == 156
+    tracemalloc.start()
+    try:
+        with enumeration_cap(1 << 20), pytest.raises(
+            SpaceTooLarge, match="coordinates n = 10000000 exceeds the enumeration cap 1048576"
+        ):
+            loads_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert main(["mindist", str(path), "--max-space", "2^20"]) == 1
+    assert "SpaceTooLarge: coordinates n = 10000000" in capsys.readouterr().err
+    three = {**MINIMAL, "poset": {"elements": 3, "cover": []}, "labeling": [1, 1, 1],
+             "code": {"kind": "list", "words": [[0, 0, 0]]}}
+    with enumeration_cap(2), pytest.raises(SpaceTooLarge, match="poset elements s = 3 exceeds"):
+        instance_from_json_dict(three)
+    with enumeration_cap(3):
+        instance_from_json_dict(three)
+
+
+# Random JSON for mutations, integers unbounded: the loader charges the
+# poset's elements and the coordinates against the enumeration cap, so a
+# document asking for a huge space is refused before it is built.
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 1 << 10) | st.floats() | st.text(max_size=4),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: (
         st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
     ),
@@ -251,7 +283,8 @@ def _paths(node, path=()):
 def test_mutated_documents_exit_2_or_load(doc, data, tmp_path_factory):
     """Drop one key or swap one value for random JSON in a valid document.
     A document that loads_instance rejects makes the CLI exit 2 with an
-    error line; no document lets an exception escape main."""
+    error line, and one it refuses as too large under the same cap exit 1
+    naming SpaceTooLarge; no document lets an exception escape main."""
     path = data.draw(st.sampled_from(list(_paths(doc))))
     parent = doc
     for key in path[:-1]:
@@ -263,17 +296,22 @@ def test_mutated_documents_exit_2_or_load(doc, data, tmp_path_factory):
     else:
         doc = data.draw(_JSON)
     text = json.dumps(doc)
+    outcome = "loads"
     try:
-        loads_instance(text)
-        rejected = False
+        with enumeration_cap(1 << 12):
+            loads_instance(text)
     except (ConsistencyError, ParseError):
-        rejected = True
+        outcome = "rejected"
+    except SpaceTooLarge:
+        outcome = "too large"
     file = tmp_path_factory.mktemp("mutated") / "doc.json"
     file.write_text(text)
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = main(["mindist", str(file), "--max-space", "2^12"])
-    if rejected:
+    if outcome == "rejected":
         assert code == 2 and err.getvalue().startswith("error: ")
+    elif outcome == "too large":
+        assert code == 1 and err.getvalue().startswith("error: SpaceTooLarge: ")
     else:
         assert code in (0, 1)
