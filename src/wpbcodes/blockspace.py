@@ -26,15 +26,18 @@ which is one small float32 matmul per tile, or a lookup in a table of all
 The block maxima come from lookups in pair tables, so x - c is never
 formed.  Each block is cut into pieces of at most t coordinates, t the
 largest with q^(2t) <= _PIECE_CODES, and the pair table of a piece length m
-holds max_j w(a_j - b_j) at a * q^m + b for all a, b in F_q^m.  piece_codes
-turns an (N, n) array into the odometer codes of its pieces with one small
-float32 product: offset + a * q^m for the rows x (the offset points into
-the concatenation of the tables of all lengths), b for the words c.  One
-gather on the sums of the two gives every piece maximum of the tile.  When
-every block is a single piece (k_i <= t) those are the block maxima; a
-block split into several pieces folds each later piece into its first with
-one elementwise maximum.  The whole space is enumerated in odometer order
-(last coordinate fastest) in chunks.
+holds max_j w(a_j - b_j) at a * q^m + b for all a, b in F_q^m.  The piece
+plan (_PiecePlan) owns the odometer codes of the pieces: offset + a * q^m
+for the rows x (the offset points into the concatenation of the tables of
+all lengths), b for the words c.  It gives those of the rows of an array
+with one small float32 product (codes), and those of the rows of F_q^cols,
+which a pass enumerates, with one broadcast add per column, no row array
+being built (row_codes, odometer_codes).  One gather on the sums of the
+two gives every piece maximum of the tile.  When every block is a single
+piece (k_i <= t) those are the block maxima; a block split into several
+pieces folds each later piece into its first with one elementwise maximum.
+The whole space is enumerated in odometer order (last coordinate fastest)
+in chunks.
 
 The table index sum_i (max_weight + 1)^(s-i) bm_i is separable: bm_i
 depends on block i alone, so cutting the coordinates at p into a head
@@ -51,29 +54,35 @@ the table has at most _CHUNK < 2^16 entries, so the parts are uint16, and
 it holds weights of at most s * max_weight <= 254, so it is uint8.  The
 kernel's own table and results stay int64, since callers add weights.
 
-Every table above depends only on the space's shape: q, the weight table,
-the order relation and the block sizes.  So a space holds a kernel
-(_Kernel), one per shape in the process (_kernel, an lru cache keyed by the
-shape and by the _CHUNK and _PIECE_CODES it was sized under, so patching
-either constant gives fresh decisions): its strictly-below matrix and
-block-max radix, and, built on first use, its piece plan, its block-max
-table, its cuts (one per cut point) and the left piece codes of the rows
-of F_q^cols for passes that fit one tile (row_codes).  Equal spaces,
+A piece plan depends only on q, the weight table and the block sizes (and
+on t and _CHUNK), not on the order relation.  So every plan, a space's
+and those of the heads and tails of its cuts, comes from one process-wide
+lookup keyed by just those (_plan): spaces that differ only in their poset
+share one plan, and so does a cut side whose block sizes are another
+space's.  Every other table depends on the space's whole shape: q,
+the weight table, the order relation and the block sizes.  So a space
+holds a kernel (_Kernel), one per shape in the process (_kernel, an lru
+cache keyed by the shape and by the _CHUNK and _PIECE_CODES it was sized
+under, so patching either constant gives fresh decisions): its
+strictly-below matrix and block-max radix, and, built on first use, its
+block-max table and the table and digits of each cut.  Equal spaces,
 with_weight siblings under equal tables and every Instance.build() of one
-shape share it, and every array it keeps is read-only.  A call that uses a
-piece plan charges its entries on every call, whether the kernel built the
+shape share it, and every array a kernel or a plan keeps is read-only.
+Every plan lookup charges the plan's entries, whether the cache built the
 plan or kept it, so SpaceTooLarge never depends on what the process ran
 before.
 
-The kept memory is bounded.  At most 256 kernels are cached.  A kernel of
-n coordinates whose piece plan has P pieces holds at most: its plan, two
-P x n float32 code matrices and pair tables of fewer than 2 * _PIECE_CODES
-entries of at most 8 bytes (8Pn bytes + 1 MiB); its block-max table, at
-most _CHUNK int64 (128 KiB); n - 1 cuts, each a table of at most _CHUNK
-uint8 (16 KiB) and two piece plans with at most P + 1 pieces over n
-coordinates between them and uint8 pair tables (8(P + 1)n bytes + 256 KiB);
-and row codes of at most P * _CHUNK intp in all (P * 128 KiB), those of
-further column sets being built on every call.
+The kept memory is bounded.  At most 256 piece plans are cached
+(_piece_plan), and a cut holds its sides' plans only while a pass uses it,
+so the kernels keep none.  A plan of P pieces over n coordinates holds at
+most two P x n float32 code matrices and pair tables of fewer than
+2 * _PIECE_CODES entries of at most 8 bytes (8Pn bytes + 1 MiB), and row
+codes of at most P * _CHUNK intp in all (P * 128 KiB), those of further
+column sets being built on every call.  At most 256 kernels are cached.  A
+kernel of n coordinates and s blocks holds at most its strictly-below
+matrix and radix (4(s^2 + s) bytes), its block-max table of at most _CHUNK
+int64 (128 KiB) and n - 1 cuts, each a table of at most _CHUNK uint8
+(16 KiB) and at most s + 1 float32 digits.
 
 Ball sizes enumerate nothing.  The metric is translation-invariant, so
 |B(c, r)| counts the vectors of weight <= r, and the weight depends only on
@@ -151,28 +160,6 @@ def charge(count: int, what: str) -> None:
         raise SpaceTooLarge(f"{what} = {count} exceeds the enumeration cap {cap}")
 
 
-class _PiecePlan(NamedTuple):
-    """The pair kernel's piece plan (_piece_plan)."""
-
-    left: np.ndarray  # (pieces, n) float32: piece code a times q^len
-    right: np.ndarray  # (pieces, n) float32: piece code b
-    offsets: np.ndarray  # (pieces, 1) float32: start of the piece's pair table
-    table: np.ndarray  # the pair tables of all piece lengths, concatenated
-    extra: tuple[tuple[int, int], ...]  # (piece, block) for later pieces
-
-
-def _block_maxima(plan: _PiecePlan, codes: np.ndarray) -> np.ndarray:
-    """The max coordinate weight of each block of the plan, for the summed
-    piece codes of x and c (pieces first): one gather of the piece maxima
-    in the pair tables, then one elementwise maximum per later piece of a
-    split block."""
-    pieces = plan.table.take(codes)
-    blockmax = pieces[: len(pieces) - len(plan.extra)]
-    for p, i in plan.extra:
-        np.maximum(blockmax[i], pieces[p], out=blockmax[i])
-    return blockmax
-
-
 class _Side(NamedTuple):
     """The coordinates lo..hi-1 of a cut (BlockSpace.cut): the piece plan of
     the parts of the blocks in them, and the digit of each part's maximum
@@ -183,28 +170,13 @@ class _Side(NamedTuple):
     plan: _PiecePlan
     digits: np.ndarray  # (parts,) float32
 
-    def row_codes(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """(pieces, X) intp left piece codes of the rows x of an (X, |cols|)
-        uint8 array, given on the coordinates cols (in lo..hi-1) and zero
-        on the rest of the side."""
-        plan = self.plan
-        return (plan.left[:, cols - self.lo] @ rows.T + plan.offsets).astype(np.intp)
-
-    def word_codes(self, words: np.ndarray) -> np.ndarray:
-        """(pieces, C) intp right piece codes of the side's coordinates of
-        the words of a (C, n) uint8 array."""
-        return (self.plan.right @ words[:, self.lo : self.hi].T).astype(np.intp)
-
     def index(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """(X, C) uint16: the side's part of the cut-table index of x - c for
-        the row codes of X rows and the word codes of C words, the block
-        maxima weighted by their digits in one float32 product, exact since
-        the index stays below _CHUNK.  The cut's table has at most
-        _CHUNK < 2^16 entries, so a head part plus a tail part is a valid
-        uint16 index as well."""
-        blockmax = _block_maxima(self.plan, left[:, :, None] + right[:, None, :])
-        flat = blockmax.reshape(len(self.digits), -1)
-        return (self.digits @ flat).astype(np.uint16).reshape(blockmax.shape[1:])
+        the left piece codes of X rows and the right ones of C words
+        (_PiecePlan.index), exact since the index stays below _CHUNK.  The
+        cut's table has at most _CHUNK < 2^16 entries, so a head part plus a
+        tail part is a valid uint16 index as well."""
+        return self.plan.index(left[:, :, None] + right[:, None, :], self.digits, np.uint16)
 
 
 class _Cut(NamedTuple):
@@ -388,25 +360,19 @@ class BlockSpace:
     def batch_weights(self, arr: np.ndarray) -> np.ndarray:
         """Weights of the rows of an (N, n) uint8 array: the pair kernel
         against the zero word (the b = 0 column of the pair tables)."""
-        return self.pair_weights(self.piece_codes(arr))
+        return self.pair_weights(self.plan().codes(arr))
 
-    def piece_codes(self, arr: np.ndarray, left: bool = True) -> np.ndarray:
-        """(pieces, N) intp piece codes of the rows of an (N, n) uint8
-        array, for pair_weights: offset + a * q^len as its left operand,
-        the odometer code b of each piece as its right one."""
-        return self._kernel.piece_codes(arr, left)
-
-    def row_codes(self, cols: np.ndarray) -> np.ndarray:
-        """The left piece codes of the rows of F_q^cols in odometer order
-        (zero off the columns cols), as a read-only (pieces, q^|cols|) intp
-        array, kept by the space's kernel within its budget (_Kernel)."""
-        return self._kernel.row_codes(cols)
+    def plan(self) -> _PiecePlan:
+        """The piece plan of the space's kernel, which gives the piece codes
+        of rows and words for pair_weights (_PiecePlan.codes, row_codes,
+        odometer_codes); charges its entries on every call (_plan)."""
+        return self._kernel.plan()
 
     def pair_weights(self, left: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
         """w(x - c) for the piece codes of x (left) and c (right), which
         broadcast against each other after their leading piece axis (e.g.
         (pieces, X, 1) and (pieces, 1, C) give the (X, C) matrix); without
-        right, w(x).  The block maxima (_block_maxima), then the
+        right, w(x).  The block maxima (_PiecePlan.block_maxima), then the
         strictly-below identity (module docstring), looked up in the table
         of block-max tuples when it has at most _CHUNK entries."""
         return self._kernel.pair_weights(left if right is None else left + right)
@@ -428,8 +394,9 @@ class BlockSpace:
         two, in the smallest unsigned dtype whose maximum exceeds
         s * max_weight (uint8 for every table of at most _CHUNK entries; see
         _Cut).  None when the space has no block-max table or the cut's table
-        would exceed _CHUNK entries.  Kept by the space's kernel, and
-        charges its two piece plans on every call (_Kernel.cut)."""
+        would exceed _CHUNK entries.  The table is kept by the space's
+        kernel, and the two piece plans are looked up, each charged, on
+        every call (_Kernel.cut)."""
         return self._kernel.cut(p)
 
     def unrank(self, r: int) -> Vector:
@@ -534,7 +501,8 @@ class BlockSpace:
 class _Kernel:
     """The batch engine's tables that a space's shape fixes, sized under
     the given _CHUNK and _PIECE_CODES (module docstring): one per shape
-    (_kernel), held by every space of that shape."""
+    (_kernel), held by every space of that shape.  Its piece plans come
+    from the plan cache (_plan)."""
 
     def __init__(
         self,
@@ -545,8 +513,7 @@ class _Kernel:
         piece_codes: int,
     ):
         self.weights, self.sizes, self.chunk = weights, sizes, chunk
-        self.field = make_field(len(weights))  # a weight table has q entries
-        self.q, self.s, self.n = self.field.q, len(sizes), sum(sizes)
+        self.q, self.s, self.n = len(weights), len(sizes), sum(sizes)
         self.max_weight = max(weights)
         starts = accumulate(sizes[:-1], initial=0)
         self.slices = tuple(slice(a, a + k) for a, k in zip(starts, sizes))
@@ -555,7 +522,6 @@ class _Kernel:
         self.t = 1
         while self.q ** (2 * self.t + 2) <= piece_codes:
             self.t += 1
-        self.entries = _plan_entries(sizes, self.t)
         # (nonzero @ strict)[v, j] > 0  iff  block j lies strictly below a
         # nonzero block of v
         self.strict = (poset.matrix() & ~np.eye(self.s, dtype=bool)).T.astype(np.float32)
@@ -568,64 +534,23 @@ class _Kernel:
         if base**self.s <= chunk:
             self.radix = (base ** np.arange(self.s - 1, -1, -1)).astype(np.float32)
             self.radix.flags.writeable = False
-        # cut point -> ((sizes, plan entries) of the head and the tail), or
-        # () without a cut
-        self._sides: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
-        self._cuts: dict[int, _Cut] = {}
-        self._rows: dict[bytes, np.ndarray] = {}
-        self._kept = 0  # row-code entries in _rows
+        # cut point -> the block sizes of its head and tail, its tail digits
+        # and its table (_cut_parts), or None without a cut
+        self._cuts: dict[int, tuple | None] = {}
 
-    def plan(self) -> _PiecePlan:
-        """The piece plan of the pair kernel; charges its pieces x n
-        code-matrix entries on every call."""
-        charge(self.entries, "piece-plan entries")
-        return self._plan
-
-    @cached_property
-    def _plan(self) -> _PiecePlan:
-        return _piece_plan(self.field, self.weights, self.sizes, self.t)
-
-    def piece_codes(self, arr: np.ndarray, left: bool) -> np.ndarray:
-        """BlockSpace.piece_codes."""
-        plan = self.plan()
-        mat = plan.left if left else plan.right
-        if len(arr) == 1:
-            # a one-row product goes to BLAS gemv, whose kernel now and then
-            # leaves a spurious invalid-value flag that numpy reports as a
-            # warning; the broadcast product of these small integers is
-            # exact as well
-            codes = (mat * arr).sum(axis=1, keepdims=True)
-        else:
-            codes = mat @ arr.T
-        if left:
-            codes += plan.offsets
-        return codes.astype(np.intp)
-
-    def row_codes(self, cols: np.ndarray) -> np.ndarray:
-        """BlockSpace.row_codes.  The codes of each cols are kept while the
-        kept ones total at most pieces x chunk entries; later ones are built
-        on every call."""
-        pieces = len(self.plan().left)
-        key = cols.tobytes()
-        codes = self._rows.get(key)
-        if codes is None:
-            x = _widen(odometer_table(self.q, len(cols)), cols, self.n)
-            codes = self.piece_codes(x, True)
-            codes.flags.writeable = False
-            if self._kept + codes.size <= pieces * self.chunk:
-                self._kept += codes.size
-                self._rows[key] = codes
-        return codes
+    def plan(self, sizes: tuple[int, ...] | None = None) -> _PiecePlan:
+        """The piece plan of blocks of the given sizes (the kernel's own by
+        default) under the kernel's weights, t and chunk: _plan, which
+        charges it on every call."""
+        return _plan(self.weights, self.sizes if sizes is None else sizes, self.t, self.chunk)
 
     def pair_weights(self, codes: np.ndarray) -> np.ndarray:
         """BlockSpace.pair_weights for the summed piece codes of x and c."""
-        blockmax = _block_maxima(self.plan(), codes)
-        flat = blockmax.reshape(self.s, -1)
-        if self.radix is None:
-            weights = self._below_weights(flat.T)
-        else:
-            weights = self.bm_table[(self.radix @ flat).astype(np.intp)]
-        return weights.reshape(blockmax.shape[1:])
+        plan = self.plan()
+        if self.radix is not None:
+            return self.bm_table[plan.index(codes, self.radix, np.intp)]
+        blockmax = plan.block_maxima(codes)
+        return self._below_weights(blockmax.reshape(self.s, -1).T).reshape(blockmax.shape[1:])
 
     @cached_property
     def bm_table(self) -> np.ndarray:
@@ -641,40 +566,35 @@ class _Kernel:
         return np.where(below, self.max_weight, blockmax).sum(axis=1, dtype=np.int64)
 
     def cut(self, p: int) -> _Cut | None:
-        """BlockSpace.cut.  Charges the entries of the head's and then the
-        tail's piece plan on every call, before a cut is built."""
-        sides = self._sides.get(p)
-        if sides is None:
-            sides = self._sides[p] = self._cut_sides(p)
-        for _, entries in sides:
-            charge(entries, "piece-plan entries")
-        if not sides:
+        """BlockSpace.cut.  Looks up the head's and then the tail's piece
+        plan (_plan, which charges each) on every call."""
+        if p not in self._cuts:
+            self._cuts[p] = self._cut_parts(p)
+        if self._cuts[p] is None:
             return None
-        cut = self._cuts.get(p)
-        if cut is None:
-            (head, _), (tail, _) = sides
-            cut = self._cuts[p] = self._make_cut(p, head, tail)
-        return cut
+        head, tail, tail_digits, table = self._cuts[p]
+        return _Cut(
+            _Side(0, p, self.plan(head), self.radix[: len(head)]),
+            _Side(p, self.n, self.plan(tail), tail_digits),
+            table,
+        )
 
-    def _cut_sides(self, p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    def _cut_parts(self, p: int) -> tuple | None:
         """The block sizes of the head's and the tail's parts of the blocks
-        at a cut at p, each with the entries of its piece plan, or () when
-        there is no cut (no block-max table, or one whose straddling digit
-        would exceed chunk entries)."""
+        at a cut at p, the tail's digits and the cut's table (BlockSpace.cut),
+        read-only, or None when there is no cut (no block-max table, or one
+        whose straddling digit would exceed chunk entries)."""
         if self.radix is None:
-            return ()
+            return None
         spans = [(s.start, s.stop) for s in self.slices]
         head = tuple(min(end, p) - start for start, end in spans if start < p)
         tail = tuple(end - max(start, p) for start, end in spans if end > p)
-        if len(head) + len(tail) > self.s and (self.max_weight + 1) ** (self.s + 1) > self.chunk:
-            return ()
-        return (head, _plan_entries(head, self.t)), (tail, _plan_entries(tail, self.t))
-
-    def _make_cut(self, p: int, head: tuple[int, ...], tail: tuple[int, ...]) -> _Cut:
-        """The cut at p, built (BlockSpace.cut), with read-only arrays."""
-        base, digits, table = self.max_weight + 1, self.radix, self.bm_table
-        tail_digits = digits[len(head) :]
-        if len(head) + len(tail) > self.s:  # block b straddles p
+        base, digits = self.max_weight + 1, self.radix
+        straddles = len(head) + len(tail) > self.s
+        if straddles and base ** (self.s + 1) > self.chunk:
+            return None
+        table, tail_digits = self.bm_table, digits[len(head) :]
+        if straddles:  # block b straddles p
             b = len(head) - 1
             grid = table.reshape((base,) * self.s)
             table = np.concatenate(
@@ -684,11 +604,7 @@ class _Kernel:
             tail_digits.flags.writeable = False
         table = table.astype(np.min_scalar_type(self.s * self.max_weight + 1))
         table.flags.writeable = False
-        return _Cut(
-            _Side(0, p, _piece_plan(self.field, self.weights, head, self.t), digits[: len(head)]),
-            _Side(p, self.n, _piece_plan(self.field, self.weights, tail, self.t), tail_digits),
-            table,
-        )
+        return head, tail, tail_digits, table
 
 
 @lru_cache(maxsize=256)
@@ -706,61 +622,157 @@ def _kernel(
     return _Kernel(weights, poset, sizes, chunk, piece_codes)
 
 
-def _plan_entries(sizes: tuple[int, ...], t: int) -> int:
-    """The pieces x sum(sizes) entries of each code matrix of the piece plan
-    of consecutive blocks of the given sizes, in pieces of at most t."""
-    return sum(-(-k // t) for k in sizes) * sum(sizes)
+class _PiecePlan:
+    """The pair kernel's piece plan of consecutive blocks of the given sizes
+    under the weight table `weights`, cut into pieces of at most t
+    coordinates, and the owner of their piece codes.  Row i < s of the codes
+    is the first piece of block i + 1, so those rows are the block maxima
+    once the later pieces are folded in.  The pair table of a piece length
+    m holds max_j w(a_j - b_j) at a * q^m + b for all a, b in F_q^m; the
+    tables of the lengths that occur are concatenated, fewer than
+    2 * _PIECE_CODES entries, so the float32 codes are exact.  Built once
+    per (weights, sizes, t, chunk) in the process (_plan); its arrays are
+    read-only."""
+
+    def __init__(self, weights: tuple[int, ...], sizes: tuple[int, ...], t: int, chunk: int):
+        field = make_field(len(weights))  # a weight table has q entries
+        q = self.q = field.q
+        self.chunk = chunk
+        wt = np.asarray(weights, dtype=np.min_scalar_type(max(weights)))
+        first: list[tuple[int, int]] = []  # (first coordinate, length)
+        later: list[tuple[int, int]] = []
+        blocks: list[int] = []
+        for i, (start, k) in enumerate(zip(accumulate(sizes[:-1], initial=0), sizes)):
+            cuts = [(c, min(t, start + k - c)) for c in range(start, start + k, t)]
+            first.append(cuts[0])
+            later += cuts[1:]
+            blocks += [i] * (len(cuts) - 1)
+        pieces = first + later
+        right = np.zeros((len(pieces), sum(sizes)), dtype=np.float32)
+        for p, (c, length) in enumerate(pieces):
+            right[p, c : c + length] = q ** np.arange(length - 1, -1, -1)
+        lengths = np.array([length for _, length in pieces])
+        kinds = sorted(set(lengths.tolist()))
+        part = dict(zip(kinds, np.cumsum([0] + [q ** (2 * m) for m in kinds])))
+        # w(a - b) for single coordinates, maximised over the coordinates
+        # of a piece in one broadcast per coordinate
+        single = wt[field.sub_table]
+        tables = []
+        for m in kinds:
+            table = np.zeros((q,) * 2 * m, dtype=wt.dtype)
+            for j in range(m):
+                shape = [1] * 2 * m
+                shape[j] = shape[m + j] = q
+                np.maximum(table, single.reshape(shape), out=table)
+            tables.append(table.ravel())
+        self.left = right * (q**lengths)[:, None].astype(np.float32)  # code a times q^len
+        self.right = right  # (pieces, n) float32: piece code b
+        # (pieces, 1) float32: start of the piece's pair table
+        self.offsets = np.array([[part[m]] for m in lengths.tolist()], dtype=np.float32)
+        self.table = np.concatenate(tables)
+        self.extra = tuple(enumerate(blocks, len(sizes)))  # (piece, block) for later pieces
+        for arr in (self.left, self.right, self.offsets, self.table):
+            arr.flags.writeable = False
+        self._rows: dict[bytes, np.ndarray] = {}
+        self._kept = 0  # row-code entries in _rows
+
+    def codes(self, arr: np.ndarray, left: bool = True) -> np.ndarray:
+        """(pieces, N) intp piece codes of the rows of an (N, n) uint8
+        array, for pair_weights: offset + a * q^len as its left operand,
+        the odometer code b of each piece as its right one."""
+        mat = self.left if left else self.right
+        if len(arr) == 1:
+            # a one-row product goes to BLAS gemv, whose kernel now and then
+            # leaves a spurious invalid-value flag that numpy reports as a
+            # warning; the broadcast product of these small integers is
+            # exact as well
+            codes = (mat * arr).sum(axis=1, keepdims=True)
+        else:
+            codes = mat @ arr.T
+        if left:
+            codes += self.offsets
+        return codes.astype(np.intp)
+
+    def row_codes(self, cols: np.ndarray) -> np.ndarray:
+        """The left piece codes of the rows of F_q^cols in odometer order
+        (zero off the columns cols), as a read-only (pieces, q^|cols|) intp
+        array.  The codes of each cols are kept while the kept ones total at
+        most pieces x chunk entries; later ones are built on every call."""
+        key = cols.tobytes()
+        codes = self._rows.get(key)
+        if codes is None:
+            codes = self._odometer(cols, self.offsets.astype(np.intp))
+            codes.flags.writeable = False
+            if self._kept + codes.size <= len(self.left) * self.chunk:
+                self._kept += codes.size
+                self._rows[key] = codes
+        return codes
+
+    def odometer_codes(self, cols: np.ndarray, rows: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (start_rank, (pieces, B) intp left piece codes) of the rows
+        of F_q^cols (zero off the columns cols) in the chunks of
+        odometer_chunks(q, len(cols), rows): the codes of the prefixes on
+        the leading columns plus the kept codes (row_codes) of the table of
+        the last t columns, one broadcast add per chunk.  The codes of all
+        q^(len(cols) - t) prefixes are built once per call, fewer than
+        q * q^len(cols) / rows per piece."""
+        q, m = self.q, len(cols)
+        t = 0
+        while t < m and q ** (t + 1) <= rows:
+            t += 1
+        tail = self.row_codes(cols[m - t :])
+        if t == m:  # one chunk holds F_q^cols
+            yield 0, tail
+            return
+        pieces, width = tail.shape
+        lead = self._odometer(cols[: m - t], np.zeros((pieces, 1), dtype=np.intp))
+        per = rows // width
+        for lo in range(0, lead.shape[1], per):
+            yield lo * width, (lead[:, lo : lo + per, None] + tail[:, None, :]).reshape(pieces, -1)
+
+    def _odometer(self, cols: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """(pieces, R * q^|cols|) intp: each of the R columns of the
+        (pieces, R) codes plus the left codes, without offsets, of the rows
+        of F_q^cols in odometer order (zero off cols), the given columns
+        most significant; one broadcast add per column of cols."""
+        digits = np.arange(self.q, dtype=np.intp)
+        for c in cols.tolist():
+            step = self.left[:, c].astype(np.intp)[:, None] * digits
+            codes = (codes[:, :, None] + step[:, None, :]).reshape(len(step), -1)
+        return codes
+
+    def block_maxima(self, codes: np.ndarray) -> np.ndarray:
+        """The max coordinate weight of each block of the plan, for the summed
+        piece codes of x and c (pieces first): one gather of the piece maxima
+        in the pair tables, then one elementwise maximum per later piece of a
+        split block."""
+        pieces = self.table.take(codes)
+        blockmax = pieces[: len(pieces) - len(self.extra)]
+        for p, i in self.extra:
+            np.maximum(blockmax[i], pieces[p], out=blockmax[i])
+        return blockmax
+
+    def index(self, codes: np.ndarray, digits: np.ndarray, dtype: type) -> np.ndarray:
+        """The block maxima of summed piece codes weighted by their digits in
+        one float32 product, as dtype, shaped as the codes after their piece
+        axis: the index of a block-max tuple in a kernel's or a cut's table."""
+        blockmax = self.block_maxima(codes)
+        flat = blockmax.reshape(len(digits), -1)
+        return (digits @ flat).astype(dtype).reshape(blockmax.shape[1:])
 
 
-def _piece_plan(
-    field: Field, weights: tuple[int, ...], sizes: tuple[int, ...], t: int
-) -> _PiecePlan:
-    """The pair kernel's piece plan for block sizes `sizes` under the weight
-    table `weights`, built once per kernel (its arrays are read-only).
-    Each block is cut into pieces of at most t coordinates; row i < s of
-    the codes is the first piece of block i + 1, so those rows are the block
-    maxima once the later pieces are folded in.  The pair table of a piece length m holds
-    max_j w(a_j - b_j) at a * q^m + b for all a, b in F_q^m; the tables of
-    the lengths that occur are concatenated, fewer than 2 * _PIECE_CODES
-    entries, so the float32 codes are exact."""
-    q = field.q
-    wt = np.asarray(weights, dtype=np.min_scalar_type(max(weights)))
-    first: list[tuple[int, int]] = []  # (first coordinate, length)
-    later: list[tuple[int, int]] = []
-    blocks: list[int] = []
-    for i, (start, k) in enumerate(zip(accumulate(sizes[:-1], initial=0), sizes)):
-        cuts = [(c, min(t, start + k - c)) for c in range(start, start + k, t)]
-        first.append(cuts[0])
-        later += cuts[1:]
-        blocks += [i] * (len(cuts) - 1)
-    pieces = first + later
-    right = np.zeros((len(pieces), sum(sizes)), dtype=np.float32)
-    for p, (c, length) in enumerate(pieces):
-        right[p, c : c + length] = q ** np.arange(length - 1, -1, -1)
-    lengths = np.array([length for _, length in pieces])
-    kinds = sorted(set(lengths.tolist()))
-    part = dict(zip(kinds, np.cumsum([0] + [q ** (2 * m) for m in kinds])))
-    # w(a - b) for single coordinates, maximised over the coordinates
-    # of a piece in one broadcast per coordinate
-    single = wt[field.sub_table]
-    tables = []
-    for m in kinds:
-        table = np.zeros((q,) * 2 * m, dtype=wt.dtype)
-        for j in range(m):
-            shape = [1] * 2 * m
-            shape[j] = shape[m + j] = q
-            np.maximum(table, single.reshape(shape), out=table)
-        tables.append(table.ravel())
-    plan = _PiecePlan(
-        left=right * (q**lengths)[:, None].astype(np.float32),
-        right=right,
-        offsets=np.array([[part[m]] for m in lengths.tolist()], dtype=np.float32),
-        table=np.concatenate(tables),
-        extra=tuple(enumerate(blocks, len(sizes))),
-    )
-    for arr in plan[:4]:
-        arr.flags.writeable = False
-    return plan
+# the plan cache: one _PiecePlan per (weights, sizes, t, chunk), shared by
+# every kernel and cut side whose blocks have these sizes (_plan)
+_piece_plan = lru_cache(maxsize=256)(_PiecePlan)
+
+
+def _plan(weights: tuple[int, ...], sizes: tuple[int, ...], t: int, chunk: int) -> _PiecePlan:
+    """The piece plan of consecutive blocks of the given sizes under the
+    weight table `weights`, in pieces of at most t, keeping row codes within
+    pieces x chunk entries, from the plan cache.  Charges its pieces x
+    sum(sizes) code-matrix entries on every call, built or kept."""
+    charge(sum(-(-k // t) for k in sizes) * sum(sizes), "piece-plan entries")
+    return _piece_plan(weights, sizes, t, chunk)
 
 
 @lru_cache(maxsize=4096)
@@ -772,16 +784,6 @@ def _block_columns(sizes: tuple[int, ...], elements: tuple[int, ...]) -> np.ndar
     cols = np.array(cols, dtype=np.intp)
     cols.flags.writeable = False
     return cols
-
-
-def _widen(xs: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """The (X, n) rows with the columns of an (X, |cols|) array on cols and
-    zero elsewhere."""
-    if len(cols) == n:
-        return xs
-    x = np.zeros((len(xs), n), dtype=np.uint8)
-    x[:, cols] = xs
-    return x
 
 
 def _merge(states: dict[int, list[int]], key: int, poly: list[int]) -> None:

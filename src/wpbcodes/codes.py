@@ -97,13 +97,15 @@ The cut's tiles are narrow (uint16 indices into a uint8 table, _Cut), so a
 chunk takes 4 * _CHUNK entries, at least one head row.  Without a cut (one
 tile holds the pass, q * |C| exceeds a tile, or the space has no table for
 the cut) tiles are whole rows times a block of words, at most _CHUNK int64
-weights, one pair-kernel call each (BlockSpace.pair_weights on the words'
-piece codes, computed once per pass, and the rows', once per tile).  A pass
-that one tile holds, as nearly every pass of verify does, takes its rows'
-codes from the space's kernel (BlockSpace.row_codes), which builds them
-once per shape and column set.  The word pairs of the minimum distance
-take the same pair-kernel tiles.  No scan builds a difference vector for
-its weights.
+weights, one pair-kernel call each (BlockSpace.pair_weights).  Every pass
+takes its rows' piece codes from a piece plan, the space's or a cut
+side's, which enumerates them by broadcast adds and keeps those of a table
+it has built (_PiecePlan.odometer_codes, row_codes): the rows of a pass
+that one tile holds, as nearly every pass of verify does, and the tail
+rows of a cut are built once per plan and column set.  The words' piece
+codes take one product per pass (_PiecePlan.codes), and the word pairs of
+the minimum distance take the same pair-kernel tiles.  No scan builds a row
+array of F_q^cols or a difference vector for its weights.
 """
 
 from __future__ import annotations
@@ -114,16 +116,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .blockspace import (
-    _CHUNK,
-    BlockSpace,
-    Vector,
-    _Cut,
-    _widen,
-    charge,
-    odometer_chunks,
-    odometer_table,
-)
+from .blockspace import _CHUNK, BlockSpace, Vector, _Cut, charge, odometer_table
 from .errors import NotAChain, NotLinear, TooFewWords
 from .field import Field
 from .poset import Node
@@ -218,12 +211,12 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return keys[keep].view(np.uint8).reshape(-1, width)
 
 
-def _project(words: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The distinct rows of an (m, n) uint8 array with the columns off cols
-    zeroed."""
-    out = np.zeros_like(words)
-    out[:, cols] = words[:, cols]
-    return _unique_rows(out)
+def _project(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The n-wide rows with the columns of an (m, |cols|) uint8 array on the
+    ascending columns cols and zero elsewhere, in the same order."""
+    out = np.zeros((len(rows), n), dtype=np.uint8)
+    out[:, cols] = rows
+    return out
 
 
 class _Part:
@@ -365,7 +358,8 @@ class Code:
         # row i holds the pairs (i, j > i), from pair rank starts[i] on
         counts = np.arange(m - 1, 0, -1)
         starts = np.cumsum(counts) - counts
-        left, right = space.piece_codes(cw), space.piece_codes(cw, left=False)
+        plan = space.plan()
+        left, right = plan.codes(cw), plan.codes(cw, left=False)
         d = _BIG
         for lo in range(0, total, _CHUNK):
             r = np.arange(lo, min(lo + _CHUNK, total))
@@ -513,19 +507,20 @@ class Code:
             data = [owner == c for c in classes]
         else:
             # peel off every component whose projection is a factor:
-            # C = pi_i(C) x pi_rest(C) iff |C| = |pi_i C| * |pi_rest C|
+            # C = pi_i(C) x pi_rest(C) iff |C| = |pi_i C| * |pi_rest C|, the
+            # counts taken on the column slices; a peel pads the projections
             comps = [space.columns(child.elements) for child in children]
             rest, words, groups, data = list(range(len(children))), part.words, [], []
             for i in range(len(children)):
                 if len(rest) == 1:
                     break
                 others = [c for c in rest if c != i]
-                mine = _project(words, comps[i])
-                theirs = _project(words, np.concatenate([comps[c] for c in others]))
+                cols = np.sort(np.concatenate([comps[c] for c in others]))
+                mine, theirs = _unique_rows(words[:, comps[i]]), _unique_rows(words[:, cols])
                 if len(mine) * len(theirs) == len(words):
                     groups.append([i])
-                    data.append(mine)
-                    rest, words = others, theirs
+                    data.append(_project(mine, comps[i], space.n))
+                    rest, words = others, _project(theirs, cols, space.n)
             groups.append(rest)
             data.append(words)
         if len(groups) == 1:
@@ -712,21 +707,15 @@ class Code:
         block's readings are the row's, and each later block merges into
         them; with leaders, a tile's first minimum is the first word of its
         tie mask, and a later block takes a row's word only with a strictly
-        smaller minimum.  A pass that fits one tile reads its rows' piece
-        codes from the space's kernel (BlockSpace.row_codes)."""
-        space = self.space
-        right = space.piece_codes(words, left=False)
+        smaller minimum.  The rows' piece codes come from the space's plan
+        (_PiecePlan.odometer_codes), which keeps those of a pass that fits
+        one tile."""
+        plan = self.space.plan()
+        right = plan.codes(words, left=False)
         block = min(len(words), _CHUNK)
-        if space.q ** len(cols) * len(words) <= _CHUNK:
-            chunks = [(0, space.row_codes(cols))]
-        else:
-            chunks = (
-                (start, space.piece_codes(_widen(xs, cols, space.n)))
-                for start, xs in odometer_chunks(space.q, len(cols), max(_CHUNK // len(words), 1))
-            )
-        for start, left in chunks:
+        for start, left in plan.odometer_codes(cols, max(_CHUNK // len(words), 1)):
             for lo in range(0, len(words), block):
-                t1, t2, hit = _two_smallest(_tile(space, left, right[:, lo : lo + block]))
+                t1, t2, hit = _two_smallest(_tile(self.space, left, right[:, lo : lo + block]))
                 t_word = lo + hit.argmax(axis=1) if leaders else None
                 if lo == 0:  # the first block's readings are the row's so far
                     d1, d2, word = t1, t2, t_word
@@ -750,17 +739,16 @@ class Code:
         index and a uint8 weight each) and at least one head row
         (C * T <= _CHUNK).  With leaders, a row's first minimum is the first
         word of the tile's tie mask."""
-        space = self.space
-        tail_rows = odometer_table(space.q, len(tail_cols))
+        head, tail = cut.head, cut.tail
+        head_words = head.plan.codes(words[:, head.lo : head.hi], left=False)
+        tail_words = tail.plan.codes(words[:, tail.lo : tail.hi], left=False)
         # (C, T) and contiguous: a tile's last axis runs over the tail rows
-        tail_codes = cut.tail.row_codes(tail_rows, tail_cols)
-        tail = cut.tail.index(tail_codes, cut.tail.word_codes(words)).T.copy()
-        head_words = cut.head.word_codes(words)
-        for start, xs in odometer_chunks(space.q, len(head_cols), 4 * _CHUNK // tail.size):
-            head = cut.head.index(cut.head.row_codes(xs, head_cols), head_words)
-            t1, t2, hit = _two_smallest(cut.weights(head, tail))
+        tail_index = tail.index(tail.plan.row_codes(tail_cols - tail.lo), tail_words).T.copy()
+        width = tail_index.shape[1]
+        for start, codes in head.plan.odometer_codes(head_cols, 4 * _CHUNK // tail_index.size):
+            t1, t2, hit = _two_smallest(cut.weights(head.index(codes, head_words), tail_index))
             word = hit.argmax(axis=1).ravel() if leaders else None
-            yield start * len(tail_rows), t1.ravel(), t2.ravel(), word
+            yield start * width, t1.ravel(), t2.ravel(), word
 
     # cosets -----------------------------------------------------------------
 

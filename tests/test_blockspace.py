@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpbcodes import blockspace
+from wpbcodes.checks import verify_suite
 from wpbcodes.blockspace import (
     _CHUNK,
     DEFAULT_MAX_SPACE,
@@ -356,7 +357,7 @@ def test_pair_weights_match_scalar(chunk, monkeypatch):
         monkeypatch.setattr(blockspace, "_PIECE_CODES", piece_codes)
         s = space(q, pos, sizes, wname)
         xs, cs = _rows(s, rng, 24), _rows(s, rng, 24)
-        left, right = s.piece_codes(xs), s.piece_codes(cs, left=False)
+        left, right = s.plan().codes(xs), s.plan().codes(cs, left=False)
         got = s.pair_weights(left[:, :, None], right[:, None, :])
         want = [[s.wpb_distance(tuple(x), tuple(c)) for c in cs.tolist()] for x in xs.tolist()]
         assert got.tolist() == want
@@ -533,7 +534,7 @@ def test_piece_codes_of_one_row_match_the_matrix_product():
         sp = space(q, P.chain(len(sizes)), sizes)
         arr = rng.integers(0, q, size=(2, sp.n), dtype=np.uint8)
         for left in (True, False):
-            one, two = sp.piece_codes(arr[:1], left), sp.piece_codes(arr, left)
+            one, two = sp.plan().codes(arr[:1], left), sp.plan().codes(arr, left)
             assert one.dtype == two.dtype and (one == two[:, :1]).all()
 
 
@@ -584,9 +585,10 @@ def test_kernel_arrays_are_read_only():
     s = space(2, P.chain(2), (9, 3))
     s.batch_weights(s.all_vectors()[:5])
     k, cut = s._kernel, s.cut(4)  # inside block 1: a straddling digit
-    arrays = [*k.plan()[:4], k.bm_table, k.radix, k.strict, cut.table,
-              *cut.head.plan[:4], *cut.tail.plan[:4], cut.head.digits, cut.tail.digits,
-              s.row_codes(np.array([0, 5, 10]))]
+    plans = [s.plan(), cut.head.plan, cut.tail.plan]
+    arrays = [*(getattr(plan, f) for plan in plans for f in ("left", "right", "offsets", "table")),
+              k.bm_table, k.radix, k.strict, cut.table, cut.head.digits, cut.tail.digits,
+              s.plan().row_codes(np.array([0, 5, 10]))]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
@@ -629,10 +631,11 @@ def test_charges_do_not_depend_on_the_kernel_cache():
     calls = [
         (80, lambda s: s.batch_weights(np.zeros((1, 20), np.uint8))),
         (80, lambda s: s.pair_weights(np.zeros((4, 1), np.intp))),
-        (80, lambda s: s.row_codes(np.array([0, 19]))),
+        (80, lambda s: s.plan().row_codes(np.array([0, 19]))),
         (30, lambda s: s.cut(10)),
     ]
     blockspace._kernel.cache_clear()
+    blockspace._piece_plan.cache_clear()
     for warm in (False, True):
         s = space(2, P.antichain(2), (9, 11))
         assert ("bm_table" in vars(s._kernel)) == warm
@@ -646,17 +649,96 @@ def test_charges_do_not_depend_on_the_kernel_cache():
 
 
 def test_row_codes_are_kept_within_the_budget(monkeypatch):
-    """A kernel keeps the row codes of column sets while they total at most
-    pieces x _CHUNK entries, here 4 x 16: those of all 4 columns (16 rows)
-    fill it, and those of later sets are built on every call.  Kept or not,
-    they are the left piece codes of the rows of F_q^cols, zero off cols."""
+    """A piece plan keeps the row codes of column sets while they total at
+    most pieces x _CHUNK entries, here 4 x 16: those of all 4 columns (16
+    rows) fill it, and those of later sets are built on every call.  Kept or
+    not, they are the left piece codes of the rows of F_q^cols, zero off
+    cols."""
     monkeypatch.setattr(blockspace, "_CHUNK", 16)
-    s = space(2, P.antichain(4), (1,) * 4)
+    blockspace._piece_plan.cache_clear()
+    plan = space(2, P.antichain(4), (1,) * 4).plan()
     for cols, kept in (([0, 1, 2, 3], True), ([1, 3], False), ([2], False)):
         cols = np.array(cols)
-        codes = s.row_codes(cols)
-        assert (codes is s.row_codes(cols)) == kept
+        codes = plan.row_codes(cols)
+        assert (codes is plan.row_codes(cols)) == kept
         rows = np.zeros((2 ** len(cols), 4), dtype=np.uint8)
         rows[:, cols] = odometer_table(2, len(cols))
-        assert codes.tolist() == s.piece_codes(rows).tolist()
-    assert s._kernel._kept == 4 * 16
+        assert codes.tolist() == plan.codes(rows).tolist()
+    assert plan._kept == 4 * 16
+
+
+# the piece plans ----------------------------------------------------------------
+
+
+def test_broadcast_row_codes_match_the_row_product(monkeypatch):
+    """The left piece codes a plan builds by broadcast adds equal
+    plan.left @ x.T + offsets on the rows x of F_q^cols from odometer_table,
+    widened with zeros off cols, and odometer_codes yields the chunk
+    boundaries of odometer_chunks: seeded column subsets; row counts of 1,
+    several chunks with a partial last one (q = 3 and 5), and one chunk;
+    blocks longer than t (a GF(2) block of 9, and every block at
+    _PIECE_CODES 1); the kernel's plan and both sides of cuts inside a
+    block."""
+    rng = random.Random(31)
+    cases = [
+        (2, P.chain(2), (9, 3), 4),
+        (3, P.antichain(3), (2, 1, 3), 4),
+        (5, TREE6, (1, 2, 1, 1, 1, 1), 2),
+    ]
+    split, partial = set(), set()
+    for piece_codes in (blockspace._PIECE_CODES, 1):
+        monkeypatch.setattr(blockspace, "_PIECE_CODES", piece_codes)
+        for q, pos, sizes, p in cases:
+            s = space(q, pos, sizes)
+            cut = s.cut(p)
+            assert len(cut.head.digits) + len(cut.tail.digits) > s.s  # p inside a block
+            for plan in (s.plan(), cut.head.plan, cut.tail.plan):
+                split.add(len(plan.extra) > 0)
+                n = plan.left.shape[1]
+                for _ in range(4):
+                    m = rng.randint(0, min(n, 5 if q < 5 else 3))
+                    cols = np.array(sorted(rng.sample(range(n), m)), dtype=np.intp)
+                    x = np.zeros((q**m, n), dtype=np.uint8)
+                    x[:, cols] = odometer_table(q, m)
+                    want = (plan.left @ x.T + plan.offsets).astype(np.intp)
+                    assert plan.row_codes(cols).tolist() == want.tolist()
+                    for rows in (1, 7, 12, q**m):
+                        chunks = list(plan.odometer_codes(cols, rows))
+                        bounds = [(start, len(xs)) for start, xs in odometer_chunks(q, m, rows)]
+                        assert [(start, c.shape[1]) for start, c in chunks] == bounds
+                        got = np.concatenate([c for _, c in chunks], axis=1)
+                        assert got.dtype == np.intp and got.tolist() == want.tolist()
+                        partial.add(bounds[-1][1] < bounds[0][1])
+    assert split == partial == {True, False}
+
+
+def test_piece_plans_are_shared_across_posets_and_cut_sides():
+    """The plan cache is keyed by the weight table, the block sizes, t and
+    _CHUNK, not by the order relation: spaces that differ only in their
+    poset hold one plan, and the sides of a cut on a block boundary hold
+    the plans of spaces with the sides' block sizes."""
+    a = space(3, P.chain(3), (1, 2, 1), "lee")
+    b = space(3, P.antichain(3), (1, 2, 1), "lee")
+    assert a._kernel is not b._kernel and a.plan() is b.plan()
+    cut = a.cut(3)  # between blocks 2 and 3
+    assert cut.tail.plan is space(3, P.chain(1), (1,), "lee").plan()
+    assert cut.head.plan is space(3, P.antichain(2), (1, 2), "lee").plan()
+
+
+def test_a_cold_verify_run_builds_each_plan_once(monkeypatch):
+    """With cold kernel and plan caches, a small verify suite builds each
+    distinct (weights, sizes, t) piece plan once, for kernels and cut sides
+    alike, though it builds more kernels than plans."""
+    built = []
+    init = blockspace._PiecePlan.__init__
+
+    def recording(self, weights, sizes, t, chunk):
+        built.append((weights, sizes, t))
+        init(self, weights, sizes, t, chunk)
+
+    monkeypatch.setattr(blockspace._PiecePlan, "__init__", recording)
+    blockspace._kernel.cache_clear()
+    blockspace._piece_plan.cache_clear()
+    verify_suite(["plotkin"], seed=0, trials=5)
+    assert built and len(built) == len(set(built))
+    assert blockspace._kernel.cache_info().misses > len(built)
