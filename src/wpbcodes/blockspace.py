@@ -20,7 +20,7 @@ blocks are nonzero, and every other block has bm_i = 0, so
     w(u) = sum_i (max_weight if block i lies strictly below a nonzero
                   block, else bm_i),
 
-which is one small float32 matmul per tile, or a lookup in a table of all
+which is one boolean product per tile, or a lookup in a table of all
 (max_weight + 1)^s block-max tuples when that table fits in one chunk.
 
 The block maxima come from lookups in pair tables, so x - c is never
@@ -30,14 +30,16 @@ holds max_j w(a_j - b_j) at a * q^m + b for all a, b in F_q^m.  The piece
 plan (_PiecePlan) owns the odometer codes of the pieces: offset + a * q^m
 for the rows x (the offset points into the concatenation of the tables of
 all lengths), b for the words c.  It gives those of the rows of an array
-with one small float32 product (codes), and those of the rows of F_q^cols,
-which a pass enumerates, with one broadcast add per column, no row array
-being built (row_codes, odometer_codes).  One gather on the sums of the
-two gives every piece maximum of the tile.  When every block is a single
-piece (k_i <= t) those are the block maxima; a block split into several
-pieces folds each later piece into its first with one elementwise maximum.
-The whole space is enumerated in odometer order (last coordinate fastest)
-in chunks.
+with one small integer product (codes), and those of the rows of F_q^cols,
+which a pass or a ball enumerates in odometer order (last coordinate
+fastest), with one broadcast add per column, no row array being built
+(row_codes, odometer_codes).  One gather on the sums of the two gives every
+piece maximum of the tile.  When every block is a single piece (k_i <= t)
+those are the block maxima; a block split into several pieces folds each
+later piece into its first with one elementwise maximum.  The engine is
+integer throughout: the piece codes are intp, and every index of a
+block-max tuple is uint16, since no table of them, the kernel's or a
+cut's, has more than _CHUNK < 2^16 entries.
 
 The table index sum_i (max_weight + 1)^(s-i) bm_i is separable: bm_i
 depends on block i alone, so cutting the coordinates at p into a head
@@ -50,9 +52,9 @@ which no sum of the two gives, so its tail part gets a new top digit
 (max_weight + 1)^s and the cut's table, (max_weight + 1) times the size,
 takes the maximum.  A pass then costs one add and one gather per (x, c)
 entry (_Cut.weights) once the parts are built.  Both are narrow (_Cut):
-the table has at most _CHUNK < 2^16 entries, so the parts are uint16, and
-it holds weights of at most s * max_weight <= 254, so it is uint8.  The
-kernel's own table and results stay int64, since callers add weights.
+the parts are uint16 indices, and the table holds weights of at most
+s * max_weight <= 254, so it is uint8.  The kernel's own table and results
+stay int64, since callers add weights.
 
 A piece plan depends only on q, the weight table and the block sizes (and
 on t and _CHUNK), not on the order relation.  So every plan, a space's
@@ -74,15 +76,17 @@ before.
 
 The kept memory is bounded.  At most 256 piece plans are cached
 (_piece_plan), and a cut holds its sides' plans only while a pass uses it,
-so the kernels keep none.  A plan of P pieces over n coordinates holds at
-most two P x n float32 code matrices and pair tables of fewer than
-2 * _PIECE_CODES entries of at most 8 bytes (8Pn bytes + 1 MiB), and row
-codes of at most P * _CHUNK intp in all (P * 128 KiB), those of further
-column sets being built on every call.  At most 256 kernels are cached.  A
-kernel of n coordinates and s blocks holds at most its strictly-below
-matrix and radix (4(s^2 + s) bytes), its block-max table of at most _CHUNK
-int64 (128 KiB) and n - 1 cuts, each a table of at most _CHUNK uint8
-(16 KiB) and at most s + 1 float32 digits.
+so the kernels keep none.  A plan of P pieces over n coordinates holds two
+P x n intp code matrices and pair tables of fewer than 2 * _PIECE_CODES
+entries of at most 8 bytes (16Pn bytes + 1 MiB), and row codes of at most
+P * _CHUNK intp in all (P * 128 KiB), those of further column sets being
+built on every call.  At most 512 kernels are cached, enough for the
+463-495 shapes a full verify run builds at seeds 0-3, so no such run
+builds a shape's kernel twice.  A kernel of n coordinates and s blocks
+holds at most its bool strictly-below matrix and uint16 radix (s^2 + 2s
+bytes), its block-max table of at most _CHUNK int64 (128 KiB) and n - 1
+cuts, each a table of at most _CHUNK uint8 (16 KiB) and at most s + 1
+uint16 digits.
 
 Ball sizes enumerate nothing.  The metric is translation-invariant, so
 |B(c, r)| counts the vectors of weight <= r, and the weight depends only on
@@ -168,15 +172,15 @@ class _Side(NamedTuple):
     lo: int
     hi: int
     plan: _PiecePlan
-    digits: np.ndarray  # (parts,) float32
+    digits: np.ndarray  # (parts,) uint16
 
     def index(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """(X, C) uint16: the side's part of the cut-table index of x - c for
         the left piece codes of X rows and the right ones of C words
-        (_PiecePlan.index), exact since the index stays below _CHUNK.  The
-        cut's table has at most _CHUNK < 2^16 entries, so a head part plus a
-        tail part is a valid uint16 index as well."""
-        return self.plan.index(left[:, :, None] + right[:, None, :], self.digits, np.uint16)
+        (_PiecePlan.index).  The cut's table has at most _CHUNK < 2^16
+        entries, so a head part plus a tail part is a valid uint16 index as
+        well."""
+        return self.plan.index(left[:, :, None] + right[:, None, :], self.digits)
 
 
 class _Cut(NamedTuple):
@@ -407,12 +411,6 @@ class BlockSpace:
             raise OutOfRange(f"rank {r} outside 0..{self.size - 1}")
         return tuple(r // self.q ** (self.n - 1 - i) % self.q for i in range(self.n))
 
-    def iter_chunks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (start_rank, (B, n) uint8 array) covering F_q^n in odometer
-        order; charges q^n."""
-        charge(self.size, "q^n")
-        return odometer_chunks(self.q, self.n)
-
     def all_vectors(self) -> np.ndarray:
         """The whole space as one (q^n, n) array; charges q^n."""
         charge(self.size, "q^n")
@@ -421,15 +419,21 @@ class BlockSpace:
     # balls ------------------------------------------------------------------
 
     def ball(self, center: Sequence[int], radius: int) -> list[Vector]:
-        """All v with d(center, v) <= radius, in odometer order."""
+        """All v with d(center, v) = w(v - center) <= radius, in odometer
+        order; charges q^n.  The pair kernel runs on the piece codes of
+        F_q^n in chunks (_PiecePlan.odometer_codes) against those of the
+        center, and only the ranks kept become vectors."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        c = np.asarray(self._coerce(center), dtype=np.uint8)
+        c = np.array([self._coerce(center)], dtype=np.uint8)
+        charge(self.size, "q^n")
+        plan = self.plan()
+        right = plan.codes(c, left=False)
+        radix = self.q ** np.arange(self.n - 1, -1, -1, dtype=np.intp)
         out: list[Vector] = []
-        for _, arr in self.iter_chunks():
-            d = self.batch_weights(self.field.sub_table[arr, c[None, :]])
-            for row in arr[d <= radius]:
-                out.append(tuple(int(x) for x in row))
+        for start, left in plan.odometer_codes(np.arange(self.n), _CHUNK):
+            ranks = start + np.flatnonzero(self.pair_weights(left, right) <= radius)
+            out += map(tuple, (ranks[:, None] // radix % self.q).tolist())
         return out
 
     def ball_size(self, center: Sequence[int], radius: int) -> int:
@@ -522,17 +526,16 @@ class _Kernel:
         self.t = 1
         while self.q ** (2 * self.t + 2) <= piece_codes:
             self.t += 1
-        # (nonzero @ strict)[v, j] > 0  iff  block j lies strictly below a
-        # nonzero block of v
-        self.strict = (poset.matrix() & ~np.eye(self.s, dtype=bool)).T.astype(np.float32)
+        # (strict @ nonzero)[j, v]  iff  block j lies strictly below a nonzero
+        # block of v
+        self.strict = poset.matrix() & ~np.eye(self.s, dtype=bool)
         self.strict.flags.writeable = False
         # radix of a block-max tuple's index in bm_table, or None when the
-        # (max_weight + 1)^s tuples exceed one chunk; exact in float32 since
-        # indices stay below chunk <= 2^24
+        # (max_weight + 1)^s tuples exceed one chunk
         base = self.max_weight + 1
         self.radix = None
         if base**self.s <= chunk:
-            self.radix = (base ** np.arange(self.s - 1, -1, -1)).astype(np.float32)
+            self.radix = (base ** np.arange(self.s - 1, -1, -1)).astype(np.uint16)
             self.radix.flags.writeable = False
         # cut point -> the block sizes of its head and tail, its tail digits
         # and its table (_cut_parts), or None without a cut
@@ -548,22 +551,23 @@ class _Kernel:
         """BlockSpace.pair_weights for the summed piece codes of x and c."""
         plan = self.plan()
         if self.radix is not None:
-            return self.bm_table[plan.index(codes, self.radix, np.intp)]
+            return self.bm_table[plan.index(codes, self.radix)]
         blockmax = plan.block_maxima(codes)
-        return self._below_weights(blockmax.reshape(self.s, -1).T).reshape(blockmax.shape[1:])
+        return self._below_weights(blockmax.reshape(self.s, -1)).reshape(blockmax.shape[1:])
 
     @cached_property
     def bm_table(self) -> np.ndarray:
         """Weights of all (max_weight + 1)^s block-max tuples in odometer
         order, built on the first table lookup."""
         base = self.max_weight + 1
-        table = self._below_weights(np.indices((base,) * self.s).reshape(self.s, -1).T)
+        table = self._below_weights(np.indices((base,) * self.s).reshape(self.s, -1))
         table.flags.writeable = False
         return table
 
     def _below_weights(self, blockmax: np.ndarray) -> np.ndarray:
-        below = (blockmax > 0).astype(np.float32) @ self.strict > 0
-        return np.where(below, self.max_weight, blockmax).sum(axis=1, dtype=np.int64)
+        """The (N,) weights of the (s, N) block maxima of N vectors."""
+        below = self.strict @ (blockmax > 0)
+        return np.where(below, self.max_weight, blockmax).sum(axis=0, dtype=np.int64)
 
     def cut(self, p: int) -> _Cut | None:
         """BlockSpace.cut.  Looks up the head's and then the tail's piece
@@ -600,14 +604,14 @@ class _Kernel:
             table = np.concatenate(
                 [grid.take(np.maximum(np.arange(base), m), axis=b).ravel() for m in range(base)]
             )
-            tail_digits = np.append(np.float32(base**self.s), digits[b + 1 :])
+            tail_digits = np.append(np.uint16(base**self.s), digits[b + 1 :])
             tail_digits.flags.writeable = False
         table = table.astype(np.min_scalar_type(self.s * self.max_weight + 1))
         table.flags.writeable = False
         return head, tail, tail_digits, table
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=512)
 def _kernel(
     weights: tuple[int, ...],
     poset: Poset,
@@ -630,8 +634,8 @@ class _PiecePlan:
     once the later pieces are folded in.  The pair table of a piece length
     m holds max_j w(a_j - b_j) at a * q^m + b for all a, b in F_q^m; the
     tables of the lengths that occur are concatenated, fewer than
-    2 * _PIECE_CODES entries, so the float32 codes are exact.  Built once
-    per (weights, sizes, t, chunk) in the process (_plan); its arrays are
+    2 * _PIECE_CODES entries, which the intp codes index.  Built once per
+    (weights, sizes, t, chunk) in the process (_plan); its arrays are
     read-only."""
 
     def __init__(self, weights: tuple[int, ...], sizes: tuple[int, ...], t: int, chunk: int):
@@ -648,10 +652,10 @@ class _PiecePlan:
             later += cuts[1:]
             blocks += [i] * (len(cuts) - 1)
         pieces = first + later
-        right = np.zeros((len(pieces), sum(sizes)), dtype=np.float32)
+        right = np.zeros((len(pieces), sum(sizes)), dtype=np.intp)
         for p, (c, length) in enumerate(pieces):
             right[p, c : c + length] = q ** np.arange(length - 1, -1, -1)
-        lengths = np.array([length for _, length in pieces])
+        lengths = np.array([length for _, length in pieces], dtype=np.intp)
         kinds = sorted(set(lengths.tolist()))
         part = dict(zip(kinds, np.cumsum([0] + [q ** (2 * m) for m in kinds])))
         # w(a - b) for single coordinates, maximised over the coordinates
@@ -665,10 +669,10 @@ class _PiecePlan:
                 shape[j] = shape[m + j] = q
                 np.maximum(table, single.reshape(shape), out=table)
             tables.append(table.ravel())
-        self.left = right * (q**lengths)[:, None].astype(np.float32)  # code a times q^len
-        self.right = right  # (pieces, n) float32: piece code b
-        # (pieces, 1) float32: start of the piece's pair table
-        self.offsets = np.array([[part[m]] for m in lengths.tolist()], dtype=np.float32)
+        self.left = right * (q**lengths)[:, None]  # code a times q^len
+        self.right = right  # (pieces, n) intp: piece code b
+        # (pieces, 1) intp: start of the piece's pair table
+        self.offsets = np.array([[part[m]] for m in lengths.tolist()], dtype=np.intp)
         self.table = np.concatenate(tables)
         self.extra = tuple(enumerate(blocks, len(sizes)))  # (piece, block) for later pieces
         for arr in (self.left, self.right, self.offsets, self.table):
@@ -680,18 +684,9 @@ class _PiecePlan:
         """(pieces, N) intp piece codes of the rows of an (N, n) uint8
         array, for pair_weights: offset + a * q^len as its left operand,
         the odometer code b of each piece as its right one."""
-        mat = self.left if left else self.right
-        if len(arr) == 1:
-            # a one-row product goes to BLAS gemv, whose kernel now and then
-            # leaves a spurious invalid-value flag that numpy reports as a
-            # warning; the broadcast product of these small integers is
-            # exact as well
-            codes = (mat * arr).sum(axis=1, keepdims=True)
-        else:
-            codes = mat @ arr.T
         if left:
-            codes += self.offsets
-        return codes.astype(np.intp)
+            return self.left @ arr.T + self.offsets
+        return self.right @ arr.T
 
     def row_codes(self, cols: np.ndarray) -> np.ndarray:
         """The left piece codes of the rows of F_q^cols in odometer order
@@ -701,7 +696,7 @@ class _PiecePlan:
         key = cols.tobytes()
         codes = self._rows.get(key)
         if codes is None:
-            codes = self._odometer(cols, self.offsets.astype(np.intp))
+            codes = self._odometer(cols, self.offsets)
             codes.flags.writeable = False
             if self._kept + codes.size <= len(self.left) * self.chunk:
                 self._kept += codes.size
@@ -710,12 +705,13 @@ class _PiecePlan:
 
     def odometer_codes(self, cols: np.ndarray, rows: int) -> Iterator[tuple[int, np.ndarray]]:
         """Yield (start_rank, (pieces, B) intp left piece codes) of the rows
-        of F_q^cols (zero off the columns cols) in the chunks of
-        odometer_chunks(q, len(cols), rows): the codes of the prefixes on
-        the leading columns plus the kept codes (row_codes) of the table of
-        the last t columns, one broadcast add per chunk.  The codes of all
-        q^(len(cols) - t) prefixes are built once per call, fewer than
-        q * q^len(cols) / rows per piece."""
+        of F_q^cols (zero off the columns cols) in odometer order, in chunks
+        of 1 <= B <= rows rows: the codes of the prefixes on the leading
+        columns plus the kept codes (row_codes) of the table of the last t
+        columns, t the largest with q^t <= rows, one broadcast add per
+        chunk.  Each chunk but the last holds rows // q^t prefixes.  The
+        codes of all q^(len(cols) - t) prefixes are built once per call,
+        fewer than q * q^len(cols) / rows per piece."""
         q, m = self.q, len(cols)
         t = 0
         while t < m and q ** (t + 1) <= rows:
@@ -737,7 +733,7 @@ class _PiecePlan:
         most significant; one broadcast add per column of cols."""
         digits = np.arange(self.q, dtype=np.intp)
         for c in cols.tolist():
-            step = self.left[:, c].astype(np.intp)[:, None] * digits
+            step = self.left[:, c, None] * digits
             codes = (codes[:, :, None] + step[:, None, :]).reshape(len(step), -1)
         return codes
 
@@ -752,13 +748,13 @@ class _PiecePlan:
             np.maximum(blockmax[i], pieces[p], out=blockmax[i])
         return blockmax
 
-    def index(self, codes: np.ndarray, digits: np.ndarray, dtype: type) -> np.ndarray:
-        """The block maxima of summed piece codes weighted by their digits in
-        one float32 product, as dtype, shaped as the codes after their piece
-        axis: the index of a block-max tuple in a kernel's or a cut's table."""
+    def index(self, codes: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        """The block maxima of summed piece codes weighted by their uint16
+        digits in one uint16 product, shaped as the codes after their piece
+        axis: the index of a block-max tuple in a kernel's or a cut's table,
+        exact since no such table has more than _CHUNK < 2^16 entries."""
         blockmax = self.block_maxima(codes)
-        flat = blockmax.reshape(len(digits), -1)
-        return (digits @ flat).astype(dtype).reshape(blockmax.shape[1:])
+        return (digits @ blockmax.reshape(len(digits), -1)).reshape(blockmax.shape[1:])
 
 
 # the plan cache: one _PiecePlan per (weights, sizes, t, chunk), shared by
@@ -800,34 +796,6 @@ def odometer_table(q: int, m: int) -> np.ndarray:
     for j in range(m):
         out.reshape(q**j, q, q ** (m - 1 - j), m)[:, :, :, j] = digits[None, :, None]
     return out
-
-
-def odometer_chunks(q: int, m: int, rows: int = _CHUNK) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start_rank, (B, m) uint8 array) covering F_q^m in odometer
-    order, with 1 <= B <= rows.
-
-    The last t coordinates come from one table of F_q^t, the largest with
-    q^t <= rows; each chunk tiles it against a few consecutive values of the
-    leading m - t coordinates.
-    """
-    t = 0
-    while t < m and q ** (t + 1) <= rows:
-        t += 1
-    tail = odometer_table(q, t)
-    if t == m:  # one chunk holds F_q^m
-        yield 0, tail
-        return
-    per = rows // len(tail)
-    lead = m - t
-    heads = q**lead
-    radix = q ** np.arange(lead - 1, -1, -1, dtype=np.int64)
-    for lo in range(0, heads, per):
-        hi = min(lo + per, heads)
-        head = (np.arange(lo, hi, dtype=np.int64)[:, None] // radix % q).astype(np.uint8)
-        out = np.empty(((hi - lo) * len(tail), m), dtype=np.uint8)
-        out[:, :lead] = np.repeat(head, len(tail), axis=0)
-        out[:, lead:] = np.tile(tail, (hi - lo, 1))
-        yield lo * len(tail), out
 
 
 def parse_vector(text: str) -> Vector:

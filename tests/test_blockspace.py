@@ -14,7 +14,6 @@ from wpbcodes.blockspace import (
     Labeling,
     enumeration_cap,
     format_vector,
-    odometer_chunks,
     odometer_table,
     parse_vector,
 )
@@ -95,6 +94,33 @@ def test_ball_examples(chain21_lee5):
     assert sorted(b) == [(a, 0) for a in range(5)]
     assert s2.ball((2, 3), 0) == [(2, 3)]
     assert s2.ball_size((0, 0), 2) == 5
+
+
+def test_ball_matches_a_scan_of_all_vectors(monkeypatch):
+    """ball lists, in odometer order, the vectors of all_vectors within the
+    radius of the center under wpb_distance: seeded posets, block sizes,
+    nonzero centers and radii over GF(2), GF(3), GF(4) and GF(5) under
+    Hamming, Lee and a custom weight.  At a _CHUNK of 16 most spaces have
+    no block-max table and F_q^n spans several chunks."""
+    rng = random.Random(19)
+    posets = [p for k in (1, 2, 3) for p in P.all_posets(k)]
+    tabulated = set()
+    for chunk in (_CHUNK, 16):
+        monkeypatch.setattr(blockspace, "_CHUNK", chunk)
+        for q, weight in ((2, "hamming"), (3, "lee"), (4, "custom"), (5, "lee"), (5, "custom")):
+            for _ in range(3):
+                pos = rng.choice(posets)
+                sizes = [rng.randint(1, 2) for _ in range(pos.s)]
+                while q ** sum(sizes) > 1000:
+                    sizes[sizes.index(max(sizes))] -= 1
+                s = space(q, pos, sizes, weight)
+                center = tuple(rng.randrange(q) for _ in range(s.n))
+                radius = rng.randint(0, s.s * s.weight.max_weight)
+                want = [v for v in map(tuple, s.all_vectors().tolist())
+                        if s.wpb_distance(center, v) <= radius]
+                assert s.ball(center, radius) == want
+                tabulated.add(s._kernel.radix is not None)
+    assert tabulated == {True, False}
 
 
 def test_ball_size_center_independent(chain21_lee5):
@@ -234,15 +260,16 @@ def test_weight_spectrum_cap_bounds_states():
 
 
 def test_ball_size_never_enumerates(monkeypatch):
-    """ball_size runs with the odometer enumeration disabled; ball, which
-    lists the vectors, still needs it."""
+    """ball_size runs with both enumerators of F_q^n disabled (the piece
+    codes of its rows and the table of its vectors); ball, which lists the
+    vectors, still needs them."""
     s = space(5, TREE6, (1, 1, 1, 1, 2, 1), "lee")
     want = [sum(_histogram(s)[: r + 1]) for r in range(8)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("F_q^n was enumerated")
 
-    monkeypatch.setattr(blockspace, "odometer_chunks", refuse)
+    monkeypatch.setattr(blockspace._PiecePlan, "odometer_codes", refuse)
     monkeypatch.setattr(blockspace, "odometer_table", refuse)
     assert [s.ball_size((1,) * s.n, r) for r in range(8)] == want
     with pytest.raises(AssertionError):
@@ -434,27 +461,16 @@ def test_unrank_is_exact_at_any_length_and_rejects_bad_ranks():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 16, 17, 243, 256])
 def test_table_enumeration_matches_divmod(q):
-    """Chunks built from the tail table equal divide/mod odometer order, stay
-    within the requested row count, and all_vectors agrees with them."""
+    """The odometer table equals divide/mod odometer order, and all_vectors
+    agrees with it."""
     for m in range(0, 4):
         if q**m > 1 << 18:
             continue
         radix = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
         ref = (np.arange(q**m, dtype=np.int64)[:, None] // radix % q).astype(np.uint8)
-        for rows in (1, 3, q, _CHUNK):
-            if q**m > 1024 * rows:  # keep the chunk count small
-                continue
-            chunks = list(odometer_chunks(q, m, rows))
-            assert all(1 <= len(c) <= rows and c.shape[1] == m for _, c in chunks)
-            assert [start for start, _ in chunks] == list(
-                np.cumsum([0] + [len(c) for _, c in chunks[:-1]])
-            )
-            assert np.array_equal(np.concatenate([c for _, c in chunks]), ref)
         assert np.array_equal(odometer_table(q, m), ref)
-    s = space(q, P.antichain(2), (1, 1))
-    chunks = list(s.iter_chunks())
-    assert all(len(c) <= _CHUNK for _, c in chunks)
-    assert np.array_equal(np.concatenate([c for _, c in chunks]), s.all_vectors())
+        if m == 2:
+            assert np.array_equal(space(q, P.antichain(2), (1, 1)).all_vectors(), ref)
 
 
 def test_reduction_hamming_lee_nrt_posetblock():
@@ -526,16 +542,16 @@ def test_weight_properties_random(data):
 
 
 def test_piece_codes_of_one_row_match_the_matrix_product():
-    """A one-row array takes the broadcast product instead of BLAS gemv; its
-    piece codes, left and right, equal those of the same row inside a
-    two-row array, also with blocks split into several pieces."""
+    """The intp piece codes of a one-row array, left and right, equal those
+    of the same row inside a two-row array, also with blocks split into
+    several pieces."""
     rng = np.random.default_rng(5)
     for q, sizes in ((2, (2, 1, 3)), (5, (1, 2)), (2, (9, 11))):
         sp = space(q, P.chain(len(sizes)), sizes)
         arr = rng.integers(0, q, size=(2, sp.n), dtype=np.uint8)
         for left in (True, False):
             one, two = sp.plan().codes(arr[:1], left), sp.plan().codes(arr, left)
-            assert one.dtype == two.dtype and (one == two[:, :1]).all()
+            assert one.dtype == two.dtype == np.intp and (one == two[:, :1]).all()
 
 
 # the shape-keyed kernels ------------------------------------------------------
@@ -592,6 +608,37 @@ def test_kernel_arrays_are_read_only():
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
+
+
+def _kept_arrays(obj):
+    """The arrays an engine object keeps, through its fields, tuples and
+    dicts (a cut's sides hold their plans, a plan its row codes)."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (blockspace._Kernel, blockspace._PiecePlan)):
+        yield from _kept_arrays(vars(obj))
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _kept_arrays(value)
+    elif isinstance(obj, tuple):
+        for value in obj:
+            yield from _kept_arrays(value)
+
+
+def test_engine_arrays_are_integer():
+    """Every array a plan, a kernel or a cut keeps has an integer or bool
+    dtype, so no product of the engine is a float one: a kernel with a
+    block-max table and cuts (one inside a split block), and one without a
+    table."""
+    s = space(2, P.chain(2), (9, 3))
+    s.batch_weights(s.all_vectors()[:5])
+    s.plan().row_codes(np.array([0, 5, 10]))
+    cuts = [s.cut(4), s.cut(9)]
+    wide = space(2, P.antichain(15), (1,) * 15)  # 2^15 tuples: no table
+    wide.batch_weights(np.eye(15, dtype=np.uint8))
+    assert wide._kernel.radix is None
+    arrays = list(_kept_arrays((s._kernel, s.plan(), cuts, wide._kernel, wide.plan())))
+    assert {arr.dtype.kind for arr in arrays} == {"b", "i", "u"}
 
 
 def test_patched_constants_give_fresh_kernels(monkeypatch):
@@ -670,11 +717,23 @@ def test_row_codes_are_kept_within_the_budget(monkeypatch):
 # the piece plans ----------------------------------------------------------------
 
 
+def _chunk_bounds(q: int, m: int, rows: int) -> list[tuple[int, int]]:
+    """(start rank, rows) of the chunks of F_q^m that odometer_codes yields
+    for a row count: the last t coordinates, t the largest with q^t <= rows,
+    make a table of q^t rows, and each chunk but the last holds rows // q^t
+    values of the leading m - t coordinates."""
+    t = 0
+    while t < m and q ** (t + 1) <= rows:
+        t += 1
+    width, heads, per = q**t, q ** (m - t), rows // q**t
+    return [(lo * width, (min(lo + per, heads) - lo) * width) for lo in range(0, heads, per)]
+
+
 def test_broadcast_row_codes_match_the_row_product(monkeypatch):
     """The left piece codes a plan builds by broadcast adds equal
     plan.left @ x.T + offsets on the rows x of F_q^cols from odometer_table,
-    widened with zeros off cols, and odometer_codes yields the chunk
-    boundaries of odometer_chunks: seeded column subsets; row counts of 1,
+    widened with zeros off cols, and odometer_codes yields the chunks of
+    _chunk_bounds: seeded column subsets; row counts of 1,
     several chunks with a partial last one (q = 3 and 5), and one chunk;
     blocks longer than t (a GF(2) block of 9, and every block at
     _PIECE_CODES 1); the kernel's plan and both sides of cuts inside a
@@ -700,11 +759,11 @@ def test_broadcast_row_codes_match_the_row_product(monkeypatch):
                     cols = np.array(sorted(rng.sample(range(n), m)), dtype=np.intp)
                     x = np.zeros((q**m, n), dtype=np.uint8)
                     x[:, cols] = odometer_table(q, m)
-                    want = (plan.left @ x.T + plan.offsets).astype(np.intp)
+                    want = plan.left @ x.T + plan.offsets
                     assert plan.row_codes(cols).tolist() == want.tolist()
                     for rows in (1, 7, 12, q**m):
                         chunks = list(plan.odometer_codes(cols, rows))
-                        bounds = [(start, len(xs)) for start, xs in odometer_chunks(q, m, rows)]
+                        bounds = _chunk_bounds(q, m, rows)
                         assert [(start, c.shape[1]) for start, c in chunks] == bounds
                         got = np.concatenate([c for _, c in chunks], axis=1)
                         assert got.dtype == np.intp and got.tolist() == want.tolist()
@@ -742,3 +801,20 @@ def test_a_cold_verify_run_builds_each_plan_once(monkeypatch):
     verify_suite(["plotkin"], seed=0, trials=5)
     assert built and len(built) == len(set(built))
     assert blockspace._kernel.cache_info().misses > len(built)
+
+
+def test_a_cold_verify_run_builds_each_kernel_once(monkeypatch):
+    """With a cold kernel cache, a full verify run at seed 0, whose spaces
+    have more shapes (471) than a 256-entry cache holds, builds each
+    shape's kernel once."""
+    built = []
+    init = blockspace._Kernel.__init__
+
+    def recording(self, *key):
+        built.append(key)
+        init(self, *key)
+
+    monkeypatch.setattr(blockspace._Kernel, "__init__", recording)
+    blockspace._kernel.cache_clear()
+    verify_suite(["all"], seed=0)
+    assert len(built) == len(set(built)) > 256

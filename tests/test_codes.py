@@ -599,13 +599,31 @@ def test_narrow_cut_table_at_the_largest_weight_it_admits(pos, sizes, monkeypatc
     it falls inside it.  The table is uint8 with its maximum above every
     weight, and every word set, one-word codes included, gives the covering
     and packing radius (or TooFewWords) of the dense reduction through it:
-    a pass's _CHUNK of 2|C| makes its tail the last coordinate."""
+    a pass's _CHUNK of 2|C| makes its tail the last coordinate.  The uint16
+    indices are exact at the largest tables: the kernel's with two blocks
+    ((M_w + 1)^s = _CHUNK) and the straddling cut's with one
+    ((M_w + 1)^(s + 1) = _CHUNK) give the scalar weight of every x - c."""
     f = make_field(2)
     sp = BlockSpace(pos, Labeling(sizes), f, custom_weight(f, [0, 127]))
     top = sp.s * sp.weight.max_weight
-    table = sp.cut(1).table
+    split = sp.cut(1)
+    table = split.table
     assert table.dtype == np.uint8 and np.iinfo(table.dtype).max > top
     assert table.size == blockspace._CHUNK and table.max() == top
+    assert sp._kernel.bm_table.size == (blockspace._CHUNK if sp.s == 2 else 128)
+    allv = sp.all_vectors()
+    want = [[sp.wpb_distance(x, c) for c in allv.tolist()] for x in allv.tolist()]
+    plan = sp.plan()
+    pairs = sp.pair_weights(plan.codes(allv)[:, :, None], plan.codes(allv, left=False)[:, None])
+    assert pairs.tolist() == want
+
+    def part(side):  # (rows of the side, words) index part
+        rows = blockspace.odometer_table(sp.q, side.hi - side.lo)
+        return side.index(side.plan.codes(rows), side.plan.codes(allv[:, side.lo : side.hi], False))
+
+    assert part(split.head).dtype == np.uint16
+    tile = split.weights(part(split.head), part(split.tail).T.copy())  # (head, word, tail)
+    assert tile.transpose(0, 2, 1).reshape(len(allv), -1).tolist() == want
     cut, seen = BlockSpace.cut, []
 
     def recording_cut(space, p):
@@ -1079,7 +1097,6 @@ _CAPPED_GRAPH = [((b + c) % 3, b, c) for b in range(3) for c in range(3)]
 # entry point -> (the count it charges, a call on fresh objects)
 _CAPPED = {
     "all_vectors": (27, lambda s: s.all_vectors()),
-    "iter_chunks": (27, lambda s: list(s.iter_chunks())),
     "ball": (27, lambda s: s.ball(s.zero(), 1)),
     "weight_spectrum": (2, lambda s: s.weight_spectrum()),  # DP states on a 2-chain
     "linear min_distance": (
