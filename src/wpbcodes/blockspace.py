@@ -109,8 +109,8 @@ merge by adding their polynomials, which are exact ints truncated at the
 radius.  The states never outnumber the ideals (at most 2^s <= q^n), and
 the enumeration cap bounds them.
 
-Every computation that enumerates (vectors, codewords, vector x codeword or
-word pairs, words built, DP states), uses a piece plan (pieces x
+Every computation that enumerates (vectors, codewords, vector x word
+pairs, words built, DP states), uses a piece plan (pieces x
 coordinates entries in each of its two code matrices) or loads an instance
 document (its poset elements and coordinates) passes its count to charge
 before it starts, which raises SpaceTooLarge when the count exceeds
@@ -799,9 +799,15 @@ def odometer_table(q: int, m: int) -> np.ndarray:
 
 
 def parse_vector(text: str) -> Vector:
-    """Comma-separated integers -> vector tuple."""
-    parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-    return tuple(int(p) for p in parts)
+    """Comma-separated ASCII decimal integers -> vector tuple; whitespace
+    around a field is allowed, and an empty field, a sign, an underscore or
+    any other character raises ValueError naming the field."""
+    fields = text.split(",")
+    for i, field in enumerate(fields, 1):
+        digits = field.strip()
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"vector field {i} of {text!r} is not a decimal integer: {field!r}")
+    return tuple(int(field) for field in fields)
 
 
 def format_vector(u: Iterable[int]) -> str:

@@ -6,8 +6,9 @@ Either kind's rows are validated as one array: integer coordinates in
 0..q-1, no truncation.  The parameters are exact:
 
 - min_distance: minimum nonzero codeword weight for linear codes
-  (translation invariance), minimum pairwise distance for explicit ones
-  (word pairs in tiles of at most _CHUNK, one pair-kernel call each);
+  (translation invariance), minimum distance between distinct words for
+  explicit ones (the least second-smallest entry of the words' rows of
+  w(x - c), on the passes' whole-row tiles);
 - covering_radius: max over vectors of the distance to the code;
 - packing_radius: (min over vectors of the second-smallest distance to
   the code) - 1, which equals the largest radius with pairwise disjoint
@@ -50,22 +51,27 @@ split gives parts on the children:
 
 The leaves run today's reductions on the full space: _pass over F_q^cols
 (zero off the leaf's columns cols) against the leaf's words for both radii,
-and the nonzero words of a linear leaf, or the word pairs of an explicit
-one, for d.  Those passes carry the offsets M_w * N_{<j} themselves: an
-element outside a node below one inside lies below all of it (their lowest
-common node is a series one), so a nonzero u zero off a node weighs
-M_w * o + w_node(u), o = Node.below, and a leaf's readings are its own
-plus M_w * o (a covering radius of 0 stays 0).  So a series split takes its
-parts' readings as they are (max or min), and a parallel one, whose parts
-share its offset, sums the parts' excesses over it (_combine).
+and for d the nonzero words of a linear leaf, or an explicit leaf's words
+as the rows of a whole-row pass against themselves (each word's row has its
+one 0 at the word, so its second-smallest entry is the distance to the
+nearest other word).  Those readings carry the offsets M_w * N_{<j}
+themselves: an element outside a node below one inside lies below all of
+it (their lowest common node is a series one), so a nonzero u zero off a
+node weighs M_w * o + w_node(u), o = Node.below, and a leaf's readings are
+its own plus M_w * o (a covering radius of 0 stays 0).  So a series split
+takes its parts' readings as they are (max or min), and a parallel one,
+whose parts share its offset, sums the parts' excesses over it (_combine).
 
-A part splits only when its split costs less (_plan): a leaf costs its pass
-pairs (or listed words, or four per word pair), plus _CHUNK / 8 for a
-pass's fixed work, its entries beyond _CHUNK an eighth each, and a split
-_CHUNK / 8.  So a space that fits one tile, as in verify, reads as one
-leaf, and a disjoint sum of two codes on 30-block chains (2^60 vectors)
-reads from its parts' levels.  A reading charges the pass pairs (or words,
-or word pairs) of all its leaves together before the first runs.
+A part splits only when its split costs less (_plan).  Every leaf reading
+costs its rows times its words (_leaf_cost): q^|cols| * |C| entries for an
+explicit leaf's radii, q^(|cols| - dim) coset rows times q^dim words for a
+linear one's, the zero row times |C| for a linear d and |C|^2 for an
+explicit d; plus _CHUNK / 8 for a pass's fixed work, its entries beyond
+_CHUNK an eighth each, and a split _CHUNK / 8.  So a space that fits one
+tile, as in verify, reads as one leaf, and a disjoint sum of two codes on
+30-block chains (2^60 vectors) reads from its parts' levels.  A reading
+charges the entries of all its leaves together, in one unit, before the
+first runs.
 
 The coset pass: the generator is in reduced row-echelon form, so every
 vector splits uniquely as x + c with x zero on the pivot columns and c a
@@ -103,9 +109,10 @@ side's, which enumerates them by broadcast adds and keeps those of a table
 it has built (_PiecePlan.odometer_codes, row_codes): the rows of a pass
 that one tile holds, as nearly every pass of verify does, and the tail
 rows of a cut are built once per plan and column set.  The words' piece
-codes take one product per pass (_PiecePlan.codes), and the word pairs of
-the minimum distance take the same pair-kernel tiles.  No scan builds a row
-array of F_q^cols or a difference vector for its weights.
+codes take one product per pass (_PiecePlan.codes), and so do the rows of
+an explicit minimum distance, the words themselves, per chunk of rows.  No
+scan builds a row array of F_q^cols or a difference vector for its
+weights.
 """
 
 from __future__ import annotations
@@ -276,7 +283,6 @@ class Code:
             self._free = None
             self.dimension = None
             self.size = len(dedup)
-        self._cw: np.ndarray | None = None
         self._memo: dict = {}
 
     @classmethod
@@ -294,20 +300,18 @@ class Code:
     # enumeration ------------------------------------------------------------
 
     def codeword_array(self) -> np.ndarray:
-        """(|C|, n) uint8 array in deterministic order.
+        """(|C|, n) uint8 array in deterministic order: the words of the
+        code's root part (_root), shared with its reading.
 
         Linear codes enumerate messages in odometer order (first generator
-        coefficient most significant), which charges q^k; explicit codes are
-        sorted.
+        coefficient most significant), which charges q^k unless a reading
+        has listed them already; explicit codes are sorted.
         """
-        if self._cw is not None:
-            return self._cw
-        if self.kind == "explicit":
-            self._cw = np.asarray(self.words, dtype=np.uint8).reshape(self.size, self.space.n)
-            return self._cw
-        charge(self.size, "q^k")
-        self._cw = _span(self.space.field, self._defining_rows())
-        return self._cw
+        root = self._root()
+        if root.words is None:
+            charge(self.size, "q^k")
+            root.words = _span(self.space.field, root.rows)
+        return root.words
 
     def codewords(self) -> list[Vector]:
         return [tuple(int(x) for x in row) for row in self.codeword_array()]
@@ -349,45 +353,21 @@ class Code:
     def is_perfect(self) -> bool:
         return self.is_r_perfect(self.packing_radius())
 
-    def _pairwise_min(self, cw: np.ndarray) -> int:
-        """min over word pairs i < j of w(c_j - c_i), one pair-kernel call
-        per tile of at most _CHUNK pairs in row-major order; the caller
-        charges the pairs."""
-        space, m = self.space, len(cw)
-        total = m * (m - 1) // 2
-        # row i holds the pairs (i, j > i), from pair rank starts[i] on
-        counts = np.arange(m - 1, 0, -1)
-        starts = np.cumsum(counts) - counts
-        plan = space.plan()
-        left, right = plan.codes(cw), plan.codes(cw, left=False)
-        d = _BIG
-        for lo in range(0, total, _CHUNK):
-            r = np.arange(lo, min(lo + _CHUNK, total))
-            i = np.searchsorted(starts, r, side="right") - 1
-            j = r - starts[i] + i + 1
-            d = min(d, int(space.pair_weights(left[:, j], right[:, i]).min()))
-        return d
-
     # the tree reading ---------------------------------------------------------
 
     def _read(self, what: str) -> int:
         """The covering radius ("cover"), packing radius ("pack") or minimum
         distance ("dist") of the code from its parts on the decomposition
         tree (module docstring).  The reading is planned first (_plan), and
-        the pass pairs (or, for "dist", the listed words or word pairs) of
-        the leaves it reads that are not read yet are charged together
-        before any runs."""
+        the rows x words entries (_leaf_cost) of the leaves it reads that are
+        not read yet are charged together, in one unit, before any runs."""
         root = self._root()
         self._plan(root, what)
         if root.plan[what][0] is None:  # the whole code is one leaf
             leaves = [] if what in root.memo else [root]
         else:
             leaves = [p for p in self._leaves(root, what) if what not in p.memo]
-        if what != "dist":
-            units = "vector x word pairs"
-        else:
-            units = "listed words" if self.is_linear else "word pairs"
-        charge(sum(self._leaf_cost(p, what) for p in leaves), units)
+        charge(sum(self._leaf_cost(p, what) for p in leaves), "vector x word pairs")
         for part in leaves:
             self._read_leaf(part, what)
         return self._combine(root, what)
@@ -402,7 +382,8 @@ class Code:
                 pivots = np.array(self.pivots, dtype=np.intp)
                 root = _Part(node, cols, self.size, rows=self._defining_rows(), pivots=pivots)
             else:
-                root = _Part(node, cols, self.size, words=self.codeword_array())
+                words = np.asarray(self.words, dtype=np.uint8).reshape(self.size, self.space.n)
+                root = _Part(node, cols, self.size, words=words)
             self._memo["root"] = root
         return root
 
@@ -410,8 +391,8 @@ class Code:
         """The cost of the cheapest reading of a part, which is recorded in
         part.plan: the part as a leaf, or the parts its split combines
         (_options), each read the cheapest way, when they cost less.  Costs
-        count entries of a pass that fits one tile (_leaf_cost, a word pair
-        of the pair scan counting as four): a leaf also costs _CHUNK / 8 for
+        count entries of a pass that fits one tile (_leaf_cost, rows x words
+        for every reading): a leaf also costs _CHUNK / 8 for
         its fixed work, and its entries beyond _CHUNK an eighth each, as cut
         chunks run about eight times as many entries in the same time; a
         split costs _CHUNK / 8 for finding its parts.  So a part of at most
@@ -419,8 +400,6 @@ class Code:
         if what in part.plan:
             return part.plan[what][1]
         entries, fixed = self._leaf_cost(part, what), _CHUNK // 8
-        if what == "dist" and not self.is_linear:
-            entries *= 4
         deps = None
         cost = fixed + min(entries, _CHUNK) + max(entries - _CHUNK, 0) // 8 if entries else 0
         if entries > fixed:
@@ -624,23 +603,28 @@ class Code:
         return np.flatnonzero(free)
 
     def _leaf_cost(self, part: _Part, what: str) -> int:
-        """The pairs of a part's pass as a leaf, q^|cols| for a linear part
-        (q^(|cols| - dim) coset rows times q^dim words) and q^|cols| * |C|
-        for an explicit one, or for "dist" the words it lists (linear) or its
-        word pairs (explicit); 0 when a linear part fills the leaf (its
-        covering radius is 0)."""
+        """The entries of a part's reading as a leaf, its rows times its |C|
+        words: q^|leaf cols| rows (_leaf_cols, a linear part's columns off
+        its pivots) for both radii, and for "dist" the zero row of a linear
+        part or the words of an explicit one; 0 when a linear part fills the
+        leaf (its covering radius is 0)."""
         if what == "dist":
-            return part.size if self.is_linear else part.size * (part.size - 1) // 2
-        if what == "cover" and self.is_linear and len(part.rows) == len(part.cols):
+            rows = 1 if self.is_linear else part.size
+        elif what == "cover" and self.is_linear and len(part.rows) == len(part.cols):
             return 0
-        return self.space.q ** len(part.cols) * (1 if self.is_linear else part.size)
+        else:
+            rows = self.space.q ** len(self._leaf_cols(part))
+        return rows * part.size
 
     def _read_leaf(self, part: _Part, what: str) -> None:
         """A leaf's reading into its memo: the minimum distance from a linear
-        part's nonzero words or an explicit part's word pairs, else both
-        radii from one pass (the coset pass of a linear part on its columns
-        off the pivots against its negated words, an explicit part's on all
-        its columns against its words)."""
+        part's nonzero words (the zero row against the words), or from an
+        explicit part's words as the rows of a whole-row pass against
+        themselves: a word's row has its one 0 at the word itself, so its
+        second-smallest entry is the distance to the nearest other word.
+        Else both radii from one pass (the coset pass of a linear part on its
+        columns off the pivots against its negated words, an explicit part's
+        on all its columns against its words)."""
         space = self.space
         if not self._leaf_cost(part, what):  # a linear part that fills the leaf
             part.memo[what] = 0
@@ -651,7 +635,8 @@ class Code:
             if self.is_linear:
                 part.memo[what] = int(space.batch_weights(part.words[1:]).min())
             else:
-                part.memo[what] = self._pairwise_min(part.words)
+                chunks = self._whole_rows(part.cols, part.words, False, part.words)
+                part.memo[what] = min(int(d2.min()) for _, _, d2, _ in chunks)
             return
         words = space.field.neg_table[part.words] if self.is_linear else part.words
         covering, packing, _ = self._pass(self._leaf_cols(part), words)
@@ -700,20 +685,27 @@ class Code:
             return self._whole_rows(cols, words, leaders)
         return self._cut_rows(cut, cols[:-t], cols[-t:], words, leaders)
 
-    def _whole_rows(self, cols: np.ndarray, words: np.ndarray, leaders: bool):
-        """_rows on whole rows x: tiles of at most _CHUNK pairs, x-rows times
+    def _whole_rows(self, cols: np.ndarray, words: np.ndarray, leaders: bool,
+                    rows: np.ndarray | None = None):
+        """_rows on whole rows x, those of F_q^cols or, when given, the rows
+        of an (X, n) uint8 array: tiles of at most _CHUNK pairs, x-rows times
         a block of words, one pair-kernel call each (whole rows when
         |C| <= _CHUNK, else one row split over word blocks).  The first
         block's readings are the row's, and each later block merges into
         them; with leaders, a tile's first minimum is the first word of its
         tie mask, and a later block takes a row's word only with a strictly
-        smaller minimum.  The rows' piece codes come from the space's plan
-        (_PiecePlan.odometer_codes), which keeps those of a pass that fits
-        one tile."""
+        smaller minimum.  The rows' piece codes come from the space's plan:
+        those of F_q^cols from its odometer (_PiecePlan.odometer_codes),
+        which keeps those of a pass that fits one tile, and given rows' from
+        one product per chunk (_PiecePlan.codes)."""
         plan = self.space.plan()
         right = plan.codes(words, left=False)
-        block = min(len(words), _CHUNK)
-        for start, left in plan.odometer_codes(cols, max(_CHUNK // len(words), 1)):
+        block, step = min(len(words), _CHUNK), max(_CHUNK // len(words), 1)
+        if rows is None:
+            lefts = plan.odometer_codes(cols, step)
+        else:
+            lefts = ((lo, plan.codes(rows[lo : lo + step])) for lo in range(0, len(rows), step))
+        for start, left in lefts:
             for lo in range(0, len(words), block):
                 t1, t2, hit = _two_smallest(_tile(self.space, left, right[:, lo : lo + block]))
                 t_word = lo + hit.argmax(axis=1) if leaders else None

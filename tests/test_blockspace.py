@@ -526,6 +526,11 @@ def test_hamming_sibling_lemma_inclusion():
 def test_vector_text_roundtrip():
     assert parse_vector("1, 3,0") == (1, 3, 0)
     assert format_vector((1, 3, 0)) == "1,3,0"
+    # empty fields, signs, underscores and non-ASCII digits are rejected
+    for text in ("1,,0,2", "1,0,2,", ",1,0,2", "+1,0,2", "-1,0,2", "1_0,0,2",
+                 "\u0661,0,2", "", "1, ,0"):
+        with pytest.raises(ValueError, match="vector field"):
+            parse_vector(text)
 
 
 @settings(max_examples=60, deadline=None)

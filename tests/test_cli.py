@@ -57,6 +57,14 @@ def test_weight(rep3, capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
+@pytest.mark.parametrize("text", ["1,,1", "1,1,1,", ",1,1,1", "+1,1,1", "\u0661,1,1"])
+def test_weight_rejects_malformed_vectors(rep3, text, capsys):
+    """A vector with an empty field, a sign or a non-ASCII digit is a usage
+    error (exit 2) naming the field, not a coerced vector."""
+    assert main(["weight", rep3, f"--vector={text}"]) == 2
+    assert "vector field" in capsys.readouterr().err
+
+
 def test_distance(rep3, capsys):
     assert main(["distance", rep3, "-u", "0,0,0", "-v", "1,1,1"]) == 0
     assert capsys.readouterr().out.strip() == "3"

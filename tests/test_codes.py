@@ -426,18 +426,20 @@ def test_coset_pass_matches_explicit_scan_and_brute_force(chunk, monkeypatch):
 
 @pytest.mark.parametrize("chunk", [1, 5])
 def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
-    """The explicit word-set pass and the pairwise minimum distance against
-    scalar distances, covering radius first and packing radius first (one
-    pass gives both either way).  A small _CHUNK splits the words over
-    several tiles, the vectors over many and the word pairs across rows; no
-    tile may exceed its bound (_assert_tile_bounds).  A second round with
-    _PIECE_CODES at 1 cuts the blocks into single-coordinate pieces, so
-    every block of two coordinates is split."""
+    """The explicit word-set pass and the minimum distance (the words' rows
+    against the words) against scalar distances, covering radius first and
+    packing radius first (one pass gives both either way).  A small _CHUNK
+    splits the words over several tiles and the vectors over many; at
+    _CHUNK 5, codes of 6 or 7 words read d over several word blocks, more
+    pair-kernel tiles than words.  No tile may exceed its bound
+    (_assert_tile_bounds), those of a fresh code's d included.  A second
+    round with _PIECE_CODES at 1 cuts the blocks into single-coordinate
+    pieces, so every block of two coordinates is split."""
     monkeypatch.setattr(codes_module, "_CHUNK", chunk)
     for piece_codes in (blockspace._PIECE_CODES, 1):
         monkeypatch.setattr(blockspace, "_PIECE_CODES", piece_codes)
         rng = random.Random(53)
-        sizes, split = set(), set()
+        sizes, split, blocks = set(), set(), set()
         for _ in range(20):
             sp = _random_linear_code(rng).space
             if sp.size > 128:
@@ -457,6 +459,11 @@ def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
                 assert pack_first.covering_radius() == covering
             _assert_tile_bounds(tiles, chunk)
             split.add(len(sp._kernel.plan().extra) > 0)
+            if code.size >= 2:
+                with _counting_tiles(sp) as dist_tiles:
+                    assert Code.explicit(sp, code.words).min_distance() == mindist
+                _assert_tile_bounds(dist_tiles, chunk)
+                blocks.add((code.size > chunk, len(dist_tiles.kernel) > code.size))
 
             dist = [sorted(sp.wpb_distance(v, c) for c in code.words) for v in allv]
             assert covering == max(d[0] for d in dist)
@@ -470,6 +477,7 @@ def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
             assert perfect == [all(sum(x <= r for x in d) == 1 for d in dist) for r in range(top + 1)]
         assert 1 in sizes and max(sizes) > chunk
         assert split == ({False} if piece_codes > 1 else {True, False})
+        assert (True, True) in blocks  # d over several word blocks
 
 
 @pytest.mark.parametrize("chunk", [16, 64])
@@ -1164,19 +1172,19 @@ def _refuse(*args, **kwargs):
     raise AssertionError("work started before the charge")
 
 
-def test_pairwise_min_charges_its_pairs_first(monkeypatch):
-    """An explicit code's minimum distance charges its |C|(|C|-1)/2 word
-    pairs before the first pair-kernel call.  The space is small enough
-    that its piece plan (3 x 3 entries) fits the cap as well.  No
-    coordinate's projection is a factor of the words, so the antichain
-    reads them as one leaf."""
+def test_explicit_min_distance_charges_its_entries_first(monkeypatch):
+    """An explicit code's minimum distance charges its |C|^2 entries, the
+    words' rows against the words, before the first pair-kernel call.  The
+    space is small enough that its piece plan (3 x 3 entries) fits the cap
+    as well.  No coordinate's projection is a factor of the words, so the
+    antichain reads them as one leaf."""
     s = space(2, P.antichain(3), (1,) * 3)
-    words = [s.unrank(r) for r in range(1, 7)]  # 15 pairs
+    words = [s.unrank(r) for r in range(1, 7)]  # 6 x 6 entries
     monkeypatch.setattr(BlockSpace, "pair_weights", _refuse)
-    with enumeration_cap(14), pytest.raises(SpaceTooLarge, match="pairs = 15 exceeds"):
+    with enumeration_cap(35), pytest.raises(SpaceTooLarge, match="pairs = 36 exceeds"):
         Code.explicit(s, words).min_distance()
     monkeypatch.undo()
-    with enumeration_cap(15):
+    with enumeration_cap(36):
         assert Code.explicit(s, words).min_distance() == 1
 
 
