@@ -110,12 +110,12 @@ radius.  The states never outnumber the ideals (at most 2^s <= q^n), and
 the enumeration cap bounds them.
 
 Every computation that enumerates (vectors, codewords, vector x word
-pairs, words built, DP states), uses a piece plan (pieces x
-coordinates entries in each of its two code matrices) or loads an instance
-document (its poset elements and coordinates) passes its count to charge
-before it starts, which raises SpaceTooLarge when the count exceeds
-the enumeration cap: DEFAULT_MAX_SPACE unless a caller sets another for a
-block of code with `with enumeration_cap(cap):`.
+pairs, words built, DP states), uses a piece plan (pieces x coordinates
+entries in each of its two code matrices) or loads an instance document
+(its poset's order relation, s^2 for s elements, and its coordinates)
+passes its count to charge before it starts, which raises SpaceTooLarge
+when the count exceeds the enumeration cap: DEFAULT_MAX_SPACE unless a
+caller sets another for a block of code with `with enumeration_cap(cap):`.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ import numpy as np
 
 from .errors import LengthMismatch, OutOfRange, SpaceTooLarge
 from .field import Field, make_field
-from .poset import Poset
+from .poset import Poset, bits
 from .weights import WeightFn, hamming_weight
 
 DEFAULT_MAX_SPACE = 1 << 24
@@ -461,9 +461,8 @@ class BlockSpace:
             raise ValueError("radius must be >= 0")
         # at_most[m] = L(m) = #{a in GF(q) : w(a) <= m}
         at_most = [sum(v <= m for v in self.weight.table) for m in range(mw + 1)]
-        leq = self.poset.matrix()
-        below = [sum(1 << j for j in range(self.s) if leq[j, i] and j != i) for i in range(self.s)]
-        above = [int(leq[i].sum()) - 1 for i in range(self.s)]
+        below = self.poset.below
+        above = [m.bit_count() for m in self.poset.above]
         ready = [i for i in range(self.s) if not above[i]]
         states = {0: [1] + [0] * top}
         while ready:
@@ -488,11 +487,10 @@ class BlockSpace:
                 _merge(nxt, state | below[i], taken)
             charge(len(nxt), "weight-spectrum DP states")
             states = nxt
-            for j in range(self.s):
-                if below[i] >> j & 1:
-                    above[j] -= 1
-                    if not above[j]:
-                        ready.append(j)
+            for j in bits(below[i]):
+                above[j] -= 1
+                if not above[j]:
+                    ready.append(j)
         return states[0]
 
     def __repr__(self) -> str:

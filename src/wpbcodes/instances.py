@@ -12,14 +12,14 @@ Schema (all keys required):
                   | {"kind": "list", "words": [[...], ...]}
     }
 
-Every number must be a JSON integer: floats and booleans are rejected with a
-ConsistencyError naming their JSON path, not coerced.  The poset's elements s
-and the coordinates n = sum(labeling) are charged against the enumeration
-cap (blockspace.charge) before anything of their size is built, so an
-oversized document raises SpaceTooLarge.  Loading normalizes to
-canonical form (sorted cover pairs), so save(load(f)) is idempotent and
-load(save(x)) == x.  The digest of the canonical JSON identifies an instance
-in reports.
+Every number must be a JSON integer: floats and booleans are rejected with
+a ConsistencyError naming their JSON path, not coerced.  The poset's order
+relation, s^2 for s elements, and the coordinates n = sum(labeling) are
+charged against the enumeration cap (blockspace.charge) before anything of
+their size is built, so an oversized document raises SpaceTooLarge.
+Loading normalizes to canonical form (sorted cover pairs), so
+save(load(f)) is idempotent and load(save(x)) == x.  The digest of the
+canonical JSON identifies an instance in reports.
 """
 
 from __future__ import annotations
@@ -202,8 +202,9 @@ def instance_from_json_dict(doc: dict) -> Instance:
         f"{len(labeling)} blocks but the poset has {elements} elements",
     )
     # bound the space before anything of its size is built: a short
-    # document can ask for millions of coordinates
-    charge(elements, "poset elements s")
+    # document can ask for millions of coordinates, and the order relation
+    # (s masks of s bits, the weight kernel's s x s matrix) grows as s^2
+    charge(elements * elements, "poset order relation s^2")
     n = sum(labeling)
     charge(n, "coordinates n")
 

@@ -1,8 +1,15 @@
 """Finite posets on {1..s} with ideal queries and the six combinators.
 
-The full order relation is stored, not just covers, together with every
-element's down-set and strict up-set: ideal and maximal queries dominate
-the scalar workload and s stays small (a few dozen at most).
+The order is kept as bitmasks, two per element: its strict down-set and
+its strict up-set, with element j at bit j - 1 (Poset.below, Poset.above).
+Every step works on these masks, so none walks an s x s table:
+from_cover_relations sorts the elements topologically and builds the
+down-sets in that order and the up-sets in the reverse one, one OR per
+cover each; the combinators shift and OR their inputs' masks; ideals,
+maximal elements, the ordinal-sum summands and the decomposition tree are
+unions and intersections of masks.  The matrix constructor Poset(leq)
+checks a given relation with one subset test per related pair, and
+matrix() is the one bool array, derived for the weight kernel.
 Elements are 1-based in the public API; serialization uses cover pairs.
 
 Index flattening for the two product combinators is fixed as
@@ -13,26 +20,62 @@ labelings downstream.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations
-from typing import Iterable, Iterator
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import CycleDetected, NotAnIdeal, OutOfRange
 
 
-class Poset:
-    """A partial order on {1..s} given by its full <= relation."""
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    __slots__ = ("s", "_leq", "_np", "_down", "_up")
+
+class Poset:
+    """A partial order on {1..s}: below[i - 1] and above[i - 1] are the
+    bitmasks of {j : j < i} and {j : i < j}."""
+
+    __slots__ = ("s", "below", "above")
 
     def __init__(self, leq: Iterable[Iterable[bool]]):
-        rel = tuple(tuple(bool(x) for x in row) for row in leq)
-        self.s = len(rel)
-        self._leq = rel
-        self._np = None
-        # _down[i - 1] = {j : j <= i},  _up[i - 1] = {j : i < j}
-        self._down, self._up = _closure_sets(rel)
+        """The order whose full <= matrix is leq (leq[i - 1][j - 1] iff
+        i <= j), once it is checked to be a partial order: ValueError names
+        the first violation, of reflexivity along the diagonal, then of
+        antisymmetry or transitivity at the first related pair in row-major
+        order."""
+        rows = [[bool(x) for x in row] for row in leq]
+        s = len(rows)
+        if any(len(row) != s for row in rows):
+            raise ValueError("leq must be a square matrix")
+        for i in range(s):
+            if not rows[i][i]:
+                raise ValueError(f"relation is not reflexive at {i + 1}")
+        up = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
+        below = [0] * s
+        for i in range(s):
+            for j in bits(up[i] ^ 1 << i):
+                if up[j] >> i & 1:
+                    raise ValueError(f"relation is not antisymmetric at ({i + 1},{j + 1})")
+                beyond = up[j] & ~up[i]  # up[j] must lie inside up[i]
+                if beyond:
+                    k = (beyond & -beyond).bit_length()
+                    raise ValueError(f"relation is not transitive at ({i + 1},{j + 1},{k})")
+                below[j] |= 1 << i
+        above = tuple(m ^ 1 << i for i, m in enumerate(up))
+        self.s, self.below, self.above = s, tuple(below), above
+
+    @classmethod
+    def _of(cls, below: Sequence[int], above: Sequence[int]) -> Poset:
+        """The poset with these strict down- and up-set masks, taken as
+        given: the builders below make them a partial order."""
+        p = cls.__new__(cls)
+        p.s, p.below, p.above = len(below), tuple(below), tuple(above)
+        return p
 
     # queries ---------------------------------------------------------------
 
@@ -40,37 +83,36 @@ class Poset:
         """True iff a <=_P b (1-based)."""
         self._check(a)
         self._check(b)
-        return self._leq[a - 1][b - 1]
+        return a == b or bool(self.below[b - 1] >> (a - 1) & 1)
 
     def less(self, a: int, b: int) -> bool:
         return a != b and self.leq(a, b)
 
     def matrix(self) -> np.ndarray:
-        """The (s, s) boolean <= matrix; cached, do not mutate."""
-        if self._np is None:
-            self._np = np.array(self._leq, dtype=bool)
-        return self._np
+        """The (s, s) boolean <= matrix, row i the up-set of element i + 1
+        unpacked: s^2 bytes, built on each call."""
+        width = (self.s + 7) // 8
+        raw = b"".join((m | 1 << i).to_bytes(width, "little") for i, m in enumerate(self.above))
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(self.s, width)
+        return np.unpackbits(rows, axis=1, count=self.s, bitorder="little").view(bool)
 
     def elements(self) -> range:
         return range(1, self.s + 1)
 
     def is_chain(self) -> bool:
-        return all(
-            self._leq[i][j] or self._leq[j][i] for i, j in combinations(range(self.s), 2)
-        )
+        return len(self.summands()) == self.s
 
     def is_antichain(self) -> bool:
-        return not any(
-            self._leq[i][j] or self._leq[j][i] for i, j in combinations(range(self.s), 2)
-        )
+        return not any(self.below)
 
     def summands(self) -> tuple[tuple[int, ...], ...]:
         """The finest ordinal-sum decomposition P = P_1 + ... + P_h (every
         element of a lower summand below every element of a higher one):
         the connected components of the incomparability graph, bottom
-        summand first, each an ascending tuple of elements.  Computed once
-        per order relation (_summands)."""
-        return _summands(self._leq)
+        summand first, each an ascending tuple of elements: the children of
+        the tree's root when it is a series node.  Computed once per order
+        relation (_summands)."""
+        return _summands(self.below, self.above)
 
     def tree(self) -> Node:
         """The series-parallel decomposition tree of P (Node): series nodes
@@ -79,96 +121,73 @@ class Poset:
         is a set of elements that neither splits (one element, or a
         connected poset that is no ordinal sum).  Computed once per order
         relation (_tree)."""
-        return _tree(self._leq)
+        return _tree(self.below, self.above)
 
     def ideal(self, members: Iterable[int]) -> frozenset[int]:
         """The smallest downward-closed set containing ``members``."""
-        gen = set(members)
-        for e in gen:
-            self._check(e)
-        return frozenset().union(*(self._down[e - 1] for e in gen))
+        return frozenset(b + 1 for b in bits(self._down(members)[1]))
 
     def maximal_elements(self, members: Iterable[int]) -> frozenset[int]:
         """Maximal elements of an ideal; raises NotAnIdeal if not downward closed."""
         ideal = frozenset(members)
-        if self.ideal(ideal) != ideal:
+        mask, down = self._down(ideal)
+        if down != mask:
             raise NotAnIdeal(f"{sorted(ideal)} is not downward closed")
-        return frozenset(i for i in ideal if self._up[i - 1].isdisjoint(ideal))
+        return frozenset(i for i in ideal if not self.above[i - 1] & mask)
+
+    def _down(self, members: Iterable[int]) -> tuple[int, int]:
+        """The masks of members and of the ideal they generate."""
+        mask = down = 0
+        for e in set(members):
+            self._check(e)
+            mask |= 1 << (e - 1)
+            down |= self.below[e - 1]
+        return mask, down | mask
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        """Covers (a, b): a < b with nothing strictly between; sorted."""
-        out = []
-        for a in range(self.s):
-            for b in range(self.s):
-                if a != b and self._leq[a][b]:
-                    if not any(
-                        c != a and c != b and self._leq[a][c] and self._leq[c][b]
-                        for c in range(self.s)
-                    ):
-                        out.append((a + 1, b + 1))
-        return sorted(out)
+        """Covers (a, b): a < b with nothing strictly between, that is the
+        maximal elements of b's strict down-set; sorted."""
+        return sorted((a + 1, b + 1) for b, down in enumerate(self.below)
+                      for a in bits(down) if not self.above[a] & down)
 
     def _check(self, i: int) -> None:
         if not 1 <= i <= self.s:
             raise OutOfRange(f"element {i} outside 1..{self.s}")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poset) and other._leq == self._leq
+        return isinstance(other, Poset) and other.below == self.below
 
     def __hash__(self) -> int:
-        return hash(self._leq)
+        return hash(self.below)
 
     def __repr__(self) -> str:
         return f"Poset(s={self.s}, covers={self.cover_pairs()})"
 
 
-@lru_cache(maxsize=1024)
-def _summands(leq: tuple[tuple[bool, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Poset.summands of the order relation leq.  An element of a lower
-    summand has a strictly smaller down-set than one of a higher summand,
-    so the summands are consecutive runs of the elements sorted by down-set
-    size, split after every prefix that lies below all the remaining
-    elements."""
-    s = len(leq)
-    down = [frozenset(a for a in range(s) if leq[a][b]) for b in range(s)]
-    order = sorted(range(s), key=lambda b: (len(down[b]), b))
-    parts, start = [], 0
-    for m in range(1, s + 1):
-        low = frozenset(order[:m])
-        if all(low <= down[b] for b in order[m:]):
-            parts.append(tuple(sorted(b + 1 for b in order[start:m])))
-            start = m
-    return tuple(parts)
+def _components(p: Poset, members: int, comparable: bool) -> list[int]:
+    """The connected components of the comparability graph on the elements
+    of the mask members (of the incomparability graph when not
+    comparable), as masks, each grown from the least element not yet
+    reached."""
+    parts = []
+    while members:
+        part, todo = 0, members & -members
+        while todo:
+            low = todo & -todo
+            part |= low
+            b = low.bit_length() - 1
+            near = p.below[b] | p.above[b]
+            todo = (todo | (near if comparable else ~near)) & members & ~part
+        parts.append(part)
+        members &= ~part
+    return parts
 
 
 @lru_cache(maxsize=1024)
-def _closure_sets(
-    rel: tuple[tuple[bool, ...], ...]
-) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
-    """The down-sets {j : j <= i} and strict up-sets {j : i < j} of the
-    elements of the relation rel, once it is checked to be a partial order
-    (reflexive, antisymmetric, transitive; ValueError naming the first
-    violation otherwise).  Computed once per relation, so equal posets
-    share their sets."""
-    s = len(rel)
-    if any(len(row) != s for row in rel):
-        raise ValueError("leq must be a square matrix")
-    for i in range(s):
-        if not rel[i][i]:
-            raise ValueError(f"relation is not reflexive at {i + 1}")
-    for i in range(s):
-        for j in range(s):
-            if i != j and rel[i][j] and rel[j][i]:
-                raise ValueError(f"relation is not antisymmetric at ({i + 1},{j + 1})")
-            if rel[i][j]:
-                for k in range(s):
-                    if rel[j][k] and not rel[i][k]:
-                        raise ValueError(
-                            f"relation is not transitive at ({i + 1},{j + 1},{k + 1})"
-                        )
-    down = tuple(frozenset(j + 1 for j in range(s) if rel[j][i]) for i in range(s))
-    up = tuple(frozenset(j + 1 for j in range(s) if j != i and rel[i][j]) for i in range(s))
-    return down, up
+def _summands(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Poset.summands of the order with these masks."""
+    root = _tree(below, above)
+    return tuple(c.elements for c in root.children) if root.kind == "series" else (root.elements,)
 
 
 class Node:
@@ -186,42 +205,31 @@ class Node:
 
 
 @lru_cache(maxsize=1024)
-def _tree(leq: tuple[tuple[bool, ...], ...]) -> Node:
-    """Poset.tree of the order relation leq."""
-    return _node(leq, tuple(range(1, len(leq) + 1)), 0)
+def _tree(below: tuple[int, ...], above: tuple[int, ...]) -> Node:
+    """Poset.tree of the order with these masks (keyed by them, so equal
+    posets share it)."""
+    return _node(Poset._of(below, above), (1 << len(below)) - 1, 0)
 
 
-def _node(leq: tuple[tuple[bool, ...], ...], elements: tuple[int, ...], below: int) -> Node:
-    """The decomposition tree of the order leq induces on elements, which
-    lie above `below` other elements.  An element outside the node below one
-    inside lies below all of them: their lowest common node is a series one,
-    since a parallel one's parts are incomparable."""
-    sub = tuple(tuple(leq[a - 1][b - 1] for b in elements) for a in elements)
-    parts = [tuple(elements[i - 1] for i in part) for part in _summands(sub)]
+def _node(p: Poset, members: int, below: int) -> Node:
+    """The decomposition tree of the order p induces on the elements of the
+    mask members, which lie above `below` other elements.  An element
+    outside the node below one inside lies below all of them: their lowest
+    common node is a series one, since a parallel one's parts are
+    incomparable."""
+    elements = tuple(b + 1 for b in bits(members))
+    # the summands are the components of the incomparability graph, and
+    # an element of a lower one has fewer elements below it than one of a
+    # higher one (all of the lower summand lie below the latter)
+    parts = sorted(_components(p, members, False),
+                   key=lambda part: (p.below[next(bits(part))] & members).bit_count())
     if len(parts) > 1:
-        under = list(accumulate((len(part) for part in parts[:-1]), initial=below))
-        children = tuple(_node(leq, part, u) for part, u in zip(parts, under))
+        under = accumulate((part.bit_count() for part in parts[:-1]), initial=below)
+        children = tuple(_node(p, part, u) for part, u in zip(parts, under))
         return Node("series", elements, children, below)
-    # the connected components of the comparability graph, by a search
-    # from each element not yet reached
-    seen: set[int] = set()
-    components = []
-    for start in range(len(elements)):
-        if start in seen:
-            continue
-        stack, members = [start], []
-        seen.add(start)
-        while stack:
-            a = stack.pop()
-            members.append(elements[a])
-            for b in range(len(elements)):
-                if b not in seen and (sub[a][b] or sub[b][a]):
-                    seen.add(b)
-                    stack.append(b)
-        components.append(tuple(sorted(members)))
-    if len(components) > 1:
-        children = tuple(_node(leq, part, below) for part in components)
-        return Node("parallel", elements, children, below)
+    parts = _components(p, members, True)
+    if len(parts) > 1:
+        return Node("parallel", elements, tuple(_node(p, part, below) for part in parts), below)
     return Node("leaf", elements, (), below)
 
 
@@ -232,46 +240,94 @@ def chain(s: int) -> Poset:
     """The total order 1 < 2 < ... < s."""
     if s < 1:
         raise ValueError("chain needs s >= 1")
-    return Poset([[i <= j for j in range(s)] for i in range(s)])
+    full = (1 << s) - 1
+    return Poset._of([(1 << i) - 1 for i in range(s)], [full ^ ((2 << i) - 1) for i in range(s)])
 
 
 def antichain(s: int) -> Poset:
     """s pairwise-incomparable elements."""
     if s < 1:
         raise ValueError("antichain needs s >= 1")
-    return Poset([[i == j for j in range(s)] for i in range(s)])
+    return Poset._of([0] * s, [0] * s)
 
 
 def from_cover_relations(s: int, covers: Iterable[tuple[int, int]]) -> Poset:
-    """Reflexive-transitive closure of (a, b) pairs meaning a < b."""
-    edges = [(a, b) for a, b in covers]
-    for a, b in edges:
+    """Reflexive-transitive closure of (a, b) pairs meaning a < b.  The
+    elements are sorted topologically (Kahn's algorithm; CycleDetected when
+    some are left), then each element's down-set is the union of its lower
+    covers' and each up-set that of its upper covers', one OR per cover."""
+    succ: list[list[int]] = [[] for _ in range(s)]
+    pending = [0] * s  # covers into each element from elements not yet sorted
+    for a, b in covers:
         if not (1 <= a <= s and 1 <= b <= s):
             raise OutOfRange(f"cover ({a},{b}) outside 1..{s}")
         if a == b:
             raise ValueError(f"cover ({a},{b}) relates an element to itself")
-    leq = [[i == j for j in range(s)] for i in range(s)]
-    for a, b in edges:
-        leq[a - 1][b - 1] = True
-    for k in range(s):
-        for i in range(s):
-            if leq[i][k]:
-                for j in range(s):
-                    if leq[k][j]:
-                        leq[i][j] = True
-    for i in range(s):
-        for j in range(s):
-            if i != j and leq[i][j] and leq[j][i]:
-                raise CycleDetected(_find_cycle(s, edges, i + 1, j + 1))
-    return Poset(leq)
+        succ[a - 1].append(b - 1)
+        pending[b - 1] += 1
+    order = [v for v in range(s) if not pending[v]]
+    for v in order:
+        for w in succ[v]:
+            pending[w] -= 1
+            if not pending[w]:
+                order.append(w)
+    if len(order) < s:
+        raise CycleDetected(_find_cycle(succ, *_cycle_pair(succ)))
+    below, above = [0] * s, [0] * s
+    for v in order:
+        for w in succ[v]:
+            below[w] |= below[v] | 1 << v
+    for v in reversed(order):
+        for w in succ[v]:
+            above[v] |= above[w] | 1 << w
+    return Poset._of(below, above)
 
 
-def _find_cycle(s: int, edges: list[tuple[int, int]], a: int, b: int) -> list[int]:
-    # a <= b and b <= a with a != b: return a path a -> ... -> b -> ... -> a.
-    adj: dict[int, list[int]] = {i: [] for i in range(1, s + 1)}
-    for x, y in edges:
-        adj[x].append(y)
+def _cycle_pair(succ: list[list[int]]) -> tuple[int, int]:
+    """The first pair (a, b), a != b, in row-major order with a <= b <= a in
+    the closure of the covers succ (0-based, cyclic): a is the
+    least element of a strongly connected component of two or more, b the
+    next one of that component.  Kosaraju's algorithm: a depth-first
+    finishing order, then in its reverse each component is what reaches its
+    first element backwards among the elements not yet placed."""
+    s = len(succ)
+    pred = [0] * s
+    for v, ws in enumerate(succ):
+        for w in ws:
+            pred[w] |= 1 << v
+    finished, seen = [], [False] * s
+    for root in range(s):
+        if seen[root]:
+            continue
+        seen[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            for w in work[-1][1]:
+                if not seen[w]:
+                    seen[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+            else:
+                finished.append(work.pop()[0])
+    left, pairs = (1 << s) - 1, []
+    for v in reversed(finished):
+        if left >> v & 1:
+            part, todo = 0, 1 << v
+            while todo:
+                part |= todo
+                for u in bits(todo):
+                    todo |= pred[u]
+                todo &= left & ~part
+            left &= ~part
+            if part & (part - 1):
+                pairs.append(tuple(bits(part))[:2])
+    return min(pairs)
 
+
+def _find_cycle(succ: list[list[int]], a: int, b: int) -> list[int]:
+    # a <= b and b <= a with a != b (0-based): return a path
+    # a -> ... -> b -> ... -> a, 1-based, each leg by a depth-first search
+    # along the covers in the order given.
     def path(src: int, dst: int) -> list[int]:
         stack = [(src, [src])]
         seen = {src}
@@ -279,87 +335,80 @@ def _find_cycle(s: int, edges: list[tuple[int, int]], a: int, b: int) -> list[in
             node, trail = stack.pop()
             if node == dst:
                 return trail
-            for nxt in adj[node]:
+            for nxt in succ[node]:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append((nxt, trail + [nxt]))
         return [src, dst]
 
-    forward = path(a, b)
-    back = path(b, a)
-    return forward + back[1:]
+    return [v + 1 for v in path(a, b) + path(b, a)[1:]]
 
 
 # combinators ----------------------------------------------------------------
+#
+# Each combinator builds both directions of its order from its inputs' masks:
+# reversing every order turns each construction into itself (the linear sum
+# apart, whose two parts swap roles), so a product builds its down-sets from
+# the inputs' down-sets and its up-sets, by the same rule, from their up-sets.
+
+
+def _both(rule: Callable, p: Poset, q: Poset) -> Poset:
+    return Poset._of(rule(p.below, q.below), rule(p.above, q.above))
+
+
+def _spread(mask: int, block: int, t: int) -> int:
+    """The union of block << a * t over the elements a of mask (block has t
+    bits, so the terms are disjoint and their sum is the union): for the
+    product index (a, b) -> a * t + b, the pairs with a in mask and b in
+    block."""
+    return sum(block << a * t for a in bits(mask))
 
 
 def disjoint_union(p: Poset, q: Poset) -> Poset:
     """P and Q side by side on {1..s+t}; cross pairs incomparable."""
-    s, t = p.s, q.s
-    n = s + t
-    leq = [[False] * n for _ in range(n)]
-    for i in range(s):
-        for j in range(s):
-            leq[i][j] = p._leq[i][j]
-    for i in range(t):
-        for j in range(t):
-            leq[s + i][s + j] = q._leq[i][j]
-    return Poset(leq)
+    return _both(lambda pm, qm: list(pm) + [m << p.s for m in qm], p, q)
 
 
 def linear_sum(p: Poset, q: Poset) -> Poset:
     """Disjoint union plus x <= y for every x in the P-part, y in the Q-part."""
-    s, t = p.s, q.s
-    base = disjoint_union(p, q)
-    leq = [list(row) for row in base._leq]
-    for i in range(s):
-        for j in range(t):
-            leq[i][s + j] = True
-    return Poset(leq)
+    s, low, high = p.s, (1 << p.s) - 1, ((1 << q.s) - 1) << p.s
+    below = p.below + tuple(m << s | low for m in q.below)
+    return Poset._of(below, tuple(m | high for m in p.above) + tuple(m << s for m in q.above))
 
 
 def cartesian_product(p: Poset, q: Poset) -> Poset:
     """(x,y) <= (x',y') iff x <=_P x' and y <=_Q y'; index (i,j) -> (i-1)t+j."""
-    s, t = p.s, q.s
-    n = s * t
-    leq = [[False] * n for _ in range(n)]
-    for i in range(s):
-        for j in range(t):
-            for a in range(s):
-                for b in range(t):
-                    leq[i * t + j][a * t + b] = p._leq[i][a] and q._leq[j][b]
-    return Poset(leq)
+    t = q.s
+    return _both(lambda pm, qm: [_spread(a | 1 << i, b | 1 << j, t) ^ 1 << (i * t + j)
+                                 for i, a in enumerate(pm) for j, b in enumerate(qm)], p, q)
 
 
 def lex_product(p: Poset, q: Poset) -> Poset:
     """(x,y) <= (x',y') iff x <_P x', or x = x' and y <=_Q y'."""
-    s, t = p.s, q.s
-    n = s * t
-    leq = [[False] * n for _ in range(n)]
-    for i in range(s):
-        for j in range(t):
-            for a in range(s):
-                for b in range(t):
-                    leq[i * t + j][a * t + b] = (i != a and p._leq[i][a]) or (
-                        i == a and q._leq[j][b]
-                    )
-    return Poset(leq)
+    t = q.s
+
+    def rule(pm: tuple[int, ...], qm: tuple[int, ...]) -> list[int]:
+        layers = [_spread(a, (1 << t) - 1, t) for a in pm]
+        return [layer | b << i * t for i, layer in enumerate(layers) for b in qm]
+
+    return _both(rule, p, q)
 
 
 def puncture(p: Poset, z: int) -> Poset:
     """The order induced on {1..s}-{z}, relabelled order-preservingly to {1..s-1}."""
     if not 1 <= z <= p.s:
         raise OutOfRange(f"element {z} outside 1..{p.s}")
-    keep = [i for i in range(p.s) if i != z - 1]
-    return Poset([[p._leq[i][j] for j in keep] for i in keep])
+    low = (1 << (z - 1)) - 1
+
+    def drop(masks: tuple[int, ...]) -> list[int]:
+        return [m & low | m >> z << (z - 1) for i, m in enumerate(masks) if i != z - 1]
+
+    return Poset._of(drop(p.below), drop(p.above))
 
 
 def extend(p: Poset) -> Poset:
     """Add a new isolated element s+1 (comparable only to itself)."""
-    s = p.s
-    leq = [list(row) + [False] for row in p._leq]
-    leq.append([False] * s + [True])
-    return Poset(leq)
+    return Poset._of(p.below + (0,), p.above + (0,))
 
 
 def all_posets(s: int) -> Iterator[Poset]:

@@ -164,13 +164,13 @@ def test_ball_respects_cap(rep3, capsys):
     assert main(["ball", rep3, "--center", "0,0,0", "--radius", "1", "--max-space", "4"]) == 1
     assert "SpaceTooLarge" in capsys.readouterr().err
     # --count-only enumerates nothing: the cap bounds the loaded space's 3
-    # coordinates and 3 poset elements and the spectrum DP's states, two on
-    # this 3-chain, not its 8 vectors
+    # coordinates, its 3-element poset's order relation (3^2 = 9) and the
+    # spectrum DP's states, two on this 3-chain, not its 8 vectors
     count = ["ball", rep3, "--center", "0,0,0", "--radius", "1", "--count-only"]
-    assert main(count + ["--max-space", "3"]) == 0
+    assert main(count + ["--max-space", "9"]) == 0
     assert capsys.readouterr().out.strip() == "2"
-    assert main(count + ["--max-space", "2"]) == 1
-    assert "SpaceTooLarge: poset elements s = 3 exceeds" in capsys.readouterr().err
+    assert main(count + ["--max-space", "8"]) == 1
+    assert "SpaceTooLarge: poset order relation s^2 = 9 exceeds" in capsys.readouterr().err
 
 
 def test_ball_count_beyond_enumeration_cap(tmp_path, capsys):
@@ -256,6 +256,23 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert main(["mindist", "/no/such/file.json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "cover, message",
+    [
+        ([[1, 5]], "cover (1,5) outside 1..2"),
+        ([[1, 1]], "cover (1,1) relates an element to itself"),
+        ([[1, 2], [2, 1]], "cover relations contain a cycle: [1, 2, 1]"),
+        ([[0, 1]], "cover (0,1) outside 1..2"),
+    ],
+)
+def test_invalid_cover_relations_exit_2(cover, message, tmp_path, capsys):
+    doc = {**LEE_SPAN, "poset": {"elements": 2, "cover": cover}}
+    path = tmp_path / "bad_poset.json"
+    path.write_text(json.dumps(doc))
+    assert main(["mindist", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: poset: {message}\n"
 
 
 # md5 of `wpbcodes verify --list`: every suite name, tag, trial count and

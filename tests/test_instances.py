@@ -1,5 +1,7 @@
 import io
 import json
+import random
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -229,7 +231,7 @@ def test_oversized_document_is_refused_before_it_is_built(tmp_path, capsys):
     under a cap of 2^20 the loader charges n and raises SpaceTooLarge
     having allocated next to nothing (building the space and the code's
     free columns took about 500 MB), and the CLI maps it to exit code 1.
-    The poset's elements are charged as well."""
+    The poset's order relation, s^2 for s elements, is charged as well."""
     doc = {**MINIMAL, "labeling": [10_000_000], "code": {"kind": "generator", "rows": []}}
     text = json.dumps(doc)
     assert len(text) == 156
@@ -249,14 +251,70 @@ def test_oversized_document_is_refused_before_it_is_built(tmp_path, capsys):
     assert "SpaceTooLarge: coordinates n = 10000000" in capsys.readouterr().err
     three = {**MINIMAL, "poset": {"elements": 3, "cover": []}, "labeling": [1, 1, 1],
              "code": {"kind": "list", "words": [[0, 0, 0]]}}
-    with enumeration_cap(2), pytest.raises(SpaceTooLarge, match="poset elements s = 3 exceeds"):
+    with enumeration_cap(8), pytest.raises(
+        SpaceTooLarge, match=r"poset order relation s\^2 = 9 exceeds"
+    ):
         instance_from_json_dict(three)
-    with enumeration_cap(3):
+    with enumeration_cap(9):
         instance_from_json_dict(three)
+
+
+def _one_coordinate_blocks(s: int, cover: list, rows: list) -> str:
+    """A GF(2) Hamming document on s one-coordinate blocks."""
+    return json.dumps({
+        "field": {"q": 2},
+        "weight": {"kind": "hamming"},
+        "poset": {"elements": s, "cover": cover},
+        "labeling": [1] * s,
+        "code": {"kind": "generator", "rows": rows},
+    })
+
+
+def test_2000_element_chain_loads_and_answers():
+    """A 2,000-block chain of one-coordinate blocks through the loader.  A
+    vector's weight is its highest nonzero coordinate (1-based), so with P
+    the top positions of a basis in echelon form from the top: d = min P;
+    R is the highest position outside P (reducing a vector at every pivot
+    from the top leaves a coset's lightest word); rho = d - 1, since the
+    metric is an ultrametric (two words at most r from a vector lie at most
+    r apart, and the zero vector is 0 and d from two words).  The code's
+    dimension stays at 5: the leaf reading of d is a dense product of the
+    n x n piece-code coefficients with the q^k words, 1.7 s at k = 8."""
+    s, rng = 2000, random.Random(2000)
+    rows = [[rng.randrange(2) for _ in range(s)] for _ in range(5)]
+    basis: dict[int, int] = {}
+    for row in rows:
+        v = sum(1 << i for i, x in enumerate(row) if x)
+        while v and v.bit_length() - 1 in basis:
+            v ^= basis[v.bit_length() - 1]
+        if v:
+            basis[v.bit_length() - 1] = v
+    d = min(basis) + 1
+    start = time.perf_counter()
+    _, code = loads_instance(
+        _one_coordinate_blocks(s, [[i, i + 1] for i in range(1, s)], rows)
+    ).build()
+    assert code.min_distance() == d
+    assert code.covering_radius() == max(set(range(s)) - set(basis)) + 1
+    assert code.packing_radius() == d - 1
+    assert time.perf_counter() - start < 2
+
+
+def test_2000_element_antichain_loads_and_answers():
+    """A 2,000-block antichain of one-coordinate blocks through the loader,
+    the code spanned by unit rows (each inside one block): under the
+    Hamming weight the metric is Hamming's, so d = 1 and rho = 0."""
+    s = 2000
+    rows = [[int(i == j) for i in range(s)] for j in (0, 5, 17, 999, 1999)]
+    start = time.perf_counter()
+    _, code = loads_instance(_one_coordinate_blocks(s, [], rows)).build()
+    assert code.min_distance() == 1
+    assert code.packing_radius() == 0
+    assert time.perf_counter() - start < 2
 
 
 # Random JSON for mutations, integers unbounded: the loader charges the
-# poset's elements and the coordinates against the enumeration cap, so a
+# poset's order relation and the coordinates against the enumeration cap, so a
 # document asking for a huge space is refused before it is built.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),

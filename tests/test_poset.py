@@ -23,6 +23,67 @@ def test_cycle_detected():
     assert set(cyc) == {1, 2}
 
 
+@pytest.mark.parametrize(
+    "leq, message",
+    [
+        ([[1, 0], [1]], "leq must be a square matrix"),
+        ([[1, 0, 0], [0, 1, 0]], "leq must be a square matrix"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], "relation is not reflexive at 3"),
+        # reflexivity is checked on the whole diagonal first
+        ([[1, 1, 0], [1, 1, 0], [0, 0, 0]], "relation is not reflexive at 3"),
+        ([[1, 1, 0], [1, 1, 0], [0, 0, 1]], "relation is not antisymmetric at (1,2)"),
+        ([[1, 0, 0], [0, 1, 1], [0, 1, 1]], "relation is not antisymmetric at (2,3)"),
+        # at one pair antisymmetry is checked before transitivity
+        ([[1, 1, 0], [1, 1, 1], [0, 0, 1]], "relation is not antisymmetric at (1,2)"),
+        ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], "relation is not transitive at (1,2,3)"),
+        # the first violating pair in row-major order wins
+        ([[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 0], [1, 0, 0, 1]],
+         "relation is not transitive at (1,2,3)"),
+        ([[1, 0, 1, 0], [0, 1, 0, 0], [0, 1, 1, 1], [0, 0, 0, 1]],
+         "relation is not transitive at (1,3,2)"),
+    ],
+)
+def test_invalid_relation_names_its_first_violation(leq, message):
+    with pytest.raises(ValueError) as e:
+        P.Poset(leq)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "s, covers, error, message",
+    [
+        (3, [(1, 2), (2, 4)], OutOfRange, "cover (2,4) outside 1..3"),
+        (3, [(0, 1)], OutOfRange, "cover (0,1) outside 1..3"),
+        (3, [(1, 2), (2, 2)], ValueError, "cover (2,2) relates an element to itself"),
+        # covers are checked in the order given
+        (3, [(2, 2), (1, 5)], ValueError, "cover (2,2) relates an element to itself"),
+    ],
+)
+def test_invalid_cover_names_the_first_bad_pair(s, covers, error, message):
+    with pytest.raises(error) as e:
+        P.from_cover_relations(s, covers)
+    assert type(e.value) is error and str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "s, covers, cycle",
+    [
+        (2, [(1, 2), (2, 1)], (1, 2, 1)),
+        (4, [(1, 2), (2, 3), (3, 1)], (1, 2, 3, 1)),
+        # cycles that miss element 1 and hang off a tail
+        (6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 3), (6, 1)], (3, 4, 5, 3)),
+        (6, [(6, 4), (1, 2), (2, 5), (5, 4), (4, 2), (3, 6)], (2, 5, 4, 2)),
+        # of two cycles, the one through the least element
+        (7, [(5, 6), (6, 5), (3, 7), (7, 4), (4, 3), (1, 2)], (3, 7, 4, 3)),
+    ],
+)
+def test_cycle_detected_names_the_cycle(s, covers, cycle):
+    with pytest.raises(CycleDetected) as e:
+        P.from_cover_relations(s, covers)
+    assert e.value.cycle == cycle
+    assert str(e.value) == f"cover relations contain a cycle: {list(cycle)}"
+
+
 def test_chain_antichain_predicates():
     assert P.chain(4).is_chain()
     assert not P.chain(2).is_antichain()
@@ -153,13 +214,82 @@ def test_all_posets_counts():
     assert len(list(P.all_posets(3))) == 19
 
 
+def _assert_partial_order(p: P.Poset) -> None:
+    """Reflexivity, antisymmetry and transitivity of p, read through leq."""
+    for i in p.elements():
+        assert p.leq(i, i)
+        for j in p.elements():
+            assert not (i != j and p.leq(i, j) and p.leq(j, i))
+            for k in p.elements():
+                assert not (p.leq(i, j) and p.leq(j, k)) or p.leq(i, k)
+
+
 def test_large_combinators_pass_construction_axioms():
-    # Poset.__init__ re-validates reflexivity/antisymmetry/transitivity, so
-    # building these is itself the exhaustive triple scan up to s = 12.
+    """The combinators build their masks without the validating matrix
+    constructor, so the axioms are checked here, through leq, up to s = 13."""
     big = P.cartesian_product(P.chain(3), P.chain(4))
     assert big.s == 12
     assert P.lex_product(P.chain(4), P.chain(3)) == P.chain(12)
     assert P.linear_sum(big, P.antichain(1)).s == 13
+    vee = P.from_cover_relations(3, [(1, 3), (2, 3)])
+    for p in (big, P.linear_sum(big, P.antichain(1)), P.lex_product(vee, P.antichain(4)),
+              P.disjoint_union(big, vee), P.puncture(big, 6), P.extend(big)):
+        _assert_partial_order(p)
+
+
+def _assert_up_sets_match(p: P.Poset) -> None:
+    """The matrix, read from the up-sets, against leq, read from the
+    down-sets: the combinators build the two directions separately."""
+    assert p.matrix().tolist() == [[p.leq(a, b) for b in p.elements()] for a in p.elements()]
+
+
+def test_combinators_match_their_definitions():
+    """Each of the six combinators against its definition, read through
+    leq, on every pair of labelled posets of 1 to 3 elements (puncture at
+    every element, extend, on each one), with up-sets that match."""
+    small = [p for s in (1, 2, 3) for p in P.all_posets(s)]
+    for p in small:
+        s = p.s
+        for z in p.elements():
+            keep = [e for e in p.elements() if e != z]
+            punctured = P.puncture(p, z)
+            assert punctured.s == s - 1
+            _assert_up_sets_match(punctured)
+            for a in punctured.elements():
+                for b in punctured.elements():
+                    assert punctured.leq(a, b) == p.leq(keep[a - 1], keep[b - 1])
+        extended = P.extend(p)
+        assert extended.s == s + 1
+        _assert_up_sets_match(extended)
+        for a in extended.elements():
+            for b in extended.elements():
+                assert extended.leq(a, b) == (p.leq(a, b) if max(a, b) <= s else a == b)
+        for q in small:
+            t = q.s
+            union, stacked = P.disjoint_union(p, q), P.linear_sum(p, q)
+            assert union.s == stacked.s == s + t
+            _assert_up_sets_match(union)
+            _assert_up_sets_match(stacked)
+            for a in union.elements():
+                for b in union.elements():
+                    if max(a, b) <= s:
+                        inside = p.leq(a, b)
+                    elif min(a, b) > s:
+                        inside = q.leq(a - s, b - s)
+                    else:
+                        inside = None
+                    assert union.leq(a, b) == bool(inside)
+                    assert stacked.leq(a, b) == (a <= s < b if inside is None else inside)
+            grid, lex = P.cartesian_product(p, q), P.lex_product(p, q)
+            assert grid.s == lex.s == s * t
+            _assert_up_sets_match(grid)
+            _assert_up_sets_match(lex)
+            for a in grid.elements():
+                for b in grid.elements():
+                    (i, j), (k, l) = divmod(a - 1, t), divmod(b - 1, t)
+                    x, y, u, v = i + 1, j + 1, k + 1, l + 1
+                    assert grid.leq(a, b) == (p.leq(x, u) and q.leq(y, v))
+                    assert lex.leq(a, b) == (p.less(x, u) or (x == u and q.leq(y, v)))
 
 
 def test_ideal_is_smallest_downward_closed():
