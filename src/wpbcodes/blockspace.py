@@ -80,13 +80,19 @@ so the kernels keep none.  A plan of P pieces over n coordinates holds two
 P x n intp code matrices and pair tables of fewer than 2 * _PIECE_CODES
 entries of at most 8 bytes (16Pn bytes + 1 MiB), and row codes of at most
 P * _CHUNK intp in all (P * 128 KiB), those of further column sets being
-built on every call.  At most 512 kernels are cached, enough for the
-463-495 shapes a full verify run builds at seeds 0-3, so no such run
-builds a shape's kernel twice.  A kernel of n coordinates and s blocks
-holds at most its bool strictly-below matrix and uint16 radix (s^2 + 2s
-bytes), its block-max table of at most _CHUNK int64 (128 KiB) and n - 1
-cuts, each a table of at most _CHUNK uint8 (16 KiB) and at most s + 1
-uint16 digits.
+built on every call.  The pair table of each weight table and piece length
+is built once and kept (_pair_table, at most 64 tables of fewer than
+_PIECE_CODES entries of at most 8 bytes), so the plans of a space's
+restrictions (restrict) reuse its tables.  At most 512 kernels are cached,
+enough for the 476-503 shapes a full verify run builds at seeds 0-3, so no
+such run builds a shape's kernel twice.  A kernel of n coordinates and s
+blocks holds at most its bool strictly-below matrix and uint16 radix
+(s^2 + 2s bytes), its block-max table of at most _CHUNK int64 (128 KiB)
+and n - 1 cuts, each a table of at most _CHUNK uint8 (16 KiB) and at most
+s + 1 uint16 digits.  A space keeps each space it restricts to
+(restrict), one per set of elements asked for: the tree reading asks for
+one per part of a split (a series split's fibers share one), each smaller
+than the space.
 
 Ball sizes enumerate nothing.  The metric is translation-invariant, so
 |B(c, r)| counts the vectors of weight <= r, and the weight depends only on
@@ -260,6 +266,7 @@ class BlockSpace:
         self.size: int = field.q**self.n
         self._kernel = _kernel(weight.table, poset, labeling.sizes, _CHUNK, _PIECE_CODES)
         self._slices = self._kernel.slices
+        self._restricted: dict[tuple[int, ...], BlockSpace] = {}
 
     # vector plumbing --------------------------------------------------------
 
@@ -359,6 +366,23 @@ class BlockSpace:
     def hamming_sibling(self) -> BlockSpace:
         return self.with_weight(hamming_weight(self.field))
 
+    def restrict(self, elements: tuple[int, ...]) -> BlockSpace:
+        """The space of the blocks of the given ascending elements, under the
+        order they induce (Poset.induced, element elements[i] becoming
+        i + 1), with the same field and weight; its coordinates are those of
+        the given blocks, in the same order.  When every element outside
+        lying below one inside lies below all of them, as around a node of
+        the decomposition tree, a nonzero vector zero off the blocks weighs
+        max_weight times those outside elements plus its weight here.  Built
+        once per elements on each space, which keeps it."""
+        sub = self._restricted.get(elements)
+        if sub is None:
+            sizes = self.labeling.sizes
+            labeling = Labeling(tuple(sizes[e - 1] for e in elements))
+            sub = BlockSpace(self.poset.induced(elements), labeling, self.field, self.weight)
+            self._restricted[elements] = sub
+        return sub
+
     # batch engine -----------------------------------------------------------
 
     def batch_weights(self, arr: np.ndarray) -> np.ndarray:
@@ -380,11 +404,6 @@ class BlockSpace:
         strictly-below identity (module docstring), looked up in the table
         of block-max tuples when it has at most _CHUNK entries."""
         return self._kernel.pair_weights(left if right is None else left + right)
-
-    def columns(self, elements: tuple[int, ...]) -> np.ndarray:
-        """The coordinates of the blocks of the given ascending elements,
-        ascending, as a read-only intp array (_block_columns)."""
-        return _block_columns(self.labeling.sizes, elements)
 
     def cut(self, p: int) -> _Cut | None:
         """The cut of the coordinates into a head 0..p-1 and a tail p..n-1
@@ -630,17 +649,16 @@ class _PiecePlan:
     coordinates, and the owner of their piece codes.  Row i < s of the codes
     is the first piece of block i + 1, so those rows are the block maxima
     once the later pieces are folded in.  The pair table of a piece length
-    m holds max_j w(a_j - b_j) at a * q^m + b for all a, b in F_q^m; the
-    tables of the lengths that occur are concatenated, fewer than
+    m holds max_j w(a_j - b_j) at a * q^m + b for all a, b in F_q^m
+    (_pair_table); the tables of the lengths that occur are concatenated,
+    fewer than
     2 * _PIECE_CODES entries, which the intp codes index.  Built once per
     (weights, sizes, t, chunk) in the process (_plan); its arrays are
     read-only."""
 
     def __init__(self, weights: tuple[int, ...], sizes: tuple[int, ...], t: int, chunk: int):
-        field = make_field(len(weights))  # a weight table has q entries
-        q = self.q = field.q
+        q = self.q = len(weights)  # a weight table has q entries
         self.chunk = chunk
-        wt = np.asarray(weights, dtype=np.min_scalar_type(max(weights)))
         first: list[tuple[int, int]] = []  # (first coordinate, length)
         later: list[tuple[int, int]] = []
         blocks: list[int] = []
@@ -656,22 +674,11 @@ class _PiecePlan:
         lengths = np.array([length for _, length in pieces], dtype=np.intp)
         kinds = sorted(set(lengths.tolist()))
         part = dict(zip(kinds, np.cumsum([0] + [q ** (2 * m) for m in kinds])))
-        # w(a - b) for single coordinates, maximised over the coordinates
-        # of a piece in one broadcast per coordinate
-        single = wt[field.sub_table]
-        tables = []
-        for m in kinds:
-            table = np.zeros((q,) * 2 * m, dtype=wt.dtype)
-            for j in range(m):
-                shape = [1] * 2 * m
-                shape[j] = shape[m + j] = q
-                np.maximum(table, single.reshape(shape), out=table)
-            tables.append(table.ravel())
         self.left = right * (q**lengths)[:, None]  # code a times q^len
         self.right = right  # (pieces, n) intp: piece code b
         # (pieces, 1) intp: start of the piece's pair table
         self.offsets = np.array([[part[m]] for m in lengths.tolist()], dtype=np.intp)
-        self.table = np.concatenate(tables)
+        self.table = np.concatenate([_pair_table(weights, m) for m in kinds])
         self.extra = tuple(enumerate(blocks, len(sizes)))  # (piece, block) for later pieces
         for arr in (self.left, self.right, self.offsets, self.table):
             arr.flags.writeable = False
@@ -755,6 +762,26 @@ class _PiecePlan:
         return (digits @ blockmax.reshape(len(digits), -1)).reshape(blockmax.shape[1:])
 
 
+@lru_cache(maxsize=64)
+def _pair_table(weights: tuple[int, ...], m: int) -> np.ndarray:
+    """The flat pair table of piece length m under the weight table
+    `weights`: max_j w(a_j - b_j) at a * q^m + b for all a, b in F_q^m, w(a - b)
+    of single coordinates maximised over the m coordinates in one broadcast
+    each.  Shared by every plan with pieces of that length (read-only)."""
+    field = make_field(len(weights))
+    q = field.q
+    wt = np.asarray(weights, dtype=np.min_scalar_type(max(weights)))
+    single = wt[field.sub_table]
+    table = np.zeros((q,) * 2 * m, dtype=wt.dtype)
+    for j in range(m):
+        shape = [1] * 2 * m
+        shape[j] = shape[m + j] = q
+        np.maximum(table, single.reshape(shape), out=table)
+    table = table.ravel()
+    table.flags.writeable = False
+    return table
+
+
 # the plan cache: one _PiecePlan per (weights, sizes, t, chunk), shared by
 # every kernel and cut side whose blocks have these sizes (_plan)
 _piece_plan = lru_cache(maxsize=256)(_PiecePlan)
@@ -767,17 +794,6 @@ def _plan(weights: tuple[int, ...], sizes: tuple[int, ...], t: int, chunk: int) 
     sum(sizes) code-matrix entries on every call, built or kept."""
     charge(sum(-(-k // t) for k in sizes) * sum(sizes), "piece-plan entries")
     return _piece_plan(weights, sizes, t, chunk)
-
-
-@lru_cache(maxsize=4096)
-def _block_columns(sizes: tuple[int, ...], elements: tuple[int, ...]) -> np.ndarray:
-    """BlockSpace.columns for block sizes `sizes`, shared by equal labelings
-    (the array is read-only)."""
-    starts = tuple(accumulate(sizes[:-1], initial=0))
-    cols = [c for e in elements for c in range(starts[e - 1], starts[e - 1] + sizes[e - 1])]
-    cols = np.array(cols, dtype=np.intp)
-    cols.flags.writeable = False
-    return cols
 
 
 def _merge(states: dict[int, list[int]], key: int, poly: list[int]) -> None:

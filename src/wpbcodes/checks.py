@@ -265,7 +265,7 @@ def _covering_with_oracle(unit: _Unit, code: Code, label: str) -> int:
     pass and the word-set reading of the same words."""
     if not code.is_linear:
         return code.covering_radius()
-    rho = Code.linear(code.space, code._defining_rows()).covering_radius()
+    rho = Code.linear(code.space, code._rows).covering_radius()
     coset_max = code.coset_table().max_weight
     scan = Code.explicit(code.space, code.codeword_array()).covering_radius()
     unit.hard(

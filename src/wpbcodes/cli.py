@@ -149,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="suite name, tag, or check id; repeatable (default: all)",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None, help="units per suite")
+    p.add_argument("--trials", type=_positive_int, default=None, help="units per suite (>= 1)")
     p.add_argument(
         "--q",
         type=int,

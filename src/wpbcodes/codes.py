@@ -23,9 +23,11 @@ Every code reads its covering radius, packing radius and minimum distance
 along its poset's decomposition tree (Poset.tree): series nodes split into
 their finest ordinal sum P_lo + P_hi (every element of P_lo below every
 element of P_hi), parallel nodes into the connected components of their
-comparability graph, P_1 u P_2, and leaves split no further.  The code is a
-part on the root (_Part: rows or words zero off the node's columns), and a
-split gives parts on the children:
+comparability graph, P_1 u P_2, and leaves split no further.  A split gives
+parts, each a code on its node's own space (BlockSpace.restrict: the node's
+blocks under the order they induce, with the same field and weight), which
+holds only the node's columns, and each with an offset M_w * N, N the
+elements of the lower summands (0 across a parallel split):
 
 - parallel node, when C = C_1 x C_2 along the split (the product test: an
   explicit code peels off each component i with |C| = |pi_i C| *
@@ -39,7 +41,7 @@ split gives parts on the children:
   fill and D = pi_j*(C meet V_{<=j*}), j0 the lowest summand holding a
   pivot and D0 = pi_j0(C meet V_{<=j0}): R = M_w * N_{<j*} + R(D) (0 when C
   fills the node), rho = M_w * N_{<j0} + rho(D0), d = M_w * N_{<j0} + d(D0),
-  N_{<j} the blocks below summand j;
+  N_{<j} the elements below summand j;
 - series node, explicit code: T = pi_hi(C) and the fibers
   C_t = {c_lo : (c_lo, t) in C}.  A vector with a nonzero top part weighs
   more than M_w * N_lo and one with a zero top part at most that, so
@@ -49,29 +51,29 @@ split gives parts on the children:
   A linear code's fibers are the cosets of its fiber at t = 0, C meet
   V_lo, so this is the linear case one summand at a time.
 
-The leaves run today's reductions on the full space: _pass over F_q^cols
-(zero off the leaf's columns cols) against the leaf's words for both radii,
-and for d the nonzero words of a linear leaf, or an explicit leaf's words
-as the rows of a whole-row pass against themselves (each word's row has its
-one 0 at the word, so its second-smallest entry is the distance to the
-nearest other word).  Those readings carry the offsets M_w * N_{<j}
-themselves: an element outside a node below one inside lies below all of
-it (their lowest common node is a series one), so a nonzero u zero off a
-node weighs M_w * o + w_node(u), o = Node.below, and a leaf's readings are
-its own plus M_w * o (a covering radius of 0 stays 0).  So a series split
-takes its parts' readings as they are (max or min), and a parallel one,
-whose parts share its offset, sums the parts' excesses over it (_combine).
+So a reading is its parts' readings plus their offsets: summed across a
+parallel split for R, their maximum at a series split, and their minimum
+for rho and d (_combine).  The offsets are the weight's own: an element
+outside a node below one inside lies below all of it (their lowest common
+node is a series one), so a nonzero u zero off a node weighs M_w times
+those elements plus its weight in the node's space.  A leaf is a code read
+whole in its own space: both radii from one pass over F_q^cols against its
+words (cols its columns off its pivots, all of an explicit code's), and d
+from the nonzero words of a linear code, or an explicit code's words as the
+rows of a whole-row pass against themselves (each word's row has its one 0
+at the word, so its second-smallest entry is the distance to the nearest
+other word).
 
-A part splits only when its split costs less (_plan).  Every leaf reading
-costs its rows times its words (_leaf_cost): q^|cols| * |C| entries for an
-explicit leaf's radii, q^(|cols| - dim) coset rows times q^dim words for a
+A code splits only when its split costs less (_plan).  Every leaf reading
+costs its rows times its words (_leaf_cost): q^n * |C| entries for an
+explicit leaf's radii, q^(n - dim) coset rows times q^dim words for a
 linear one's, the zero row times |C| for a linear d and |C|^2 for an
-explicit d; plus _CHUNK / 8 for a pass's fixed work, its entries beyond
-_CHUNK an eighth each, and a split _CHUNK / 8.  So a space that fits one
-tile, as in verify, reads as one leaf, and a disjoint sum of two codes on
-30-block chains (2^60 vectors) reads from its parts' levels.  A reading
-charges the entries of all its leaves together, in one unit, before the
-first runs.
+explicit d, n the coordinates of the leaf's space; plus _CHUNK / 8 for a
+pass's fixed work, its entries beyond _CHUNK an eighth each, and a split
+_CHUNK / 8.  So a space that fits one tile, as in verify, reads as one
+leaf, and a disjoint sum of two codes on 30-block chains (2^60 vectors)
+reads from its parts' levels.  A reading charges the entries of all its
+leaves together, in one unit, before the first runs.
 
 The coset pass: the generator is in reduced row-echelon form, so every
 vector splits uniquely as x + c with x zero on the pivot columns and c a
@@ -118,7 +120,8 @@ weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -208,6 +211,12 @@ def _span(field: Field, rows: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _columns_of(where: np.ndarray, count: int) -> list[np.ndarray]:
+    """The columns c with where[c] = g, ascending, for each g in 0..count-1."""
+    order = np.argsort(where, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(where, minlength=count))[:-1])
+
+
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of an (m >= 1, width) uint8 array in the order of
     their bytes, by one sort of the rows as bytes (np.unique would import
@@ -216,36 +225,6 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     keys = np.sort(np.ascontiguousarray(rows).view(f"V{width}").ravel())
     keep = np.concatenate(([True], keys[1:] != keys[:-1]))
     return keys[keep].view(np.uint8).reshape(-1, width)
-
-
-def _project(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """The n-wide rows with the columns of an (m, |cols|) uint8 array on the
-    ascending columns cols and zero elsewhere, in the same order."""
-    out = np.zeros((len(rows), n), dtype=np.uint8)
-    out[:, cols] = rows
-    return out
-
-
-class _Part:
-    """A code on one node of the poset's decomposition tree (Poset.tree):
-    n-wide uint8 rows zero off the node's columns cols.  A linear part has
-    rows, its generators in reduced echelon form, with the pivot column of
-    each row (pivots), and words, their span once enumerated; an explicit
-    part has its distinct words.  split holds the parts it splits into
-    (Code._split), plan the reading chosen for it (Code._plan), memo its
-    readings as a leaf."""
-
-    __slots__ = ("node", "cols", "size", "rows", "pivots", "words", "split", "plan", "memo")
-
-    def __init__(self, node: Node, cols: np.ndarray, size: int, *,
-                 rows=None, pivots=None, words=None):
-        self.node, self.cols, self.size = node, cols, size
-        self.rows, self.pivots, self.words = rows, pivots, words
-        self.split: tuple | list | None = None
-        # per reading: (the parts it combines, or None to read the part as a
-        # leaf; its cost)
-        self.plan: dict[str, tuple[list[_Part] | None, int]] = {}
-        self.memo: dict[str, int] = {}
 
 
 @dataclass(frozen=True)
@@ -258,32 +237,59 @@ class CosetTable:
 
 
 class Code:
-    """A linear or explicit code in a BlockSpace; immutable after construction."""
+    """A linear or explicit code in a BlockSpace; immutable after construction.
+
+    It keeps one uint8 array of rows (_rows): a linear code's generators in
+    reduced row-echelon form, an explicit code's distinct words in sorted
+    order, from which generators and words derive their tuples."""
 
     def __init__(self, space: BlockSpace, *, generators=None, words=None):
-        self.space = space
         if (generators is None) == (words is None):
             raise ValueError("exactly one of generators/words must be given")
         rows = space._coerce_rows(words if generators is None else generators)
+        pivots = None
         if generators is not None:
-            self.kind = "linear"
-            self.generators, self.pivots = _row_reduce(space.field, rows, range(space.n))
-            self.dimension = len(self.generators)
-            self.size: int = space.q**self.dimension
-            self._free = np.array([c for c in range(space.n) if c not in self.pivots], np.intp)
-            self.words = None
+            reduced, pivots = _row_reduce(space.field, rows, range(space.n))
+            rows = np.array(reduced, dtype=np.uint8).reshape(len(reduced), space.n)
+        elif not len(rows):
+            raise ValueError("an explicit code needs at least one word")
         else:
-            self.kind = "explicit"
-            dedup = sorted(set(map(tuple, rows.tolist())))
-            if not dedup:
-                raise ValueError("an explicit code needs at least one word")
-            self.words = tuple(dedup)
-            self.generators = None
-            self.pivots = None
-            self._free = None
-            self.dimension = None
-            self.size = len(dedup)
+            rows = _unique_rows(rows)
+        self._set(space, rows, pivots)
+
+    @classmethod
+    def _of(cls, space: BlockSpace, rows: np.ndarray, pivots: list[int] | None = None) -> Code:
+        """A part of a split (_split) with rows its parent has checked, taken
+        as they are: a linear code's generators in reduced row-echelon form
+        with their pivot columns, or (pivots None) an explicit code's sorted
+        distinct words."""
+        code = cls.__new__(cls)
+        code._set(space, rows, pivots)
+        return code
+
+    def _set(self, space: BlockSpace, rows: np.ndarray, pivots) -> None:
+        """The code's state from its checked rows (__init__, _of)."""
+        self.space = space
+        rows.flags.writeable = False
+        self._rows = rows
+        # _free: the columns a pass enumerates, off the pivots of a linear
+        # code and all of an explicit one's
+        if pivots is None:
+            self.kind, self.pivots, self.dimension = "explicit", None, None
+            self.size: int = len(rows)
+            self._words: np.ndarray | None = rows
+            self._free = np.arange(space.n)
+        else:
+            self.kind, self.pivots, self.dimension = "linear", tuple(pivots), len(rows)
+            self.size = space.q**self.dimension
+            self._words = None
+            held = set(pivots)
+            self._free = np.array([c for c in range(space.n) if c not in held], np.intp)
         self._memo: dict = {}
+        # per reading: (the (offset, part) pairs it combines, or None to read
+        # the code as a leaf; its cost)
+        self._plans: dict[str, tuple[list | None, int]] = {}
+        self._parts: tuple | None = None  # _split, once found
 
     @classmethod
     def linear(cls, space: BlockSpace, rows: Sequence[Sequence[int]]) -> "Code":
@@ -297,21 +303,38 @@ class Code:
     def is_linear(self) -> bool:
         return self.kind == "linear"
 
+    @cached_property
+    def generators(self) -> tuple[Vector, ...] | None:
+        """A linear code's generators in reduced row-echelon form; None for
+        an explicit code."""
+        return tuple(map(tuple, self._rows.tolist())) if self.is_linear else None
+
+    @cached_property
+    def words(self) -> tuple[Vector, ...] | None:
+        """An explicit code's distinct words, sorted; None for a linear code."""
+        return None if self.is_linear else tuple(map(tuple, self._rows.tolist()))
+
     # enumeration ------------------------------------------------------------
 
     def codeword_array(self) -> np.ndarray:
-        """(|C|, n) uint8 array in deterministic order: the words of the
-        code's root part (_root), shared with its reading.
+        """(|C|, n) read-only uint8 array in deterministic order, shared with
+        the code's reading.
 
         Linear codes enumerate messages in odometer order (first generator
         coefficient most significant), which charges q^k unless a reading
         has listed them already; explicit codes are sorted.
         """
-        root = self._root()
-        if root.words is None:
+        if self._words is None:
             charge(self.size, "q^k")
-            root.words = _span(self.space.field, root.rows)
-        return root.words
+        return self._listed()
+
+    def _listed(self) -> np.ndarray:
+        """codeword_array without its charge: the span of a linear code's
+        generators is listed on the first call."""
+        if self._words is None:
+            self._words = _span(self.space.field, self._rows)
+            self._words.flags.writeable = False
+        return self._words
 
     def codewords(self) -> list[Vector]:
         return [tuple(int(x) for x in row) for row in self.codeword_array()]
@@ -323,13 +346,13 @@ class Code:
         if "min_distance" not in self._memo:
             if self.size < 2:
                 raise TooFewWords("min distance needs at least two distinct words")
-            self._memo["min_distance"] = self._read("dist")
+            self._memo["min_distance"] = self._read("min_distance")
         return self._memo["min_distance"]
 
     def covering_radius(self) -> int:
         """max over F_q^n of the distance to the code."""
         if "covering_radius" not in self._memo:
-            self._memo["covering_radius"] = self._read("cover")
+            self._memo["covering_radius"] = self._read("covering_radius")
         return self._memo["covering_radius"]
 
     def packing_radius(self) -> int:
@@ -337,7 +360,7 @@ class Code:
         if "packing_radius" not in self._memo:
             if self.size < 2:
                 raise TooFewWords("packing radius needs at least two distinct words")
-            self._memo["packing_radius"] = self._read("pack")
+            self._memo["packing_radius"] = self._read("packing_radius")
         return self._memo["packing_radius"]
 
     def is_r_perfect(self, r: int) -> bool:
@@ -356,293 +379,255 @@ class Code:
     # the tree reading ---------------------------------------------------------
 
     def _read(self, what: str) -> int:
-        """The covering radius ("cover"), packing radius ("pack") or minimum
-        distance ("dist") of the code from its parts on the decomposition
-        tree (module docstring).  The reading is planned first (_plan), and
-        the rows x words entries (_leaf_cost) of the leaves it reads that are
-        not read yet are charged together, in one unit, before any runs."""
-        root = self._root()
-        self._plan(root, what)
-        if root.plan[what][0] is None:  # the whole code is one leaf
-            leaves = [] if what in root.memo else [root]
-        else:
-            leaves = [p for p in self._leaves(root, what) if what not in p.memo]
-        charge(sum(self._leaf_cost(p, what) for p in leaves), "vector x word pairs")
-        for part in leaves:
-            self._read_leaf(part, what)
-        return self._combine(root, what)
+        """The covering radius, packing radius or minimum distance (what, the
+        name of the memo and the method) of the code from its parts on the
+        decomposition tree (module docstring).  The reading is planned first
+        (_plan), and the rows x words entries (_leaf_cost) of the leaves it
+        reads that are not read yet are charged together, in one unit,
+        before any runs."""
+        self._plan(what)
+        leaves = [leaf for leaf in self._leaves(what) if what not in leaf._memo]
+        charge(sum(leaf._leaf_cost(what) for leaf in leaves), "vector x word pairs")
+        for leaf in leaves:
+            leaf._read_leaf(what)
+        return self._combine(what)
 
-    def _root(self) -> _Part:
-        """The code as a part on the root of its poset's tree, memoized."""
-        root = self._memo.get("root")
-        if root is None:
-            node = self.space.poset.tree()
-            cols = self.space.columns(node.elements)
-            if self.is_linear:
-                pivots = np.array(self.pivots, dtype=np.intp)
-                root = _Part(node, cols, self.size, rows=self._defining_rows(), pivots=pivots)
-            else:
-                words = np.asarray(self.words, dtype=np.uint8).reshape(self.size, self.space.n)
-                root = _Part(node, cols, self.size, words=words)
-            self._memo["root"] = root
-        return root
-
-    def _plan(self, part: _Part, what: str) -> int:
-        """The cost of the cheapest reading of a part, which is recorded in
-        part.plan: the part as a leaf, or the parts its split combines
-        (_options), each read the cheapest way, when they cost less.  Costs
+    def _plan(self, what: str) -> int:
+        """The cost of the cheapest reading of the code, which is recorded in
+        _plans: the code as a leaf, or the parts its split combines for the
+        reading, each read the cheapest way, when they cost less.  Costs
         count entries of a pass that fits one tile (_leaf_cost, rows x words
-        for every reading): a leaf also costs _CHUNK / 8 for
-        its fixed work, and its entries beyond _CHUNK an eighth each, as cut
-        chunks run about eight times as many entries in the same time; a
-        split costs _CHUNK / 8 for finding its parts.  So a part of at most
-        _CHUNK / 8 entries is never split."""
-        if what in part.plan:
-            return part.plan[what][1]
-        entries, fixed = self._leaf_cost(part, what), _CHUNK // 8
-        deps = None
+        for every reading): a leaf also costs _CHUNK / 8 for its fixed work,
+        and its entries beyond _CHUNK an eighth each, as cut chunks run
+        about eight times as many entries in the same time; a split costs
+        _CHUNK / 8 for finding its parts.  So a code of at most _CHUNK / 8
+        entries is never split."""
+        if what in self._plans:
+            return self._plans[what][1]
+        entries, fixed = self._leaf_cost(what), _CHUNK // 8
+        parts = None
         cost = fixed + min(entries, _CHUNK) + max(entries - _CHUNK, 0) // 8 if entries else 0
         if entries > fixed:
-            if part.split is None:
-                part.split = self._split(part)
-            if part.split:
-                options, total = self._options(part, what), fixed
-                for dep in options:
-                    total += self._plan(dep, what)
+            split = self._split()
+            if split:
+                options, total = split[1 if what == "covering_radius" else 2], fixed
+                for _, part in options:
+                    total += part._plan(what)
                     if total >= cost:
                         break
                 if total < cost:
-                    deps, cost = options, total
-        part.plan[what] = (deps, cost)
+                    parts, cost = options, total
+        self._plans[what] = (parts, cost)
         return cost
 
-    def _leaves(self, part: _Part, what: str) -> Iterator[_Part]:
-        """The leaf parts whose readings a part's planned reading combines."""
-        deps = part.plan[what][0]
-        if deps is None:
-            yield part
+    def _leaves(self, what: str) -> Iterator[Code]:
+        """The leaves whose readings the code's planned reading combines."""
+        parts = self._plans[what][0]
+        if parts is None:
+            yield self
             return
-        for dep in deps:
-            yield from self._leaves(dep, what)
+        for _, part in parts:
+            yield from part._leaves(what)
 
-    def _combine(self, part: _Part, what: str) -> int:
-        """A part's reading from its leaves' (module docstring): the maximum
-        over the parts read for a covering radius, the sum of their excesses
-        over the node's offset across a parallel split, and the minimum for
-        a packing radius or a minimum distance."""
-        deps = part.plan[what][0]
-        if deps is None:
-            return part.memo[what]
-        values = [self._combine(dep, what) for dep in deps]
-        if what != "cover":
+    def _combine(self, what: str) -> int:
+        """The code's reading from its leaves' (module docstring): each
+        part's reading plus its offset, summed across a parallel split for a
+        covering radius and their maximum at a series one, and their minimum
+        for a packing radius or a minimum distance."""
+        parts = self._plans[what][0]
+        if parts is None:
+            return self._memo[what]
+        values = [offset + part._combine(what) for offset, part in parts]
+        if what != "covering_radius":
             return min(values)
-        if part.node.kind == "series":
-            return max(values, default=0)
-        offset = self.space.weight.max_weight * part.node.below
-        grown = [v - offset for v in values if v]
-        return offset + sum(grown) if grown else 0
+        return sum(values) if self._parts[0] == "parallel" else max(values, default=0)
 
-    def _options(self, part: _Part, what: str) -> list[_Part]:
-        """The parts a split part's reading combines: at a parallel split
-        every part for a covering radius, else those with two or more
-        words; at a linear series split D for a covering radius (none when
-        C fills the node), else D0; at an explicit series split the fibers
-        when the top's projection fills the top summand, else the top, for
-        a covering radius, and the fibers with two or more words, else the
-        top, otherwise."""
-        if part.node.kind == "parallel":
-            return part.split if what == "cover" else [p for p in part.split if p.size > 1]
-        if self.is_linear:
-            cover, pack = part.split
-            return [pack] if what != "cover" else [cover] if cover else []
-        top, fibers = part.split
-        if what == "cover":
-            return fibers if top.size == self.space.q ** len(top.cols) else [top]
-        return [f for f in fibers if f.size > 1] or [top]
+    def _split(self) -> tuple:
+        """The parts the code splits into at the root of its tree, found
+        once: () on a leaf and where a parallel node's code is no product,
+        else (the node's kind, the (offset, part) pairs whose readings give
+        the covering radius, those that give the packing radius and the
+        minimum distance)."""
+        if self._parts is None:
+            node = self.space.poset.tree()
+            if node.kind == "leaf":
+                self._parts = ()
+            else:
+                split = self._series if node.kind == "series" else self._parallel
+                self._parts = split(node, self._child_of_columns(node))
+        return self._parts
 
-    def _split(self, part: _Part):
-        """The parts a part splits into: () on a leaf and where a parallel
-        node's code is no product; a list of parts on the factors of a
-        parallel node's code; (top, fibers) on a series node."""
-        node = part.node
-        if node.kind == "leaf":
-            return ()
-        if node.kind == "series":
-            return self._series(part)
-        space = self.space
-        children = node.children
+    def _parallel(self, node: Node, where: np.ndarray) -> tuple:
+        """The split on a parallel node (_split), where[c] the child that
+        holds column c: at offset 0, a part per factor of the code, every
+        one for a covering radius and those with two or more words
+        otherwise; () when the code is no product."""
+        space, children = self.space, node.children
         if self.is_linear:
             # the rows of a reduced echelon form of a product code lie in its
             # factors (the form is unique), so the finest factors are the
-            # classes of components that some row's support joins
-            where = self._child_of_columns(node)
+            # classes of components that some row's support joins, each
+            # labelled by its first component
             label = list(range(len(children)))
-            for row in part.rows:  # zero off the node's columns
+            for row in self._rows:
                 joined = {label[i] for i in where[np.flatnonzero(row)].tolist()}
                 label = [min(joined) if x in joined else x for x in label]
-            classes = sorted(set(label))
-            groups = [[i for i, x in enumerate(label) if x == c] for c in classes]
-            owner = np.array(label, dtype=np.intp)[where[part.pivots]]
-            data = [owner == c for c in classes]
+            classes: dict[int, list[int]] = {}
+            for i, x in enumerate(label):
+                classes.setdefault(x, []).append(i)
+            groups = list(classes.values())
         else:
             # peel off every component whose projection is a factor:
             # C = pi_i(C) x pi_rest(C) iff |C| = |pi_i C| * |pi_rest C|, the
-            # counts taken on the column slices; a peel pads the projections
-            comps = [space.columns(child.elements) for child in children]
-            rest, words, groups, data = list(range(len(children))), part.words, [], []
+            # counts taken on the column slices
+            comps, words = _columns_of(where, len(children)), self._rows
+            rest, size, left, groups, data = list(range(len(children))), self.size, words, [], []
             for i in range(len(children)):
                 if len(rest) == 1:
                     break
                 others = [c for c in rest if c != i]
                 cols = np.sort(np.concatenate([comps[c] for c in others]))
                 mine, theirs = _unique_rows(words[:, comps[i]]), _unique_rows(words[:, cols])
-                if len(mine) * len(theirs) == len(words):
+                if len(mine) * len(theirs) == size:
                     groups.append([i])
-                    data.append(_project(mine, comps[i], space.n))
-                    rest, words = others, _project(theirs, cols, space.n)
+                    data.append(mine)
+                    rest, size, left = others, len(theirs), theirs
             groups.append(rest)
-            data.append(words)
+            data.append(left)
         if len(groups) == 1:
             return ()
-        parts = []
-        for group, arr in zip(groups, data):
-            if len(group) == 1:
-                sub = children[group[0]]
-            else:  # components that do not factor are read together
-                elements = tuple(sorted(e for i in group for e in children[i].elements))
-                sub = Node("leaf", elements, (), node.below)
-            cols = space.columns(sub.elements)
-            if self.is_linear:
-                rows, pivots = part.rows[arr], part.pivots[arr]
-                parts.append(_Part(sub, cols, space.q ** len(rows), rows=rows, pivots=pivots))
-            else:
-                parts.append(_Part(sub, cols, len(arr), words=arr))
-        return parts
-
-    def _series(self, part: _Part) -> tuple:
-        """The split of a part on a series node.  A linear part's is (D, D0)
-        in one step: D = pi_j*(C meet V_{<=j*}) on summand j*, the highest
-        summand that C does not fill (None when C fills the node), and
-        D0 = pi_j0(C meet V_{<=j0}) on summand j0, the lowest summand holding
-        a pivot (None for the zero code), both from the echelon form with the
-        columns taken top summand first (_top_first): the rows with their
-        pivot in summand j are zero above it, and their parts in it span
-        D_j.  An explicit part's is (top, fibers) along P_lo + P_hi, P_hi the
-        top summand: top is T = pi_hi(C) on P_hi, the fibers the codes
-        C_t = {c_lo : (c_lo, t) in C} on P_lo, the node without its top
-        summand."""
-        space, node = self.space, part.node
+        group_of = np.empty(len(children), dtype=np.intp)
+        for g, group in enumerate(groups):
+            group_of[group] = g
+        cols = _columns_of(group_of[where], len(groups))
         if self.is_linear:
-            rows, pivots, at = self._top_first(part)
-            held = np.bincount(at, minlength=len(node.children)).tolist()
-            sizes = space.labeling.sizes
-            top = next((j for j in reversed(range(len(held)))
-                        if held[j] < sum(sizes[e - 1] for e in node.children[j].elements)), None)
+            pivots = np.array(self.pivots, dtype=np.intp)
+            owner = group_of[where[pivots]]  # the group of each row
+        parts = []
+        for g, group in enumerate(groups):
+            sub = space.restrict(tuple(sorted(e for i in group for e in children[i].elements)))
+            if self.is_linear:
+                mine = owner == g
+                part = Code._of(sub, self._rows[mine][:, cols[g]],
+                                np.searchsorted(cols[g], pivots[mine]).tolist())
+            else:
+                part = Code._of(sub, data[g])
+            if len(group) > 1:  # components that do not factor are read together
+                part._parts = ()
+            parts.append((0, part))
+        return "parallel", parts, [(0, part) for _, part in parts if part.size > 1]
 
-            def level(j: int) -> _Part:
-                mine, cols = at == j, space.columns(node.children[j].elements)
-                d_rows = np.zeros((int(mine.sum()), space.n), dtype=np.uint8)
-                d_rows[:, cols] = rows[mine][:, cols]
-                return _Part(node.children[j], cols, space.q ** len(d_rows),
-                             rows=d_rows, pivots=pivots[mine])
+    def _series(self, node: Node, where: np.ndarray) -> tuple:
+        """The split on a series node (_split), where[c] the summand that
+        holds column c.  A linear code's parts are D for a covering radius
+        (none when C fills the node) and D0 otherwise, in one step: D =
+        pi_j*(C meet V_{<=j*}) on summand j*, the highest summand that C
+        does not fill, and D0 = pi_j0(C meet V_{<=j0}) on summand j0, the
+        lowest summand holding a pivot (none for the zero code), both from
+        the echelon form with the columns taken top summand first
+        (_top_first): the rows with their pivot in summand j are zero above
+        it, and their parts in it span D_j, at offset M_w * N_{<j}.  An
+        explicit code's are along P_lo + P_hi, P_hi the top summand: T =
+        pi_hi(C) on P_hi at offset M_w * N_lo, and at offset 0 the fibers
+        C_t = {c_lo : (c_lo, t) in C} on P_lo, the node without its top
+        summand; for a covering radius the fibers when T fills P_hi, else T,
+        and otherwise the fibers with two or more words, else T."""
+        space, children = self.space, node.children
+        mw, last = space.weight.max_weight, len(children) - 1
+        if self.is_linear:
+            rows, pivots, at = self._top_first(where)
+            held = np.bincount(at, minlength=len(children)).tolist()
+            widths = np.bincount(where, minlength=len(children)).tolist()
+            under = list(accumulate((len(child.elements) for child in children), initial=0))
 
-            cover = None if top is None else level(top)
+            def level(j: int) -> list[tuple[int, Code]]:
+                cols, mine = np.flatnonzero(where == j), at == j
+                part = Code._of(space.restrict(children[j].elements), rows[mine][:, cols],
+                                np.searchsorted(cols, pivots[mine]).tolist())
+                return [(mw * under[j], part)]
+
+            top = next((j for j in reversed(range(len(held))) if held[j] < widths[j]), None)
+            cover = [] if top is None else level(top)
             if not len(at):  # the rows come top summand first
-                return cover, None
-            return cover, cover if at[-1] == top else level(at[-1])
-        hi, low = node.children[-1], node.children[:-1]
-        hi_cols = space.columns(hi.elements)
-        if len(low) == 1:
-            lo = low[0]
-        else:
-            lo = Node("series", tuple(sorted(e for c in low for e in c.elements)), low, node.below)
-        lo_cols = space.columns(lo.elements)
-        words = part.words
+                return "series", cover, []
+            return "series", cover, cover if at[-1] == top else level(at[-1])
+        hi = children[-1]
+        lo = tuple(sorted(e for child in children[:-1] for e in child.elements))
+        hi_cols, lo_cols = np.flatnonzero(where == last), np.flatnonzero(where < last)
+        words = self._rows
         keys = np.ascontiguousarray(words[:, hi_cols]).view(f"V{len(hi_cols)}").ravel()
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        t_words = np.zeros((len(starts), space.n), dtype=np.uint8)
-        t_words[:, hi_cols] = words[order[starts]][:, hi_cols]
-        lows = words[order]
-        lows[:, hi_cols] = 0
-        fibers = [
-            _Part(lo, lo_cols, len(fiber), words=fiber) for fiber in np.split(lows, starts[1:])
-        ]
-        return _Part(hi, hi_cols, len(t_words), words=t_words), fibers
+        t_words = words[order[starts]][:, hi_cols]
+        top = [(mw * len(lo), Code._of(space.restrict(hi.elements), t_words))]
+        lo_space = space.restrict(lo)
+        fibers = [(0, Code._of(lo_space, fiber))
+                  for fiber in np.split(words[order][:, lo_cols], starts[1:])]
+        cover = fibers if len(starts) == space.q ** len(hi_cols) else top
+        return "series", cover, [f for f in fibers if f[1].size > 1] or top
 
-    def _top_first(self, part: _Part) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A linear part's rows on a series node reduced with the columns
-        taken top summand first, their pivots, and the summand of each
-        pivot, which does not rise from row to row."""
+    def _top_first(self, where: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A linear code's generators on a series node, where[c] the summand
+        that holds column c, reduced with the columns taken top summand
+        first, their pivots, and the summand of each pivot, which does not
+        rise from row to row."""
         space = self.space
-        where = self._child_of_columns(part.node)
-        order = part.cols[np.argsort(-where[part.cols], kind="stable")]
-        reduced, pivots = _row_reduce(space.field, part.rows, order.tolist())
+        order = np.argsort(-where, kind="stable")
+        reduced, pivots = _row_reduce(space.field, self._rows, order.tolist())
         rows = np.array(reduced, dtype=np.uint8).reshape(len(reduced), space.n)
         pivots = np.array(pivots, dtype=np.intp)
         return rows, pivots, where[pivots]
 
     def _child_of_columns(self, node: Node) -> np.ndarray:
-        """The index of the child of a node that holds each column (0 off
-        the node)."""
+        """The index of the child of a node that holds each column."""
         of = [0] * self.space.s
         for j, child in enumerate(node.children):
             for e in child.elements:
                 of[e - 1] = j
         return np.repeat(of, self.space.labeling.sizes)
 
-    def _leaf_cols(self, part: _Part) -> np.ndarray:
-        """The columns a leaf's pass enumerates: a linear part's off its
-        pivots, an explicit part's all of them."""
-        if not self.is_linear or not len(part.rows):
-            return part.cols
-        free = np.zeros(self.space.n, dtype=bool)
-        free[part.cols] = True
-        free[part.pivots] = False
-        return np.flatnonzero(free)
-
-    def _leaf_cost(self, part: _Part, what: str) -> int:
-        """The entries of a part's reading as a leaf, its rows times its |C|
-        words: q^|leaf cols| rows (_leaf_cols, a linear part's columns off
-        its pivots) for both radii, and for "dist" the zero row of a linear
-        part or the words of an explicit one; 0 when a linear part fills the
-        leaf (its covering radius is 0)."""
-        if what == "dist":
-            rows = 1 if self.is_linear else part.size
-        elif what == "cover" and self.is_linear and len(part.rows) == len(part.cols):
+    def _leaf_cost(self, what: str) -> int:
+        """The entries of the code's reading as a leaf, its rows times its
+        |C| words: q^|free| rows (the columns off a linear code's pivots, all
+        of an explicit code's) for both radii, and for a minimum distance the
+        zero row of a linear code or the words of an explicit one; 0 when a
+        linear code fills its space (its covering radius is 0)."""
+        if what == "min_distance":
+            rows = 1 if self.is_linear else self.size
+        elif what == "covering_radius" and not len(self._free):
             return 0
         else:
-            rows = self.space.q ** len(self._leaf_cols(part))
-        return rows * part.size
+            rows = self.space.q ** len(self._free)
+        return rows * self.size
 
-    def _read_leaf(self, part: _Part, what: str) -> None:
-        """A leaf's reading into its memo: the minimum distance from a linear
-        part's nonzero words (the zero row against the words), or from an
-        explicit part's words as the rows of a whole-row pass against
-        themselves: a word's row has its one 0 at the word itself, so its
-        second-smallest entry is the distance to the nearest other word.
-        Else both radii from one pass (the coset pass of a linear part on its
-        columns off the pivots against its negated words, an explicit part's
-        on all its columns against its words)."""
+    def _read_leaf(self, what: str) -> None:
+        """The code's reading as a leaf into its memo: the minimum distance
+        from a linear code's nonzero words (the zero row against the words),
+        or from an explicit code's words as the rows of a whole-row pass
+        against themselves: a word's row has its one 0 at the word itself,
+        so its second-smallest entry is the distance to the nearest other
+        word.  Else both radii from one pass (the coset pass of a linear
+        code on its columns off the pivots against its negated words, an
+        explicit code's on all its columns against its words)."""
         space = self.space
-        if not self._leaf_cost(part, what):  # a linear part that fills the leaf
-            part.memo[what] = 0
+        if not self._leaf_cost(what):  # a linear code that fills its space
+            self._memo[what] = 0
             return
-        if self.is_linear and part.words is None:
-            part.words = _span(space.field, part.rows)
-        if what == "dist":
+        words = self._listed()
+        if what == "min_distance":
             if self.is_linear:
-                part.memo[what] = int(space.batch_weights(part.words[1:]).min())
+                self._memo[what] = int(space.batch_weights(words[1:]).min())
             else:
-                chunks = self._whole_rows(part.cols, part.words, False, part.words)
-                part.memo[what] = min(int(d2.min()) for _, _, d2, _ in chunks)
+                chunks = self._whole_rows(self._free, words, False, words)
+                self._memo[what] = min(int(d2.min()) for _, _, d2, _ in chunks)
             return
-        words = space.field.neg_table[part.words] if self.is_linear else part.words
-        covering, packing, _ = self._pass(self._leaf_cols(part), words)
-        part.memo["cover"] = covering
-        if part.size > 1:
-            part.memo["pack"] = packing
+        if self.is_linear:
+            words = space.field.neg_table[words]
+        covering, packing, _ = self._pass(self._free, words)
+        self._memo["covering_radius"] = covering
+        if self.size > 1:
+            self._memo["packing_radius"] = packing
 
     # the pass -----------------------------------------------------------------
 
@@ -660,7 +645,7 @@ class Code:
             best_w = np.empty(rows, dtype=np.int64)
             best_word = np.empty(rows, dtype=np.intp)
         covering, second = 0, _BIG
-        for start, d1, d2, word in self._rows(cols, words, leaders):
+        for start, d1, d2, word in self._chunks(cols, words, leaders):
             covering = max(covering, int(d1.max()))
             second = min(second, int(d2.min()))
             if leaders:
@@ -668,7 +653,7 @@ class Code:
                 best_word[start : start + len(d1)] = word
         return covering, second - 1, ((best_w, best_word) if leaders else None)
 
-    def _rows(self, cols: np.ndarray, words: np.ndarray, leaders: bool):
+    def _chunks(self, cols: np.ndarray, words: np.ndarray, leaders: bool):
         """Yield (rank of the first row, d1, d2, word) per chunk of the rows
         of _pass, word being the index of each row's first minimum with
         leaders, else None.  The last t columns, t the largest below
@@ -687,7 +672,7 @@ class Code:
 
     def _whole_rows(self, cols: np.ndarray, words: np.ndarray, leaders: bool,
                     rows: np.ndarray | None = None):
-        """_rows on whole rows x, those of F_q^cols or, when given, the rows
+        """_chunks on whole rows x, those of F_q^cols or, when given, the rows
         of an (X, n) uint8 array: tiles of at most _CHUNK pairs, x-rows times
         a block of words, one pair-kernel call each (whole rows when
         |C| <= _CHUNK, else one row split over word blocks).  The first
@@ -723,7 +708,7 @@ class Code:
         self, cut: _Cut, head_cols: np.ndarray, tail_cols: np.ndarray, words: np.ndarray,
         leaders: bool,
     ):
-        """_rows through a cut: x is a head row (on head_cols) plus a tail row
+        """_chunks through a cut: x is a head row (on head_cols) plus a tail row
         (on tail_cols).  The (C, T) tail index of all T = q^t tail rows is
         built once and the head index once per chunk of X head rows, so each
         (X, C, T) tile costs one add and one gather per entry.  A chunk
@@ -758,7 +743,7 @@ class Code:
             raise NotLinear("cosets are defined for linear codes only")
         f, q = self.space.field, self.space.q
         canon = self.space._coerce_rows(rows)
-        for g, p in zip(self._defining_rows(), self.pivots):
+        for g, p in zip(self._rows, self.pivots):
             canon = f.sub_table[canon, f.mul_table[canon[:, p : p + 1], g[None, :]]]
         free = len(self._free)
         dtype = np.int64 if q**free <= _BIG else object
@@ -807,8 +792,9 @@ class Code:
                 return int(self.size < space.size)
             # j*: the highest block holding fewer pivots than columns in the
             # echelon form with the columns taken top block first
-            held = np.bincount(self._top_first(self._root())[2], minlength=space.s)
-            widths = [len(space.columns(block.elements)) for block in space.poset.tree().children]
+            where = self._child_of_columns(space.poset.tree())
+            held = np.bincount(self._top_first(where)[2], minlength=space.s)
+            widths = np.bincount(where, minlength=space.s)
             return next((j + 1 for j in reversed(range(space.s)) if held[j] < widths[j]), 0)
         arr = self.codeword_array()
         above: list[int] = []  # the columns of blocks l..s
@@ -823,22 +809,14 @@ class Code:
 
     # rows and alternative weights -------------------------------------------
 
-    def _defining_rows(self) -> np.ndarray:
-        """(rows, n) uint8: the generators of a linear code, the words of an
-        explicit one."""
-        if self.is_linear:
-            return np.array(self.generators, dtype=np.uint8).reshape(self.dimension, self.space.n)
-        return self.codeword_array()
-
     def _same_kind(self, space: BlockSpace, rows: np.ndarray) -> "Code":
         """The code of this code's kind in space with the given rows: its
-        generators when linear (a linear map of _defining_rows), else its
-        words."""
+        generators when linear (a linear map of _rows), else its words."""
         return Code(space, generators=rows) if self.is_linear else Code(space, words=rows)
 
     def with_weight(self, weight: WeightFn) -> "Code":
         """The same word set viewed in the sibling space under another weight."""
-        return self._same_kind(self.space.with_weight(weight), self._defining_rows())
+        return self._same_kind(self.space.with_weight(weight), self._rows)
 
     def max_poset_weight(self, weight: WeightFn) -> int:
         """Max codeword weight under the given coordinate weight."""

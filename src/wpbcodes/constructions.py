@@ -10,7 +10,9 @@ The direct sum and (u'|u'+u'') share one body mapping pairs (u, v) to
 are linear, so the result stays linear, else all |C1| * |C2| word pairs,
 charged before any codeword is listed.  The tensor product is one mul_table
 gather over the same charged pairs; its word set {u (x) v} is generally not
-a subspace and is always explicit.
+a subspace and is always explicit.  Its poset's order relation, s^2 for
+its s = s1 * s2 elements, is charged before that poset is built, as the
+loader charges a document's.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def _sum_code(c1: Code, c2: Code, order: str, plotkin: bool) -> ConstructionResu
     space = BlockSpace(poset, labeling, s1.field, s1.weight)
     linear = c1.is_linear and c2.is_linear
     if linear:
-        g1, g2 = c1._defining_rows(), c2._defining_rows()
+        g1, g2 = c1._rows, c2._rows
         rows = np.zeros((len(g1) + len(g2), space.n), dtype=np.uint8)
         rows[: len(g1), : s1.n] = g1
         rows[len(g1) :, s1.n :] = g2
@@ -141,7 +143,7 @@ def extended_code(c: Code) -> ConstructionResult:
     f = s.field
     labeling = Labeling(s.labeling.sizes + (1,))
     space = BlockSpace(posets.extend(s.poset), labeling, f, s.weight)
-    rows = c._defining_rows()
+    rows = c._rows
     # addition in GF(p^e) acts digit-wise mod p on the base-p digits
     powers = f.p ** np.arange(f.e)
     total = (rows[:, :, None] // powers % f.p).sum(axis=1) % f.p @ powers
@@ -162,7 +164,7 @@ def punctured_code(c: Code, i: int) -> ConstructionResult:
         raise OutOfRange(f"block {i} outside 1..{s.s}")
     sizes = tuple(k for j, k in enumerate(s.labeling.sizes, start=1) if j != i)
     space = BlockSpace(posets.puncture(s.poset, i), Labeling(sizes), s.field, s.weight)
-    code = c._same_kind(space, np.delete(c._defining_rows(), s.labeling.block_slice(i), axis=1))
+    code = c._same_kind(space, np.delete(c._rows, s.labeling.block_slice(i), axis=1))
     prov = {"construction": "puncture", "block": i, "inputs": [_input_summary(c)]}
     return ConstructionResult(code, space, prov)
 
@@ -205,14 +207,15 @@ def tensor_vector(
 
 
 def tensor_code(c1: Code, c2: Code, order: str = "cartesian") -> ConstructionResult:
-    """The explicit word set {u (x) v}; generally not linear, never spanned."""
+    """The explicit word set {u (x) v}; generally not linear, never spanned.
+    The product poset's order relation, (s1 * s2)^2 for its s1 * s2
+    elements, is charged before the poset is built."""
     s1, s2 = c1.space, c2.space
-    if order == "cartesian":
-        p = posets.cartesian_product(s1.poset, s2.poset)
-    elif order == "lex":
-        p = posets.lex_product(s1.poset, s2.poset)
-    else:
+    if order not in ("cartesian", "lex"):
         raise ValueError(f"order must be 'cartesian' or 'lex', got {order!r}")
+    charge((s1.s * s2.s) ** 2, "poset order relation s^2")
+    product = posets.cartesian_product if order == "cartesian" else posets.lex_product
+    p = product(s1.poset, s2.poset)
     _check_compatible(c1, c2)
     space = BlockSpace(
         p, tensor_labeling(s1.labeling, s2.labeling), s1.field, s1.weight

@@ -5,11 +5,13 @@ its strict up-set, with element j at bit j - 1 (Poset.below, Poset.above).
 Every step works on these masks, so none walks an s x s table:
 from_cover_relations sorts the elements topologically and builds the
 down-sets in that order and the up-sets in the reverse one, one OR per
-cover each; the combinators shift and OR their inputs' masks; ideals,
-maximal elements, the ordinal-sum summands and the decomposition tree are
-unions and intersections of masks.  The matrix constructor Poset(leq)
-checks a given relation with one subset test per related pair, and
-matrix() is the one bool array, derived for the weight kernel.
+cover each; the combinators shift and OR their inputs' masks; the order
+induced on a subset (induced, and so puncture) compresses each mask one
+run of consecutive elements at a time; ideals, maximal elements, the
+ordinal-sum summands and the decomposition tree are unions and
+intersections of masks.  The matrix constructor Poset(leq) checks a given
+relation with one subset test per related pair, and matrix() is the one
+bool array, derived for the weight kernel.
 Elements are 1-based in the public API; serialization uses cover pairs.
 
 Index flattening for the two product combinators is fixed as
@@ -20,7 +22,6 @@ labelings downstream.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -144,6 +145,29 @@ class Poset:
             down |= self.below[e - 1]
         return mask, down | mask
 
+    def induced(self, elements: Sequence[int]) -> Poset:
+        """The order P induces on the given ascending elements, relabelled
+        order-preservingly to 1..len(elements): element elements[i] becomes
+        i + 1.  Each kept mask is compressed with one shift-and-mask per run
+        of consecutive elements, so a run costs the same at any length."""
+        if any(b <= a for a, b in zip(elements, elements[1:])):
+            raise ValueError(f"elements must ascend, got {list(elements)}")
+        if elements:
+            self._check(elements[0])
+            self._check(elements[-1])
+        runs = []  # (first bit, mask of the run's width, new first bit)
+        start = 0
+        for i in range(1, len(elements) + 1):
+            if i == len(elements) or elements[i] != elements[i - 1] + 1:
+                runs.append((elements[start] - 1, (1 << i - start) - 1, start))
+                start = i
+
+        def pack(mask: int) -> int:
+            return sum((mask >> lo & width) << at for lo, width, at in runs)
+
+        return Poset._of([pack(self.below[e - 1]) for e in elements],
+                         [pack(self.above[e - 1]) for e in elements])
+
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Covers (a, b): a < b with nothing strictly between, that is the
         maximal elements of b's strict down-set; sorted."""
@@ -192,31 +216,27 @@ def _summands(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[tuple[int
 
 class Node:
     """A node of a poset's decomposition tree (Poset.tree): its kind
-    ("series", "parallel" or "leaf"), its elements (ascending, 1-based), its
-    children (a series node's summands, bottom first, or a parallel node's
-    components) and below, the number of elements outside the node below
-    any of its elements, which lie below all of them."""
+    ("series", "parallel" or "leaf"), its elements (ascending, 1-based) and
+    its children (a series node's summands, bottom first, or a parallel
+    node's components).  The tree of the order a node's elements induce
+    (Poset.induced) is the node's subtree, relabelled."""
 
-    __slots__ = ("kind", "elements", "children", "below")
+    __slots__ = ("kind", "elements", "children")
 
-    def __init__(self, kind: str, elements: tuple[int, ...], children: tuple[Node, ...],
-                 below: int):
-        self.kind, self.elements, self.children, self.below = kind, elements, children, below
+    def __init__(self, kind: str, elements: tuple[int, ...], children: tuple[Node, ...]):
+        self.kind, self.elements, self.children = kind, elements, children
 
 
 @lru_cache(maxsize=1024)
 def _tree(below: tuple[int, ...], above: tuple[int, ...]) -> Node:
     """Poset.tree of the order with these masks (keyed by them, so equal
     posets share it)."""
-    return _node(Poset._of(below, above), (1 << len(below)) - 1, 0)
+    return _node(Poset._of(below, above), (1 << len(below)) - 1)
 
 
-def _node(p: Poset, members: int, below: int) -> Node:
+def _node(p: Poset, members: int) -> Node:
     """The decomposition tree of the order p induces on the elements of the
-    mask members, which lie above `below` other elements.  An element
-    outside the node below one inside lies below all of them: their lowest
-    common node is a series one, since a parallel one's parts are
-    incomparable."""
+    mask members."""
     elements = tuple(b + 1 for b in bits(members))
     # the summands are the components of the incomparability graph, and
     # an element of a lower one has fewer elements below it than one of a
@@ -224,13 +244,11 @@ def _node(p: Poset, members: int, below: int) -> Node:
     parts = sorted(_components(p, members, False),
                    key=lambda part: (p.below[next(bits(part))] & members).bit_count())
     if len(parts) > 1:
-        under = accumulate((part.bit_count() for part in parts[:-1]), initial=below)
-        children = tuple(_node(p, part, u) for part, u in zip(parts, under))
-        return Node("series", elements, children, below)
+        return Node("series", elements, tuple(_node(p, part) for part in parts))
     parts = _components(p, members, True)
     if len(parts) > 1:
-        return Node("parallel", elements, tuple(_node(p, part, below) for part in parts), below)
-    return Node("leaf", elements, (), below)
+        return Node("parallel", elements, tuple(_node(p, part) for part in parts))
+    return Node("leaf", elements, ())
 
 
 # constructors ---------------------------------------------------------------
@@ -396,14 +414,8 @@ def lex_product(p: Poset, q: Poset) -> Poset:
 
 def puncture(p: Poset, z: int) -> Poset:
     """The order induced on {1..s}-{z}, relabelled order-preservingly to {1..s-1}."""
-    if not 1 <= z <= p.s:
-        raise OutOfRange(f"element {z} outside 1..{p.s}")
-    low = (1 << (z - 1)) - 1
-
-    def drop(masks: tuple[int, ...]) -> list[int]:
-        return [m & low | m >> z << (z - 1) for i, m in enumerate(masks) if i != z - 1]
-
-    return Poset._of(drop(p.below), drop(p.above))
+    p._check(z)
+    return p.induced([e for e in p.elements() if e != z])
 
 
 def extend(p: Poset) -> Poset:

@@ -98,7 +98,7 @@ def _direct_sum_chain(rng, k1: int, middle_full: bool, k2: int):
                 break
         outer.append(code)
     middle = np.eye(40, dtype=int) if middle_full else np.zeros((0, 40), dtype=int)
-    g1, g2 = (c._defining_rows().astype(int) for c in outer)
+    g1, g2 = (c._rows.astype(int) for c in outer)
     rows = np.zeros((len(g1) + len(middle) + len(g2), 60), dtype=int)
     rows[: len(g1), :10] = g1
     rows[len(g1) : len(g1) + len(middle), 10:50] = middle
@@ -333,8 +333,10 @@ def test_max_space_notation(lee_span, capsys):
 def test_construct_max_space(tmp_path, capsys):
     """construct takes --max-space like the instance commands: the tensor
     of two 4-word codes builds 16 words (10 distinct), over a cap of 15,
-    within 16."""
-    doc = {**REP3, "code": {"kind": "generator", "rows": [[1, 1, 0], [0, 1, 1]]}}
+    within 16.  Each code lies on one 3-coordinate block, so the product
+    poset's order relation (1^2) fits both caps."""
+    doc = {**REP3, "poset": {"elements": 1, "cover": []}, "labeling": [3],
+           "code": {"kind": "generator", "rows": [[1, 1, 0], [0, 1, 1]]}}
     path = tmp_path / "four.json"
     path.write_text(json.dumps(doc))
     tensor = ["construct", "tensor", str(path), str(path)]
@@ -360,6 +362,38 @@ def test_verify_rejects_jobs_below_one(jobs, capsys):
         main(["verify", "--jobs", jobs])
     assert e.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_construct_tensor_charges_the_product_poset_first(tmp_path, monkeypatch, capsys):
+    """Two 100-element antichain documents load under the default cap (each
+    charges s^2 = 10^4), but their tensor product's poset has 10^4 elements
+    and an order relation of 10^8 > 2^24: construct exits 1 naming that
+    charge, and neither product combinator is called."""
+    s = 100
+    doc = {**REP3, "poset": {"elements": s, "cover": []}, "labeling": [1] * s,
+           "code": {"kind": "list", "words": [[0] * s]}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+
+    def refuse(*args):
+        raise AssertionError("the product poset was built before its charge")
+
+    monkeypatch.setattr(wpbcodes.poset, "cartesian_product", refuse)
+    monkeypatch.setattr(wpbcodes.poset, "lex_product", refuse)
+    for order in ("cartesian", "lex"):
+        assert main(["construct", "tensor", str(path), str(path), "--order", order]) == 1
+        err = capsys.readouterr().err
+        assert "SpaceTooLarge: poset order relation s^2 = 100000000 exceeds" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_trials_below_one(trials, capsys):
+    """--trials 0 or below would run no unit and report every check as
+    passing; it is a usage error, as --jobs 0 is."""
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--trials", trials])
+    assert e.value.code == 2
+    assert "--trials" in capsys.readouterr().err
 
 
 def test_verify_q_filter(capsys):

@@ -326,14 +326,15 @@ class _Tiles(NamedTuple):
 
 @contextmanager
 def _counting_tiles(sp):
-    """Record the pairs of every pair-kernel call on sp, and the pairs and
-    dtype of every tile made through a cut (head rows x words x tail rows),
-    inside the block."""
-    kernel, cut_weights = sp.pair_weights, blockspace._Cut.weights
+    """Record the pairs of every pair-kernel call, and the pairs and dtype
+    of every tile made through a cut (head rows x words x tail rows),
+    inside the block: on sp and on the spaces of the parts its readings
+    split into, which are their nodes' own (BlockSpace.restrict)."""
+    kernel, cut_weights = BlockSpace.pair_weights, blockspace._Cut.weights
     tiles = _Tiles([], [])
 
-    def counted(left, right=None):
-        w = kernel(left, right)
+    def counted(space, left, right=None):
+        w = kernel(space, left, right)
         tiles.kernel.append(w.size)
         return w
 
@@ -342,12 +343,12 @@ def _counting_tiles(sp):
         tiles.cut.append((w.size, w.dtype))
         return w
 
-    sp.pair_weights = counted
+    BlockSpace.pair_weights = counted
     blockspace._Cut.weights = counted_cut
     try:
         yield tiles
     finally:
-        del sp.pair_weights
+        BlockSpace.pair_weights = kernel
         blockspace._Cut.weights = cut_weights
 
 
@@ -495,7 +496,9 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
     cut, index, run = BlockSpace.cut, blockspace._Side.index, Code._pass
     seen: list = []  # the cut point of each pass that asked for one
     indices: list = []  # entries and dtype of every head and tail index
-    passes: list = []  # per pass: one tile holds it, a row's words fill a tile, its cuts
+    # per pass: one tile holds it, a row's words fill a tile, its cuts, and
+    # the block offsets of its space (a split's part has its node's own)
+    passes: list = []
 
     def recording_cut(sp, p):
         seen.append(p)
@@ -505,7 +508,8 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
         start = len(seen)
         out = run(code, cols, words, leaders)
         q = code.space.q
-        passes.append((q ** len(cols) * len(words) <= chunk, q * len(words) > chunk, seen[start:]))
+        passes.append((q ** len(cols) * len(words) <= chunk, q * len(words) > chunk, seen[start:],
+                       code.space.labeling.offsets))
         return out
 
     def recording_index(side, left, right):
@@ -542,10 +546,10 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
             split.add(len(sp._kernel.plan().extra) > 0)
             # the reading's leaf passes, then the coset table's full pass
             assert passes
-            for one_tile, word_blocks, at in passes:
+            for one_tile, word_blocks, at, offsets in passes:
                 assert len(at) == (0 if one_tile or word_blocks else 1)
                 if at:
-                    cuts.add("boundary" if at[0] in sp.labeling.offsets else "inside")
+                    cuts.add("boundary" if at[0] in offsets else "inside")
                 elif one_tile:
                     cuts.add("none")
 
@@ -698,6 +702,11 @@ def _level_space(rng):
     return BlockSpace(pos, Labeling(sizes), f, w)
 
 
+def _columns(sp, elements):
+    """The coordinates of the blocks of the given ascending elements."""
+    return np.concatenate([np.arange(sp.n)[sp.labeling.block_slice(e)] for e in elements])
+
+
 def _level_summands(code):
     """(j*, j0) of a code from its codewords, summands numbered 1..h from
     the bottom: j* the highest summand j whose projection together with the
@@ -705,7 +714,7 @@ def _level_summands(code):
     summand that is the top nonzero summand of a nonzero codeword (None for
     a one-word code)."""
     sp, cw = code.space, code.codeword_array()
-    cols = [sp.columns(part) for part in sp.poset.summands()]
+    cols = [_columns(sp, part) for part in sp.poset.summands()]
     top = 0
     for j in range(len(cols), 0, -1):
         above = np.concatenate(cols[j - 1 :])
@@ -802,12 +811,47 @@ def _sp_poset(rng, budget):
     )
 
 
+def test_a_node_weighs_its_offset_plus_its_own_space():
+    """The offset identity of the tree reading: on seeded series-parallel
+    spaces, at every node of the tree, a nonzero vector zero off the node
+    weighs M_w times the elements outside the node below one of its
+    elements, plus its weight in the node's own space
+    (BlockSpace.restrict), under batch_weights and under wpb_weight."""
+    rng = random.Random(59)
+    offsets, kinds = set(), set()
+    for _ in range(60):
+        q = rng.choice([2, 3, 4, 5])
+        pos = _sp_poset(rng, 6)
+        f = make_field(q)
+        w = lee_weight(f) if q != 4 and rng.random() < 0.5 else hamming_weight(f)
+        sp = BlockSpace(pos, Labeling(tuple(rng.randrange(1, 3) for _ in range(pos.s))), f, w)
+        stack = [pos.tree()]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            kinds.add(node.kind)
+            inside = set(node.elements)
+            below = sum(1 for a in pos.elements() if a not in inside
+                        and any(pos.less(a, b) for b in inside))
+            offsets.add(below > 0)
+            sub, cols = sp.restrict(node.elements), _columns(sp, node.elements)
+            local = np.array([[rng.randrange(q) for _ in cols] for _ in range(12)], dtype=np.uint8)
+            local = local[local.any(axis=1)]
+            full = np.zeros((len(local), sp.n), dtype=np.uint8)
+            full[:, cols] = local
+            offset = sp.weight.max_weight * below
+            assert (sp.batch_weights(full) == offset + sub.batch_weights(local)).all()
+            assert [sp.wpb_weight(v) for v in full.tolist()] == [
+                offset + sub.wpb_weight(v) for v in local.tolist()]
+    assert offsets == {True, False} and kinds == {"series", "parallel", "leaf"}
+
+
 def _lower(node):
     """A series node without its top summand, as the reading splits it."""
     low = node.children[:-1]
     if len(low) == 1:
         return low[0]
-    return P.Node("series", tuple(sorted(e for c in low for e in c.elements)), low, node.below)
+    return P.Node("series", tuple(sorted(e for c in low for e in c.elements)), low)
 
 
 def _tree_words(rng, sp, node, limit):
@@ -817,7 +861,7 @@ def _tree_words(rng, sp, node, limit):
     product test fails by one); on a series node a top projection T, the
     whole top summand now and then, with a fiber of one or several words
     below each top value; anywhere else, or now and then, random words."""
-    cols = sp.columns(node.elements)
+    cols = _columns(sp, node.elements)
     space_rows = blockspace.odometer_table(sp.q, len(cols))
 
     def anywhere(m):
@@ -835,7 +879,7 @@ def _tree_words(rng, sp, node, limit):
         if len(words) > 2 and rng.random() < 0.4:
             words = np.delete(words, rng.randrange(len(words)), axis=0)
         return words if len(words) <= limit else anywhere(limit)
-    hi_cols = sp.columns(node.children[-1].elements)
+    hi_cols = _columns(sp, node.children[-1].elements)
     tops = blockspace.odometer_table(sp.q, len(hi_cols))
     if len(tops) <= limit // 2 and rng.random() < 0.4:
         chosen = range(len(tops))  # T fills the top summand
@@ -854,7 +898,7 @@ def _tree_rows(rng, sp, node):
     """Generator rows zero off a node's columns: on a parallel node, now
     and then, the rows of each part (a direct sum along the split), else
     random rows of random rank over all of the node's columns."""
-    cols = sp.columns(node.elements)
+    cols = _columns(sp, node.elements)
     if node.kind == "parallel" and rng.random() < 0.6:
         return np.concatenate([_tree_rows(rng, sp, child) for child in node.children])
     rows = np.zeros((rng.randrange(len(cols) + 1), sp.n), dtype=np.uint8)
@@ -881,30 +925,36 @@ def _scalar_readings(sp, words):
 
 
 def _splits_taken(code):
-    """The kinds of split a code's readings took on its tree."""
-    taken, stack = set(), [code._memo["root"]]
+    """The kinds of split a code's readings took on its tree, walking the
+    codes of its parts, each on its node's own space, with the offset at
+    which each sits in the code's space: M_w times the elements below its
+    node."""
+    taken, stack = set(), [(0, code)]
     while stack:
-        part = stack.pop()
-        if part.split == () and part.node.kind == "parallel":
+        offset, part = stack.pop()
+        node = part.space.poset.tree()
+        if part._parts == () and node.kind == "parallel":
             taken.add((code.kind, "no product"))
-        for what, (deps, _) in part.plan.items():
+        for what, (deps, _) in part._plans.items():
             if deps is None:
                 continue
-            stack.extend(deps)
-            if part.node.kind == "parallel":
+            stack.extend((offset + o, dep) for o, dep in deps)
+            if node.kind == "parallel":
                 taken.add((code.kind, "parallel"))
-                values = [code._combine(dep, what) for dep in deps]
-                if what == "cover" and part.node.below and sum(map(bool, values)) > 1:
+                values = [dep._combine(what) for _, dep in deps]
+                if what == "covering_radius" and offset and sum(map(bool, values)) > 1:
                     taken.add("offset sum")
                 continue
             # read from the top summand, or from below it: a linear code's
             # D (j* below the top) or D0 (j0 below it), an explicit code's
-            # fibers
-            if all(dep.node is part.node.children[-1] for dep in deps):
+            # fibers; the top summand's offset is M_w times the elements
+            # below it, and a lower summand's is smaller
+            under_top = part.space.s - len(node.children[-1].elements)
+            if all(o == part.space.weight.max_weight * under_top for o, _ in deps):
                 taken.add((code.kind, "top"))
                 continue
-            taken.add((code.kind, "top filled" if what == "cover" else "fibers"))
-            if code.kind == "explicit" and any(f.size > 1 for f in deps):
+            taken.add((code.kind, "top filled" if what == "covering_radius" else "fibers"))
+            if code.kind == "explicit" and any(f.size > 1 for _, f in deps):
                 taken.add((code.kind, "fiber of several words"))
     return taken
 
@@ -974,8 +1024,8 @@ def test_disjoint_sum_of_two_30_block_chains(kind, k1, k2):
                     hamming_weight(f))
     if kind == "linear":
         rows = np.zeros((k1 + k2, 60), dtype=np.uint8)
-        rows[:k1, :30] = c1._defining_rows()
-        rows[k1:, 30:] = c2._defining_rows()
+        rows[:k1, :30] = c1._rows
+        rows[k1:, 30:] = c2._rows
         code = Code.linear(sp, rows)
     else:
         w1, w2 = c1.codeword_array(), c2.codeword_array()
@@ -1115,11 +1165,10 @@ _CAPPED = {
     ),
     # on the 2-chain C fills block 2 (j0 = 2, D0 = F_3^2: 9 words, 9 pass
     # entries) and misses block 1 (j* = 1, D = 0: q^1 pass entries); that
-    # pass then charges the space's piece plan, 2 pieces x 3 columns
+    # pass runs in block 1's own space and charges its piece plan, 1 piece x
+    # 1 column, below the pass's 3
     "level min_distance": (9, lambda s: Code.linear(s, _CAPPED_GENERATORS).min_distance()),
-    "level covering_radius": (
-        3, lambda s: Code.linear(s, _CAPPED_GENERATORS).covering_radius(), 6
-    ),
+    "level covering_radius": (3, lambda s: Code.linear(s, _CAPPED_GENERATORS).covering_radius()),
     "level packing_radius": (9, lambda s: Code.linear(s, _CAPPED_GENERATORS).packing_radius()),
     "linear coset_table": (27, lambda s: Code.linear(s, _CAPPED_GENERATORS).coset_table()),
     # the words do not factor on the antichain, whose tree is then one leaf

@@ -251,8 +251,10 @@ _WORD_PRODUCTS = {
 def test_word_products_are_charged_first(build, monkeypatch):
     """Each construction that builds a word from every pair of codewords
     charges the |C1| * |C2| words before it lists a codeword or calls the
-    pair kernel."""
-    s = space(2, P.chain(2), (1, 1))
+    pair kernel.  The codes lie on one 2-coordinate block, so the order
+    relation of the tensor's product poset (1^2), charged before it is
+    built, fits every cap here."""
+    s = space(2, P.chain(1), (2,))
     c1 = Code.explicit(s, [(0, 0), (1, 1), (0, 1)])
     c2 = Code.explicit(s, [(0, 0), (1, 0)])
 

@@ -303,13 +303,16 @@ def test_2000_element_chain_loads_and_answers():
 def test_2000_element_antichain_loads_and_answers():
     """A 2,000-block antichain of one-coordinate blocks through the loader,
     the code spanned by unit rows (each inside one block): under the
-    Hamming weight the metric is Hamming's, so d = 1 and rho = 0."""
+    Hamming weight the metric is Hamming's, so d = 1, rho = 0, and R is the
+    1,995 blocks that no row touches.  R reads 2,000 one-block leaves, each
+    in its own space."""
     s = 2000
     rows = [[int(i == j) for i in range(s)] for j in (0, 5, 17, 999, 1999)]
     start = time.perf_counter()
     _, code = loads_instance(_one_coordinate_blocks(s, [], rows)).build()
     assert code.min_distance() == 1
     assert code.packing_radius() == 0
+    assert code.covering_radius() == 1995
     assert time.perf_counter() - start < 2
 
 

@@ -292,6 +292,31 @@ def test_combinators_match_their_definitions():
                     assert lex.leq(a, b) == (p.less(x, u) or (x == u and q.leq(y, v)))
 
 
+def test_induced_matches_leq_on_every_subset():
+    """The order induced on every subset of every poset of 1 to 4
+    elements, read through leq against the order of the subset's elements
+    in P, with up-sets that match; the empty subset gives the empty order.
+    Elements out of range or not ascending are refused."""
+    runs = set()
+    for s in (1, 2, 3, 4):
+        for p in P.all_posets(s):
+            for mask in range(1 << s):
+                keep = [e for e in p.elements() if mask >> (e - 1) & 1]
+                sub = p.induced(keep)
+                assert sub.s == len(keep)
+                _assert_up_sets_match(sub)
+                for a in sub.elements():
+                    for b in sub.elements():
+                        assert sub.leq(a, b) == p.leq(keep[a - 1], keep[b - 1])
+                runs.add(sum(1 for a, b in zip([-1] + keep, keep) if b != a + 1))
+    assert runs == {0, 1, 2}
+    with pytest.raises(OutOfRange):
+        P.chain(3).induced([1, 4])
+    for keep in ([2, 1], [1, 1]):
+        with pytest.raises(ValueError, match="must ascend"):
+            P.chain(3).induced(keep)
+
+
 def test_ideal_is_smallest_downward_closed():
     # removing any non-generator element breaks closure or coverage (s <= 8 brute force)
     import itertools
@@ -391,8 +416,9 @@ def test_tree_splits_series_parallel_and_leaves():
     """On every poset of at most 4 elements: a series node's children are
     the summands of the order it induces, a parallel node's the connected
     components of its comparability graph, and a leaf is connected and no
-    ordinal sum; every node's `below` counts the elements outside it that
-    lie below one of its elements, and those lie below all of them.  The
+    ordinal sum; the elements outside a node that lie below one of its
+    elements lie below all of them, and the tree of the order a node's
+    elements induce (Poset.induced) is the node's subtree, relabelled.  The
     tree is computed once per order relation."""
     kinds = set()
     for s in (1, 2, 3, 4):
@@ -405,9 +431,10 @@ def test_tree_splits_series_parallel_and_leaves():
                 members = set(node.elements)
                 under = {a for a in p.elements() if a not in members
                          and any(p.less(a, b) for b in members)}
-                assert node.below == len(under)
                 assert all(p.less(a, b) for a in under for b in members)
                 sub = P.Poset([[p.leq(a, b) for b in node.elements] for a in node.elements])
+                rank = {e: i for i, e in enumerate(node.elements, 1)}
+                assert _shape(sub.tree()) == _shape(node, rank.get)
                 parts = [tuple(node.elements[i - 1] for i in part) for part in sub.summands()]
                 comps = _comparability_components(p, node.elements)
                 if node.kind == "series":
@@ -420,6 +447,11 @@ def test_tree_splits_series_parallel_and_leaves():
     assert kinds == {"series", "parallel", "leaf"}
     assert P.from_cover_relations(4, [(1, 3), (2, 3), (2, 4)]).tree().kind == "leaf"
 
+
+
+def _shape(node, label=lambda e: e):
+    """A tree as nested (kind, elements, children), each element relabelled."""
+    return node.kind, tuple(map(label, node.elements)), tuple(_shape(c, label) for c in node.children)
 
 
 def _comparability_components(p: P.Poset, elements) -> list[tuple[int, ...]]:
