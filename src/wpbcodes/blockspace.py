@@ -29,23 +29,29 @@ largest with q^(2t) <= _PIECE_CODES, and the pair table of a piece length m
 holds max_j w(a_j - b_j) at a * q^m + b for all a, b in F_q^m.  The piece
 plan (_PiecePlan) owns the odometer codes of the pieces: offset + a * q^m
 for the rows x (the offset points into the concatenation of the tables of
-all lengths), b for the words c.  It gives those of the rows of an array
-with one small integer product (codes), and those of the rows of F_q^cols,
-which a pass or a ball enumerates in odometer order (last coordinate
-fastest), with one broadcast add per column, no row array being built
-(row_codes, odometer_codes).  One gather on the sums of the two gives every
-piece maximum of the tile.  When every block is a single piece (k_i <= t)
-those are the block maxima; a block split into several pieces folds each
-later piece into its first with one elementwise maximum.  The engine is
-integer throughout: the piece codes are intp, and every index of a
-block-max tuple is uint16, since no table of them, the kernel's or a
-cut's, has more than _CHUNK < 2^16 entries.
+all lengths), b for the words c.  Its pieces are numbered in column order,
+so each piece is a run of consecutive columns and each block a run of
+consecutive pieces, and a plan keeps one place value per column and
+operand.  Every piece code comes from one path (codes): one product of the
+rows by the place values and one sum over each piece's run of columns.
+The rows of F_q^cols, which a pass or a ball enumerates in odometer order
+(last coordinate fastest), take that path too, as rows of odometer_table
+zero off cols: those on the trailing columns once (row_codes, which keeps
+them) and the prefixes on the leading ones once per enumeration, each
+chunk being one broadcast add of the two (odometer_codes), so F_q^cols is
+never built as one row array.  One gather on the sums of the two gives
+every piece maximum of the tile.  When every block is a single piece
+(k_i <= t) those are the block maxima; otherwise one maximum over each
+block's run of pieces gives them.  The engine is integer throughout: the
+piece codes are intp, and every index of a block-max tuple is uint16,
+since no table of them, the kernel's or a cut's, has more than
+_CHUNK < 2^16 entries.
 
 The table index sum_i (max_weight + 1)^(s-i) bm_i is separable: bm_i
 depends on block i alone, so cutting the coordinates at p into a head
 0..p-1 and a tail p..n-1 (cut) makes the index of x - c a head part plus a
 tail part when x is a head row plus a tail row.  Each part is the same
-gather and fold on the piece plan of the blocks' parts on its side
+gather and block maximum on the piece plan of the blocks' parts on its side
 (_Side.index), with the part maxima weighted by their digits.  The block
 that p falls inside contributes r_i max(head part max, tail part max),
 which no sum of the two gives, so its tail part gets a new top digit
@@ -70,18 +76,21 @@ strictly-below matrix and block-max radix, and, built on first use, its
 block-max table and the table and digits of each cut.  Equal spaces,
 with_weight siblings under equal tables and every Instance.build() of one
 shape share it, and every array a kernel or a plan keeps is read-only.
-Every plan lookup charges the plan's entries, whether the cache built the
+Every plan lookup charges the plan's columns, whether the cache built the
 plan or kept it, so SpaceTooLarge never depends on what the process ran
 before.
 
 The kept memory is bounded.  At most 256 piece plans are cached
 (_piece_plan), and a cut holds its sides' plans only while a pass uses it,
-so the kernels keep none.  A plan of P pieces over n coordinates holds two
-P x n intp code matrices and pair tables of fewer than 2 * _PIECE_CODES
-entries of at most 8 bytes (16Pn bytes + 1 MiB), and row codes of at most
-P * _CHUNK intp in all (P * 128 KiB), those of further column sets being
-built on every call.  The pair table of each weight table and piece length
-is built once and kept (_pair_table, at most 64 tables of fewer than
+so the kernels keep none.  A plan of P pieces over n coordinates and s
+blocks holds two intp place values per coordinate (16n bytes, at most
+256 MiB at the default cap, since each plan lookup charges n), the intp
+starts and table offsets of its pieces and the first pieces of its blocks
+(8(2P + s) <= 24n bytes), pair tables of fewer than 2 * _PIECE_CODES
+entries of at most 8 bytes (1 MiB), and row codes of at most P * _CHUNK
+intp in all (P * 128 KiB), those of further column sets being built on
+every call.  The pair table of each weight table and piece length is
+built once and kept (_pair_table, at most 64 tables of fewer than
 _PIECE_CODES entries of at most 8 bytes), so the plans of a space's
 restrictions (restrict) reuse its tables.  At most 512 kernels are cached,
 enough for the 476-503 shapes a full verify run builds at seeds 0-3, so no
@@ -116,9 +125,9 @@ radius.  The states never outnumber the ideals (at most 2^s <= q^n), and
 the enumeration cap bounds them.
 
 Every computation that enumerates (vectors, codewords, vector x word
-pairs, words built, DP states), uses a piece plan (pieces x coordinates
-entries in each of its two code matrices) or loads an instance document
-(its poset's order relation, s^2 for s elements, and its coordinates)
+pairs, words built, DP states), uses a piece plan (its n coordinates, each
+holding two place values) or loads an instance document (its poset's
+order relation, s^2 for s elements, and its coordinates)
 passes its count to charge before it starts, which raises SpaceTooLarge
 when the count exceeds the enumeration cap: DEFAULT_MAX_SPACE unless a
 caller sets another for a block of code with `with enumeration_cap(cap):`.
@@ -393,7 +402,7 @@ class BlockSpace:
     def plan(self) -> _PiecePlan:
         """The piece plan of the space's kernel, which gives the piece codes
         of rows and words for pair_weights (_PiecePlan.codes, row_codes,
-        odometer_codes); charges its entries on every call (_plan)."""
+        odometer_codes); charges its coordinates on every call (_plan)."""
         return self._kernel.plan()
 
     def pair_weights(self, left: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
@@ -646,41 +655,39 @@ def _kernel(
 class _PiecePlan:
     """The pair kernel's piece plan of consecutive blocks of the given sizes
     under the weight table `weights`, cut into pieces of at most t
-    coordinates, and the owner of their piece codes.  Row i < s of the codes
-    is the first piece of block i + 1, so those rows are the block maxima
-    once the later pieces are folded in.  The pair table of a piece length
-    m holds max_j w(a_j - b_j) at a * q^m + b for all a, b in F_q^m
-    (_pair_table); the tables of the lengths that occur are concatenated,
-    fewer than
-    2 * _PIECE_CODES entries, which the intp codes index.  Built once per
-    (weights, sizes, t, chunk) in the process (_plan); its arrays are
-    read-only."""
+    coordinates, and the owner of their piece codes.  The pieces are
+    numbered in column order, so each piece is a run of consecutive columns
+    (from its start to the next piece's) and each block a run of
+    consecutive pieces (from its first piece to the next block's).  A piece
+    code is a sum over the piece's columns of the coordinate times the
+    column's place value: q^(len - 1 - j) at the piece's j-th column for
+    the right operand, times q^len for the left one.  The pair table of a
+    piece length m holds max_j w(a_j - b_j) at a * q^m + b for all a, b in
+    F_q^m (_pair_table); the tables of the lengths that occur are
+    concatenated, fewer than 2 * _PIECE_CODES entries, and each left code
+    carries the offset of its piece's table.  Built once per (weights,
+    sizes, t, chunk) in the process (_plan); its arrays are read-only."""
 
     def __init__(self, weights: tuple[int, ...], sizes: tuple[int, ...], t: int, chunk: int):
         q = self.q = len(weights)  # a weight table has q entries
-        self.chunk = chunk
-        first: list[tuple[int, int]] = []  # (first coordinate, length)
-        later: list[tuple[int, int]] = []
-        blocks: list[int] = []
-        for i, (start, k) in enumerate(zip(accumulate(sizes[:-1], initial=0), sizes)):
-            cuts = [(c, min(t, start + k - c)) for c in range(start, start + k, t)]
-            first.append(cuts[0])
-            later += cuts[1:]
-            blocks += [i] * (len(cuts) - 1)
-        pieces = first + later
-        right = np.zeros((len(pieces), sum(sizes)), dtype=np.intp)
-        for p, (c, length) in enumerate(pieces):
-            right[p, c : c + length] = q ** np.arange(length - 1, -1, -1)
-        lengths = np.array([length for _, length in pieces], dtype=np.intp)
+        self.chunk, self.n = chunk, sum(sizes)
+        starts: list[int] = []
+        firsts: list[int] = []
+        for start, k in zip(accumulate(sizes[:-1], initial=0), sizes):
+            firsts.append(len(starts))
+            starts += range(start, start + k, t)
+        lengths = np.diff(starts + [self.n])
         kinds = sorted(set(lengths.tolist()))
         part = dict(zip(kinds, np.cumsum([0] + [q ** (2 * m) for m in kinds])))
-        self.left = right * (q**lengths)[:, None]  # code a times q^len
-        self.right = right  # (pieces, n) intp: piece code b
+        place = np.concatenate([q ** np.arange(m - 1, -1, -1, dtype=np.intp) for m in lengths])
+        self.right = place[:, None]  # (n, 1) intp place values of b: q^(len - 1 - j)
+        self.left = self.right * np.repeat(q**lengths, lengths)[:, None]  # of a: times q^len
+        self.starts = np.array(starts, dtype=np.intp)
+        self.firsts = np.array(firsts, dtype=np.intp)
         # (pieces, 1) intp: start of the piece's pair table
         self.offsets = np.array([[part[m]] for m in lengths.tolist()], dtype=np.intp)
         self.table = np.concatenate([_pair_table(weights, m) for m in kinds])
-        self.extra = tuple(enumerate(blocks, len(sizes)))  # (piece, block) for later pieces
-        for arr in (self.left, self.right, self.offsets, self.table):
+        for arr in (self.left, self.right, self.starts, self.firsts, self.offsets, self.table):
             arr.flags.writeable = False
         self._rows: dict[bytes, np.ndarray] = {}
         self._kept = 0  # row-code entries in _rows
@@ -688,10 +695,11 @@ class _PiecePlan:
     def codes(self, arr: np.ndarray, left: bool = True) -> np.ndarray:
         """(pieces, N) intp piece codes of the rows of an (N, n) uint8
         array, for pair_weights: offset + a * q^len as its left operand,
-        the odometer code b of each piece as its right one."""
-        if left:
-            return self.left @ arr.T + self.offsets
-        return self.right @ arr.T
+        the odometer code b of each piece as its right one.  One product by
+        the place values and one sum over each piece's run of columns."""
+        place = self.left if left else self.right
+        codes = np.add.reduceat(arr.T * place, self.starts, axis=0)
+        return codes + self.offsets if left else codes
 
     def row_codes(self, cols: np.ndarray) -> np.ndarray:
         """The left piece codes of the rows of F_q^cols in odometer order
@@ -701,9 +709,9 @@ class _PiecePlan:
         key = cols.tobytes()
         codes = self._rows.get(key)
         if codes is None:
-            codes = self._odometer(cols, self.offsets)
+            codes = self.codes(self._space_rows(cols))
             codes.flags.writeable = False
-            if self._kept + codes.size <= len(self.left) * self.chunk:
+            if self._kept + codes.size <= len(self.starts) * self.chunk:
                 self._kept += codes.size
                 self._rows[key] = codes
         return codes
@@ -726,32 +734,27 @@ class _PiecePlan:
             yield 0, tail
             return
         pieces, width = tail.shape
-        lead = self._odometer(cols[: m - t], np.zeros((pieces, 1), dtype=np.intp))
+        lead = self.codes(self._space_rows(cols[: m - t])) - self.offsets
         per = rows // width
         for lo in range(0, lead.shape[1], per):
             yield lo * width, (lead[:, lo : lo + per, None] + tail[:, None, :]).reshape(pieces, -1)
 
-    def _odometer(self, cols: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """(pieces, R * q^|cols|) intp: each of the R columns of the
-        (pieces, R) codes plus the left codes, without offsets, of the rows
-        of F_q^cols in odometer order (zero off cols), the given columns
-        most significant; one broadcast add per column of cols."""
-        digits = np.arange(self.q, dtype=np.intp)
-        for c in cols.tolist():
-            step = self.left[:, c, None] * digits
-            codes = (codes[:, :, None] + step[:, None, :]).reshape(len(step), -1)
-        return codes
+    def _space_rows(self, cols: np.ndarray) -> np.ndarray:
+        """The rows of F_q^cols in odometer order as a (q^|cols|, n) uint8
+        array, zero off the columns cols."""
+        rows = np.zeros((self.q ** len(cols), self.n), dtype=np.uint8)
+        rows[:, cols] = odometer_table(self.q, len(cols))
+        return rows
 
     def block_maxima(self, codes: np.ndarray) -> np.ndarray:
         """The max coordinate weight of each block of the plan, for the summed
         piece codes of x and c (pieces first): one gather of the piece maxima
-        in the pair tables, then one elementwise maximum per later piece of a
-        split block."""
+        in the pair tables, then, unless every block is one piece, one
+        maximum over each block's run of pieces."""
         pieces = self.table.take(codes)
-        blockmax = pieces[: len(pieces) - len(self.extra)]
-        for p, i in self.extra:
-            np.maximum(blockmax[i], pieces[p], out=blockmax[i])
-        return blockmax
+        if len(self.firsts) == len(pieces):
+            return pieces
+        return np.maximum.reduceat(pieces, self.firsts, axis=0)
 
     def index(self, codes: np.ndarray, digits: np.ndarray) -> np.ndarray:
         """The block maxima of summed piece codes weighted by their uint16
@@ -790,9 +793,9 @@ _piece_plan = lru_cache(maxsize=256)(_PiecePlan)
 def _plan(weights: tuple[int, ...], sizes: tuple[int, ...], t: int, chunk: int) -> _PiecePlan:
     """The piece plan of consecutive blocks of the given sizes under the
     weight table `weights`, in pieces of at most t, keeping row codes within
-    pieces x chunk entries, from the plan cache.  Charges its pieces x
-    sum(sizes) code-matrix entries on every call, built or kept."""
-    charge(sum(-(-k // t) for k in sizes) * sum(sizes), "piece-plan entries")
+    pieces x chunk entries, from the plan cache.  Charges its sum(sizes)
+    columns, each holding two place values, on every call, built or kept."""
+    charge(sum(sizes), "piece-plan entries")
     return _piece_plan(weights, sizes, t, chunk)
 
 

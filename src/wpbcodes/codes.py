@@ -107,8 +107,8 @@ tile holds the pass, q * |C| exceeds a tile, or the space has no table for
 the cut) tiles are whole rows times a block of words, at most _CHUNK int64
 weights, one pair-kernel call each (BlockSpace.pair_weights).  Every pass
 takes its rows' piece codes from a piece plan, the space's or a cut
-side's, which enumerates them by broadcast adds and keeps those of a table
-it has built (_PiecePlan.odometer_codes, row_codes): the rows of a pass
+side's, which enumerates them in chunks and keeps those of a table it has
+built (_PiecePlan.odometer_codes, row_codes): the rows of a pass
 that one tile holds, as nearly every pass of verify does, and the tail
 rows of a cut are built once per plan and column set.  The words' piece
 codes take one product per pass (_PiecePlan.codes), and so do the rows of
@@ -535,9 +535,7 @@ class Code:
         space, children = self.space, node.children
         mw, last = space.weight.max_weight, len(children) - 1
         if self.is_linear:
-            rows, pivots, at = self._top_first(where)
-            held = np.bincount(at, minlength=len(children)).tolist()
-            widths = np.bincount(where, minlength=len(children)).tolist()
+            rows, pivots, at, top = self._top_first(where)
             under = list(accumulate((len(child.elements) for child in children), initial=0))
 
             def level(j: int) -> list[tuple[int, Code]]:
@@ -546,7 +544,6 @@ class Code:
                                 np.searchsorted(cols, pivots[mine]).tolist())
                 return [(mw * under[j], part)]
 
-            top = next((j for j in reversed(range(len(held))) if held[j] < widths[j]), None)
             cover = [] if top is None else level(top)
             if not len(at):  # the rows come top summand first
                 return "series", cover, []
@@ -567,17 +564,21 @@ class Code:
         cover = fibers if len(starts) == space.q ** len(hi_cols) else top
         return "series", cover, [f for f in fibers if f[1].size > 1] or top
 
-    def _top_first(self, where: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _top_first(self, where: np.ndarray) -> tuple:
         """A linear code's generators on a series node, where[c] the summand
         that holds column c, reduced with the columns taken top summand
-        first, their pivots, and the summand of each pivot, which does not
-        rise from row to row."""
+        first, their pivots, the summand of each pivot, which does not rise
+        from row to row, and j*, the highest summand holding fewer pivots
+        than columns (None when the code fills the node)."""
         space = self.space
         order = np.argsort(-where, kind="stable")
         reduced, pivots = _row_reduce(space.field, self._rows, order.tolist())
         rows = np.array(reduced, dtype=np.uint8).reshape(len(reduced), space.n)
         pivots = np.array(pivots, dtype=np.intp)
-        return rows, pivots, where[pivots]
+        at = where[pivots]
+        held, widths = (np.bincount(a, minlength=where.max() + 1) for a in (at, where))
+        top = next((j for j in reversed(range(len(held))) if held[j] < widths[j]), None)
+        return rows, pivots, at, top
 
     def _child_of_columns(self, node: Node) -> np.ndarray:
         """The index of the child of a node that holds each column."""
@@ -783,19 +784,14 @@ class Code:
         C_s is not all of F_q^{k_s}; otherwise the least l such that the
         joint projection onto blocks l+1..s is the full product space.  A
         linear code reads it from its echelon form with the columns taken top
-        block first (it is j*, _series), counting no codeword."""
+        block first: it is j*, numbered from 1 (_top_first), counting no
+        codeword."""
         if not self.space.poset.is_chain():
             raise NotAChain("trailing_full_index requires a chain poset")
         space = self.space
         if self.is_linear:
-            if space.s == 1:
-                return int(self.size < space.size)
-            # j*: the highest block holding fewer pivots than columns in the
-            # echelon form with the columns taken top block first
-            where = self._child_of_columns(space.poset.tree())
-            held = np.bincount(self._top_first(where)[2], minlength=space.s)
-            widths = np.bincount(where, minlength=space.s)
-            return next((j + 1 for j in reversed(range(space.s)) if held[j] < widths[j]), 0)
+            top = self._top_first(self._child_of_columns(space.poset.tree()))[3]
+            return 0 if top is None else top + 1
         arr = self.codeword_array()
         above: list[int] = []  # the columns of blocks l..s
         # a full suffix stays full when it is shortened, so the first suffix

@@ -47,8 +47,9 @@ class LengthMismatch(ValueError):
 class SpaceTooLarge(RuntimeError):
     """A computation would enumerate more than the enumeration cap allows:
     vectors, codewords, vector x word pairs, words built, weight-spectrum
-    DP states, piece-plan entries, or the poset's order relation (s^2)
-    and coordinates of a loaded instance (see blockspace.charge)."""
+    DP states, a piece plan's coordinates (n, its "piece-plan entries"), or
+    the poset's order relation (s^2) and coordinates of a loaded instance
+    (see blockspace.charge)."""
 
 
 class TooFewWords(ValueError):

@@ -331,7 +331,7 @@ def test_batch_weights_match_scalar(monkeypatch):
                 arr = rng.integers(0, q, size=(256, s.n), dtype=np.uint8)
                 arr[rng.random(arr.shape) > rng.random((256, 1)) ** 4] = 0
             batch = s.batch_weights(arr)
-            split.add(len(s._kernel.plan().extra) > 0)
+            split.add(len(s.plan().starts) > s.s)
             assert batch.tolist() == [s.wpb_weight(tuple(row)) for row in arr.tolist()]
             # the table is built exactly when it fits in one chunk
             built = "bm_table" in vars(s._kernel)
@@ -390,10 +390,10 @@ def test_pair_weights_match_scalar(chunk, monkeypatch):
         assert got.tolist() == want
         m = min(len(xs), len(cs))
         assert s.pair_weights(left[:, :m], right[:, :m]).tolist() == [want[i][i] for i in range(m)]
-        split.add(len(s._kernel.plan().extra) > 0)
+        split.add(len(s.plan().starts) > s.s)
         tabulated.add("bm_table" in vars(s._kernel))
         if q == 17:
-            assert len(s._kernel.plan().right) == s.n
+            assert len(s.plan().starts) == s.n
     assert split == {True, False}
     assert tabulated == {chunk > 0}
 
@@ -607,7 +607,8 @@ def test_kernel_arrays_are_read_only():
     s.batch_weights(s.all_vectors()[:5])
     k, cut = s._kernel, s.cut(4)  # inside block 1: a straddling digit
     plans = [s.plan(), cut.head.plan, cut.tail.plan]
-    arrays = [*(getattr(plan, f) for plan in plans for f in ("left", "right", "offsets", "table")),
+    fields = ("left", "right", "starts", "firsts", "offsets", "table")
+    arrays = [*(getattr(plan, f) for plan in plans for f in fields),
               k.bm_table, k.radix, k.strict, cut.table, cut.head.digits, cut.tail.digits,
               s.plan().row_codes(np.array([0, 5, 10]))]
     for arr in arrays:
@@ -669,22 +670,21 @@ def test_patched_constants_give_fresh_kernels(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(blockspace, "_PIECE_CODES", 1)
     u = space(*_BASE)
-    assert u._kernel is not s._kernel and len(u._kernel.plan().left) == u.n
+    assert u._kernel is not s._kernel and len(u.plan().starts) == u.n
     assert u.batch_weights(allv).tolist() == want
 
 
 def test_charges_do_not_depend_on_the_kernel_cache():
     """The same call raises SpaceTooLarge under a cap one below its charge
     with a cold kernel cache and again once the kernel has built its
-    tables, and runs at the charge.  Blocks of 9 and 11 over GF(2) make
-    pieces of at most 8: 2 + 2 pieces x 20 coordinates; a cut at 10 makes
-    a head (9, 1) of 3 pieces x 10 and a tail (10,) of 2 pieces x 10,
-    charged in that order."""
+    tables, and runs at the charge.  A plan charges its coordinates:
+    blocks of 9 and 11 over GF(2) make 20; a cut at 10 makes a head (9, 1)
+    of 10 and a tail (10,) of 10, charged in that order."""
     calls = [
-        (80, lambda s: s.batch_weights(np.zeros((1, 20), np.uint8))),
-        (80, lambda s: s.pair_weights(np.zeros((4, 1), np.intp))),
-        (80, lambda s: s.plan().row_codes(np.array([0, 19]))),
-        (30, lambda s: s.cut(10)),
+        (20, lambda s: s.batch_weights(np.zeros((1, 20), np.uint8))),
+        (20, lambda s: s.pair_weights(np.zeros((4, 1), np.intp))),
+        (20, lambda s: s.plan().row_codes(np.array([0, 19]))),
+        (10, lambda s: s.cut(10)),
     ]
     blockspace._kernel.cache_clear()
     blockspace._piece_plan.cache_clear()
@@ -735,9 +735,10 @@ def _chunk_bounds(q: int, m: int, rows: int) -> list[tuple[int, int]]:
 
 
 def test_broadcast_row_codes_match_the_row_product(monkeypatch):
-    """The left piece codes a plan builds by broadcast adds equal
-    plan.left @ x.T + offsets on the rows x of F_q^cols from odometer_table,
-    widened with zeros off cols, and odometer_codes yields the chunks of
+    """The left piece codes a plan builds for the rows x of F_q^cols from
+    odometer_table, widened with zeros off cols, equal their definition,
+    each piece's offset plus sum_j x_j q^(len - 1 - j) q^len over its run
+    of columns, and odometer_codes yields the chunks of
     _chunk_bounds: seeded column subsets; row counts of 1,
     several chunks with a partial last one (q = 3 and 5), and one chunk;
     blocks longer than t (a GF(2) block of 9, and every block at
@@ -757,14 +758,20 @@ def test_broadcast_row_codes_match_the_row_product(monkeypatch):
             cut = s.cut(p)
             assert len(cut.head.digits) + len(cut.tail.digits) > s.s  # p inside a block
             for plan in (s.plan(), cut.head.plan, cut.tail.plan):
-                split.add(len(plan.extra) > 0)
-                n = plan.left.shape[1]
+                split.add(len(plan.firsts) < len(plan.starts))
+                n = plan.n
+                ends = [*plan.starts[1:].tolist(), n]
+                runs = list(zip(plan.starts.tolist(), ends, plan.offsets.ravel().tolist()))
                 for _ in range(4):
                     m = rng.randint(0, min(n, 5 if q < 5 else 3))
                     cols = np.array(sorted(rng.sample(range(n), m)), dtype=np.intp)
                     x = np.zeros((q**m, n), dtype=np.uint8)
                     x[:, cols] = odometer_table(q, m)
-                    want = plan.left @ x.T + plan.offsets
+                    want = np.array([
+                        off + sum(x[:, j].astype(int) * q ** (hi - 1 - j) * q ** (hi - lo)
+                                  for j in range(lo, hi))
+                        for lo, hi, off in runs
+                    ])
                     assert plan.row_codes(cols).tolist() == want.tolist()
                     for rows in (1, 7, 12, q**m):
                         chunks = list(plan.odometer_codes(cols, rows))

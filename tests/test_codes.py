@@ -404,7 +404,7 @@ def test_coset_pass_matches_explicit_scan_and_brute_force(chunk, monkeypatch):
                 table = Code.linear(sp, code.generators).coset_table()
             _assert_tile_bounds(tiles, limit)
             _assert_tile_bounds(leader_tiles, limit)
-            split.add(len(sp._kernel.plan().extra) > 0)
+            split.add(len(sp.plan().starts) > sp.s)
 
             oracle = Code.explicit(sp, code.codewords())
             assert covering == oracle.covering_radius() == table.max_weight
@@ -459,7 +459,7 @@ def test_explicit_pass_matches_scalar_brute_force(chunk, monkeypatch):
                     assert pack_first.packing_radius() == packing
                 assert pack_first.covering_radius() == covering
             _assert_tile_bounds(tiles, chunk)
-            split.add(len(sp._kernel.plan().extra) > 0)
+            split.add(len(sp.plan().starts) > sp.s)
             if code.size >= 2:
                 with _counting_tiles(sp) as dist_tiles:
                     assert Code.explicit(sp, code.words).min_distance() == mindist
@@ -543,7 +543,7 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
             _assert_tile_bounds(tiles, chunk)
             if table is not None:
                 _assert_tile_bounds(leader_tiles, chunk)
-            split.add(len(sp._kernel.plan().extra) > 0)
+            split.add(len(sp.plan().starts) > sp.s)
             # the reading's leaf passes, then the coset table's full pass
             assert passes
             for one_tile, word_blocks, at, offsets in passes:
@@ -1165,8 +1165,8 @@ _CAPPED = {
     ),
     # on the 2-chain C fills block 2 (j0 = 2, D0 = F_3^2: 9 words, 9 pass
     # entries) and misses block 1 (j* = 1, D = 0: q^1 pass entries); that
-    # pass runs in block 1's own space and charges its piece plan, 1 piece x
-    # 1 column, below the pass's 3
+    # pass runs in block 1's own space and charges its piece plan, 1
+    # column, below the pass's 3
     "level min_distance": (9, lambda s: Code.linear(s, _CAPPED_GENERATORS).min_distance()),
     "level covering_radius": (3, lambda s: Code.linear(s, _CAPPED_GENERATORS).covering_radius()),
     "level packing_radius": (9, lambda s: Code.linear(s, _CAPPED_GENERATORS).packing_radius()),
@@ -1190,10 +1190,9 @@ _CAPPED = {
     "parallel linear packing_radius": (
         12, lambda s: Code.linear(_CAPPED_FLAT, [(1, 0, 0), (0, 1, 2)]).packing_radius()
     ),
-    # pieces x n on a fresh GF(2) space: blocks of 9 and 11 cut into pieces
-    # of at most 8 coordinates make 2 + 2 pieces, times n = 20
+    # the n = 20 coordinates of a fresh GF(2) space with blocks of 9 and 11
     "piece plan": (
-        80,
+        20,
         lambda s: space(2, P.antichain(2), (9, 11)).batch_weights(np.zeros((1, 20), np.uint8)),
     ),
 }
@@ -1224,7 +1223,7 @@ def _refuse(*args, **kwargs):
 def test_explicit_min_distance_charges_its_entries_first(monkeypatch):
     """An explicit code's minimum distance charges its |C|^2 entries, the
     words' rows against the words, before the first pair-kernel call.  The
-    space is small enough that its piece plan (3 x 3 entries) fits the cap
+    space is small enough that its piece plan (3 entries) fits the cap
     as well.  No coordinate's projection is a factor of the words, so the
     antichain reads them as one leaf."""
     s = space(2, P.antichain(3), (1,) * 3)

@@ -277,11 +277,11 @@ def test_2000_element_chain_loads_and_answers():
     R is the highest position outside P (reducing a vector at every pivot
     from the top leaves a coset's lightest word); rho = d - 1, since the
     metric is an ultrametric (two words at most r from a vector lie at most
-    r apart, and the zero vector is 0 and d from two words).  The code's
-    dimension stays at 5: the leaf reading of d is a dense product of the
-    n x n piece-code coefficients with the q^k words, 1.7 s at k = 8."""
+    r apart, and the zero vector is 0 and d from two words).  The code has
+    dimension 8, so the leaf reading of d takes the piece codes of its
+    2^8 words, one place-value product and one sum over the 2,000 pieces."""
     s, rng = 2000, random.Random(2000)
-    rows = [[rng.randrange(2) for _ in range(s)] for _ in range(5)]
+    rows = [[rng.randrange(2) for _ in range(s)] for _ in range(8)]
     basis: dict[int, int] = {}
     for row in rows:
         v = sum(1 << i for i, x in enumerate(row) if x)
