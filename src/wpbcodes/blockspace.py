@@ -18,10 +18,14 @@ ideal are exactly the blocks strictly below some nonzero block, its maximal
 blocks are nonzero, and every other block has bm_i = 0, so
 
     w(u) = sum_i (max_weight if block i lies strictly below a nonzero
-                  block, else bm_i),
+                  block, else bm_i).
 
-which is one boolean product per tile, or a lookup in a table of all
-(max_weight + 1)^s block-max tuples when that table fits in one chunk.
+That is a lookup in a table of all (max_weight + 1)^s block-max tuples
+when the table fits in one chunk.  Otherwise the kernel marks the blocks
+strictly below a nonzero block from the poset's covers: block i is one iff
+an upper cover c of i is nonzero or is one itself, so one pass over the
+covers, top down (in descending order of down-set size, never of labels),
+costs one OR per cover and entry, and no s x s array is built.
 
 The block maxima come from lookups in pair tables, so x - c is never
 formed.  Each block is cut into pieces of at most t coordinates, t the
@@ -72,10 +76,11 @@ the weight table, the order relation and the block sizes.  So a space
 holds a kernel (_Kernel), one per shape in the process (_kernel, an lru
 cache keyed by the shape and by the _CHUNK and _PIECE_CODES it was sized
 under, so patching either constant gives fresh decisions): its
-strictly-below matrix and block-max radix, and, built on first use, its
+covers and block-max radix, and, built on first use, its
 block-max table and the table and digits of each cut.  Equal spaces,
 with_weight siblings under equal tables and every Instance.build() of one
-shape share it, and every array a kernel or a plan keeps is read-only.
+shape share it; every array a kernel or a plan keeps is read-only, and
+a kernel's covers are a tuple.
 Every plan lookup charges the plan's columns, whether the cache built the
 plan or kept it, so SpaceTooLarge never depends on what the process ran
 before.
@@ -95,10 +100,10 @@ _PIECE_CODES entries of at most 8 bytes), so the plans of a space's
 restrictions (restrict) reuse its tables.  At most 512 kernels are cached,
 enough for the 476-503 shapes a full verify run builds at seeds 0-3, so no
 such run builds a shape's kernel twice.  A kernel of n coordinates and s
-blocks holds at most its bool strictly-below matrix and uint16 radix
-(s^2 + 2s bytes), its block-max table of at most _CHUNK int64 (128 KiB)
-and n - 1 cuts, each a table of at most _CHUNK uint8 (16 KiB) and at most
-s + 1 uint16 digits.  A space keeps each space it restricts to
+blocks holds its covers (a tuple of one pair of ints per cover of the
+poset), its uint16 radix (2s bytes), its block-max table of at most _CHUNK
+int64 (128 KiB) and n - 1 cuts, each a table of at most _CHUNK uint8
+(16 KiB) and at most s + 1 uint16 digits.  A space keeps each space it restricts to
 (restrict), one per set of elements asked for: the tree reading asks for
 one per part of a split (a series split's fibers share one), each smaller
 than the space.
@@ -410,8 +415,9 @@ class BlockSpace:
         broadcast against each other after their leading piece axis (e.g.
         (pieces, X, 1) and (pieces, 1, C) give the (X, C) matrix); without
         right, w(x).  The block maxima (_PiecePlan.block_maxima), then the
-        strictly-below identity (module docstring), looked up in the table
-        of block-max tuples when it has at most _CHUNK entries."""
+        strictly-below identity (module docstring): looked up in the table
+        of block-max tuples when it has at most _CHUNK entries, else marked
+        top down over the covers."""
         return self._kernel.pair_weights(left if right is None else left + right)
 
     def cut(self, p: int) -> _Cut | None:
@@ -552,10 +558,9 @@ class _Kernel:
         self.t = 1
         while self.q ** (2 * self.t + 2) <= piece_codes:
             self.t += 1
-        # (strict @ nonzero)[j, v]  iff  block j lies strictly below a nonzero
-        # block of v
-        self.strict = poset.matrix() & ~np.eye(self.s, dtype=bool)
-        self.strict.flags.writeable = False
+        # the covers (a, b), 0-based, highest level of a first, so the
+        # covers out of b come before those into b (_below_weights)
+        self.covers = tuple((a - 1, b - 1) for a, b in reversed(poset.covers()))
         # radix of a block-max tuple's index in bm_table, or None when the
         # (max_weight + 1)^s tuples exceed one chunk
         base = self.max_weight + 1
@@ -591,8 +596,14 @@ class _Kernel:
         return table
 
     def _below_weights(self, blockmax: np.ndarray) -> np.ndarray:
-        """The (N,) weights of the (s, N) block maxima of N vectors."""
-        below = self.strict @ (blockmax > 0)
+        """The (N,) weights of the (s, N) block maxima of N vectors.  Block
+        a lies strictly below a nonzero block iff an upper cover b of a is
+        nonzero or lies so itself, which the covers mark top down, one OR
+        per cover and vector."""
+        nonzero = blockmax > 0
+        below = np.zeros_like(nonzero)
+        for a, b in self.covers:
+            below[a] |= nonzero[b] | below[b]
         return np.where(below, self.max_weight, blockmax).sum(axis=0, dtype=np.int64)
 
     def cut(self, p: int) -> _Cut | None:

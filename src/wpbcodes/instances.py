@@ -203,7 +203,7 @@ def instance_from_json_dict(doc: dict) -> Instance:
     )
     # bound the space before anything of its size is built: a short
     # document can ask for millions of coordinates, and the order relation
-    # (s masks of s bits, the weight kernel's s x s matrix) grows as s^2
+    # (s masks of s bits each, and up to s^2 / 4 covers) grows as s^2
     charge(elements * elements, "poset order relation s^2")
     n = sum(labeling)
     charge(n, "coordinates n")

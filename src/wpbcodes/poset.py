@@ -10,8 +10,22 @@ induced on a subset (induced, and so puncture) compresses each mask one
 run of consecutive elements at a time; ideals, maximal elements, the
 ordinal-sum summands and the decomposition tree are unions and
 intersections of masks.  The matrix constructor Poset(leq) checks a given
-relation with one subset test per related pair, and matrix() is the one
-bool array, derived for the weight kernel.
+relation with one subset test per related pair.
+
+The covers (Poset.covers, which the weight kernel reads, and cover_pairs,
+their sorted list, which the serializer writes) come one level at a time, a level being the elements of
+one down-set size, lowest first.  An element's upper covers are the
+minimal elements of its strict up-set.  At the lowest level that the
+remainder of that up-set reaches, every element is minimal in it (an
+element below it would have a smaller down-set), so each is a cover, and
+each cover found removes its own up-set from the remainder.  A chain of s
+elements costs s steps, not the s^2 / 2 of testing every related pair.
+
+When the covers close a cycle, from_cover_relations names one: from the
+least element that the topological sort leaves, it walks back along covers
+from elements also left (the least one into each step) until an element
+repeats, and reports that cycle, closed, from its least element.
+
 Elements are 1-based in the public API; serialization uses cover pairs.
 
 Index flattening for the two product combinators is fixed as
@@ -23,8 +37,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import CycleDetected, NotAnIdeal, OutOfRange
 
@@ -88,14 +100,6 @@ class Poset:
 
     def less(self, a: int, b: int) -> bool:
         return a != b and self.leq(a, b)
-
-    def matrix(self) -> np.ndarray:
-        """The (s, s) boolean <= matrix, row i the up-set of element i + 1
-        unpacked: s^2 bytes, built on each call."""
-        width = (self.s + 7) // 8
-        raw = b"".join((m | 1 << i).to_bytes(width, "little") for i, m in enumerate(self.above))
-        rows = np.frombuffer(raw, dtype=np.uint8).reshape(self.s, width)
-        return np.unpackbits(rows, axis=1, count=self.s, bitorder="little").view(bool)
 
     def elements(self) -> range:
         return range(1, self.s + 1)
@@ -168,11 +172,31 @@ class Poset:
         return Poset._of([pack(self.below[e - 1]) for e in elements],
                          [pack(self.above[e - 1]) for e in elements])
 
+    def covers(self) -> list[tuple[int, int]]:
+        """Every cover (a, b), a < b with nothing strictly between, lowest
+        level of a first (levels ascend in down-set size), then by a and by
+        b: found one level at a time (module docstring)."""
+        levels: dict[int, int] = {}
+        for i, down in enumerate(self.below):
+            size = down.bit_count()
+            levels[size] = levels.get(size, 0) | 1 << i
+        masks = [levels[size] for size in sorted(levels)]
+        out = []
+        for at, level in enumerate(masks):
+            for a in bits(level):
+                rest, up = self.above[a], at + 1
+                while rest:
+                    hit = rest & masks[up]
+                    for b in bits(hit):
+                        out.append((a + 1, b + 1))
+                        rest &= ~self.above[b]
+                    rest &= ~hit
+                    up += 1
+        return out
+
     def cover_pairs(self) -> list[tuple[int, int]]:
-        """Covers (a, b): a < b with nothing strictly between, that is the
-        maximal elements of b's strict down-set; sorted."""
-        return sorted((a + 1, b + 1) for b, down in enumerate(self.below)
-                      for a in bits(down) if not self.above[a] & down)
+        """The covers (covers), sorted."""
+        return sorted(self.covers())
 
     def _check(self, i: int) -> None:
         if not 1 <= i <= self.s:
@@ -271,9 +295,10 @@ def antichain(s: int) -> Poset:
 
 def from_cover_relations(s: int, covers: Iterable[tuple[int, int]]) -> Poset:
     """Reflexive-transitive closure of (a, b) pairs meaning a < b.  The
-    elements are sorted topologically (Kahn's algorithm; CycleDetected when
-    some are left), then each element's down-set is the union of its lower
-    covers' and each up-set that of its upper covers', one OR per cover."""
+    elements are sorted topologically (Kahn's algorithm; CycleDetected,
+    naming a cycle (_cycle), when some are left), then each element's
+    down-set is the union of its lower covers' and each up-set that of its
+    upper covers', one OR per cover."""
     succ: list[list[int]] = [[] for _ in range(s)]
     pending = [0] * s  # covers into each element from elements not yet sorted
     for a, b in covers:
@@ -290,7 +315,7 @@ def from_cover_relations(s: int, covers: Iterable[tuple[int, int]]) -> Poset:
             if not pending[w]:
                 order.append(w)
     if len(order) < s:
-        raise CycleDetected(_find_cycle(succ, *_cycle_pair(succ)))
+        raise CycleDetected(_cycle(succ, pending))
     below, above = [0] * s, [0] * s
     for v in order:
         for w in succ[v]:
@@ -301,65 +326,25 @@ def from_cover_relations(s: int, covers: Iterable[tuple[int, int]]) -> Poset:
     return Poset._of(below, above)
 
 
-def _cycle_pair(succ: list[list[int]]) -> tuple[int, int]:
-    """The first pair (a, b), a != b, in row-major order with a <= b <= a in
-    the closure of the covers succ (0-based, cyclic): a is the
-    least element of a strongly connected component of two or more, b the
-    next one of that component.  Kosaraju's algorithm: a depth-first
-    finishing order, then in its reverse each component is what reaches its
-    first element backwards among the elements not yet placed."""
-    s = len(succ)
-    pred = [0] * s
-    for v, ws in enumerate(succ):
-        for w in ws:
-            pred[w] |= 1 << v
-    finished, seen = [], [False] * s
-    for root in range(s):
-        if seen[root]:
-            continue
-        seen[root] = True
-        work = [(root, iter(succ[root]))]
-        while work:
-            for w in work[-1][1]:
-                if not seen[w]:
-                    seen[w] = True
-                    work.append((w, iter(succ[w])))
-                    break
-            else:
-                finished.append(work.pop()[0])
-    left, pairs = (1 << s) - 1, []
-    for v in reversed(finished):
-        if left >> v & 1:
-            part, todo = 0, 1 << v
-            while todo:
-                part |= todo
-                for u in bits(todo):
-                    todo |= pred[u]
-                todo &= left & ~part
-            left &= ~part
-            if part & (part - 1):
-                pairs.append(tuple(bits(part))[:2])
-    return min(pairs)
-
-
-def _find_cycle(succ: list[list[int]], a: int, b: int) -> list[int]:
-    # a <= b and b <= a with a != b (0-based): return a path
-    # a -> ... -> b -> ... -> a, 1-based, each leg by a depth-first search
-    # along the covers in the order given.
-    def path(src: int, dst: int) -> list[int]:
-        stack = [(src, [src])]
-        seen = {src}
-        while stack:
-            node, trail = stack.pop()
-            if node == dst:
-                return trail
-            for nxt in succ[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, trail + [nxt]))
-        return [src, dst]
-
-    return [v + 1 for v in path(a, b) + path(b, a)[1:]]
+def _cycle(succ: list[list[int]], pending: list[int]) -> list[int]:
+    """A cycle of the covers succ (0-based) through the elements the
+    topological sort left (pending > 0), 1-based and closed, from its least
+    element.  Every element left has a cover into it from one also left;
+    the walk goes back along the least such from the least element left
+    until an element repeats."""
+    left = [v for v, count in enumerate(pending) if count]
+    back: dict[int, int] = {}
+    for v in left:
+        for w in succ[v]:
+            back.setdefault(w, v)
+    walk, seen, v = [], {}, left[0]
+    while v not in seen:
+        seen[v] = len(walk)
+        walk.append(v)
+        v = back[v]
+    loop = walk[seen[v]:][::-1]  # the cycle in cover order
+    first = loop.index(min(loop))
+    return [v + 1 for v in loop[first:] + loop[: first + 1]]
 
 
 # combinators ----------------------------------------------------------------

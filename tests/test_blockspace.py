@@ -290,18 +290,37 @@ def test_coerce_rejects_non_integers():
     assert s.wpb_weight(iter([2, 0])) == 1
 
 
+def _relabelled_posets(seed: int, count: int) -> list[P.Poset]:
+    """Seeded random posets of 6 to 9 elements whose labels are no linear
+    extension: random covers i < j of a hidden order, each element then
+    given a random label, so some cover runs from a larger label to a
+    smaller one."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        s = rng.randrange(6, 10)
+        label = rng.sample(range(1, s + 1), s)
+        covers = [(label[i], label[j]) for i in range(s) for j in range(i + 1, s)
+                  if rng.random() < 0.35]
+        if any(a > b for a, b in covers):
+            out.append(P.from_cover_relations(s, covers))
+    return out
+
+
 def test_batch_weights_match_scalar(monkeypatch):
     """batch_weights against the scalar formula (through Poset.ideal) on every
     3-element poset and on chain, antichain and tree shapes under the
     Hamming, Lee and a custom weight, plus a GF(7) Lee space with 8 blocks
-    whose 4^8 block-max tuples exceed _CHUNK, and spaces with blocks longer
+    whose 4^8 block-max tuples exceed _CHUNK, spaces with blocks longer
     than one lookup piece (q^t <= _PIECE_CODES): q=2 blocks of 13 and 25
     coordinates, q=3 blocks of 8 and 9, a q=5 block of 11 (seeded random
-    rows of varying density there).  Spaces with (M_w + 1)^s <= _CHUNK look
-    weights up in a table; a monkeypatched _CHUNK then sends every space
-    down one path."""
+    rows of varying density there), and random posets whose labels are no
+    linear extension, so that marking the blocks below a nonzero one in
+    label order, not top down, fails.  Spaces with (M_w + 1)^s <= _CHUNK
+    look weights up in a table; a monkeypatched _CHUNK then sends every
+    space down one path."""
     tree6 = P.from_cover_relations(6, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)])
-    shapes = [*P.all_posets(3), P.chain(5), P.antichain(5), tree6]
+    shapes = [*P.all_posets(3), P.chain(5), P.antichain(5), tree6, *_relabelled_posets(3, 4)]
     cases = [
         (P.chain(3), (1, 2, 1), 3, "lee"),
         (P.antichain(2), (2, 2), 4, "hamming"),
@@ -600,20 +619,22 @@ def test_shapes_that_differ_hold_their_own_kernels(shape):
 
 
 def test_kernel_arrays_are_read_only():
-    """Every array a kernel keeps (plan, block-max table and radix,
-    strictly-below matrix, cut tables, digits and plans, row codes) raises
-    on a write."""
+    """Every array a kernel keeps (plan, block-max table and radix, cut
+    tables, digits and plans, row codes) raises on a write, and its covers
+    are a tuple of tuples, which has no writes."""
     s = space(2, P.chain(2), (9, 3))
     s.batch_weights(s.all_vectors()[:5])
     k, cut = s._kernel, s.cut(4)  # inside block 1: a straddling digit
     plans = [s.plan(), cut.head.plan, cut.tail.plan]
     fields = ("left", "right", "starts", "firsts", "offsets", "table")
     arrays = [*(getattr(plan, f) for plan in plans for f in fields),
-              k.bm_table, k.radix, k.strict, cut.table, cut.head.digits, cut.tail.digits,
+              k.bm_table, k.radix, cut.table, cut.head.digits, cut.tail.digits,
               s.plan().row_codes(np.array([0, 5, 10]))]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
+    assert k.covers == ((0, 1),)
+    assert type(k.covers) is tuple and all(type(c) is tuple for c in k.covers)
 
 
 def _kept_arrays(obj):
@@ -632,10 +653,10 @@ def _kept_arrays(obj):
 
 
 def test_engine_arrays_are_integer():
-    """Every array a plan, a kernel or a cut keeps has an integer or bool
-    dtype, so no product of the engine is a float one: a kernel with a
-    block-max table and cuts (one inside a split block), and one without a
-    table."""
+    """Every array a plan, a kernel or a cut keeps has an integer dtype,
+    and a kernel's covers are pairs of ints, so no product of the engine is
+    a float one: a kernel with a block-max table and cuts (one inside a
+    split block), and one without a table."""
     s = space(2, P.chain(2), (9, 3))
     s.batch_weights(s.all_vectors()[:5])
     s.plan().row_codes(np.array([0, 5, 10]))
@@ -644,7 +665,9 @@ def test_engine_arrays_are_integer():
     wide.batch_weights(np.eye(15, dtype=np.uint8))
     assert wide._kernel.radix is None
     arrays = list(_kept_arrays((s._kernel, s.plan(), cuts, wide._kernel, wide.plan())))
-    assert {arr.dtype.kind for arr in arrays} == {"b", "i", "u"}
+    assert {arr.dtype.kind for arr in arrays} == {"i", "u"}
+    for kernel in (s._kernel, wide._kernel):
+        assert all(type(x) is int for pair in kernel.covers for x in pair)
 
 
 def test_patched_constants_give_fresh_kernels(monkeypatch):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
@@ -1251,3 +1252,19 @@ def test_explicit_pass_charges_its_pairs_first(monkeypatch):
     monkeypatch.undo()
     with enumeration_cap(48):
         assert Code.explicit(s, words).covering_radius() == 3
+
+
+def test_explicit_min_distance_on_a_2000_element_antichain():
+    """An explicit d of 64 seeded random words on a 2,000-block GF(2)
+    antichain of one-coordinate blocks, read as one leaf: its 2^2000
+    block-max tuples have no table, so every entry takes the kernel's
+    top-down pass over the covers, of which an antichain has none.  The
+    metric is Hamming's, so d is the least Hamming distance of two words."""
+    s = space(2, P.antichain(2000), (1,) * 2000)
+    words = np.random.default_rng(24).integers(0, 2, size=(64, 2000), dtype=np.uint8)
+    pairs = (words[:, None, :] != words[None, :, :]).sum(axis=2)
+    want = pairs[~np.eye(64, dtype=bool)].min()
+    start = time.perf_counter()
+    assert Code.explicit(s, words.tolist()).min_distance() == want
+    assert s._kernel.radix is None
+    assert time.perf_counter() - start < 2

@@ -84,6 +84,26 @@ def test_cycle_detected_names_the_cycle(s, covers, cycle):
     assert str(e.value) == f"cover relations contain a cycle: {list(cycle)}"
 
 
+def test_random_cycles_are_named_simple_and_closed():
+    """On seeded random cover lists that close a cycle, CycleDetected names
+    a simple cycle of the given covers, closed and starting at its least
+    element."""
+    import random
+
+    rng, found = random.Random(24), 0
+    while found < 300:
+        s = rng.randrange(2, 9)
+        covers = [(a, b) for a in range(1, s + 1) for b in range(1, s + 1)
+                  if a != b and rng.random() < 0.25]
+        rng.shuffle(covers)
+        try:
+            P.from_cover_relations(s, covers)
+        except CycleDetected as e:
+            cyc, found = e.cycle, found + 1
+            assert cyc[0] == cyc[-1] == min(cyc) and len(set(cyc[:-1])) == len(cyc) - 1 >= 2
+            assert set(zip(cyc, cyc[1:])) <= set(covers)
+
+
 def test_chain_antichain_predicates():
     assert P.chain(4).is_chain()
     assert not P.chain(2).is_antichain()
@@ -238,9 +258,39 @@ def test_large_combinators_pass_construction_axioms():
 
 
 def _assert_up_sets_match(p: P.Poset) -> None:
-    """The matrix, read from the up-sets, against leq, read from the
-    down-sets: the combinators build the two directions separately."""
-    assert p.matrix().tolist() == [[p.leq(a, b) for b in p.elements()] for a in p.elements()]
+    """The strict up-set masks against less, read from the down-sets: the
+    combinators build the two directions separately."""
+    assert [[bool(up >> (b - 1) & 1) for b in p.elements()] for up in p.above] == [
+        [p.less(a, b) for b in p.elements()] for a in p.elements()
+    ]
+
+
+def _definition_covers(p: P.Poset) -> list[tuple[int, int]]:
+    """The covers a < b with no c strictly between, read through less."""
+    return [(a, b) for a in p.elements() for b in p.elements() if p.less(a, b)
+            and not any(p.less(a, c) and p.less(c, b) for c in p.elements())]
+
+
+def test_cover_pairs_match_their_definition():
+    """cover_pairs against the definition, read through less, on every
+    poset of at most 4 elements and on the combinators' outputs: all six on
+    the posets of 1 or 2 elements, and larger products, sums, a puncture
+    and an extension.  covers lists the same pairs, lowest level of the
+    lower element first."""
+    small = [p for s in (1, 2) for p in P.all_posets(s)]
+    big = P.cartesian_product(P.chain(3), P.chain(4))
+    vee = P.from_cover_relations(3, [(1, 3), (2, 3)])
+    posets = [p for s in (1, 2, 3, 4) for p in P.all_posets(s)]
+    posets += [P.puncture(p, z) for p in small for z in p.elements()] + list(map(P.extend, small))
+    posets += [combine(p, q) for p in small for q in small for combine in
+               (P.disjoint_union, P.linear_sum, P.cartesian_product, P.lex_product)]
+    posets += [big, P.linear_sum(big, vee), P.lex_product(vee, P.antichain(4)),
+               P.cartesian_product(vee, P.chain(3)), P.disjoint_union(big, vee),
+               P.puncture(big, 6), P.extend(big)]
+    for p in posets:
+        assert p.cover_pairs() == _definition_covers(p)
+        levels = [p.below[a - 1].bit_count() for a, _ in p.covers()]
+        assert sorted(p.covers()) == p.cover_pairs() and levels == sorted(levels)
 
 
 def test_combinators_match_their_definitions():
