@@ -578,23 +578,21 @@ def _unit_direct_sum(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
         # second half, so the published equality degenerates; skip.
         u.na("dsum-covering-linear", "rho(C2) = 0")
 
-    t1 = c1.coset_table()
-    t2 = c2.coset_table()
-    # every joint leader (l1 | l2), in the order of the pairs of leaders
-    lead1, lead2 = np.array(t1.leaders, dtype=np.uint8), np.array(t2.leaders, dtype=np.uint8)
+    lead1, lead2 = c1.coset_table().leaders, c2.coset_table().leaders
+    # every joint leader (l1 | l2), C1's leaders the outer loop
     joint = np.hstack([lead1.repeat(len(lead2), axis=0), np.tile(lead2, (len(lead1), 1))])
+    rows, n1 = joint.tolist(), c1.space.n
     for label, total in (("disjoint", disj), ("linear", lin)):
-        weights = total.coset_table().weights
-        expects = [weights[i] for i in total.coset_indices(joint).tolist()]
+        expects = total.coset_table().weights[total.coset_indices(joint)].tolist()
         ok, witness = True, {}
-        for (l1, l2), expect in zip(itertools.product(t1.leaders, t2.leaders), expects):
-            got = total.space.wpb_weight(l1 + l2)
+        for leader, expect in zip(rows, expects):
+            got = total.space.wpb_weight(leader)
             if got != expect:
                 ok = False
                 witness = {
                     "order": label,
-                    "leader1": list(l1),
-                    "leader2": list(l2),
+                    "leader1": leader[:n1],
+                    "leader2": leader[n1:],
                     "weight": got,
                     "coset_weight": expect,
                 }

@@ -14,6 +14,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .blockspace import DEFAULT_MAX_SPACE, enumeration_cap, format_vector, parse_vector
 from .checks import (
     REGISTRY,
@@ -179,17 +181,16 @@ def _cmd_instance(args) -> int:
         print(code.packing_radius())
     elif args.command == "cosets":
         table = code.coset_table()
-        print(f"cosets: {len(table.leaders)}")
+        print(f"cosets: {len(table.weights)}")
         print(f"max leader weight (covering radius): {table.max_weight}")
-        hist: dict[int, int] = {}
-        for w in table.weights:
-            hist[w] = hist.get(w, 0) + 1
+        hist = np.bincount(table.weights).tolist()
         print("weight  cosets")
-        for w in sorted(hist):
-            print(f"{w:>6}  {hist[w]}")
-        if len(table.leaders) <= 64:
+        for w, count in enumerate(hist):
+            if count:
+                print(f"{w:>6}  {count}")
+        if len(table.weights) <= 64:
             print("leaders:")
-            for leader, w in zip(table.leaders, table.weights):
+            for leader, w in zip(table.leaders.tolist(), table.weights.tolist()):
                 print(f"  {format_vector(leader)}  (weight {w})")
     elif args.command == "ball":
         center = parse_vector(args.center)

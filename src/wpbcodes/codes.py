@@ -17,7 +17,9 @@ Either kind's rows are validated as one array: integer coordinates in
   code, covering radius <= r): every vector lies within r of a codeword
   and of no second one;
 - coset_table: minimum-weight leader per coset of a linear code, with
-  ties broken by odometer order.
+  ties broken by odometer order: a read-only (q^(n-k), n) uint8 array of
+  leaders and a read-only (q^(n-k),) int64 array of their weights, so a
+  table keeps q^(n-k) * (n + 8) bytes and no Python object per coset.
 
 Every code reads its covering radius, packing radius and minimum distance
 along its poset's decomposition tree (Poset.tree): series nodes split into
@@ -227,12 +229,17 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return keys[keep].view(np.uint8).reshape(-1, width)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetTable:
-    """One minimum-weight leader per coset, indexed by Code.coset_index."""
+    """One minimum-weight leader per coset, indexed by Code.coset_index.
 
-    leaders: tuple[Vector, ...]
-    weights: tuple[int, ...]
+    leaders is a read-only (q^(n-k), n) uint8 array, row i the leader of
+    coset i, and weights a read-only (q^(n-k),) int64 array of their
+    weights; max_weight is an int.  The table keeps q^(n-k) * (n + 8)
+    bytes.  Tables compare by identity (field-wise == on arrays raises)."""
+
+    leaders: np.ndarray
+    weights: np.ndarray
     max_weight: int
 
 
@@ -755,7 +762,9 @@ class Code:
         """Minimum-weight leader per coset; leader = first minimum in odometer
         order, x + c for the row x of the coset pass (zero on the pivots)
         and the first codeword c reaching the row minimum (module
-        docstring)."""
+        docstring).  The leaders are the (q^(n-k), n) uint8 array the pass
+        gives and the weights its (q^(n-k),) int64 row minima, both
+        read-only and memoized with the table, q^(n-k) * (n + 8) bytes."""
         if "coset_table" in self._memo:
             return self._memo["coset_table"]
         if not self.is_linear:
@@ -766,13 +775,10 @@ class Code:
         best_w, best_word = self._pass(self._free, words, True)[2]
         x = np.zeros((len(best_w), space.n), dtype=np.uint8)
         x[:, self._free] = odometer_table(space.q, len(self._free))
-        # zip one list per coordinate into the leader tuples: a list per row,
-        # made and freed, fragments the small-object heap and lifts peak RSS
-        table = CosetTable(
-            leaders=tuple(zip(*space.field.sub_table[x, words[best_word]].T.tolist())),
-            weights=tuple(best_w.tolist()),
-            max_weight=int(best_w.max()),
-        )
+        leaders = space.field.sub_table[x, words[best_word]]
+        leaders.flags.writeable = False
+        best_w.flags.writeable = False
+        table = CosetTable(leaders=leaders, weights=best_w, max_weight=int(best_w.max()))
         self._memo["coset_table"] = table
         self._memo.setdefault("covering_radius", table.max_weight)
         return table

@@ -268,7 +268,8 @@ def test_dsum_coset_leader_witness_is_the_first_failing_pair(monkeypatch):
     """With a scalar weight that is off by one exactly when one of the
     first and the last coordinate is nonzero, dsum-coset-leader-* fails,
     and its witness is the first failing joint leader (l1 | l2) with C1's
-    leaders as the outer loop, the order of the batched coset indices."""
+    leaders as the outer loop, the order of the batched coset indices.  The
+    witness is plain JSON."""
     sampled = []
     sample = checks._sample_pair
 
@@ -290,12 +291,14 @@ def test_dsum_coset_leader_witness_is_the_first_failing_pair(monkeypatch):
         r = reports[checks._pair_digest(*digests)]
         pairs = [
             (l1, l2)
-            for l1 in c1.coset_table().leaders
-            for l2 in c2.coset_table().leaders
+            for l1 in map(tuple, c1.coset_table().leaders.tolist())
+            for l2 in map(tuple, c2.coset_table().leaders.tolist())
             if (l1[0] != 0) != (l2[-1] != 0)
         ]
         assert r.status == ("fail" if pairs else "pass")
         if pairs:
+            # plain ints: json.dumps raises on a numpy scalar
+            assert json.loads(json.dumps(r.witness)) == r.witness
             assert (tuple(r.witness["leader1"]), tuple(r.witness["leader2"])) == pairs[0]
             # a loop over C2's leaders outside would name another pair here
             outer_first += pairs[0] != min(pairs, key=lambda p: (p[1], p[0]))

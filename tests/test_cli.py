@@ -140,11 +140,47 @@ def test_level_reading_answers_a_60_coordinate_chain(k1, middle_full, k2, tmp_pa
         assert capsys.readouterr().out.strip() == str(value)
 
 
+COSETS_LEE_SPAN = """\
+cosets: 25
+max leader weight (covering radius): 2
+weight  cosets
+     0  1
+     1  8
+     2  16
+leaders:
+  0,0,0  (weight 0)
+  1,3,0  (weight 2)
+  2,1,0  (weight 2)
+  3,4,0  (weight 2)
+  4,2,0  (weight 2)
+  0,1,0  (weight 1)
+  1,4,0  (weight 1)
+  2,2,0  (weight 2)
+  3,0,0  (weight 2)
+  4,3,0  (weight 2)
+  0,2,0  (weight 2)
+  1,0,0  (weight 1)
+  2,3,0  (weight 2)
+  3,1,0  (weight 2)
+  4,4,0  (weight 1)
+  0,3,0  (weight 2)
+  1,1,0  (weight 1)
+  2,4,0  (weight 2)
+  3,2,0  (weight 2)
+  4,0,0  (weight 1)
+  0,4,0  (weight 1)
+  1,2,0  (weight 2)
+  2,0,0  (weight 2)
+  3,3,0  (weight 2)
+  4,1,0  (weight 1)
+"""
+
+
 def test_cosets(lee_span, capsys):
+    """The complete output on LEE_SPAN: 25 cosets, so every leader prints
+    after the histogram, each as plain decimal coordinates."""
     assert main(["cosets", lee_span]) == 0
-    out = capsys.readouterr().out
-    assert "cosets: 25" in out
-    assert "max leader weight" in out
+    assert capsys.readouterr().out == COSETS_LEE_SPAN
 
 
 def test_cosets_rejects_explicit(rep3, capsys):

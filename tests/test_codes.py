@@ -150,19 +150,37 @@ def test_coset_table_examples():
     s = space(2, P.chain(3), (1, 1, 1))
     c = Code.linear(s, [(1, 1, 1)])
     t = c.coset_table()
-    assert sorted(t.weights) == [0, 1, 2, 2]
+    assert sorted(t.weights.tolist()) == [0, 1, 2, 2]
     assert t.max_weight == 2
     assert t.max_weight == c.covering_radius()
     # leaders actually lie in distinct cosets and have their coset's weight
-    for leader, w in zip(t.leaders, t.weights):
+    for leader, w in zip(t.leaders.tolist(), t.weights.tolist()):
         assert s.wpb_weight(leader) == w
     full = Code.linear(s, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     ft = full.coset_table()
-    assert ft.weights == (0,)
+    assert ft.weights.tolist() == [0]
     zero = Code.linear(s, [])
     zt = zero.coset_table()
-    assert len(zt.leaders) == 8
+    assert zt.leaders.shape == (8, 3)
     assert zt.max_weight == max(s.batch_weights(s.all_vectors()))
+
+
+def test_coset_table_arrays_are_read_only():
+    """A coset table keeps its leaders as a (q^(n-k), n) uint8 array and its
+    weights as a (q^(n-k),) int64 array; both raise on a write, and a second
+    coset_table() returns the same memoized table, so no caller can change
+    what the covering radius memoized with it was read from."""
+    s = space(3, P.chain(2), (2, 1), "lee")
+    c = Code.linear(s, [(1, 2, 1)])
+    t = c.coset_table()
+    assert t.leaders.shape == (9, 3) and t.leaders.dtype == np.uint8
+    assert t.weights.shape == (9,) and t.weights.dtype == np.int64
+    assert type(t.max_weight) is int
+    for arr in (t.leaders, t.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1
+    assert c.coset_table() is t
+    assert c.covering_radius() == t.max_weight == int(t.weights.max())
 
 
 def test_coset_table_not_linear():
@@ -177,9 +195,10 @@ def test_coset_index_consistency():
     for v in itertools.product(range(3), repeat=2):
         idx = c.coset_index(v)
         # v and its leader differ by a codeword
-        diff = s.sub(v, t.leaders[idx])
+        leader = tuple(t.leaders[idx].tolist())
+        diff = s.sub(v, leader)
         assert diff in set(c.codewords())
-        assert s.wpb_weight(t.leaders[idx]) <= s.wpb_weight(v)
+        assert s.wpb_weight(leader) <= s.wpb_weight(v)
 
 
 def test_trailing_full_index():
@@ -377,6 +396,11 @@ def _brute_force_table(code):
     return tuple(best[i][0] for i in range(len(best))), tuple(best[i][1] for i in range(len(best)))
 
 
+def _table_tuples(table):
+    """(weights, leaders) of a coset table as the tuples of _brute_force_table."""
+    return tuple(table.weights.tolist()), tuple(map(tuple, table.leaders.tolist()))
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 5])
 def test_coset_pass_matches_explicit_scan_and_brute_force(chunk, monkeypatch):
     """The coset-major pass against the explicit word-set scan, a dense
@@ -418,7 +442,7 @@ def test_coset_pass_matches_explicit_scan_and_brute_force(chunk, monkeypatch):
                 assert code.is_perfect() == all((dist <= packing).sum(axis=1) == 1)
             assert perfect == [bool(((dist <= r).sum(axis=1) == 1).all()) for r in range(top + 1)]
 
-            assert (table.weights, table.leaders) == _brute_force_table(code)
+            assert _table_tuples(table) == _brute_force_table(code)
         # k = 0, k = n and q^k > _CHUNK all occur
         assert {d[0] for d in dims} == {d[1] for d in dims} == {True, False}
         if chunk is not None:
@@ -564,7 +588,7 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
             assert perfect == [bool(((dist <= r).sum(axis=1) == 1).all()) for r in range(top + 1)]
             if table is None:
                 continue
-            assert (table.weights, table.leaders) == _brute_force_table(code)
+            assert _table_tuples(table) == _brute_force_table(code)
         assert kinds == {"linear", "explicit"}
         assert cuts == {"none", "boundary", "inside"}
         assert split == ({False} if piece_codes > 1 else {True, False})
@@ -598,7 +622,7 @@ def test_cut_coset_tables_take_the_first_tied_word(chunk, monkeypatch):
             for k in (1, 2):
                 code = Code.linear(sp, random_rows(rng, q, n, k))
                 table = code.coset_table()
-                assert (table.weights, table.leaders) == _brute_force_table(code)
+                assert _table_tuples(table) == _brute_force_table(code)
     assert sum(tied) > 0
 
 
