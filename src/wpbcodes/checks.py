@@ -31,7 +31,6 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -1247,6 +1246,8 @@ def verify_suite(
             tasks.append((name, seed, unit, q))
     jobs = min(jobs, _usable_cpus())
     if jobs > 1:
+        from multiprocessing import Pool  # only a pool pays for the import
+
         with Pool(jobs) as pool:
             chunks = pool.map(_run_unit, tasks)
     else:

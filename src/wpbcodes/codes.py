@@ -59,12 +59,16 @@ for rho and d (_combine).  The offsets are the weight's own: an element
 outside a node below one inside lies below all of it (their lowest common
 node is a series one), so a nonzero u zero off a node weighs M_w times
 those elements plus its weight in the node's space.  A leaf is a code read
-whole in its own space: both radii from one pass over F_q^cols against its
-words (cols its columns off its pivots, all of an explicit code's), and d
-from the nonzero words of a linear code, or an explicit code's words as the
-rows of a whole-row pass against themselves (each word's row has its one 0
-at the word, so its second-smallest entry is the distance to the nearest
-other word).
+whole in its own space: a radius from one pass over F_q^cols against its
+words (cols its columns off its pivots, all of an explicit code's), which
+keeps per row what the reading needs (_keep): R its minimum alone ("min"),
+rho its two smallest entries ("two"), which give R as well, so a packing
+reading memoizes both radii and a covering one R alone (covering and then
+packing on one leaf takes two passes, packing first one); and d from the
+nonzero words of a linear code, or an explicit code's words as the rows of
+a whole-row pass against themselves (each word's row has its one 0 at the
+word, so its second-smallest entry is the distance to the nearest other
+word).
 
 A code splits only when its split costs less (_plan).  Every leaf reading
 costs its rows times its words (_leaf_cost): q^n * |C| entries for an
@@ -84,9 +88,9 @@ x + C to the code are the row x of W[x, c] = w(x + c) = w(x - (-c)): the
 pass on the free columns against the negated codewords, q^n entries
 instead of q^n * |C|, row x being coset_index(x).  A linear leaf takes the
 same pass on its columns off its pivots against its negated words.  The
-coset table takes the full coset pass, keeping per row the first word that
-reaches the row minimum, and memoizes its max leader weight as the
-covering radius where none is memoized yet.
+coset table takes the full coset pass, keeping per row its minimum and the
+first word that reaches it ("first"), and memoizes its max leader weight as
+the covering radius where none is memoized yet.
 
 The coset table's leader x + c is the first minimum in odometer order
 because the generators are in reduced row-echelon form in natural column
@@ -137,21 +141,42 @@ from .weights import WeightFn
 _BIG = np.iinfo(np.int64).max
 
 
-def _two_smallest(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _two_smallest(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Along axis 1 of a tile: its smallest entry t1, then t1 again if it
-    occurs twice, else the least entry above it, and the mask of the
-    entries equal to t1, all in the tile's dtype.  The entries equal to t1
-    are masked with the dtype's maximum, which lies above every weight (a
-    cut's uint8 table holds at most 254, BlockSpace.cut).  It is left as t2
-    in the rows of a tile with one word, and reaches a pass's reading only
-    when the pass has one word (a later one-word block of a whole-row pass
-    merges into real entries), whose packing reading no code stores."""
+    occurs twice, else the least entry above it, both in the tile's dtype.
+    The entries equal to t1 are masked with the dtype's maximum, which lies
+    above every weight (a cut's uint8 table holds at most 254,
+    BlockSpace.cut).  It is left as t2 in the rows of a tile with one word,
+    and reaches a pass's reading only when the pass has one word (a later
+    one-word block of a whole-row pass merges into real entries), whose
+    packing reading no code stores."""
     t1 = w.min(axis=1)
     hit = w == t1[:, None]
     big = w.dtype.type(np.iinfo(w.dtype).max)
     t2 = np.maximum(w, hit * big).min(axis=1)  # branch-free masking: w >= 0
     np.copyto(t2, t1, where=hit.sum(axis=1) > 1)
-    return t1, t2, hit
+    return t1, t2
+
+
+def _first_smallest(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Along axis 1 of a tile: its smallest entry and the index of the first
+    entry equal to it, the first True of the tie mask (argmax on the mask
+    runs faster than argmin on a tile's middle or transposed axis)."""
+    t1 = w.min(axis=1)
+    return t1, (w == t1[:, None]).argmax(axis=1)
+
+
+def _keep(w: np.ndarray, keep: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """What a pass keeps per row of a tile (along axis 1), by its reading:
+    the row minimum alone ("min", for a covering radius, None beside it),
+    the minimum and the index of the first word reaching it ("first", for
+    coset leaders), or the two smallest entries ("two", for a packing
+    radius or a minimum distance)."""
+    if keep == "two":
+        return _two_smallest(w)
+    if keep == "first":
+        return _first_smallest(w)
+    return w.min(axis=1), None
 
 
 def _tile(space: BlockSpace, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -615,9 +640,13 @@ class Code:
         or from an explicit code's words as the rows of a whole-row pass
         against themselves: a word's row has its one 0 at the word itself,
         so its second-smallest entry is the distance to the nearest other
-        word.  Else both radii from one pass (the coset pass of a linear
-        code on its columns off the pivots against its negated words, an
-        explicit code's on all its columns against its words)."""
+        word.  Else a pass (the coset pass of a linear code on its columns
+        off the pivots against its negated words, an explicit code's on all
+        its columns against its words) that keeps what the reading needs: a
+        covering radius the row minima alone ("min"), memoized alone, and a
+        packing radius the two smallest entries per row ("two"), which give
+        both radii, both memoized.  So covering and then packing on one code
+        takes two passes, and packing first one."""
         space = self.space
         if not self._leaf_cost(what):  # a linear code that fills its space
             self._memo[what] = 0
@@ -627,45 +656,51 @@ class Code:
             if self.is_linear:
                 self._memo[what] = int(space.batch_weights(words[1:]).min())
             else:
-                chunks = self._whole_rows(self._free, words, False, words)
-                self._memo[what] = min(int(d2.min()) for _, _, d2, _ in chunks)
+                chunks = self._whole_rows(self._free, words, "two", words)
+                self._memo[what] = min(int(d2.min()) for _, _, d2 in chunks)
             return
         if self.is_linear:
             words = space.field.neg_table[words]
-        covering, packing, _ = self._pass(self._free, words)
+        keep = "min" if what == "covering_radius" else "two"
+        covering, packing, _ = self._pass(self._free, words, keep)
         self._memo["covering_radius"] = covering
-        if self.size > 1:
+        if keep == "two":  # a packing reading reaches codes of two or more words
             self._memo["packing_radius"] = packing
 
     # the pass -----------------------------------------------------------------
 
-    def _pass(self, cols: np.ndarray, words: np.ndarray, leaders: bool = False):
+    def _pass(self, cols: np.ndarray, words: np.ndarray, keep: str):
         """One pass over w(x - c) for the rows x of F_q^cols in odometer order
-        (zero off the columns cols) and the words c.  Per row only the
-        smallest and second-smallest entry are kept.  Returns the max row
-        minimum and the min second-smallest entry - 1 (a covering and, for
-        two or more words, a packing radius; the caller stores the ones that
-        hold for its code) and, with leaders=True, per row its minimum and
-        the index of the first word reaching it, else None.  The caller
-        charges the q^|cols| * |words| vector x word pairs."""
-        rows = self.space.q ** len(cols)
-        if leaders:
+        (zero off the columns cols) and the words c, keeping per row what
+        the reading needs (_keep): "min" its minimum, "first" its minimum
+        and the index of the first word reaching it, "two" its two smallest
+        entries.  Returns the max row minimum (a covering radius), with
+        "two" the min second-smallest entry - 1 (for two or more words, a
+        packing radius) else None, and with "first" per row its minimum and
+        the index of its first word else None.  The caller stores the
+        readings that hold for its code and charges the q^|cols| * |words|
+        vector x word pairs."""
+        if keep == "first":
+            rows = self.space.q ** len(cols)
             best_w = np.empty(rows, dtype=np.int64)
             best_word = np.empty(rows, dtype=np.intp)
         covering, second = 0, _BIG
-        for start, d1, d2, word in self._chunks(cols, words, leaders):
+        for start, d1, other in self._chunks(cols, words, keep):
             covering = max(covering, int(d1.max()))
-            second = min(second, int(d2.min()))
-            if leaders:
+            if keep == "two":
+                second = min(second, int(other.min()))
+            elif keep == "first":
                 best_w[start : start + len(d1)] = d1
-                best_word[start : start + len(d1)] = word
-        return covering, second - 1, ((best_w, best_word) if leaders else None)
+                best_word[start : start + len(d1)] = other
+        return (covering, second - 1 if keep == "two" else None,
+                (best_w, best_word) if keep == "first" else None)
 
-    def _chunks(self, cols: np.ndarray, words: np.ndarray, leaders: bool):
-        """Yield (rank of the first row, d1, d2, word) per chunk of the rows
-        of _pass, word being the index of each row's first minimum with
-        leaders, else None.  The last t columns, t the largest below
-        len(cols) with q^t * |C| <= _CHUNK, are the tail of a cut
+    def _chunks(self, cols: np.ndarray, words: np.ndarray, keep: str):
+        """Yield (rank of the first row, d1, other) per chunk of the rows of
+        _pass, d1 the row minima and other the rest of what keep keeps: the
+        index of each row's first minimum ("first"), its second-smallest
+        entry ("two") or None ("min").  The last t columns, t the largest
+        below len(cols) with q^t * |C| <= _CHUNK, are the tail of a cut
         (BlockSpace.cut) at the first of them; without such a cut (one tile
         holds the pass, q * |C| > _CHUNK, or the space has no table for the
         cut) the pass runs on whole rows."""
@@ -675,22 +710,22 @@ class Code:
             t += 1
         cut = space.cut(int(cols[-t])) if 0 < t < len(cols) else None
         if cut is None:
-            return self._whole_rows(cols, words, leaders)
-        return self._cut_rows(cut, cols[:-t], cols[-t:], words, leaders)
+            return self._whole_rows(cols, words, keep)
+        return self._cut_rows(cut, cols[:-t], cols[-t:], words, keep)
 
-    def _whole_rows(self, cols: np.ndarray, words: np.ndarray, leaders: bool,
+    def _whole_rows(self, cols: np.ndarray, words: np.ndarray, keep: str,
                     rows: np.ndarray | None = None):
         """_chunks on whole rows x, those of F_q^cols or, when given, the rows
         of an (X, n) uint8 array: tiles of at most _CHUNK pairs, x-rows times
         a block of words, one pair-kernel call each (whole rows when
         |C| <= _CHUNK, else one row split over word blocks).  The first
         block's readings are the row's, and each later block merges into
-        them; with leaders, a tile's first minimum is the first word of its
-        tie mask, and a later block takes a row's word only with a strictly
-        smaller minimum.  The rows' piece codes come from the space's plan:
-        those of F_q^cols from its odometer (_PiecePlan.odometer_codes),
-        which keeps those of a pass that fits one tile, and given rows' from
-        one product per chunk (_PiecePlan.codes)."""
+        them: its minima always, its second-smallest entries with "two",
+        and with "first" its first word only where its minimum is strictly
+        smaller.  The rows' piece codes come from the space's plan: those
+        of F_q^cols from its odometer (_PiecePlan.odometer_codes), which
+        keeps those of a pass that fits one tile, and given rows' from one
+        product per chunk (_PiecePlan.codes)."""
         plan = self.space.plan()
         right = plan.codes(words, left=False)
         block, step = min(len(words), _CHUNK), max(_CHUNK // len(words), 1)
@@ -700,21 +735,20 @@ class Code:
             lefts = ((lo, plan.codes(rows[lo : lo + step])) for lo in range(0, len(rows), step))
         for start, left in lefts:
             for lo in range(0, len(words), block):
-                t1, t2, hit = _two_smallest(_tile(self.space, left, right[:, lo : lo + block]))
-                t_word = lo + hit.argmax(axis=1) if leaders else None
+                t1, t_other = _keep(_tile(self.space, left, right[:, lo : lo + block]), keep)
                 if lo == 0:  # the first block's readings are the row's so far
-                    d1, d2, word = t1, t2, t_word
+                    d1, other = t1, t_other
                     continue
-                if leaders:
-                    word = np.where(t1 < d1, t_word, word)
-                # merge the tile's (t1, t2) into the row's (d1, d2)
-                np.minimum(d2, np.minimum(t2, np.maximum(d1, t1)), out=d2)
+                if keep == "first":
+                    other = np.where(t1 < d1, lo + t_other, other)
+                elif keep == "two":  # merge the tile's (t1, t2) into the row's (d1, d2)
+                    np.minimum(other, np.minimum(t_other, np.maximum(d1, t1)), out=other)
                 np.minimum(d1, t1, out=d1)
-            yield start, d1, d2, word
+            yield start, d1, other
 
     def _cut_rows(
         self, cut: _Cut, head_cols: np.ndarray, tail_cols: np.ndarray, words: np.ndarray,
-        leaders: bool,
+        keep: str,
     ):
         """_chunks through a cut: x is a head row (on head_cols) plus a tail row
         (on tail_cols).  The (C, T) tail index of all T = q^t tail rows is
@@ -722,8 +756,7 @@ class Code:
         (X, C, T) tile costs one add and one gather per entry.  A chunk
         holds at most 4 * _CHUNK entries of the cut's uint8 table (a uint16
         index and a uint8 weight each) and at least one head row
-        (C * T <= _CHUNK).  With leaders, a row's first minimum is the first
-        word of the tile's tie mask."""
+        (C * T <= _CHUNK)."""
         head, tail = cut.head, cut.tail
         head_words = head.plan.codes(words[:, head.lo : head.hi], left=False)
         tail_words = tail.plan.codes(words[:, tail.lo : tail.hi], left=False)
@@ -731,9 +764,8 @@ class Code:
         tail_index = tail.index(tail.plan.row_codes(tail_cols - tail.lo), tail_words).T.copy()
         width = tail_index.shape[1]
         for start, codes in head.plan.odometer_codes(head_cols, 4 * _CHUNK // tail_index.size):
-            t1, t2, hit = _two_smallest(cut.weights(head.index(codes, head_words), tail_index))
-            word = hit.argmax(axis=1).ravel() if leaders else None
-            yield start * width, t1.ravel(), t2.ravel(), word
+            t1, other = _keep(cut.weights(head.index(codes, head_words), tail_index), keep)
+            yield start * width, t1.ravel(), None if other is None else other.ravel()
 
     # cosets -----------------------------------------------------------------
 
@@ -761,10 +793,12 @@ class Code:
     def coset_table(self) -> CosetTable:
         """Minimum-weight leader per coset; leader = first minimum in odometer
         order, x + c for the row x of the coset pass (zero on the pivots)
-        and the first codeword c reaching the row minimum (module
-        docstring).  The leaders are the (q^(n-k), n) uint8 array the pass
-        gives and the weights its (q^(n-k),) int64 row minima, both
-        read-only and memoized with the table, q^(n-k) * (n + 8) bytes."""
+        and the first codeword c reaching the row minimum, which the pass
+        keeps per row with the minimum ("first", module docstring).  The
+        leaders are the (q^(n-k), n) uint8 array the pass gives and the
+        weights its (q^(n-k),) int64 row minima, both read-only and
+        memoized with the table, q^(n-k) * (n + 8) bytes; the max row
+        minimum is its max leader weight."""
         if "coset_table" in self._memo:
             return self._memo["coset_table"]
         if not self.is_linear:
@@ -772,13 +806,13 @@ class Code:
         space = self.space
         words = space.field.neg_table[self.codeword_array()]
         charge(space.q ** len(self._free) * len(words), "vector x word pairs")
-        best_w, best_word = self._pass(self._free, words, True)[2]
+        covering, _, (best_w, best_word) = self._pass(self._free, words, "first")
         x = np.zeros((len(best_w), space.n), dtype=np.uint8)
         x[:, self._free] = odometer_table(space.q, len(self._free))
         leaders = space.field.sub_table[x, words[best_word]]
         leaders.flags.writeable = False
         best_w.flags.writeable = False
-        table = CosetTable(leaders=leaders, weights=best_w, max_weight=int(best_w.max()))
+        table = CosetTable(leaders=leaders, weights=best_w, max_weight=covering)
         self._memo["coset_table"] = table
         self._memo.setdefault("covering_radius", table.max_weight)
         return table

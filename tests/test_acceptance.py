@@ -28,6 +28,8 @@ from wpbcodes.field import make_field
 from wpbcodes import poset as P
 from wpbcodes.weights import hamming_weight, lee_weight
 
+from small_posets import all_posets
+
 SEED = 2026
 
 
@@ -65,7 +67,7 @@ def test_criterion_01_metric_axioms():
         f = make_field(q)
         weights = [hamming_weight(f), lee_weight(f)]
         for s in (1, 2, 3):
-            for pos in P.all_posets(s):
+            for pos in all_posets(s):
                 for sizes in itertools.product((1, 2), repeat=s):
                     for w in weights:
                         space = BlockSpace(pos, Labeling(sizes), f, w)
@@ -115,7 +117,7 @@ def test_criterion_02_reductions():
     for q in (2, 3):
         f = make_field(q)
         for s in (1, 2, 3):
-            for pos in P.all_posets(s):
+            for pos in all_posets(s):
                 sizes = tuple(1 + (i % 2) for i in range(s))
                 sp = BlockSpace(pos, Labeling(sizes), f, hamming_weight(f))
                 if sp.size > 1024:
@@ -278,8 +280,8 @@ def test_criterion_10_covering_oracle(
     # code takes the same pass unskewed
     original = Code._pass
 
-    def skewed(self, cols, words, leaders=False):
-        covering, packing, best = original(self, cols, words, leaders)
+    def skewed(self, cols, words, keep):
+        covering, packing, best = original(self, cols, words, keep)
         if not self.is_linear:
             return covering, packing, best
         return covering + 1, packing, None if best is None else (best[0] + 1, best[1])

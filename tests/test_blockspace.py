@@ -23,6 +23,8 @@ from wpbcodes.instances import random_linear_code
 from wpbcodes import poset as P
 from wpbcodes.weights import custom_weight, hamming_weight, lee_weight
 
+from small_posets import all_posets
+
 
 def space(q, pos, sizes, weight="hamming"):
     f = make_field(q)
@@ -103,7 +105,7 @@ def test_ball_matches_a_scan_of_all_vectors(monkeypatch):
     Hamming, Lee and a custom weight.  At a _CHUNK of 16 most spaces have
     no block-max table and F_q^n spans several chunks."""
     rng = random.Random(19)
-    posets = [p for k in (1, 2, 3) for p in P.all_posets(k)]
+    posets = [p for k in (1, 2, 3) for p in all_posets(k)]
     tabulated = set()
     for chunk in (_CHUNK, 16):
         monkeypatch.setattr(blockspace, "_CHUNK", chunk)
@@ -173,7 +175,7 @@ def test_weight_spectrum_matches_enumeration(monkeypatch):
     pieces (a q=2 block of 13, or _PIECE_CODES at 1) change the oracle's
     path, not the DP.  ball_size equals len(ball) at seeded centres."""
     shapes = [
-        *P.all_posets(3),
+        *all_posets(3),
         P.chain(4),
         P.antichain(4),
         TREE6,
@@ -320,7 +322,7 @@ def test_batch_weights_match_scalar(monkeypatch):
     look weights up in a table; a monkeypatched _CHUNK then sends every
     space down one path."""
     tree6 = P.from_cover_relations(6, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)])
-    shapes = [*P.all_posets(3), P.chain(5), P.antichain(5), tree6, *_relabelled_posets(3, 4)]
+    shapes = [*all_posets(3), P.chain(5), P.antichain(5), tree6, *_relabelled_posets(3, 4)]
     cases = [
         (P.chain(3), (1, 2, 1), 3, "lee"),
         (P.antichain(2), (2, 2), 4, "hamming"),
@@ -382,7 +384,7 @@ def test_pair_weights_match_scalar(chunk, monkeypatch):
     the block-max-tuple table."""
     monkeypatch.setattr(blockspace, "_CHUNK", chunk)
     tree = P.from_cover_relations(4, [(1, 2), (1, 3), (3, 4)])
-    shapes = [*P.all_posets(3), P.chain(4), P.antichain(4), tree]
+    shapes = [*all_posets(3), P.chain(4), P.antichain(4), tree]
     kinds = [(2, "hamming"), (3, "lee"), (4, "custom"), (5, "lee"), (7, "custom")]
     cases = [
         (pos, [1 + (i + j) % 2 for j in range(pos.s)], *kinds[k % 5], blockspace._PIECE_CODES)

@@ -1,5 +1,10 @@
 import json
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,7 +104,7 @@ def test_pool_size_is_clamped_to_usable_cpus(jobs, cpus, pool, affinity, monkeyp
         def map(self, fn, tasks):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(checks, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)  # verify_suite imports it lazily
     if affinity:
         monkeypatch.setattr(checks.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(checks.os, "cpu_count", lambda: 64)
@@ -109,6 +114,25 @@ def test_pool_size_is_clamped_to_usable_cpus(jobs, cpus, pool, affinity, monkeyp
     reports = verify_suite(["ball-nesting"], seed=0, trials=2, jobs=jobs)
     assert requested == pool
     assert to_jsonl(reports) == to_jsonl(verify_suite(["ball-nesting"], seed=0, trials=2))
+
+
+def test_a_serial_run_leaves_multiprocessing_unimported():
+    """Only a pool needs multiprocessing, so the CLI and a serial verify run
+    import none of it (a few ms of every wpbcodes start)."""
+    script = (
+        "import sys\n"
+        "import wpbcodes.cli\n"
+        "from wpbcodes.checks import verify_suite\n"
+        "assert verify_suite(['ball-nesting'], seed=0, trials=1)\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    src = str(Path(checks.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 def test_replay_determinism():

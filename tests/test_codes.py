@@ -21,6 +21,8 @@ from wpbcodes.instances import random_rows
 from wpbcodes import poset as P
 from wpbcodes.weights import custom_weight, hamming_weight, lee_weight
 
+from small_posets import all_posets
+
 
 def space(q, pos, sizes, weight="hamming"):
     f = make_field(q)
@@ -237,7 +239,7 @@ def test_linear_min_weight_equals_min_pairwise():
     for _ in range(25):
         q = rng.choice([2, 3, 5])
         s_count = rng.randrange(1, 4)
-        pos = list(P.all_posets(s_count))[rng.randrange(len(list(P.all_posets(s_count))))]
+        pos = list(all_posets(s_count))[rng.randrange(len(list(all_posets(s_count))))]
         sizes = tuple(rng.randrange(1, 3) for _ in range(s_count))
         sp = space(q, pos, sizes, rng.choice(["hamming", "lee"]) if q != 4 else "hamming")
         if sp.size > 4096:
@@ -272,7 +274,7 @@ def test_covering_radius_equals_max_coset_weight():
     for _ in range(20):
         q = rng.choice([2, 3, 5])
         s_count = rng.randrange(1, 4)
-        all_p = list(P.all_posets(s_count))
+        all_p = list(all_posets(s_count))
         pos = all_p[rng.randrange(len(all_p))]
         sizes = tuple(rng.randrange(1, 3) for _ in range(s_count))
         sp = space(q, pos, sizes, "lee" if q != 2 else "hamming")
@@ -521,20 +523,21 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
     cut, index, run = BlockSpace.cut, blockspace._Side.index, Code._pass
     seen: list = []  # the cut point of each pass that asked for one
     indices: list = []  # entries and dtype of every head and tail index
-    # per pass: one tile holds it, a row's words fill a tile, its cuts, and
-    # the block offsets of its space (a split's part has its node's own)
+    # per pass: one tile holds it, a row's words fill a tile, its cuts, the
+    # block offsets of its space (a split's part has its node's own) and what
+    # it keeps per row
     passes: list = []
 
     def recording_cut(sp, p):
         seen.append(p)
         return cut(sp, p)
 
-    def recording_pass(code, cols, words, leaders=False):
+    def recording_pass(code, cols, words, keep):
         start = len(seen)
-        out = run(code, cols, words, leaders)
+        out = run(code, cols, words, keep)
         q = code.space.q
         passes.append((q ** len(cols) * len(words) <= chunk, q * len(words) > chunk, seen[start:],
-                       code.space.labeling.offsets))
+                       code.space.labeling.offsets, keep))
         return out
 
     def recording_index(side, left, right):
@@ -571,7 +574,12 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
             split.add(len(sp.plan().starts) > sp.s)
             # the reading's leaf passes, then the coset table's full pass
             assert passes
-            for one_tile, word_blocks, at, offsets in passes:
+            # covering keeps the row minima, packing the two smallest entries
+            # and the table the first word reaching the minimum, in read order
+            keeps = [p[-1] for p in passes]
+            assert keeps == sorted(keeps, key=["min", "two", "first"].index)
+            assert keeps.count("first") == (table is not None)
+            for one_tile, word_blocks, at, offsets, _ in passes:
                 assert len(at) == (0 if one_tile or word_blocks else 1)
                 if at:
                     cuts.add("boundary" if at[0] in offsets else "inside")
@@ -604,16 +612,16 @@ def test_cut_coset_tables_take_the_first_tied_word(chunk, monkeypatch):
     force.  GF(2) and GF(3) chains and antichains of single coordinates
     under the Hamming weight, codes of dimension 1 and 2."""
     monkeypatch.setattr(codes_module, "_CHUNK", chunk)
-    two_smallest = codes_module._two_smallest
+    first_smallest = codes_module._first_smallest
     tied: list[int] = []  # rows minimal at two or more words, per tile through a cut
 
     def recording(w):
-        t1, t2, hit = two_smallest(w)
-        if hit.ndim == 3:
-            tied.append(int((hit.sum(axis=1) > 1).sum()))
-        return t1, t2, hit
+        t1, word = first_smallest(w)
+        if w.ndim == 3:
+            tied.append(int(((w == t1[:, None]).sum(axis=1) > 1).sum()))
+        return t1, word
 
-    monkeypatch.setattr(codes_module, "_two_smallest", recording)
+    monkeypatch.setattr(codes_module, "_first_smallest", recording)
     rng = random.Random(83)
     for q, n in [(2, 6), (2, 8), (3, 4), (3, 5)]:
         f = make_field(q)
@@ -624,6 +632,102 @@ def test_cut_coset_tables_take_the_first_tied_word(chunk, monkeypatch):
                 table = code.coset_table()
                 assert _table_tuples(table) == _brute_force_table(code)
     assert sum(tied) > 0
+
+
+@pytest.mark.parametrize("chunk, path", [(5, "word blocks"), (16, "cut")])
+def test_each_reading_keeps_what_it_needs(chunk, path, monkeypatch):
+    """What a pass keeps per row, on seeded linear codes and word sets, over
+    all columns against the codewords: "min" gives the covering radius of
+    "two" and "first", "first" the row minimum and the first word reaching
+    it of a dense batch_weights reduction, and "two" its least
+    second-smallest entry - 1.  A _CHUNK of 5 runs whole rows over several
+    word blocks (|C| > 5, so q |C| > 5) and one of 16 cuts most passes.
+    Every read order gives a fresh code's values: covering then packing
+    (one pass per reading), packing then covering and is_r_perfect (on a
+    code read as one leaf, the packing pass alone), and a coset table then
+    covering (the table's pass alone)."""
+    monkeypatch.setattr(codes_module, "_CHUNK", chunk)
+    cut, run = BlockSpace.cut, Code._pass
+    keeps: list[str] = []  # the reading of every pass
+    cuts: list = []  # every cut asked for, None where the space has no table
+    paths: set[str] = set()
+
+    def recording_pass(code, cols, words, keep):
+        keeps.append(keep)
+        return run(code, cols, words, keep)
+
+    def recording_cut(space, p):
+        cuts.append(cut(space, p))
+        return cuts[-1]
+
+    def passes(read) -> tuple[object, list[str]]:
+        keeps.clear()
+        value = read()
+        return value, list(keeps)
+
+    monkeypatch.setattr(Code, "_pass", recording_pass)
+    monkeypatch.setattr(BlockSpace, "cut", recording_cut)
+    rng = random.Random(71)
+    kinds, leaves = set(), 0
+    for i in range(40):
+        code = _random_linear_code(rng)
+        sp = code.space
+        allv = sp.all_vectors()
+        if i % 2:
+            rows = rng.sample(range(sp.size), rng.randrange(1, min(sp.size, 12) + 1))
+            code = Code.explicit(sp, allv[rows])
+        kinds.add(code.kind)
+
+        def fresh():
+            return Code.linear(sp, code.generators) if code.is_linear else Code.explicit(sp, code.words)
+
+        cw = code.codeword_array()
+        dist = sp.batch_weights(
+            sp.field.sub_table[allv[:, None, :], cw[None, :, :]].reshape(-1, sp.n)
+        ).reshape(len(allv), len(cw))
+        cuts.clear()
+        cols = np.arange(sp.n)
+        covering, none, leaders = code._pass(cols, cw, "first")
+        assert none is None and leaders[0].tolist() == dist.min(axis=1).tolist()
+        assert leaders[1].tolist() == dist.argmin(axis=1).tolist()  # argmin: the first minimum
+        assert code._pass(cols, cw, "min") == (covering, None, None)
+        two = code._pass(cols, cw, "two")
+        assert two[0] == covering == dist.min(axis=1).max() and two[2] is None
+        if code.size >= 2:
+            assert two[1] == np.sort(dist, axis=1)[:, 1].min() - 1
+        if any(c is not None for c in cuts):
+            paths.add("cut")
+        elif len(cw) > chunk:
+            paths.add("word blocks")
+
+        top = sp.weight.max_weight * sp.s
+        perfect = [bool(((dist <= r).sum(axis=1) == 1).all()) for r in range(top + 1)]
+        cov, cov_keeps = passes(fresh().covering_radius)
+        assert cov == covering and set(cov_keeps) <= {"min"}
+        if code.size < 2:
+            assert passes(lambda: fresh().is_r_perfect(top))[1] == cov_keeps
+            continue
+        pack, pack_keeps = passes(fresh().packing_radius)
+        assert pack == two[1] and set(pack_keeps) == {"two"}
+        cover_first = fresh()
+        assert passes(lambda: (cover_first.covering_radius(), cover_first.packing_radius())) == (
+            (cov, pack), cov_keeps + pack_keeps)
+        pack_first = fresh()
+        read, both = passes(lambda: (pack_first.packing_radius(), pack_first.covering_radius()))
+        assert read == (pack, cov) and both[: len(pack_keeps)] == pack_keeps
+        perfect_first = fresh()
+        assert passes(lambda: [perfect_first.is_r_perfect(r) for r in range(top + 1)]) == (
+            perfect, both)
+        if pack_first._plans["packing_radius"][0] is None:
+            assert both == ["two"]  # one leaf: its packing pass memoizes both radii
+            leaves += 1
+        if code.is_linear:
+            tabled = fresh()
+            table, table_keeps = passes(tabled.coset_table)
+            assert table_keeps == ["first"] and table.max_weight == cov
+            assert passes(tabled.covering_radius) == (cov, [])
+            assert _table_tuples(table) == _brute_force_table(code)
+    assert kinds == {"linear", "explicit"} and path in paths and leaves
 
 
 @pytest.mark.parametrize("pos, sizes", [(P.antichain(2), (1, 1)), (P.chain(2), (1, 1)),
@@ -675,7 +779,7 @@ def test_narrow_cut_table_at_the_largest_weight_it_admits(pos, sizes, monkeypatc
             code, cw = Code.explicit(sp, allv[list(rows)]), allv[list(rows)]
             seen.clear()
             # the pass over all columns, which the tree reading may split
-            covering, packing, _ = code._pass(np.arange(sp.n), cw)
+            covering, packing, _ = code._pass(np.arange(sp.n), cw, "two")
             assert len(seen) == 1 and seen[0].table.dtype == np.uint8
             dist = sp.batch_weights(
                 sp.field.sub_table[allv[:, None, :], cw[None, :, :]].reshape(-1, sp.n)
@@ -691,7 +795,7 @@ def test_narrow_cut_table_at_the_largest_weight_it_admits(pos, sizes, monkeypatc
 
 
 TREE6 = P.from_cover_relations(6, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)])
-_SMALL_POSETS = [p for s in (1, 2, 3) for p in P.all_posets(s)]
+_SMALL_POSETS = [p for s in (1, 2, 3) for p in all_posets(s)]
 
 
 def _level_space(rng):
