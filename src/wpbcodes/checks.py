@@ -1,4 +1,4 @@
-"""The verification suite: every structural claim becomes a named check.
+"""The verification suite: every claim of the paper becomes a named check.
 
 Checks are grouped into suites; one suite *unit* generates one instance (or
 instance pair) from a derived seed and evaluates all member checks on it,
@@ -12,13 +12,23 @@ emitting one CheckReport per (check, instance).  Statuses:
                       gaps or intricate side conditions) is violated; logged
                       as a finding with a witness, not a build failure
 
-Each suite is declared once, by ``@suite(name, tags, trials, pools,
-checks)`` on its unit body; the declaration registers it in REGISTRY.  Unit
-i of suite S under master seed m uses the derived seed h(m, S, i) and draws
-its field size q first, from pools[i % len(pools)], so any report replays
-from (seed, digest) alone.  A body that emits a check id its suite did not
-declare raises.  Reports sort canonically by (check, digest, seed); their
-serialized form excludes timing, so parallel and serial runs emit
+Each claim is one row, a Claim: its check id, hard or soft, a gate and a
+relation, all functions of the unit's readings.  The gate emits nothing,
+emits not-applicable with a reason, or lets the relation decide; the
+relation returns whether the claim holds and the record's witness.  A suite
+is declared once, by ``@suite(name, tags, trials, pools, claims)`` on its
+unit body; its check ids are its rows' ids in row order, and the
+declaration registers it in REGISTRY.  A unit body samples its instance,
+names it with u.start, takes its readings and returns them; one evaluator,
+_evaluate, then emits the rows' records in row order.  The covering oracle
+is the one record emitted while the readings are taken
+(_covering_with_oracle), once per code whose covering radius is read.
+
+Unit i of suite S under master seed m uses the derived seed h(m, S, i) and
+draws its field size q first, from pools[i % len(pools)], so any report
+replays from (seed, digest) alone.  A unit that emits a check id its suite
+did not declare raises.  Reports sort canonically by (check, digest, seed);
+their serialized form excludes timing, so parallel and serial runs emit
 byte-identical output.
 """
 
@@ -31,7 +41,8 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +67,8 @@ from .weights import WeightFn, custom_weight, hamming_weight, lee_weight
 _SIZE_CAP = {2: 1024, 3: 729, 5: 625, 7: 343}
 _EXHAUSTIVE_PAIR_CAP = 2048
 _RANDOM_PAIR_SAMPLES = 2000
+
+COVERING_ORACLE = "covering-oracle"
 
 
 @dataclass
@@ -116,6 +129,42 @@ class _Unit:
         self._emit(check, "not-applicable", {"reason": reason})
 
 
+HARD, SOFT = False, True
+Readings = SimpleNamespace
+
+
+class Claim(NamedTuple):
+    """One claim of the paper as a row, read against a unit's readings r.
+
+    ``gate(r)`` has three outcomes: a false value emits nothing, a string
+    emits not-applicable with that reason, and True evaluates
+    ``relation(r)``, which returns (ok, witness).  ``soft`` is HARD, SOFT or
+    a function of r.  A row without a relation only declares its check id:
+    its records are emitted while the readings are taken.
+    """
+
+    check: str
+    soft: bool | Callable[[Readings], bool]
+    relation: Callable[[Readings], tuple[bool, dict]] | None
+    gate: Callable[[Readings], bool | str] = lambda r: True
+
+
+# covering-oracle, emitted by _covering_with_oracle once per code it reads
+_ORACLE = Claim(COVERING_ORACLE, HARD, None)
+
+
+def _evaluate(u: _Unit, claims: Sequence[Claim], r: Readings) -> None:
+    """Emit the records of a unit's rows, in row order."""
+    for claim in claims:
+        gate = claim.relation is not None and claim.gate(r)
+        if isinstance(gate, str):
+            u.na(claim.check, gate)
+        elif gate:
+            ok, witness = claim.relation(r)
+            soft = claim.soft(r) if callable(claim.soft) else claim.soft
+            (u.soft if soft else u.hard)(claim.check, ok, witness)
+
+
 @dataclass(frozen=True)
 class Suite:
     name: str
@@ -134,17 +183,19 @@ def suite(
     tags: Iterable[str],
     trials: int,
     pools: Sequence[Sequence[int]],
-    checks: tuple[str, ...],
+    claims: Sequence[Claim],
 ) -> Callable:
     """Declare a suite whose unit body is ``body(u, rng, q, unit)``.
 
     Unit i of the suite runs on the derived seed h(seed, name, i): it seeds
     rng, draws q from pools[i % len(pools)] (or takes the q filter when that
     pool holds it, else emits nothing), and hands the body a _Unit that
-    accepts only ``checks``.  The body names its instance with u.start.
+    accepts only the rows' check ids.  The body names its instance with
+    u.start and returns its readings, or None to emit no rows.
     """
+    checks = tuple(dict.fromkeys(claim.check for claim in claims))
 
-    def register(body: Callable[[_Unit, random.Random, int, int], None]) -> Callable:
+    def register(body: Callable[[_Unit, random.Random, int, int], Readings | None]) -> Callable:
         def unit_fn(seed: int, unit: int, q_filter: int | None = None) -> list[CheckReport]:
             child = derive_seed(seed, name, unit)
             rng = random.Random(child)
@@ -152,7 +203,9 @@ def suite(
             if q is None:
                 return []
             u = _Unit(child, checks)
-            body(u, rng, q, unit)
+            readings = body(u, rng, q, unit)
+            if readings is not None:
+                _evaluate(u, claims, readings)
             return u.reports
 
         REGISTRY[name] = Suite(name, frozenset(tags), checks, trials, unit_fn)
@@ -268,7 +321,7 @@ def _covering_with_oracle(unit: _Unit, code: Code, label: str) -> int:
     coset_max = code.coset_table().max_weight
     scan = Code.explicit(code.space, code.codeword_array()).covering_radius()
     unit.hard(
-        "covering-oracle",
+        COVERING_ORACLE,
         rho == coset_max == scan,
         {"code": label, "scan": scan, "coset_max": coset_max, "covering": rho},
     )
@@ -327,16 +380,18 @@ def metric_axiom_witness(space: BlockSpace, rng: random.Random | None = None) ->
     return None
 
 
-@suite("metric-axioms", {"metric", "axioms"}, 50, [[2, 3, 5]], ("metric-axioms",))
-def _unit_metric_axioms(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
+_METRIC_AXIOMS = "metric-axioms"  # the suite and its one check
+
+
+@suite(_METRIC_AXIOMS, {"metric", "axioms"}, 50, [[2, 3, 5]], [
+    Claim(_METRIC_AXIOMS, HARD, lambda r: (r.axioms is None, r.axioms or {})),
+])
+def _unit_metric_axioms(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
     # q = 5 reaches 5^6 vectors, past the exhaustive pair cap
     pos, lab = _random_shape(rng, q, cap=_SIZE_CAP[q] * (25 if q == 5 else 1))
-    weight = _random_weight(rng, q)
-    space = BlockSpace(pos, lab, make_field(q), weight)
-    inst = Instance.from_parts(space, Code.linear(space, []))
-    u.start(inst.digest())
-    witness = metric_axiom_witness(space, rng)
-    u.hard("metric-axioms", witness is None, witness or {})
+    space = BlockSpace(pos, lab, make_field(q), _random_weight(rng, q))
+    u.start(_instance_of(Code.linear(space, [])).digest())
+    return Readings(axioms=metric_axiom_witness(space, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -344,60 +399,42 @@ def _unit_metric_axioms(u: _Unit, rng: random.Random, q: int, unit: int) -> None
 # ---------------------------------------------------------------------------
 
 
-@suite(
-    "reductions",
-    {"metric"},
-    48,
-    [[2, 3, 5], [3, 5, 7], [2, 3, 5], [2, 3]],
-    ("reduction-hamming", "reduction-lee", "reduction-nrt", "reduction-poset-block"),
-)
-def _unit_reductions(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
-    which = unit % 4
-    cap = 1024
-
-    if which == 0:  # trivial blocks + antichain + Hamming -> Hamming weight
-        n = rng.randint(1, {2: 10, 3: 6, 5: 4}[q])
-        space = BlockSpace(
-            posets.antichain(n), Labeling((1,) * n), make_field(q), hamming_weight(make_field(q))
-        )
-        arr = space.all_vectors()
+@suite("reductions", {"metric"}, 48, [[2, 3, 5], [3, 5, 7], [2, 3, 5], [2, 3]], [
+    Claim("reduction-hamming", HARD, lambda r: r.reduction, lambda r: r.which == 0),
+    Claim("reduction-lee", HARD, lambda r: r.reduction, lambda r: r.which == 1),
+    Claim("reduction-nrt", HARD, lambda r: r.reduction, lambda r: r.which == 2),
+    Claim("reduction-poset-block", HARD, lambda r: r.reduction, lambda r: r.which == 3),
+])
+def _unit_reductions(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
+    which, f = unit % 4, make_field(q)
+    if which < 2:  # trivial blocks + antichain: the Hamming or the Lee weight
+        n = rng.randint(1, ({2: 10, 3: 6, 5: 4}, {3: 6, 5: 4, 7: 3})[which][q])
+        weight = (hamming_weight, lee_weight)[which](f)
+        space = BlockSpace(posets.antichain(n), Labeling((1,) * n), f, weight)
+    else:  # Hamming on a chain (which 2) or on any poset (which 3)
+        pos, lab = _random_shape(rng, q, cap=1024)
+        space = BlockSpace(posets.chain(lab.s) if which == 2 else pos, lab, f, hamming_weight(f))
+    arr = space.all_vectors()
+    if which == 0:
         expect = (arr != 0).sum(axis=1)
-        name = "reduction-hamming"
-    elif which == 1:  # trivial blocks + antichain + Lee -> Lee weight
-        n = rng.randint(1, {3: 6, 5: 4, 7: 3}[q])
-        space = BlockSpace(
-            posets.antichain(n), Labeling((1,) * n), make_field(q), lee_weight(make_field(q))
-        )
-        arr = space.all_vectors()
+    elif which == 1:
         a = arr.astype(np.int64)
         expect = np.minimum(a, q - a).sum(axis=1)
-        name = "reduction-lee"
-    elif which == 2:  # chain + Hamming -> NRT block weight (top nonzero block index)
-        _, lab = _random_shape(rng, q, cap=cap)
-        space = BlockSpace(
-            posets.chain(lab.s), lab, make_field(q), hamming_weight(make_field(q))
-        )
-        arr = space.all_vectors()
+    elif which == 2:  # NRT block weight: the top nonzero block index
         expect = np.zeros(len(arr), dtype=np.int64)
         for i in range(1, space.s + 1):
             sl = space.labeling.block_slice(i)
             expect = np.where((arr[:, sl] != 0).any(axis=1), i, expect)
-        name = "reduction-nrt"
-    else:  # any poset + Hamming -> poset block weight |ideal(supp)|
-        pos, lab = _random_shape(rng, q, cap=cap)
-        space = BlockSpace(pos, lab, make_field(q), hamming_weight(make_field(q)))
-        arr = space.all_vectors()
+    else:  # poset block weight: |ideal(supp)|
         expect = np.array(
             [
-                len(pos.ideal(space.block_support(space.unrank(r))))
+                len(space.poset.ideal(space.block_support(space.unrank(r))))
                 for r in range(space.size)
             ],
             dtype=np.int64,
         )
-        name = "reduction-poset-block"
 
-    inst = Instance.from_parts(space, Code.linear(space, []))
-    u.start(inst.digest())
+    u.start(_instance_of(Code.linear(space, [])).digest())
     got = space.batch_weights(arr)
     bad = np.nonzero(got != expect)[0]
     witness = {}
@@ -408,7 +445,7 @@ def _unit_reductions(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
             "wpb": int(got[r]),
             "oracle": int(expect[r]),
         }
-    u.hard(name, len(bad) == 0, witness)
+    return Readings(which=which, reduction=(len(bad) == 0, witness))
 
 
 # ---------------------------------------------------------------------------
@@ -420,33 +457,36 @@ _BALL_ENVELOPE: list[tuple[int, ...]] = [
 ]
 
 
-@suite("ball-nesting", {"balls", "chain"}, len(_BALL_ENVELOPE), [[5]], ("ball-nesting-chain",))
-def _unit_ball_nesting(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
-    if unit >= len(_BALL_ENVELOPE):
-        return
-    sizes = _BALL_ENVELOPE[unit]
-    f = make_field(q)
-    space = BlockSpace(posets.chain(len(sizes)), Labeling(sizes), f, lee_weight(f))
-    inst = Instance.from_parts(space, Code.linear(space, []))
-    u.start(inst.digest())
+def _ball_nesting(space: BlockSpace) -> tuple[bool, dict]:
+    """On a chain, the weighted ball of radius sigma + i M_w lies in the
+    Hamming block ball of radius i + 1, and (below the top block) equals it
+    iff sigma = M_w; the first (i, sigma) where this fails is the witness."""
     arr = space.all_vectors()
     wl = space.batch_weights(arr)
     wh = space.hamming_sibling().batch_weights(arr)
     mw = space.weight.max_weight
-    ok, witness = True, {}
     for i in range(0, space.s + 1):
         for sigma in range(1, mw + 1):
             in_w = wl <= sigma + i * mw
             in_h = wh <= i + 1
             if (in_w & ~in_h).any():
-                ok, witness = False, {"kind": "inclusion", "i": i, "sigma": sigma}
-                break
+                return False, {"kind": "inclusion", "i": i, "sigma": sigma}
             if i < space.s and (in_w == in_h).all() != (sigma == mw):
-                ok, witness = False, {"kind": "equality-iff", "i": i, "sigma": sigma}
-                break
-        if not ok:
-            break
-    u.hard("ball-nesting-chain", ok, witness)
+                return False, {"kind": "equality-iff", "i": i, "sigma": sigma}
+    return True, {}
+
+
+@suite("ball-nesting", {"balls", "chain"}, len(_BALL_ENVELOPE), [[5]], [
+    Claim("ball-nesting-chain", HARD, lambda r: r.nesting),
+])
+def _unit_ball_nesting(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings | None:
+    if unit >= len(_BALL_ENVELOPE):
+        return None
+    sizes = _BALL_ENVELOPE[unit]
+    f = make_field(q)
+    space = BlockSpace(posets.chain(len(sizes)), Labeling(sizes), f, lee_weight(f))
+    u.start(_instance_of(Code.linear(space, [])).digest())
+    return Readings(nesting=_ball_nesting(space))
 
 
 # ---------------------------------------------------------------------------
@@ -454,54 +494,40 @@ def _unit_ball_nesting(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@suite(
-    "chain-radii",
-    {"radii", "chain"},
-    200,
-    [[2, 3, 5]],
-    (
-        "packing-radius-chain-lower",
-        "packing-radius-chain-equality",
-        "covering-radius-chain",
-        "covering-oracle",
-    ),
-)
-def _unit_chain_radii(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
-    _, lab = _random_shape(rng, q)
-    space = BlockSpace(posets.chain(lab.s), lab, make_field(q), _random_weight(rng, q))
-    code = _random_code(rng, space, dim_min=1, dim_max={2: 4, 3: 3, 5: 3}[q])
-    u.start(_instance_of(code).digest())
+def _packing_witness(r: Readings) -> dict:
+    return {"packing": r.packing, "d_hamming": r.d_h, "d_weighted": r.d_w, "M_w": r.mw, "m_w": r.m}
 
-    mw = space.weight.max_weight
-    m_small = space.weight.min_nonzero_weight
-    d_h = _hamming_view(code).min_distance()
-    d_w = code.min_distance()
-    rho_pack = code.packing_radius()
-    floor = (d_h - 1) * mw
-    witness = {
-        "packing": rho_pack,
-        "d_hamming": d_h,
-        "d_weighted": d_w,
-        "M_w": mw,
-        "m_w": m_small,
-    }
-    u.hard("packing-radius-chain-lower", rho_pack >= floor, witness)
+
+@suite("chain-radii", {"radii", "chain"}, 200, [[2, 3, 5]], [
+    Claim("packing-radius-chain-lower", HARD,
+          lambda r: (r.packing >= (r.d_h - 1) * r.mw, _packing_witness(r))),
     # The published equality criterion has genuine counterexamples (already
     # with the Lee weight over GF(5)): a minimum-distance difference can
     # split into two below-threshold halves, letting balls of radius
     # floor + 1 intersect although d_w exceeds m_w + floor.  Soft check.
-    u.soft(
-        "packing-radius-chain-equality",
-        (rho_pack == floor) == (d_w == m_small + floor),
-        witness,
-    )
-
-    rho = _covering_with_oracle(u, code, "code")
-    r = code.trailing_full_index()
-    u.hard(
-        "covering-radius-chain",
-        (r - 1) * mw < rho <= r * mw,
-        {"covering": rho, "r": r, "M_w": mw},
+    Claim("packing-radius-chain-equality", SOFT, lambda r: (
+        (r.packing == (r.d_h - 1) * r.mw) == (r.d_w == r.m + (r.d_h - 1) * r.mw),
+        _packing_witness(r),
+    )),
+    Claim("covering-radius-chain", HARD, lambda r: (
+        (r.r - 1) * r.mw < r.covering <= r.r * r.mw,
+        {"covering": r.covering, "r": r.r, "M_w": r.mw},
+    )),
+    _ORACLE,
+])
+def _unit_chain_radii(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
+    _, lab = _random_shape(rng, q)
+    space = BlockSpace(posets.chain(lab.s), lab, make_field(q), _random_weight(rng, q))
+    code = _random_code(rng, space, dim_min=1, dim_max={2: 4, 3: 3, 5: 3}[q])
+    u.start(_instance_of(code).digest())
+    return Readings(
+        mw=space.weight.max_weight,
+        m=space.weight.min_nonzero_weight,
+        d_h=_hamming_view(code).min_distance(),
+        d_w=code.min_distance(),
+        packing=code.packing_radius(),
+        covering=_covering_with_oracle(u, code, "code"),
+        r=code.trailing_full_index(),
     )
 
 
@@ -525,78 +551,63 @@ def _sample_pair(rng: random.Random, q: int) -> tuple[Code, Code]:
     return c1, c2
 
 
-@suite(
-    "direct-sum",
-    {"constructions"},
-    100,
-    [[2, 3, 5]],
-    (
-        "dsum-mindist-disjoint",
-        "dsum-mindist-linear",
-        "dsum-covering-disjoint",
-        "dsum-covering-linear",
-        "dsum-coset-leader-disjoint",
-        "dsum-coset-leader-linear",
-        "covering-oracle",
-    ),
-)
-def _unit_direct_sum(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
+def _joint_leaders(label: str, total: Code, joint: np.ndarray, n1: int) -> tuple[bool, dict]:
+    """Every joint leader (l1 | l2) of a direct sum weighs its coset's
+    weight; the witness is the first that does not, in the order of joint."""
+    expects = total.coset_table().weights[total.coset_indices(joint)].tolist()
+    for leader, expect in zip(joint.tolist(), expects):
+        got = total.space.wpb_weight(leader)
+        if got != expect:
+            return False, {
+                "order": label,
+                "leader1": leader[:n1],
+                "leader2": leader[n1:],
+                "weight": got,
+                "coset_weight": expect,
+            }
+    return True, {}
+
+
+@suite("direct-sum", {"constructions"}, 100, [[2, 3, 5]], [
+    Claim("dsum-mindist-disjoint", HARD,
+          lambda r: (r.dd == min(r.d1, r.d2), {"d": r.dd, "d1": r.d1, "d2": r.d2})),
+    Claim("dsum-mindist-linear", HARD, lambda r: (r.dl == r.d1, {"d": r.dl, "d1": r.d1})),
+    Claim("dsum-covering-disjoint", HARD, lambda r: (
+        r.rho_disj == r.rho1 + r.rho2, {"rho": r.rho_disj, "rho1": r.rho1, "rho2": r.rho2}
+    )),
+    # With C2 the full space the deep coset leader (u', u'') has zero
+    # second half, so the published equality degenerates; skip.
+    Claim("dsum-covering-linear", HARD, lambda r: (
+        r.rho_lin == r.s * r.mw + r.rho2,
+        {"rho": r.rho_lin, "s": r.s, "M_w": r.mw, "rho2": r.rho2},
+    ), lambda r: r.rho2 > 0 or "rho(C2) = 0"),
+    Claim("dsum-coset-leader-disjoint", HARD, lambda r: r.leaders_disjoint),
+    Claim("dsum-coset-leader-linear", HARD, lambda r: r.leaders_linear),
+    _ORACLE,
+])
+def _unit_direct_sum(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
     c1, c2 = _sample_pair(rng, q)
-    i1, i2 = _instance_of(c1), _instance_of(c2)
-    u.start(_pair_digest(i1.digest(), i2.digest()))
-
-    mw = c1.space.weight.max_weight
-    d1 = c1.min_distance()
-    d2 = c2.min_distance()
-    rho1 = _covering_with_oracle(u, c1, "C1")
-    rho2 = _covering_with_oracle(u, c2, "C2")
-
+    u.start(_pair_digest(_instance_of(c1).digest(), _instance_of(c2).digest()))
+    r = Readings(
+        mw=c1.space.weight.max_weight,
+        s=c1.space.s,
+        d1=c1.min_distance(),
+        d2=c2.min_distance(),
+        rho1=_covering_with_oracle(u, c1, "C1"),
+        rho2=_covering_with_oracle(u, c2, "C2"),
+    )
     disj = direct_sum_code(c1, c2, "disjoint").code
     lin = direct_sum_code(c1, c2, "linear").code
-
-    dd = disj.min_distance()
-    u.hard("dsum-mindist-disjoint", dd == min(d1, d2), {"d": dd, "d1": d1, "d2": d2})
-    dl = lin.min_distance()
-    u.hard("dsum-mindist-linear", dl == d1, {"d": dl, "d1": d1})
-
-    rho_disj = _covering_with_oracle(u, disj, "disjoint-sum")
-    u.hard(
-        "dsum-covering-disjoint",
-        rho_disj == rho1 + rho2,
-        {"rho": rho_disj, "rho1": rho1, "rho2": rho2},
-    )
-    rho_lin = _covering_with_oracle(u, lin, "linear-sum")
-    if rho2 > 0:
-        u.hard(
-            "dsum-covering-linear",
-            rho_lin == c1.space.s * mw + rho2,
-            {"rho": rho_lin, "s": c1.space.s, "M_w": mw, "rho2": rho2},
-        )
-    else:
-        # With C2 the full space the deep coset leader (u', u'') has zero
-        # second half, so the published equality degenerates; skip.
-        u.na("dsum-covering-linear", "rho(C2) = 0")
+    r.dd, r.dl = disj.min_distance(), lin.min_distance()
+    r.rho_disj = _covering_with_oracle(u, disj, "disjoint-sum")
+    r.rho_lin = _covering_with_oracle(u, lin, "linear-sum")
 
     lead1, lead2 = c1.coset_table().leaders, c2.coset_table().leaders
     # every joint leader (l1 | l2), C1's leaders the outer loop
     joint = np.hstack([lead1.repeat(len(lead2), axis=0), np.tile(lead2, (len(lead1), 1))])
-    rows, n1 = joint.tolist(), c1.space.n
-    for label, total in (("disjoint", disj), ("linear", lin)):
-        expects = total.coset_table().weights[total.coset_indices(joint)].tolist()
-        ok, witness = True, {}
-        for leader, expect in zip(rows, expects):
-            got = total.space.wpb_weight(leader)
-            if got != expect:
-                ok = False
-                witness = {
-                    "order": label,
-                    "leader1": leader[:n1],
-                    "leader2": leader[n1:],
-                    "weight": got,
-                    "coset_weight": expect,
-                }
-                break
-        u.hard(f"dsum-coset-leader-{label}", ok, witness)
+    r.leaders_disjoint = _joint_leaders("disjoint", disj, joint, c1.space.n)
+    r.leaders_linear = _joint_leaders("linear", lin, joint, c1.space.n)
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -604,22 +615,38 @@ def _unit_direct_sum(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@suite(
-    "plotkin",
-    {"constructions"},
-    100,
-    [[2, 3, 5]],
-    (
-        "plotkin-mindist-disjoint",
-        "plotkin-mindist-linear",
-        "plotkin-refined-disjoint",
-        "plotkin-refined-linear",
-        "plotkin-covering-disjoint",
-        "plotkin-covering-linear",
-        "covering-oracle",
-    ),
-)
-def _unit_plotkin(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
+def _plotkin_refined_disjoint(r: Readings) -> tuple[bool, dict]:
+    bound = min(r.d2, r.d1 + r.d_c1_q, r.d1 + r.d_sums)
+    return r.dd >= bound, {
+        "d": r.dd, "bound": bound, "d2": r.d2, "d_c1_q": r.d_c1_q, "d_sums": r.d_sums
+    }
+
+
+def _plotkin_refined_linear(r: Readings) -> tuple[bool, dict]:
+    expect = r.s * r.mw + min(r.d2, r.d_c1_q, r.d_sums)
+    return r.dl == expect, {"d": r.dl, "expected": expect}
+
+
+def _injective(r: Readings) -> bool | str:
+    return r.injective or "sum map not injective on C1 x C2"
+
+
+@suite("plotkin", {"constructions"}, 100, [[2, 3, 5]], [
+    Claim("plotkin-mindist-disjoint", HARD,
+          lambda r: (r.dd >= min(r.d1, r.d2), {"d": r.dd, "d1": r.d1, "d2": r.d2})),
+    Claim("plotkin-mindist-linear", HARD, lambda r: (r.dl >= r.d1, {"d": r.dl, "d1": r.d1})),
+    Claim("plotkin-refined-disjoint", HARD, _plotkin_refined_disjoint, _injective),
+    Claim("plotkin-refined-linear", HARD, _plotkin_refined_linear, _injective),
+    Claim("plotkin-covering-disjoint", HARD, lambda r: (
+        r.rho_disj <= r.rho1 + r.rho2, {"rho": r.rho_disj, "rho1": r.rho1, "rho2": r.rho2}
+    )),
+    Claim("plotkin-covering-linear", HARD, lambda r: (
+        r.rho_lin <= r.s * r.mw + r.rho2,
+        {"rho": r.rho_lin, "s": r.s, "M_w": r.mw, "rho2": r.rho2},
+    )),
+    _ORACLE,
+])
+def _unit_plotkin(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
     cap = _SIZE_CAP[q]
     weight = _random_weight(rng, q, allow_table=False)
     f = make_field(q)
@@ -635,59 +662,28 @@ def _unit_plotkin(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
     lab2 = Labeling(sizes2)
     c1 = _random_code(rng, BlockSpace(p1, lab1, f, weight), 1, 2)
     c2 = _random_code(rng, BlockSpace(p2, lab2, f, weight), 1, 2)
-    i1, i2 = _instance_of(c1), _instance_of(c2)
-    u.start(_pair_digest(i1.digest(), i2.digest()))
-
-    mw = weight.max_weight
-    d1 = c1.min_distance()
-    d2 = c2.min_distance()
-    rho1 = _covering_with_oracle(u, c1, "C1")
-    rho2 = _covering_with_oracle(u, c2, "C2")
-
+    u.start(_pair_digest(_instance_of(c1).digest(), _instance_of(c2).digest()))
+    r = Readings(
+        mw=weight.max_weight,
+        s=c1.space.s,
+        d1=c1.min_distance(),
+        d2=c2.min_distance(),
+        rho1=_covering_with_oracle(u, c1, "C1"),
+        rho2=_covering_with_oracle(u, c2, "C2"),
+    )
     disj = plotkin_code(c1, c2, "disjoint").code
     lin = plotkin_code(c1, c2, "linear").code
-
-    dd = disj.min_distance()
-    u.hard("plotkin-mindist-disjoint", dd >= min(d1, d2), {"d": dd, "d1": d1, "d2": d2})
-    dl = lin.min_distance()
-    u.hard("plotkin-mindist-linear", dl >= d1, {"d": dl, "d1": d1})
-
-    if sum_map_injective(c1, c2):
+    r.dd, r.dl = disj.min_distance(), lin.min_distance()
+    r.injective = sum_map_injective(c1, c2)
+    if r.injective:
         # cross-space quantities: C1 and C1+C2 measured in (Q, pi2, w)
-        space2 = c2.space
-        c1_in_q = Code.explicit(space2, c1.codeword_array())
+        c1_in_q = Code.explicit(c2.space, c1.codeword_array())
         # the second halves u' + u'' of the (u'|u'+u'') words
-        sums = Code.explicit(space2, disj.codeword_array()[:, c1.space.n :])
-        d_c1_q = c1_in_q.min_distance()
-        d_sums = sums.min_distance()
-        bound = min(d2, d1 + d_c1_q, d1 + d_sums)
-        u.hard(
-            "plotkin-refined-disjoint",
-            dd >= bound,
-            {"d": dd, "bound": bound, "d2": d2, "d_c1_q": d_c1_q, "d_sums": d_sums},
-        )
-        expect = c1.space.s * mw + min(d2, d_c1_q, d_sums)
-        u.hard(
-            "plotkin-refined-linear",
-            dl == expect,
-            {"d": dl, "expected": expect},
-        )
-    else:
-        u.na("plotkin-refined-disjoint", "sum map not injective on C1 x C2")
-        u.na("plotkin-refined-linear", "sum map not injective on C1 x C2")
-
-    rho_disj = _covering_with_oracle(u, disj, "disjoint")
-    u.hard(
-        "plotkin-covering-disjoint",
-        rho_disj <= rho1 + rho2,
-        {"rho": rho_disj, "rho1": rho1, "rho2": rho2},
-    )
-    rho_lin = _covering_with_oracle(u, lin, "linear")
-    u.hard(
-        "plotkin-covering-linear",
-        rho_lin <= c1.space.s * mw + rho2,
-        {"rho": rho_lin, "s": c1.space.s, "M_w": mw, "rho2": rho2},
-    )
+        sums = Code.explicit(c2.space, disj.codeword_array()[:, c1.space.n :])
+        r.d_c1_q, r.d_sums = c1_in_q.min_distance(), sums.min_distance()
+    r.rho_disj = _covering_with_oracle(u, disj, "disjoint")
+    r.rho_lin = _covering_with_oracle(u, lin, "linear")
+    return r
 
 
 def _random_partition(rng: random.Random, n: int, parts: int) -> tuple[int, ...] | None:
@@ -706,30 +702,28 @@ def _random_partition(rng: random.Random, n: int, parts: int) -> tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-@suite(
-    "extend",
-    {"constructions"},
-    100,
-    [[2, 3, 5]],
-    ("extend-mindist", "extend-covering", "covering-oracle"),
-)
-def _unit_extend(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
+@suite("extend", {"constructions"}, 100, [[2, 3, 5]], [
+    Claim("extend-mindist", HARD, lambda r: (
+        r.d <= r.d_ext <= r.d + r.mw, {"d": r.d, "d_ext": r.d_ext, "M_w": r.mw}
+    )),
+    Claim("extend-covering", HARD, lambda r: (
+        r.rho <= r.rho_ext <= r.rho + r.mw, {"rho": r.rho, "rho_ext": r.rho_ext, "M_w": r.mw}
+    )),
+    _ORACLE,
+])
+def _unit_extend(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
     cap = _SIZE_CAP[q]
     pos, lab = _random_shape(rng, q, cap=cap, accept=lambda lab: q ** (lab.n + 1) <= cap)
     space = BlockSpace(pos, lab, make_field(q), _random_weight(rng, q))
     code = _random_code(rng, space, 1, 2)
     u.start(_instance_of(code).digest())
-
     ext = extended_code(code).code
-    mw = space.weight.max_weight
-    d = code.min_distance()
-    de = ext.min_distance()
-    u.hard("extend-mindist", d <= de <= d + mw, {"d": d, "d_ext": de, "M_w": mw})
-
-    rho = _covering_with_oracle(u, code, "code")
-    rho_e = _covering_with_oracle(u, ext, "extended")
-    u.hard(
-        "extend-covering", rho <= rho_e <= rho + mw, {"rho": rho, "rho_ext": rho_e, "M_w": mw}
+    return Readings(
+        mw=space.weight.max_weight,
+        d=code.min_distance(),
+        d_ext=ext.min_distance(),
+        rho=_covering_with_oracle(u, code, "code"),
+        rho_ext=_covering_with_oracle(u, ext, "extended"),
     )
 
 
@@ -738,14 +732,21 @@ def _unit_extend(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@suite(
-    "puncture",
-    {"constructions"},
-    100,
-    [[2, 3, 5]],
-    ("puncture-vector-weight", "puncture-mindist", "puncture-covering", "covering-oracle"),
-)
-def _unit_puncture(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
+@suite("puncture", {"constructions"}, 100, [[2, 3, 5]], [
+    Claim("puncture-vector-weight", HARD, lambda r: r.vector_weight),
+    # d(C*) <= d(C) needs some minimum-distance pair to survive puncturing.
+    # When a nonzero codeword lives entirely in the punctured block the pair
+    # may collapse and the published bound can fail, so that regime is soft.
+    Claim("puncture-mindist", lambda r: r.collapse, lambda r: (
+        r.d_punctured <= r.d,
+        {"d": r.d, "d_punctured": r.d_punctured, "block": r.block, "collapse": r.collapse},
+    ), lambda r: r.d_punctured is not None or "punctured code has a single word"),
+    Claim("puncture-covering", HARD, lambda r: (
+        r.rho_punctured <= r.rho, {"rho": r.rho, "rho_punctured": r.rho_punctured}
+    )),
+    _ORACLE,
+])
+def _unit_puncture(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
     pos, lab = _random_shape(rng, q, accept=lambda lab: lab.s >= 2)
     space = BlockSpace(pos, lab, make_field(q), _random_weight(rng, q))
     code = _random_code(rng, space, 1, {2: 4, 3: 3, 5: 2}[q])
@@ -763,29 +764,15 @@ def _unit_puncture(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
     vecs = (ranks[:, None] // radix % space.q).astype(np.uint8)
     bad = np.flatnonzero(pun.space.batch_weights(vecs[:, outside]) > space.batch_weights(vecs))
     witness = {"vector": vecs[bad[0]].tolist(), "block": block} if len(bad) else {}
-    u.hard("puncture-vector-weight", not len(bad), witness)
+    r = Readings(block=block, vector_weight=(not len(bad), witness))
 
-    # d(C*) <= d(C) needs some minimum-distance pair to survive puncturing.
-    # When a nonzero codeword lives entirely in the punctured block the pair
-    # may collapse and the published bound can fail, so that regime is soft.
     cw = code.codeword_array()
-    collapse = bool(
-        ((cw[:, outside] == 0).all(axis=1) & (cw != 0).any(axis=1)).any()
-    )
-    d = code.min_distance()
-    if pun.size < 2:
-        u.na("puncture-mindist", "punctured code has a single word")
-    else:
-        dp = pun.min_distance()
-        witness = {"d": d, "d_punctured": dp, "block": block, "collapse": collapse}
-        if collapse:
-            u.soft("puncture-mindist", dp <= d, witness)
-        else:
-            u.hard("puncture-mindist", dp <= d, witness)
-
-    rho = _covering_with_oracle(u, code, "code")
-    rho_p = _covering_with_oracle(u, pun, "punctured")
-    u.hard("puncture-covering", rho_p <= rho, {"rho": rho, "rho_punctured": rho_p})
+    r.collapse = bool(((cw[:, outside] == 0).all(axis=1) & (cw != 0).any(axis=1)).any())
+    r.d = code.min_distance()
+    r.d_punctured = pun.min_distance() if pun.size >= 2 else None
+    r.rho = _covering_with_oracle(u, code, "code")
+    r.rho_punctured = _covering_with_oracle(u, pun, "punctured")
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -807,10 +794,8 @@ def _sample_tensor_pair(
     ambient_cap: int | None,
     dim_min: int = 1,
 ) -> tuple[Code, Code] | None:
-    weight_pool = ["hamming", "lee"] if make_field(q).e == 1 else ["hamming"]
-    wname = rng.choice(weight_pool)
+    weight = _random_weight(rng, q, allow_table=False)
     f = make_field(q)
-    weight = lee_weight(f) if wname == "lee" else hamming_weight(f)
     for _ in range(60):
         s = rng.randint(1, 3)
         t = rng.randint(1, 3)
@@ -835,341 +820,222 @@ _SHAPE_MIX = [("chain", "antichain"), ("antichain", "antichain"), ("chain", "cha
               ("antichain", "chain")]
 
 
-@suite(
-    "tensor-mindist",
-    {"constructions", "tensor"},
-    100,
-    [[2, 3, 5], [2, 3, 5], [3, 5, 7]],
-    (
-        "tensor-weight-chain-chain",
-        "tensor-mindist-car-chain-anti",
-        "tensor-mindist-car-anti-chain",
-        "tensor-mindist-car-anti-anti",
-        "tensor-mindist-car-chain-chain",
-        "tensor-mindist-lex-chain-anti",
-        "tensor-mindist-lex-chain-chain",
-        "tensor-mindist-lex-anti-anti",
-        "tensor-mindist-lex-anti-chain",
-        "tensor-trivial-car",
-        "tensor-trivial-lex-chain-anti",
-        "tensor-trivial-lex-chain-chain",
-        "tensor-lee-corollary",
-    ),
-)
-def _unit_tensor_mindist(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
+def _tensor_shape(c1: Code, c2: Code) -> Readings:
+    """The readings both tensor suites start from: the factor posets' chain
+    and antichain flags, their sizes s and t, and the weight's M_w and m_w."""
+    p1, p2, weight = c1.space.poset, c2.space.poset, c1.space.weight
+    return Readings(
+        p_chain=p1.is_chain(),
+        q_chain=p2.is_chain(),
+        p_anti=p1.is_antichain(),
+        q_anti=p2.is_antichain(),
+        s=c1.space.s,
+        t=c2.space.s,
+        mw=weight.max_weight,
+        m=weight.min_nonzero_weight,
+    )
+
+
+def _rank_one_weights(rng: random.Random, c1: Code, c2: Code, car: Code) -> tuple[bool, dict]:
+    """Under chain x chain, the exact weight of the rank-one words u (x) v,
+    on at most 200 sampled pairs of nonzero words; (ok, witness)."""
+    space1, space2 = c1.space, c2.space
+    mw, t = space1.weight.max_weight, space2.s
+    pairs = [(a, b) for a in c1.codewords() if any(a) for b in c2.codewords() if any(b)]
+    if len(pairs) > 200:
+        pairs = [pairs[rng.randrange(len(pairs))] for _ in range(200)]
+    for a, b in pairs:
+        lam = _top_block_index(space1, a)
+        delta = _top_block_index(space2, b)
+        tv = tensor_vector(space1.field, space1.labeling, space2.labeling, a, b)
+        flat = (lam - 1) * t + delta
+        expect = car.space.block_max_weight(tv, flat) + (lam * delta - 1) * mw
+        got = car.space.wpb_weight(tv)
+        if got != expect:
+            return False, {"u": list(a), "v": list(b), "weight": got, "expected": expect}
+    return True, {}
+
+
+def _between(r: Readings, lo: int, d: int, hi: int) -> tuple[bool, dict]:
+    return lo <= d <= hi, dict(r.base, lower=lo, upper=hi)
+
+
+def _exact(r: Readings, d: int, expect: int) -> tuple[bool, dict]:
+    return d == expect, dict(r.base, expected=expect)
+
+
+def _lee_chain_chain(r: Readings) -> tuple[bool, dict]:
+    lhs = (r.d1w - 1) * r.d2h + r.d2w
+    rhs = (r.d2w - 1) * r.d1h + r.d1w
+    return r.d_car == lhs == rhs, dict(r.base, case="chain-chain", form1=lhs, form2=rhs)
+
+
+# the Lee-weight special case with trivial labelings: one case per shape,
+# with exclusive gates (a 1-element poset is both a chain and an antichain)
+_LEE = "tensor-lee-corollary"
+
+
+@suite("tensor-mindist", {"constructions", "tensor"}, 100, [[2, 3, 5], [2, 3, 5], [3, 5, 7]], [
+    # exact weight formula for rank-one words under chain x chain
+    Claim("tensor-weight-chain-chain", HARD, lambda r: r.rank_one,
+          lambda r: r.p_chain and r.q_chain or "needs two chains"),
+    # cartesian-product distance sandwiches
+    Claim("tensor-mindist-car-chain-anti", SOFT, lambda r: _between(
+        r, r.d2h * (r.d1h - 1) * r.mw + r.d2w, r.d_car, r.d1h * r.d2h * r.mw
+    ), lambda r: r.p_chain and r.q_anti and not (r.s == 1 and r.t == 1)),
+    Claim("tensor-mindist-car-anti-chain", SOFT, lambda r: _between(
+        r, r.d1h * (r.d2h - 1) * r.mw + r.d1w, r.d_car, r.d1h * r.d2h * r.mw
+    ), lambda r: r.p_anti and r.q_chain and not (r.s == 1 and r.t == 1)),
+    Claim("tensor-mindist-car-anti-anti", SOFT, lambda r: _between(
+        r, r.d1h * r.d2h * r.m, r.d_car, r.d1h * r.d2h * r.mw
+    ), lambda r: r.p_anti and r.q_anti),
+    Claim("tensor-mindist-car-chain-chain", SOFT, lambda r: _between(
+        r, (r.d1h * r.d2h - 1) * r.mw + r.m, r.d_car, r.d1h * r.d2h * r.mw
+    ), lambda r: r.p_chain and r.q_chain),
+    # lexicographic-product distance sandwiches
+    Claim("tensor-mindist-lex-chain-anti", SOFT, lambda r: _between(
+        r, (r.d1h - 1) * r.t * r.mw + r.d2w, r.d_lex, (r.d1h - 1) * r.t * r.mw + r.d2h * r.mw
+    ), lambda r: r.p_chain and r.q_anti),
+    Claim("tensor-mindist-lex-chain-chain", SOFT, lambda r: _between(
+        r,
+        r.m + (r.d1h - 1) * r.t * r.mw + (r.d2h - 1) * r.mw,
+        r.d_lex,
+        (r.d1h - 1) * r.t * r.mw + r.d2h * r.mw,
+    ), lambda r: r.p_chain and r.q_chain),
+    Claim("tensor-mindist-lex-anti-anti", SOFT, lambda r: _between(
+        r, r.d1h * r.d2h * r.m, r.d_lex, r.d1h * r.d2h * r.mw
+    ), lambda r: r.p_anti and r.q_anti),
+    Claim("tensor-mindist-lex-anti-chain", SOFT, lambda r: _between(
+        r, r.d1w + r.d1h * (r.d2h - 1) * r.mw, r.d_lex, r.d1h * r.d2h * r.mw
+    ), lambda r: r.p_anti and r.q_chain),
+    # trivial labelings make the lower bounds exact
+    Claim("tensor-trivial-car", SOFT, lambda r: _exact(
+        r, r.d_car, (r.d1h * r.d2h - 1) * r.mw + r.m
+    ), lambda r: r.p_chain and r.q_chain and r.trivial),
+    Claim("tensor-trivial-lex-chain-anti", SOFT, lambda r: _exact(
+        r, r.d_lex, (r.d1h - 1) * r.t * r.mw + r.d2w
+    ), lambda r: r.p_chain and r.q_anti and r.trivial),
+    Claim("tensor-trivial-lex-chain-chain", SOFT, lambda r: _exact(
+        r, r.d_lex, r.m + (r.d1h - 1) * r.t * r.mw + (r.d2h - 1) * r.mw
+    ), lambda r: r.p_chain and r.q_chain and r.trivial),
+    Claim(_LEE, SOFT, lambda r: (
+        r.d1h * r.d2h <= r.d_car <= r.d1h * r.d2h * r.half, dict(r.base, case="anti-anti")
+    ), lambda r: r.lee and r.p_anti and r.q_anti),
+    Claim(_LEE, SOFT, lambda r: (
+        r.d2h * (r.d1h - 1) * r.half + r.d2w <= r.d_car <= r.d1h * r.d2h * r.half,
+        dict(r.base, case="chain-anti"),
+    ), lambda r: r.lee and r.p_chain and r.q_anti and not r.p_anti),
+    Claim(_LEE, SOFT, _lee_chain_chain,
+          lambda r: r.lee and r.p_chain and r.q_chain and not r.q_anti),
+])
+def _unit_tensor_mindist(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings | None:
     mode = unit % 3  # 0: general shapes, 1: trivial labelings, 2: Lee corollary
-    trivial = mode != 0
-    shapes = _SHAPE_MIX[unit % 4]
-    pair = _sample_tensor_pair(rng, q, shapes, trivial, word_cap=128, ambient_cap=None)
+    pair = _sample_tensor_pair(
+        rng, q, _SHAPE_MIX[unit % 4], mode != 0, word_cap=128, ambient_cap=None
+    )
     if pair is None:
-        return
+        return None
     c1, c2 = pair
     if mode == 2:
         c1 = c1.with_weight(lee_weight(make_field(q)))
         c2 = c2.with_weight(lee_weight(make_field(q)))
-    i1, i2 = _instance_of(c1), _instance_of(c2)
-    u.start(_pair_digest(i1.digest(), i2.digest()))
+    u.start(_pair_digest(_instance_of(c1).digest(), _instance_of(c2).digest()))
 
-    space1, space2 = c1.space, c2.space
-    weight = space1.weight
-    mw, m_small = weight.max_weight, weight.min_nonzero_weight
-    s, t = space1.s, space2.s
-    p_chain, q_chain = space1.poset.is_chain(), space2.poset.is_chain()
-    p_anti, q_anti = space1.poset.is_antichain(), space2.poset.is_antichain()
-    d1h = _hamming_view(c1).min_distance()
-    d2h = _hamming_view(c2).min_distance()
-    d1w = c1.min_distance()
-    d2w = c2.min_distance()
-
+    r = _tensor_shape(c1, c2)
+    r.trivial, r.lee, r.half = mode != 0, mode == 2, q // 2
+    r.d1h, r.d2h = _hamming_view(c1).min_distance(), _hamming_view(c2).min_distance()
+    r.d1w, r.d2w = c1.min_distance(), c2.min_distance()
     car = tensor_code(c1, c2, "cartesian").code
     lex = tensor_code(c1, c2, "lex").code
-    d_car = car.min_distance()
-    d_lex = lex.min_distance()
-    base = {"d_car": d_car, "d_lex": d_lex, "d1h": d1h, "d2h": d2h, "d1w": d1w, "d2w": d2w}
-
-    # exact weight formula for rank-one words under chain x chain
-    if p_chain and q_chain:
-        ok, witness = True, {}
-        pairs = [(a, b) for a in c1.codewords() if any(a) for b in c2.codewords() if any(b)]
-        if len(pairs) > 200:
-            pairs = [pairs[rng.randrange(len(pairs))] for _ in range(200)]
-        for a, b in pairs:
-            lam = _top_block_index(space1, a)
-            delta = _top_block_index(space2, b)
-            tv = tensor_vector(space1.field, space1.labeling, space2.labeling, a, b)
-            flat = (lam - 1) * t + delta
-            expect = car.space.block_max_weight(tv, flat) + (lam * delta - 1) * mw
-            got = car.space.wpb_weight(tv)
-            if got != expect:
-                ok = False
-                witness = {"u": list(a), "v": list(b), "weight": got, "expected": expect}
-                break
-        u.hard("tensor-weight-chain-chain", ok, witness)
-    else:
-        u.na("tensor-weight-chain-chain", "needs two chains")
-
-    def soft_between(check: str, lo: int, d: int, hi: int) -> None:
-        u.soft(check, lo <= d <= hi, dict(base, lower=lo, upper=hi))
-
-    # cartesian-product distance sandwiches
-    if p_chain and q_anti and not (s == 1 and t == 1):
-        soft_between(
-            "tensor-mindist-car-chain-anti",
-            d2h * (d1h - 1) * mw + d2w,
-            d_car,
-            d1h * d2h * mw,
-        )
-    if p_anti and q_chain and not (s == 1 and t == 1):
-        soft_between(
-            "tensor-mindist-car-anti-chain",
-            d1h * (d2h - 1) * mw + d1w,
-            d_car,
-            d1h * d2h * mw,
-        )
-    if p_anti and q_anti:
-        soft_between(
-            "tensor-mindist-car-anti-anti",
-            d1h * d2h * m_small,
-            d_car,
-            d1h * d2h * mw,
-        )
-    if p_chain and q_chain:
-        soft_between(
-            "tensor-mindist-car-chain-chain",
-            (d1h * d2h - 1) * mw + m_small,
-            d_car,
-            d1h * d2h * mw,
-        )
-        if trivial:
-            expect = (d1h * d2h - 1) * mw + m_small
-            u.soft("tensor-trivial-car", d_car == expect, dict(base, expected=expect))
-
-    # lexicographic-product distance sandwiches
-    if p_chain and q_anti:
-        soft_between(
-            "tensor-mindist-lex-chain-anti",
-            (d1h - 1) * t * mw + d2w,
-            d_lex,
-            (d1h - 1) * t * mw + d2h * mw,
-        )
-        if trivial:
-            expect = (d1h - 1) * t * mw + d2w
-            u.soft(
-                "tensor-trivial-lex-chain-anti", d_lex == expect, dict(base, expected=expect)
-            )
-    if p_chain and q_chain:
-        soft_between(
-            "tensor-mindist-lex-chain-chain",
-            m_small + (d1h - 1) * t * mw + (d2h - 1) * mw,
-            d_lex,
-            (d1h - 1) * t * mw + d2h * mw,
-        )
-        if trivial:
-            expect = m_small + (d1h - 1) * t * mw + (d2h - 1) * mw
-            u.soft(
-                "tensor-trivial-lex-chain-chain", d_lex == expect, dict(base, expected=expect)
-            )
-    if p_anti and q_anti:
-        soft_between(
-            "tensor-mindist-lex-anti-anti",
-            d1h * d2h * m_small,
-            d_lex,
-            d1h * d2h * mw,
-        )
-    if p_anti and q_chain:
-        soft_between(
-            "tensor-mindist-lex-anti-chain",
-            d1w + d1h * (d2h - 1) * mw,
-            d_lex,
-            d1h * d2h * mw,
-        )
-
-    # the Lee-weight special case with trivial labelings
-    if mode == 2:
-        half = space1.q // 2
-        if p_anti and q_anti:
-            u.soft(
-                "tensor-lee-corollary",
-                d1h * d2h <= d_car <= d1h * d2h * half,
-                dict(base, case="anti-anti"),
-            )
-        elif p_chain and q_anti:
-            u.soft(
-                "tensor-lee-corollary",
-                d2h * (d1h - 1) * half + d2w <= d_car <= d1h * d2h * half,
-                dict(base, case="chain-anti"),
-            )
-        elif p_chain and q_chain:
-            lhs = (d1w - 1) * d2h + d2w
-            rhs = (d2w - 1) * d1h + d1w
-            u.soft(
-                "tensor-lee-corollary",
-                d_car == lhs == rhs,
-                dict(base, case="chain-chain", form1=lhs, form2=rhs),
-            )
+    r.d_car, r.d_lex = car.min_distance(), lex.min_distance()
+    r.base = {k: vars(r)[k] for k in ("d_car", "d_lex", "d1h", "d2h", "d1w", "d2w")}
+    if r.p_chain and r.q_chain:
+        r.rank_one = _rank_one_weights(rng, c1, c2, car)
+    return r
 
 
-@suite(
-    "tensor-covering",
-    {"constructions", "tensor"},
-    100,
-    [[2, 3]],
-    (
-        "tensor-covering-lower-car",
-        "tensor-covering-lower-lex",
-        "tensor-covering-car-1a",
-        "tensor-covering-car-1b",
-        "tensor-covering-car-1c",
-        "tensor-covering-car-2a",
-        "tensor-covering-car-2b",
-        "tensor-covering-car-2c",
-        "tensor-covering-car-2d",
-        "tensor-covering-car-2e",
-        "tensor-covering-lex-1a",
-        "tensor-covering-lex-1b",
-        "tensor-covering-lex-1c",
-        "tensor-covering-lex-2a",
-        "tensor-covering-lex-2b",
-        "covering-oracle",
-    ),
-)
-def _unit_tensor_covering(u: _Unit, rng: random.Random, q: int, unit: int) -> None:
-    shapes = _SHAPE_MIX[unit % 4]
+def _covering_floor(r: Readings, rho: int) -> tuple[bool, dict]:
+    floor = max(r.s * r.rho2, r.t * r.rho1)
+    return rho >= floor, dict(r.base, lower=floor)
+
+
+@suite("tensor-covering", {"constructions", "tensor"}, 100, [[2, 3]], [
+    Claim("tensor-covering-lower-car", HARD, lambda r: _covering_floor(r, r.rho_car)),
+    Claim("tensor-covering-lower-lex", HARD, lambda r: _covering_floor(r, r.rho_lex)),
+    # cartesian cases
+    Claim("tensor-covering-car-1a", SOFT, lambda r: (r.rho_car == r.s * r.t * r.mw, r.base),
+          lambda r: r.p_chain and r.q_anti and (r.D1 < r.s or "D1 = s")),
+    Claim("tensor-covering-car-1b", SOFT, lambda r: (
+        r.rho_car >= r.R2 * (r.s - 1) * r.mw + r.R2 * r.m, r.base
+    ), lambda r: r.p_chain and r.q_anti),
+    Claim("tensor-covering-car-1c", SOFT, lambda r: (
+        r.rho_car <= (r.s - 1) * r.t * r.mw + r.rho2, r.base
+    ), lambda r: r.p_chain and r.q_anti and (
+        r.D1 == r.s and r.alpha_s == 1 or "needs D1 = s and alpha_s = 1"
+    )),
+    Claim("tensor-covering-car-2a", SOFT, lambda r: (r.rho_car == r.s * r.t * r.mw, r.base),
+          lambda r: r.p_chain and r.q_chain and (r.D1 < r.s or r.D2 < r.t or "D1 = s and D2 = t")),
+    Claim("tensor-covering-car-2b", SOFT, lambda r: (
+        r.rho_car <= (r.s - 1) * r.t * r.mw + r.rho2, r.base
+    ), lambda r: r.p_chain and r.q_chain and r.D1 == r.s and r.D2 == r.t and r.alpha_s == 1),
+    Claim("tensor-covering-car-2c", SOFT, lambda r: (
+        r.rho_car <= (r.t - 1) * r.s * r.mw + r.rho1, r.base
+    ), lambda r: r.p_chain and r.q_chain and r.D1 == r.s and r.D2 == r.t and r.beta_t == 1),
+    Claim("tensor-covering-car-2d", SOFT, lambda r: (
+        r.rho_car <= min((r.s - 1) * r.t * r.mw + r.rho2, (r.t - 1) * r.s * r.mw + r.rho1),
+        r.base,
+    ), lambda r: (r.p_chain and r.q_chain and r.D1 == r.s and r.D2 == r.t
+                  and r.alpha_s == 1 and r.beta_t == 1)),
+    Claim("tensor-covering-car-2e", SOFT, lambda r: (
+        r.rho_car >= max((r.s * r.R2 - 1) * r.mw + r.m, (r.t * r.R1 - 1) * r.mw + r.m),
+        r.base,
+    ), lambda r: r.p_chain and r.q_chain),
+    # lexicographic cases
+    Claim("tensor-covering-lex-1a", SOFT, lambda r: (r.rho_lex == r.s * r.t * r.mw, r.base),
+          lambda r: r.p_chain and (
+              r.D1 < r.s or (r.q_chain and r.D2 < r.t) or "no deficient trailing projection"
+          )),
+    Claim("tensor-covering-lex-1b", SOFT, lambda r: (
+        r.rho_lex <= (r.s - 1) * r.t * r.mw + r.rho2, r.base
+    ), lambda r: r.p_chain and (
+        r.D1 == r.s and r.D2 == r.t and r.alpha_s == 1 or "needs D1 = s, D2 = t, alpha_s = 1"
+    )),
+    Claim("tensor-covering-lex-1c", SOFT, lambda r: (
+        r.rho_lex >= max((r.s - 1) * r.t * r.mw + r.rho2, r.t * r.rho1), r.base
+    ), lambda r: r.p_chain),
+    Claim("tensor-covering-lex-2a", SOFT, lambda r: (r.rho_lex == r.s * r.t * r.mw, r.base),
+          lambda r: r.p_anti and r.q_chain and (r.D2 < r.t or "D2 = t")),
+    Claim("tensor-covering-lex-2b", SOFT, lambda r: (
+        r.rho_lex <= (r.t - 1) * r.s * r.mw + r.rho1, r.base
+    ), lambda r: r.p_anti and r.q_chain and (
+        r.D2 == r.t and r.beta_t == 1 or "needs D2 = t and beta_t = 1"
+    )),
+    _ORACLE,
+])
+def _unit_tensor_covering(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings | None:
     trivial = rng.random() < 0.5
     pair = _sample_tensor_pair(
-        rng,
-        q,
-        shapes,
-        trivial,
-        word_cap=64,
-        ambient_cap={2: 512, 3: 729}[q],
+        rng, q, _SHAPE_MIX[unit % 4], trivial, word_cap=64, ambient_cap={2: 512, 3: 729}[q],
         dim_min=0,
     )
     if pair is None:
-        return
+        return None
     c1, c2 = pair
-    i1, i2 = _instance_of(c1), _instance_of(c2)
-    u.start(_pair_digest(i1.digest(), i2.digest()))
+    u.start(_pair_digest(_instance_of(c1).digest(), _instance_of(c2).digest()))
 
-    space1, space2 = c1.space, c2.space
-    weight = space1.weight
-    mw, m_small = weight.max_weight, weight.min_nonzero_weight
-    s, t = space1.s, space2.s
-    alpha_s = space1.labeling.sizes[-1]
-    beta_t = space2.labeling.sizes[-1]
-    p_chain, q_chain = space1.poset.is_chain(), space2.poset.is_chain()
-    p_anti, q_anti = space1.poset.is_antichain(), space2.poset.is_antichain()
-
-    ham = hamming_weight(space1.field)
-    rho1 = _covering_with_oracle(u, c1, "C1")
-    rho2 = _covering_with_oracle(u, c2, "C2")
-    big_d1 = c1.max_poset_weight(ham)
-    big_d2 = c2.max_poset_weight(ham)
-    r1 = _hamming_view(c1).covering_radius()
-    r2 = _hamming_view(c2).covering_radius()
-
+    r = _tensor_shape(c1, c2)
+    r.alpha_s, r.beta_t = c1.space.labeling.sizes[-1], c2.space.labeling.sizes[-1]
+    ham = hamming_weight(c1.space.field)
+    r.rho1 = _covering_with_oracle(u, c1, "C1")
+    r.rho2 = _covering_with_oracle(u, c2, "C2")
+    r.D1, r.D2 = c1.max_poset_weight(ham), c2.max_poset_weight(ham)
+    r.R1, r.R2 = _hamming_view(c1).covering_radius(), _hamming_view(c2).covering_radius()
     car = tensor_code(c1, c2, "cartesian").code
     lex = tensor_code(c1, c2, "lex").code
-    rho_car = car.covering_radius()
-    rho_lex = lex.covering_radius()
-    base = {
-        "rho_car": rho_car,
-        "rho_lex": rho_lex,
-        "rho1": rho1,
-        "rho2": rho2,
-        "R1": r1,
-        "R2": r2,
-        "D1": big_d1,
-        "D2": big_d2,
-        "s": s,
-        "t": t,
-    }
-
-    floor = max(s * rho2, t * rho1)
-    u.hard("tensor-covering-lower-car", rho_car >= floor, dict(base, lower=floor))
-    u.hard("tensor-covering-lower-lex", rho_lex >= floor, dict(base, lower=floor))
-
-    # cartesian cases
-    if p_chain and q_anti:
-        if big_d1 < s:
-            u.soft("tensor-covering-car-1a", rho_car == s * t * mw, base)
-        else:
-            u.na("tensor-covering-car-1a", "D1 = s")
-        u.soft(
-            "tensor-covering-car-1b",
-            rho_car >= r2 * (s - 1) * mw + r2 * m_small,
-            base,
-        )
-        if big_d1 == s and alpha_s == 1:
-            u.soft(
-                "tensor-covering-car-1c",
-                rho_car <= (s - 1) * t * mw + rho2,
-                base,
-            )
-        else:
-            u.na("tensor-covering-car-1c", "needs D1 = s and alpha_s = 1")
-    if p_chain and q_chain:
-        if big_d1 < s or big_d2 < t:
-            u.soft("tensor-covering-car-2a", rho_car == s * t * mw, base)
-        else:
-            u.na("tensor-covering-car-2a", "D1 = s and D2 = t")
-        if big_d1 == s and big_d2 == t:
-            if alpha_s == 1:
-                u.soft(
-                    "tensor-covering-car-2b",
-                    rho_car <= (s - 1) * t * mw + rho2,
-                    base,
-                )
-            if beta_t == 1:
-                u.soft(
-                    "tensor-covering-car-2c",
-                    rho_car <= (t - 1) * s * mw + rho1,
-                    base,
-                )
-            if alpha_s == 1 and beta_t == 1:
-                u.soft(
-                    "tensor-covering-car-2d",
-                    rho_car <= min((s - 1) * t * mw + rho2, (t - 1) * s * mw + rho1),
-                    base,
-                )
-        u.soft(
-            "tensor-covering-car-2e",
-            rho_car >= max((s * r2 - 1) * mw + m_small, (t * r1 - 1) * mw + m_small),
-            base,
-        )
-
-    # lexicographic cases
-    if p_chain:
-        if big_d1 < s or (q_chain and big_d2 < t):
-            u.soft("tensor-covering-lex-1a", rho_lex == s * t * mw, base)
-        else:
-            u.na("tensor-covering-lex-1a", "no deficient trailing projection")
-        if big_d1 == s and big_d2 == t and alpha_s == 1:
-            u.soft(
-                "tensor-covering-lex-1b",
-                rho_lex <= (s - 1) * t * mw + rho2,
-                base,
-            )
-        else:
-            u.na("tensor-covering-lex-1b", "needs D1 = s, D2 = t, alpha_s = 1")
-        u.soft(
-            "tensor-covering-lex-1c",
-            rho_lex >= max((s - 1) * t * mw + rho2, t * rho1),
-            base,
-        )
-    if p_anti and q_chain:
-        if big_d2 < t:
-            u.soft("tensor-covering-lex-2a", rho_lex == s * t * mw, base)
-        else:
-            u.na("tensor-covering-lex-2a", "D2 = t")
-        if big_d2 == t and beta_t == 1:
-            u.soft(
-                "tensor-covering-lex-2b",
-                rho_lex <= (t - 1) * s * mw + rho1,
-                base,
-            )
-        else:
-            u.na("tensor-covering-lex-2b", "needs D2 = t and beta_t = 1")
+    r.rho_car, r.rho_lex = car.covering_radius(), lex.covering_radius()
+    keys = ("rho_car", "rho_lex", "rho1", "rho2", "R1", "R2", "D1", "D2", "s", "t")
+    r.base = {k: vars(r)[k] for k in keys}
+    return r
 
 
 # ---------------------------------------------------------------------------

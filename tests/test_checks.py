@@ -57,18 +57,38 @@ def test_resolve_filters():
 
 def test_check_id_filter_restricts_reports():
     reports = verify_suite(["covering-radius-chain"], seed=3, trials=5)
-    assert reports
     assert {r.check for r in reports} == {"covering-radius-chain"}
+
+
+def _emitted_once_per_unit(name, seed, unit):
+    """The check ids one unit emits, asserting that each is declared and,
+    but for covering-oracle (one record per code read), emitted once."""
+    emitted = [rep.check for rep in REGISTRY[name].unit_fn(seed, unit, None)]
+    assert set(emitted) <= set(REGISTRY[name].checks), (name, emitted)
+    rows = [check for check in emitted if check != checks.COVERING_ORACLE]
+    assert len(rows) == len(set(rows)), (name, seed, unit, rows)
+    return set(emitted)
 
 
 def test_emitted_check_ids_are_declared():
     """Every check id a unit emits is in its suite's checks, so that
-    `--suite <check-id>` can select it."""
-    for name, suite in REGISTRY.items():
+    `--suite <check-id>` can select it, and a unit emits each id but
+    covering-oracle at most once."""
+    for name in REGISTRY:
         for seed in (0, 1):
             for unit in range(3):
-                for rep in suite.unit_fn(seed, unit, None):
-                    assert rep.check in suite.checks, (name, rep.check)
+                _emitted_once_per_unit(name, seed, unit)
+
+
+def test_every_declared_check_id_is_emitted_at_seed_0():
+    """No row's gate stays shut: every id a suite declares is emitted, with
+    any status, by at least one unit of the default run at seed 0, and no
+    unit of that run emits an id twice but covering-oracle."""
+    for name, suite in REGISTRY.items():
+        emitted = set().union(
+            *(_emitted_once_per_unit(name, 0, unit) for unit in range(suite.default_trials))
+        )
+        assert emitted == set(suite.checks), (name, set(suite.checks) - emitted)
 
 
 def test_emitting_an_undeclared_check_id_raises():
