@@ -582,7 +582,7 @@ class _Kernel:
         """BlockSpace.pair_weights for the summed piece codes of x and c."""
         plan = self.plan()
         if self.radix is not None:
-            return self.bm_table[plan.index(codes, self.radix)]
+            return self.bm_table.take(plan.index(codes, self.radix))
         blockmax = plan.block_maxima(codes)
         return self._below_weights(blockmax.reshape(self.s, -1)).reshape(blockmax.shape[1:])
 
@@ -769,11 +769,14 @@ class _PiecePlan:
 
     def index(self, codes: np.ndarray, digits: np.ndarray) -> np.ndarray:
         """The block maxima of summed piece codes weighted by their uint16
-        digits in one uint16 product, shaped as the codes after their piece
-        axis: the index of a block-max tuple in a kernel's or a cut's table,
-        exact since no such table has more than _CHUNK < 2^16 entries."""
+        digits and summed over the blocks in uint16, shaped as the codes
+        after their piece axis: the index of a block-max tuple in a kernel's
+        or a cut's table, exact since no such table has more than
+        _CHUNK < 2^16 entries.  A weighted sum, not an integer matmul, which
+        numpy runs without BLAS at several times the cost per entry."""
         blockmax = self.block_maxima(codes)
-        return (digits @ blockmax.reshape(len(digits), -1)).reshape(blockmax.shape[1:])
+        weighted = digits.reshape((-1,) + (1,) * (blockmax.ndim - 1)) * blockmax
+        return weighted.sum(axis=0, dtype=np.uint16)
 
 
 @lru_cache(maxsize=64)

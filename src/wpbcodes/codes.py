@@ -75,11 +75,17 @@ costs its rows times its words (_leaf_cost): q^n * |C| entries for an
 explicit leaf's radii, q^(n - dim) coset rows times q^dim words for a
 linear one's, the zero row times |C| for a linear d and |C|^2 for an
 explicit d, n the coordinates of the leaf's space; plus _CHUNK / 8 for a
-pass's fixed work, its entries beyond _CHUNK an eighth each, and a split
-_CHUNK / 8.  So a space that fits one tile, as in verify, reads as one
-leaf, and a disjoint sum of two codes on 30-block chains (2^60 vectors)
-reads from its parts' levels.  A reading charges the entries of all its
-leaves together, in one unit, before the first runs.
+pass's fixed work and its entries beyond _CHUNK an eighth each.  A split
+costs _SPLIT_PRICE, the measured time of finding and building its parts
+in those units, so a code whose leaf costs no more is read whole and its
+split never searched: at verify seed 0, 142 codes search a split, 125
+build one and 69 take it (350, 293 and 129 with a split priced at
+_CHUNK / 8).  A deep chain still reads through its fibers, and a disjoint
+sum of two codes on 30-block chains (2^60 vectors) from its parts'
+levels.  A reading charges the entries of all its leaves together, in one
+unit, before the first runs.  When they exceed the enumeration cap, the
+reading takes the plan of fewest entries instead (_fit), which searches
+every split, so it raises SpaceTooLarge only when no reading fits.
 
 The coset pass: the generator is in reduced row-echelon form, so every
 vector splits uniquely as x + c with x zero on the pivot columns and c a
@@ -132,13 +138,19 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .blockspace import _CHUNK, BlockSpace, Vector, _Cut, charge, odometer_table
+from .blockspace import _CHUNK, BlockSpace, Vector, _cap, _Cut, charge, odometer_table
 from .errors import NotAChain, NotLinear, TooFewWords
 from .field import Field
 from .poset import Node
 from .weights import WeightFn
 
 _BIG = np.iinfo(np.int64).max
+# The planner's price of a split (_plan) in a leaf's cost units, the entries
+# of a pass that fits one tile: finding and building a split's parts takes
+# as long as a leaf of this cost (45-62 us against 4-6 ns per unit on a
+# 2-vCPU Xeon guest, numpy 2.4), from leaf reads timed against split
+# searches by entry bin (CHANGES.md).
+_SPLIT_PRICE = 11_000
 
 
 def _two_smallest(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,12 +161,13 @@ def _two_smallest(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     BlockSpace.cut).  It is left as t2 in the rows of a tile with one word,
     and reaches a pass's reading only when the pass has one word (a later
     one-word block of a whole-row pass merges into real entries), whose
-    packing reading no code stores."""
+    packing reading no code stores.  A tile's word axis holds at most
+    _CHUNK < 2^16 words, so the ties of a row are counted in uint16."""
     t1 = w.min(axis=1)
     hit = w == t1[:, None]
     big = w.dtype.type(np.iinfo(w.dtype).max)
     t2 = np.maximum(w, hit * big).min(axis=1)  # branch-free masking: w >= 0
-    np.copyto(t2, t1, where=hit.sum(axis=1) > 1)
+    np.copyto(t2, t1, where=hit.sum(axis=1, dtype=np.uint16) > 1)
     return t1, t2
 
 
@@ -414,15 +427,23 @@ class Code:
         """The covering radius, packing radius or minimum distance (what, the
         name of the memo and the method) of the code from its parts on the
         decomposition tree (module docstring).  The reading is planned first
-        (_plan), and the rows x words entries (_leaf_cost) of the leaves it
-        reads that are not read yet are charged together, in one unit,
-        before any runs."""
+        by price (_plan), and the rows x words entries (_leaf_cost) of the
+        leaves it reads that are not read yet are charged together, in one
+        unit, before any runs.  When they exceed the enumeration cap, the
+        reading is planned again for its fewest such entries (_fit), which
+        are charged instead, so SpaceTooLarge names the fewest."""
         self._plan(what)
+        fits = None
         leaves = [leaf for leaf in self._leaves(what) if what not in leaf._memo]
-        charge(sum(leaf._leaf_cost(what) for leaf in leaves), "vector x word pairs")
+        count = sum(leaf._leaf_cost(what) for leaf in leaves)
+        if count > _cap.get():
+            fits = {}
+            count = self._fit(what, fits)
+            leaves = [leaf for leaf in self._leaves(what, fits) if what not in leaf._memo]
+        charge(count, "vector x word pairs")
         for leaf in leaves:
             leaf._read_leaf(what)
-        return self._combine(what)
+        return self._combine(what, fits)
 
     def _plan(self, what: str) -> int:
         """The cost of the cheapest reading of the code, which is recorded in
@@ -432,44 +453,63 @@ class Code:
         for every reading): a leaf also costs _CHUNK / 8 for its fixed work,
         and its entries beyond _CHUNK an eighth each, as cut chunks run
         about eight times as many entries in the same time; a split costs
-        _CHUNK / 8 for finding its parts.  So a code of at most _CHUNK / 8
-        entries is never split."""
+        _SPLIT_PRICE for finding and building its parts.  So a code whose
+        leaf costs at most _SPLIT_PRICE, which no split can undercut, reads
+        as a leaf and its split is never searched."""
         if what in self._plans:
             return self._plans[what][1]
-        entries, fixed = self._leaf_cost(what), _CHUNK // 8
+        entries = self._leaf_cost(what)
+        cost = _CHUNK // 8 + min(entries, _CHUNK) + max(entries - _CHUNK, 0) // 8 if entries else 0
         parts = None
-        cost = fixed + min(entries, _CHUNK) + max(entries - _CHUNK, 0) // 8 if entries else 0
-        if entries > fixed:
-            split = self._split()
-            if split:
-                options, total = split[1 if what == "covering_radius" else 2], fixed
-                for _, part in options:
-                    total += part._plan(what)
-                    if total >= cost:
-                        break
-                if total < cost:
-                    parts, cost = options, total
+        if cost > _SPLIT_PRICE and (split := self._split()):
+            options, total = split[1 if what == "covering_radius" else 2], _SPLIT_PRICE
+            for _, part in options:
+                total += part._plan(what)
+                if total >= cost:
+                    break
+            if total < cost:
+                parts, cost = options, total
         self._plans[what] = (parts, cost)
         return cost
 
-    def _leaves(self, what: str) -> Iterator[Code]:
-        """The leaves whose readings the code's planned reading combines."""
-        parts = self._plans[what][0]
+    def _fit(self, what: str, fits: dict) -> int:
+        """The fewest entries (_leaf_cost) that a reading of the code charges,
+        its leaves read already costing none, and in fits[code] the parts
+        such a reading combines at each code of its tree (None for a leaf):
+        the code's split, when its parts charge fewer entries than the code
+        as a leaf.  It searches every split of a code not read yet, so only
+        a reading whose priced plan exceeds the enumeration cap takes it
+        (_read)."""
+        entries = 0 if what in self._memo else self._leaf_cost(what)
+        parts = None
+        if entries and (split := self._split()):
+            options = split[1 if what == "covering_radius" else 2]
+            count = sum(part._fit(what, fits) for _, part in options)
+            if count < entries:
+                parts, entries = options, count
+        fits[self] = parts
+        return entries
+
+    def _leaves(self, what: str, fits: dict | None = None) -> Iterator[Code]:
+        """The leaves whose readings the code's planned reading combines:
+        those of its priced plan (_plans), or of fits when given (_fit)."""
+        parts = self._plans[what][0] if fits is None else fits[self]
         if parts is None:
             yield self
             return
         for _, part in parts:
-            yield from part._leaves(what)
+            yield from part._leaves(what, fits)
 
-    def _combine(self, what: str) -> int:
-        """The code's reading from its leaves' (module docstring): each
-        part's reading plus its offset, summed across a parallel split for a
-        covering radius and their maximum at a series one, and their minimum
-        for a packing radius or a minimum distance."""
-        parts = self._plans[what][0]
+    def _combine(self, what: str, fits: dict | None = None) -> int:
+        """The code's reading from its leaves' (module docstring), along its
+        priced plan or fits (_leaves): each part's reading plus its offset,
+        summed across a parallel split for a covering radius and their
+        maximum at a series one, and their minimum for a packing radius or
+        a minimum distance."""
+        parts = self._plans[what][0] if fits is None else fits[self]
         if parts is None:
             return self._memo[what]
-        values = [offset + part._combine(what) for offset, part in parts]
+        values = [offset + part._combine(what, fits) for offset, part in parts]
         if what != "covering_radius":
             return min(values)
         return sum(values) if self._parts[0] == "parallel" else max(values, default=0)

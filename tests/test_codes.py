@@ -1093,13 +1093,14 @@ def test_tree_reading_matches_scalar_brute_force(monkeypatch):
     linear and explicit codes on series-parallel posets (disjoint unions,
     ordinal sums and sums of unions, blocks of 1-2 coordinates, GF(2),
     GF(3), GF(4), GF(5) under the Hamming and Lee weights) against the
-    scalar brute force.  A small _CHUNK makes every reading take the splits
-    that lower its cost, so parallel splits (products, and word sets that
-    fail the product test by one word), series splits through fibers of
-    one and of several words, a top projection that fills the top summand,
-    and parallel splits above lower summands (where the parts' offsets must
-    not add up) all occur."""
+    scalar brute force.  A small _CHUNK, and a split price of an eighth of
+    it, make every reading take the splits that lower its cost, so parallel
+    splits (products, and word sets that fail the product test by one
+    word), series splits through fibers of one and of several words, a top
+    projection that fills the top summand, and parallel splits above lower
+    summands (where the parts' offsets must not add up) all occur."""
     monkeypatch.setattr(codes_module, "_CHUNK", 8)
+    monkeypatch.setattr(codes_module, "_SPLIT_PRICE", 1)
     rng = random.Random(97)
     seen, qs = set(), set()
     for case in range(240):
@@ -1127,6 +1128,71 @@ def test_tree_reading_matches_scalar_brute_force(monkeypatch):
         assert {(kind, "parallel"), (kind, "top"), (kind, "top filled"), (kind, "fibers")} <= seen
     assert {("explicit", "no product"), ("explicit", "fiber of several words")} <= seen
     assert "offset sum" in seen
+
+
+def _verify_sized():
+    """A GF(2) Hamming space on a chain of four 2-blocks (256 vectors) and
+    23 distinct seeded words: a radius pass of 5,888 entries, the size of
+    verify's covering-oracle word sets."""
+    words = np.random.default_rng(7).integers(0, 2, size=(24, 8), dtype=np.uint8)
+    return space(2, P.chain(4), (2,) * 4), words
+
+
+def test_a_code_priced_below_a_split_is_never_searched(monkeypatch):
+    """A code whose leaf costs at most _SPLIT_PRICE reads as a leaf, and its
+    split, which could not cost less, is never searched or built: every
+    reading of a verify-sized explicit code on a chain, which has a split,
+    runs without calling Code._split and matches the scalar brute force."""
+    sp, words = _verify_sized()
+    monkeypatch.setattr(Code, "_split", _refuse)
+    code = Code.explicit(sp, words)
+    got = [code.covering_radius(), code.packing_radius(), code.min_distance(), code.is_perfect()]
+    assert got == _scalar_readings(sp, code.codeword_array())
+    for what in ("covering_radius", "packing_radius", "min_distance"):
+        parts, cost = code._plans[what]
+        assert parts is None and cost <= codes_module._SPLIT_PRICE
+    monkeypatch.undo()
+    assert Code.explicit(sp, words)._split()
+
+
+def test_a_split_that_fits_the_cap_answers_where_the_leaf_does_not():
+    """Under a cap below the leaf's entries, the same verify-sized code,
+    which its price reads as a leaf, reads through its split, whose leaves
+    charge fewer entries (Code._fit): it answers as without the cap, and a
+    cap one below the fewest entries raises SpaceTooLarge naming them."""
+    sp, words = _verify_sized()
+    for what, fewest in (("covering_radius", 60), ("packing_radius", 56), ("min_distance", 28)):
+        want = getattr(Code.explicit(sp, words), what)()
+        with enumeration_cap(fewest - 1), pytest.raises(SpaceTooLarge, match=f"= {fewest} exc"):
+            getattr(Code.explicit(sp, words), what)()
+        code = Code.explicit(sp, words)
+        with enumeration_cap(fewest):
+            assert getattr(code, what)() == want
+        assert code._plans[what][0] is None and code._leaf_cost(what) > fewest
+
+
+def test_a_deep_chain_reads_its_fibers_through_the_top_summand():
+    """40 seeded words on a GF(2) chain of blocks (3, 3, 2, 2, 3, 3), 2^16
+    vectors: the covering and packing readings split at the root into the
+    fibers below the top summand, and every fiber splits again rather than
+    reading its 2^13 vectors whole, so the split price stays below what a
+    split saves on a deep chain.  Every reading equals the code's own leaf
+    reading."""
+    sp = space(2, P.chain(6), (3, 3, 2, 2, 3, 3))
+    words = np.random.default_rng(28).integers(0, 2, size=(40, 16), dtype=np.uint8)
+    for what in ("covering_radius", "packing_radius", "min_distance"):
+        leaf = Code.explicit(sp, words)
+        leaf._read_leaf(what)
+        code = Code.explicit(sp, words)
+        assert getattr(code, what)() == leaf._memo[what]
+        if what == "min_distance":  # 40 x 40 entries, a leaf
+            assert code._plans[what][0] is None
+            continue
+        fibers = code._plans[what][0]
+        assert len(fibers) == 8
+        for offset, fiber in fibers:
+            assert offset == 0 and fiber.space is sp.restrict((1, 2, 3, 4, 5))
+            assert fiber._plans[what][0] is not None
 
 
 def _chain_code(rng, kind, k):
@@ -1333,9 +1399,10 @@ def test_each_entry_point_charges_its_count(entry, monkeypatch):
     the count; a cap equal to it runs, or, where a later charge is larger,
     a cap one below that one raises naming it and a cap equal to it runs.
     Charges do not depend on what ran before (the kernels are shared), so
-    each entry holds alone and in any order.  A _CHUNK of 1 makes a
-    reading take every split that lowers its kernel calls, which on these
-    tiny spaces all fit one tile."""
+    each entry holds alone and in any order.  A _CHUNK of 1 runs every
+    pass in the smallest tiles.  Where the code read whole exceeds a cap
+    that a split reading fits, the reading takes its fewest entries
+    (Code._fit), whatever the split price."""
     monkeypatch.setattr(codes_module, "_CHUNK", 1)
     count, call, *later = _CAPPED[entry]
     for cap in (count, *later):
