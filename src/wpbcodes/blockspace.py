@@ -108,6 +108,21 @@ int64 (128 KiB) and n - 1 cuts, each a table of at most _CHUNK uint8
 one per part of a split (a series split's fibers share one), each smaller
 than the space.
 
+The transient memory of a call is bounded too: the enumeration cap bounds
+counts, the tiles bound bytes.  batch_weights takes its rows in tiles of
+max(_TILE // n, 1), so a tile's (n, rows) intp product, its (pieces, rows)
+piece codes and maxima and its (s, rows) block maxima and marks each hold
+at most max(_TILE, n) entries (4 MiB of intp at _TILE = 2^19).  ball takes
+F_q^n in chunks of _CHUNK rows: pieces x _CHUNK intp codes per chunk, plus
+the codes of fewer than q * q^n / _CHUNK prefixes, each 9n + 8 * pieces
+bytes with its row (_PiecePlan.odometer_codes, which serves a pass's rows
+the same way).  pair_weights forms the sums of the piece codes it is given,
+whose tiles its callers size (the codes module states them), and
+weight_spectrum holds its charged DP states, one polynomial of at most
+s * max_weight + 1 ints each.  Only output-sized results are exempt:
+all_vectors (q^n * n bytes), the vectors ball lists, and the (N,) int64
+weights of batch_weights.
+
 Ball sizes enumerate nothing.  The metric is translation-invariant, so
 |B(c, r)| counts the vectors of weight <= r, and the weight depends only on
 the ideal I the support generates: with M the maximal elements of I, each
@@ -157,6 +172,10 @@ from .weights import WeightFn, hamming_weight
 
 DEFAULT_MAX_SPACE = 1 << 24
 _CHUNK = 1 << 14
+# bound on the entries of a tile's intp transients (4 MiB): the (n, rows)
+# product of batch_weights, and the (n, X) and (n, C) products and the
+# (pieces, X, C) piece sums of a whole-row tile (codes)
+_TILE = 1 << 19
 # bound on the q^(2 len) entries of the pair table of one piece length
 _PIECE_CODES = 1 << 16
 
@@ -400,9 +419,19 @@ class BlockSpace:
     # batch engine -----------------------------------------------------------
 
     def batch_weights(self, arr: np.ndarray) -> np.ndarray:
-        """Weights of the rows of an (N, n) uint8 array: the pair kernel
-        against the zero word (the b = 0 column of the pair tables)."""
-        return self.pair_weights(self.plan().codes(arr))
+        """Weights of the rows of an (N, n) uint8 array as an (N,) int64
+        array: the pair kernel against the zero word (the b = 0 column of
+        the pair tables), in tiles of max(_TILE // n, 1) rows, so the
+        (n, rows) intp product of a tile's piece codes (_PiecePlan.codes)
+        holds at most max(_TILE, n) entries and every other transient
+        fewer."""
+        plan, step = self.plan(), max(_TILE // self.n, 1)
+        if len(arr) <= step:
+            return self.pair_weights(plan.codes(arr))
+        out = np.empty(len(arr), dtype=np.int64)
+        for lo in range(0, len(arr), step):
+            out[lo : lo + step] = self.pair_weights(plan.codes(arr[lo : lo + step]))
+        return out
 
     def plan(self) -> _PiecePlan:
         """The piece plan of the space's kernel, which gives the piece codes

@@ -46,7 +46,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .blockspace import BlockSpace, Labeling
+from .blockspace import _CHUNK, BlockSpace, Labeling
 from .codes import Code
 from .constructions import (
     direct_sum_code,
@@ -344,8 +344,11 @@ def metric_axiom_witness(space: BlockSpace, rng: random.Random | None = None) ->
     Identity and symmetry are checked on every vector.  The triangle
     inequality is checked in its weight form w(x + y) <= w(x) + w(y), which
     covers every triple (u, v, z) via x = u - z, y = z - v: on all pairs
-    when q^n <= _EXHAUSTIVE_PAIR_CAP, else on _RANDOM_PAIR_SAMPLES rank
-    pairs drawn from rng, so a failure replays from the unit's seed.
+    when q^n <= _EXHAUSTIVE_PAIR_CAP, in blocks of rows of at most _CHUNK
+    pairs taken x-major, so the witness is the first violating pair in
+    x-major order, else on _RANDOM_PAIR_SAMPLES rank pairs drawn from rng,
+    so a failure replays from the unit's seed.  Each block's index and
+    rank arrays hold at most max(_CHUNK, q^n) entries.
     """
     arr = space.all_vectors()
     w = space.batch_weights(arr)
@@ -360,23 +363,27 @@ def metric_axiom_witness(space: BlockSpace, rng: random.Random | None = None) ->
     if len(bad):
         return {"axiom": "symmetry", "vector": list(space.unrank(int(bad[0])))}
     if space.size <= _EXHAUSTIVE_PAIR_CAP:
-        # (N, 1) and (1, N) index arrays broadcast to every pair
-        xs, ys = np.ogrid[: space.size, : space.size]
+        # blocks of (X, 1) and (1, N) index arrays that broadcast to every
+        # pair of X rows, at most _CHUNK pairs (at least one row), x-major
+        step, ys = max(_CHUNK // space.size, 1), np.arange(space.size)[None, :]
+        blocks = ((np.arange(lo, min(lo + step, space.size))[:, None], ys)
+                  for lo in range(0, space.size, step))
     else:
         rng = rng or random.Random(0)
         picks = [rng.randrange(space.size) for _ in range(2 * _RANDOM_PAIR_SAMPLES)]
-        xs, ys = np.array(picks, dtype=np.intp).reshape(2, -1)
-    pairs = np.broadcast_arrays(xs, ys)  # read-only views, no copies
-    # the rank of x + y for each pair, one coordinate at a time, then its
-    # weight, both in place in one intp array
-    sums = np.zeros(pairs[0].shape, dtype=np.intp)
-    for j in range(space.n):
-        sums += (space.field.add_table * radix[j])[arr[xs, j], arr[ys, j]]
-    np.take(w, sums, out=sums)
-    viol = np.flatnonzero(sums > w[xs] + w[ys])
-    if len(viol):
-        u, v = (space.unrank(int(p.flat[viol[0]])) for p in pairs)
-        return {"axiom": "triangle", "u": list(u), "v": list(v)}
+        blocks = [np.array(picks, dtype=np.intp).reshape(2, -1)]
+    for xs, ys in blocks:
+        pairs = np.broadcast_arrays(xs, ys)  # read-only views, no copies
+        # the rank of x + y for each pair, one coordinate at a time, then its
+        # weight, both in place in one intp array
+        sums = np.zeros(pairs[0].shape, dtype=np.intp)
+        for j in range(space.n):
+            sums += (space.field.add_table * radix[j])[arr[xs, j], arr[ys, j]]
+        np.take(w, sums, out=sums)
+        viol = np.flatnonzero(sums > w[xs] + w[ys])
+        if len(viol):
+            u, v = (space.unrank(int(p.flat[viol[0]])) for p in pairs)
+            return {"axiom": "triangle", "u": list(u), "v": list(v)}
     return None
 
 

@@ -21,7 +21,6 @@ from .checks import (
     REGISTRY,
     hard_failures,
     summarize,
-    to_jsonl,
     verify_suite,
 )
 from .constructions import (
@@ -254,12 +253,12 @@ def _cmd_verify(args) -> int:
         jobs=args.jobs,
         q=args.q,
     )
-    text = to_jsonl(reports)
+    lines = (r.line() + "\n" for r in reports)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     print(summarize(reports), file=sys.stderr)
     return 1 if hard_failures(reports) else 0
 

@@ -116,17 +116,47 @@ so each entry of a (head rows, C, T) tile costs one add and one gather.
 The cut's tiles are narrow (uint16 indices into a uint8 table, _Cut), so a
 chunk takes 4 * _CHUNK entries, at least one head row.  Without a cut (one
 tile holds the pass, q * |C| exceeds a tile, or the space has no table for
-the cut) tiles are whole rows times a block of words, at most _CHUNK int64
-weights, one pair-kernel call each (BlockSpace.pair_weights).  Every pass
-takes its rows' piece codes from a piece plan, the space's or a cut
-side's, which enumerates them in chunks and keeps those of a table it has
-built (_PiecePlan.odometer_codes, row_codes): the rows of a pass
-that one tile holds, as nearly every pass of verify does, and the tail
-rows of a cut are built once per plan and column set.  The words' piece
-codes take one product per pass (_PiecePlan.codes), and so do the rows of
-an explicit minimum distance, the words themselves, per chunk of rows.  No
-scan builds a row array of F_q^cols or a difference vector for its
-weights.
+the cut) tiles are whole rows times a block of words, at most
+min(_CHUNK, _TILE // n) int64 weights (at least one), one pair-kernel call
+each (BlockSpace.pair_weights).  Every pass takes its rows' piece codes
+from a piece plan, the space's or a cut side's, which enumerates them in
+chunks and keeps those of a table it has built
+(_PiecePlan.odometer_codes, row_codes): the rows of a pass that one tile
+holds, as nearly every pass of verify does, and the tail rows of a cut
+are built once per plan and column set.  The words' piece codes take one
+product per pass, or per block when the words fill more than one tile
+(_PiecePlan.codes), and so do the rows of an explicit minimum distance,
+the words themselves, per chunk of rows.  No scan builds a row array of
+F_q^cols or a difference vector for its weights.
+
+Memory.  The enumeration cap bounds counts, the tiles bound bytes: every
+transient array of a reading has a stated bound in entries, at
+_CHUNK = 2^14 and _TILE = 2^19 (blockspace, which bounds batch_weights the
+same way):
+
+- the minimum distance of a linear code lists its words in message order
+  in blocks of at most _CHUNK (_span_chunks, _CHUNK * n bytes) and weighs
+  each with batch_weights, so a reading at the default cap (2^24 words)
+  holds one block; a code keeps its listing (_listed) only when it has at
+  most _CHUNK words, and max_poset_weight takes the same blocks;
+- a tile of whole rows holds at most min(_CHUNK, _TILE // n) rows x words
+  (at least one), so its (pieces, X, C) piece sums and the (n, X) and
+  (n, C) products of its rows' and words' codes hold at most
+  max(_TILE, n) intp entries (4 MiB); a pass over more words than one
+  tile takes them in blocks, each listed (_NegatedSpan for a linear code
+  that keeps no listing) and coded once, and keeps at most six int64
+  per row;
+- a chunk through a cut holds at most 4 * _CHUNK uint8 weights and uint16
+  indices, and its head sums at most 2n * _CHUNK intp entries, n at most
+  log_q of the cap for a pass the cap admits;
+- the rows of F_q^cols come in chunks of a tile's rows, plus the codes of
+  fewer than q * cap / rows prefixes (_PiecePlan.odometer_codes);
+- a coset table takes its leaders' words by their message ranks
+  (_words_of) from a code that keeps no listing.
+
+Only output-sized results are exempt: codeword_array and codewords
+(|C| * n bytes and more), and a coset table's leaders and weights
+(q^(n-k) * (n + 8) bytes) with the per-row readings of its pass.
 """
 
 from __future__ import annotations
@@ -138,7 +168,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .blockspace import _CHUNK, BlockSpace, Vector, _cap, _Cut, charge, odometer_table
+from .blockspace import _CHUNK, _TILE, BlockSpace, Vector, _cap, _Cut, charge, odometer_table
 from .errors import NotAChain, NotLinear, TooFewWords
 from .field import Field
 from .poset import Node
@@ -249,6 +279,64 @@ def _span(field: Field, rows: np.ndarray) -> np.ndarray:
     for row_mults in mults[1:]:
         arr = field.add_table[arr[:, None, :], row_mults[None, :, :]].reshape(-1, n)
     return arr
+
+
+def _span_chunks(field: Field, rows: np.ndarray, size: int) -> Iterator[np.ndarray]:
+    """The span of _span in the same message order, as consecutive
+    (B, n) uint8 arrays of 1 <= B <= size words: the span of the last t
+    rows, t the largest with q^t <= size, built once, plus the words of
+    max(size // q^t, 1) messages of the leading rows per array (_words_of),
+    one gather per word.  So no array holds more than size * n entries."""
+    q, (m, n) = field.q, rows.shape
+    t = 0
+    while t < m and q ** (t + 1) <= size:
+        t += 1
+    tail, lead = _span(field, rows[m - t :]), rows[: m - t]
+    per = max(size // len(tail), 1)
+    for lo in range(0, q ** (m - t), per):
+        prefix = _words_of(field, lead, np.arange(lo, min(lo + per, q ** (m - t))))
+        yield field.add_table[prefix[:, None, :], tail[None, :, :]].reshape(-1, n)
+
+
+def _words_of(field: Field, rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The words of the messages of the given ranks in _span's message
+    order, as a (len(ranks), n) uint8 array: each message's coefficients
+    times the rows, one gather per row and word."""
+    q = field.q
+    place = q ** np.arange(len(rows) - 1, -1, -1, dtype=np.int64)
+    digits = ranks[:, None] // place % q
+    words = np.zeros((len(ranks), rows.shape[1]), dtype=np.uint8)
+    for j, row in enumerate(rows):
+        words = field.add_table[words, field.mul_table[digits[:, j : j + 1], row]]
+    return words
+
+
+class _NegatedSpan:
+    """The negated words of a linear code in _span's message order, never
+    listed whole: the words of the passes of a code that keeps no listing
+    (Code._pass_words).  len() counts them, blocks() lists them in
+    consecutive blocks (_span_chunks) and an index array takes the words
+    of those message ranks (_words_of), as it would from the listing."""
+
+    def __init__(self, field: Field, rows: np.ndarray):
+        self.field, self.rows = field, rows
+
+    def __len__(self) -> int:
+        return self.field.q ** len(self.rows)
+
+    def __getitem__(self, ranks: np.ndarray) -> np.ndarray:
+        return self.field.neg_table[_words_of(self.field, self.rows, ranks)]
+
+    def blocks(self, size: int) -> Iterator[np.ndarray]:
+        return (self.field.neg_table[w] for w in _span_chunks(self.field, self.rows, size))
+
+
+def _blocks(words: np.ndarray | _NegatedSpan, size: int) -> Iterator[np.ndarray]:
+    """The words of a pass in consecutive blocks of at most size words:
+    slices of an array, or the blocks a _NegatedSpan lists."""
+    if isinstance(words, _NegatedSpan):
+        return words.blocks(size)
+    return (words[lo : lo + size] for lo in range(0, len(words), size))
 
 
 def _columns_of(where: np.ndarray, count: int) -> list[np.ndarray]:
@@ -362,12 +450,11 @@ class Code:
     # enumeration ------------------------------------------------------------
 
     def codeword_array(self) -> np.ndarray:
-        """(|C|, n) read-only uint8 array in deterministic order, shared with
-        the code's reading.
+        """(|C|, n) read-only uint8 array in deterministic order.
 
         Linear codes enumerate messages in odometer order (first generator
-        coefficient most significant), which charges q^k unless a reading
-        has listed them already; explicit codes are sorted.
+        coefficient most significant), which charges q^k unless the code
+        keeps its words (_listed); explicit codes are sorted.
         """
         if self._words is None:
             charge(self.size, "q^k")
@@ -375,11 +462,26 @@ class Code:
 
     def _listed(self) -> np.ndarray:
         """codeword_array without its charge: the span of a linear code's
-        generators is listed on the first call."""
-        if self._words is None:
-            self._words = _span(self.space.field, self._rows)
-            self._words.flags.writeable = False
-        return self._words
+        generators, kept and shared with the code's readings from the first
+        call when it has at most _CHUNK words (_CHUNK * n bytes), else
+        listed on every call."""
+        words = self._words
+        if words is None:
+            words = _span(self.space.field, self._rows)
+            words.flags.writeable = False
+            if self.size <= _CHUNK:
+                self._words = words
+        return words
+
+    def _chunked(self) -> Iterator[np.ndarray]:
+        """The code's words in codeword_array's order, in consecutive blocks,
+        charging nothing: the words an explicit code holds, or a linear
+        code's listing (_listed) when it keeps one, as one block, else
+        blocks of at most _CHUNK words (_span_chunks), so no linear code's
+        words are listed whole."""
+        if not self.is_linear or self.size <= _CHUNK:
+            return iter([self._listed()])
+        return _span_chunks(self.space.field, self._rows, _CHUNK)
 
     def codewords(self) -> list[Vector]:
         return [tuple(int(x) for x in row) for row in self.codeword_array()]
@@ -677,41 +779,55 @@ class Code:
     def _read_leaf(self, what: str) -> None:
         """The code's reading as a leaf into its memo: the minimum distance
         from a linear code's nonzero words (the zero row against the words),
-        or from an explicit code's words as the rows of a whole-row pass
-        against themselves: a word's row has its one 0 at the word itself,
-        so its second-smallest entry is the distance to the nearest other
-        word.  Else a pass (the coset pass of a linear code on its columns
-        off the pivots against its negated words, an explicit code's on all
-        its columns against its words) that keeps what the reading needs: a
-        covering radius the row minima alone ("min"), memoized alone, and a
-        packing radius the two smallest entries per row ("two"), which give
-        both radii, both memoized.  So covering and then packing on one code
-        takes two passes, and packing first one."""
+        weighed block by block as they are listed (_chunked), or from an
+        explicit code's words as the rows of a whole-row pass against
+        themselves: a word's row has its one 0 at the word itself, so its
+        second-smallest entry is the distance to the nearest other word.
+        Else a pass (the coset pass of a linear code on its columns off the
+        pivots against its negated words, an explicit code's on all its
+        columns against its words, _pass_words) that keeps what the reading
+        needs: a covering radius the row minima alone ("min"), memoized
+        alone, and a packing radius the two smallest entries per row
+        ("two"), which give both radii, both memoized.  So covering and then
+        packing on one code takes two passes, and packing first one."""
         space = self.space
         if not self._leaf_cost(what):  # a linear code that fills its space
             self._memo[what] = 0
             return
-        words = self._listed()
         if what == "min_distance":
             if self.is_linear:
-                self._memo[what] = int(space.batch_weights(words[1:]).min())
+                chunks = self._chunked()  # the zero word comes first
+                best = space.batch_weights(next(chunks)[1:]).min(initial=_BIG)
+                for words in chunks:
+                    best = min(best, space.batch_weights(words).min())
+                self._memo[what] = int(best)
             else:
-                chunks = self._whole_rows(self._free, words, "two", words)
+                chunks = self._whole_rows(self._free, self._rows, "two", self._rows)
                 self._memo[what] = min(int(d2.min()) for _, _, d2 in chunks)
             return
-        if self.is_linear:
-            words = space.field.neg_table[words]
         keep = "min" if what == "covering_radius" else "two"
-        covering, packing, _ = self._pass(self._free, words, keep)
+        covering, packing, _ = self._pass(self._free, self._pass_words(), keep)
         self._memo["covering_radius"] = covering
         if keep == "two":  # a packing reading reaches codes of two or more words
             self._memo["packing_radius"] = packing
 
     # the pass -----------------------------------------------------------------
 
-    def _pass(self, cols: np.ndarray, words: np.ndarray, keep: str):
+    def _pass_words(self) -> np.ndarray | _NegatedSpan:
+        """The words c of the code's passes: an explicit code's words, a
+        linear code's negated words (the coset pass), from its listing when
+        it keeps one (_listed), else a _NegatedSpan that lists them in
+        blocks."""
+        if not self.is_linear:
+            return self._rows
+        if self.size <= _CHUNK:
+            return self.space.field.neg_table[self._listed()]
+        return _NegatedSpan(self.space.field, self._rows)
+
+    def _pass(self, cols: np.ndarray, words: np.ndarray | _NegatedSpan, keep: str):
         """One pass over w(x - c) for the rows x of F_q^cols in odometer order
-        (zero off the columns cols) and the words c, keeping per row what
+        (zero off the columns cols) and the words c (an array, or a
+        _NegatedSpan that lists them in blocks), keeping per row what
         the reading needs (_keep): "min" its minimum, "first" its minimum
         and the index of the first word reaching it, "two" its two smallest
         entries.  Returns the max row minimum (a covering radius), with
@@ -735,7 +851,7 @@ class Code:
         return (covering, second - 1 if keep == "two" else None,
                 (best_w, best_word) if keep == "first" else None)
 
-    def _chunks(self, cols: np.ndarray, words: np.ndarray, keep: str):
+    def _chunks(self, cols: np.ndarray, words: np.ndarray | _NegatedSpan, keep: str):
         """Yield (rank of the first row, d1, other) per chunk of the rows of
         _pass, d1 the row minima and other the rest of what keep keeps: the
         index of each row's first minimum ("first"), its second-smallest
@@ -743,7 +859,8 @@ class Code:
         below len(cols) with q^t * |C| <= _CHUNK, are the tail of a cut
         (BlockSpace.cut) at the first of them; without such a cut (one tile
         holds the pass, q * |C| > _CHUNK, or the space has no table for the
-        cut) the pass runs on whole rows."""
+        cut) the pass runs on whole rows.  A _NegatedSpan has more than
+        _CHUNK words, so its passes never cut."""
         space = self.space
         t = 0
         while t < len(cols) and space.q ** (t + 1) * len(words) <= _CHUNK:
@@ -753,38 +870,61 @@ class Code:
             return self._whole_rows(cols, words, keep)
         return self._cut_rows(cut, cols[:-t], cols[-t:], words, keep)
 
-    def _whole_rows(self, cols: np.ndarray, words: np.ndarray, keep: str,
+    def _whole_rows(self, cols: np.ndarray, words: np.ndarray | _NegatedSpan, keep: str,
                     rows: np.ndarray | None = None):
         """_chunks on whole rows x, those of F_q^cols or, when given, the rows
-        of an (X, n) uint8 array: tiles of at most _CHUNK pairs, x-rows times
-        a block of words, one pair-kernel call each (whole rows when
-        |C| <= _CHUNK, else one row split over word blocks).  The first
-        block's readings are the row's, and each later block merges into
-        them: its minima always, its second-smallest entries with "two",
-        and with "first" its first word only where its minimum is strictly
-        smaller.  The rows' piece codes come from the space's plan: those
-        of F_q^cols from its odometer (_PiecePlan.odometer_codes), which
-        keeps those of a pass that fits one tile, and given rows' from one
-        product per chunk (_PiecePlan.codes)."""
+        of an (X, n) uint8 array: tiles of x-rows times a block of words,
+        one pair-kernel call each, of at most min(_CHUNK, _TILE // n) pairs
+        (at least one), so the (pieces, X, C) piece sums of a tile and the
+        (n, X) and (n, C) products of its codes hold at most max(_TILE, n)
+        entries.  When the words fill one block their piece codes are built
+        once and each chunk of rows is yielded as its tiles come.  Else each
+        tile is one row against a block: the blocks come outermost, each
+        listed (_blocks) and coded once, and the rows' readings, those of
+        the first block, merge each later block's: its minima always, its
+        second-smallest entries with "two", and with "first" its first word
+        only where its minimum is strictly smaller.  They are yielded once,
+        at the end, and take at most six int64 per row while a block runs,
+        for the given rows or fewer than cap / min(_CHUNK, _TILE // n) rows
+        of F_q^cols.  The rows' piece codes come from the space's plan:
+        those of F_q^cols from its odometer (_PiecePlan.odometer_codes),
+        which keeps those of a pass that fits one tile, and given rows' from
+        one product per chunk (_PiecePlan.codes)."""
         plan = self.space.plan()
-        right = plan.codes(words, left=False)
-        block, step = min(len(words), _CHUNK), max(_CHUNK // len(words), 1)
-        if rows is None:
-            lefts = plan.odometer_codes(cols, step)
-        else:
-            lefts = ((lo, plan.codes(rows[lo : lo + step])) for lo in range(0, len(rows), step))
-        for start, left in lefts:
-            for lo in range(0, len(words), block):
-                t1, t_other = _keep(_tile(self.space, left, right[:, lo : lo + block]), keep)
-                if lo == 0:  # the first block's readings are the row's so far
-                    d1, other = t1, t_other
-                    continue
+        pairs = min(_CHUNK, max(_TILE // self.space.n, 1))
+        step = max(pairs // len(words), 1)
+
+        def lefts():
+            if rows is None:
+                return plan.odometer_codes(cols, step)
+            return ((lo, plan.codes(rows[lo : lo + step])) for lo in range(0, len(rows), step))
+
+        if len(words) <= pairs:
+            right = plan.codes(words, left=False)
+            for start, left in lefts():
+                yield start, *_keep(_tile(self.space, left, right), keep)
+            return
+        count = self.space.q ** len(cols) if rows is None else len(rows)
+        lo = 0
+        for part in _blocks(words, pairs):
+            right = plan.codes(part, left=False)
+            t1 = np.empty(count, dtype=np.int64)
+            t_other = None if keep == "min" else np.empty(count, dtype=np.int64)
+            for start, left in lefts():
+                a, b = _keep(_tile(self.space, left, right), keep)
+                t1[start : start + len(a)] = a
+                if b is not None:
+                    t_other[start : start + len(b)] = b
+            if not lo:  # the first block's readings are the rows' so far
+                d1, other = t1, t_other
+            else:
                 if keep == "first":
                     other = np.where(t1 < d1, lo + t_other, other)
-                elif keep == "two":  # merge the tile's (t1, t2) into the row's (d1, d2)
+                elif keep == "two":  # merge the block's (t1, t2) into the rows' (d1, d2)
                     np.minimum(other, np.minimum(t_other, np.maximum(d1, t1)), out=other)
                 np.minimum(d1, t1, out=d1)
-            yield start, d1, other
+            lo += len(part)
+        yield 0, d1, other
 
     def _cut_rows(
         self, cut: _Cut, head_cols: np.ndarray, tail_cols: np.ndarray, words: np.ndarray,
@@ -838,13 +978,16 @@ class Code:
         leaders are the (q^(n-k), n) uint8 array the pass gives and the
         weights its (q^(n-k),) int64 row minima, both read-only and
         memoized with the table, q^(n-k) * (n + 8) bytes; the max row
-        minimum is its max leader weight."""
+        minimum is its max leader weight.  The words are the pass's
+        (_pass_words), never listed whole for a code of more than _CHUNK
+        words, which gives its leaders' words by message rank
+        (_NegatedSpan); it charges the q^n pairs alone."""
         if "coset_table" in self._memo:
             return self._memo["coset_table"]
         if not self.is_linear:
             raise NotLinear("cosets are defined for linear codes only")
         space = self.space
-        words = space.field.neg_table[self.codeword_array()]
+        words = self._pass_words()
         charge(space.q ** len(self._free) * len(words), "vector x word pairs")
         covering, _, (best_w, best_word) = self._pass(self._free, words, "first")
         x = np.zeros((len(best_w), space.n), dtype=np.uint8)
@@ -895,10 +1038,13 @@ class Code:
         return self._same_kind(self.space.with_weight(weight), self._rows)
 
     def max_poset_weight(self, weight: WeightFn) -> int:
-        """Max codeword weight under the given coordinate weight."""
+        """Max codeword weight under the given coordinate weight, from the
+        words in blocks (_chunked); charges q^k unless the code keeps its
+        words."""
         sibling = self.space.with_weight(weight)
-        arr = self.codeword_array()
-        return int(sibling.batch_weights(arr).max())
+        if self._words is None:
+            charge(self.size, "q^k")
+        return max(int(sibling.batch_weights(words).max()) for words in self._chunked())
 
     def __repr__(self) -> str:
         if self.is_linear:

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wpbcodes import checks
-from wpbcodes.blockspace import BlockSpace, Labeling
+from wpbcodes.blockspace import _CHUNK, BlockSpace, Labeling
 from wpbcodes.checks import (
     REGISTRY,
     discrepancies,
@@ -191,6 +192,34 @@ def test_metric_axiom_witness_flags_broken_weight():
     space = BlockSpace(P.chain(1), Labeling((1,)), f, w)
     witness = metric_axiom_witness(space)
     assert witness is not None and witness["axiom"] == "triangle"
+
+
+@pytest.mark.parametrize("pos, sizes, block", [(P.chain(5), (1,) * 5, 16),
+                                                (P.chain(2), (3, 2), 1),
+                                                (P.antichain(5), (1,) * 5, 0)])
+def test_metric_axiom_witness_blocks_keep_the_first_violation(pos, sizes, block):
+    """Up to 2,048 vectors the triangle inequality is checked in blocks of
+    rows of at most _CHUNK pairs, x-major, and the witness is the first
+    violating pair (x, y) of the full pair matrix in x-major order.  GF(4)^5
+    (1,024 vectors, so 16 rows per block) under a planted table with
+    w(3) = 3 > w(1) + w(2), 1 + 2 = 3 in GF(4): on the chain of 1-blocks
+    only the bottom block, the first coordinate, violates, so the first
+    violation lies in block 16; on the chain (3, 2) it opens block 1, and
+    on the antichain it lies in block 0."""
+    f = make_field(4)
+    w = hamming_weight(f)
+    object.__setattr__(w, "table", (0, 1, 1, 3))
+    space = BlockSpace(pos, Labeling(sizes), f, w)
+    arr = space.all_vectors()
+    weights = space.batch_weights(arr)
+    radix = 4 ** np.arange(space.n - 1, -1, -1)
+    sums = sum((f.add_table * radix[j])[arr[:, None, j], arr[None, :, j]] for j in range(space.n))
+    x, y = np.argwhere(weights[sums] > weights[:, None] + weights[None, :])[0]
+    assert x // (_CHUNK // space.size) == block
+    witness = metric_axiom_witness(space)
+    assert witness == {"axiom": "triangle", "u": arr[x].tolist(), "v": arr[y].tolist()}
+    u, v = witness["u"], witness["v"]
+    assert space.wpb_weight(space.add(u, v)) > space.wpb_weight(u) + space.wpb_weight(v)
 
 
 @pytest.mark.parametrize("sizes", [(1,) * 5, (5,)])

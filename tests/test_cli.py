@@ -18,6 +18,7 @@ from wpbcodes.instances import random_rows
 from wpbcodes.poset import chain
 from wpbcodes.weights import hamming_weight
 
+from wpbcodes.checks import to_jsonl, verify_suite
 from wpbcodes.cli import main
 from wpbcodes.instances import loads_instance
 
@@ -323,6 +324,18 @@ def test_verify_list(capsys):
     assert hashlib.md5(out.encode()).hexdigest() == VERIFY_LIST_MD5
 
 
+def test_verify_writes_the_jsonl_of_its_reports(capsys, tmp_path):
+    """verify writes its records line by line, to --out and to stdout alike:
+    exactly to_jsonl of the same reports."""
+    want = to_jsonl(verify_suite(["metric-axioms"], seed=0))
+    out = tmp_path / "axioms.jsonl"
+    assert main(["verify", "--suite", "metric-axioms", "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_text() == want
+    capsys.readouterr()
+    assert main(["verify", "--suite", "metric-axioms", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_verify_runs_and_reports(capsys, tmp_path):
     out = tmp_path / "reports.jsonl"
     rc = main(
@@ -468,11 +481,20 @@ def test_closed_stdout_pipe_exits_141_quietly(tmp_path):
     }
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(doc))
+    first, err, code = _first_line_then_close(
+        ["ball", str(path), "--center", ",".join("0" * 16), "--radius", "1"])
+    assert first == b",".join([b"0"] * 16) + b"\n"
+    assert err == b""
+    assert code == 141
+
+
+def _first_line_then_close(args):
+    """(first stdout line, stderr, exit code) of `python -m wpbcodes args`
+    whose reader closes the pipe after one line."""
     src = str(Path(wpbcodes.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    cmd = [sys.executable, "-m", "wpbcodes", "ball", str(path),
-           "--center", ",".join("0" * 16), "--radius", "1"]
+    cmd = [sys.executable, "-m", "wpbcodes", *args]
     # leaving the with block closes the stderr pipe and reaps the process
     with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         try:
@@ -482,6 +504,20 @@ def test_closed_stdout_pipe_exits_141_quietly(tmp_path):
             code = proc.wait(timeout=60)
         finally:
             proc.kill()
-    assert first == b",".join([b"0"] * 16) + b"\n"
+    return first, err, code
+
+
+@pytest.mark.parametrize("args, codes", [
+    # 5,359 records, about 639 KB, far more than a pipe buffers
+    (["--seed", "0"], {141}),
+    # the catalog may fit the pipe before it closes
+    (["--list"], {0, 141}),
+])
+def test_verify_into_a_closed_pipe_exits_quietly(args, codes):
+    """verify, whose records are written line by line, into a reader that
+    closes the pipe after one line (as `| head -1` does): exit 141, or 0
+    when all of it fit the pipe first, and nothing on stderr."""
+    first, err, code = _first_line_then_close(["verify", *args])
+    assert first.endswith(b"\n")
     assert err == b""
-    assert code == 141
+    assert code in codes

@@ -1463,3 +1463,141 @@ def test_explicit_min_distance_on_a_2000_element_antichain():
     assert Code.explicit(s, words.tolist()).min_distance() == want
     assert s._kernel.radix is None
     assert time.perf_counter() - start < 2
+
+
+# a wrapper that runs `python -c argv[1]` as its one child, passes its
+# stdout through, then prints the child's peak RSS in MB
+_MEASURED = (
+    "import resource, subprocess, sys\n"
+    "code = subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)\n"
+    "sys.exit(code)\n"
+)
+_SPACE_SCRIPT = (
+    "import numpy as np\n"
+    "from wpbcodes.blockspace import BlockSpace, Labeling\n"
+    "from wpbcodes.codes import Code\n"
+    "from wpbcodes.field import make_field\n"
+    "from wpbcodes.poset import antichain\n"
+    "from wpbcodes.weights import hamming_weight\n"
+    "f = make_field(2)\n"
+    "sp = BlockSpace(antichain({s}), Labeling(({size},) * {s}), f, hamming_weight(f))\n"
+)
+
+
+def _measured(script: str) -> tuple[list[str], float]:
+    """The stdout words of a script run in a fresh process and that
+    process's peak RSS in MB, read with resource.getrusage(RUSAGE_CHILDREN)
+    in a wrapper whose only child it is."""
+    src = str(Path(codes_module.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-c", _MEASURED, script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    *out, peak = run.stdout.split()
+    return out, float(peak)
+
+
+def _antichain_generators(k: int) -> np.ndarray:
+    """k seeded generator rows over GF(2) on the 16-element antichain of
+    2-blocks (32 coordinates)."""
+    return np.random.default_rng(1).integers(0, 2, size=(k, 32), dtype=np.uint8)
+
+
+def _gf2_rank(masks) -> int:
+    """The rank over GF(2) of rows given as int bit masks, by elimination."""
+    pivots: dict[int, int] = {}
+    for m in masks:
+        while m:
+            top = m.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = m
+                break
+            m ^= pivots[top]
+    return len(pivots)
+
+
+def _least_blocks_holding_a_word(gens: np.ndarray, size: int) -> int:
+    """The rank oracle of a linear d under the Hamming weight on an
+    antichain of blocks of `size` coordinates, where a word weighs its
+    nonzero blocks: the least b such that some b blocks B hold a nonzero
+    codeword, i.e. k - rank(G on the columns outside B) > 0."""
+    n = gens.shape[1]
+    rows = [int("".join(map(str, row)), 2) for row in gens.tolist()]
+    k = _gf2_rank(rows)
+    block = (1 << size) - 1
+    for b in range(1, n // size + 1):
+        for blocks in itertools.combinations(range(n // size), b):
+            outside = (1 << n) - 1
+            for i in blocks:
+                outside &= ~(block << (n - size * (i + 1)))
+            if _gf2_rank(r & outside for r in rows) < k:
+                return b
+    raise AssertionError("no set of blocks holds a nonzero word")
+
+
+@pytest.mark.parametrize("k", [16, 20])
+def test_streamed_linear_min_distance_matches_the_rank_oracle(k):
+    """A linear d of q^k > _CHUNK words streams its span in message-order
+    chunks and keeps the least nonzero weight: on the 16-element antichain
+    of 2-blocks over GF(2) (one leaf, as seeded rows join every block) it
+    equals the rank oracle and the least weight of the listed words."""
+    sp = space(2, P.antichain(16), (2,) * 16)
+    gens = _antichain_generators(k)
+    code = Code.linear(sp, gens)
+    assert code.size > codes_module._CHUNK
+    d = code.min_distance()
+    assert d == _least_blocks_holding_a_word(gens, 2)
+    assert d == sp.batch_weights(code.codeword_array()[1:]).min()
+
+
+def test_linear_min_distance_at_the_cap_in_bounded_memory():
+    """The k = 24 d on the 16-element antichain of 2-blocks is admitted at
+    exactly the default cap (2^24 words); streamed, it peaks below 256 MB
+    in a fresh process (listed whole it took 6.7 GB), and it equals the
+    rank oracle."""
+    gens = _antichain_generators(24)
+    out, peak = _measured(_SPACE_SCRIPT.format(s=16, size=2) + (
+        "gens = np.random.default_rng(1).integers(0, 2, size=(24, 32), dtype=np.uint8)\n"
+        "print(Code.linear(sp, gens).min_distance())\n"
+    ))
+    assert int(out[0]) == _least_blocks_holding_a_word(gens, 2)
+    assert peak < 256
+
+
+def test_explicit_min_distance_of_128_words_in_bounded_memory():
+    """An explicit d of 128 seeded words on the 2,000-block GF(2) antichain
+    of 1-blocks (one leaf, one piece per block): its whole-row tiles are
+    sized by pieces x rows x words, so it peaks below 100 MB in a fresh
+    process (419 MB with tiles of rows x words), and it is the least
+    Hamming distance of two words."""
+    words = np.random.default_rng(24).integers(0, 2, size=(128, 2000), dtype=np.uint8)
+    out, peak = _measured(_SPACE_SCRIPT.format(s=2000, size=1) + (
+        "words = np.random.default_rng(24).integers(0, 2, size=(128, 2000), dtype=np.uint8)\n"
+        "print(Code.explicit(sp, words).min_distance())\n"
+    ))
+    ones = words.astype(np.int64)
+    counts = ones.sum(axis=1)
+    pairs = counts[:, None] + counts[None, :] - 2 * ones @ ones.T
+    assert int(out[0]) == pairs[~np.eye(128, dtype=bool)].min()
+    assert peak < 100
+
+
+def test_passes_over_more_words_than_a_tile_in_bounded_memory():
+    """The passes of a linear code with q^k > _CHUNK words take them in
+    blocks, listed and coded once each, never all at once: the even-weight
+    code of length 21 over GF(2) (2^20 words, one leaf on the antichain of
+    1-blocks) reads packing radius 0, covering radius 1, d = 2 and the coset
+    table of leaders 0 and (0, ..., 0, 1) in a fresh process below 100 MB
+    (about 400 MB with the words listed whole)."""
+    out, peak = _measured(_SPACE_SCRIPT.format(s=21, size=1) + (
+        "gens = np.concatenate([np.eye(20, dtype=np.uint8), np.ones((20, 1), np.uint8)], axis=1)\n"
+        "code = Code.linear(sp, gens)\n"
+        "table = code.coset_table()\n"
+        "ones = [r.index(1) if any(r) else -1 for r in table.leaders.tolist()]\n"
+        "print(code.packing_radius(), code.covering_radius(), code.min_distance(),\n"
+        "      *table.weights.tolist(), *ones)\n"
+    ))
+    assert out == ["0", "1", "2", "0", "1", "-1", "20"]
+    assert peak < 100
