@@ -426,8 +426,6 @@ class BlockSpace:
         holds at most max(_TILE, n) entries and every other transient
         fewer."""
         plan, step = self.plan(), max(_TILE // self.n, 1)
-        if len(arr) <= step:
-            return self.pair_weights(plan.codes(arr))
         out = np.empty(len(arr), dtype=np.int64)
         for lo in range(0, len(arr), step):
             out[lo : lo + step] = self.pair_weights(plan.codes(arr[lo : lo + step]))

@@ -143,9 +143,9 @@ same way):
   (at least one), so its (pieces, X, C) piece sums and the (n, X) and
   (n, C) products of its rows' and words' codes hold at most
   max(_TILE, n) intp entries (4 MiB); a pass over more words than one
-  tile takes them in blocks, each listed (_NegatedSpan for a linear code
-  that keeps no listing) and coded once, and keeps at most six int64
-  per row;
+  tile takes them in blocks, each listed (_pass_blocks, which lists a
+  linear code that keeps no listing by _span_chunks) and coded once, and
+  keeps at most six int64 per row;
 - a chunk through a cut holds at most 4 * _CHUNK uint8 weights and uint16
   indices, and its head sums at most 2n * _CHUNK intp entries, n at most
   log_q of the cap for a pass the cap admits;
@@ -311,34 +311,6 @@ def _words_of(field: Field, rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return words
 
 
-class _NegatedSpan:
-    """The negated words of a linear code in _span's message order, never
-    listed whole: the words of the passes of a code that keeps no listing
-    (Code._pass_words).  len() counts them, blocks() lists them in
-    consecutive blocks (_span_chunks) and an index array takes the words
-    of those message ranks (_words_of), as it would from the listing."""
-
-    def __init__(self, field: Field, rows: np.ndarray):
-        self.field, self.rows = field, rows
-
-    def __len__(self) -> int:
-        return self.field.q ** len(self.rows)
-
-    def __getitem__(self, ranks: np.ndarray) -> np.ndarray:
-        return self.field.neg_table[_words_of(self.field, self.rows, ranks)]
-
-    def blocks(self, size: int) -> Iterator[np.ndarray]:
-        return (self.field.neg_table[w] for w in _span_chunks(self.field, self.rows, size))
-
-
-def _blocks(words: np.ndarray | _NegatedSpan, size: int) -> Iterator[np.ndarray]:
-    """The words of a pass in consecutive blocks of at most size words:
-    slices of an array, or the blocks a _NegatedSpan lists."""
-    if isinstance(words, _NegatedSpan):
-        return words.blocks(size)
-    return (words[lo : lo + size] for lo in range(0, len(words), size))
-
-
 def _columns_of(where: np.ndarray, count: int) -> list[np.ndarray]:
     """The columns c with where[c] = g, ascending, for each g in 0..count-1."""
     order = np.argsort(where, kind="stable")
@@ -458,30 +430,33 @@ class Code:
         """
         if self._words is None:
             charge(self.size, "q^k")
-        return self._listed()
-
-    def _listed(self) -> np.ndarray:
-        """codeword_array without its charge: the span of a linear code's
-        generators, kept and shared with the code's readings from the first
-        call when it has at most _CHUNK words (_CHUNK * n bytes), else
-        listed on every call."""
-        words = self._words
+        words = self._listed()
         if words is None:
             words = _span(self.space.field, self._rows)
             words.flags.writeable = False
-            if self.size <= _CHUNK:
-                self._words = words
         return words
 
-    def _chunked(self) -> Iterator[np.ndarray]:
-        """The code's words in codeword_array's order, in consecutive blocks,
-        charging nothing: the words an explicit code holds, or a linear
-        code's listing (_listed) when it keeps one, as one block, else
-        blocks of at most _CHUNK words (_span_chunks), so no linear code's
-        words are listed whole."""
-        if not self.is_linear or self.size <= _CHUNK:
-            return iter([self._listed()])
-        return _span_chunks(self.space.field, self._rows, _CHUNK)
+    def _listed(self) -> np.ndarray | None:
+        """The words the code keeps, in codeword_array's order, charging
+        nothing: an explicit code's, or the span of a linear code's
+        generators, listed on the first call, when it has at most _CHUNK
+        words (_CHUNK * n bytes); None for a linear code of more words,
+        which only codeword_array lists whole."""
+        if self._words is None and self.size <= _CHUNK:
+            words = _span(self.space.field, self._rows)
+            words.flags.writeable = False
+            self._words = words
+        return self._words
+
+    def _chunked(self, size: int) -> Iterator[np.ndarray]:
+        """The code's words in codeword_array's order, in consecutive blocks
+        of at most size words, charging nothing: slices of the words it
+        keeps (_listed), else the blocks of its span (_span_chunks), so no
+        linear code's words beyond _CHUNK are listed whole."""
+        words = self._listed()
+        if words is None:
+            return _span_chunks(self.space.field, self._rows, size)
+        return (words[lo : lo + size] for lo in range(0, len(words), size))
 
     def codewords(self) -> list[Vector]:
         return [tuple(int(x) for x in row) for row in self.codeword_array()]
@@ -785,7 +760,7 @@ class Code:
         second-smallest entry is the distance to the nearest other word.
         Else a pass (the coset pass of a linear code on its columns off the
         pivots against its negated words, an explicit code's on all its
-        columns against its words, _pass_words) that keeps what the reading
+        columns against its words, _pass_blocks) that keeps what the reading
         needs: a covering radius the row minima alone ("min"), memoized
         alone, and a packing radius the two smallest entries per row
         ("two"), which give both radii, both memoized.  So covering and then
@@ -796,52 +771,50 @@ class Code:
             return
         if what == "min_distance":
             if self.is_linear:
-                chunks = self._chunked()  # the zero word comes first
+                chunks = self._chunked(_CHUNK)  # the zero word comes first
                 best = space.batch_weights(next(chunks)[1:]).min(initial=_BIG)
                 for words in chunks:
                     best = min(best, space.batch_weights(words).min())
                 self._memo[what] = int(best)
             else:
-                chunks = self._whole_rows(self._free, self._rows, "two", self._rows)
+                chunks = self._whole_rows(self._free, "two", self._rows)
                 self._memo[what] = min(int(d2.min()) for _, _, d2 in chunks)
             return
         keep = "min" if what == "covering_radius" else "two"
-        covering, packing, _ = self._pass(self._free, self._pass_words(), keep)
+        covering, packing, _ = self._pass(self._free, keep)
         self._memo["covering_radius"] = covering
         if keep == "two":  # a packing reading reaches codes of two or more words
             self._memo["packing_radius"] = packing
 
     # the pass -----------------------------------------------------------------
 
-    def _pass_words(self) -> np.ndarray | _NegatedSpan:
-        """The words c of the code's passes: an explicit code's words, a
-        linear code's negated words (the coset pass), from its listing when
-        it keeps one (_listed), else a _NegatedSpan that lists them in
-        blocks."""
+    def _pass_blocks(self, size: int) -> Iterator[np.ndarray]:
+        """The |C| words c of the code's passes in consecutive blocks of at
+        most size words (_chunked): an explicit code's words, a linear
+        code's negated words (the coset pass), each block negated as it is
+        listed."""
         if not self.is_linear:
-            return self._rows
-        if self.size <= _CHUNK:
-            return self.space.field.neg_table[self._listed()]
-        return _NegatedSpan(self.space.field, self._rows)
+            return self._chunked(size)
+        neg = self.space.field.neg_table
+        return (neg[words] for words in self._chunked(size))
 
-    def _pass(self, cols: np.ndarray, words: np.ndarray | _NegatedSpan, keep: str):
+    def _pass(self, cols: np.ndarray, keep: str):
         """One pass over w(x - c) for the rows x of F_q^cols in odometer order
-        (zero off the columns cols) and the words c (an array, or a
-        _NegatedSpan that lists them in blocks), keeping per row what
-        the reading needs (_keep): "min" its minimum, "first" its minimum
-        and the index of the first word reaching it, "two" its two smallest
-        entries.  Returns the max row minimum (a covering radius), with
+        (zero off the columns cols) and the words c of the code's passes
+        (_pass_blocks), keeping per row what the reading needs (_keep):
+        "min" its minimum, "first" its minimum and the index of the first
+        word reaching it, "two" its two smallest entries.  Returns the max row minimum (a covering radius), with
         "two" the min second-smallest entry - 1 (for two or more words, a
         packing radius) else None, and with "first" per row its minimum and
         the index of its first word else None.  The caller stores the
-        readings that hold for its code and charges the q^|cols| * |words|
+        readings that hold for its code and charges the q^|cols| * |C|
         vector x word pairs."""
         if keep == "first":
             rows = self.space.q ** len(cols)
             best_w = np.empty(rows, dtype=np.int64)
             best_word = np.empty(rows, dtype=np.intp)
         covering, second = 0, _BIG
-        for start, d1, other in self._chunks(cols, words, keep):
+        for start, d1, other in self._chunks(cols, keep):
             covering = max(covering, int(d1.max()))
             if keep == "two":
                 second = min(second, int(other.min()))
@@ -851,7 +824,7 @@ class Code:
         return (covering, second - 1 if keep == "two" else None,
                 (best_w, best_word) if keep == "first" else None)
 
-    def _chunks(self, cols: np.ndarray, words: np.ndarray | _NegatedSpan, keep: str):
+    def _chunks(self, cols: np.ndarray, keep: str):
         """Yield (rank of the first row, d1, other) per chunk of the rows of
         _pass, d1 the row minima and other the rest of what keep keeps: the
         index of each row's first minimum ("first"), its second-smallest
@@ -859,19 +832,19 @@ class Code:
         below len(cols) with q^t * |C| <= _CHUNK, are the tail of a cut
         (BlockSpace.cut) at the first of them; without such a cut (one tile
         holds the pass, q * |C| > _CHUNK, or the space has no table for the
-        cut) the pass runs on whole rows.  A _NegatedSpan has more than
-        _CHUNK words, so its passes never cut."""
+        cut) the pass runs on whole rows.  A code that keeps no listing has
+        more than _CHUNK words, so its passes never cut."""
         space = self.space
         t = 0
-        while t < len(cols) and space.q ** (t + 1) * len(words) <= _CHUNK:
+        while t < len(cols) and space.q ** (t + 1) * self.size <= _CHUNK:
             t += 1
         cut = space.cut(int(cols[-t])) if 0 < t < len(cols) else None
         if cut is None:
-            return self._whole_rows(cols, words, keep)
+            return self._whole_rows(cols, keep)
+        (words,) = self._pass_blocks(self.size)
         return self._cut_rows(cut, cols[:-t], cols[-t:], words, keep)
 
-    def _whole_rows(self, cols: np.ndarray, words: np.ndarray | _NegatedSpan, keep: str,
-                    rows: np.ndarray | None = None):
+    def _whole_rows(self, cols: np.ndarray, keep: str, rows: np.ndarray | None = None):
         """_chunks on whole rows x, those of F_q^cols or, when given, the rows
         of an (X, n) uint8 array: tiles of x-rows times a block of words,
         one pair-kernel call each, of at most min(_CHUNK, _TILE // n) pairs
@@ -880,7 +853,7 @@ class Code:
         entries.  When the words fill one block their piece codes are built
         once and each chunk of rows is yielded as its tiles come.  Else each
         tile is one row against a block: the blocks come outermost, each
-        listed (_blocks) and coded once, and the rows' readings, those of
+        listed (_pass_blocks) and coded once, and the rows' readings, those of
         the first block, merge each later block's: its minima always, its
         second-smallest entries with "two", and with "first" its first word
         only where its minimum is strictly smaller.  They are yielded once,
@@ -892,21 +865,22 @@ class Code:
         one product per chunk (_PiecePlan.codes)."""
         plan = self.space.plan()
         pairs = min(_CHUNK, max(_TILE // self.space.n, 1))
-        step = max(pairs // len(words), 1)
+        step = max(pairs // self.size, 1)
 
         def lefts():
             if rows is None:
                 return plan.odometer_codes(cols, step)
             return ((lo, plan.codes(rows[lo : lo + step])) for lo in range(0, len(rows), step))
 
-        if len(words) <= pairs:
+        if self.size <= pairs:
+            (words,) = self._pass_blocks(pairs)
             right = plan.codes(words, left=False)
             for start, left in lefts():
                 yield start, *_keep(_tile(self.space, left, right), keep)
             return
         count = self.space.q ** len(cols) if rows is None else len(rows)
         lo = 0
-        for part in _blocks(words, pairs):
+        for part in self._pass_blocks(pairs):
             right = plan.codes(part, left=False)
             t1 = np.empty(count, dtype=np.int64)
             t_other = None if keep == "min" else np.empty(count, dtype=np.int64)
@@ -979,20 +953,21 @@ class Code:
         weights its (q^(n-k),) int64 row minima, both read-only and
         memoized with the table, q^(n-k) * (n + 8) bytes; the max row
         minimum is its max leader weight.  The words are the pass's
-        (_pass_words), never listed whole for a code of more than _CHUNK
-        words, which gives its leaders' words by message rank
-        (_NegatedSpan); it charges the q^n pairs alone."""
+        (_pass_blocks), never listed whole for a code of more than _CHUNK
+        words, whose leaders' words come by message rank (_words_of); it
+        charges the q^n pairs alone."""
         if "coset_table" in self._memo:
             return self._memo["coset_table"]
         if not self.is_linear:
             raise NotLinear("cosets are defined for linear codes only")
         space = self.space
-        words = self._pass_words()
-        charge(space.q ** len(self._free) * len(words), "vector x word pairs")
-        covering, _, (best_w, best_word) = self._pass(self._free, words, "first")
+        charge(space.q ** len(self._free) * self.size, "vector x word pairs")
+        covering, _, (best_w, best_word) = self._pass(self._free, "first")
         x = np.zeros((len(best_w), space.n), dtype=np.uint8)
         x[:, self._free] = odometer_table(space.q, len(self._free))
-        leaders = space.field.sub_table[x, words[best_word]]
+        words = self._listed()
+        words = _words_of(space.field, self._rows, best_word) if words is None else words[best_word]
+        leaders = space.field.add_table[x, words]
         leaders.flags.writeable = False
         best_w.flags.writeable = False
         table = CosetTable(leaders=leaders, weights=best_w, max_weight=covering)
@@ -1044,7 +1019,7 @@ class Code:
         sibling = self.space.with_weight(weight)
         if self._words is None:
             charge(self.size, "q^k")
-        return max(int(sibling.batch_weights(words).max()) for words in self._chunked())
+        return max(int(sibling.batch_weights(words).max()) for words in self._chunked(_CHUNK))
 
     def __repr__(self) -> str:
         if self.is_linear:

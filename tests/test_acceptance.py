@@ -280,8 +280,8 @@ def test_criterion_10_covering_oracle(
     # code takes the same pass unskewed
     original = Code._pass
 
-    def skewed(self, cols, words, keep):
-        covering, packing, best = original(self, cols, words, keep)
+    def skewed(self, cols, keep):
+        covering, packing, best = original(self, cols, keep)
         if not self.is_linear:
             return covering, packing, best
         return covering + 1, packing, None if best is None else (best[0] + 1, best[1])

@@ -320,7 +320,10 @@ def test_batch_weights_match_scalar(monkeypatch):
     linear extension, so that marking the blocks below a nonzero one in
     label order, not top down, fails.  Spaces with (M_w + 1)^s <= _CHUNK
     look weights up in a table; a monkeypatched _CHUNK then sends every
-    space down one path."""
+    space down one path.  With the default _CHUNK, a _TILE of 1 (one row
+    per tile) and of 6n (six rows, most row counts leaving a short last
+    tile) spreads the rows over many tiles, and every row keeps its scalar
+    weight."""
     tree6 = P.from_cover_relations(6, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)])
     shapes = [*all_posets(3), P.chain(5), P.antichain(5), tree6, *_relabelled_posets(3, 4)]
     cases = [
@@ -353,7 +356,12 @@ def test_batch_weights_match_scalar(monkeypatch):
                 arr[rng.random(arr.shape) > rng.random((256, 1)) ** 4] = 0
             batch = s.batch_weights(arr)
             split.add(len(s.plan().starts) > s.s)
-            assert batch.tolist() == [s.wpb_weight(tuple(row)) for row in arr.tolist()]
+            want = [s.wpb_weight(tuple(row)) for row in arr.tolist()]
+            assert batch.tolist() == want
+            for tile in (1, 6 * s.n) if chunk == _CHUNK else ():
+                with monkeypatch.context() as m:
+                    m.setattr(blockspace, "_TILE", tile)
+                    assert s.batch_weights(arr).tolist() == want
             # the table is built exactly when it fits in one chunk
             built = "bm_table" in vars(s._kernel)
             assert built == ((s.weight.max_weight + 1) ** s.s <= chunk)

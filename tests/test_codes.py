@@ -532,11 +532,11 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
         seen.append(p)
         return cut(sp, p)
 
-    def recording_pass(code, cols, words, keep):
+    def recording_pass(code, cols, keep):
         start = len(seen)
-        out = run(code, cols, words, keep)
+        out = run(code, cols, keep)
         q = code.space.q
-        passes.append((q ** len(cols) * len(words) <= chunk, q * len(words) > chunk, seen[start:],
+        passes.append((q ** len(cols) * code.size <= chunk, q * code.size > chunk, seen[start:],
                        code.space.labeling.offsets, keep))
         return out
 
@@ -637,10 +637,10 @@ def test_cut_coset_tables_take_the_first_tied_word(chunk, monkeypatch):
 @pytest.mark.parametrize("chunk, path", [(5, "word blocks"), (16, "cut")])
 def test_each_reading_keeps_what_it_needs(chunk, path, monkeypatch):
     """What a pass keeps per row, on seeded linear codes and word sets, over
-    all columns against the codewords: "min" gives the covering radius of
-    "two" and "first", "first" the row minimum and the first word reaching
-    it of a dense batch_weights reduction, and "two" its least
-    second-smallest entry - 1.  A _CHUNK of 5 runs whole rows over several
+    all columns against the pass's words (a linear code's negated
+    codewords): "min" gives the covering radius of "two" and "first",
+    "first" the row minimum and the first word reaching it of a dense
+    batch_weights reduction, and "two" its least second-smallest entry - 1.  A _CHUNK of 5 runs whole rows over several
     word blocks (|C| > 5, so q |C| > 5) and one of 16 cuts most passes.
     Every read order gives a fresh code's values: covering then packing
     (one pass per reading), packing then covering and is_r_perfect (on a
@@ -652,9 +652,9 @@ def test_each_reading_keeps_what_it_needs(chunk, path, monkeypatch):
     cuts: list = []  # every cut asked for, None where the space has no table
     paths: set[str] = set()
 
-    def recording_pass(code, cols, words, keep):
+    def recording_pass(code, cols, keep):
         keeps.append(keep)
-        return run(code, cols, words, keep)
+        return run(code, cols, keep)
 
     def recording_cut(space, p):
         cuts.append(cut(space, p))
@@ -681,17 +681,20 @@ def test_each_reading_keeps_what_it_needs(chunk, path, monkeypatch):
         def fresh():
             return Code.linear(sp, code.generators) if code.is_linear else Code.explicit(sp, code.words)
 
+        # the pass's words: a linear code's negated codewords
         cw = code.codeword_array()
+        if code.is_linear:
+            cw = sp.field.neg_table[cw]
         dist = sp.batch_weights(
             sp.field.sub_table[allv[:, None, :], cw[None, :, :]].reshape(-1, sp.n)
         ).reshape(len(allv), len(cw))
         cuts.clear()
         cols = np.arange(sp.n)
-        covering, none, leaders = code._pass(cols, cw, "first")
+        covering, none, leaders = code._pass(cols, "first")
         assert none is None and leaders[0].tolist() == dist.min(axis=1).tolist()
         assert leaders[1].tolist() == dist.argmin(axis=1).tolist()  # argmin: the first minimum
-        assert code._pass(cols, cw, "min") == (covering, None, None)
-        two = code._pass(cols, cw, "two")
+        assert code._pass(cols, "min") == (covering, None, None)
+        two = code._pass(cols, "two")
         assert two[0] == covering == dist.min(axis=1).max() and two[2] is None
         if code.size >= 2:
             assert two[1] == np.sort(dist, axis=1)[:, 1].min() - 1
@@ -779,7 +782,7 @@ def test_narrow_cut_table_at_the_largest_weight_it_admits(pos, sizes, monkeypatc
             code, cw = Code.explicit(sp, allv[list(rows)]), allv[list(rows)]
             seen.clear()
             # the pass over all columns, which the tree reading may split
-            covering, packing, _ = code._pass(np.arange(sp.n), cw, "two")
+            covering, packing, _ = code._pass(np.arange(sp.n), "two")
             assert len(seen) == 1 and seen[0].table.dtype == np.uint8
             dist = sp.batch_weights(
                 sp.field.sub_table[allv[:, None, :], cw[None, :, :]].reshape(-1, sp.n)
