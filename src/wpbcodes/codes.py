@@ -84,8 +84,12 @@ _CHUNK / 8).  A deep chain still reads through its fibers, and a disjoint
 sum of two codes on 30-block chains (2^60 vectors) from its parts'
 levels.  A reading charges the entries of all its leaves together, in one
 unit, before the first runs.  When they exceed the enumeration cap, the
-reading takes the plan of fewest entries instead (_fit), which searches
-every split, so it raises SpaceTooLarge only when no reading fits.
+reading takes the plan of fewest entries instead, so it raises
+SpaceTooLarge only when no reading fits.  Both plans come from one walk of
+the tree (_plan), priced or counting entries alone (a leaf read already
+costs none, and a split adds nothing, so no price gates a search), and
+record their choices in one plan per reading, which _leaves and _combine
+follow.
 
 The coset pass: the generator is in reduced row-echelon form, so every
 vector splits uniquely as x + c with x zero on the pivot columns and c a
@@ -106,25 +110,32 @@ m_i at p_i, and before p_i it depends on m_1..m_{i-1} alone.  So inside
 every coset, odometer order is message order, first coefficient most
 significant, and the first word reaching a row's minimum gives its leader.
 
-A pass cuts the enumerated columns into a head and a tail of t columns, t
-the largest with q^t * |C| <= _CHUNK, at the first tail column
-(BlockSpace.cut): x is a head row plus a tail row, and the index of the
-block-max tuple of x - c in the cut's table is a head part plus a tail
-part.  The (C, T) tail index of all q^t tail rows is built once per pass
-and the head index once per chunk of head rows, both with the pair tables,
-so each entry of a (head rows, C, T) tile costs one add and one gather.
-The cut's tiles are narrow (uint16 indices into a uint8 table, _Cut), so a
-chunk takes 4 * _CHUNK entries, at least one head row.  Without a cut (one
+Every pass reduces one stream of tiles (_tiles), each the weights
+w(x - c) of a chunk of rows against a block of words, words on axis 1
+(_pass): the tiles of a chunk fold together, a later block's into the
+chunk's readings, and each chunk into the pass's reading.  A pass cuts the
+enumerated columns into a head and a tail of t columns, t the largest with
+q^t * |C| <= _CHUNK, at the first tail column (BlockSpace.cut): x is a
+head row plus a tail row, and the index of the block-max tuple of x - c in
+the cut's table is a head part plus a tail part.  The (C, T) tail index of
+all q^t tail rows is built once per pass and the head index once per chunk
+of head rows, both with the pair tables, so each entry of a
+(head rows, C, T) tile costs one add and one gather.  The cut's tiles are
+narrow (uint16 indices into a uint8 table, _Cut), so a chunk takes
+4 * _CHUNK entries, at least one head row.  Without a cut (given rows, one
 tile holds the pass, q * |C| exceeds a tile, or the space has no table for
 the cut) tiles are whole rows times a block of words, at most
-min(_CHUNK, _TILE // n) int64 weights (at least one), one pair-kernel call
-each (BlockSpace.pair_weights).  Every pass takes its rows' piece codes
-from a piece plan, the space's or a cut side's, which enumerates them in
-chunks and keeps those of a table it has built
-(_PiecePlan.odometer_codes, row_codes): the rows of a pass that one tile
-holds, as nearly every pass of verify does, and the tail rows of a cut
-are built once per plan and column set.  The words' piece codes take one
-product per pass, or per block when the words fill more than one tile
+pairs = min(_CHUNK, _TILE // n) int64 weights (at least one), one
+pair-kernel call each (BlockSpace.pair_weights): each chunk of rows meets
+every block of words in turn, pairs // |C| rows against all the words
+when they fit one block, else min(rows, pairs) rows against blocks of
+pairs // chunk words.  Every pass takes its rows' piece codes from a
+piece plan, the space's or a cut side's, which enumerates them in chunks
+and keeps those of a table it has built (_PiecePlan.odometer_codes,
+row_codes): the rows of a pass that one tile holds, as nearly every pass
+of verify does, and the tail rows of a cut are built once per plan and
+column set.  The words' piece codes take one product per pass, or per
+block and chunk when the words fill more than one block
 (_PiecePlan.codes), and so do the rows of an explicit minimum distance,
 the words themselves, per chunk of rows.  No scan builds a row array of
 F_q^cols or a difference vector for its weights.
@@ -144,8 +155,9 @@ same way):
   (n, C) products of its rows' and words' codes hold at most
   max(_TILE, n) intp entries (4 MiB); a pass over more words than one
   tile takes them in blocks, each listed (_pass_blocks, which lists a
-  linear code that keeps no listing by _span_chunks) and coded once, and
-  keeps at most six int64 per row;
+  linear code that keeps no listing by _span_chunks) and coded per chunk
+  of rows, and keeps the readings of one chunk of rows at a time, no
+  array over all its rows;
 - a chunk through a cut holds at most 4 * _CHUNK uint8 weights and uint16
   indices, and its head sums at most 2n * _CHUNK intp entries, n at most
   log_q of the cap for a pass the cap admits;
@@ -156,14 +168,16 @@ same way):
 
 Only output-sized results are exempt: codeword_array and codewords
 (|C| * n bytes and more), and a coset table's leaders and weights
-(q^(n-k) * (n + 8) bytes) with the per-row readings of its pass.
+(q^(n-k) * (n + 8) bytes) with the per-row readings of its pass ("first"),
+the one pass that keeps an array over all its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -222,17 +236,6 @@ def _keep(w: np.ndarray, keep: str) -> tuple[np.ndarray, np.ndarray | None]:
     return w.min(axis=1), None
 
 
-def _tile(space: BlockSpace, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The (X, C) matrix w(x - c) for the piece codes of X x-rows (left,
-    (pieces, X)) and C words (right, (pieces, C)), one pair-kernel call.  The
-    longer of the two axes is laid out last in memory, where numpy's inner
-    loops run: with few words and many rows the matrix is the transpose of
-    a (C, X) array."""
-    if left.shape[1] > right.shape[1]:
-        return space.pair_weights(left[:, None, :], right[:, :, None]).T
-    return space.pair_weights(left[:, :, None], right[:, None, :])
-
-
 def _row_reduce(
     field: Field, rows: np.ndarray, order: Sequence[int]
 ) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
@@ -286,7 +289,7 @@ def _span_chunks(field: Field, rows: np.ndarray, size: int) -> Iterator[np.ndarr
     (B, n) uint8 arrays of 1 <= B <= size words: the span of the last t
     rows, t the largest with q^t <= size, built once, plus the words of
     max(size // q^t, 1) messages of the leading rows per array (_words_of),
-    one gather per word.  So no array holds more than size * n entries."""
+    one take per word (_add).  So no array holds more than size * n entries."""
     q, (m, n) = field.q, rows.shape
     t = 0
     while t < m and q ** (t + 1) <= size:
@@ -295,7 +298,7 @@ def _span_chunks(field: Field, rows: np.ndarray, size: int) -> Iterator[np.ndarr
     per = max(size // len(tail), 1)
     for lo in range(0, q ** (m - t), per):
         prefix = _words_of(field, lead, np.arange(lo, min(lo + per, q ** (m - t))))
-        yield field.add_table[prefix[:, None, :], tail[None, :, :]].reshape(-1, n)
+        yield _add(field, prefix[:, None, :], tail[None, :, :]).reshape(-1, n)
 
 
 def _words_of(field: Field, rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -307,8 +310,14 @@ def _words_of(field: Field, rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     digits = ranks[:, None] // place % q
     words = np.zeros((len(ranks), rows.shape[1]), dtype=np.uint8)
     for j, row in enumerate(rows):
-        words = field.add_table[words, field.mul_table[digits[:, j : j + 1], row]]
+        words = _add(field, words, field.mul_table[digits[:, j : j + 1], row])
     return words
+
+
+def _add(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The field sum of two uint8 arrays that broadcast: one take from the
+    flat add table at a * q + b, a uint16 index (q <= 256)."""
+    return field.add_table.ravel().take(a.astype(np.uint16) * field.q + b)
 
 
 def _columns_of(where: np.ndarray, count: int) -> list[np.ndarray]:
@@ -391,9 +400,9 @@ class Code:
             held = set(pivots)
             self._free = np.array([c for c in range(space.n) if c not in held], np.intp)
         self._memo: dict = {}
-        # per reading: (the (offset, part) pairs it combines, or None to read
-        # the code as a leaf; its cost)
-        self._plans: dict[str, tuple[list | None, int]] = {}
+        # per reading: the plan it took (_plan), each code of its tree to the
+        # (offset, part) pairs it combines, or None for a leaf
+        self._plans: dict[str, dict] = {}
         self._parts: tuple | None = None  # _split, once found
 
     @classmethod
@@ -503,90 +512,72 @@ class Code:
     def _read(self, what: str) -> int:
         """The covering radius, packing radius or minimum distance (what, the
         name of the memo and the method) of the code from its parts on the
-        decomposition tree (module docstring).  The reading is planned first
-        by price (_plan), and the rows x words entries (_leaf_cost) of the
-        leaves it reads that are not read yet are charged together, in one
-        unit, before any runs.  When they exceed the enumeration cap, the
-        reading is planned again for its fewest such entries (_fit), which
-        are charged instead, so SpaceTooLarge names the fewest."""
-        self._plan(what)
-        fits = None
-        leaves = [leaf for leaf in self._leaves(what) if what not in leaf._memo]
-        count = sum(leaf._leaf_cost(what) for leaf in leaves)
-        if count > _cap.get():
-            fits = {}
-            count = self._fit(what, fits)
-            leaves = [leaf for leaf in self._leaves(what, fits) if what not in leaf._memo]
+        decomposition tree (module docstring), along one plan (_plan): the
+        priced one, or the one of fewest entries when the rows x words
+        entries (_leaf_cost) of the leaves the priced one reads that are not
+        read yet exceed the enumeration cap, so SpaceTooLarge names the
+        fewest.  The entries are charged together, in one unit, before any
+        leaf runs, and the plan taken is kept in _plans."""
+        for priced in (True, False):
+            plan = self._plans[what] = {}
+            self._plan(what, plan, priced)
+            leaves = [leaf for leaf in self._leaves(plan) if what not in leaf._memo]
+            count = sum(leaf._leaf_cost(what) for leaf in leaves)
+            if count <= _cap.get():
+                break
         charge(count, "vector x word pairs")
         for leaf in leaves:
             leaf._read_leaf(what)
-        return self._combine(what, fits)
+        return self._combine(what, plan)
 
-    def _plan(self, what: str) -> int:
-        """The cost of the cheapest reading of the code, which is recorded in
-        _plans: the code as a leaf, or the parts its split combines for the
-        reading, each read the cheapest way, when they cost less.  Costs
+    def _plan(self, what: str, plan: dict, priced: bool = True) -> int:
+        """The cost of the cheapest reading of the code, whose choice at each
+        code of its tree is recorded in plan: the (offset, part) pairs its
+        split combines for the reading, each read the cheapest way, when
+        they cost less than the code as a leaf, else None.  Priced, costs
         count entries of a pass that fits one tile (_leaf_cost, rows x words
         for every reading): a leaf also costs _CHUNK / 8 for its fixed work,
         and its entries beyond _CHUNK an eighth each, as cut chunks run
         about eight times as many entries in the same time; a split costs
         _SPLIT_PRICE for finding and building its parts.  So a code whose
         leaf costs at most _SPLIT_PRICE, which no split can undercut, reads
-        as a leaf and its split is never searched."""
-        if what in self._plans:
-            return self._plans[what][1]
+        as a leaf and its split is never searched.  Else a leaf costs its
+        entries, none when it is read already, and a split adds nothing, so
+        the plan charges the fewest entries and no price gates a search."""
         entries = self._leaf_cost(what)
-        cost = _CHUNK // 8 + min(entries, _CHUNK) + max(entries - _CHUNK, 0) // 8 if entries else 0
-        parts = None
-        if cost > _SPLIT_PRICE and (split := self._split()):
-            options, total = split[1 if what == "covering_radius" else 2], _SPLIT_PRICE
+        if priced:
+            cost = _CHUNK // 8 + min(entries, _CHUNK) + max(entries - _CHUNK, 0) // 8 if entries else 0
+        else:
+            cost = 0 if what in self._memo else entries
+        price, parts = _SPLIT_PRICE if priced else 0, None
+        if cost > price and (split := self._split()):
+            options, total = split[1 if what == "covering_radius" else 2], price
             for _, part in options:
-                total += part._plan(what)
+                total += part._plan(what, plan, priced)
                 if total >= cost:
                     break
             if total < cost:
                 parts, cost = options, total
-        self._plans[what] = (parts, cost)
+        plan[self] = parts
         return cost
 
-    def _fit(self, what: str, fits: dict) -> int:
-        """The fewest entries (_leaf_cost) that a reading of the code charges,
-        its leaves read already costing none, and in fits[code] the parts
-        such a reading combines at each code of its tree (None for a leaf):
-        the code's split, when its parts charge fewer entries than the code
-        as a leaf.  It searches every split of a code not read yet, so only
-        a reading whose priced plan exceeds the enumeration cap takes it
-        (_read)."""
-        entries = 0 if what in self._memo else self._leaf_cost(what)
-        parts = None
-        if entries and (split := self._split()):
-            options = split[1 if what == "covering_radius" else 2]
-            count = sum(part._fit(what, fits) for _, part in options)
-            if count < entries:
-                parts, entries = options, count
-        fits[self] = parts
-        return entries
-
-    def _leaves(self, what: str, fits: dict | None = None) -> Iterator[Code]:
-        """The leaves whose readings the code's planned reading combines:
-        those of its priced plan (_plans), or of fits when given (_fit)."""
-        parts = self._plans[what][0] if fits is None else fits[self]
-        if parts is None:
+    def _leaves(self, plan: dict) -> Iterator[Code]:
+        """The leaves of a plan (_plan) at and below the code, whose readings
+        the code's reading combines."""
+        if plan[self] is None:
             yield self
             return
-        for _, part in parts:
-            yield from part._leaves(what, fits)
+        for _, part in plan[self]:
+            yield from part._leaves(plan)
 
-    def _combine(self, what: str, fits: dict | None = None) -> int:
-        """The code's reading from its leaves' (module docstring), along its
-        priced plan or fits (_leaves): each part's reading plus its offset,
-        summed across a parallel split for a covering radius and their
-        maximum at a series one, and their minimum for a packing radius or
-        a minimum distance."""
-        parts = self._plans[what][0] if fits is None else fits[self]
-        if parts is None:
+    def _combine(self, what: str, plan: dict) -> int:
+        """The code's reading from its leaves' (module docstring), along a
+        plan (_plan): each part's reading plus its offset, summed across a
+        parallel split for a covering radius and their maximum at a series
+        one, and their minimum for a packing radius or a minimum distance."""
+        if plan[self] is None:
             return self._memo[what]
-        values = [offset + part._combine(what, fits) for offset, part in parts]
+        values = [offset + part._combine(what, plan) for offset, part in plan[self]]
         if what != "covering_radius":
             return min(values)
         return sum(values) if self._parts[0] == "parallel" else max(values, default=0)
@@ -755,36 +746,33 @@ class Code:
         """The code's reading as a leaf into its memo: the minimum distance
         from a linear code's nonzero words (the zero row against the words),
         weighed block by block as they are listed (_chunked), or from an
-        explicit code's words as the rows of a whole-row pass against
-        themselves: a word's row has its one 0 at the word itself, so its
-        second-smallest entry is the distance to the nearest other word.
-        Else a pass (the coset pass of a linear code on its columns off the
-        pivots against its negated words, an explicit code's on all its
-        columns against its words, _pass_blocks) that keeps what the reading
-        needs: a covering radius the row minima alone ("min"), memoized
-        alone, and a packing radius the two smallest entries per row
-        ("two"), which give both radii, both memoized.  So covering and then
-        packing on one code takes two passes, and packing first one."""
+        explicit code's words as the rows of a pass against themselves: a
+        word's row has its one 0 at the word itself, so its second-smallest
+        entry is the distance to the nearest other word.  Else a pass (the
+        coset pass of a linear code on its columns off the pivots against
+        its negated words, an explicit code's on all its columns against its
+        words) that keeps what the reading needs: a covering radius the row
+        minima alone ("min"), memoized alone, and a packing radius the two
+        smallest entries per row ("two"), which give both radii, both
+        memoized.  So covering and then packing on one code takes two
+        passes, and packing first one."""
         space = self.space
         if not self._leaf_cost(what):  # a linear code that fills its space
             self._memo[what] = 0
-            return
-        if what == "min_distance":
-            if self.is_linear:
-                chunks = self._chunked(_CHUNK)  # the zero word comes first
-                best = space.batch_weights(next(chunks)[1:]).min(initial=_BIG)
-                for words in chunks:
-                    best = min(best, space.batch_weights(words).min())
-                self._memo[what] = int(best)
-            else:
-                chunks = self._whole_rows(self._free, "two", self._rows)
-                self._memo[what] = min(int(d2.min()) for _, _, d2 in chunks)
-            return
-        keep = "min" if what == "covering_radius" else "two"
-        covering, packing, _ = self._pass(self._free, keep)
-        self._memo["covering_radius"] = covering
-        if keep == "two":  # a packing reading reaches codes of two or more words
-            self._memo["packing_radius"] = packing
+        elif what == "min_distance" and self.is_linear:
+            chunks = self._chunked(_CHUNK)  # the zero word comes first
+            best = space.batch_weights(next(chunks)[1:]).min(initial=_BIG)
+            for words in chunks:
+                best = min(best, space.batch_weights(words).min())
+            self._memo[what] = int(best)
+        elif what == "min_distance":
+            self._memo[what] = self._pass(self._free, "two", self._rows)[1] + 1
+        else:
+            keep = "min" if what == "covering_radius" else "two"
+            covering, packing, _ = self._pass(self._free, keep)
+            self._memo["covering_radius"] = covering
+            if keep == "two":  # a packing reading reaches codes of two or more words
+                self._memo["packing_radius"] = packing
 
     # the pass -----------------------------------------------------------------
 
@@ -798,128 +786,111 @@ class Code:
         neg = self.space.field.neg_table
         return (neg[words] for words in self._chunked(size))
 
-    def _pass(self, cols: np.ndarray, keep: str):
+    def _pass(self, cols: np.ndarray, keep: str, rows: np.ndarray | None = None):
         """One pass over w(x - c) for the rows x of F_q^cols in odometer order
-        (zero off the columns cols) and the words c of the code's passes
-        (_pass_blocks), keeping per row what the reading needs (_keep):
-        "min" its minimum, "first" its minimum and the index of the first
-        word reaching it, "two" its two smallest entries.  Returns the max row minimum (a covering radius), with
-        "two" the min second-smallest entry - 1 (for two or more words, a
-        packing radius) else None, and with "first" per row its minimum and
-        the index of its first word else None.  The caller stores the
-        readings that hold for its code and charges the q^|cols| * |C|
-        vector x word pairs."""
-        if keep == "first":
-            rows = self.space.q ** len(cols)
-            best_w = np.empty(rows, dtype=np.int64)
-            best_word = np.empty(rows, dtype=np.intp)
+        (zero off the columns cols), or of an (X, n) uint8 array when rows
+        is given, and the words c of the code's passes (_pass_blocks),
+        keeping per row what the reading needs (_keep): "min" its minimum,
+        "first" its minimum and the index of the first word reaching it,
+        "two" its two smallest entries.  The tiles of a chunk of rows
+        (_tiles) fold together, each later word block's into the chunk's
+        readings: its minima always, its second-smallest entries with "two",
+        and with "first" its first word only where its minimum is strictly
+        smaller.  Each chunk then folds into the pass's reading, so no array
+        spans all the rows but "first"'s output.  Returns the max row
+        minimum (a covering radius), with "two" the min second-smallest
+        entry - 1 (for two or more words, a packing radius) else None, and
+        with "first" per row its minimum and the index of its first word
+        else None.  The caller stores the readings that hold for its code
+        and charges the rows x |C| vector x word pairs."""
         covering, second = 0, _BIG
-        for start, d1, other in self._chunks(cols, keep):
+        if keep == "first":
+            count = self.space.q ** len(cols)
+            best_w, best_word = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.intp)
+        for start, tiles in groupby(self._tiles(cols, rows), itemgetter(0)):
+            for _, lo, w in tiles:
+                t1, t2 = _keep(w, keep)
+                if not lo:  # the chunk's first word block
+                    d1, other = t1, t2
+                    continue
+                if keep == "first":
+                    other = np.where(t1 < d1, lo + t2, other)
+                elif keep == "two":  # merge the block's (t1, t2) into the chunk's (d1, d2)
+                    np.minimum(other, np.minimum(t2, np.maximum(d1, t1)), out=other)
+                np.minimum(d1, t1, out=d1)
             covering = max(covering, int(d1.max()))
             if keep == "two":
                 second = min(second, int(other.min()))
             elif keep == "first":
-                best_w[start : start + len(d1)] = d1
-                best_word[start : start + len(d1)] = other
+                best_w[start : start + d1.size] = d1.ravel()
+                best_word[start : start + d1.size] = other.ravel()
         return (covering, second - 1 if keep == "two" else None,
                 (best_w, best_word) if keep == "first" else None)
 
-    def _chunks(self, cols: np.ndarray, keep: str):
-        """Yield (rank of the first row, d1, other) per chunk of the rows of
-        _pass, d1 the row minima and other the rest of what keep keeps: the
-        index of each row's first minimum ("first"), its second-smallest
-        entry ("two") or None ("min").  The last t columns, t the largest
-        below len(cols) with q^t * |C| <= _CHUNK, are the tail of a cut
-        (BlockSpace.cut) at the first of them; without such a cut (one tile
-        holds the pass, q * |C| > _CHUNK, or the space has no table for the
-        cut) the pass runs on whole rows.  A code that keeps no listing has
-        more than _CHUNK words, so its passes never cut."""
+    def _tiles(self, cols: np.ndarray, rows: np.ndarray | None = None):
+        """Yield (rank of the first row, index of the first word, w) per tile
+        of _pass, w the weights w(x - c) with the words on axis 1.  The
+        last t columns, t the largest below len(cols) with q^t * |C| <=
+        _CHUNK, are the tail of a cut (BlockSpace.cut) at the first of them,
+        and x a head row plus a tail row: the (C, T) tail index of all
+        T = q^t tail rows is built once and the head index once per chunk
+        of X head rows, so each entry of an (X, C, T) tile costs one add and
+        one gather.  A tile holds at most 4 * _CHUNK entries of the cut's
+        uint8 table (a uint16 index and a uint8 weight each) and at least
+        one head row.  Without such a cut (given rows, one tile holds the
+        pass, q * |C| > _CHUNK, or the space has no table for the cut) the
+        tiles are (X, B): whole rows times a block of words, one pair-kernel
+        call each, of at most pairs = min(_CHUNK, _TILE // n) entries (at
+        least one), so the (pieces, X, B) piece sums of a tile and the
+        (n, X) and (n, B) products of its codes hold at most max(_TILE, n)
+        entries.  Each chunk of rows meets every block of words in turn: a
+        chunk holds pairs // |C| rows when the words fit one block, which
+        is listed (_pass_blocks) and coded once, else min(rows, pairs) rows,
+        each block pairs // chunk words, listed and coded once per chunk.
+        A code that keeps no listing has more than _CHUNK words, so its
+        passes never cut, and at n <= 32 (pairs = _CHUNK) the default cap
+        admits fewer rows than pairs for them, one chunk, so their words
+        are listed once."""
         space = self.space
         t = 0
-        while t < len(cols) and space.q ** (t + 1) * self.size <= _CHUNK:
+        while rows is None and t < len(cols) and space.q ** (t + 1) * self.size <= _CHUNK:
             t += 1
         cut = space.cut(int(cols[-t])) if 0 < t < len(cols) else None
-        if cut is None:
-            return self._whole_rows(cols, keep)
-        (words,) = self._pass_blocks(self.size)
-        return self._cut_rows(cut, cols[:-t], cols[-t:], words, keep)
-
-    def _whole_rows(self, cols: np.ndarray, keep: str, rows: np.ndarray | None = None):
-        """_chunks on whole rows x, those of F_q^cols or, when given, the rows
-        of an (X, n) uint8 array: tiles of x-rows times a block of words,
-        one pair-kernel call each, of at most min(_CHUNK, _TILE // n) pairs
-        (at least one), so the (pieces, X, C) piece sums of a tile and the
-        (n, X) and (n, C) products of its codes hold at most max(_TILE, n)
-        entries.  When the words fill one block their piece codes are built
-        once and each chunk of rows is yielded as its tiles come.  Else each
-        tile is one row against a block: the blocks come outermost, each
-        listed (_pass_blocks) and coded once, and the rows' readings, those of
-        the first block, merge each later block's: its minima always, its
-        second-smallest entries with "two", and with "first" its first word
-        only where its minimum is strictly smaller.  They are yielded once,
-        at the end, and take at most six int64 per row while a block runs,
-        for the given rows or fewer than cap / min(_CHUNK, _TILE // n) rows
-        of F_q^cols.  The rows' piece codes come from the space's plan:
-        those of F_q^cols from its odometer (_PiecePlan.odometer_codes),
-        which keeps those of a pass that fits one tile, and given rows' from
-        one product per chunk (_PiecePlan.codes)."""
-        plan = self.space.plan()
-        pairs = min(_CHUNK, max(_TILE // self.space.n, 1))
-        step = max(pairs // self.size, 1)
-
-        def lefts():
-            if rows is None:
-                return plan.odometer_codes(cols, step)
-            return ((lo, plan.codes(rows[lo : lo + step])) for lo in range(0, len(rows), step))
-
-        if self.size <= pairs:
-            (words,) = self._pass_blocks(pairs)
-            right = plan.codes(words, left=False)
-            for start, left in lefts():
-                yield start, *_keep(_tile(self.space, left, right), keep)
+        if cut is not None:
+            head, tail = cut.head, cut.tail
+            (words,) = self._pass_blocks(self.size)
+            head_words = head.plan.codes(words[:, head.lo : head.hi], left=False)
+            tail_words = tail.plan.codes(words[:, tail.lo : tail.hi], left=False)
+            # (C, T) and contiguous: a tile's last axis runs over the tail rows
+            tail_index = tail.index(tail.plan.row_codes(cols[-t:] - tail.lo), tail_words).T.copy()
+            width = tail_index.shape[1]
+            for start, codes in head.plan.odometer_codes(cols[:-t], 4 * _CHUNK // tail_index.size):
+                yield start * width, 0, cut.weights(head.index(codes, head_words), tail_index)
             return
-        count = self.space.q ** len(cols) if rows is None else len(rows)
-        lo = 0
-        for part in self._pass_blocks(pairs):
-            right = plan.codes(part, left=False)
-            t1 = np.empty(count, dtype=np.int64)
-            t_other = None if keep == "min" else np.empty(count, dtype=np.int64)
-            for start, left in lefts():
-                a, b = _keep(_tile(self.space, left, right), keep)
-                t1[start : start + len(a)] = a
-                if b is not None:
-                    t_other[start : start + len(b)] = b
-            if not lo:  # the first block's readings are the rows' so far
-                d1, other = t1, t_other
-            else:
-                if keep == "first":
-                    other = np.where(t1 < d1, lo + t_other, other)
-                elif keep == "two":  # merge the block's (t1, t2) into the rows' (d1, d2)
-                    np.minimum(other, np.minimum(t_other, np.maximum(d1, t1)), out=other)
-                np.minimum(d1, t1, out=d1)
-            lo += len(part)
-        yield 0, d1, other
+        plan = space.plan()
+        pairs = min(_CHUNK, max(_TILE // space.n, 1))
+        count = space.q ** len(cols) if rows is None else len(rows)
+        step = min(count, pairs // self.size or pairs)  # rows per chunk
+        block = pairs // step  # words per block
+        if rows is None:
+            lefts = plan.odometer_codes(cols, step)
+        else:
+            lefts = ((lo, plan.codes(rows[lo : lo + step])) for lo in range(0, count, step))
 
-    def _cut_rows(
-        self, cut: _Cut, head_cols: np.ndarray, tail_cols: np.ndarray, words: np.ndarray,
-        keep: str,
-    ):
-        """_chunks through a cut: x is a head row (on head_cols) plus a tail row
-        (on tail_cols).  The (C, T) tail index of all T = q^t tail rows is
-        built once and the head index once per chunk of X head rows, so each
-        (X, C, T) tile costs one add and one gather per entry.  A chunk
-        holds at most 4 * _CHUNK entries of the cut's uint8 table (a uint16
-        index and a uint8 weight each) and at least one head row
-        (C * T <= _CHUNK)."""
-        head, tail = cut.head, cut.tail
-        head_words = head.plan.codes(words[:, head.lo : head.hi], left=False)
-        tail_words = tail.plan.codes(words[:, tail.lo : tail.hi], left=False)
-        # (C, T) and contiguous: a tile's last axis runs over the tail rows
-        tail_index = tail.index(tail.plan.row_codes(tail_cols - tail.lo), tail_words).T.copy()
-        width = tail_index.shape[1]
-        for start, codes in head.plan.odometer_codes(head_cols, 4 * _CHUNK // tail_index.size):
-            t1, other = _keep(cut.weights(head.index(codes, head_words), tail_index), keep)
-            yield start * width, t1.ravel(), None if other is None else other.ravel()
+        def blocks():
+            lo = 0
+            for words in self._pass_blocks(block):
+                yield lo, plan.codes(words, left=False)
+                lo += len(words)
+
+        kept = list(blocks()) if self.size <= block else None
+        for start, left in lefts:
+            for lo, right in kept or blocks():
+                # the longer axis last in memory, where numpy's inner loops run
+                if left.shape[1] > right.shape[1]:
+                    yield start, lo, space.pair_weights(left[:, None, :], right[:, :, None]).T
+                else:
+                    yield start, lo, space.pair_weights(left[:, :, None], right[:, None, :])
 
     # cosets -----------------------------------------------------------------
 

@@ -11,10 +11,12 @@ coefficients.  This keeps element encodings stable across runs:
     GF(8)   x^3 + x + 1
     GF(9)   x^2 + 1
 
-Addition and negation act digit-wise mod p; multiplication and inversion
-go through exp/log tables built from the smallest generator.  All four
-operations are materialised as numpy tables so that bulk vector arithmetic
-reduces to fancy indexing.
+Addition and negation act digit-wise mod p.  The multiplication table is
+one vectorized product of the digit polynomials of every pair of elements,
+reduced from the top degree down by the monic modulus, and each inverse is
+the one element whose product with it is 1.  All four operations are
+materialised as numpy tables so that bulk vector arithmetic reduces to
+fancy indexing.
 """
 
 from __future__ import annotations
@@ -42,15 +44,6 @@ def _prime_power(q: int) -> tuple[int, int]:
     if m != 1:
         raise NotAPrimePower(f"{q} has at least two distinct prime factors")
     return p, e
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
 
 
 def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
@@ -108,10 +101,16 @@ class Field:
             pows = np.array([p**i for i in range(e)], dtype=np.int64)
             add = ((digits[:, None, :] + digits[None, :, :]) % p) @ pows
             neg = ((-digits) % p) @ pows
-            exp, log = self._build_exp_log()
-            mul = np.zeros((q, q), dtype=np.int64)
-            lg = log[1:]
-            mul[1:, 1:] = exp[(lg[:, None] + lg[None, :]) % (q - 1)]
+            # (2e - 1, q, q) int16: the coefficients of the product of every
+            # pair, degree first, at most e (p - 1)^2 in magnitude
+            coef, prod = digits.T.astype(np.int16), np.zeros((2 * e - 1, q, q), np.int16)
+            for i in range(e):
+                prod[i : i + e] += coef[i][:, None] * coef[:, None, :]
+            # x^d = x^d - modulus * x^(d - e) from the top degree down
+            low = np.array(self.modulus[:e], dtype=np.int16)[:, None, None]
+            for d in range(2 * e - 2, e - 1, -1):
+                prod[d - e : d] -= prod[d] % p * low
+            mul = (pows @ (prod[:e] % p).reshape(e, -1)).reshape(q, q)
 
         inv = np.zeros(q, dtype=np.int64)
         for a in range(1, q):
@@ -128,31 +127,6 @@ class Field:
 
         if q <= _EXHAUSTIVE_CHECK_LIMIT:
             self._verify_axioms()
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        da = [(a // p**i) % p for i in range(e)]
-        db = [(b // p**i) % p for i in range(e)]
-        rem = _poly_rem(_poly_mul(da, db, p), list(self.modulus), p)
-        return sum(c * p**i for i, c in enumerate(rem))
-
-    def _build_exp_log(self) -> tuple[np.ndarray, np.ndarray]:
-        q = self.q
-        for g in range(2, q):
-            x, order = g, 1
-            while x != 1 and order <= q:
-                x = self._raw_mul(x, g)
-                order += 1
-            if order == q - 1:
-                exp = np.zeros(q - 1, dtype=np.int64)
-                log = np.zeros(q, dtype=np.int64)
-                x = 1
-                for i in range(q - 1):
-                    exp[i] = x
-                    log[x] = i
-                    x = self._raw_mul(x, g)
-                return exp, log
-        raise AssertionError(f"no generator found for GF({q})")
 
     def _verify_axioms(self) -> None:
         A = self.add_table.astype(np.int64)

@@ -604,6 +604,85 @@ def test_cut_passes_match_dense_reduction_and_brute_force(chunk, monkeypatch):
     assert {dtype for _, dtype in indices} == {np.dtype(np.uint16)}
 
 
+@pytest.mark.parametrize("chunk, tile", [(4, blockspace._TILE), (16, 12)])
+def test_whole_rows_over_row_chunks_and_word_blocks(chunk, tile, monkeypatch):
+    """Whole-row passes with more rows and more words than a tile's pairs =
+    min(_CHUNK, _TILE // n), so each runs several chunks of rows, each
+    against several blocks of words: "min", "two" and "first" over all
+    columns against a dense batch_weights reduction of the pass's words (a
+    linear code's negated codewords), a coset table against the scalar
+    brute force, and an explicit minimum distance (the words' rows against
+    the words) against the least distance of two distinct words.  A _CHUNK
+    of 4 sizes the tiles by _CHUNK, and a _TILE of 12 by _TILE // n (2 or 3
+    pairs on these spaces of 4 to 6 coordinates); no pair-kernel tile
+    exceeds pairs entries.  At a _CHUNK of 4 some coset tables have fewer
+    rows than pairs, one chunk against blocks of several words, where
+    "first" keeps an earlier block's word on a tie."""
+    monkeypatch.setattr(codes_module, "_CHUNK", chunk)
+    monkeypatch.setattr(codes_module, "_TILE", tile)
+    tiles = Code._tiles
+    # per pass: its row chunks, word blocks and most words in a block
+    layouts: list[tuple[int, int, int]] = []
+
+    def recording(code, cols, rows=None):
+        starts, blocks, width = set(), set(), 0
+        for start, lo, w in tiles(code, cols, rows):
+            starts.add(start)
+            blocks.add(lo)
+            width = max(width, w.shape[1])
+            yield start, lo, w
+        layouts.append((len(starts), len(blocks), width))
+
+    def nested(name, read):
+        layouts.clear()
+        value = read()
+        for chunks, blocks, width in layouts:
+            if blocks > 1 and (chunks > 1 or width > 1):
+                seen.add(name if chunks > 1 else f"{name} in one chunk")
+        return value
+
+    monkeypatch.setattr(Code, "_tiles", recording)
+    rng = np.random.default_rng(30)
+    seen: set[str] = set()
+    for q, pos, sizes in [(2, P.chain(3), (2, 1, 2)), (2, P.antichain(3), (2, 2, 2)),
+                          (3, P.antichain(4), (1,) * 4), (3, P.chain(2), (1, 2))]:
+        sp = space(q, pos, sizes)
+        pairs, allv = min(chunk, tile // sp.n), sp.all_vectors()
+        codes = [Code.explicit(sp, allv[rng.choice(len(allv), m, replace=False)]) for m in (9, 12)]
+        for k in (sp.n // 2, sp.n - 1):
+            while (code := Code.linear(sp, rng.integers(0, q, (k, sp.n)))).dimension < k:
+                pass
+            codes.append(code)
+        for code in codes:
+            cw = code.codeword_array()
+            words = sp.field.neg_table[cw] if code.is_linear else cw
+            dist = sp.batch_weights(
+                sp.field.sub_table[allv[:, None, :], words[None, :, :]].reshape(-1, sp.n)
+            ).reshape(len(allv), len(words))
+            cols = np.arange(sp.n)
+            with _counting_tiles(sp) as counted:
+                covering, _, (best, first) = nested("first", lambda: code._pass(cols, "first"))
+                assert nested("min", lambda: code._pass(cols, "min")) == (covering, None, None)
+                two = nested("two", lambda: code._pass(cols, "two"))
+                if code.is_linear:
+                    table = nested("table", Code.linear(sp, code.generators).coset_table)
+                else:
+                    d = nested("d", Code.explicit(sp, code.words).min_distance)
+            _assert_tile_bounds(counted, chunk)
+            assert max(counted.kernel, default=0) <= pairs
+            assert best.tolist() == dist.min(axis=1).tolist()
+            assert first.tolist() == dist.argmin(axis=1).tolist()  # argmin: the first minimum
+            assert covering == dist.min(axis=1).max()
+            assert two == (covering, np.sort(dist, axis=1)[:, 1].min() - 1, None)
+            if code.is_linear:
+                assert _table_tuples(table) == _brute_force_table(code)
+                continue
+            pair = sp.batch_weights(sp.field.sub_table[cw[:, None, :], cw[None, :, :]].reshape(-1, sp.n))
+            assert d == pair.reshape(len(cw), len(cw))[~np.eye(len(cw), dtype=bool)].min()
+    one_chunk = {"table in one chunk"} if chunk == 4 else set()
+    assert seen == {"min", "two", "first", "table", "d"} | one_chunk
+
+
 @pytest.mark.parametrize("chunk", [16, 64])
 def test_cut_coset_tables_take_the_first_tied_word(chunk, monkeypatch):
     """Coset tables whose pass cuts its columns with two or more words per
@@ -721,7 +800,7 @@ def test_each_reading_keeps_what_it_needs(chunk, path, monkeypatch):
         perfect_first = fresh()
         assert passes(lambda: [perfect_first.is_r_perfect(r) for r in range(top + 1)]) == (
             perfect, both)
-        if pack_first._plans["packing_radius"][0] is None:
+        if pack_first._plans["packing_radius"][pack_first] is None:
             assert both == ["two"]  # one leaf: its packing pass memoizes both radii
             leaves += 1
         if code.is_linear:
@@ -1058,36 +1137,37 @@ def _scalar_readings(sp, words):
 
 def _splits_taken(code):
     """The kinds of split a code's readings took on its tree, walking the
-    codes of its parts, each on its node's own space, with the offset at
-    which each sits in the code's space: M_w times the elements below its
-    node."""
-    taken, stack = set(), [(0, code)]
+    plan of each reading (Code._plans) through the codes of its parts, each
+    on its node's own space, with the offset at which each sits in the
+    code's space: M_w times the elements below its node."""
+    taken = set()
+    stack = [(what, plan, 0, code) for what, plan in code._plans.items()]
     while stack:
-        offset, part = stack.pop()
+        what, plan, offset, part = stack.pop()
         node = part.space.poset.tree()
         if part._parts == () and node.kind == "parallel":
             taken.add((code.kind, "no product"))
-        for what, (deps, _) in part._plans.items():
-            if deps is None:
-                continue
-            stack.extend((offset + o, dep) for o, dep in deps)
-            if node.kind == "parallel":
-                taken.add((code.kind, "parallel"))
-                values = [dep._combine(what) for _, dep in deps]
-                if what == "covering_radius" and offset and sum(map(bool, values)) > 1:
-                    taken.add("offset sum")
-                continue
-            # read from the top summand, or from below it: a linear code's
-            # D (j* below the top) or D0 (j0 below it), an explicit code's
-            # fibers; the top summand's offset is M_w times the elements
-            # below it, and a lower summand's is smaller
-            under_top = part.space.s - len(node.children[-1].elements)
-            if all(o == part.space.weight.max_weight * under_top for o, _ in deps):
-                taken.add((code.kind, "top"))
-                continue
-            taken.add((code.kind, "top filled" if what == "covering_radius" else "fibers"))
-            if code.kind == "explicit" and any(f.size > 1 for _, f in deps):
-                taken.add((code.kind, "fiber of several words"))
+        deps = plan[part]
+        if deps is None:
+            continue
+        stack.extend((what, plan, offset + o, dep) for o, dep in deps)
+        if node.kind == "parallel":
+            taken.add((code.kind, "parallel"))
+            values = [dep._combine(what, plan) for _, dep in deps]
+            if what == "covering_radius" and offset and sum(map(bool, values)) > 1:
+                taken.add("offset sum")
+            continue
+        # read from the top summand, or from below it: a linear code's
+        # D (j* below the top) or D0 (j0 below it), an explicit code's
+        # fibers; the top summand's offset is M_w times the elements
+        # below it, and a lower summand's is smaller
+        under_top = part.space.s - len(node.children[-1].elements)
+        if all(o == part.space.weight.max_weight * under_top for o, _ in deps):
+            taken.add((code.kind, "top"))
+            continue
+        taken.add((code.kind, "top filled" if what == "covering_radius" else "fibers"))
+        if code.kind == "explicit" and any(f.size > 1 for _, f in deps):
+            taken.add((code.kind, "fiber of several words"))
     return taken
 
 
@@ -1152,8 +1232,9 @@ def test_a_code_priced_below_a_split_is_never_searched(monkeypatch):
     got = [code.covering_radius(), code.packing_radius(), code.min_distance(), code.is_perfect()]
     assert got == _scalar_readings(sp, code.codeword_array())
     for what in ("covering_radius", "packing_radius", "min_distance"):
-        parts, cost = code._plans[what]
-        assert parts is None and cost <= codes_module._SPLIT_PRICE
+        plan = {}
+        assert code._plan(what, plan) <= codes_module._SPLIT_PRICE
+        assert plan == code._plans[what] == {code: None}
     monkeypatch.undo()
     assert Code.explicit(sp, words)._split()
 
@@ -1161,8 +1242,9 @@ def test_a_code_priced_below_a_split_is_never_searched(monkeypatch):
 def test_a_split_that_fits_the_cap_answers_where_the_leaf_does_not():
     """Under a cap below the leaf's entries, the same verify-sized code,
     which its price reads as a leaf, reads through its split, whose leaves
-    charge fewer entries (Code._fit): it answers as without the cap, and a
-    cap one below the fewest entries raises SpaceTooLarge naming them."""
+    charge fewer entries (the plan of fewest entries, Code._plan unpriced):
+    it answers as without the cap, and a cap one below the fewest entries
+    raises SpaceTooLarge naming them."""
     sp, words = _verify_sized()
     for what, fewest in (("covering_radius", 60), ("packing_radius", 56), ("min_distance", 28)):
         want = getattr(Code.explicit(sp, words), what)()
@@ -1171,7 +1253,11 @@ def test_a_split_that_fits_the_cap_answers_where_the_leaf_does_not():
         code = Code.explicit(sp, words)
         with enumeration_cap(fewest):
             assert getattr(code, what)() == want
-        assert code._plans[what][0] is None and code._leaf_cost(what) > fewest
+        priced = {}
+        code._plan(what, priced)
+        assert priced[code] is None and code._leaf_cost(what) > fewest
+        assert code._plans[what][code] is not None
+        assert sum(leaf._leaf_cost(what) for leaf in code._leaves(code._plans[what])) == fewest
 
 
 def test_a_deep_chain_reads_its_fibers_through_the_top_summand():
@@ -1188,14 +1274,15 @@ def test_a_deep_chain_reads_its_fibers_through_the_top_summand():
         leaf._read_leaf(what)
         code = Code.explicit(sp, words)
         assert getattr(code, what)() == leaf._memo[what]
+        plan = code._plans[what]
         if what == "min_distance":  # 40 x 40 entries, a leaf
-            assert code._plans[what][0] is None
+            assert plan[code] is None
             continue
-        fibers = code._plans[what][0]
+        fibers = plan[code]
         assert len(fibers) == 8
         for offset, fiber in fibers:
             assert offset == 0 and fiber.space is sp.restrict((1, 2, 3, 4, 5))
-            assert fiber._plans[what][0] is not None
+            assert plan[fiber] is not None
 
 
 def _chain_code(rng, kind, k):
@@ -1404,8 +1491,8 @@ def test_each_entry_point_charges_its_count(entry, monkeypatch):
     Charges do not depend on what ran before (the kernels are shared), so
     each entry holds alone and in any order.  A _CHUNK of 1 runs every
     pass in the smallest tiles.  Where the code read whole exceeds a cap
-    that a split reading fits, the reading takes its fewest entries
-    (Code._fit), whatever the split price."""
+    that a split reading fits, the reading takes its fewest entries (the
+    unpriced Code._plan), whatever the split price."""
     monkeypatch.setattr(codes_module, "_CHUNK", 1)
     count, call, *later = _CAPPED[entry]
     for cap in (count, *later):
@@ -1584,6 +1671,26 @@ def test_explicit_min_distance_of_128_words_in_bounded_memory():
     counts = ones.sum(axis=1)
     pairs = counts[:, None] + counts[None, :] - 2 * ones @ ones.T
     assert int(out[0]) == pairs[~np.eye(128, dtype=bool)].min()
+    assert peak < 100
+
+
+def test_explicit_min_distance_over_row_chunks_and_word_blocks_in_bounded_memory():
+    """An explicit d of 300 seeded words on the 2,000-block GF(2) antichain
+    of 1-blocks at the default constants: a tile holds pairs =
+    min(_CHUNK, _TILE // 2000) = 262 pairs, fewer than the rows and the
+    words, so its whole-row pass runs chunks of 262 rows, each against
+    blocks of one word.  In a fresh process it peaks below 100 MB, and it
+    is the least Hamming distance of two words."""
+    assert min(codes_module._CHUNK, codes_module._TILE // 2000) == 262
+    words = np.random.default_rng(30).integers(0, 2, size=(300, 2000), dtype=np.uint8)
+    out, peak = _measured(_SPACE_SCRIPT.format(s=2000, size=1) + (
+        "words = np.random.default_rng(30).integers(0, 2, size=(300, 2000), dtype=np.uint8)\n"
+        "print(Code.explicit(sp, words).min_distance())\n"
+    ))
+    ones = words.astype(np.int64)
+    counts = ones.sum(axis=1)
+    pairs = counts[:, None] + counts[None, :] - 2 * ones @ ones.T
+    assert int(out[0]) == pairs[~np.eye(300, dtype=bool)].min()
     assert peak < 100
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -85,3 +86,20 @@ def test_field_identity_and_cache():
     assert make_field(8) is make_field(8)
     assert make_field(8) == make_field(8)
     assert make_field(8) != make_field(16)
+
+
+def test_every_table_of_every_field_is_pinned():
+    """The add, neg, mul, inv and sub tables of all 70 prime powers q <= 256,
+    q ascending, hash to the digest of the exp/log construction that the
+    polynomial product replaced, so every element encoding is unchanged."""
+    digest, fields = hashlib.md5(), 0
+    for q in range(2, 257):
+        try:
+            f = make_field(q)
+        except NotAPrimePower:
+            continue
+        fields += 1
+        for table in (f.add_table, f.neg_table, f.mul_table, f.inv_table, f.sub_table):
+            digest.update(table.tobytes())
+    assert fields == 70
+    assert digest.hexdigest() == "1d180679825efbbce0146f5825c5ed90"
