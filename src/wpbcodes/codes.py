@@ -400,9 +400,11 @@ class Code:
             held = set(pivots)
             self._free = np.array([c for c in range(space.n) if c not in held], np.intp)
         self._memo: dict = {}
-        # per reading: the plan it took (_plan), each code of its tree to the
-        # (offset, part) pairs it combines, or None for a leaf
-        self._plans: dict[str, dict] = {}
+        # per reading: the plan it took (_plan), the id of each code of its
+        # tree to the (offset, part) pairs it combines, or None for a leaf;
+        # ids, so the plan holds no reference back to the code keeping it
+        # (a cycle would leave every read code to the cyclic collector)
+        self._plans: dict[str, dict[int, list | None]] = {}
         self._parts: tuple | None = None  # _split, once found
 
     @classmethod
@@ -532,9 +534,10 @@ class Code:
 
     def _plan(self, what: str, plan: dict, priced: bool = True) -> int:
         """The cost of the cheapest reading of the code, whose choice at each
-        code of its tree is recorded in plan: the (offset, part) pairs its
-        split combines for the reading, each read the cheapest way, when
-        they cost less than the code as a leaf, else None.  Priced, costs
+        code of its tree is recorded in plan, under the code's id: the
+        (offset, part) pairs its split combines for the reading, each read
+        the cheapest way, when they cost less than the code as a leaf, else
+        None.  Priced, costs
         count entries of a pass that fits one tile (_leaf_cost, rows x words
         for every reading): a leaf also costs _CHUNK / 8 for its fixed work,
         and its entries beyond _CHUNK an eighth each, as cut chunks run
@@ -558,16 +561,17 @@ class Code:
                     break
             if total < cost:
                 parts, cost = options, total
-        plan[self] = parts
+        plan[id(self)] = parts
         return cost
 
     def _leaves(self, plan: dict) -> Iterator[Code]:
         """The leaves of a plan (_plan) at and below the code, whose readings
         the code's reading combines."""
-        if plan[self] is None:
+        parts = plan[id(self)]
+        if parts is None:
             yield self
             return
-        for _, part in plan[self]:
+        for _, part in parts:
             yield from part._leaves(plan)
 
     def _combine(self, what: str, plan: dict) -> int:
@@ -575,9 +579,10 @@ class Code:
         plan (_plan): each part's reading plus its offset, summed across a
         parallel split for a covering radius and their maximum at a series
         one, and their minimum for a packing radius or a minimum distance."""
-        if plan[self] is None:
+        parts = plan[id(self)]
+        if parts is None:
             return self._memo[what]
-        values = [offset + part._combine(what, plan) for offset, part in plan[self]]
+        values = [offset + part._combine(what, plan) for offset, part in parts]
         if what != "covering_radius":
             return min(values)
         return sum(values) if self._parts[0] == "parallel" else max(values, default=0)

@@ -800,7 +800,7 @@ def test_each_reading_keeps_what_it_needs(chunk, path, monkeypatch):
         perfect_first = fresh()
         assert passes(lambda: [perfect_first.is_r_perfect(r) for r in range(top + 1)]) == (
             perfect, both)
-        if pack_first._plans["packing_radius"][pack_first] is None:
+        if pack_first._plans["packing_radius"][id(pack_first)] is None:
             assert both == ["two"]  # one leaf: its packing pass memoizes both radii
             leaves += 1
         if code.is_linear:
@@ -1147,7 +1147,7 @@ def _splits_taken(code):
         node = part.space.poset.tree()
         if part._parts == () and node.kind == "parallel":
             taken.add((code.kind, "no product"))
-        deps = plan[part]
+        deps = plan[id(part)]
         if deps is None:
             continue
         stack.extend((what, plan, offset + o, dep) for o, dep in deps)
@@ -1234,7 +1234,7 @@ def test_a_code_priced_below_a_split_is_never_searched(monkeypatch):
     for what in ("covering_radius", "packing_radius", "min_distance"):
         plan = {}
         assert code._plan(what, plan) <= codes_module._SPLIT_PRICE
-        assert plan == code._plans[what] == {code: None}
+        assert plan == code._plans[what] == {id(code): None}
     monkeypatch.undo()
     assert Code.explicit(sp, words)._split()
 
@@ -1255,8 +1255,8 @@ def test_a_split_that_fits_the_cap_answers_where_the_leaf_does_not():
             assert getattr(code, what)() == want
         priced = {}
         code._plan(what, priced)
-        assert priced[code] is None and code._leaf_cost(what) > fewest
-        assert code._plans[what][code] is not None
+        assert priced[id(code)] is None and code._leaf_cost(what) > fewest
+        assert code._plans[what][id(code)] is not None
         assert sum(leaf._leaf_cost(what) for leaf in code._leaves(code._plans[what])) == fewest
 
 
@@ -1276,13 +1276,13 @@ def test_a_deep_chain_reads_its_fibers_through_the_top_summand():
         assert getattr(code, what)() == leaf._memo[what]
         plan = code._plans[what]
         if what == "min_distance":  # 40 x 40 entries, a leaf
-            assert plan[code] is None
+            assert plan[id(code)] is None
             continue
-        fibers = plan[code]
+        fibers = plan[id(code)]
         assert len(fibers) == 8
         for offset, fiber in fibers:
             assert offset == 0 and fiber.space is sp.restrict((1, 2, 3, 4, 5))
-            assert plan[fiber] is not None
+            assert plan[id(fiber)] is not None
 
 
 def _chain_code(rng, kind, k):
