@@ -13,23 +13,25 @@ emitting one CheckReport per (check, instance).  Statuses:
                       as a finding with a witness, not a build failure
 
 Each claim is one row, a Claim: its check id, hard or soft, a gate and a
-relation, all functions of the unit's readings.  The gate emits nothing,
-emits not-applicable with a reason, or lets the relation decide; the
-relation returns whether the claim holds and the record's witness.  A suite
-is declared once, by ``@suite(name, tags, trials, pools, claims)`` on its
-unit body; its check ids are its rows' ids in row order, and the
-declaration registers it in REGISTRY.  A unit body samples its instance,
-names it with u.start, takes its readings and returns them; one evaluator,
-_evaluate, then emits the rows' records in row order.  The covering oracle
-is the one record emitted while the readings are taken
-(_covering_with_oracle), once per code whose covering radius is read.
+relation, all functions of the unit's readings, or of each entry of a list
+among them.  The gate emits nothing, emits not-applicable with a reason, or
+lets the relation decide; the relation returns whether the claim holds and
+the record's witness.  A suite is declared once, by
+``@suite(name, tags, trials, pools, claims)`` on its unit body; its check
+ids are its rows' ids in row order, and the declaration registers it in
+REGISTRY.  A unit body samples its instance and takes its readings; it
+returns the instance's digest and the readings, and emits nothing.  One
+evaluator, _evaluate, gives every record, row by row.  The covering oracle
+is a row like any other, over the list of readings that
+_covering_with_oracle takes, one entry per code whose covering radius is
+read.
 
 Unit i of suite S under master seed m uses the derived seed h(m, S, i) and
 draws its field size q first, from pools[i % len(pools)], so any report
-replays from (seed, digest) alone.  A unit that emits a check id its suite
-did not declare raises.  Reports sort canonically by (check, digest, seed);
-their serialized form excludes timing, so parallel and serial runs emit
-byte-identical output.
+replays from (seed, digest) alone.  Reports sort canonically by (check,
+digest, seed); their serialized form excludes timing, so parallel and
+serial runs emit byte-identical output.  Each report carries an even share
+of its unit's seconds, so the per-check seconds add up to the units' time.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import random
 import time
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,74 +97,54 @@ class CheckReport:
         return json.dumps(self.record(), sort_keys=True, separators=(",", ":"))
 
 
-class _Unit:
-    """Report collector for one (instance, seed) evaluation of a suite that
-    declares the check ids in ``checks``."""
-
-    def __init__(self, seed: int, checks: tuple[str, ...]):
-        self.seed = seed
-        self.checks = checks
-        self.digest = ""
-        self.reports: list[CheckReport] = []
-
-    def start(self, digest: str) -> None:
-        """Name the instance under test; report timing starts here."""
-        self.digest = digest
-        self._t0 = time.perf_counter()
-
-    def _emit(self, check: str, status: str, witness: dict | None) -> None:
-        if check not in self.checks:
-            raise RuntimeError(f"check {check!r} is not declared by its suite")
-        now = time.perf_counter()
-        self.reports.append(
-            CheckReport(check, self.digest, self.seed, status, witness, now - self._t0)
-        )
-        self._t0 = now
-
-    def hard(self, check: str, ok: bool, witness: dict) -> None:
-        self._emit(check, "pass" if ok else "fail", None if ok else witness)
-
-    def soft(self, check: str, ok: bool, witness: dict) -> None:
-        self._emit(check, "pass" if ok else "soft-discrepancy", None if ok else witness)
-
-    def na(self, check: str, reason: str) -> None:
-        self._emit(check, "not-applicable", {"reason": reason})
-
-
 HARD, SOFT = False, True
-Readings = SimpleNamespace
+
+
+class Readings(SimpleNamespace):
+    """A unit's readings, by name.  ``oracle`` starts empty:
+    _covering_with_oracle appends one entry per code it reads, and the
+    covering-oracle row reads them."""
+
+    def __init__(self, **readings):
+        super().__init__(oracle=[], **readings)
 
 
 class Claim(NamedTuple):
-    """One claim of the paper as a row, read against a unit's readings r.
+    """One claim of the paper as a row, read against each entry x of
+    ``each(r)``, a unit's readings r itself by default.
 
-    ``gate(r)`` has three outcomes: a false value emits nothing, a string
+    ``gate(x)`` has three outcomes: a false value emits nothing, a string
     emits not-applicable with that reason, and True evaluates
-    ``relation(r)``, which returns (ok, witness).  ``soft`` is HARD, SOFT or
-    a function of r.  A row without a relation only declares its check id:
-    its records are emitted while the readings are taken.
+    ``relation(x)``, which returns (ok, witness).  ``soft`` is HARD, SOFT or
+    a function of x.
     """
 
     check: str
     soft: bool | Callable[[Readings], bool]
-    relation: Callable[[Readings], tuple[bool, dict]] | None
+    relation: Callable[[Readings], tuple[bool, dict]]
     gate: Callable[[Readings], bool | str] = lambda r: True
+    each: Callable[[Readings], Iterable] = lambda r: (r,)
 
 
-# covering-oracle, emitted by _covering_with_oracle once per code it reads
-_ORACLE = Claim(COVERING_ORACLE, HARD, None)
+# one record per code whose covering radius _covering_with_oracle reads
+_ORACLE = Claim(
+    COVERING_ORACLE, HARD, lambda w: (w["covering"] == w["coset_max"] == w["scan"], w),
+    each=lambda r: r.oracle,
+)
 
 
-def _evaluate(u: _Unit, claims: Sequence[Claim], r: Readings) -> None:
-    """Emit the records of a unit's rows, in row order."""
+def _evaluate(claims: Sequence[Claim], r: Readings) -> Iterator[tuple[str, str, dict | None]]:
+    """The (check, status, witness) records of a unit's rows, in row order."""
     for claim in claims:
-        gate = claim.relation is not None and claim.gate(r)
-        if isinstance(gate, str):
-            u.na(claim.check, gate)
-        elif gate:
-            ok, witness = claim.relation(r)
-            soft = claim.soft(r) if callable(claim.soft) else claim.soft
-            (u.soft if soft else u.hard)(claim.check, ok, witness)
+        for x in claim.each(r):
+            gate = claim.gate(x)
+            if isinstance(gate, str):
+                yield claim.check, "not-applicable", {"reason": gate}
+            elif gate:
+                ok, witness = claim.relation(x)
+                soft = claim.soft(x) if callable(claim.soft) else claim.soft
+                status = "pass" if ok else "soft-discrepancy" if soft else "fail"
+                yield claim.check, status, None if ok else witness
 
 
 @dataclass(frozen=True)
@@ -185,28 +167,30 @@ def suite(
     pools: Sequence[Sequence[int]],
     claims: Sequence[Claim],
 ) -> Callable:
-    """Declare a suite whose unit body is ``body(u, rng, q, unit)``.
+    """Declare a suite whose unit body is ``body(rng, q, unit)``.
 
     Unit i of the suite runs on the derived seed h(seed, name, i): it seeds
-    rng, draws q from pools[i % len(pools)] (or takes the q filter when that
-    pool holds it, else emits nothing), and hands the body a _Unit that
-    accepts only the rows' check ids.  The body names its instance with
-    u.start and returns its readings, or None to emit no rows.
+    rng and draws q from pools[i % len(pools)] (or takes the q filter when
+    that pool holds it, else emits nothing).  The body returns its
+    instance's digest and its readings, or None to emit no rows; the rows'
+    records then share the unit's seconds evenly.
     """
     checks = tuple(dict.fromkeys(claim.check for claim in claims))
 
-    def register(body: Callable[[_Unit, random.Random, int, int], Readings | None]) -> Callable:
+    def register(body: Callable[..., tuple[str, Readings] | None]) -> Callable:
         def unit_fn(seed: int, unit: int, q_filter: int | None = None) -> list[CheckReport]:
             child = derive_seed(seed, name, unit)
             rng = random.Random(child)
             q = _pick_q(rng, pools[unit % len(pools)], q_filter)
-            if q is None:
+            t0 = time.perf_counter()
+            read = None if q is None else body(rng, q, unit)
+            if read is None:
                 return []
-            u = _Unit(child, checks)
-            readings = body(u, rng, q, unit)
-            if readings is not None:
-                _evaluate(u, claims, readings)
-            return u.reports
+            digest, r = read
+            records = list(_evaluate(claims, r))
+            share = (time.perf_counter() - t0) / max(len(records), 1)
+            return [CheckReport(check, digest, child, status, witness, share)
+                    for check, status, witness in records]
 
         REGISTRY[name] = Suite(name, frozenset(tags), checks, trials, unit_fn)
         return body
@@ -310,21 +294,22 @@ def _instance_of(code: Code) -> Instance:
     return Instance.from_parts(code.space, code)
 
 
-def _covering_with_oracle(unit: _Unit, code: Code, label: str) -> int:
+def _space_digest(space: BlockSpace) -> str:
+    """The digest of a space alone: the instance of its zero code."""
+    return _instance_of(Code.linear(space, [])).digest()
+
+
+def _covering_with_oracle(r: Readings, code: Code, label: str) -> int:
     """Covering radius of a code.  For a linear code, the tree reading (read
     on a fresh code, before the coset table memoizes its max leader weight
-    as the covering radius) is cross-checked against the coset table's full
-    pass and the word-set reading of the same words."""
+    as the covering radius), the coset table's full pass and the word-set
+    reading of the same words are appended to r.oracle, for _ORACLE."""
     if not code.is_linear:
         return code.covering_radius()
     rho = Code.linear(code.space, code._rows).covering_radius()
     coset_max = code.coset_table().max_weight
     scan = Code.explicit(code.space, code.codeword_array()).covering_radius()
-    unit.hard(
-        COVERING_ORACLE,
-        rho == coset_max == scan,
-        {"code": label, "scan": scan, "coset_max": coset_max, "covering": rho},
-    )
+    r.oracle.append({"code": label, "scan": scan, "coset_max": coset_max, "covering": rho})
     return rho
 
 
@@ -393,12 +378,11 @@ _METRIC_AXIOMS = "metric-axioms"  # the suite and its one check
 @suite(_METRIC_AXIOMS, {"metric", "axioms"}, 50, [[2, 3, 5]], [
     Claim(_METRIC_AXIOMS, HARD, lambda r: (r.axioms is None, r.axioms or {})),
 ])
-def _unit_metric_axioms(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
+def _unit_metric_axioms(rng: random.Random, q: int, unit: int) -> tuple[str, Readings]:
     # q = 5 reaches 5^6 vectors, past the exhaustive pair cap
     pos, lab = _random_shape(rng, q, cap=_SIZE_CAP[q] * (25 if q == 5 else 1))
     space = BlockSpace(pos, lab, make_field(q), _random_weight(rng, q))
-    u.start(_instance_of(Code.linear(space, [])).digest())
-    return Readings(axioms=metric_axiom_witness(space, rng))
+    return _space_digest(space), Readings(axioms=metric_axiom_witness(space, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +396,7 @@ def _unit_metric_axioms(u: _Unit, rng: random.Random, q: int, unit: int) -> Read
     Claim("reduction-nrt", HARD, lambda r: r.reduction, lambda r: r.which == 2),
     Claim("reduction-poset-block", HARD, lambda r: r.reduction, lambda r: r.which == 3),
 ])
-def _unit_reductions(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
+def _unit_reductions(rng: random.Random, q: int, unit: int) -> tuple[str, Readings]:
     which, f = unit % 4, make_field(q)
     if which < 2:  # trivial blocks + antichain: the Hamming or the Lee weight
         n = rng.randint(1, ({2: 10, 3: 6, 5: 4}, {3: 6, 5: 4, 7: 3})[which][q])
@@ -441,7 +425,6 @@ def _unit_reductions(u: _Unit, rng: random.Random, q: int, unit: int) -> Reading
             dtype=np.int64,
         )
 
-    u.start(_instance_of(Code.linear(space, [])).digest())
     got = space.batch_weights(arr)
     bad = np.nonzero(got != expect)[0]
     witness = {}
@@ -452,7 +435,7 @@ def _unit_reductions(u: _Unit, rng: random.Random, q: int, unit: int) -> Reading
             "wpb": int(got[r]),
             "oracle": int(expect[r]),
         }
-    return Readings(which=which, reduction=(len(bad) == 0, witness))
+    return _space_digest(space), Readings(which=which, reduction=(len(bad) == 0, witness))
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +469,13 @@ def _ball_nesting(space: BlockSpace) -> tuple[bool, dict]:
 @suite("ball-nesting", {"balls", "chain"}, len(_BALL_ENVELOPE), [[5]], [
     Claim("ball-nesting-chain", HARD, lambda r: r.nesting),
 ])
-def _unit_ball_nesting(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings | None:
+def _unit_ball_nesting(rng: random.Random, q: int, unit: int) -> tuple[str, Readings] | None:
     if unit >= len(_BALL_ENVELOPE):
         return None
     sizes = _BALL_ENVELOPE[unit]
     f = make_field(q)
     space = BlockSpace(posets.chain(len(sizes)), Labeling(sizes), f, lee_weight(f))
-    u.start(_instance_of(Code.linear(space, [])).digest())
-    return Readings(nesting=_ball_nesting(space))
+    return _space_digest(space), Readings(nesting=_ball_nesting(space))
 
 
 # ---------------------------------------------------------------------------
@@ -522,20 +504,20 @@ def _packing_witness(r: Readings) -> dict:
     )),
     _ORACLE,
 ])
-def _unit_chain_radii(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
+def _unit_chain_radii(rng: random.Random, q: int, unit: int) -> tuple[str, Readings]:
     _, lab = _random_shape(rng, q)
     space = BlockSpace(posets.chain(lab.s), lab, make_field(q), _random_weight(rng, q))
     code = _random_code(rng, space, dim_min=1, dim_max={2: 4, 3: 3, 5: 3}[q])
-    u.start(_instance_of(code).digest())
-    return Readings(
+    r = Readings(
         mw=space.weight.max_weight,
         m=space.weight.min_nonzero_weight,
         d_h=_hamming_view(code).min_distance(),
         d_w=code.min_distance(),
         packing=code.packing_radius(),
-        covering=_covering_with_oracle(u, code, "code"),
-        r=code.trailing_full_index(),
     )
+    r.covering = _covering_with_oracle(r, code, "code")
+    r.r = code.trailing_full_index()
+    return _instance_of(code).digest(), r
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +538,20 @@ def _sample_pair(rng: random.Random, q: int) -> tuple[Code, Code]:
     c1 = _random_code(rng, BlockSpace(p1, lab1, f, weight), 1, 2)
     c2 = _random_code(rng, BlockSpace(p2, lab2, f, weight), 1, 2)
     return c1, c2
+
+
+def _pair_readings(c1: Code, c2: Code) -> Readings:
+    """The readings direct-sum and plotkin start from: C1's s and the
+    weight's M_w, both codes' minimum distances, then their covering radii."""
+    r = Readings(
+        mw=c1.space.weight.max_weight,
+        s=c1.space.s,
+        d1=c1.min_distance(),
+        d2=c2.min_distance(),
+    )
+    r.rho1 = _covering_with_oracle(r, c1, "C1")
+    r.rho2 = _covering_with_oracle(r, c2, "C2")
+    return r
 
 
 def _joint_leaders(label: str, total: Code, joint: np.ndarray, n1: int) -> tuple[bool, dict]:
@@ -592,29 +588,21 @@ def _joint_leaders(label: str, total: Code, joint: np.ndarray, n1: int) -> tuple
     Claim("dsum-coset-leader-linear", HARD, lambda r: r.leaders_linear),
     _ORACLE,
 ])
-def _unit_direct_sum(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
+def _unit_direct_sum(rng: random.Random, q: int, unit: int) -> tuple[str, Readings]:
     c1, c2 = _sample_pair(rng, q)
-    u.start(_pair_digest(_instance_of(c1).digest(), _instance_of(c2).digest()))
-    r = Readings(
-        mw=c1.space.weight.max_weight,
-        s=c1.space.s,
-        d1=c1.min_distance(),
-        d2=c2.min_distance(),
-        rho1=_covering_with_oracle(u, c1, "C1"),
-        rho2=_covering_with_oracle(u, c2, "C2"),
-    )
+    r = _pair_readings(c1, c2)
     disj = direct_sum_code(c1, c2, "disjoint").code
     lin = direct_sum_code(c1, c2, "linear").code
     r.dd, r.dl = disj.min_distance(), lin.min_distance()
-    r.rho_disj = _covering_with_oracle(u, disj, "disjoint-sum")
-    r.rho_lin = _covering_with_oracle(u, lin, "linear-sum")
+    r.rho_disj = _covering_with_oracle(r, disj, "disjoint-sum")
+    r.rho_lin = _covering_with_oracle(r, lin, "linear-sum")
 
     lead1, lead2 = c1.coset_table().leaders, c2.coset_table().leaders
     # every joint leader (l1 | l2), C1's leaders the outer loop
     joint = np.hstack([lead1.repeat(len(lead2), axis=0), np.tile(lead2, (len(lead1), 1))])
     r.leaders_disjoint = _joint_leaders("disjoint", disj, joint, c1.space.n)
     r.leaders_linear = _joint_leaders("linear", lin, joint, c1.space.n)
-    return r
+    return _pair_digest(_instance_of(c1).digest(), _instance_of(c2).digest()), r
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +641,7 @@ def _injective(r: Readings) -> bool | str:
     )),
     _ORACLE,
 ])
-def _unit_plotkin(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
+def _unit_plotkin(rng: random.Random, q: int, unit: int) -> tuple[str, Readings]:
     cap = _SIZE_CAP[q]
     weight = _random_weight(rng, q, allow_table=False)
     f = make_field(q)
@@ -669,15 +657,7 @@ def _unit_plotkin(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
     lab2 = Labeling(sizes2)
     c1 = _random_code(rng, BlockSpace(p1, lab1, f, weight), 1, 2)
     c2 = _random_code(rng, BlockSpace(p2, lab2, f, weight), 1, 2)
-    u.start(_pair_digest(_instance_of(c1).digest(), _instance_of(c2).digest()))
-    r = Readings(
-        mw=weight.max_weight,
-        s=c1.space.s,
-        d1=c1.min_distance(),
-        d2=c2.min_distance(),
-        rho1=_covering_with_oracle(u, c1, "C1"),
-        rho2=_covering_with_oracle(u, c2, "C2"),
-    )
+    r = _pair_readings(c1, c2)
     disj = plotkin_code(c1, c2, "disjoint").code
     lin = plotkin_code(c1, c2, "linear").code
     r.dd, r.dl = disj.min_distance(), lin.min_distance()
@@ -688,9 +668,9 @@ def _unit_plotkin(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
         # the second halves u' + u'' of the (u'|u'+u'') words
         sums = Code.explicit(c2.space, disj.codeword_array()[:, c1.space.n :])
         r.d_c1_q, r.d_sums = c1_in_q.min_distance(), sums.min_distance()
-    r.rho_disj = _covering_with_oracle(u, disj, "disjoint")
-    r.rho_lin = _covering_with_oracle(u, lin, "linear")
-    return r
+    r.rho_disj = _covering_with_oracle(r, disj, "disjoint")
+    r.rho_lin = _covering_with_oracle(r, lin, "linear")
+    return _pair_digest(_instance_of(c1).digest(), _instance_of(c2).digest()), r
 
 
 def _random_partition(rng: random.Random, n: int, parts: int) -> tuple[int, ...] | None:
@@ -718,20 +698,20 @@ def _random_partition(rng: random.Random, n: int, parts: int) -> tuple[int, ...]
     )),
     _ORACLE,
 ])
-def _unit_extend(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
+def _unit_extend(rng: random.Random, q: int, unit: int) -> tuple[str, Readings]:
     cap = _SIZE_CAP[q]
     pos, lab = _random_shape(rng, q, cap=cap, accept=lambda lab: q ** (lab.n + 1) <= cap)
     space = BlockSpace(pos, lab, make_field(q), _random_weight(rng, q))
     code = _random_code(rng, space, 1, 2)
-    u.start(_instance_of(code).digest())
     ext = extended_code(code).code
-    return Readings(
+    r = Readings(
         mw=space.weight.max_weight,
         d=code.min_distance(),
         d_ext=ext.min_distance(),
-        rho=_covering_with_oracle(u, code, "code"),
-        rho_ext=_covering_with_oracle(u, ext, "extended"),
     )
+    r.rho = _covering_with_oracle(r, code, "code")
+    r.rho_ext = _covering_with_oracle(r, ext, "extended")
+    return _instance_of(code).digest(), r
 
 
 # ---------------------------------------------------------------------------
@@ -753,12 +733,11 @@ def _unit_extend(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
     )),
     _ORACLE,
 ])
-def _unit_puncture(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
+def _unit_puncture(rng: random.Random, q: int, unit: int) -> tuple[str, Readings]:
     pos, lab = _random_shape(rng, q, accept=lambda lab: lab.s >= 2)
     space = BlockSpace(pos, lab, make_field(q), _random_weight(rng, q))
     code = _random_code(rng, space, 1, {2: 4, 3: 3, 5: 2}[q])
     block = rng.randint(1, space.s)
-    u.start(_pair_digest(_instance_of(code).digest(), f"block={block}"))
 
     pun = punctured_code(code, block).code
     outside = np.ones(space.n, dtype=bool)
@@ -777,9 +756,9 @@ def _unit_puncture(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings:
     r.collapse = bool(((cw[:, outside] == 0).all(axis=1) & (cw != 0).any(axis=1)).any())
     r.d = code.min_distance()
     r.d_punctured = pun.min_distance() if pun.size >= 2 else None
-    r.rho = _covering_with_oracle(u, code, "code")
-    r.rho_punctured = _covering_with_oracle(u, pun, "punctured")
-    return r
+    r.rho = _covering_with_oracle(r, code, "code")
+    r.rho_punctured = _covering_with_oracle(r, pun, "punctured")
+    return _pair_digest(_instance_of(code).digest(), f"block={block}"), r
 
 
 # ---------------------------------------------------------------------------
@@ -935,7 +914,7 @@ _LEE = "tensor-lee-corollary"
     Claim(_LEE, SOFT, _lee_chain_chain,
           lambda r: r.lee and r.p_chain and r.q_chain and not r.q_anti),
 ])
-def _unit_tensor_mindist(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings | None:
+def _unit_tensor_mindist(rng: random.Random, q: int, unit: int) -> tuple[str, Readings] | None:
     mode = unit % 3  # 0: general shapes, 1: trivial labelings, 2: Lee corollary
     pair = _sample_tensor_pair(
         rng, q, _SHAPE_MIX[unit % 4], mode != 0, word_cap=128, ambient_cap=None
@@ -946,7 +925,6 @@ def _unit_tensor_mindist(u: _Unit, rng: random.Random, q: int, unit: int) -> Rea
     if mode == 2:
         c1 = c1.with_weight(lee_weight(make_field(q)))
         c2 = c2.with_weight(lee_weight(make_field(q)))
-    u.start(_pair_digest(_instance_of(c1).digest(), _instance_of(c2).digest()))
 
     r = _tensor_shape(c1, c2)
     r.trivial, r.lee, r.half = mode != 0, mode == 2, q // 2
@@ -958,7 +936,7 @@ def _unit_tensor_mindist(u: _Unit, rng: random.Random, q: int, unit: int) -> Rea
     r.base = {k: vars(r)[k] for k in ("d_car", "d_lex", "d1h", "d2h", "d1w", "d2w")}
     if r.p_chain and r.q_chain:
         r.rank_one = _rank_one_weights(rng, c1, c2, car)
-    return r
+    return _pair_digest(_instance_of(c1).digest(), _instance_of(c2).digest()), r
 
 
 def _covering_floor(r: Readings, rho: int) -> tuple[bool, dict]:
@@ -1019,7 +997,7 @@ def _covering_floor(r: Readings, rho: int) -> tuple[bool, dict]:
     )),
     _ORACLE,
 ])
-def _unit_tensor_covering(u: _Unit, rng: random.Random, q: int, unit: int) -> Readings | None:
+def _unit_tensor_covering(rng: random.Random, q: int, unit: int) -> tuple[str, Readings] | None:
     trivial = rng.random() < 0.5
     pair = _sample_tensor_pair(
         rng, q, _SHAPE_MIX[unit % 4], trivial, word_cap=64, ambient_cap={2: 512, 3: 729}[q],
@@ -1028,13 +1006,11 @@ def _unit_tensor_covering(u: _Unit, rng: random.Random, q: int, unit: int) -> Re
     if pair is None:
         return None
     c1, c2 = pair
-    u.start(_pair_digest(_instance_of(c1).digest(), _instance_of(c2).digest()))
-
     r = _tensor_shape(c1, c2)
     r.alpha_s, r.beta_t = c1.space.labeling.sizes[-1], c2.space.labeling.sizes[-1]
     ham = hamming_weight(c1.space.field)
-    r.rho1 = _covering_with_oracle(u, c1, "C1")
-    r.rho2 = _covering_with_oracle(u, c2, "C2")
+    r.rho1 = _covering_with_oracle(r, c1, "C1")
+    r.rho2 = _covering_with_oracle(r, c2, "C2")
     r.D1, r.D2 = c1.max_poset_weight(ham), c2.max_poset_weight(ham)
     r.R1, r.R2 = _hamming_view(c1).covering_radius(), _hamming_view(c2).covering_radius()
     car = tensor_code(c1, c2, "cartesian").code
@@ -1042,7 +1018,7 @@ def _unit_tensor_covering(u: _Unit, rng: random.Random, q: int, unit: int) -> Re
     r.rho_car, r.rho_lex = car.covering_radius(), lex.covering_radius()
     keys = ("rho_car", "rho_lex", "rho1", "rho2", "R1", "R2", "D1", "D2", "s", "t")
     r.base = {k: vars(r)[k] for k in keys}
-    return r
+    return _pair_digest(_instance_of(c1).digest(), _instance_of(c2).digest()), r
 
 
 # ---------------------------------------------------------------------------

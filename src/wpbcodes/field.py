@@ -11,10 +11,12 @@ coefficients.  This keeps element encodings stable across runs:
     GF(8)   x^3 + x + 1
     GF(9)   x^2 + 1
 
-Addition and negation act digit-wise mod p.  The multiplication table is
-one vectorized product of the digit polynomials of every pair of elements,
-reduced from the top degree down by the monic modulus, and each inverse is
-the one element whose product with it is 1.  All four operations are
+Every field is built the same way; a prime field is the case e = 1, one
+digit per element and the modulus x, so nothing is reduced.  Addition and
+negation act digit-wise mod p.  The multiplication table is one vectorized
+product of the digit polynomials of every pair of elements, reduced from
+the top degree down by the monic modulus, and each inverse is the one
+element whose product with it is 1.  All four operations are
 materialised as numpy tables so that bulk vector arithmetic reduces to
 fancy indexing.
 """
@@ -86,31 +88,26 @@ class Field:
         self.q = q
         self.p = p
         self.e = e
-        self.modulus: tuple[int, ...] | None = None
+        # a prime field is the e = 1 case: its modulus is x and nothing reduces
+        modulus = _smallest_irreducible(p, e)
+        self.modulus: tuple[int, ...] | None = modulus if e > 1 else None
 
-        if e == 1:
-            a = np.arange(q, dtype=np.int64)
-            add = (a[:, None] + a[None, :]) % q
-            neg = (-a) % q
-            mul = (a[:, None] * a[None, :]) % q
-        else:
-            self.modulus = _smallest_irreducible(p, e)
-            digits = np.array(
-                [[(v // p**i) % p for i in range(e)] for v in range(q)], dtype=np.int64
-            )
-            pows = np.array([p**i for i in range(e)], dtype=np.int64)
-            add = ((digits[:, None, :] + digits[None, :, :]) % p) @ pows
-            neg = ((-digits) % p) @ pows
-            # (2e - 1, q, q) int16: the coefficients of the product of every
-            # pair, degree first, at most e (p - 1)^2 in magnitude
-            coef, prod = digits.T.astype(np.int16), np.zeros((2 * e - 1, q, q), np.int16)
-            for i in range(e):
-                prod[i : i + e] += coef[i][:, None] * coef[:, None, :]
-            # x^d = x^d - modulus * x^(d - e) from the top degree down
-            low = np.array(self.modulus[:e], dtype=np.int16)[:, None, None]
-            for d in range(2 * e - 2, e - 1, -1):
-                prod[d - e : d] -= prod[d] % p * low
-            mul = (pows @ (prod[:e] % p).reshape(e, -1)).reshape(q, q)
+        digits = np.array(
+            [[(v // p**i) % p for i in range(e)] for v in range(q)], dtype=np.int64
+        )
+        pows = np.array([p**i for i in range(e)], dtype=np.int64)
+        add = ((digits[:, None, :] + digits[None, :, :]) % p) @ pows
+        neg = ((-digits) % p) @ pows
+        # (2e - 1, q, q) int64: the coefficients of the product of every
+        # pair, degree first, at most e (p - 1)^2 in magnitude
+        coef, prod = digits.T, np.zeros((2 * e - 1, q, q), np.int64)
+        for i in range(e):
+            prod[i : i + e] += coef[i][:, None] * coef[:, None, :]
+        # x^d = x^d - modulus * x^(d - e) from the top degree down
+        low = np.array(modulus[:e], dtype=np.int64)[:, None, None]
+        for d in range(2 * e - 2, e - 1, -1):
+            prod[d - e : d] -= prod[d] % p * low
+        mul = (pows @ (prod[:e] % p).reshape(e, -1)).reshape(q, q)
 
         inv = np.zeros(q, dtype=np.int64)
         for a in range(1, q):

@@ -29,6 +29,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 from .blockspace import BlockSpace, Labeling, charge
 from .codes import Code
@@ -70,30 +71,15 @@ class Instance:
         )
 
     def build_space(self) -> BlockSpace:
-        try:
-            field = make_field(self.q)
-        except Exception as e:
-            raise ConsistencyError("field.q", str(e)) from e
+        field = _built("field.q", make_field, self.q)
         if self.weight_kind == "hamming":
             weight = hamming_weight(field)
         elif self.weight_kind == "lee":
-            try:
-                weight = lee_weight(field)
-            except Exception as e:
-                raise ConsistencyError("weight", str(e)) from e
+            weight = _built("weight", lee_weight, field)
         else:
-            try:
-                weight = custom_weight(field, self.weight_values)
-            except Exception as e:
-                raise ConsistencyError("weight.values", str(e)) from e
-        try:
-            poset = from_cover_relations(self.poset_elements, self.cover)
-        except Exception as e:
-            raise ConsistencyError("poset", str(e)) from e
-        try:
-            labeling = Labeling(self.labeling)
-        except Exception as e:
-            raise ConsistencyError("labeling", str(e)) from e
+            weight = _built("weight.values", custom_weight, field, self.weight_values)
+        poset = _built("poset", from_cover_relations, self.poset_elements, self.cover)
+        labeling = _built("labeling", Labeling, self.labeling)
         if poset.s != labeling.s:
             raise ConsistencyError(
                 "labeling",
@@ -103,14 +89,8 @@ class Instance:
 
     def build(self) -> tuple[BlockSpace, Code]:
         space = self.build_space()
-        try:
-            if self.code_kind == "generator":
-                code = Code.linear(space, self.code_rows)
-            else:
-                code = Code.explicit(space, self.code_rows)
-        except Exception as e:
-            raise ConsistencyError("code", str(e)) from e
-        return space, code
+        make = Code.linear if self.code_kind == "generator" else Code.explicit
+        return space, _built("code", make, space, self.code_rows)
 
     # serialization ------------------------------------------------------------
 
@@ -136,6 +116,14 @@ class Instance:
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
+
+
+def _built(path: str, make: Callable, *args) -> Any:
+    """make(*args), any error it raises becoming a ConsistencyError at path."""
+    try:
+        return make(*args)
+    except Exception as e:
+        raise ConsistencyError(path, str(e)) from e
 
 
 def _require(cond: bool, field: str, reason: str) -> None:

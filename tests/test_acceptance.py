@@ -288,7 +288,14 @@ def test_criterion_10_covering_oracle(
 
     monkeypatch.setattr(Code, "_pass", skewed)
     skewed_rows = verify_suite(["chain-radii"], seed=SEED, trials=5)
-    assert any(r.check == "covering-oracle" and r.status == "fail" for r in skewed_rows)
+    failed = [r for r in skewed_rows if r.check == "covering-oracle" and r.status == "fail"]
+    assert len(failed) == 5  # one record per unit's code, each caught
+    for r in failed:
+        # the unskewed scan against both skewed readings; the tree reads a
+        # full space (s = 0) as 0 without a pass
+        s = r.witness["scan"]
+        covering = s + 1 if s else 0
+        assert r.witness == {"code": "code", "scan": s, "coset_max": s + 1, "covering": covering}
     _announce(10, "covering-oracle", f"{len(rows)} pass-vs-explicit-scan comparisons, all equal")
 
 
