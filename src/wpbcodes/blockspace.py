@@ -675,19 +675,11 @@ class _Kernel:
         return head, tail, tail_digits, table
 
 
-@lru_cache(maxsize=512)
-def _kernel(
-    weights: tuple[int, ...],
-    poset: Poset,
-    sizes: tuple[int, ...],
-    chunk: int,
-    piece_codes: int,
-) -> _Kernel:
-    """The kernel of the spaces of one shape (the weight table, whose
-    length is q, the order relation and the block sizes), sized under the
-    given _CHUNK and _PIECE_CODES: equal spaces, and with_weight siblings
-    under equal weight tables, share one (module docstring)."""
-    return _Kernel(weights, poset, sizes, chunk, piece_codes)
+# the kernel cache: one _Kernel per shape (the weight table, whose length is
+# q, the order relation and the block sizes) and per the _CHUNK and
+# _PIECE_CODES it is sized under, so equal spaces, and with_weight siblings
+# under equal weight tables, share one (module docstring)
+_kernel = lru_cache(maxsize=512)(_Kernel)
 
 
 class _PiecePlan:

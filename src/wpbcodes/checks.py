@@ -300,16 +300,15 @@ def _space_digest(space: BlockSpace) -> str:
 
 
 def _covering_with_oracle(r: Readings, code: Code, label: str) -> int:
-    """Covering radius of a code.  For a linear code, the tree reading (read
-    on a fresh code, before the coset table memoizes its max leader weight
-    as the covering radius), the coset table's full pass and the word-set
-    reading of the same words are appended to r.oracle, for _ORACLE."""
-    if not code.is_linear:
-        return code.covering_radius()
-    rho = Code.linear(code.space, code._rows).covering_radius()
-    coset_max = code.coset_table().max_weight
-    scan = Code.explicit(code.space, code.codeword_array()).covering_radius()
-    r.oracle.append({"code": label, "scan": scan, "coset_max": coset_max, "covering": rho})
+    """Covering radius of a code.  For a linear code, three separate
+    computations are appended to r.oracle, for _ORACLE: the code's tree
+    reading, its coset table's full pass (max leader weight) and the
+    word-set reading of the same words."""
+    rho = code.covering_radius()
+    if code.is_linear:
+        coset_max = code.coset_table().max_weight
+        scan = Code.explicit(code.space, code.codeword_array()).covering_radius()
+        r.oracle.append({"code": label, "scan": scan, "coset_max": coset_max, "covering": rho})
     return rho
 
 

@@ -37,7 +37,8 @@ elements of the lower summands (0 across a parallel split):
   the rows of its reduced echelon form join, since that form of a product
   is the forms of its factors): weights add across the parts, so
   R = R_1 + R_2, and d = min d_i and rho = min rho_i over the parts with
-  two or more words.  Components that do not factor are read together;
+  two or more words.  Components that do not factor are read together, as
+  one part, which finds no product when it is split again;
 - series node, linear code: with the columns taken top summand first (one
   echelon form, _top_first), j* is the highest summand that C does not
   fill and D = pi_j*(C meet V_{<=j*}), j0 the lowest summand holding a
@@ -87,9 +88,11 @@ unit, before the first runs.  When they exceed the enumeration cap, the
 reading takes the plan of fewest entries instead, so it raises
 SpaceTooLarge only when no reading fits.  Both plans come from one walk of
 the tree (_plan), priced or counting entries alone (a leaf read already
-costs none, and a split adds nothing, so no price gates a search), and
-record their choices in one plan per reading, which _leaves and _combine
-follow.
+costs none, and a split adds nothing, so no price gates a search), which
+returns the plan as a value: None for a leaf, else the (offset, part,
+part's plan) triples of its split.  A reading (_read) walks the plan it
+takes (_leaves, _combine), memoizes its value and drops the plan; each
+memo entry is written only by the reading that gives it.
 
 The coset pass: the generator is in reduced row-echelon form, so every
 vector splits uniquely as x + c with x zero on the pivot columns and c a
@@ -99,8 +102,9 @@ pass on the free columns against the negated codewords, q^n entries
 instead of q^n * |C|, row x being coset_index(x).  A linear leaf takes the
 same pass on its columns off its pivots against its negated words.  The
 coset table takes the full coset pass, keeping per row its minimum and the
-first word that reaches it ("first"), and memoizes its max leader weight as
-the covering radius where none is memoized yet.
+first word that reaches it ("first"), and memoizes the table alone: its max
+leader weight is the covering radius, which the covering reading still
+reads on its own, so the covering-oracle check compares the two.
 
 The coset table's leader x + c is the first minimum in odometer order
 because the generators are in reduced row-echelon form in natural column
@@ -372,11 +376,13 @@ class Code:
         self._set(space, rows, pivots)
 
     @classmethod
-    def _of(cls, space: BlockSpace, rows: np.ndarray, pivots: list[int] | None = None) -> Code:
-        """A part of a split (_split) with rows its parent has checked, taken
-        as they are: a linear code's generators in reduced row-echelon form
-        with their pivot columns, or (pivots None) an explicit code's sorted
-        distinct words."""
+    def _of(cls, space: BlockSpace, rows: np.ndarray, pivots: Sequence[int] | None = None) -> Code:
+        """A code with rows another code has checked, taken as they are: a
+        part of a split (_split) on its node's space, or a sibling under
+        another weight (with_weight) on the same rows.  The rows are a
+        linear code's generators in reduced row-echelon form with their
+        pivot columns, or (pivots None) an explicit code's sorted distinct
+        words."""
         code = cls.__new__(cls)
         code._set(space, rows, pivots)
         return code
@@ -400,11 +406,6 @@ class Code:
             held = set(pivots)
             self._free = np.array([c for c in range(space.n) if c not in held], np.intp)
         self._memo: dict = {}
-        # per reading: the plan it took (_plan), the id of each code of its
-        # tree to the (offset, part) pairs it combines, or None for a leaf;
-        # ids, so the plan holds no reference back to the code keeping it
-        # (a cycle would leave every read code to the cyclic collector)
-        self._plans: dict[str, dict[int, list | None]] = {}
         self._parts: tuple | None = None  # _split, once found
 
     @classmethod
@@ -476,25 +477,15 @@ class Code:
 
     def min_distance(self) -> int:
         """Minimum distance over distinct codeword pairs."""
-        if "min_distance" not in self._memo:
-            if self.size < 2:
-                raise TooFewWords("min distance needs at least two distinct words")
-            self._memo["min_distance"] = self._read("min_distance")
-        return self._memo["min_distance"]
+        return self._read("min_distance")
 
     def covering_radius(self) -> int:
         """max over F_q^n of the distance to the code."""
-        if "covering_radius" not in self._memo:
-            self._memo["covering_radius"] = self._read("covering_radius")
-        return self._memo["covering_radius"]
+        return self._read("covering_radius")
 
     def packing_radius(self) -> int:
         """Largest radius with pairwise disjoint balls around codewords."""
-        if "packing_radius" not in self._memo:
-            if self.size < 2:
-                raise TooFewWords("packing radius needs at least two distinct words")
-            self._memo["packing_radius"] = self._read("packing_radius")
-        return self._memo["packing_radius"]
+        return self._read("packing_radius")
 
     def is_r_perfect(self, r: int) -> bool:
         """True iff radius-r balls around codewords tile the space: every
@@ -513,16 +504,21 @@ class Code:
 
     def _read(self, what: str) -> int:
         """The covering radius, packing radius or minimum distance (what, the
-        name of the memo and the method) of the code from its parts on the
-        decomposition tree (module docstring), along one plan (_plan): the
-        priced one, or the one of fewest entries when the rows x words
-        entries (_leaf_cost) of the leaves the priced one reads that are not
-        read yet exceed the enumeration cap, so SpaceTooLarge names the
-        fewest.  The entries are charged together, in one unit, before any
-        leaf runs, and the plan taken is kept in _plans."""
+        name of the memo and the method) of the code, memoized: read from
+        its parts on the decomposition tree (module docstring), along one
+        plan (_plan), the priced one, or the one of fewest entries when the
+        rows x words entries (_leaf_cost) of the leaves the priced one reads
+        that are not read yet exceed the enumeration cap, so SpaceTooLarge
+        names the fewest.  The entries are charged together, in one unit,
+        before any leaf runs, and the plan is dropped once the reading is
+        combined.  A packing radius or a minimum distance of fewer than two
+        words raises TooFewWords."""
+        if what in self._memo:
+            return self._memo[what]
+        if what != "covering_radius" and self.size < 2:
+            raise TooFewWords(f"{what.replace('_', ' ')} needs at least two distinct words")
         for priced in (True, False):
-            plan = self._plans[what] = {}
-            self._plan(what, plan, priced)
+            _, plan = self._plan(what, priced)
             leaves = [leaf for leaf in self._leaves(plan) if what not in leaf._memo]
             count = sum(leaf._leaf_cost(what) for leaf in leaves)
             if count <= _cap.get():
@@ -530,59 +526,58 @@ class Code:
         charge(count, "vector x word pairs")
         for leaf in leaves:
             leaf._read_leaf(what)
-        return self._combine(what, plan)
+        self._memo[what] = self._combine(what, plan)
+        return self._memo[what]
 
-    def _plan(self, what: str, plan: dict, priced: bool = True) -> int:
-        """The cost of the cheapest reading of the code, whose choice at each
-        code of its tree is recorded in plan, under the code's id: the
-        (offset, part) pairs its split combines for the reading, each read
-        the cheapest way, when they cost less than the code as a leaf, else
-        None.  Priced, costs
-        count entries of a pass that fits one tile (_leaf_cost, rows x words
-        for every reading): a leaf also costs _CHUNK / 8 for its fixed work,
-        and its entries beyond _CHUNK an eighth each, as cut chunks run
-        about eight times as many entries in the same time; a split costs
-        _SPLIT_PRICE for finding and building its parts.  So a code whose
-        leaf costs at most _SPLIT_PRICE, which no split can undercut, reads
-        as a leaf and its split is never searched.  Else a leaf costs its
-        entries, none when it is read already, and a split adds nothing, so
-        the plan charges the fewest entries and no price gates a search."""
+    def _plan(self, what: str, priced: bool = True) -> tuple[int, list | None]:
+        """The cost of the cheapest reading of the code and its plan: None to
+        read the code as a leaf, or the (offset, part, part's plan) triples
+        its split combines for the reading, each part read the cheapest way,
+        when they cost less than the leaf.  Priced, costs count entries of a
+        pass that fits one tile (_leaf_cost, rows x words for every
+        reading): a leaf also costs _CHUNK / 8 for its fixed work, and its
+        entries beyond _CHUNK an eighth each, as cut chunks run about eight
+        times as many entries in the same time; a split costs _SPLIT_PRICE
+        for finding and building its parts.  So a code whose leaf costs at
+        most _SPLIT_PRICE, which no split can undercut, reads as a leaf and
+        its split is never searched.  Else a leaf costs its entries, none
+        when it is read already, and a split adds nothing, so the plan
+        charges the fewest entries and no price gates a search."""
         entries = self._leaf_cost(what)
         if priced:
             cost = _CHUNK // 8 + min(entries, _CHUNK) + max(entries - _CHUNK, 0) // 8 if entries else 0
         else:
             cost = 0 if what in self._memo else entries
-        price, parts = _SPLIT_PRICE if priced else 0, None
+        price, plan = _SPLIT_PRICE if priced else 0, None
         if cost > price and (split := self._split()):
-            options, total = split[1 if what == "covering_radius" else 2], price
-            for _, part in options:
-                total += part._plan(what, plan, priced)
+            total, parts = price, []
+            for offset, part in split[1 if what == "covering_radius" else 2]:
+                part_cost, part_plan = part._plan(what, priced)
+                total += part_cost
                 if total >= cost:
                     break
+                parts.append((offset, part, part_plan))
             if total < cost:
-                parts, cost = options, total
-        plan[id(self)] = parts
-        return cost
+                plan, cost = parts, total
+        return cost, plan
 
-    def _leaves(self, plan: dict) -> Iterator[Code]:
-        """The leaves of a plan (_plan) at and below the code, whose readings
-        the code's reading combines."""
-        parts = plan[id(self)]
-        if parts is None:
+    def _leaves(self, plan: list | None) -> Iterator[Code]:
+        """The leaves of the code's plan (_plan), whose readings the code's
+        reading combines."""
+        if plan is None:
             yield self
             return
-        for _, part in parts:
-            yield from part._leaves(plan)
+        for _, part, part_plan in plan:
+            yield from part._leaves(part_plan)
 
-    def _combine(self, what: str, plan: dict) -> int:
-        """The code's reading from its leaves' (module docstring), along a
+    def _combine(self, what: str, plan: list | None) -> int:
+        """The code's reading from its leaves' (module docstring), along its
         plan (_plan): each part's reading plus its offset, summed across a
         parallel split for a covering radius and their maximum at a series
         one, and their minimum for a packing radius or a minimum distance."""
-        parts = plan[id(self)]
-        if parts is None:
+        if plan is None:
             return self._memo[what]
-        values = [offset + part._combine(what, plan) for offset, part in parts]
+        values = [offset + part._combine(what, part_plan) for offset, part, part_plan in plan]
         if what != "covering_radius":
             return min(values)
         return sum(values) if self._parts[0] == "parallel" else max(values, default=0)
@@ -657,8 +652,6 @@ class Code:
                                 np.searchsorted(cols[g], pivots[mine]).tolist())
             else:
                 part = Code._of(sub, data[g])
-            if len(group) > 1:  # components that do not factor are read together
-                part._parts = ()
             parts.append((0, part))
         return "parallel", parts, [(0, part) for _, part in parts if part.size > 1]
 
@@ -928,10 +921,11 @@ class Code:
         leaders are the (q^(n-k), n) uint8 array the pass gives and the
         weights its (q^(n-k),) int64 row minima, both read-only and
         memoized with the table, q^(n-k) * (n + 8) bytes; the max row
-        minimum is its max leader weight.  The words are the pass's
-        (_pass_blocks), never listed whole for a code of more than _CHUNK
-        words, whose leaders' words come by message rank (_words_of); it
-        charges the q^n pairs alone."""
+        minimum is its max leader weight, which equals the covering radius
+        but is not memoized as one (covering_radius reads its own).  The
+        words are the pass's (_pass_blocks), never listed whole for a code
+        of more than _CHUNK words, whose leaders' words come by message
+        rank (_words_of); it charges the q^n pairs alone."""
         if "coset_table" in self._memo:
             return self._memo["coset_table"]
         if not self.is_linear:
@@ -948,7 +942,6 @@ class Code:
         best_w.flags.writeable = False
         table = CosetTable(leaders=leaders, weights=best_w, max_weight=covering)
         self._memo["coset_table"] = table
-        self._memo.setdefault("covering_radius", table.max_weight)
         return table
 
     # chains -----------------------------------------------------------------
@@ -985,8 +978,9 @@ class Code:
         return Code(space, generators=rows) if self.is_linear else Code(space, words=rows)
 
     def with_weight(self, weight: WeightFn) -> "Code":
-        """The same word set viewed in the sibling space under another weight."""
-        return self._same_kind(self.space.with_weight(weight), self._rows)
+        """The same word set viewed in the sibling space under another weight,
+        on this code's checked rows (_of)."""
+        return Code._of(self.space.with_weight(weight), self._rows, self.pivots)
 
     def max_poset_weight(self, weight: WeightFn) -> int:
         """Max codeword weight under the given coordinate weight, from the

@@ -93,18 +93,19 @@ class Field:
         self.modulus: tuple[int, ...] | None = modulus if e > 1 else None
 
         digits = np.array(
-            [[(v // p**i) % p for i in range(e)] for v in range(q)], dtype=np.int64
+            [[(v // p**i) % p for i in range(e)] for v in range(q)], dtype=np.int32
         )
-        pows = np.array([p**i for i in range(e)], dtype=np.int64)
+        pows = np.array([p**i for i in range(e)], dtype=np.int32)
         add = ((digits[:, None, :] + digits[None, :, :]) % p) @ pows
         neg = ((-digits) % p) @ pows
-        # (2e - 1, q, q) int64: the coefficients of the product of every
-        # pair, degree first, at most e (p - 1)^2 in magnitude
-        coef, prod = digits.T, np.zeros((2 * e - 1, q, q), np.int64)
+        # (2e - 1, q, q) int32: the coefficients of the product of every
+        # pair, degree first, at most e (p - 1)^2 in magnitude, which int32
+        # holds for every q <= 256 (62,500 at p = 251)
+        coef, prod = digits.T, np.zeros((2 * e - 1, q, q), np.int32)
         for i in range(e):
             prod[i : i + e] += coef[i][:, None] * coef[:, None, :]
         # x^d = x^d - modulus * x^(d - e) from the top degree down
-        low = np.array(modulus[:e], dtype=np.int64)[:, None, None]
+        low = np.array(modulus[:e], dtype=np.int32)[:, None, None]
         for d in range(2 * e - 2, e - 1, -1):
             prod[d - e : d] -= prod[d] % p * low
         mul = (pows @ (prod[:e] % p).reshape(e, -1)).reshape(q, q)

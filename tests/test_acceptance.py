@@ -291,11 +291,11 @@ def test_criterion_10_covering_oracle(
     failed = [r for r in skewed_rows if r.check == "covering-oracle" and r.status == "fail"]
     assert len(failed) == 5  # one record per unit's code, each caught
     for r in failed:
-        # the unskewed scan against both skewed readings; the tree reads a
-        # full space (s = 0) as 0 without a pass
+        # the unskewed scan against both skewed readings: the unit reads the
+        # packing radius first, so its covering radius comes from the
+        # skewed packing pass, a full space's (s = 0) included
         s = r.witness["scan"]
-        covering = s + 1 if s else 0
-        assert r.witness == {"code": "code", "scan": s, "coset_max": s + 1, "covering": covering}
+        assert r.witness == {"code": "code", "scan": s, "coset_max": s + 1, "covering": s + 1}
     _announce(10, "covering-oracle", f"{len(rows)} pass-vs-explicit-scan comparisons, all equal")
 
 

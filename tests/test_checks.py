@@ -333,6 +333,38 @@ def test_dsum_covering_linear_gate_on_full_space():
     assert found_na
 
 
+def test_the_covering_oracle_builds_only_the_word_set_scans_code(monkeypatch):
+    """_covering_with_oracle takes the tree reading and the coset table on
+    the code it checks, so it builds one Code per linear code, the explicit
+    code of the word-set scan, and none for an explicit code, whose covering
+    radius it reads alone.  Each linear code appends one oracle entry, its
+    three readings equal to a fresh code's covering radius, the zero code's
+    and the full space's included."""
+    f = make_field(3)
+    sp = BlockSpace(P.chain(2), Labeling((2, 1)), f, lee_weight(f))
+    rows = [[], [(1, 2, 1)], [(1, 2, 1), (0, 1, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+    codes = [Code.linear(sp, r) for r in rows]
+    codes.append(Code.explicit(sp, codes[1].codeword_array()))
+    want = [Code.linear(sp, r).covering_radius() for r in rows]
+    want.append(want[1])
+    built = []
+    init = Code.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.kind)
+
+    monkeypatch.setattr(Code, "__init__", counting)
+    r = checks.Readings()
+    for i, code in enumerate(codes):
+        built.clear()
+        rho = checks._covering_with_oracle(r, code, str(i))
+        assert built == (["explicit"] if code.is_linear else [])
+        assert rho == want[i]
+    assert r.oracle == [{"code": str(i), "scan": rho, "coset_max": rho, "covering": rho}
+                        for i, rho in enumerate(want[: len(rows)])]
+
+
 def test_dsum_coset_leader_witness_is_the_first_failing_pair(monkeypatch):
     """With a scalar weight that is off by one exactly when one of the
     first and the last coordinate is nonzero, dsum-coset-leader-* fails,

@@ -170,8 +170,9 @@ def test_coset_table_examples():
 def test_coset_table_arrays_are_read_only():
     """A coset table keeps its leaders as a (q^(n-k), n) uint8 array and its
     weights as a (q^(n-k),) int64 array; both raise on a write, and a second
-    coset_table() returns the same memoized table, so no caller can change
-    what the covering radius memoized with it was read from."""
+    coset_table() returns the same memoized table.  The table memoizes
+    itself alone: the covering radius is left to its own reading, which
+    equals the max leader weight."""
     s = space(3, P.chain(2), (2, 1), "lee")
     c = Code.linear(s, [(1, 2, 1)])
     t = c.coset_table()
@@ -182,6 +183,7 @@ def test_coset_table_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1
     assert c.coset_table() is t
+    assert "covering_radius" not in c._memo
     assert c.covering_radius() == t.max_weight == int(t.weights.max())
 
 
@@ -724,7 +726,8 @@ def test_each_reading_keeps_what_it_needs(chunk, path, monkeypatch):
     Every read order gives a fresh code's values: covering then packing
     (one pass per reading), packing then covering and is_r_perfect (on a
     code read as one leaf, the packing pass alone), and a coset table then
-    covering (the table's pass alone)."""
+    covering (the table's pass, then the covering reading's own passes, as
+    on a fresh code: a table memoizes no covering radius)."""
     monkeypatch.setattr(codes_module, "_CHUNK", chunk)
     cut, run = BlockSpace.cut, Code._pass
     keeps: list[str] = []  # the reading of every pass
@@ -800,14 +803,14 @@ def test_each_reading_keeps_what_it_needs(chunk, path, monkeypatch):
         perfect_first = fresh()
         assert passes(lambda: [perfect_first.is_r_perfect(r) for r in range(top + 1)]) == (
             perfect, both)
-        if pack_first._plans["packing_radius"][id(pack_first)] is None:
+        if pack_first._plan("packing_radius")[1] is None:
             assert both == ["two"]  # one leaf: its packing pass memoizes both radii
             leaves += 1
         if code.is_linear:
             tabled = fresh()
             table, table_keeps = passes(tabled.coset_table)
             assert table_keeps == ["first"] and table.max_weight == cov
-            assert passes(tabled.covering_radius) == (cov, [])
+            assert passes(tabled.covering_radius) == (table.max_weight, cov_keeps)
             assert _table_tuples(table) == _brute_force_table(code)
     assert kinds == {"linear", "explicit"} and path in paths and leaves
 
@@ -1137,23 +1140,25 @@ def _scalar_readings(sp, words):
 
 def _splits_taken(code):
     """The kinds of split a code's readings took on its tree, walking the
-    plan of each reading (Code._plans) through the codes of its parts, each
-    on its node's own space, with the offset at which each sits in the
-    code's space: M_w times the elements below its node."""
+    plan of each reading it memoized (Code._plan, priced: a priced plan
+    does not depend on the memo, so it is the plan the reading took)
+    through the codes of its parts, each on its node's own space, with the
+    offset at which each sits in the code's space: M_w times the elements
+    below its node."""
     taken = set()
-    stack = [(what, plan, 0, code) for what, plan in code._plans.items()]
+    readings = ("covering_radius", "packing_radius", "min_distance")
+    stack = [(what, code._plan(what)[1], 0, code) for what in readings if what in code._memo]
     while stack:
         what, plan, offset, part = stack.pop()
         node = part.space.poset.tree()
         if part._parts == () and node.kind == "parallel":
             taken.add((code.kind, "no product"))
-        deps = plan[id(part)]
-        if deps is None:
+        if plan is None:
             continue
-        stack.extend((what, plan, offset + o, dep) for o, dep in deps)
+        stack.extend((what, dep_plan, offset + o, dep) for o, dep, dep_plan in plan)
         if node.kind == "parallel":
             taken.add((code.kind, "parallel"))
-            values = [dep._combine(what, plan) for _, dep in deps]
+            values = [dep._combine(what, dep_plan) for _, dep, dep_plan in plan]
             if what == "covering_radius" and offset and sum(map(bool, values)) > 1:
                 taken.add("offset sum")
             continue
@@ -1162,11 +1167,11 @@ def _splits_taken(code):
         # fibers; the top summand's offset is M_w times the elements
         # below it, and a lower summand's is smaller
         under_top = part.space.s - len(node.children[-1].elements)
-        if all(o == part.space.weight.max_weight * under_top for o, _ in deps):
+        if all(o == part.space.weight.max_weight * under_top for o, _, _ in plan):
             taken.add((code.kind, "top"))
             continue
         taken.add((code.kind, "top filled" if what == "covering_radius" else "fibers"))
-        if code.kind == "explicit" and any(f.size > 1 for _, f in deps):
+        if code.kind == "explicit" and any(f.size > 1 for _, f, _ in plan):
             taken.add((code.kind, "fiber of several words"))
     return taken
 
@@ -1232,9 +1237,8 @@ def test_a_code_priced_below_a_split_is_never_searched(monkeypatch):
     got = [code.covering_radius(), code.packing_radius(), code.min_distance(), code.is_perfect()]
     assert got == _scalar_readings(sp, code.codeword_array())
     for what in ("covering_radius", "packing_radius", "min_distance"):
-        plan = {}
-        assert code._plan(what, plan) <= codes_module._SPLIT_PRICE
-        assert plan == code._plans[what] == {id(code): None}
+        cost, plan = code._plan(what)
+        assert cost <= codes_module._SPLIT_PRICE and plan is None
     monkeypatch.undo()
     assert Code.explicit(sp, words)._split()
 
@@ -1242,22 +1246,22 @@ def test_a_code_priced_below_a_split_is_never_searched(monkeypatch):
 def test_a_split_that_fits_the_cap_answers_where_the_leaf_does_not():
     """Under a cap below the leaf's entries, the same verify-sized code,
     which its price reads as a leaf, reads through its split, whose leaves
-    charge fewer entries (the plan of fewest entries, Code._plan unpriced):
-    it answers as without the cap, and a cap one below the fewest entries
-    raises SpaceTooLarge naming them."""
+    charge fewer entries (the plan of fewest entries, Code._plan unpriced,
+    whose leaves the reading reads): it answers as without the cap, and a
+    cap one below the fewest entries raises SpaceTooLarge naming them."""
     sp, words = _verify_sized()
     for what, fewest in (("covering_radius", 60), ("packing_radius", 56), ("min_distance", 28)):
         want = getattr(Code.explicit(sp, words), what)()
         with enumeration_cap(fewest - 1), pytest.raises(SpaceTooLarge, match=f"= {fewest} exc"):
             getattr(Code.explicit(sp, words), what)()
         code = Code.explicit(sp, words)
+        assert code._plan(what)[1] is None and code._leaf_cost(what) > fewest
+        cost, plan = code._plan(what, priced=False)
+        assert plan is not None and cost == fewest
+        assert sum(leaf._leaf_cost(what) for leaf in code._leaves(plan)) == fewest
         with enumeration_cap(fewest):
             assert getattr(code, what)() == want
-        priced = {}
-        code._plan(what, priced)
-        assert priced[id(code)] is None and code._leaf_cost(what) > fewest
-        assert code._plans[what][id(code)] is not None
-        assert sum(leaf._leaf_cost(what) for leaf in code._leaves(code._plans[what])) == fewest
+        assert all(what in leaf._memo for leaf in code._leaves(plan))
 
 
 def test_a_deep_chain_reads_its_fibers_through_the_top_summand():
@@ -1274,15 +1278,14 @@ def test_a_deep_chain_reads_its_fibers_through_the_top_summand():
         leaf._read_leaf(what)
         code = Code.explicit(sp, words)
         assert getattr(code, what)() == leaf._memo[what]
-        plan = code._plans[what]
+        plan = code._plan(what)[1]  # priced, the plan the reading took
         if what == "min_distance":  # 40 x 40 entries, a leaf
-            assert plan[id(code)] is None
+            assert plan is None
             continue
-        fibers = plan[id(code)]
-        assert len(fibers) == 8
-        for offset, fiber in fibers:
+        assert len(plan) == 8
+        for offset, fiber, fiber_plan in plan:
             assert offset == 0 and fiber.space is sp.restrict((1, 2, 3, 4, 5))
-            assert plan[id(fiber)] is not None
+            assert fiber_plan is not None
 
 
 def _chain_code(rng, kind, k):
