@@ -11,9 +11,10 @@ The weight of a vector u is
 Vectors are tuples of ints in the public API.  wpb_weight evaluates the
 formula through the order ideal, one vector at a time; it is the oracle the
 tests compare the batch engine against.  Exhaustive scans go through the
-batch engine, whose kernel is pair_weights: the weights w(x - c) of every
+batch engine, whose kernel is pair_weights: the weights w(x + c) of every
 pair of a tile of rows x and words c (batch_weights is the case c = 0),
-from the block maxima bm_i of x - c alone.  The non-maximal blocks of the
+from the block maxima bm_i of x + c alone.  A distance d(x, c) = w(x - c)
+is the weight of x against the word -c.  The non-maximal blocks of the
 ideal are exactly the blocks strictly below some nonzero block, its maximal
 blocks are nonzero, and every other block has bm_i = 0, so
 
@@ -27,10 +28,10 @@ an upper cover c of i is nonzero or is one itself, so one pass over the
 covers, top down (in descending order of down-set size, never of labels),
 costs one OR per cover and entry, and no s x s array is built.
 
-The block maxima come from lookups in pair tables, so x - c is never
+The block maxima come from lookups in pair tables, so x + c is never
 formed.  Each block is cut into pieces of at most t coordinates, t the
 largest with q^(2t) <= _PIECE_CODES, and the pair table of a piece length m
-holds max_j w(a_j - b_j) at a * q^m + b for all a, b in F_q^m.  The piece
+holds max_j w(a_j + b_j) at a * q^m + b for all a, b in F_q^m.  The piece
 plan (_PiecePlan) owns the odometer codes of the pieces: offset + a * q^m
 for the rows x (the offset points into the concatenation of the tables of
 all lengths), b for the words c.  Its pieces are numbered in column order,
@@ -53,7 +54,7 @@ _CHUNK < 2^16 entries.
 
 The table index sum_i (max_weight + 1)^(s-i) bm_i is separable: bm_i
 depends on block i alone, so cutting the coordinates at p into a head
-0..p-1 and a tail p..n-1 (cut) makes the index of x - c a head part plus a
+0..p-1 and a tail p..n-1 (cut) makes the index of x + c a head part plus a
 tail part when x is a head row plus a tail row.  Each part is the same
 gather and block maximum on the piece plan of the blocks' parts on its side
 (_Side.index), with the part maxima weighted by their digits.  The block
@@ -214,7 +215,7 @@ class _Side(NamedTuple):
     digits: np.ndarray  # (parts,) uint16
 
     def index(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """(X, C) uint16: the side's part of the cut-table index of x - c for
+        """(X, C) uint16: the side's part of the cut-table index of x + c for
         the left piece codes of X rows and the right ones of C words
         (_PiecePlan.index).  The cut's table has at most _CHUNK < 2^16
         entries, so a head part plus a tail part is a valid uint16 index as
@@ -240,7 +241,7 @@ class _Cut(NamedTuple):
     table: np.ndarray  # weight by head index + tail index, uint8 (above)
 
     def weights(self, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
-        """The (X, C, T) tile w(x - c), in the table's dtype, for the (X, C)
+        """The (X, C, T) tile w(x + c), in the table's dtype, for the (X, C)
         head index of X head rows and the (C, T) tail index of T tail rows,
         x the head row plus the tail row: one add and one gather per entry."""
         return self.table.take(head[:, :, None] + tail)
@@ -438,7 +439,7 @@ class BlockSpace:
         return self._kernel.plan()
 
     def pair_weights(self, left: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
-        """w(x - c) for the piece codes of x (left) and c (right), which
+        """w(x + c) for the piece codes of x (left) and c (right), which
         broadcast against each other after their leading piece axis (e.g.
         (pieces, X, 1) and (pieces, 1, C) give the (X, C) matrix); without
         right, w(x).  The block maxima (_PiecePlan.block_maxima), then the
@@ -450,7 +451,7 @@ class BlockSpace:
     def cut(self, p: int) -> _Cut | None:
         """The cut of the coordinates into a head 0..p-1 and a tail p..n-1
         (0 < p < n), for passes whose rows x split the same way: the index
-        of the block-max tuple of x - c in the table is the sum of a head
+        of the block-max tuple of x + c in the table is the sum of a head
         part and a tail part, each a _Side.index.  A block inside one side
         has its usual digit there.  The block that p falls inside has the
         maximum of its head part at its own digit and that of its tail part
@@ -482,11 +483,11 @@ class BlockSpace:
     def ball(self, center: Sequence[int], radius: int) -> list[Vector]:
         """All v with d(center, v) = w(v - center) <= radius, in odometer
         order; charges q^n.  The pair kernel runs on the piece codes of
-        F_q^n in chunks (_PiecePlan.odometer_codes) against those of the
-        center, and only the ranks kept become vectors."""
+        F_q^n in chunks (_PiecePlan.odometer_codes) against those of
+        -center, its one word, and only the ranks kept become vectors."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        c = np.array([self._coerce(center)], dtype=np.uint8)
+        c = self.field.neg_table[np.array([self._coerce(center)], dtype=np.uint8)]
         charge(self.size, "q^n")
         plan = self.plan()
         right = plan.codes(c, left=False)
@@ -692,7 +693,7 @@ class _PiecePlan:
     code is a sum over the piece's columns of the coordinate times the
     column's place value: q^(len - 1 - j) at the piece's j-th column for
     the right operand, times q^len for the left one.  The pair table of a
-    piece length m holds max_j w(a_j - b_j) at a * q^m + b for all a, b in
+    piece length m holds max_j w(a_j + b_j) at a * q^m + b for all a, b in
     F_q^m (_pair_table); the tables of the lengths that occur are
     concatenated, fewer than 2 * _PIECE_CODES entries, and each left code
     carries the offset of its piece's table.  Built once per (weights,
@@ -801,13 +802,13 @@ class _PiecePlan:
 @lru_cache(maxsize=64)
 def _pair_table(weights: tuple[int, ...], m: int) -> np.ndarray:
     """The flat pair table of piece length m under the weight table
-    `weights`: max_j w(a_j - b_j) at a * q^m + b for all a, b in F_q^m, w(a - b)
+    `weights`: max_j w(a_j + b_j) at a * q^m + b for all a, b in F_q^m, w(a + b)
     of single coordinates maximised over the m coordinates in one broadcast
     each.  Shared by every plan with pieces of that length (read-only)."""
     field = make_field(len(weights))
     q = field.q
     wt = np.asarray(weights, dtype=np.min_scalar_type(max(weights)))
-    single = wt[field.sub_table]
+    single = wt[field.add_table]
     table = np.zeros((q,) * 2 * m, dtype=wt.dtype)
     for j in range(m):
         shape = [1] * 2 * m

@@ -7,8 +7,8 @@ Either kind's rows are validated as one array: integer coordinates in
 
 - min_distance: minimum nonzero codeword weight for linear codes
   (translation invariance), minimum distance between distinct words for
-  explicit ones (the least second-smallest entry of the words' rows of
-  w(x - c), on the passes' whole-row tiles);
+  explicit ones (the least second-smallest entry of the negated words'
+  rows of w(x + c), on the passes' whole-row tiles);
 - covering_radius: max over vectors of the distance to the code;
 - packing_radius: (min over vectors of the second-smallest distance to
   the code) - 1, which equals the largest radius with pairwise disjoint
@@ -66,10 +66,10 @@ keeps per row what the reading needs (_keep): R its minimum alone ("min"),
 rho its two smallest entries ("two"), which give R as well, so a packing
 reading memoizes both radii and a covering one R alone (covering and then
 packing on one leaf takes two passes, packing first one); and d from the
-nonzero words of a linear code, or an explicit code's words as the rows of
-a whole-row pass against themselves (each word's row has its one 0 at the
-word, so its second-smallest entry is the distance to the nearest other
-word).
+nonzero words of a linear code, or an explicit code's negated words as the
+rows of a whole-row pass against its words (the row of -c_i has its one 0
+at c_i, w(c_j - c_i) being 0 exactly at j = i, so its second-smallest
+entry is the distance to the nearest other word).
 
 A code splits only when its split costs less (_plan).  Every leaf reading
 costs its rows times its words (_leaf_cost): q^n * |C| entries for an
@@ -94,15 +94,20 @@ part's plan) triples of its split.  A reading (_read) walks the plan it
 takes (_leaves, _combine), memoizes its value and drops the plan; each
 memo entry is written only by the reading that gives it.
 
-The coset pass: the generator is in reduced row-echelon form, so every
-vector splits uniquely as x + c with x zero on the pivot columns and c a
-codeword, and by translation invariance the distances from the coset
-x + C to the code are the row x of W[x, c] = w(x + c) = w(x - (-c)): the
-pass on the free columns against the negated codewords, q^n entries
-instead of q^n * |C|, row x being coset_index(x).  A linear leaf takes the
-same pass on its columns off its pivots against its negated words.  The
-coset table takes the full coset pass, keeping per row its minimum and the
-first word that reaches it ("first"), and memoizes the table alone: its max
+Every pass weighs sums: its tiles hold w(x + c) for rows x and the code's
+own words c (BlockSpace.pair_weights).  The coset pass: the generator is in
+reduced row-echelon form, so every vector splits uniquely as x + c with x
+zero on the pivot columns and c a codeword, and by translation invariance
+the distances from the coset x + C to the code are the row x of
+W[x, c] = w(x + c): the pass on the free columns against the codewords,
+q^n entries instead of q^n * |C|, row x being coset_index(x).  A linear
+leaf takes the same pass on its columns off its pivots against its words.
+An explicit code's radii take the pass on all its columns against its
+words: R is a maximum and rho a minimum over all rows x, x -> -x permutes
+the rows, and w(x + c) = w(-x - c) = d(-x, c) since every weight is
+symmetric, so they are the radii of the distances d(x, c).  The coset
+table takes the full coset pass, keeping per row its minimum and the first
+word that reaches it ("first"), and memoizes the table alone: its max
 leader weight is the covering radius, which the covering reading still
 reads on its own, so the covering-oracle check compares the two.
 
@@ -114,14 +119,15 @@ m_i at p_i, and before p_i it depends on m_1..m_{i-1} alone.  So inside
 every coset, odometer order is message order, first coefficient most
 significant, and the first word reaching a row's minimum gives its leader.
 
-Every pass reduces one stream of tiles (_tiles), each the weights
-w(x - c) of a chunk of rows against a block of words, words on axis 1
-(_pass): the tiles of a chunk fold together, a later block's into the
-chunk's readings, and each chunk into the pass's reading.  A pass cuts the
-enumerated columns into a head and a tail of t columns, t the largest with
-q^t * |C| <= _CHUNK, at the first tail column (BlockSpace.cut): x is a
-head row plus a tail row, and the index of the block-max tuple of x - c in
-the cut's table is a head part plus a tail part.  The (C, T) tail index of
+Every pass reduces one stream (_tiles) of chunks of rows, each with its
+tiles, the weights w(x + c) of the chunk against a block of words, words
+on axis 1 (_pass): the chunk's first tile gives its readings, a later
+block's folds into them, and each chunk into the pass's reading.  A pass
+cuts the enumerated columns into a head and a tail of t columns, t the
+largest with q^t * |C| <= _CHUNK, at the first tail column
+(BlockSpace.cut): x is a head row plus a tail row, and the index of the
+block-max tuple of x + c in the cut's table is a head part plus a tail
+part.  The (C, T) tail index of
 all q^t tail rows is built once per pass and the head index once per chunk
 of head rows, both with the pair tables, so each entry of a
 (head rows, C, T) tile costs one add and one gather.  The cut's tiles are
@@ -141,8 +147,8 @@ of verify does, and the tail rows of a cut are built once per plan and
 column set.  The words' piece codes take one product per pass, or per
 block and chunk when the words fill more than one block
 (_PiecePlan.codes), and so do the rows of an explicit minimum distance,
-the words themselves, per chunk of rows.  No scan builds a row array of
-F_q^cols or a difference vector for its weights.
+the negated words, per chunk of rows.  No scan builds a row array of
+F_q^cols or a sum vector for its weights, and no pass negates its words.
 
 Memory.  The enumeration cap bounds counts, the tiles bound bytes: every
 transient array of a reading has a stated bound in entries, at
@@ -158,10 +164,10 @@ same way):
   (at least one), so its (pieces, X, C) piece sums and the (n, X) and
   (n, C) products of its rows' and words' codes hold at most
   max(_TILE, n) intp entries (4 MiB); a pass over more words than one
-  tile takes them in blocks, each listed (_pass_blocks, which lists a
-  linear code that keeps no listing by _span_chunks) and coded per chunk
-  of rows, and keeps the readings of one chunk of rows at a time, no
-  array over all its rows;
+  tile takes them in blocks, each listed (_chunked, which lists a linear
+  code that keeps no listing by _span_chunks) and coded per chunk of
+  rows, and keeps the readings of one chunk of rows at a time, no array
+  over all its rows;
 - a chunk through a cut holds at most 4 * _CHUNK uint8 weights and uint16
   indices, and its head sums at most 2n * _CHUNK intp entries, n at most
   log_q of the cap for a pass the cap admits;
@@ -180,8 +186,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, groupby
-from operator import itemgetter
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -742,14 +747,15 @@ class Code:
 
     def _read_leaf(self, what: str) -> None:
         """The code's reading as a leaf into its memo: the minimum distance
-        from a linear code's nonzero words (the zero row against the words),
-        weighed block by block as they are listed (_chunked), or from an
-        explicit code's words as the rows of a pass against themselves: a
-        word's row has its one 0 at the word itself, so its second-smallest
-        entry is the distance to the nearest other word.  Else a pass (the
-        coset pass of a linear code on its columns off the pivots against
-        its negated words, an explicit code's on all its columns against its
-        words) that keeps what the reading needs: a covering radius the row
+        of a linear code, the least positive weight of its words (only the
+        zero word weighs 0), weighed block by block as they are listed
+        (_chunked), or of an explicit code from its negated words as the
+        rows of a pass against its words: the row of -c_i has its one 0 at
+        c_i, so its second-smallest entry is the distance to the nearest
+        other word.  Else a pass (the coset pass of a linear code on its
+        columns off the pivots against its words, an explicit code's on all
+        its columns against its words) that keeps what the reading needs:
+        a covering radius the row
         minima alone ("min"), memoized alone, and a packing radius the two
         smallest entries per row ("two"), which give both radii, both
         memoized.  So covering and then packing on one code takes two
@@ -758,13 +764,10 @@ class Code:
         if not self._leaf_cost(what):  # a linear code that fills its space
             self._memo[what] = 0
         elif what == "min_distance" and self.is_linear:
-            chunks = self._chunked(_CHUNK)  # the zero word comes first
-            best = space.batch_weights(next(chunks)[1:]).min(initial=_BIG)
-            for words in chunks:
-                best = min(best, space.batch_weights(words).min())
-            self._memo[what] = int(best)
+            weights = (space.batch_weights(words) for words in self._chunked(_CHUNK))
+            self._memo[what] = min(int(w.min(initial=_BIG, where=w > 0)) for w in weights)
         elif what == "min_distance":
-            self._memo[what] = self._pass(self._free, "two", self._rows)[1] + 1
+            self._memo[what] = self._pass(self._free, "two", space.field.neg_table[self._rows])[1] + 1
         else:
             keep = "min" if what == "covering_radius" else "two"
             covering, packing, _ = self._pass(self._free, keep)
@@ -774,43 +777,31 @@ class Code:
 
     # the pass -----------------------------------------------------------------
 
-    def _pass_blocks(self, size: int) -> Iterator[np.ndarray]:
-        """The |C| words c of the code's passes in consecutive blocks of at
-        most size words (_chunked): an explicit code's words, a linear
-        code's negated words (the coset pass), each block negated as it is
-        listed."""
-        if not self.is_linear:
-            return self._chunked(size)
-        neg = self.space.field.neg_table
-        return (neg[words] for words in self._chunked(size))
-
     def _pass(self, cols: np.ndarray, keep: str, rows: np.ndarray | None = None):
-        """One pass over w(x - c) for the rows x of F_q^cols in odometer order
+        """One pass over w(x + c) for the rows x of F_q^cols in odometer order
         (zero off the columns cols), or of an (X, n) uint8 array when rows
-        is given, and the words c of the code's passes (_pass_blocks),
-        keeping per row what the reading needs (_keep): "min" its minimum,
-        "first" its minimum and the index of the first word reaching it,
-        "two" its two smallest entries.  The tiles of a chunk of rows
-        (_tiles) fold together, each later word block's into the chunk's
-        readings: its minima always, its second-smallest entries with "two",
-        and with "first" its first word only where its minimum is strictly
-        smaller.  Each chunk then folds into the pass's reading, so no array
-        spans all the rows but "first"'s output.  Returns the max row
-        minimum (a covering radius), with "two" the min second-smallest
-        entry - 1 (for two or more words, a packing radius) else None, and
-        with "first" per row its minimum and the index of its first word
-        else None.  The caller stores the readings that hold for its code
-        and charges the rows x |C| vector x word pairs."""
+        is given, and the code's words c in codeword_array's order, keeping
+        per row what the reading needs (_keep): "min" its minimum, "first"
+        its minimum and the index of the first word reaching it, "two" its
+        two smallest entries.  Each chunk of rows comes with its tiles
+        (_tiles): the first gives the chunk's readings, and each later word
+        block's folds into them: its minima always, its second-smallest
+        entries with "two", and with "first" its first word only where its
+        minimum is strictly smaller.  Each chunk then folds into the pass's
+        reading, so no array spans all the rows but "first"'s output.
+        Returns the max row minimum (a covering radius), with "two" the min
+        second-smallest entry - 1 (for two or more words, a packing radius)
+        else None, and with "first" per row its minimum and the index of its
+        first word else None.  The caller stores the readings that hold for
+        its code and charges the rows x |C| vector x word pairs."""
         covering, second = 0, _BIG
         if keep == "first":
             count = self.space.q ** len(cols)
             best_w, best_word = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.intp)
-        for start, tiles in groupby(self._tiles(cols, rows), itemgetter(0)):
-            for _, lo, w in tiles:
+        for start, tiles in self._tiles(cols, rows):
+            d1, other = _keep(next(tiles)[1], keep)
+            for lo, w in tiles:
                 t1, t2 = _keep(w, keep)
-                if not lo:  # the chunk's first word block
-                    d1, other = t1, t2
-                    continue
                 if keep == "first":
                     other = np.where(t1 < d1, lo + t2, other)
                 elif keep == "two":  # merge the block's (t1, t2) into the chunk's (d1, d2)
@@ -826,44 +817,47 @@ class Code:
                 (best_w, best_word) if keep == "first" else None)
 
     def _tiles(self, cols: np.ndarray, rows: np.ndarray | None = None):
-        """Yield (rank of the first row, index of the first word, w) per tile
-        of _pass, w the weights w(x - c) with the words on axis 1.  The
+        """Yield (rank of the first row, tiles) per chunk of rows of _pass,
+        tiles yielding (index of the first word, w) per block of words in
+        word order, w the weights w(x + c) with the words on axis 1.  The
         last t columns, t the largest below len(cols) with q^t * |C| <=
         _CHUNK, are the tail of a cut (BlockSpace.cut) at the first of them,
         and x a head row plus a tail row: the (C, T) tail index of all
         T = q^t tail rows is built once and the head index once per chunk
-        of X head rows, so each entry of an (X, C, T) tile costs one add and
-        one gather.  A tile holds at most 4 * _CHUNK entries of the cut's
-        uint8 table (a uint16 index and a uint8 weight each) and at least
-        one head row.  Without such a cut (given rows, one tile holds the
-        pass, q * |C| > _CHUNK, or the space has no table for the cut) the
-        tiles are (X, B): whole rows times a block of words, one pair-kernel
-        call each, of at most pairs = min(_CHUNK, _TILE // n) entries (at
-        least one), so the (pieces, X, B) piece sums of a tile and the
-        (n, X) and (n, B) products of its codes hold at most max(_TILE, n)
-        entries.  Each chunk of rows meets every block of words in turn: a
-        chunk holds pairs // |C| rows when the words fit one block, which
-        is listed (_pass_blocks) and coded once, else min(rows, pairs) rows,
-        each block pairs // chunk words, listed and coded once per chunk.
-        A code that keeps no listing has more than _CHUNK words, so its
-        passes never cut, and at n <= 32 (pairs = _CHUNK) the default cap
-        admits fewer rows than pairs for them, one chunk, so their words
-        are listed once."""
+        of X head rows, so each entry of an (X, C, T) tile, the chunk's one,
+        costs one add and one gather.  A tile holds at most 4 * _CHUNK
+        entries of the cut's uint8 table (a uint16 index and a uint8 weight
+        each) and at least one head row.  Without such a cut (given rows,
+        one tile holds the pass, q * |C| > _CHUNK, or the space has no table
+        for the cut) the tiles are (X, B): whole rows times a block of
+        words, one pair-kernel call each, of at most
+        pairs = min(_CHUNK, _TILE // n) entries (at least one), so the
+        (pieces, X, B) piece sums of a tile and the (n, X) and (n, B)
+        products of its codes hold at most max(_TILE, n) entries.  Each
+        chunk of rows meets every block of words in turn: a chunk holds
+        pairs // |C| rows when the words fit one block, which is listed
+        (_chunked) and coded once, else min(rows, pairs) rows, each block
+        pairs // chunk words, listed and coded once per chunk.  A code that
+        keeps no listing has more than _CHUNK words, so its passes never
+        cut, and at n <= 32 (pairs = _CHUNK) the default cap admits fewer
+        rows than pairs for them, one chunk, so their words are listed
+        once."""
         space = self.space
         t = 0
         while rows is None and t < len(cols) and space.q ** (t + 1) * self.size <= _CHUNK:
             t += 1
         cut = space.cut(int(cols[-t])) if 0 < t < len(cols) else None
-        if cut is not None:
+        if cut is not None:  # q * |C| <= _CHUNK, so the code keeps its listing
             head, tail = cut.head, cut.tail
-            (words,) = self._pass_blocks(self.size)
+            words = self._listed()
             head_words = head.plan.codes(words[:, head.lo : head.hi], left=False)
             tail_words = tail.plan.codes(words[:, tail.lo : tail.hi], left=False)
             # (C, T) and contiguous: a tile's last axis runs over the tail rows
             tail_index = tail.index(tail.plan.row_codes(cols[-t:] - tail.lo), tail_words).T.copy()
             width = tail_index.shape[1]
             for start, codes in head.plan.odometer_codes(cols[:-t], 4 * _CHUNK // tail_index.size):
-                yield start * width, 0, cut.weights(head.index(codes, head_words), tail_index)
+                w = cut.weights(head.index(codes, head_words), tail_index)
+                yield start * width, iter([(0, w)])
             return
         plan = space.plan()
         pairs = min(_CHUNK, max(_TILE // space.n, 1))
@@ -876,19 +870,22 @@ class Code:
             lefts = ((lo, plan.codes(rows[lo : lo + step])) for lo in range(0, count, step))
 
         def blocks():
-            lo = 0
-            for words in self._pass_blocks(block):
-                yield lo, plan.codes(words, left=False)
-                lo += len(words)
+            return (plan.codes(words, left=False) for words in self._chunked(block))
 
         kept = list(blocks()) if self.size <= block else None
-        for start, left in lefts:
-            for lo, right in kept or blocks():
+
+        def tiles(left):
+            lo = 0  # the words of earlier blocks, not always a multiple of block (_span_chunks)
+            for right in kept or blocks():
                 # the longer axis last in memory, where numpy's inner loops run
                 if left.shape[1] > right.shape[1]:
-                    yield start, lo, space.pair_weights(left[:, None, :], right[:, :, None]).T
+                    yield lo, space.pair_weights(left[:, None, :], right[:, :, None]).T
                 else:
-                    yield start, lo, space.pair_weights(left[:, :, None], right[:, None, :])
+                    yield lo, space.pair_weights(left[:, :, None], right[:, None, :])
+                lo += right.shape[1]
+
+        for start, left in lefts:
+            yield start, tiles(left)
 
     # cosets -----------------------------------------------------------------
 
@@ -916,14 +913,15 @@ class Code:
     def coset_table(self) -> CosetTable:
         """Minimum-weight leader per coset; leader = first minimum in odometer
         order, x + c for the row x of the coset pass (zero on the pivots)
-        and the first codeword c reaching the row minimum, which the pass
-        keeps per row with the minimum ("first", module docstring).  The
-        leaders are the (q^(n-k), n) uint8 array the pass gives and the
+        and the first codeword c whose w(x + c) is the row minimum, which
+        the pass keeps per row with the minimum ("first", module docstring),
+        one gather from the add table.  The leaders are the (q^(n-k), n)
+        uint8 array the pass gives and the
         weights its (q^(n-k),) int64 row minima, both read-only and
         memoized with the table, q^(n-k) * (n + 8) bytes; the max row
         minimum is its max leader weight, which equals the covering radius
         but is not memoized as one (covering_radius reads its own).  The
-        words are the pass's (_pass_blocks), never listed whole for a code
+        words are the code's own (_chunked), never listed whole for a code
         of more than _CHUNK words, whose leaders' words come by message
         rank (_words_of); it charges the q^n pairs alone."""
         if "coset_table" in self._memo:

@@ -382,12 +382,14 @@ def _rows(s, rng, count):
 
 @pytest.mark.parametrize("chunk", [_CHUNK, 0])
 def test_pair_weights_match_scalar(chunk, monkeypatch):
-    """pair_weights against scalar wpb_weight(x - c) on every (x, c) pair of
+    """pair_weights against scalar wpb_weight(x + c) on every (x, c) pair of
     small spaces and on seeded rows of larger ones: every 3-element poset
     and chain, antichain and tree shapes, under the Hamming, Lee and a
     custom weight over q in {2, 3, 4, 5, 7}; blocks split into several
     pieces (long blocks, or _PIECE_CODES at 1); a GF(17) space, whose pieces
-    are single coordinates; both as an (X, C) matrix and pair by pair.
+    are single coordinates; both as an (X, C) matrix and pair by pair.  For
+    q > 2 a sum and a difference weigh differently, so the kernel's sums
+    are told apart from differences.
     With _CHUNK at 0 every space takes the _below_weights path instead of
     the block-max-tuple table."""
     monkeypatch.setattr(blockspace, "_CHUNK", chunk)
@@ -415,7 +417,7 @@ def test_pair_weights_match_scalar(chunk, monkeypatch):
         xs, cs = _rows(s, rng, 24), _rows(s, rng, 24)
         left, right = s.plan().codes(xs), s.plan().codes(cs, left=False)
         got = s.pair_weights(left[:, :, None], right[:, None, :])
-        want = [[s.wpb_distance(tuple(x), tuple(c)) for c in cs.tolist()] for x in xs.tolist()]
+        want = [[s.wpb_weight(s.add(x, c)) for c in cs.tolist()] for x in xs.tolist()]
         assert got.tolist() == want
         m = min(len(xs), len(cs))
         assert s.pair_weights(left[:, :m], right[:, :m]).tolist() == [want[i][i] for i in range(m)]

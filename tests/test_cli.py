@@ -243,6 +243,16 @@ def test_construct_direct_sum(rep3, lee_span, capsys):
     assert "Field" in capsys.readouterr().err
 
 
+def test_construct_direct_sum_weight_mismatch(lee_span, tmp_path, capsys):
+    # one field under two weight tables: exit 1 with the construction's error
+    hamming = tmp_path / "hamming.json"
+    hamming.write_text(json.dumps({**LEE_SPAN, "weight": {"kind": "hamming"}}))
+    assert main(["construct", "direct-sum", lee_span, str(hamming)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: WeightMismatch: codes use different weight tables\n"
+    assert captured.out == ""
+
+
 def test_construct_plotkin_stdout(rep3, capsys):
     assert main(["construct", "plotkin", rep3, rep3, "--order", "linear"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -611,10 +611,10 @@ def test_whole_rows_over_row_chunks_and_word_blocks(chunk, tile, monkeypatch):
     """Whole-row passes with more rows and more words than a tile's pairs =
     min(_CHUNK, _TILE // n), so each runs several chunks of rows, each
     against several blocks of words: "min", "two" and "first" over all
-    columns against a dense batch_weights reduction of the pass's words (a
-    linear code's negated codewords), a coset table against the scalar
-    brute force, and an explicit minimum distance (the words' rows against
-    the words) against the least distance of two distinct words.  A _CHUNK
+    columns against a dense batch_weights reduction of w(x + c) over the
+    code's own words, a coset table against the scalar brute force, and an
+    explicit minimum distance (the negated words' rows against the words)
+    against the least distance of two distinct words.  A _CHUNK
     of 4 sizes the tiles by _CHUNK, and a _TILE of 12 by _TILE // n (2 or 3
     pairs on these spaces of 4 to 6 coordinates); no pair-kernel tile
     exceeds pairs entries.  At a _CHUNK of 4 some coset tables have fewer
@@ -622,18 +622,24 @@ def test_whole_rows_over_row_chunks_and_word_blocks(chunk, tile, monkeypatch):
     "first" keeps an earlier block's word on a tie."""
     monkeypatch.setattr(codes_module, "_CHUNK", chunk)
     monkeypatch.setattr(codes_module, "_TILE", tile)
-    tiles = Code._tiles
+    tiles_of = Code._tiles
     # per pass: its row chunks, word blocks and most words in a block
     layouts: list[tuple[int, int, int]] = []
 
     def recording(code, cols, rows=None):
-        starts, blocks, width = set(), set(), 0
-        for start, lo, w in tiles(code, cols, rows):
-            starts.add(start)
-            blocks.add(lo)
-            width = max(width, w.shape[1])
-            yield start, lo, w
-        layouts.append((len(starts), len(blocks), width))
+        chunks, blocks, width = 0, set(), 0
+
+        def chunk(tiles):
+            nonlocal width
+            for lo, w in tiles:
+                blocks.add(lo)
+                width = max(width, w.shape[1])
+                yield lo, w
+
+        for start, tiles in tiles_of(code, cols, rows):
+            chunks += 1
+            yield start, chunk(tiles)
+        layouts.append((chunks, len(blocks), width))
 
     def nested(name, read):
         layouts.clear()
@@ -657,10 +663,9 @@ def test_whole_rows_over_row_chunks_and_word_blocks(chunk, tile, monkeypatch):
             codes.append(code)
         for code in codes:
             cw = code.codeword_array()
-            words = sp.field.neg_table[cw] if code.is_linear else cw
             dist = sp.batch_weights(
-                sp.field.sub_table[allv[:, None, :], words[None, :, :]].reshape(-1, sp.n)
-            ).reshape(len(allv), len(words))
+                sp.field.add_table[allv[:, None, :], cw[None, :, :]].reshape(-1, sp.n)
+            ).reshape(len(allv), len(cw))
             cols = np.arange(sp.n)
             with _counting_tiles(sp) as counted:
                 covering, _, (best, first) = nested("first", lambda: code._pass(cols, "first"))
@@ -718,8 +723,8 @@ def test_cut_coset_tables_take_the_first_tied_word(chunk, monkeypatch):
 @pytest.mark.parametrize("chunk, path", [(5, "word blocks"), (16, "cut")])
 def test_each_reading_keeps_what_it_needs(chunk, path, monkeypatch):
     """What a pass keeps per row, on seeded linear codes and word sets, over
-    all columns against the pass's words (a linear code's negated
-    codewords): "min" gives the covering radius of "two" and "first",
+    all columns against the code's own words, w(x + c): "min" gives the
+    covering radius of "two" and "first",
     "first" the row minimum and the first word reaching it of a dense
     batch_weights reduction, and "two" its least second-smallest entry - 1.  A _CHUNK of 5 runs whole rows over several
     word blocks (|C| > 5, so q |C| > 5) and one of 16 cuts most passes.
@@ -763,12 +768,10 @@ def test_each_reading_keeps_what_it_needs(chunk, path, monkeypatch):
         def fresh():
             return Code.linear(sp, code.generators) if code.is_linear else Code.explicit(sp, code.words)
 
-        # the pass's words: a linear code's negated codewords
+        # the pass's words: the code's own, in codeword_array's order
         cw = code.codeword_array()
-        if code.is_linear:
-            cw = sp.field.neg_table[cw]
         dist = sp.batch_weights(
-            sp.field.sub_table[allv[:, None, :], cw[None, :, :]].reshape(-1, sp.n)
+            sp.field.add_table[allv[:, None, :], cw[None, :, :]].reshape(-1, sp.n)
         ).reshape(len(allv), len(cw))
         cuts.clear()
         cols = np.arange(sp.n)

@@ -16,7 +16,7 @@ from wpbcodes.constructions import (
     tensor_labeling,
     tensor_vector,
 )
-from wpbcodes.errors import FieldMismatch, LengthMismatch, OutOfRange, SpaceTooLarge
+from wpbcodes.errors import FieldMismatch, LengthMismatch, OutOfRange, SpaceTooLarge, WeightMismatch
 from wpbcodes.field import make_field
 from wpbcodes import poset as P
 from wpbcodes.weights import hamming_weight, lee_weight
@@ -65,6 +65,18 @@ def test_direct_sum_field_mismatch():
     c2 = Code.explicit(space(3, P.chain(1), (1,)), [(0,), (1,)])
     with pytest.raises(FieldMismatch):
         direct_sum_code(c1, c2)
+
+
+@pytest.mark.parametrize("construct", [direct_sum_code, plotkin_code, tensor_code])
+def test_weight_mismatch(construct):
+    """Codes over one field under different weight tables, GF(5) under the
+    Hamming and the Lee weight, combine under no construction, in either
+    order."""
+    hamming = Code.linear(space(5, P.chain(2), (1, 1)), [(1, 2)])
+    lee = Code.linear(space(5, P.chain(2), (1, 1), "lee"), [(1, 2)])
+    for c1, c2 in ((hamming, lee), (lee, hamming)):
+        with pytest.raises(WeightMismatch, match="codes use different weight tables"):
+            construct(c1, c2)
 
 
 def test_plotkin_words_and_distance():
