@@ -156,7 +156,6 @@ caller sets another for a block of code with `with enumeration_cap(cap):`.
 
 from __future__ import annotations
 
-import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -169,7 +168,7 @@ import numpy as np
 from .errors import LengthMismatch, OutOfRange, SpaceTooLarge
 from .field import Field, make_field
 from .poset import Poset, bits
-from .weights import WeightFn, hamming_weight
+from .weights import WeightFn, exact_ints, hamming_weight
 
 DEFAULT_MAX_SPACE = 1 << 24
 _CHUNK = 1 << 14
@@ -254,11 +253,12 @@ class Labeling:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.sizes) < 1:
+        sizes = exact_ints(self.sizes, "block sizes")
+        if len(sizes) < 1:
             raise ValueError("labeling needs at least one block")
-        if any(k < 1 for k in self.sizes):
-            raise ValueError(f"block sizes must be >= 1, got {self.sizes}")
-        object.__setattr__(self, "sizes", tuple(int(k) for k in self.sizes))
+        if any(k < 1 for k in sizes):
+            raise ValueError(f"block sizes must be >= 1, got {sizes}")
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def s(self) -> int:
@@ -305,21 +305,14 @@ class BlockSpace:
     # vector plumbing --------------------------------------------------------
 
     def _coerce(self, u: Sequence[int]) -> Vector:
-        """u as a validated tuple: length n, every coordinate an integer in
-        0..q-1 (floats, bools, strings and other types are rejected, not
-        truncated)."""
-        if iter(u) is u:  # a one-shot iterator: read it once
-            u = tuple(u)
-        try:
-            v = tuple(map(operator.index, u))
-        except TypeError:
-            raise ValueError(f"coordinates must be integers in 0..{self.q - 1}") from None
+        """u as a validated tuple: length n, every coordinate an integer
+        (exact_ints: floats, bools, strings and other types are rejected,
+        not truncated) in 0..q-1."""
+        v = exact_ints(u, "coordinates")
         if len(v) != self.n:
             raise LengthMismatch(f"vector has length {len(v)}, ambient n={self.n}")
         if min(v) < 0 or max(v) >= self.q:
             raise ValueError(f"coordinates must lie in 0..{self.q - 1}")
-        if bool in map(type, u):
-            raise ValueError(f"coordinates must be integers in 0..{self.q - 1}, got a bool")
         return v
 
     def _coerce_rows(self, rows: Iterable[Sequence[int]]) -> np.ndarray:
@@ -468,7 +461,7 @@ class BlockSpace:
     def unrank(self, r: int) -> Vector:
         """The vector of odometer rank r in 0..q^n-1 (last coordinate
         fastest), in Python ints, so exact at any n."""
-        r = operator.index(r)
+        (r,) = exact_ints([r], "ranks")
         if not 0 <= r < self.size:
             raise OutOfRange(f"rank {r} outside 0..{self.size - 1}")
         return tuple(r // self.q ** (self.n - 1 - i) % self.q for i in range(self.n))
@@ -484,7 +477,9 @@ class BlockSpace:
         """All v with d(center, v) = w(v - center) <= radius, in odometer
         order; charges q^n.  The pair kernel runs on the piece codes of
         F_q^n in chunks (_PiecePlan.odometer_codes) against those of
-        -center, its one word, and only the ranks kept become vectors."""
+        -center, its one word, and only the ranks kept become vectors.  The
+        radius is an integer (exact_ints)."""
+        (radius,) = exact_ints([radius], "radii")
         if radius < 0:
             raise ValueError("radius must be >= 0")
         c = self.field.neg_table[np.array([self._coerce(center)], dtype=np.uint8)]
@@ -508,7 +503,7 @@ class BlockSpace:
     def weight_spectrum(self, radius: int | None = None) -> list[int]:
         """counts[r] = #{u in F_q^n : w(u) = r} for r = 0..top, as exact
         ints; top is s * max_weight (the largest weight), or radius when
-        that is smaller.
+        that is smaller; a radius is an integer (exact_ints).
 
         The ideal DP of the module docstring: elements are processed top
         down, each as soon as every element above it is done, the most
@@ -518,6 +513,8 @@ class BlockSpace:
         SpaceTooLarge when they exceed the enumeration cap.
         """
         mw = self.weight.max_weight
+        if radius is not None:
+            (radius,) = exact_ints([radius], "radii")
         top = self.s * mw if radius is None else min(radius, self.s * mw)
         if top < 0:
             raise ValueError("radius must be >= 0")

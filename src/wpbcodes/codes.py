@@ -80,12 +80,11 @@ pass's fixed work and its entries beyond _CHUNK an eighth each.  A split
 costs _SPLIT_PRICE, the measured time of finding and building its parts
 in those units, so a code whose leaf costs no more is read whole and its
 split never searched: at verify seed 0, 142 codes search a split, 125
-build one and 69 take it (350, 293 and 129 with a split priced at
-_CHUNK / 8).  A deep chain still reads through its fibers, and a disjoint
-sum of two codes on 30-block chains (2^60 vectors) from its parts'
-levels.  A reading charges the entries of all its leaves together, in one
-unit, before the first runs.  When they exceed the enumeration cap, the
-reading takes the plan of fewest entries instead, so it raises
+build one and 69 take it.  A deep chain still reads through its fibers,
+and a disjoint sum of two codes on 30-block chains (2^60 vectors) from its
+parts' levels.  A reading charges the entries of all its leaves together,
+in one unit, before the first runs.  When they exceed the enumeration
+cap, the reading takes the plan of fewest entries instead, so it raises
 SpaceTooLarge only when no reading fits.  Both plans come from one walk of
 the tree (_plan), priced or counting entries alone (a leaf read already
 costs none, and a split adds nothing, so no price gates a search), which
@@ -195,7 +194,7 @@ from .blockspace import _CHUNK, _TILE, BlockSpace, Vector, _cap, _Cut, charge, o
 from .errors import NotAChain, NotLinear, TooFewWords
 from .field import Field
 from .poset import Node
-from .weights import WeightFn
+from .weights import WeightFn, exact_ints
 
 _BIG = np.iinfo(np.int64).max
 # The planner's price of a split (_plan) in a leaf's cost units, the entries
@@ -495,7 +494,9 @@ class Code:
     def is_r_perfect(self, r: int) -> bool:
         """True iff radius-r balls around codewords tile the space: every
         vector lies within r of a codeword (covering radius <= r) and, for two
-        or more codewords, within r of no second one (r <= packing radius)."""
+        or more codewords, within r of no second one (r <= packing radius).
+        The radius r is an integer (exact_ints)."""
+        (r,) = exact_ints([r], "radii")
         if r < 0:
             raise ValueError("radius must be >= 0")
         if self.size >= 2 and r > self.packing_radius():

@@ -160,11 +160,10 @@ def punctured_code(c: Code, i: int) -> ConstructionResult:
     s = c.space
     if s.s < 2:
         raise OutOfRange("puncturing needs at least two blocks")
-    if not 1 <= i <= s.s:
-        raise OutOfRange(f"block {i} outside 1..{s.s}")
+    block = s.labeling.block_slice(i)  # raises OutOfRange outside 1..s
     sizes = tuple(k for j, k in enumerate(s.labeling.sizes, start=1) if j != i)
     space = BlockSpace(posets.puncture(s.poset, i), Labeling(sizes), s.field, s.weight)
-    code = c._same_kind(space, np.delete(c._rows, s.labeling.block_slice(i), axis=1))
+    code = c._same_kind(space, np.delete(c._rows, block, axis=1))
     prov = {"construction": "puncture", "block": i, "inputs": [_input_summary(c)]}
     return ConstructionResult(code, space, prov)
 

@@ -12,11 +12,20 @@ Schema (all keys required):
                   | {"kind": "list", "words": [[...], ...]}
     }
 
-Every number must be a JSON integer: floats and booleans are rejected with
-a ConsistencyError naming their JSON path, not coerced.  The poset's order
-relation, s^2 for s elements, and the coordinates n = sum(labeling) are
-charged against the enumeration cap (blockspace.charge) before anything of
-their size is built, so an oversized document raises SpaceTooLarge.
+The loader checks only what no constructor sees: the JSON types, each
+number a JSON integer (a float or a boolean is rejected, not coerced, at
+its element path such as code.words[0][2]), the keys present, each cover
+a pair, poset.elements >= 1, and the charges below.  Every other rule is
+checked once, by the constructor that builds the value (make_field,
+lee_weight or custom_weight, from_cover_relations, Labeling, BlockSpace,
+Code), and its error becomes a ConsistencyError at the value's JSON path
+(_built): field.q, weight, weight.values, poset, labeling (the block
+sizes, and their count against the poset's elements), code.rows or
+code.words (row lengths, entries in 0..q-1, at least one word).  The
+poset's order relation, s^2 for s elements, and the coordinates
+n = sum(labeling) are charged against the enumeration cap
+(blockspace.charge) before anything of their size is built, so an
+oversized document raises SpaceTooLarge.
 Loading normalizes to canonical form (sorted cover pairs), so
 save(load(f)) is idempotent and load(save(x)) == x.  The digest of the
 canonical JSON identifies an instance in reports.
@@ -80,17 +89,13 @@ class Instance:
             weight = _built("weight.values", custom_weight, field, self.weight_values)
         poset = _built("poset", from_cover_relations, self.poset_elements, self.cover)
         labeling = _built("labeling", Labeling, self.labeling)
-        if poset.s != labeling.s:
-            raise ConsistencyError(
-                "labeling",
-                f"{labeling.s} blocks but the poset has {poset.s} elements",
-            )
-        return BlockSpace(poset, labeling, field, weight)
+        return _built("labeling", BlockSpace, poset, labeling, field, weight)
 
     def build(self) -> tuple[BlockSpace, Code]:
         space = self.build_space()
-        make = Code.linear if self.code_kind == "generator" else Code.explicit
-        return space, _built("code", make, space, self.code_rows)
+        if self.code_kind == "generator":
+            return space, _built("code.rows", Code.linear, space, self.code_rows)
+        return space, _built("code.words", Code.explicit, space, self.code_rows)
 
     # serialization ------------------------------------------------------------
 
@@ -155,7 +160,6 @@ def instance_from_json_dict(doc: dict) -> Instance:
     fld = doc["field"]
     _require(isinstance(fld, dict) and "q" in fld, "field", "expected {'q': int}")
     q = _int(fld["q"], "field.q")
-    _require(q >= 2, "field.q", f"invalid q: {q!r}")
 
     w = doc["weight"]
     _require(isinstance(w, dict) and "kind" in w, "weight", "expected {'kind': ...}")
@@ -165,7 +169,6 @@ def instance_from_json_dict(doc: dict) -> Instance:
     if kind == "table":
         _require("values" in w, "weight.values", "table weights need 'values'")
         values = _ints(w["values"], "weight.values")
-        _require(len(values) == q, "weight.values", f"need q={q} values, got {len(values)}")
 
     pos = doc["poset"]
     _require(
@@ -181,20 +184,12 @@ def instance_from_json_dict(doc: dict) -> Instance:
         _require(len(p) == 2, f"poset.cover[{i}]", f"expected a pair, got {list(p)}")
     cover = tuple(sorted(pairs))
 
-    lab = doc["labeling"]
-    _require(isinstance(lab, list) and lab, "labeling", "expected a nonempty list")
-    labeling = _ints(lab, "labeling")
-    _require(
-        len(labeling) == elements,
-        "labeling",
-        f"{len(labeling)} blocks but the poset has {elements} elements",
-    )
+    labeling = _ints(doc["labeling"], "labeling")
     # bound the space before anything of its size is built: a short
     # document can ask for millions of coordinates, and the order relation
     # (s masks of s bits each, and up to s^2 / 4 covers) grows as s^2
     charge(elements * elements, "poset order relation s^2")
-    n = sum(labeling)
-    charge(n, "coordinates n")
+    charge(sum(labeling), "coordinates n")
 
     code = doc["code"]
     _require(isinstance(code, dict) and "kind" in code, "code", "expected {'kind': ...}")
@@ -204,11 +199,6 @@ def instance_from_json_dict(doc: dict) -> Instance:
     _require(rows_key in code, f"code.{rows_key}", "missing")
     _require(isinstance(code[rows_key], list), f"code.{rows_key}", "expected a list of rows")
     rows = tuple(_ints(row, f"code.{rows_key}[{i}]") for i, row in enumerate(code[rows_key]))
-    for row in rows:
-        _require(len(row) == n, f"code.{rows_key}", f"row length {len(row)} != n = {n}")
-        _require(all(0 <= x < q for x in row), f"code.{rows_key}", "entries outside 0..q-1")
-    if ckind == "list":
-        _require(len(rows) >= 1, "code.words", "an explicit code needs at least one word")
 
     inst = Instance(
         q=q,
@@ -220,7 +210,7 @@ def instance_from_json_dict(doc: dict) -> Instance:
         code_kind=ckind,
         code_rows=rows,
     )
-    inst.build()  # surface deeper inconsistencies (bad q, invalid table, cycles)
+    inst.build()  # every domain error, raised by its constructor at its JSON path
     return inst
 
 

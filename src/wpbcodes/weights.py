@@ -4,18 +4,37 @@ A weight is a table w: GF(q) -> N with w(0) = 0, w(a) > 0 for a != 0,
 w(a) = w(-a), and w(a + b) <= w(a) + w(b).  Every constructor validates
 all three axioms over the full q x q pair grid, so a WeightFn in hand is
 always a genuine weight.
+
+exact_ints is the package's one integer rule for a caller's values: the
+weight tables here, and the block sizes, vector coordinates, radii and
+ranks of the blockspace and codes modules.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import AxiomViolation, LeeRequiresPrimeField
 from .field import Field
+
+
+def exact_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints, each taken through operator.index, so
+    ints and numpy integers pass.  A bool, a float, a string or any other
+    type, or values that are not iterable, raise ValueError naming what:
+    nothing is truncated."""
+    try:
+        values = tuple(values)
+        if bool not in map(type, values):  # numpy bools fail operator.index
+            return tuple(map(operator.index, values))
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be integers, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +70,7 @@ def _validate(field: Field, table: Sequence[int]) -> None:
         raise AxiomViolation(
             "positivity", None, f"table must have length q={q}, got {len(table)}"
         )
-    if any(v < 0 or v != int(v) for v in table):
+    if any(v < 0 for v in table):
         raise AxiomViolation("positivity", None, "weights must be natural numbers")
     if table[0] != 0:
         raise AxiomViolation("positivity", 0, f"w(0) must be 0, got {table[0]}")
@@ -96,7 +115,8 @@ def lee_weight(field: Field) -> WeightFn:
 
 
 def custom_weight(field: Field, table: Sequence[int]) -> WeightFn:
-    """Validate an arbitrary table against all three weight axioms."""
-    values = tuple(int(v) for v in table)
+    """Validate an arbitrary table of integers (exact_ints) against all
+    three weight axioms."""
+    values = exact_ints(table, "weights")
     _validate(field, values)
     return WeightFn(field, values, "table")

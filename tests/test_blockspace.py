@@ -278,6 +278,31 @@ def test_ball_size_never_enumerates(monkeypatch):
         s.ball(s.zero(), 1)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(2.0), True, np.True_, "2"], ids=repr)
+def test_labelings_weights_and_vectors_share_one_integer_rule(bad):
+    """A block size, a weight-table entry and a coordinate that is a float,
+    a bool or a string raise ValueError, never truncated to an int."""
+    f = make_field(5)
+    s = space(5, P.chain(2), (1, 2))
+    with pytest.raises(ValueError, match="block sizes must be integers"):
+        Labeling((bad, 1))
+    with pytest.raises(ValueError, match="weights must be integers"):
+        custom_weight(f, [0, 1, bad, bad, 1])
+    with pytest.raises(ValueError, match="coordinates must be integers"):
+        s.wpb_weight((bad, 0, 1))
+    for not_a_list in (2, None):
+        with pytest.raises(ValueError, match="block sizes must be integers"):
+            Labeling(not_a_list)
+
+
+def test_numpy_integers_pass_the_integer_rule_as_ints():
+    """Block sizes and weight tables of numpy integers are kept as ints."""
+    f = make_field(5)
+    sizes = Labeling(tuple(np.array([2, 1]))).sizes
+    assert sizes == (2, 1) and {type(k) for k in sizes} == {int}
+    assert custom_weight(f, np.array([0, 1, 2, 2, 1])).table == lee_weight(f).table
+
+
 def test_coerce_rejects_non_integers():
     """Single vectors are rejected, not truncated, when a coordinate is a
     float, a bool or a string; numpy integers are accepted."""
@@ -487,6 +512,9 @@ def test_unrank_is_exact_at_any_length_and_rejects_bad_ranks():
     assert [s.unrank(r) for r in range(16)] == [tuple(v) for v in s.all_vectors().tolist()]
     for bad in (16, -1):
         with pytest.raises(OutOfRange):
+            s.unrank(bad)
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="ranks must be integers"):
             s.unrank(bad)
 
 

@@ -148,6 +148,26 @@ def test_perfectness_examples():
     assert not ball0 & ball1
 
 
+RADIUS_READINGS = {
+    "ball": lambda c, r: c.space.ball(c.space.zero(), r),
+    "ball_size": lambda c, r: c.space.ball_size(c.space.zero(), r),
+    "weight_spectrum": lambda c, r: c.space.weight_spectrum(r),
+    "is_r_perfect": lambda c, r: c.is_r_perfect(r),
+}
+
+
+@pytest.mark.parametrize("reading", RADIUS_READINGS)
+def test_radii_are_integers(reading):
+    """A radius that is a float, a bool or a string raises ValueError; none
+    is truncated (ball(c, 2.5) listing the radius-2 ball, or is_r_perfect(True)
+    reading radius 1).  A numpy integer reads as the int."""
+    read, c = RADIUS_READINGS[reading], rep3()
+    for bad in (2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="radii must be integers"):
+            read(c, bad)
+    assert read(c, np.int64(2)) == read(c, 2)
+
+
 def test_coset_table_examples():
     s = space(2, P.chain(3), (1, 1, 1))
     c = Code.linear(s, [(1, 1, 1)])

@@ -172,9 +172,9 @@ def test_lee5_document_is_valid():
     assert space.weight.name == "table" and code.size == 2
 
 
-@pytest.mark.parametrize("key,value,path", NON_INTEGERS)
-def test_non_integers_are_rejected_with_their_path(key, value, path, tmp_path, capsys):
-    doc = dict(LEE5, **{key: value})
+def _refused_at(doc, path, tmp_path, capsys):
+    """The loader raises a ConsistencyError at the JSON path, and `wpbcodes
+    mindist` on the document exits 2 naming it."""
     with pytest.raises(ConsistencyError) as e:
         instance_from_json_dict(doc)
     assert e.value.field == path
@@ -182,6 +182,31 @@ def test_non_integers_are_rejected_with_their_path(key, value, path, tmp_path, c
     bad.write_text(json.dumps(doc))
     assert main(["mindist", str(bad)]) == 2
     assert f"error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,path", NON_INTEGERS)
+def test_non_integers_are_rejected_with_their_path(key, value, path, tmp_path, capsys):
+    _refused_at(dict(LEE5, **{key: value}), path, tmp_path, capsys)
+
+
+# Each case breaks one rule that the constructor building the value checks
+# (not the loader): the error is raised there and mapped to the JSON path.
+CONSTRUCTOR_RULES = [
+    ("field", {"q": 1}, "field.q"),  # make_field
+    ("weight", {"kind": "table", "values": [0, 1, 2, 2]}, "weight.values"),  # custom_weight
+    ("labeling", [2, 1, 1], "labeling"),  # BlockSpace: 3 blocks, 2 elements
+    ("labeling", [3], "labeling"),  # BlockSpace: 1 block, 2 elements
+    ("labeling", [], "labeling"),  # Labeling
+    ("labeling", [0, 3], "labeling"),  # Labeling
+    ("code", {"kind": "list", "words": [[1, 3], [0, 0, 0]]}, "code.words"),  # Code
+    ("code", {"kind": "generator", "rows": [[1, 3, 7]]}, "code.rows"),  # Code
+    ("code", {"kind": "list", "words": []}, "code.words"),  # Code
+]
+
+
+@pytest.mark.parametrize("key,value,path", CONSTRUCTOR_RULES)
+def test_constructor_errors_keep_their_path(key, value, path, tmp_path, capsys):
+    _refused_at(dict(LEE5, **{key: value}), path, tmp_path, capsys)
 
 
 @st.composite
