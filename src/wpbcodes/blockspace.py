@@ -31,14 +31,17 @@ costs one OR per cover and entry, and no s x s array is built.
 The block maxima come from lookups in pair tables, so x + c is never
 formed.  Each block is cut into pieces of at most t coordinates, t the
 largest with q^(2t) <= _PIECE_CODES, and the pair table of a piece length m
-holds max_j w(a_j + b_j) at a * q^m + b for all a, b in F_q^m.  The piece
-plan (_PiecePlan) owns the odometer codes of the pieces: offset + a * q^m
-for the rows x (the offset points into the concatenation of the tables of
-all lengths), b for the words c.  Its pieces are numbered in column order,
-so each piece is a run of consecutive columns and each block a run of
-consecutive pieces, and a plan keeps one place value per column and
-operand.  Every piece code comes from one path (codes): one product of the
-rows by the place values and one sum over each piece's run of columns.
+holds max_j w(a_j + b_j) at a * q^m + b for all a, b in F_q^m.  A piece
+plan (_PiecePlan) keeps one pair table, that of its longest piece, of L
+coordinates, and owns the odometer codes of the pieces: a * q^L for the
+rows x, b for the words c.  A piece of m < L coordinates indexes that
+table as an L-digit pair with its digits in the low places: its high
+digits are 0 in both operands and w(0 + 0) = 0, so the maximum is the
+piece's own.  Its pieces are numbered in column order, so each piece is a
+run of consecutive columns and each block a run of consecutive pieces,
+and a plan keeps one place value per column.  Every piece code comes from
+one path (codes): one product of the rows by the place values and one sum
+over each piece's run of columns, which a left code multiplies by q^L.
 The rows of F_q^cols, which a pass or a ball enumerates in odometer order
 (last coordinate fastest), take that path too, as rows of odometer_table
 zero off cols: those on the trailing columns once (row_codes, which keeps
@@ -70,7 +73,8 @@ stay int64, since callers add weights.
 A piece plan depends only on q, the weight table and the block sizes (and
 on t and _CHUNK), not on the order relation.  So every plan, a space's
 and those of the heads and tails of its cuts, comes from one process-wide
-lookup keyed by just those (_plan): spaces that differ only in their poset
+lookup keyed by just those (_Kernel.plan, which reads the plan cache
+_piece_plan): spaces that differ only in their poset
 share one plan, and so does a cut side whose block sizes are another
 space's.  Every other table depends on the space's whole shape: q,
 the weight table, the order relation and the block sizes.  So a space
@@ -89,18 +93,18 @@ before.
 The kept memory is bounded.  At most 256 piece plans are cached
 (_piece_plan), and a cut holds its sides' plans only while a pass uses it,
 so the kernels keep none.  A plan of P pieces over n coordinates and s
-blocks holds two intp place values per coordinate (16n bytes, at most
-256 MiB at the default cap, since each plan lookup charges n), the intp
-starts and table offsets of its pieces and the first pieces of its blocks
-(8(2P + s) <= 24n bytes), pair tables of fewer than 2 * _PIECE_CODES
-entries of at most 8 bytes (1 MiB), and row codes of at most P * _CHUNK
-intp in all (P * 128 KiB), those of further column sets being built on
-every call.  The pair table of each weight table and piece length is
-built once and kept (_pair_table, at most 64 tables of fewer than
-_PIECE_CODES entries of at most 8 bytes), so the plans of a space's
-restrictions (restrict) reuse its tables.  At most 512 kernels are cached,
-enough for the 476-503 shapes a full verify run builds at seeds 0-3, so no
-such run builds a shape's kernel twice.  A kernel of n coordinates and s
+blocks holds one intp place value per coordinate (8n bytes, at most
+128 MiB at the default cap, since each plan lookup charges n), the intp
+starts of its pieces and the first pieces of its blocks (8(P + s) <= 16n
+bytes), one shared pair table of at most _PIECE_CODES entries, and row
+codes of at most P * _CHUNK intp in all (P * 128 KiB), those of further
+column sets being built on every call.  The pair table of each weight
+table and piece length is built once and kept (_pair_table, at most 64
+tables of at most _PIECE_CODES entries of at most 8 bytes), and a plan
+keeps that array itself, so plans with the same longest piece, those of a
+space's restrictions (restrict) among them, share one table.  At most 512
+kernels are cached, enough for the 476-503 shapes a full verify run builds
+at seeds 0-3, so no such run builds a shape's kernel twice.  A kernel of n coordinates and s
 blocks holds its covers (a tuple of one pair of ints per cover of the
 poset), its uint16 radix (2s bytes), its block-max table of at most _CHUNK
 int64 (128 KiB) and n - 1 cuts, each a table of at most _CHUNK uint8
@@ -147,7 +151,7 @@ the enumeration cap bounds them.
 
 Every computation that enumerates (vectors, codewords, vector x word
 pairs, words built, DP states), uses a piece plan (its n coordinates, each
-holding two place values) or loads an instance document (its poset's
+holding one place value) or loads an instance document (its poset's
 order relation, s^2 for s elements, and its coordinates)
 passes its count to charge before it starts, which raises SpaceTooLarge
 when the count exceeds the enumeration cap: DEFAULT_MAX_SPACE unless a
@@ -168,7 +172,7 @@ import numpy as np
 from .errors import LengthMismatch, OutOfRange, SpaceTooLarge
 from .field import Field, make_field
 from .poset import Poset, bits
-from .weights import WeightFn, exact_ints, hamming_weight
+from .weights import WeightFn, exact_ints, exact_radius, hamming_weight
 
 DEFAULT_MAX_SPACE = 1 << 24
 _CHUNK = 1 << 14
@@ -428,7 +432,8 @@ class BlockSpace:
     def plan(self) -> _PiecePlan:
         """The piece plan of the space's kernel, which gives the piece codes
         of rows and words for pair_weights (_PiecePlan.codes, row_codes,
-        odometer_codes); charges its coordinates on every call (_plan)."""
+        odometer_codes); charges its coordinates on every call
+        (_Kernel.plan)."""
         return self._kernel.plan()
 
     def pair_weights(self, left: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
@@ -478,10 +483,8 @@ class BlockSpace:
         order; charges q^n.  The pair kernel runs on the piece codes of
         F_q^n in chunks (_PiecePlan.odometer_codes) against those of
         -center, its one word, and only the ranks kept become vectors.  The
-        radius is an integer (exact_ints)."""
-        (radius,) = exact_ints([radius], "radii")
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
+        radius is an integer, at least 0 (exact_radius)."""
+        radius = exact_radius(radius)
         c = self.field.neg_table[np.array([self._coerce(center)], dtype=np.uint8)]
         charge(self.size, "q^n")
         plan = self.plan()
@@ -503,7 +506,7 @@ class BlockSpace:
     def weight_spectrum(self, radius: int | None = None) -> list[int]:
         """counts[r] = #{u in F_q^n : w(u) = r} for r = 0..top, as exact
         ints; top is s * max_weight (the largest weight), or radius when
-        that is smaller; a radius is an integer (exact_ints).
+        that is smaller; a radius is an integer, at least 0 (exact_radius).
 
         The ideal DP of the module docstring: elements are processed top
         down, each as soon as every element above it is done, the most
@@ -514,10 +517,8 @@ class BlockSpace:
         """
         mw = self.weight.max_weight
         if radius is not None:
-            (radius,) = exact_ints([radius], "radii")
+            radius = exact_radius(radius)
         top = self.s * mw if radius is None else min(radius, self.s * mw)
-        if top < 0:
-            raise ValueError("radius must be >= 0")
         # at_most[m] = L(m) = #{a in GF(q) : w(a) <= m}
         at_most = [sum(v <= m for v in self.weight.table) for m in range(mw + 1)]
         below = self.poset.below
@@ -563,7 +564,7 @@ class _Kernel:
     """The batch engine's tables that a space's shape fixes, sized under
     the given _CHUNK and _PIECE_CODES (module docstring): one per shape
     (_kernel), held by every space of that shape.  Its piece plans come
-    from the plan cache (_plan)."""
+    from the plan cache (plan)."""
 
     def __init__(
         self,
@@ -599,9 +600,12 @@ class _Kernel:
 
     def plan(self, sizes: tuple[int, ...] | None = None) -> _PiecePlan:
         """The piece plan of blocks of the given sizes (the kernel's own by
-        default) under the kernel's weights, t and chunk: _plan, which
-        charges it on every call."""
-        return _plan(self.weights, self.sizes if sizes is None else sizes, self.t, self.chunk)
+        default) under the kernel's weights, t and chunk, from the plan
+        cache (_piece_plan).  Charges its sum(sizes) columns, each holding
+        one place value, on every call, built or kept."""
+        sizes = self.sizes if sizes is None else sizes
+        charge(sum(sizes), "piece-plan entries")
+        return _piece_plan(self.weights, sizes, self.t, self.chunk)
 
     def pair_weights(self, codes: np.ndarray) -> np.ndarray:
         """BlockSpace.pair_weights for the summed piece codes of x and c."""
@@ -633,7 +637,7 @@ class _Kernel:
 
     def cut(self, p: int) -> _Cut | None:
         """BlockSpace.cut.  Looks up the head's and then the tail's piece
-        plan (_plan, which charges each) on every call."""
+        plan (plan, which charges each) on every call."""
         if p not in self._cuts:
             self._cuts[p] = self._cut_parts(p)
         if self._cuts[p] is None:
@@ -688,13 +692,14 @@ class _PiecePlan:
     (from its start to the next piece's) and each block a run of
     consecutive pieces (from its first piece to the next block's).  A piece
     code is a sum over the piece's columns of the coordinate times the
-    column's place value: q^(len - 1 - j) at the piece's j-th column for
-    the right operand, times q^len for the left one.  The pair table of a
-    piece length m holds max_j w(a_j + b_j) at a * q^m + b for all a, b in
-    F_q^m (_pair_table); the tables of the lengths that occur are
-    concatenated, fewer than 2 * _PIECE_CODES entries, and each left code
-    carries the offset of its piece's table.  Built once per (weights,
-    sizes, t, chunk) in the process (_plan); its arrays are read-only."""
+    column's place value, q^(len - 1 - j) at the piece's j-th column, for
+    the right operand, and that sum times q^L (lift) for the left one, L
+    the longest piece's length.  The plan's one pair table is that of
+    length L (_pair_table, the cached array itself): max_j w(a_j + b_j) at
+    a * q^L + b for all a, b in F_q^L, which a shorter piece indexes with
+    its digits in the low places, its high digits 0 in both operands.
+    Built once per (weights, sizes, t, chunk) in the process (_piece_plan,
+    read by _Kernel.plan); its arrays are read-only."""
 
     def __init__(self, weights: tuple[int, ...], sizes: tuple[int, ...], t: int, chunk: int):
         q = self.q = len(weights)  # a weight table has q entries
@@ -705,29 +710,26 @@ class _PiecePlan:
             firsts.append(len(starts))
             starts += range(start, start + k, t)
         lengths = np.diff(starts + [self.n])
-        kinds = sorted(set(lengths.tolist()))
-        part = dict(zip(kinds, np.cumsum([0] + [q ** (2 * m) for m in kinds])))
+        longest = int(lengths.max())
         place = np.concatenate([q ** np.arange(m - 1, -1, -1, dtype=np.intp) for m in lengths])
         self.right = place[:, None]  # (n, 1) intp place values of b: q^(len - 1 - j)
-        self.left = self.right * np.repeat(q**lengths, lengths)[:, None]  # of a: times q^len
+        self.lift = q**longest  # a left code a is the right one times q^L
         self.starts = np.array(starts, dtype=np.intp)
         self.firsts = np.array(firsts, dtype=np.intp)
-        # (pieces, 1) intp: start of the piece's pair table
-        self.offsets = np.array([[part[m]] for m in lengths.tolist()], dtype=np.intp)
-        self.table = np.concatenate([_pair_table(weights, m) for m in kinds])
-        for arr in (self.left, self.right, self.starts, self.firsts, self.offsets, self.table):
+        self.table = _pair_table(weights, longest)
+        for arr in (self.right, self.starts, self.firsts):
             arr.flags.writeable = False
         self._rows: dict[bytes, np.ndarray] = {}
         self._kept = 0  # row-code entries in _rows
 
     def codes(self, arr: np.ndarray, left: bool = True) -> np.ndarray:
         """(pieces, N) intp piece codes of the rows of an (N, n) uint8
-        array, for pair_weights: offset + a * q^len as its left operand,
-        the odometer code b of each piece as its right one.  One product by
-        the place values and one sum over each piece's run of columns."""
-        place = self.left if left else self.right
-        codes = np.add.reduceat(arr.T * place, self.starts, axis=0)
-        return codes + self.offsets if left else codes
+        array, for pair_weights: a * q^L as its left operand, the odometer
+        code b of each piece as its right one.  One product by the place
+        values and one sum over each piece's run of columns, and for the
+        left operand one scalar product."""
+        codes = np.add.reduceat(arr.T * self.right, self.starts, axis=0)
+        return codes * self.lift if left else codes
 
     def row_codes(self, cols: np.ndarray) -> np.ndarray:
         """The left piece codes of the rows of F_q^cols in odometer order
@@ -737,7 +739,7 @@ class _PiecePlan:
         key = cols.tobytes()
         codes = self._rows.get(key)
         if codes is None:
-            codes = self.codes(self._space_rows(cols))
+            codes = self.codes(space_rows(self.q, self.n, cols))
             codes.flags.writeable = False
             if self._kept + codes.size <= len(self.starts) * self.chunk:
                 self._kept += codes.size
@@ -762,17 +764,10 @@ class _PiecePlan:
             yield 0, tail
             return
         pieces, width = tail.shape
-        lead = self.codes(self._space_rows(cols[: m - t])) - self.offsets
+        lead = self.codes(space_rows(q, self.n, cols[: m - t]))
         per = rows // width
         for lo in range(0, lead.shape[1], per):
             yield lo * width, (lead[:, lo : lo + per, None] + tail[:, None, :]).reshape(pieces, -1)
-
-    def _space_rows(self, cols: np.ndarray) -> np.ndarray:
-        """The rows of F_q^cols in odometer order as a (q^|cols|, n) uint8
-        array, zero off the columns cols."""
-        rows = np.zeros((self.q ** len(cols), self.n), dtype=np.uint8)
-        rows[:, cols] = odometer_table(self.q, len(cols))
-        return rows
 
     def block_maxima(self, codes: np.ndarray) -> np.ndarray:
         """The max coordinate weight of each block of the plan, for the summed
@@ -801,7 +796,8 @@ def _pair_table(weights: tuple[int, ...], m: int) -> np.ndarray:
     """The flat pair table of piece length m under the weight table
     `weights`: max_j w(a_j + b_j) at a * q^m + b for all a, b in F_q^m, w(a + b)
     of single coordinates maximised over the m coordinates in one broadcast
-    each.  Shared by every plan with pieces of that length (read-only)."""
+    each.  Shared by every plan whose longest piece has that length, which
+    keeps this array itself (read-only)."""
     field = make_field(len(weights))
     q = field.q
     wt = np.asarray(weights, dtype=np.min_scalar_type(max(weights)))
@@ -817,17 +813,8 @@ def _pair_table(weights: tuple[int, ...], m: int) -> np.ndarray:
 
 
 # the plan cache: one _PiecePlan per (weights, sizes, t, chunk), shared by
-# every kernel and cut side whose blocks have these sizes (_plan)
+# every kernel and cut side whose blocks have these sizes (_Kernel.plan)
 _piece_plan = lru_cache(maxsize=256)(_PiecePlan)
-
-
-def _plan(weights: tuple[int, ...], sizes: tuple[int, ...], t: int, chunk: int) -> _PiecePlan:
-    """The piece plan of consecutive blocks of the given sizes under the
-    weight table `weights`, in pieces of at most t, keeping row codes within
-    pieces x chunk entries, from the plan cache.  Charges its sum(sizes)
-    columns, each holding two place values, on every call, built or kept."""
-    charge(sum(sizes), "piece-plan entries")
-    return _piece_plan(weights, sizes, t, chunk)
 
 
 def _merge(states: dict[int, list[int]], key: int, poly: list[int]) -> None:
@@ -844,6 +831,14 @@ def odometer_table(q: int, m: int) -> np.ndarray:
     for j in range(m):
         out.reshape(q**j, q, q ** (m - 1 - j), m)[:, :, :, j] = digits[None, :, None]
     return out
+
+
+def space_rows(q: int, n: int, cols: np.ndarray) -> np.ndarray:
+    """The rows of F_q^cols in odometer order as a (q^|cols|, n) uint8
+    array, zero off the columns cols."""
+    rows = np.zeros((q ** len(cols), n), dtype=np.uint8)
+    rows[:, cols] = odometer_table(q, len(cols))
+    return rows
 
 
 def parse_vector(text: str) -> Vector:

@@ -31,29 +31,25 @@ from .constructions import (
     tensor_code,
 )
 from .errors import (
-    ConsistencyError,
     FieldMismatch,
     LengthMismatch,
     NotAChain,
     NotLinear,
-    OutOfRange,
-    ParseError,
-    SpaceTooLarge,
     TooFewWords,
     WeightMismatch,
 )
 from .instances import Instance, dumps_instance, load_instance
 
+# the computation errors that subclass ValueError, exit 1; every other
+# ValueError (a malformed vector, an instance file's ParseError or
+# ConsistencyError) is a usage error, exit 2
 _DOMAIN_ERRORS = (
     FieldMismatch,
     LengthMismatch,
     NotAChain,
     NotLinear,
-    OutOfRange,
-    SpaceTooLarge,
     TooFewWords,
     WeightMismatch,
-    ZeroDivisionError,
 )
 
 
@@ -279,16 +275,13 @@ def main(argv: list[str] | None = None) -> int:
         # at /dev/null so that the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ParseError, ConsistencyError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except _DOMAIN_ERRORS as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
+    except (FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except Exception as e:
+    except Exception as e:  # OutOfRange, SpaceTooLarge, ZeroDivisionError and the rest
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

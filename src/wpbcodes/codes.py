@@ -190,11 +190,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .blockspace import _CHUNK, _TILE, BlockSpace, Vector, _cap, _Cut, charge, odometer_table
+from .blockspace import _CHUNK, _TILE, BlockSpace, Vector, _cap, _Cut, charge, space_rows
 from .errors import NotAChain, NotLinear, TooFewWords
 from .field import Field
 from .poset import Node
-from .weights import WeightFn, exact_ints
+from .weights import WeightFn, exact_radius
 
 _BIG = np.iinfo(np.int64).max
 # The planner's price of a split (_plan) in a leaf's cost units, the entries
@@ -495,10 +495,8 @@ class Code:
         """True iff radius-r balls around codewords tile the space: every
         vector lies within r of a codeword (covering radius <= r) and, for two
         or more codewords, within r of no second one (r <= packing radius).
-        The radius r is an integer (exact_ints)."""
-        (r,) = exact_ints([r], "radii")
-        if r < 0:
-            raise ValueError("radius must be >= 0")
+        The radius r is an integer, at least 0 (exact_radius)."""
+        r = exact_radius(r)
         if self.size >= 2 and r > self.packing_radius():
             return False
         return self.covering_radius() <= r
@@ -932,8 +930,7 @@ class Code:
         space = self.space
         charge(space.q ** len(self._free) * self.size, "vector x word pairs")
         covering, _, (best_w, best_word) = self._pass(self._free, "first")
-        x = np.zeros((len(best_w), space.n), dtype=np.uint8)
-        x[:, self._free] = odometer_table(space.q, len(self._free))
+        x = space_rows(space.q, space.n, self._free)
         words = self._listed()
         words = _words_of(space.field, self._rows, best_word) if words is None else words[best_word]
         leaders = space.field.add_table[x, words]

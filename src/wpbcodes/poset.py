@@ -115,9 +115,10 @@ class Poset:
         element of a lower summand below every element of a higher one):
         the connected components of the incomparability graph, bottom
         summand first, each an ascending tuple of elements: the children of
-        the tree's root when it is a series node.  Computed once per order
-        relation (_summands)."""
-        return _summands(self.below, self.above)
+        the tree's root when it is a series node, read from the tree (tree,
+        computed once per order relation)."""
+        root = self.tree()
+        return tuple(c.elements for c in root.children) if root.kind == "series" else (root.elements,)
 
     def tree(self) -> Node:
         """The series-parallel decomposition tree of P (Node): series nodes
@@ -229,13 +230,6 @@ def _components(p: Poset, members: int, comparable: bool) -> list[int]:
         parts.append(part)
         members &= ~part
     return parts
-
-
-@lru_cache(maxsize=1024)
-def _summands(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Poset.summands of the order with these masks."""
-    root = _tree(below, above)
-    return tuple(c.elements for c in root.children) if root.kind == "series" else (root.elements,)
 
 
 class Node:

@@ -7,7 +7,8 @@ always a genuine weight.
 
 exact_ints is the package's one integer rule for a caller's values: the
 weight tables here, and the block sizes, vector coordinates, radii and
-ranks of the blockspace and codes modules.
+ranks of the blockspace and codes modules.  exact_radius is the one
+radius rule: an integer, at least 0.
 """
 
 from __future__ import annotations
@@ -35,6 +36,15 @@ def exact_ints(values: Iterable, what: str) -> tuple[int, ...]:
     except TypeError:
         pass
     raise ValueError(f"{what} must be integers, got {values!r}")
+
+
+def exact_radius(value) -> int:
+    """A radius as an int: an integer (exact_ints), else ValueError, and
+    ValueError below 0."""
+    (radius,) = exact_ints([value], "radii")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    return radius
 
 
 @dataclass(frozen=True)

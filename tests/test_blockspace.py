@@ -666,7 +666,7 @@ def test_kernel_arrays_are_read_only():
     s.batch_weights(s.all_vectors()[:5])
     k, cut = s._kernel, s.cut(4)  # inside block 1: a straddling digit
     plans = [s.plan(), cut.head.plan, cut.tail.plan]
-    fields = ("left", "right", "starts", "firsts", "offsets", "table")
+    fields = ("right", "starts", "firsts", "table")
     arrays = [*(getattr(plan, f) for plan in plans for f in fields),
               k.bm_table, k.radix, cut.table, cut.head.digits, cut.tail.digits,
               s.plan().row_codes(np.array([0, 5, 10]))]
@@ -800,8 +800,8 @@ def _chunk_bounds(q: int, m: int, rows: int) -> list[tuple[int, int]]:
 def test_broadcast_row_codes_match_the_row_product(monkeypatch):
     """The left piece codes a plan builds for the rows x of F_q^cols from
     odometer_table, widened with zeros off cols, equal their definition,
-    each piece's offset plus sum_j x_j q^(len - 1 - j) q^len over its run
-    of columns, and odometer_codes yields the chunks of
+    sum_j x_j q^(hi - 1 - j) q^L over each piece's run lo..hi-1 of columns,
+    L the plan's longest piece, and odometer_codes yields the chunks of
     _chunk_bounds: seeded column subsets; row counts of 1,
     several chunks with a partial last one (q = 3 and 5), and one chunk;
     blocks longer than t (a GF(2) block of 9, and every block at
@@ -824,16 +824,17 @@ def test_broadcast_row_codes_match_the_row_product(monkeypatch):
                 split.add(len(plan.firsts) < len(plan.starts))
                 n = plan.n
                 ends = [*plan.starts[1:].tolist(), n]
-                runs = list(zip(plan.starts.tolist(), ends, plan.offsets.ravel().tolist()))
+                runs = list(zip(plan.starts.tolist(), ends))
+                longest = max(hi - lo for lo, hi in runs)
                 for _ in range(4):
                     m = rng.randint(0, min(n, 5 if q < 5 else 3))
                     cols = np.array(sorted(rng.sample(range(n), m)), dtype=np.intp)
                     x = np.zeros((q**m, n), dtype=np.uint8)
                     x[:, cols] = odometer_table(q, m)
                     want = np.array([
-                        off + sum(x[:, j].astype(int) * q ** (hi - 1 - j) * q ** (hi - lo)
-                                  for j in range(lo, hi))
-                        for lo, hi, off in runs
+                        sum(x[:, j].astype(int) * q ** (hi - 1 - j) * q**longest
+                            for j in range(lo, hi))
+                        for lo, hi in runs
                     ])
                     assert plan.row_codes(cols).tolist() == want.tolist()
                     for rows in (1, 7, 12, q**m):
