@@ -104,14 +104,14 @@ tables of at most _PIECE_CODES entries of at most 8 bytes), and a plan
 keeps that array itself, so plans with the same longest piece, those of a
 space's restrictions (restrict) among them, share one table.  At most 512
 kernels are cached, enough for the 476-503 shapes a full verify run builds
-at seeds 0-3, so no such run builds a shape's kernel twice.  A kernel of n coordinates and s
-blocks holds its covers (a tuple of one pair of ints per cover of the
-poset), its uint16 radix (2s bytes), its block-max table of at most _CHUNK
-int64 (128 KiB) and n - 1 cuts, each a table of at most _CHUNK uint8
-(16 KiB) and at most s + 1 uint16 digits.  A space keeps each space it restricts to
-(restrict), one per set of elements asked for: the tree reading asks for
-one per part of a split (a series split's fibers share one), each smaller
-than the space.
+at seeds 0-3, so no such run builds a shape's kernel twice.  A kernel of
+n coordinates and s blocks holds its covers (a tuple of one pair of ints
+per cover of the poset), its uint16 radix (2s bytes), its block-max table
+of at most _CHUNK int64 (128 KiB) and n - 1 cuts, each a table of at most
+_CHUNK uint8 (16 KiB) and at most s + 1 uint16 digits.  A space keeps each
+space it restricts to (restrict), one per set of elements asked for: the
+tree reading asks for one per part of a split (a series split's fibers
+share one), each smaller than the space.
 
 The transient memory of a call is bounded too: the enumeration cap bounds
 counts, the tiles bound bytes.  batch_weights takes its rows in tiles of
@@ -277,7 +277,8 @@ class Labeling:
         return tuple(accumulate(self.sizes[:-1], initial=0))
 
     def block_slice(self, i: int) -> slice:
-        """Coordinate slice of block i (1-based)."""
+        """Coordinate slice of block i (1-based), an integer (exact_ints)."""
+        (i,) = exact_ints([i], "block indices")
         if not 1 <= i <= self.s:
             raise OutOfRange(f"block {i} outside 1..{self.s}")
         start = self.offsets[i - 1]
@@ -324,20 +325,25 @@ class BlockSpace:
         n, every coordinate an integer (floats, bools and other types are
         rejected, not truncated) in 0..q-1.  An array is taken as it is;
         numpy upcasts bools mixed with ints, so rows that are not one array
-        are scanned for bools."""
+        are scanned for bools.  Python ints beyond int64 and uint64 make a
+        float or object array, so rows of Python ints alone that make one
+        are out of range."""
+        listed = None
         if not isinstance(rows, np.ndarray):
-            rows = list(rows)
-            short = next((len(r) for r in rows if len(r) != self.n), None)
+            listed = list(rows)
+            short = next((len(r) for r in listed if len(r) != self.n), None)
             if short is not None:
                 raise LengthMismatch(f"vector has length {short}, ambient n={self.n}")
-            if not rows:
+            if not listed:
                 return np.zeros((0, self.n), dtype=np.uint8)
-            if not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(rows))):
+            if not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(listed))):
                 raise ValueError(f"coordinates must be integers in 0..{self.q - 1}, got a bool")
-            rows = np.array(rows).reshape(len(rows), self.n)
+            rows = np.array(listed).reshape(len(listed), self.n)
         if rows.ndim != 2 or rows.shape[1] != self.n:
             raise LengthMismatch(f"vector has length {rows.shape[-1]}, ambient n={self.n}")
         if rows.dtype.kind not in "iu":
+            if listed is not None and all(type(x) is int for x in chain.from_iterable(listed)):
+                raise ValueError(f"coordinates must lie in 0..{self.q - 1}")
             raise ValueError(f"coordinates must be integers in 0..{self.q - 1}, got {rows.dtype}")
         if len(rows) and (rows.min() < 0 or rows.max() >= self.q):
             raise ValueError(f"coordinates must lie in 0..{self.q - 1}")
@@ -713,7 +719,7 @@ class _PiecePlan:
         longest = int(lengths.max())
         place = np.concatenate([q ** np.arange(m - 1, -1, -1, dtype=np.intp) for m in lengths])
         self.right = place[:, None]  # (n, 1) intp place values of b: q^(len - 1 - j)
-        self.lift = q**longest  # a left code a is the right one times q^L
+        self.lift = q**longest  # q^L: a left code is the right one times it
         self.starts = np.array(starts, dtype=np.intp)
         self.firsts = np.array(firsts, dtype=np.intp)
         self.table = _pair_table(weights, longest)

@@ -380,18 +380,19 @@ class Code:
         self._set(space, rows, pivots)
 
     @classmethod
-    def _of(cls, space: BlockSpace, rows: np.ndarray, pivots: Sequence[int] | None = None) -> Code:
+    def _of(cls, space: BlockSpace, rows: np.ndarray, pivots: Sequence[int] | None = None,
+            parts: tuple | None = None) -> Code:
         """A code with rows another code has checked, taken as they are: a
         part of a split (_split) on its node's space, or a sibling under
         another weight (with_weight) on the same rows.  The rows are a
         linear code's generators in reduced row-echelon form with their
         pivot columns, or (pivots None) an explicit code's sorted distinct
-        words."""
+        words; parts is its split when the maker knows it (_parallel)."""
         code = cls.__new__(cls)
-        code._set(space, rows, pivots)
+        code._set(space, rows, pivots, parts)
         return code
 
-    def _set(self, space: BlockSpace, rows: np.ndarray, pivots) -> None:
+    def _set(self, space: BlockSpace, rows: np.ndarray, pivots, parts: tuple | None = None) -> None:
         """The code's state from its checked rows (__init__, _of)."""
         self.space = space
         rows.flags.writeable = False
@@ -410,7 +411,7 @@ class Code:
             held = set(pivots)
             self._free = np.array([c for c in range(space.n) if c not in held], np.intp)
         self._memo: dict = {}
-        self._parts: tuple | None = None  # _split, once found
+        self._parts = parts  # _split, once found
 
     @classmethod
     def linear(cls, space: BlockSpace, rows: Sequence[Sequence[int]]) -> "Code":
@@ -650,12 +651,15 @@ class Code:
         parts = []
         for g, group in enumerate(groups):
             sub = space.restrict(tuple(sorted(e for i in group for e in children[i].elements)))
+            # a group of two or more components is no product (the groups are
+            # the finest factors), so its split is known: ()
+            known = () if len(group) > 1 else None
             if self.is_linear:
                 mine = owner == g
                 part = Code._of(sub, self._rows[mine][:, cols[g]],
-                                np.searchsorted(cols[g], pivots[mine]).tolist())
+                                np.searchsorted(cols[g], pivots[mine]).tolist(), known)
             else:
-                part = Code._of(sub, data[g])
+                part = Code._of(sub, data[g], None, known)
             parts.append((0, part))
         return "parallel", parts, [(0, part) for _, part in parts if part.size > 1]
 

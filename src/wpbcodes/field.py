@@ -28,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotAPrimePower
+from .weights import exact_ints
 
 MAX_Q = 256
 
@@ -181,7 +182,13 @@ class Field:
         return f"GF({self.q}=p{self.p}^{self.e}, modulus={self.modulus})"
 
 
-@lru_cache(maxsize=None)
 def make_field(q: int) -> Field:
-    """Return the cached GF(q) instance; raises NotAPrimePower for invalid q."""
-    return Field(q)
+    """Return the cached GF(q) instance for an integer q (exact_ints, checked
+    before the cache, so True and 2.0 are refused, not taken as 1 or 2);
+    raises NotAPrimePower for invalid q."""
+    (q,) = exact_ints([q], "field sizes")
+    return _field(q)
+
+
+# the field cache: one Field per q in the process (make_field)
+_field = lru_cache(maxsize=None)(Field)

@@ -39,6 +39,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CycleDetected, NotAnIdeal, OutOfRange
+from .weights import exact_ints
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -273,7 +274,8 @@ def _node(p: Poset, members: int) -> Node:
 
 
 def chain(s: int) -> Poset:
-    """The total order 1 < 2 < ... < s."""
+    """The total order 1 < 2 < ... < s, s an integer (exact_ints)."""
+    (s,) = exact_ints([s], "poset sizes")
     if s < 1:
         raise ValueError("chain needs s >= 1")
     full = (1 << s) - 1
@@ -281,7 +283,8 @@ def chain(s: int) -> Poset:
 
 
 def antichain(s: int) -> Poset:
-    """s pairwise-incomparable elements."""
+    """s pairwise-incomparable elements, s an integer (exact_ints)."""
+    (s,) = exact_ints([s], "poset sizes")
     if s < 1:
         raise ValueError("antichain needs s >= 1")
     return Poset._of([0] * s, [0] * s)
@@ -292,10 +295,13 @@ def from_cover_relations(s: int, covers: Iterable[tuple[int, int]]) -> Poset:
     elements are sorted topologically (Kahn's algorithm; CycleDetected,
     naming a cycle (_cycle), when some are left), then each element's
     down-set is the union of its lower covers' and each up-set that of its
-    upper covers', one OR per cover."""
+    upper covers', one OR per cover.  The size and the elements of each
+    cover pair are integers (exact_ints)."""
+    (s,) = exact_ints([s], "poset sizes")
     succ: list[list[int]] = [[] for _ in range(s)]
     pending = [0] * s  # covers into each element from elements not yet sorted
-    for a, b in covers:
+    for pair in covers:
+        a, b = exact_ints(pair, "cover pairs")
         if not (1 <= a <= s and 1 <= b <= s):
             raise OutOfRange(f"cover ({a},{b}) outside 1..{s}")
         if a == b:

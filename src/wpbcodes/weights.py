@@ -6,9 +6,10 @@ all three axioms over the full q x q pair grid, so a WeightFn in hand is
 always a genuine weight.
 
 exact_ints is the package's one integer rule for a caller's values: the
-weight tables here, and the block sizes, vector coordinates, radii and
-ranks of the blockspace and codes modules.  exact_radius is the one
-radius rule: an integer, at least 0.
+weight tables here, the field sizes of the field module, the poset sizes
+and cover pairs of the poset module, and the block sizes, block indices,
+vector coordinates, radii and ranks of the blockspace and codes modules.
+exact_radius is the one radius rule: an integer, at least 0.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .errors import AxiomViolation, LeeRequiresPrimeField
-from .field import Field
+
+if TYPE_CHECKING:  # the field module takes its integers through exact_ints
+    from .field import Field
 
 
 def exact_ints(values: Iterable, what: str) -> tuple[int, ...]:

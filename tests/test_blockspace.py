@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from wpbcodes import blockspace
 from wpbcodes.checks import verify_suite
+from wpbcodes.codes import Code
+from wpbcodes.constructions import punctured_code
+from wpbcodes.errors import NotAPrimePower
 from wpbcodes.blockspace import (
     _CHUNK,
     DEFAULT_MAX_SPACE,
@@ -315,6 +318,53 @@ def test_coerce_rejects_non_integers():
             s.wpb_weight(bad)
     assert s.wpb_weight(np.array([1, 2], dtype=np.uint8)) == s.wpb_weight((1, 2)) == 2
     assert s.wpb_weight(iter([2, 0])) == 1
+
+
+def _chain_code():
+    return Code(space(2, P.chain(2), (1, 2)), generators=[[1, 1, 0]])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: Labeling((1, 2)).block_slice(True), id="block_slice-bool"),
+    pytest.param(lambda: Labeling((1, 2)).block_slice(2.0), id="block_slice-float"),
+    pytest.param(lambda: space(2, P.chain(2), (1, 2)).block((1, 0, 1), True), id="block"),
+    pytest.param(lambda: space(2, P.chain(2), (1, 2)).block_max_weight((1, 0, 1), 2.0),
+                 id="block_max_weight"),
+    pytest.param(lambda: punctured_code(_chain_code(), True), id="punctured_code"),
+    pytest.param(lambda: make_field(5.0), id="make_field-float"),
+    pytest.param(lambda: make_field(True), id="make_field-bool"),
+    pytest.param(lambda: P.chain(True), id="chain-bool"),
+    pytest.param(lambda: P.chain(2.0), id="chain-float"),
+    pytest.param(lambda: P.antichain(True), id="antichain"),
+    pytest.param(lambda: P.from_cover_relations(True, []), id="from_cover_relations-size"),
+    pytest.param(lambda: P.from_cover_relations(3, [(1.0, 2)]), id="from_cover_relations-pair"),
+])
+def test_indices_and_sizes_share_the_integer_rule(call):
+    """Block indices, field sizes, poset sizes and cover pairs go through
+    the one integer rule (exact_ints): a bool or a float raises ValueError,
+    never taken as 1 or truncated, and never a bare TypeError."""
+    with pytest.raises(ValueError, match="must be integers"):
+        call()
+
+
+def test_integer_indices_and_sizes_keep_their_range_errors():
+    """Integers out of range raise the errors they raised before the
+    integer rule, with the same text; numpy integers pass as ints."""
+    with pytest.raises(OutOfRange, match=r"^block 3 outside 1\.\.2$"):
+        Labeling((1, 2)).block_slice(3)
+    with pytest.raises(OutOfRange, match=r"^block 0 outside 1\.\.2$"):
+        punctured_code(_chain_code(), 0)
+    with pytest.raises(NotAPrimePower, match="^6 has at least two distinct prime factors$"):
+        make_field(6)
+    with pytest.raises(ValueError, match="^chain needs s >= 1$"):
+        P.chain(0)
+    with pytest.raises(ValueError, match="^antichain needs s >= 1$"):
+        P.antichain(0)
+    with pytest.raises(OutOfRange, match=r"^cover \(1,4\) outside 1\.\.3$"):
+        P.from_cover_relations(3, [(1, 4)])
+    assert Labeling((1, 2)).block_slice(np.int64(2)) == slice(1, 3)
+    assert make_field(np.int64(5)) is make_field(5)
+    assert P.from_cover_relations(np.int64(2), [(np.int64(1), 2)]) == P.chain(2)
 
 
 def _relabelled_posets(seed: int, count: int) -> list[P.Poset]:

@@ -305,6 +305,36 @@ def test_missing_file_exit_code(capsys):
     assert main(["mindist", "/no/such/file.json"]) == 2
 
 
+# one command per error class the CLI maps: the computation errors exit 1
+# and name their type, usage and instance-file errors exit 2 and do not
+@pytest.mark.parametrize(
+    "argv, status, prefix",
+    [
+        (["construct", "puncture", "{rep3}", "--block", "9"], 1,
+         "error: OutOfRange: block 9 outside 1..3\n"),
+        (["cosets", "{rep3}"], 1, "error: NotLinear: "),
+        (["mindist", "{one}"], 1, "error: TooFewWords: "),
+        (["weight", "{rep3}", "--vector", "1,1"], 1,
+         "error: LengthMismatch: vector has length 2, ambient n=3\n"),
+        (["weight", "{rep3}", "--vector", "1,x"], 2, "error: vector field 2 of '1,x' "),
+        (["mindist", "{missing}"], 2, "error: [Errno 2] No such file or directory"),
+        (["mindist", "{rep3}", "--max-space", "2"], 1, "error: SpaceTooLarge: "),
+        (["mindist", "{big}"], 2, "error: code.rows: coordinates must "),
+    ],
+    ids=["OutOfRange", "NotLinear", "TooFewWords", "LengthMismatch", "ValueError",
+         "FileNotFoundError", "SpaceTooLarge", "ConsistencyError"],
+)
+def test_each_error_class_maps_to_its_exit_code(argv, status, prefix, rep3, tmp_path, capsys):
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({**REP3, "code": {"kind": "list", "words": [[1, 0, 1]]}}))
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({**LEE_SPAN, "code": {"kind": "generator", "rows": [[1, 3, 2**70]]}}))
+    paths = {"rep3": rep3, "one": str(one), "big": str(big), "missing": str(tmp_path / "no.json")}
+    assert main([arg.format(**paths) for arg in argv]) == status
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix) and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "cover, message",
     [

@@ -1266,6 +1266,41 @@ def test_a_code_priced_below_a_split_is_never_searched(monkeypatch):
     assert Code.explicit(sp, words)._split()
 
 
+@pytest.mark.parametrize("kind", ["linear", "explicit"])
+def test_a_group_of_components_that_do_not_factor_is_searched_once(kind, monkeypatch):
+    """Over GF(2) on the 3-antichain of 1-blocks, the code spanned by 110
+    and 001 is {00, 11} on elements 1 and 2, which do not factor, times F_2
+    on element 3.  The unpriced covering plan searches the parallel split
+    at the root once: the {1, 2} part comes with its split known, (), and
+    is never searched again.  With both radii read through the split
+    (under a cap of the most entries a reading's plan of fewest entries
+    charges, below each radius leaf's), the readings match the scalar brute
+    force."""
+    sp = space(2, P.antichain(3), (1, 1, 1))
+    linear = Code.linear(sp, [[1, 1, 0], [0, 0, 1]])
+    code = linear if kind == "linear" else Code.explicit(sp, linear.codewords())
+    searched = []
+    parallel = Code._parallel
+
+    def counting(self, *args):
+        searched.append(self)
+        return parallel(self, *args)
+
+    monkeypatch.setattr(Code, "_parallel", counting)
+    plan = code._plan("covering_radius", priced=False)[1]
+    assert searched == [code] and plan is not None
+    pair = next(part for _, part, _ in plan if part.space.n == 2)
+    assert pair._parts == () and pair.size == 2
+    readings = ("covering_radius", "packing_radius", "min_distance")
+    cap = max(code._plan(what, priced=False)[0] for what in readings)
+    assert all(cap < code._leaf_cost(what) for what in readings[:2])
+    with enumeration_cap(cap):
+        got = [code.covering_radius(), code.packing_radius(), code.min_distance(),
+               code.is_perfect()]
+    assert got == _scalar_readings(sp, code.codeword_array())
+    assert searched == [code]
+
+
 def test_a_split_that_fits_the_cap_answers_where_the_leaf_does_not():
     """Under a cap below the leaf's entries, the same verify-sized code,
     which its price reads as a leaf, reads through its split, whose leaves

@@ -209,6 +209,18 @@ def test_constructor_errors_keep_their_path(key, value, path, tmp_path, capsys):
     _refused_at(dict(LEE5, **{key: value}), path, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("row", [[1, 3, 2**70], [-1, 3, 2**63]], ids=["object", "float64"])
+def test_big_coordinates_are_range_errors(row):
+    """A coordinate beyond int64 (and, beside a negative one, beyond uint64)
+    makes numpy build an object or float64 array of the rows, yet every
+    entry is a JSON integer: the document is refused for its range, not for
+    the array's dtype."""
+    doc = dict(LEE5, code={"kind": "generator", "rows": [row]})
+    with pytest.raises(ConsistencyError) as e:
+        loads_instance(json.dumps(doc))
+    assert str(e.value) == "code.rows: coordinates must lie in 0..4"
+
+
 @st.composite
 def valid_documents(draw):
     """Instance documents that load: every weight kind, posets given by any
