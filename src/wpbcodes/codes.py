@@ -72,11 +72,15 @@ at c_i, w(c_j - c_i) being 0 exactly at j = i, so its second-smallest
 entry is the distance to the nearest other word).
 
 A code splits only when its split costs less (_plan).  Every leaf reading
-costs its rows times its words (_leaf_cost): q^n * |C| entries for an
-explicit leaf's radii, q^(n - dim) coset rows times q^dim words for a
-linear one's, the zero row times |C| for a linear d and |C|^2 for an
-explicit d, n the coordinates of the leaf's space; plus _CHUNK / 8 for a
-pass's fixed work and its entries beyond _CHUNK an eighth each.  A split
+costs its rows times its words, and one method (_leaf) gives those entries
+with the read that memoizes the reading, one case per code kind and
+reading, the filled space decided there alone (one path applies to each,
+so nothing chooses among paths): q^n * |C| entries for an explicit leaf's
+radii, q^(n - dim) coset rows times q^dim words for a linear one's (none
+when the code fills its space), the zero row times |C| for a linear d and
+|C|^2 for an explicit d, n the coordinates of the leaf's space; plus
+_CHUNK / 8 for a pass's fixed work and its entries beyond _CHUNK an eighth
+each.  A split
 costs _SPLIT_PRICE, the measured time of finding and building its parts
 in those units, so a code whose leaf costs no more is read whole and its
 split never searched: at verify seed 0, 142 codes search a split, 125
@@ -186,7 +190,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -246,11 +250,11 @@ def _keep(w: np.ndarray, keep: str) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _row_reduce(
     field: Field, rows: np.ndarray, order: Sequence[int]
-) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+) -> tuple[np.ndarray, tuple[int, ...]]:
     """The reduced row-echelon form of a validated (m, n) uint8 array with
-    its columns taken in the given order, and its pivot columns in that
-    order.  The matrices are a few rows, so this is list code on the
-    field's tables as lists."""
+    its columns taken in the given order, as an (r, n) uint8 array, r the
+    rank, and its pivot columns in that order.  The matrices are a few
+    rows, so this is list code on the field's tables as lists."""
     mul, sub, inv = _list_tables(field)
     mat = rows.tolist()
     pivots: list[int] = []
@@ -270,7 +274,7 @@ def _row_reduce(
                 mat[i] = [sub[x][times[y]] for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
-    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+    return np.array(mat[:r], dtype=np.uint8).reshape(r, rows.shape[1]), tuple(pivots)
 
 
 @lru_cache(maxsize=None)
@@ -371,8 +375,7 @@ class Code:
         rows = space._coerce_rows(words if generators is None else generators)
         pivots = None
         if generators is not None:
-            reduced, pivots = _row_reduce(space.field, rows, range(space.n))
-            rows = np.array(reduced, dtype=np.uint8).reshape(len(reduced), space.n)
+            rows, pivots = _row_reduce(space.field, rows, range(space.n))
         elif not len(rows):
             raise ValueError("an explicit code needs at least one word")
         else:
@@ -512,25 +515,26 @@ class Code:
         name of the memo and the method) of the code, memoized: read from
         its parts on the decomposition tree (module docstring), along one
         plan (_plan), the priced one, or the one of fewest entries when the
-        rows x words entries (_leaf_cost) of the leaves the priced one reads
-        that are not read yet exceed the enumeration cap, so SpaceTooLarge
-        names the fewest.  The entries are charged together, in one unit,
-        before any leaf runs, and the plan is dropped once the reading is
-        combined.  A packing radius or a minimum distance of fewer than two
-        words raises TooFewWords."""
+        rows x words entries of the leaves the priced one reads that are not
+        read yet exceed the enumeration cap, so SpaceTooLarge names the
+        fewest.  Each such leaf gives its entries and its read (_leaf): the
+        entries are summed and charged together, in one unit, before any
+        read runs, and the plan is dropped once the reading is combined.  A
+        packing radius or a minimum distance of fewer than two words raises
+        TooFewWords."""
         if what in self._memo:
             return self._memo[what]
         if what != "covering_radius" and self.size < 2:
             raise TooFewWords(f"{what.replace('_', ' ')} needs at least two distinct words")
         for priced in (True, False):
             _, plan = self._plan(what, priced)
-            leaves = [leaf for leaf in self._leaves(plan) if what not in leaf._memo]
-            count = sum(leaf._leaf_cost(what) for leaf in leaves)
+            reads = [leaf._leaf(what) for leaf in self._leaves(plan) if what not in leaf._memo]
+            count = sum(entries for entries, _ in reads)
             if count <= _cap.get():
                 break
         charge(count, "vector x word pairs")
-        for leaf in leaves:
-            leaf._read_leaf(what)
+        for _, read in reads:
+            read()
         self._memo[what] = self._combine(what, plan)
         return self._memo[what]
 
@@ -539,16 +543,16 @@ class Code:
         read the code as a leaf, or the (offset, part, part's plan) triples
         its split combines for the reading, each part read the cheapest way,
         when they cost less than the leaf.  Priced, costs count entries of a
-        pass that fits one tile (_leaf_cost, rows x words for every
-        reading): a leaf also costs _CHUNK / 8 for its fixed work, and its
-        entries beyond _CHUNK an eighth each, as cut chunks run about eight
-        times as many entries in the same time; a split costs _SPLIT_PRICE
-        for finding and building its parts.  So a code whose leaf costs at
-        most _SPLIT_PRICE, which no split can undercut, reads as a leaf and
-        its split is never searched.  Else a leaf costs its entries, none
+        pass that fits one tile (the entries of _leaf, rows x words for
+        every reading): a leaf also costs _CHUNK / 8 for its fixed work, and
+        its entries beyond _CHUNK an eighth each, as cut chunks run about
+        eight times as many entries in the same time; a split costs
+        _SPLIT_PRICE for finding and building its parts.  So a code whose
+        leaf costs at most _SPLIT_PRICE, which no split can undercut, reads
+        as a leaf and its split is never searched.  Else a leaf costs its entries, none
         when it is read already, and a split adds nothing, so the plan
         charges the fewest entries and no price gates a search."""
-        entries = self._leaf_cost(what)
+        entries = self._leaf(what)[0]
         if priced:
             cost = _CHUNK // 8 + min(entries, _CHUNK) + max(entries - _CHUNK, 0) // 8 if entries else 0
         else:
@@ -624,9 +628,10 @@ class Code:
         else:
             # peel off every component whose projection is a factor:
             # C = pi_i(C) x pi_rest(C) iff |C| = |pi_i C| * |pi_rest C|, the
-            # counts taken on the column slices
+            # counts taken on the column slices; each factor's words are
+            # then the distinct rows of its columns
             comps, words = _columns_of(where, len(children)), self._rows
-            rest, size, left, groups, data = list(range(len(children))), self.size, words, [], []
+            rest, size, groups = list(range(len(children))), self.size, []
             for i in range(len(children)):
                 if len(rest) == 1:
                     break
@@ -635,10 +640,8 @@ class Code:
                 mine, theirs = _unique_rows(words[:, comps[i]]), _unique_rows(words[:, cols])
                 if len(mine) * len(theirs) == size:
                     groups.append([i])
-                    data.append(mine)
-                    rest, size, left = others, len(theirs), theirs
+                    rest, size = others, len(theirs)
             groups.append(rest)
-            data.append(left)
         if len(groups) == 1:
             return ()
         group_of = np.empty(len(children), dtype=np.intp)
@@ -659,7 +662,7 @@ class Code:
                 part = Code._of(sub, self._rows[mine][:, cols[g]],
                                 np.searchsorted(cols[g], pivots[mine]).tolist(), known)
             else:
-                part = Code._of(sub, data[g], None, known)
+                part = Code._of(sub, _unique_rows(self._rows[:, cols[g]]), None, known)
             parts.append((0, part))
         return "parallel", parts, [(0, part) for _, part in parts if part.size > 1]
 
@@ -716,10 +719,8 @@ class Code:
         first, their pivots, the summand of each pivot, which does not rise
         from row to row, and j*, the highest summand holding fewer pivots
         than columns (None when the code fills the node)."""
-        space = self.space
         order = np.argsort(-where, kind="stable")
-        reduced, pivots = _row_reduce(space.field, self._rows, order.tolist())
-        rows = np.array(reduced, dtype=np.uint8).reshape(len(reduced), space.n)
+        rows, pivots = _row_reduce(self.space.field, self._rows, order.tolist())
         pivots = np.array(pivots, dtype=np.intp)
         at = where[pivots]
         held, widths = (np.bincount(a, minlength=where.max() + 1) for a in (at, where))
@@ -734,49 +735,45 @@ class Code:
                 of[e - 1] = j
         return np.repeat(of, self.space.labeling.sizes)
 
-    def _leaf_cost(self, what: str) -> int:
-        """The entries of the code's reading as a leaf, its rows times its
-        |C| words: q^|free| rows (the columns off a linear code's pivots, all
-        of an explicit code's) for both radii, and for a minimum distance the
-        zero row of a linear code or the words of an explicit one; 0 when a
-        linear code fills its space (its covering radius is 0)."""
-        if what == "min_distance":
-            rows = 1 if self.is_linear else self.size
-        elif what == "covering_radius" and not len(self._free):
-            return 0
-        else:
-            rows = self.space.q ** len(self._free)
-        return rows * self.size
-
-    def _read_leaf(self, what: str) -> None:
-        """The code's reading as a leaf into its memo: the minimum distance
-        of a linear code, the least positive weight of its words (only the
+    def _leaf(self, what: str) -> tuple[int, Callable[[], None]]:
+        """The code's reading as a leaf: its entries, rows times |C| words,
+        and the read that memoizes it.  A linear code that fills its space
+        has covering radius 0, no entries.  A linear code's minimum
+        distance is the least positive weight of its |C| words (only the
         zero word weighs 0), weighed block by block as they are listed
-        (_chunked), or of an explicit code from its negated words as the
-        rows of a pass against its words: the row of -c_i has its one 0 at
-        c_i, so its second-smallest entry is the distance to the nearest
-        other word.  Else a pass (the coset pass of a linear code on its
-        columns off the pivots against its words, an explicit code's on all
-        its columns against its words) that keeps what the reading needs:
-        a covering radius the row
-        minima alone ("min"), memoized alone, and a packing radius the two
-        smallest entries per row ("two"), which give both radii, both
-        memoized.  So covering and then packing on one code takes two
-        passes, and packing first one."""
-        space = self.space
-        if not self._leaf_cost(what):  # a linear code that fills its space
-            self._memo[what] = 0
-        elif what == "min_distance" and self.is_linear:
-            weights = (space.batch_weights(words) for words in self._chunked(_CHUNK))
-            self._memo[what] = min(int(w.min(initial=_BIG, where=w > 0)) for w in weights)
-        elif what == "min_distance":
-            self._memo[what] = self._pass(self._free, "two", space.field.neg_table[self._rows])[1] + 1
-        else:
-            keep = "min" if what == "covering_radius" else "two"
+        (_chunked); an explicit code's takes its |C| negated words as the
+        rows of a pass against its words, |C|^2 entries: the row of -c_i has
+        its one 0 at c_i, so its second-smallest entry is the distance to
+        the nearest other word.  Both radii take a pass over q^|free| rows
+        (the coset pass of a linear code on its columns off the pivots, an
+        explicit code's on all its columns) against its words, keeping what
+        the reading needs: a covering radius the row minima alone ("min"),
+        memoized alone, and a packing radius the two smallest entries per
+        row ("two"), which give both radii, both memoized.  So covering and
+        then packing on one code takes two passes, and packing first one.
+        One case applies to each code kind and reading, so nothing chooses
+        among cases: a second path for a reading adds its case here, with
+        the choice of the cheaper one."""
+        if what == "min_distance" and self.is_linear:
+            def read() -> None:
+                weights = (self.space.batch_weights(words) for words in self._chunked(_CHUNK))
+                self._memo[what] = min(int(w.min(initial=_BIG, where=w > 0)) for w in weights)
+            return self.size, read
+        if what == "min_distance":
+            def read() -> None:
+                negated = self.space.field.neg_table[self._rows]
+                self._memo[what] = self._pass(self._free, "two", negated)[1] + 1
+            return self.size**2, read
+        if what == "covering_radius" and not len(self._free):
+            return 0, lambda: self._memo.update(covering_radius=0)
+        keep = "min" if what == "covering_radius" else "two"
+
+        def read() -> None:
             covering, packing, _ = self._pass(self._free, keep)
             self._memo["covering_radius"] = covering
             if keep == "two":  # a packing reading reaches codes of two or more words
                 self._memo["packing_radius"] = packing
+        return self.space.q ** len(self._free) * self.size, read
 
     # the pass -----------------------------------------------------------------
 

@@ -27,6 +27,7 @@ from .codes import Code, _unique_rows
 from .errors import FieldMismatch, LengthMismatch, OutOfRange, WeightMismatch
 from .field import Field
 from . import poset as posets
+from .weights import exact_ints
 
 
 @dataclass(frozen=True)
@@ -39,11 +40,15 @@ class ConstructionResult:
         assert self.code.space is self.space
 
 
-def _check_compatible(c1: Code, c2: Code) -> None:
+def _check_field(c1: Code, c2: Code) -> None:
     if c1.space.field != c2.space.field:
         raise FieldMismatch(
             f"codes live over GF({c1.space.q}) and GF({c2.space.q})"
         )
+
+
+def _check_compatible(c1: Code, c2: Code) -> None:
+    _check_field(c1, c2)
     if c1.space.weight.table != c2.space.weight.table:
         raise WeightMismatch("codes use different weight tables")
 
@@ -122,8 +127,10 @@ def sum_map_injective(c1: Code, c2: Code) -> bool:
 
     This is the reading of the (u'|u'+u'') refinement hypothesis: no two
     distinct pairs share a sum.  For linear inputs it is equivalent to
-    C1 and C2 intersecting only in 0.
+    C1 and C2 intersecting only in 0.  The codes share their field
+    (FieldMismatch otherwise); their weights do not enter.
     """
+    _check_field(c1, c2)
     if c1.space.n != c2.space.n:
         raise LengthMismatch(f"sums need equal lengths, got {c1.space.n} and {c2.space.n}")
     pairs, n = _word_pairs(c1, c2), c1.space.n
@@ -197,10 +204,14 @@ def tensor_vector(
 
     Block (i, j) holds the products u_{i,r} * v_{j,c} row-major (the u
     coordinate is the outer index), so its block-max weight is exactly
-    max over the two blocks' coordinate pairs.
+    max over the two blocks' coordinate pairs.  The coordinates of u and v
+    are integers (exact_ints) in 0..q-1, else ValueError.
     """
+    u, v = exact_ints(u, "coordinates"), exact_ints(v, "coordinates")
     if len(u) != pi1.n or len(v) != pi2.n:
         raise LengthMismatch("vectors do not match their labelings")
+    if min(u + v) < 0 or max(u + v) >= field.q:
+        raise ValueError(f"coordinates must lie in 0..{field.q - 1}")
     a, b = _tensor_layout(pi1, pi2)
     return tuple(field.mul_table[np.asarray(u)[a], np.asarray(v)[b]].tolist())
 

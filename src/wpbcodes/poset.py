@@ -95,8 +95,7 @@ class Poset:
 
     def leq(self, a: int, b: int) -> bool:
         """True iff a <=_P b (1-based)."""
-        self._check(a)
-        self._check(b)
+        a, b = self._check(a), self._check(b)
         return a == b or bool(self.below[b - 1] >> (a - 1) & 1)
 
     def less(self, a: int, b: int) -> bool:
@@ -146,7 +145,7 @@ class Poset:
         """The masks of members and of the ideal they generate."""
         mask = down = 0
         for e in set(members):
-            self._check(e)
+            e = self._check(e)
             mask |= 1 << (e - 1)
             down |= self.below[e - 1]
         return mask, down | mask
@@ -155,7 +154,9 @@ class Poset:
         """The order P induces on the given ascending elements, relabelled
         order-preservingly to 1..len(elements): element elements[i] becomes
         i + 1.  Each kept mask is compressed with one shift-and-mask per run
-        of consecutive elements, so a run costs the same at any length."""
+        of consecutive elements, so a run costs the same at any length.  The
+        elements are integers (exact_ints)."""
+        elements = exact_ints(elements, "element indices")
         if any(b <= a for a, b in zip(elements, elements[1:])):
             raise ValueError(f"elements must ascend, got {list(elements)}")
         if elements:
@@ -200,9 +201,14 @@ class Poset:
         """The covers (covers), sorted."""
         return sorted(self.covers())
 
-    def _check(self, i: int) -> None:
+    def _check(self, i: int) -> int:
+        """The element i as an int: a plain int after one type test, any
+        other value through exact_ints; OutOfRange outside 1..s."""
+        if type(i) is not int:
+            (i,) = exact_ints([i], "element indices")
         if not 1 <= i <= self.s:
             raise OutOfRange(f"element {i} outside 1..{self.s}")
+        return i
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poset) and other.below == self.below

@@ -6,9 +6,10 @@ all three axioms over the full q x q pair grid, so a WeightFn in hand is
 always a genuine weight.
 
 exact_ints is the package's one integer rule for a caller's values: the
-weight tables here, the field sizes of the field module, the poset sizes
-and cover pairs of the poset module, and the block sizes, block indices,
-vector coordinates, radii and ranks of the blockspace and codes modules.
+weight tables here, the field sizes of the field module, the poset sizes,
+cover pairs and element indices of the poset module, the block sizes,
+block indices, vector coordinates, radii and ranks of the blockspace and
+codes modules, and the coordinates of constructions.tensor_vector.
 exact_radius is the one radius rule: an integer, at least 0.
 """
 

@@ -1293,7 +1293,7 @@ def test_a_group_of_components_that_do_not_factor_is_searched_once(kind, monkeyp
     assert pair._parts == () and pair.size == 2
     readings = ("covering_radius", "packing_radius", "min_distance")
     cap = max(code._plan(what, priced=False)[0] for what in readings)
-    assert all(cap < code._leaf_cost(what) for what in readings[:2])
+    assert all(cap < code._leaf(what)[0] for what in readings[:2])
     with enumeration_cap(cap):
         got = [code.covering_radius(), code.packing_radius(), code.min_distance(),
                code.is_perfect()]
@@ -1313,13 +1313,47 @@ def test_a_split_that_fits_the_cap_answers_where_the_leaf_does_not():
         with enumeration_cap(fewest - 1), pytest.raises(SpaceTooLarge, match=f"= {fewest} exc"):
             getattr(Code.explicit(sp, words), what)()
         code = Code.explicit(sp, words)
-        assert code._plan(what)[1] is None and code._leaf_cost(what) > fewest
+        assert code._plan(what)[1] is None and code._leaf(what)[0] > fewest
         cost, plan = code._plan(what, priced=False)
         assert plan is not None and cost == fewest
-        assert sum(leaf._leaf_cost(what) for leaf in code._leaves(plan)) == fewest
+        assert sum(leaf._leaf(what)[0] for leaf in code._leaves(plan)) == fewest
         with enumeration_cap(fewest):
             assert getattr(code, what)() == want
         assert all(what in leaf._memo for leaf in code._leaves(plan))
+
+
+def test_a_cheaper_leaf_case_is_priced_read_and_charged(monkeypatch):
+    """A second, cheaper case for one reading, added by wrapping Code._leaf,
+    is the case the reading takes.  The verify-sized explicit code's own
+    covering leaf costs more entries than its split's leaves (60), so its
+    plan of fewest entries splits; with a 12-entry case on the code's own
+    space, both plans price the code as that leaf, a cap one below its
+    entries raises SpaceTooLarge naming 12 before any read runs, and under
+    a cap of 12 the reading runs the case's read and returns its value, 99,
+    which no covering radius on the 8 coordinates reaches."""
+    sp, words = _verify_sized()
+    assert Code.explicit(sp, words)._plan("covering_radius", priced=False)[0] == 60
+    leaf, ran, entries = Code._leaf, [], 12
+
+    def cheaper(self, what):
+        if what != "covering_radius" or self.space is not sp:
+            return leaf(self, what)
+
+        def read():
+            ran.append(self)
+            self._memo[what] = 99
+        return entries, read
+
+    monkeypatch.setattr(Code, "_leaf", cheaper)
+    code = Code.explicit(sp, words)
+    assert code._plan("covering_radius") == (codes_module._CHUNK // 8 + entries, None)
+    assert code._plan("covering_radius", priced=False) == (entries, None)
+    with enumeration_cap(entries - 1), pytest.raises(SpaceTooLarge, match=f"= {entries} exc"):
+        code.covering_radius()
+    assert ran == [] and not code._memo
+    with enumeration_cap(entries):
+        assert code.covering_radius() == 99
+    assert ran == [code]
 
 
 def test_a_deep_chain_reads_its_fibers_through_the_top_summand():
@@ -1333,7 +1367,7 @@ def test_a_deep_chain_reads_its_fibers_through_the_top_summand():
     words = np.random.default_rng(28).integers(0, 2, size=(40, 16), dtype=np.uint8)
     for what in ("covering_radius", "packing_radius", "min_distance"):
         leaf = Code.explicit(sp, words)
-        leaf._read_leaf(what)
+        leaf._leaf(what)[1]()
         code = Code.explicit(sp, words)
         assert getattr(code, what)() == leaf._memo[what]
         plan = code._plan(what)[1]  # priced, the plan the reading took

@@ -1,6 +1,7 @@
 import functools
 import random
 
+import numpy as np
 import pytest
 
 from wpbcodes.blockspace import BlockSpace, Labeling, enumeration_cap
@@ -367,3 +368,32 @@ def test_tensor_vector_rejects_mismatched_lengths():
     f = make_field(3)
     with pytest.raises(LengthMismatch):
         tensor_vector(f, Labeling((1, 1)), Labeling((2,)), (1, 2, 0), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "u, v", [((1, -1), (1, 2)), ((True, 2), (1, 2)), ((1, 7), (1, 2)), ((1, 1.0), (1, 2)),
+             ((1, 2), (5, 1)), ((1, 2), ("1", 1))],
+    ids=["negative", "bool", "above-q", "float", "v-above-q", "string"])
+def test_tensor_vector_takes_coordinates_through_the_integer_rule(u, v):
+    """Over GF(5), a coordinate of u or v that is no integer, or lies outside
+    0..4, raises ValueError naming the coordinates: -1 does not wrap to 4,
+    True is not 1, and 7 or 1.0 raise no bare IndexError."""
+    f = make_field(5)
+    with pytest.raises(ValueError, match="^coordinates must"):
+        tensor_vector(f, Labeling((1, 1)), Labeling((2,)), u, v)
+    assert tensor_vector(f, Labeling((1, 1)), Labeling((2,)), (np.int64(1), 4), (1, 2)) == (1, 2, 4, 3)
+
+
+def test_sum_map_injective_refuses_codes_over_different_fields():
+    """A GF(3) code and a GF(2) code of equal length raise FieldMismatch in
+    either order, with _check_compatible's message: the GF(2) words are not
+    added in GF(3), and the swapped operands raise no bare IndexError.
+    Weights do not enter injectivity, so a Hamming and a Lee code over one
+    field are compared."""
+    c3 = Code.linear(space(3, P.antichain(2), (1, 1)), [(1, 2)])
+    c2 = Code.linear(space(2, P.antichain(2), (1, 1)), [(1, 1)])
+    for a, b in ((c3, c2), (c2, c3)):
+        message = rf"^codes live over GF\({a.space.q}\) and GF\({b.space.q}\)$"
+        with pytest.raises(FieldMismatch, match=message):
+            sum_map_injective(a, b)
+    assert sum_map_injective(c3, c3.with_weight(lee_weight(make_field(3)))) is False

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,6 +210,31 @@ def test_puncture():
     assert top_removed == P.from_cover_relations(3, [(1, 2), (1, 3)])
     with pytest.raises(OutOfRange):
         P.puncture(P.chain(2), 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda p: P.puncture(p, 2.5), lambda p: P.puncture(p, True), lambda p: p.leq(1.0, 2),
+     lambda p: p.less(1, "2"), lambda p: p.ideal([1.5]), lambda p: p.maximal_elements([1, None]),
+     lambda p: p.induced((1, 2.5)), lambda p: p.induced([False, 2])],
+    ids=["puncture-float", "puncture-bool", "leq-float", "less-string", "ideal-float",
+         "maximal-none", "induced-float", "induced-bool"])
+def test_element_indices_follow_the_integer_rule(call):
+    """An element index that is no integer raises ValueError naming element
+    indices: puncture(chain(3), 2.5) does not return the chain unchanged,
+    True does not stand for element 1, and leq, ideal and induced raise no
+    bare TypeError.  Numpy integers pass, as ints: on a 70-chain, whose
+    masks exceed 64 bits, they raise no OverflowError.  Indices outside 1..s
+    keep OutOfRange and its text."""
+    p = P.chain(3)
+    with pytest.raises(ValueError, match="^element indices must be integers"):
+        call(p)
+    assert p.leq(np.int64(1), 2) and p.ideal([np.int64(2)]) == {1, 2}
+    big = P.chain(70)
+    assert big.leq(np.int64(1), 70) and big.ideal([np.int64(66)]) == set(range(1, 67))
+    assert P.puncture(p, np.int64(2)) == P.chain(2) and p.induced((np.int64(1), 3)) == P.chain(2)
+    with pytest.raises(OutOfRange, match=r"^element 4 outside 1\.\.3$"):
+        p.induced((1, 4))
 
 
 def test_extend():
