@@ -130,14 +130,18 @@ cuts the enumerated columns into a head and a tail of t columns, t the
 largest with q^t * |C| <= _CHUNK, at the first tail column
 (BlockSpace.cut): x is a head row plus a tail row, and the index of the
 block-max tuple of x + c in the cut's table is a head part plus a tail
-part.  The (C, T) tail index of
-all q^t tail rows is built once per pass and the head index once per chunk
-of head rows, both with the pair tables, so each entry of a
-(head rows, C, T) tile costs one add and one gather.  The cut's tiles are
-narrow (uint16 indices into a uint8 table, _Cut), so a chunk takes
-4 * _CHUNK entries, at least one head row.  Without a cut (given rows, one
-tile holds the pass, q * |C| exceeds a tile, or the space has no table for
-the cut) tiles are whole rows times a block of words, at most
+part.  The (C, T) tail index of all q^t tail rows is built once per pass
+and the head index once per chunk of head rows, both with the pair
+tables.  Head rows with equal (C,) head indices have equal tile rows
+against every word and tail row, so a pass sorts its head rows by their
+head indices, in blocks of at most _TILE index entries, and reads each
+class of a block once: each entry of a (classes, C, T) tile costs one add
+and one gather, a maximum or minimum over the rows is one over the
+classes, and a coset table's pass gives each head row its class's
+readings.  The cut's tiles are narrow (uint16 indices into a uint8 table,
+_Cut), so a chunk takes 4 * _CHUNK entries, at least one class.  Without a cut (given rows, one tile holds the pass,
+q * |C| exceeds a tile, or the space has no table for the cut) tiles are
+whole rows times a block of words, at most
 pairs = min(_CHUNK, _TILE // n) int64 weights (at least one), one
 pair-kernel call each (BlockSpace.pair_weights): each chunk of rows meets
 every block of words in turn, pairs // |C| rows against all the words
@@ -173,7 +177,11 @@ same way):
   over all its rows;
 - a chunk through a cut holds at most 4 * _CHUNK uint8 weights and uint16
   indices, and its head sums at most 2n * _CHUNK intp entries, n at most
-  log_q of the cap for a pass the cap admits;
+  log_q of the cap for a pass the cap admits; a pass through a cut holds
+  one block of head indices at a time, with its classes, its sort's keys
+  and the ranks and classes of its head rows (intp): at most _TILE uint16
+  entries, or one chunk's when that is more (at most 2 * _CHUNK), though
+  (head rows) x |C| reaches cap / q when q * |C| is near _CHUNK;
 - the rows of F_q^cols come in chunks of a tile's rows, plus the codes of
   fewer than q * cap / rows prefixes (_PiecePlan.odometer_codes);
 - a coset table takes its leaders' words by their message ranks
@@ -189,7 +197,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -346,6 +354,17 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     keys = np.sort(np.ascontiguousarray(rows).view(f"V{width}").ravel())
     keep = np.concatenate(([True], keys[1:] != keys[:-1]))
     return keys[keep].view(np.uint8).reshape(-1, width)
+
+
+def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The classes of equal rows of an (m >= 1, width >= 1) array: the
+    stable order of its rows sorted as bytes, and the first position in that
+    order of each class, ascending (the sort of _unique_rows, keeping which
+    rows each class holds)."""
+    keys = np.ascontiguousarray(rows).view(f"V{rows.shape[1] * rows.itemsize}").ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    return order, np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -701,10 +720,7 @@ class Code:
         lo = tuple(sorted(e for child in children[:-1] for e in child.elements))
         hi_cols, lo_cols = np.flatnonzero(where == last), np.flatnonzero(where < last)
         words = self._rows
-        keys = np.ascontiguousarray(words[:, hi_cols]).view(f"V{len(hi_cols)}").ravel()
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        order, starts = _row_classes(words[:, hi_cols])
         t_words = words[order[starts]][:, hi_cols]
         top = [(mw * len(lo), Code._of(space.restrict(hi.elements), t_words))]
         lo_space = space.restrict(lo)
@@ -788,17 +804,21 @@ class Code:
         block's folds into them: its minima always, its second-smallest
         entries with "two", and with "first" its first word only where its
         minimum is strictly smaller.  Each chunk then folds into the pass's
-        reading, so no array spans all the rows but "first"'s output.
-        Returns the max row minimum (a covering radius), with "two" the min
-        second-smallest entry - 1 (for two or more words, a packing radius)
-        else None, and with "first" per row its minimum and the index of its
-        first word else None.  The caller stores the readings that hold for
+        reading, so no array spans all the rows but "first"'s output.  A
+        chunk through a cut holds classes of head rows, each read once for
+        all its rows: a maximum or a minimum over the rows is one over the
+        classes, so "min" and "two" fold the chunk as it is, and "first"
+        gives each head row, a (T,) run of its output, its class's readings
+        (the chunk's place, _tiles).  Returns the max row minimum (a
+        covering radius), with "two" the min second-smallest entry - 1 (for
+        two or more words, a packing radius) else None, and with "first" per
+        row its minimum and the index of its first word else None.  The caller stores the readings that hold for
         its code and charges the rows x |C| vector x word pairs."""
         covering, second = 0, _BIG
         if keep == "first":
             count = self.space.q ** len(cols)
             best_w, best_word = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.intp)
-        for start, tiles in self._tiles(cols, rows):
+        for (at, of), tiles in self._tiles(cols, rows):
             d1, other = _keep(next(tiles)[1], keep)
             for lo, w in tiles:
                 t1, t2 = _keep(w, keep)
@@ -810,34 +830,44 @@ class Code:
             covering = max(covering, int(d1.max()))
             if keep == "two":
                 second = min(second, int(other.min()))
-            elif keep == "first":
-                best_w[start : start + d1.size] = d1.ravel()
-                best_word[start : start + d1.size] = other.ravel()
+            elif keep == "first":  # a cut's rows as (head rows, T): its readings are (X, T)
+                best_w.reshape(-1, *d1.shape[1:])[at] = d1[of]
+                best_word.reshape(-1, *d1.shape[1:])[at] = other[of]
         return (covering, second - 1 if keep == "two" else None,
                 (best_w, best_word) if keep == "first" else None)
 
     def _tiles(self, cols: np.ndarray, rows: np.ndarray | None = None):
-        """Yield (rank of the first row, tiles) per chunk of rows of _pass,
-        tiles yielding (index of the first word, w) per block of words in
-        word order, w the weights w(x + c) with the words on axis 1.  The
-        last t columns, t the largest below len(cols) with q^t * |C| <=
-        _CHUNK, are the tail of a cut (BlockSpace.cut) at the first of them,
-        and x a head row plus a tail row: the (C, T) tail index of all
-        T = q^t tail rows is built once and the head index once per chunk
-        of X head rows, so each entry of an (X, C, T) tile, the chunk's one,
-        costs one add and one gather.  A tile holds at most 4 * _CHUNK
-        entries of the cut's uint8 table (a uint16 index and a uint8 weight
-        each) and at least one head row.  Without such a cut (given rows,
-        one tile holds the pass, q * |C| > _CHUNK, or the space has no table
-        for the cut) the tiles are (X, B): whole rows times a block of
-        words, one pair-kernel call each, of at most
-        pairs = min(_CHUNK, _TILE // n) entries (at least one), so the
-        (pieces, X, B) piece sums of a tile and the (n, X) and (n, B)
-        products of its codes hold at most max(_TILE, n) entries.  Each
-        chunk of rows meets every block of words in turn: a chunk holds
-        pairs // |C| rows when the words fit one block, which is listed
-        (_chunked) and coded once, else min(rows, pairs) rows, each block
-        pairs // chunk words, listed and coded once per chunk.  A code that
+        """Yield (place, tiles) per chunk of rows of _pass, tiles yielding
+        (index of the first word, w) per block of words in word order, w the
+        weights w(x + c) with the words on axis 1, and place the pair
+        (at, of) that puts the chunk's readings r among the pass's rows as
+        out[at] = r[of].  The last t columns, t the largest below len(cols)
+        with q^t * |C| <= _CHUNK, are the tail of a cut (BlockSpace.cut) at
+        the first of them, and x a head row plus a tail row: the (C, T) tail
+        index of all T = q^t tail rows is built once, and the (C,) head
+        index of each head row in chunks of step = 4 * _CHUNK // (C * T)
+        head rows.  A head row's head index fixes its tile rows against
+        every word and tail row, so the head rows are sorted by it
+        (_row_classes) in blocks of max(_TILE // (step * C), 1) chunks, at
+        most max(_TILE, step * C) uint16 entries (step * C <= 2 * _CHUNK <
+        _TILE at the default sizes), and each class of a block is read
+        once: a chunk is the (X, C, T) tile of X <= step classes, one add
+        and one gather per entry, placed by the ranks of its classes' head
+        rows and the class of each, so its (X, T) readings land in the
+        pass's rows viewed as (head rows, T).  A tile holds at most
+        4 * _CHUNK entries of the cut's uint8 table (a uint16 index and a
+        uint8 weight each) and at least one class.  Without such a cut
+        (given rows, one tile holds the pass, q * |C| > _CHUNK, or the space
+        has no table for the cut) the tiles are (X, B): whole rows times a
+        block of words, one pair-kernel call each, placed by the slice of
+        the chunk's ranks, of at most pairs = min(_CHUNK, _TILE // n)
+        entries (at least one), so the (pieces, X, B) piece sums of a tile
+        and the (n, X) and (n, B) products of its codes hold at most
+        max(_TILE, n) entries.  Each chunk of rows meets every block of
+        words in turn: a chunk holds pairs // |C| rows when the words fit
+        one block, which is listed (_chunked) and coded once, else
+        min(rows, pairs) rows, each block pairs // chunk words, listed and
+        coded once per chunk.  A code that
         keeps no listing has more than _CHUNK words, so its passes never
         cut, and at n <= 32 (pairs = _CHUNK) the default cap admits fewer
         rows than pairs for them, one chunk, so their words are listed
@@ -854,10 +884,18 @@ class Code:
             tail_words = tail.plan.codes(words[:, tail.lo : tail.hi], left=False)
             # (C, T) and contiguous: a tile's last axis runs over the tail rows
             tail_index = tail.index(tail.plan.row_codes(cols[-t:] - tail.lo), tail_words).T.copy()
-            width = tail_index.shape[1]
-            for start, codes in head.plan.odometer_codes(cols[:-t], 4 * _CHUNK // tail_index.size):
-                w = cut.weights(head.index(codes, head_words), tail_index)
-                yield start * width, iter([(0, w)])
+            step = 4 * _CHUNK // tail_index.size  # head rows, or classes, per tile
+            chunks = head.plan.odometer_codes(cols[:-t], step)
+            while block := list(islice(chunks, max(_TILE // (step * self.size), 1))):
+                index = np.concatenate([head.index(codes, head_words) for _, codes in block])
+                order, starts = _row_classes(index)
+                classes, bounds = index[order[starts]], np.append(starts, len(index))
+                heads = order + block[0][0]  # the head rows in class order, by rank
+                of = np.repeat(np.arange(len(starts)), np.diff(bounds))  # and their classes
+                for lo in range(0, len(classes), step):
+                    a, b = bounds[lo], bounds[min(lo + step, len(classes))]
+                    w = cut.weights(classes[lo : lo + step], tail_index)
+                    yield (heads[a:b], of[a:b] - lo), iter([(0, w)])
             return
         plan = space.plan()
         pairs = min(_CHUNK, max(_TILE // space.n, 1))
@@ -885,7 +923,7 @@ class Code:
                 lo += right.shape[1]
 
         for start, left in lefts:
-            yield start, tiles(left)
+            yield (slice(start, start + left.shape[-1]), slice(None)), tiles(left)
 
     # cosets -----------------------------------------------------------------
 

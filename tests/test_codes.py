@@ -740,6 +740,107 @@ def test_cut_coset_tables_take_the_first_tied_word(chunk, monkeypatch):
     assert sum(tied) > 0
 
 
+def _head_classes(code, cols: np.ndarray, p: int) -> tuple[int, int]:
+    """(head rows, classes) of a pass over the columns cols cut at p: the
+    rows of F_q^(cols below p), two of them in one class when the tuples of
+    their blocks' maxima of w(h_j + c_j) over the columns below p agree for
+    every word c, counted from the scalar weight table."""
+    sp = code.space
+    heads = blockspace.space_rows(sp.q, sp.n, cols[cols < p])[:, :p]
+    sums = sp.field.add_table[heads[:, None, :], code.codeword_array()[None, :, :p]]
+    starts = [o for o in sp.labeling.offsets if o < p]
+    maxima = np.maximum.reduceat(np.array(sp.weight.table)[sums], starts, axis=2)
+    return len(heads), len({row.tobytes() for row in maxima.reshape(len(heads), -1)})
+
+
+@pytest.mark.parametrize("chunk, tile", [(16, blockspace._TILE), (32, blockspace._TILE), (16, 24)])
+def test_cut_pass_reads_each_head_class_once(chunk, tile, monkeypatch):
+    """Head rows whose head indices are equal give equal tile rows against
+    every word and tail row, so a pass through a cut reads each class of
+    them once.  Seeded word sets and linear codes on the N poset (1 < 3,
+    2 < 3, 2 < 4) and the 2 x 2 grid, over GF(2), GF(3) and GF(5) under the
+    Hamming and Lee weights, read "min", "two" and "first" over all columns
+    as a dense batch_weights reduction of w(x + c) gives them, and their
+    coset tables as the scalar brute force does, with cuts on a block
+    boundary and inside a block.  A _CHUNK of 16 or 32 reads the classes of
+    a pass in several tiles.  At the default _TILE the head rows are one
+    block, and the cut tiles of a pass total classes x |C| x T entries
+    (_head_classes), fewer than head rows x |C| x T on some pass.  A _TILE
+    of 24 cuts the head rows of some passes into several blocks, each
+    sorted for its classes alone: the tiles then total between the two, and
+    more than the classes' entries on some pass.  Every block sorted for its
+    classes holds at most max(_TILE, 2 * _CHUNK) head-index entries, and
+    every tile keeps its bound (_assert_tile_bounds)."""
+    monkeypatch.setattr(codes_module, "_CHUNK", chunk)
+    monkeypatch.setattr(codes_module, "_TILE", tile)
+    cut, row_classes = BlockSpace.cut, codes_module._row_classes
+    seen: list[int] = []  # the cut point of every pass that asked for one
+    blocks: list[int] = []  # the entries of every head-index block sorted for its classes
+
+    def recording_cut(sp, p):
+        seen.append(p)
+        return cut(sp, p)
+
+    def recording_classes(rows):
+        if rows.dtype == np.uint16:
+            blocks.append(rows.size)
+        return row_classes(rows)
+
+    monkeypatch.setattr(BlockSpace, "cut", recording_cut)
+    monkeypatch.setattr(codes_module, "_row_classes", recording_classes)
+
+    def tile_entries(code, cols, read):
+        """The value of read() and its cut-tile entries, checked against the
+        classes of its head rows."""
+        seen.clear()
+        with _counting_tiles(code.space) as tiles:
+            value = read()
+        _assert_tile_bounds(tiles, chunk)
+        if seen and tiles.cut:
+            p, size = seen[0], code.space.q ** int((cols >= seen[0]).sum()) * code.size
+            rows, classes = _head_classes(code, cols, p)
+            total = sum(entries for entries, _ in tiles.cut)
+            assert classes * size <= total <= rows * size
+            exact.add(total == classes * size)
+            cuts.add("boundary" if p in code.space.labeling.offsets else "inside")
+            fewer.add(classes < rows)
+            several.add(len(tiles.cut) > 1)
+        return value
+
+    n_poset = P.from_cover_relations(4, [(1, 3), (2, 3), (2, 4)])
+    grid = P.cartesian_product(P.chain(2), P.chain(2))
+    rng = np.random.default_rng(37)
+    cuts, fewer, several, exact = set(), set(), set(), set()
+    for q, sizes, weight in [(2, (2, 1, 2, 2), "hamming"), (3, (1, 2, 1, 1), "lee"),
+                             (5, (1, 1, 1, 1), "hamming"), (5, (1, 1, 1, 1), "lee")]:
+        for pos in (n_poset, grid):
+            sp = space(q, pos, sizes, weight)
+            allv, cols = sp.all_vectors(), np.arange(sp.n)
+            codes = [Code.explicit(sp, allv[rng.choice(len(allv), m, replace=False)])
+                     for m in (2, 3, 5)]
+            codes += [Code.linear(sp, rng.integers(0, q, (k, sp.n))) for k in (1, 2)]
+            for code in codes:
+                cw = code.codeword_array()
+                dist = sp.batch_weights(
+                    sp.field.add_table[allv[:, None, :], cw[None, :, :]].reshape(-1, sp.n)
+                ).reshape(len(allv), len(cw))
+                covering, _, (best, first) = tile_entries(code, cols, lambda: code._pass(cols, "first"))
+                assert best.tolist() == dist.min(axis=1).tolist()
+                assert first.tolist() == dist.argmin(axis=1).tolist()  # argmin: the first minimum
+                assert covering == dist.min(axis=1).max()
+                assert tile_entries(code, cols, lambda: code._pass(cols, "min")) == (covering, None, None)
+                two = tile_entries(code, cols, lambda: code._pass(cols, "two"))
+                assert two[0] == covering and two[2] is None
+                if code.size > 1:
+                    assert two[1] == np.sort(dist, axis=1)[:, 1].min() - 1
+                if code.is_linear:
+                    table = tile_entries(code, code._free, code.coset_table)
+                    assert _table_tuples(table) == _brute_force_table(code)
+    assert cuts == {"boundary", "inside"} and True in several and True in fewer
+    assert exact == ({True} if tile == blockspace._TILE else {True, False})
+    assert blocks and max(blocks) <= max(tile, 2 * chunk)
+
+
 @pytest.mark.parametrize("chunk, path", [(5, "word blocks"), (16, "cut")])
 def test_each_reading_keeps_what_it_needs(chunk, path, monkeypatch):
     """What a pass keeps per row, on seeded linear codes and word sets, over
