@@ -744,9 +744,7 @@ def _unit_puncture(rng: random.Random, q: int, unit: int) -> tuple[str, Readings
 
     # every step-th vector in odometer order against its punctured image;
     # the witness is the first that violates w(v*) <= w(v)
-    ranks = np.arange(0, space.size, max(1, space.size // 256))
-    radix = space.q ** np.arange(space.n - 1, -1, -1, dtype=np.int64)
-    vecs = (ranks[:, None] // radix % space.q).astype(np.uint8)
+    vecs = space.all_vectors()[:: max(1, space.size // 256)]
     bad = np.flatnonzero(pun.space.batch_weights(vecs[:, outside]) > space.batch_weights(vecs))
     witness = {"vector": vecs[bad[0]].tolist(), "block": block} if len(bad) else {}
     r = Readings(block=block, vector_weight=(not len(bad), witness))

@@ -151,9 +151,9 @@ def extended_code(c: Code) -> ConstructionResult:
     labeling = Labeling(s.labeling.sizes + (1,))
     space = BlockSpace(posets.extend(s.poset), labeling, f, s.weight)
     rows = c._rows
-    # addition in GF(p^e) acts digit-wise mod p on the base-p digits
-    powers = f.p ** np.arange(f.e)
-    total = (rows[:, :, None] // powers % f.p).sum(axis=1) % f.p @ powers
+    total = np.zeros(len(rows), dtype=np.uint8)
+    for col in rows.T:
+        total = f.add_table[total, col]
     code = c._same_kind(space, np.hstack([rows, f.neg_table[total][:, None]]))
     prov = {"construction": "extend", "inputs": [_input_summary(c)]}
     return ConstructionResult(code, space, prov)

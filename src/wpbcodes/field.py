@@ -3,9 +3,11 @@
 Elements are plain integers in [0, q).  For extension fields (q = p^e with
 e > 1) the base-p digits of the value are the polynomial coefficients,
 lowest degree first, reduced modulo a fixed irreducible polynomial: the
-lexicographically smallest monic irreducible of degree e over GF(p), where
-polynomials are ordered by the base-p integer formed by their non-leading
-coefficients.  This keeps element encodings stable across runs:
+least monic x^e + sum_i m_i x^i, ordered by the base-p integer
+m = sum_i m_i p^i, that no two elements multiply to.  Elements have degree
+below e, so the monic products of degree e among them are exactly the
+reducible monics of degree e.  This keeps element encodings stable across
+runs:
 
     GF(4)   x^2 + x + 1
     GF(8)   x^3 + x + 1
@@ -13,12 +15,13 @@ coefficients.  This keeps element encodings stable across runs:
 
 Every field is built the same way; a prime field is the case e = 1, one
 digit per element and the modulus x, so nothing is reduced.  Addition and
-negation act digit-wise mod p.  The multiplication table is one vectorized
-product of the digit polynomials of every pair of elements, reduced from
-the top degree down by the monic modulus, and each inverse is the one
-element whose product with it is 1.  All four operations are
-materialised as numpy tables so that bulk vector arithmetic reduces to
-fancy indexing.
+negation act digit-wise mod p.  One vectorized product of the digit
+polynomials of every pair of elements both picks the modulus and, reduced
+from the top degree down by it, gives the multiplication table; each
+inverse is the one element whose product with it is 1.  All four
+operations are materialised as numpy tables so that bulk vector
+arithmetic reduces to fancy indexing; the scalar operations take each
+element through the element rule (weights.exact_element).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotAPrimePower
-from .weights import exact_ints
+from .weights import exact_element, exact_ints
 
 MAX_Q = 256
 
@@ -49,38 +52,6 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
-    num = list(num)
-    d = len(den) - 1
-    inv_lead = pow(den[-1], -1, p)
-    for i in range(len(num) - 1, d - 1, -1):
-        c = num[i]
-        if c:
-            f = (c * inv_lead) % p
-            for j in range(d + 1):
-                num[i - d + j] = (num[i - d + j] - f * den[j]) % p
-    return num[:d]
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    # Trial division by every monic polynomial of degree 1..deg(f)//2.
-    e = len(f) - 1
-    for d in range(1, e // 2 + 1):
-        for m in range(p**d):
-            g = [(m // p**i) % p for i in range(d)] + [1]
-            if not any(_poly_rem(f, g, p)):
-                return False
-    return True
-
-
-def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
-    for m in range(p**e):
-        f = [(m // p**i) % p for i in range(e)] + [1]
-        if _is_irreducible(f, p):
-            return tuple(f)
-    raise AssertionError(f"no irreducible of degree {e} over GF({p})")
-
-
 class Field:
     """Arithmetic tables for GF(q).  Immutable; obtain instances via make_field."""
 
@@ -89,34 +60,35 @@ class Field:
         self.q = q
         self.p = p
         self.e = e
-        # a prime field is the e = 1 case: its modulus is x and nothing reduces
-        modulus = _smallest_irreducible(p, e)
-        self.modulus: tuple[int, ...] | None = modulus if e > 1 else None
-
         digits = np.array(
             [[(v // p**i) % p for i in range(e)] for v in range(q)], dtype=np.int32
         )
         pows = np.array([p**i for i in range(e)], dtype=np.int32)
         add = ((digits[:, None, :] + digits[None, :, :]) % p) @ pows
         neg = ((-digits) % p) @ pows
-        # (2e - 1, q, q) int32: the coefficients of the product of every
-        # pair, degree first, at most e (p - 1)^2 in magnitude, which int32
-        # holds for every q <= 256 (62,500 at p = 251)
-        coef, prod = digits.T, np.zeros((2 * e - 1, q, q), np.int32)
+        # (2e, q, q) int32: the coefficients of the product of every pair,
+        # degree first, at most e (p - 1)^2 in magnitude, which int32 holds
+        # for every q <= 256 (62,500 at p = 251); the top row stays zero
+        coef, prod = digits.T, np.zeros((2 * e, q, q), np.int32)
         for i in range(e):
             prod[i : i + e] += coef[i][:, None] * coef[:, None, :]
+        # a monic product of degree e has two factors of degree >= 1, and
+        # every reducible monic of degree e is such a product: the modulus
+        # is the least x^e + m (m's digits) that no pair hits; for e = 1
+        # none does, so m = 0 and the modulus x reduces nothing
+        monic = (prod[e] % p == 1) & ~(prod[e + 1 :] % p).any(axis=0)
+        low = digits[np.bincount(pows @ (prod[:e, monic] % p), minlength=q).argmin()]
+        self.modulus: tuple[int, ...] | None = (*low.tolist(), 1) if e > 1 else None
         # x^d = x^d - modulus * x^(d - e) from the top degree down
-        low = np.array(modulus[:e], dtype=np.int32)[:, None, None]
         for d in range(2 * e - 2, e - 1, -1):
-            prod[d - e : d] -= prod[d] % p * low
+            prod[d - e : d] -= prod[d] % p * low[:, None, None]
         mul = (pows @ (prod[:e] % p).reshape(e, -1)).reshape(q, q)
 
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            hits = np.nonzero(mul[a] == 1)[0]
-            if len(hits) != 1:
-                raise AssertionError(f"element {a} of GF({q}) lacks a unique inverse")
-            inv[a] = hits[0]
+        one = mul == 1
+        lacking = np.flatnonzero(one[1:].sum(axis=1) != 1)
+        if len(lacking):
+            raise AssertionError(f"element {lacking[0] + 1} of GF({q}) lacks a unique inverse")
+        inv = one.argmax(axis=1)  # 0 for 0, whose row holds no 1
 
         self.add_table = add.astype(np.uint8)
         self.neg_table = neg.astype(np.uint8)
@@ -151,18 +123,19 @@ class Field:
     # scalar operations ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
+        return int(self.add_table[exact_element(a, self.q), exact_element(b, self.q)])
 
     def sub(self, a: int, b: int) -> int:
-        return int(self.sub_table[a, b])
+        return int(self.sub_table[exact_element(a, self.q), exact_element(b, self.q)])
 
     def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
+        return int(self.neg_table[exact_element(a, self.q)])
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
+        return int(self.mul_table[exact_element(a, self.q), exact_element(b, self.q)])
 
     def inv(self, a: int) -> int:
+        a = exact_element(a, self.q)
         if a == 0:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in GF({self.q})")
         return int(self.inv_table[a])

@@ -9,8 +9,10 @@ exact_ints is the package's one integer rule for a caller's values: the
 weight tables here, the field sizes of the field module, the poset sizes,
 cover pairs and element indices of the poset module, the block sizes,
 block indices, vector coordinates, radii and ranks of the blockspace and
-codes modules, and the coordinates of constructions.tensor_vector.
-exact_radius is the one radius rule: an integer, at least 0.
+codes modules, the coordinates of constructions.tensor_vector, and the
+elements that Field.add, sub, neg, mul and inv and WeightFn.__call__ take
+(exact_element).  exact_radius is the one radius rule: an integer, at
+least 0; exact_element the one element rule: an integer in 0..q-1.
 """
 
 from __future__ import annotations
@@ -51,6 +53,16 @@ def exact_radius(value) -> int:
     return radius
 
 
+def exact_element(value, q: int) -> int:
+    """An element of GF(q) as an int: a plain int after one type test, any
+    other value through exact_ints; ValueError outside 0..q-1."""
+    if type(value) is not int:
+        (value,) = exact_ints([value], "field elements")
+    if not 0 <= value < q:
+        raise ValueError(f"field element {value} outside 0..{q - 1}")
+    return value
+
+
 @dataclass(frozen=True)
 class WeightFn:
     """A validated weight table over a field.
@@ -64,7 +76,7 @@ class WeightFn:
     name: str
 
     def __call__(self, a: int) -> int:
-        return self.table[a]
+        return self.table[exact_element(a, self.field.q)]
 
     @cached_property
     def max_weight(self) -> int:

@@ -5,6 +5,7 @@ import pytest
 
 from wpbcodes.errors import NotAPrimePower
 from wpbcodes.field import make_field
+from wpbcodes.weights import hamming_weight
 
 SMALL_FIELDS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -33,6 +34,20 @@ def test_gf5_mod_arithmetic():
     assert f.add(3, 4) == 2
     assert f.inv(2) == 3
     assert f.mul(2, 3) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: make_field(4).add(-1, 1),
+    lambda: make_field(5).add(True, 1),
+    lambda: make_field(4).sub(1, 4),
+    lambda: make_field(4).neg(2.0),
+    lambda: make_field(8).mul(3, 8),
+    lambda: make_field(4).inv(-4),
+    lambda: hamming_weight(make_field(4))(-1),
+], ids=["add-negative", "add-bool", "sub", "neg-float", "mul", "inv-negative", "weight"])
+def test_scalar_calls_refuse_values_that_are_not_elements(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_inverse_of_zero_raises():
@@ -80,6 +95,22 @@ def test_digitwise_addition_gf9():
     assert f.modulus == (1, 0, 1)
     # (1 + x) + (2 + x) = 3 + 2x = 2x  ->  value 6
     assert f.add(4, 5) == 6
+
+
+def test_extension_field_moduli():
+    # the least monic irreducible of each degree, coefficients lowest
+    # degree first; a prime field has modulus None
+    moduli = {
+        4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1), 16: (1, 1, 0, 0, 1),
+        25: (2, 0, 1), 27: (1, 2, 0, 1), 32: (1, 0, 1, 0, 0, 1), 49: (1, 0, 1),
+        64: (1, 1, 0, 0, 0, 0, 1), 81: (2, 1, 0, 0, 1), 121: (1, 0, 1),
+        125: (1, 1, 0, 1), 128: (1, 1, 0, 0, 0, 0, 0, 1), 169: (2, 0, 1),
+        243: (1, 2, 0, 0, 0, 1), 256: (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    }
+    for q, modulus in moduli.items():
+        assert make_field(q).modulus == modulus
+        assert all(type(c) is int for c in make_field(q).modulus)
+    assert make_field(251).modulus is None
 
 
 def test_field_identity_and_cache():
