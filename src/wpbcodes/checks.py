@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .blockspace import _CHUNK, BlockSpace, Labeling
-from .codes import Code
+from .codes import Code, _shared, shared_memos
 from .constructions import (
     direct_sum_code,
     extended_code,
@@ -303,7 +303,10 @@ def _covering_with_oracle(r: Readings, code: Code, label: str) -> int:
     """Covering radius of a code.  For a linear code, three separate
     computations are appended to r.oracle, for _ORACLE: the code's tree
     reading, its coset table's full pass (max leader weight) and the
-    word-set reading of the same words."""
+    word-set reading of the same words.  They are separate memo entries
+    also where equal codes share a memo (shared_memos): the reading and
+    the table are two entries of the code's memo, and the word-set code,
+    of the explicit kind, has a memo of its own."""
     rho = code.covering_radius()
     if code.is_linear:
         coset_max = code.coset_table().max_weight
@@ -1060,6 +1063,12 @@ def _run_unit(args: tuple[str, int, int, int | None]) -> list[CheckReport]:
     return REGISTRY[name].unit_fn(seed, unit, q)
 
 
+def _share_memos() -> None:
+    """A pool worker's start: its units share memos (shared_memos) for the
+    worker's life, which is one run's, as verify_suite closes its pool."""
+    _shared.set({})
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the OS
     keeps one (a container or taskset limit), else the machine's count."""
@@ -1079,7 +1088,8 @@ def verify_suite(
 
     ``q`` restricts instance generation to one field size; suites whose
     envelope does not contain it contribute no reports.  ``jobs`` worker
-    processes, at most the CPUs this process may use, run the units.
+    processes, at most the CPUs this process may use, run the units.  Equal
+    codes of the run share one memo (shared_memos), a pool's in each worker.
     """
     if q is not None and q not in (2, 3, 5, 7):
         raise ValueError(f"--q must be one of 2, 3, 5, 7; got {q}")
@@ -1094,10 +1104,11 @@ def verify_suite(
     if jobs > 1:
         from multiprocessing import Pool  # only a pool pays for the import
 
-        with Pool(jobs) as pool:
+        with Pool(jobs, initializer=_share_memos) as pool:
             chunks = pool.map(_run_unit, tasks)
     else:
-        chunks = [_run_unit(t) for t in tasks]
+        with shared_memos():
+            chunks = [_run_unit(t) for t in tasks]
     reports: list[CheckReport] = []
     for (name, _, _, _), chunk in zip(tasks, chunks):
         allowed = wanted[name]

@@ -97,6 +97,19 @@ part's plan) triples of its split.  A reading (_read) walks the plan it
 takes (_leaves, _combine), memoizes its value and drops the plan; each
 memo entry is written only by the reading that gives it.
 
+A code's memo (_memo) holds its readings and its coset table, each an
+entry of its own.  It is the code's alone, except inside a shared_memos
+block (a verify_suite run, in each worker of a pool): there codes with
+the same kernel, kind and rows share one memo.  The kernel fixes q, the
+weight table, the order and the block sizes, so with the rows (a linear
+code's reduced echelon form, an explicit code's sorted words) it fixes
+every reading, and a later equal code reads what an earlier one has read
+with no pass, no batch_weights call and no charge, as a code re-reading
+its own memo does.  The block keeps at most _SHARED_CODES code memos, a
+few readings each; a code past the bound keeps its own.  Sharing ends
+with the block, so no reading of one run is replayed in the next, and a
+code built outside one charges every reading it makes.
+
 Every pass weighs sums: its tiles hold w(x + c) for rows x and the code's
 own words c (BlockSpace.pair_weights).  The coset pass: the generator is in
 reduced row-echelon form, so every vector splits uniquely as x + c with x
@@ -195,6 +208,8 @@ the one pass that keeps an array over all its rows.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, islice
@@ -215,6 +230,22 @@ _BIG = np.iinfo(np.int64).max
 # 2-vCPU Xeon guest, numpy 2.4), from leaf reads timed against split
 # searches by entry bin (CHANGES.md).
 _SPLIT_PRICE = 11_000
+# The code memos one shared_memos block keeps at most (Code._set): verify
+# keys 2,139-2,378 codes at master seeds 0-3, each memo a few readings.
+_SHARED_CODES = 4_096
+_shared: ContextVar[dict | None] = ContextVar("shared_memos", default=None)
+
+
+@contextmanager
+def shared_memos() -> Iterator[None]:
+    """Inside the with block, codes with the same kernel, kind and rows share
+    one memo (Code._set), up to _SHARED_CODES of them; on leaving it, also
+    on an error, each new code keeps its own memo again."""
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
 
 
 def _two_smallest(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -432,7 +463,12 @@ class Code:
             self._words = None
             held = set(pivots)
             self._free = np.array([c for c in range(space.n) if c not in held], np.intp)
+        # its own memo, or an equal code's inside shared_memos (module docstring)
         self._memo: dict = {}
+        if (shared := _shared.get()) is not None:
+            key = (space._kernel, self.kind, rows.shape, rows.tobytes())
+            if key in shared or len(shared) < _SHARED_CODES:
+                self._memo = shared.setdefault(key, self._memo)
         self._parts = parts  # _split, once found
 
     @classmethod
@@ -539,8 +575,10 @@ class Code:
         fewest.  Each such leaf gives its entries and its read (_leaf): the
         entries are summed and charged together, in one unit, before any
         read runs, and the plan is dropped once the reading is combined.  A
-        packing radius or a minimum distance of fewer than two words raises
-        TooFewWords."""
+        memo hit charges nothing, for the code or a leaf, whether the code
+        read the value itself or an equal code sharing its memo did
+        (shared_memos), as a re-read of one code.  A packing radius or a
+        minimum distance of fewer than two words raises TooFewWords."""
         if what in self._memo:
             return self._memo[what]
         if what != "covering_radius" and self.size < 2:

@@ -274,10 +274,15 @@ def test_criterion_10_covering_oracle(
     ]
     assert len(rows) > 1000
     assert all(r.status == "pass" for r in rows)
-    # the oracle is independent of a wrong reading of linear codes: a pass
-    # that skews both the covering radius and the leader weights of linear
-    # codes at once is still caught by the word-set scan, whose explicit
-    # code takes the same pass unskewed
+    _assert_skewed_passes_caught(monkeypatch)
+    _announce(10, "covering-oracle", f"{len(rows)} pass-vs-explicit-scan comparisons, all equal")
+
+
+def _assert_skewed_passes_caught(monkeypatch):
+    """The oracle is independent of a wrong reading of linear codes: a pass
+    that skews both the covering radius and the leader weights of linear
+    codes at once is still caught by the word-set scan, whose explicit code
+    takes the same pass unskewed."""
     original = Code._pass
 
     def skewed(self, cols, keep):
@@ -296,7 +301,16 @@ def test_criterion_10_covering_oracle(
         # skewed packing pass, a full space's (s = 0) included
         s = r.witness["scan"]
         assert r.witness == {"code": "code", "scan": s, "coset_max": s + 1, "covering": s + 1}
-    _announce(10, "covering-oracle", f"{len(rows)} pass-vs-explicit-scan comparisons, all equal")
+
+
+def test_a_verify_run_shares_no_memo_with_a_later_run(monkeypatch):
+    """Equal codes share one memo within a verify_suite run alone: after a
+    clean run of the same units, the skewed passes of criterion 10 are
+    still caught in every unit, as no clean reading is replayed."""
+    clean = verify_suite(["chain-radii"], seed=SEED, trials=5)
+    oracle = [r for r in clean if r.check == "covering-oracle"]
+    assert len(oracle) == 5 and all(r.status == "pass" for r in oracle)
+    _assert_skewed_passes_caught(monkeypatch)
 
 
 def test_criterion_11_performance_and_determinism():

@@ -109,7 +109,7 @@ def test_pool_size_is_clamped_to_usable_cpus(jobs, cpus, pool, affinity, monkeyp
     requested = []
 
     class FakePool:
-        def __init__(self, size):
+        def __init__(self, size, initializer=None):
             requested.append(size)
 
         def __enter__(self):

@@ -1907,3 +1907,76 @@ def test_passes_over_more_words_than_a_tile_in_bounded_memory():
     ))
     assert out == ["0", "1", "2", "0", "1", "-1", "20"]
     assert peak < 100
+
+
+def _counting_reads(monkeypatch) -> list[str]:
+    """The names of the passes and batch_weights calls made from here on."""
+    calls: list[str] = []
+    for owner, name in ((Code, "_pass"), (BlockSpace, "batch_weights")):
+        def counting(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _read_all(code):
+    return code.covering_radius(), code.packing_radius(), code.min_distance()
+
+
+def test_equal_codes_share_one_memo_inside_shared_memos(monkeypatch):
+    """Inside shared_memos, a code equal to an earlier one (same kernel,
+    kind and reduced rows, on a space built anew) reads covering, packing,
+    d and its coset table with no pass and no batch_weights call, and gets
+    the same CosetTable; codes that differ in weight table, poset, block
+    sizes, kind (its words, or its generator rows as words) or rows run
+    their own passes, and so does an equal code after the block, also one
+    left by an error, or past the memo bound."""
+    calls = _counting_reads(monkeypatch)
+    rows, other_rows = [(1, 2, 3)], [(0, 1, 4)]
+
+    def chain_code(gens=rows, weight="hamming", pos=None, sizes=(1, 2)):
+        return Code.linear(space(5, pos or P.chain(2), sizes, weight), gens)
+
+    fresh = chain_code()
+    readings, table = _read_all(fresh), fresh.coset_table()
+    with codes_module.shared_memos():
+        first = chain_code()
+        assert _read_all(first) == readings and "_pass" in calls and "batch_weights" in calls
+        first_table = first.coset_table()
+        assert _table_tuples(first_table) == _table_tuples(table)
+        differing = [
+            chain_code(weight="lee"),
+            chain_code(pos=P.antichain(2)),
+            chain_code(sizes=(2, 1)),
+            Code.explicit(first.space, first.codeword_array()),
+            Code.explicit(first.space, rows),  # the same rows, another kind
+            chain_code(other_rows),
+        ]
+        for code in differing:
+            calls.clear()
+            code.covering_radius()
+            assert calls == ["_pass"]
+        calls.clear()
+        again = chain_code([(2, 4, 1)])  # 2 * (1, 2, 3), equal once reduced
+        assert _read_all(again) == readings and again.coset_table() is first_table
+        assert calls == []
+    assert codes_module._shared.get() is None
+    assert chain_code().covering_radius() == readings[0] and calls == ["_pass"]
+
+    with pytest.raises(KeyError):
+        with codes_module.shared_memos():
+            chain_code().covering_radius()
+            raise KeyError("left by an error")
+    calls.clear()
+    assert chain_code().covering_radius() == readings[0] and calls == ["_pass"]
+
+    monkeypatch.setattr(codes_module, "_SHARED_CODES", 1)
+    with codes_module.shared_memos():
+        chain_code().covering_radius()
+        chain_code(other_rows).covering_radius()  # past the bound: its own memo
+        calls.clear()
+        chain_code().covering_radius()
+        assert calls == []
+        chain_code(other_rows).covering_radius()
+        assert calls == ["_pass"]
